@@ -254,7 +254,7 @@ def main(argv: "list[str] | None" = None) -> int:
         )
         sub.add_argument(
             "--execution",
-            choices=("serial", "sharded", "threads"),
+            choices=("serial", "sharded"),
             default="serial",
         )
         return sub

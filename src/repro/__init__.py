@@ -47,7 +47,7 @@ Package map:
 ``repro.core``      the generic LLC framework (lookahead search, costs,
                     constraints, uncertainty bands, quantised simplexes)
 ``repro.controllers``  the L0/L1/L2 hierarchy and threshold baselines
-``repro.forecast``  Kalman/ARIMA workload prediction, EWMA filters
+``repro.forecast``  Kalman workload prediction, EWMA filters
 ``repro.queueing``  fluid difference model and exact FCFS server
 ``repro.cluster``   the plant: DVFS processors, power states, modules
 ``repro.workload``  synthetic and WC'98-shaped traces, Zipf store

@@ -2,9 +2,8 @@
 
 This realises the paper's abstraction map ``g``: "initially obtained in
 off-line fashion by simulating the L0 controller using various values from
-the input set ... and then (infrequently) adjusted using continuous
-observations of actual system behavior". :meth:`LookupTableMap.adjust`
-implements that online refinement as an exponentially-smoothed update.
+the input set". The paper's optional online refinement from observed
+behaviour is not implemented: neither engine would call it.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.common.errors import ConfigurationError, NotTrainedError
-from repro.common.validation import require_between
 from repro.approximation.quantizer import GridQuantizer
 
 
@@ -98,7 +96,7 @@ class LookupTableMap:
         :meth:`exact_at` returns cell by cell.
 
         Backed by a lazily-built dense grid cache that is invalidated on
-        every :meth:`store`/:meth:`adjust`, so repeated batched queries
+        every :meth:`store`, so repeated batched queries
         amortise to a single fancy-indexed gather.
         """
         idx = np.asarray(indices, dtype=np.intp)
@@ -121,27 +119,6 @@ class LookupTableMap:
                 populated[key] = True
             self._dense = (values, populated)
         return self._dense
-
-    def adjust(
-        self,
-        point: Sequence[float],
-        observed: Sequence[float],
-        learning_rate: float = 0.1,
-    ) -> None:
-        """Online refinement from an actual-behaviour observation."""
-        require_between(learning_rate, 0.0, 1.0, "learning_rate")
-        key = self.quantizer.snap_indices(point)
-        value = np.asarray(observed, dtype=float).reshape(-1)
-        if value.shape != (self.output_dim,):
-            raise ConfigurationError(
-                f"observed must have {self.output_dim} entries, got {value.shape}"
-            )
-        current = self._table.get(key)
-        if current is None:
-            self._table[key] = value.copy()
-        else:
-            self._table[key] = (1 - learning_rate) * current + learning_rate * value
-        self._dense = None
 
     # ------------------------------------------------------------------
     # Serialisation (trained-map artifacts round-trip through JSON)

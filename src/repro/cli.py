@@ -610,9 +610,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--seed", type=int, default=None)
     run.add_argument(
-        "--execution", choices=("serial", "sharded", "threads"), default=None,
+        "--execution", choices=("serial", "sharded"), default=None,
         help="cluster execution backend (sharded = persistent worker "
-        "processes; threads = in-process pool; bit-identical results)",
+        "processes; bit-identical results)",
     )
     run.add_argument(
         "--shard-workers", type=int, default=None, metavar="N",
@@ -691,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
         "replay: an external observation feed does",
     )
     serve.add_argument(
-        "--execution", choices=("serial", "sharded", "threads"),
+        "--execution", choices=("serial", "sharded"),
         default=None,
         help="cluster execution backend for the service's engine "
         "(pooled backends run with the barrier schedule; bit-identical)",

@@ -297,17 +297,6 @@ class ComputerBehaviorMap:
             total_cost += params.weights.operating * power
         return total_cost, q
 
-    def adjust(
-        self, queue: float, rate: float, work: float, observed_cost: float,
-        observed_next_queue: float, learning_rate: float = 0.05,
-    ) -> None:
-        """Online refinement from observed module behaviour."""
-        self.table.adjust(
-            [queue, rate, work],
-            [observed_cost, observed_next_queue],
-            learning_rate=learning_rate,
-        )
-
     # ------------------------------------------------------------------
     # Serialisation (the cacheable trained artifact)
     # ------------------------------------------------------------------
@@ -414,16 +403,30 @@ class L1Controller:
         available: np.ndarray | None = None,
     ) -> L1Decision:
         """Decide using the internal predictor's forecasts and band."""
-        forecasts = self.predictor.forecast(2)
-        delta = self.predictor.band.delta if self.params.use_uncertainty_band else 0.0
+        rate_hat, rate_next, delta = self.set_points()
         return self.decide(
             queues,
             alpha_current,
-            rate_hat=forecasts[0] / self.params.period,
-            rate_next=forecasts[1] / self.params.period,
-            delta=delta / self.params.period,
+            rate_hat=rate_hat,
+            rate_next=rate_next,
+            delta=delta,
             work=self.work_estimate,
             available=available,
+        )
+
+    def set_points(self) -> "tuple[float, float, float]":
+        """``(rate_hat, rate_next, delta)`` from the internal predictor.
+
+        The arrival-rate set-points :meth:`decide` takes when the module
+        forecasts its own load; under L2 they come from the global
+        forecast instead.
+        """
+        forecasts = self.predictor.forecast(2)
+        delta = self.predictor.band.delta if self.params.use_uncertainty_band else 0.0
+        return (
+            forecasts[0] / self.params.period,
+            forecasts[1] / self.params.period,
+            delta / self.params.period,
         )
 
     # ------------------------------------------------------------------

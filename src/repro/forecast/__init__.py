@@ -10,16 +10,15 @@ smoothing constant pi = 0.1). This package provides:
 * :mod:`~repro.forecast.structural` — Harvey-style structural time-series
   models (local level, local linear trend) and the
   :class:`~repro.forecast.structural.WorkloadPredictor` convenience wrapper
-  used by the controllers.
-* :mod:`~repro.forecast.arima` — ARMA/ARIMA state-space models with
-  Yule-Walker and Hannan-Rissanen estimation.
+  used by the controllers (the local linear trend is the state-space
+  form of ARIMA(0,2,2), the paper's "ARIMA model implemented by a Kalman
+  filter").
 * :class:`~repro.forecast.ewma.EwmaFilter` — processing-time estimator.
 * :class:`~repro.forecast.band.UncertaintyBand` — the rolling
   mean-absolute-error band (the paper's delta) used for chattering
   mitigation.
 """
 
-from repro.forecast.arima import ArimaModel, ArmaSpec, fit_ar_yule_walker, fit_arma_hannan_rissanen
 from repro.forecast.band import UncertaintyBand
 from repro.forecast.evaluation import ForecastReport, coverage, mae, mape, rmse
 from repro.forecast.ewma import EwmaFilter
@@ -31,8 +30,6 @@ from repro.forecast.structural import (
 )
 
 __all__ = [
-    "ArimaModel",
-    "ArmaSpec",
     "EwmaFilter",
     "ForecastReport",
     "KalmanFilter",
@@ -42,8 +39,6 @@ __all__ = [
     "UncertaintyBand",
     "WorkloadPredictor",
     "coverage",
-    "fit_ar_yule_walker",
-    "fit_arma_hannan_rissanen",
     "mae",
     "mape",
     "rmse",

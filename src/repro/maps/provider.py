@@ -9,8 +9,8 @@ Three layers of reuse sit between a request and an actual training run:
 2. **Process memo** — a module-level ``digest -> artifact payload``
    dict. Repeated simulation constructions in one process rebuild maps
    from the serialised payload instead of retraining. Each rebuild is a
-   fresh object, so one caller mutating its map (online ``adjust``)
-   can never leak into another run's tables.
+   fresh object, so one caller mutating its map can never leak into
+   another run's tables.
 3. **Disk cache** — a :class:`~repro.maps.cache.MapCache` of
    digest-addressed JSON artifacts, shared across processes and runs
    (sweep workers, shard parents, repeated CLI invocations).

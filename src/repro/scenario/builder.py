@@ -157,10 +157,11 @@ class Scenario:
     def execution(
         self, mode: str, shard_workers: int | None = None
     ) -> "Scenario":
-        """Pick the cluster backend: ``"serial"``, ``"sharded"``, ``"threads"``.
+        """Pick the cluster backend: ``"serial"`` or ``"sharded"``.
 
         ``shard_workers`` caps the pooled worker count (default one per
-        module). Results are bit-identical across backends.
+        module, capped at the core count). Results are bit-identical
+        across backends.
         """
         updates: dict = {"execution": mode}
         if shard_workers is not None:

@@ -226,12 +226,11 @@ class ControlSpec:
     override individual fields of :class:`L0Params`/:class:`L1Params`/
     :class:`L2Params` and are validated eagerly on construction.
 
-    ``execution`` picks the cluster backend: ``"serial"`` (default),
-    ``"sharded"`` — one persistent worker process per module (capped at
-    ``shard_workers`` when set) — or ``"threads"``, the same module
-    fan-out on an in-process thread pool (no spawn cost, GIL-bounded).
-    Both pooled backends produce bit-identical results to the serial
-    path; only cluster plants accept them.
+    ``execution`` picks the cluster backend: ``"serial"`` (default) or
+    ``"sharded"`` — a pool of persistent worker processes, one per
+    module capped at the core count (``shard_workers`` overrides). The
+    sharded backend produces bit-identical results to the serial path;
+    only cluster plants accept it.
 
     ``pipeline`` picks the period-boundary schedule for the pooled
     backends (:data:`~repro.sim.options.PIPELINE_MODES`):
@@ -294,7 +293,7 @@ class ControlSpec:
             if self.execution == "serial":
                 raise ConfigurationError(
                     "control.shard_workers requires control.execution = "
-                    "'sharded' or 'threads'"
+                    "'sharded'"
                 )
         if self.window is not None:
             require_positive_int(self.window, "control.window")
@@ -426,7 +425,7 @@ class ScenarioSpec:
                 f"seed must be a non-negative int, got {self.seed!r}"
             )
         if (
-            self.control.execution in ("sharded", "threads")
+            self.control.execution == "sharded"
             and self.plant.kind != "cluster"
         ):
             raise ConfigurationError(

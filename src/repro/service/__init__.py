@@ -12,7 +12,7 @@ plant, for as long as traffic keeps arriving:
   path when fed the same series. Hardware-in-the-loop is "one more
   plant" behind the same interface.
 * **The supervisor** (:mod:`~repro.service.supervisor`) — an asyncio
-  event loop that updates the Kalman/ARIMA forecasts online, issues
+  event loop that updates the Kalman forecasts online, issues
   L2→L1→L0 decisions within a per-period deadline budget, and degrades
   gracefully on a miss: the previous allocation holds, the miss is
   audited, and the next period resyncs.

@@ -10,11 +10,14 @@ The engine advances the fluid plant in T_L0 periods. Within each period:
 3. the dispatcher splits the period's arrivals by gamma and every
    computer advances one fluid step.
 
-:class:`ClusterSimulation` stacks an L2 controller on top: at T_L2
-boundaries it observes aggregate module states and global arrivals and
-re-divides the workload across modules. Passing ``baseline=`` pins every
-module to a heuristic policy instead (static capacity-proportional split,
-no L2/L1/L0 optimisation) — the §5.2 setting's reference points.
+Both steps 1–3 live in one place, :class:`~repro.sim.shard.ModuleShardRunner`.
+:class:`ModuleSimulation` drives a single runner with set-points from
+the module's own predictor; :class:`ClusterSimulation` stacks an L2
+controller on top: at T_L2 boundaries it observes aggregate module
+states and global arrivals, re-divides the workload across modules, and
+hands every runner its share. Passing ``baseline=`` pins every module to
+a heuristic policy instead (static capacity-proportional split, no
+L2/L1/L0 optimisation) — the §5.2 setting's reference points.
 
 Both simulations follow the same **stepwise protocol**: ``reset()``
 prepares a run, ``step()`` advances one T_L0 period, ``advance_period()``
@@ -26,10 +29,10 @@ at every seam; the result arrays themselves are accumulated by recorder
 observers riding the same interface, so streaming consumers see exactly
 what the results see.
 
-Cluster runs execute on either of two backends behind the same
-protocol: serial (every module advanced in-process) or sharded — one
-persistent worker process per module (:mod:`repro.sim.shard`), with
-bit-identical events and results.
+Cluster runs execute on one of two backends behind the same protocol:
+serial (every module advanced in-process) or sharded — a pool of
+persistent worker processes, by default min(modules, cores) of them
+(:mod:`repro.sim.shard`) — with bit-identical events and results.
 """
 
 from __future__ import annotations
@@ -64,18 +67,18 @@ from repro.sim.observers import (
     PeriodEvent,
     SimulationObserver,
     StepEvent,
+    StreamStats,
 )
 from repro.sim.options import EngineOptions, resolve_engine_options
 from repro.sim.results import ClusterRunResult, ModuleRunResult, RunSummary
 from repro.sim.shard import (
     EXECUTION_MODES,
     ModuleBoundaryInput,
+    ModuleFinalization,
     ModulePeriodInput,
     ModuleShardRunner,
     ModuleStepInput,
     ShardWorkerPool,
-    ThreadShardPool,
-    forced_configuration,
 )
 from repro.workload.trace import ArrivalTrace
 
@@ -97,8 +100,305 @@ class SimulationOptions:
     recorder_window: "int | None" = None
 
 
-class ModuleSimulation:
-    """One module under the LLC hierarchy or a baseline policy."""
+class _SimulationBase:
+    """Protocol plumbing shared by the module and cluster engines.
+
+    Subclasses set ``engine_options``, ``trace``, ``substeps``,
+    ``l0_params``, ``l1_params`` and ``module_overrides``, keep their
+    per-run state (with a step counter ``k``, ``l0_marks`` and a
+    ``result`` slot) in ``_state``, and implement ``reset``/``step``/
+    ``finish`` plus :meth:`_override_target`.
+    """
+
+    _state = None
+
+    @property
+    def kernel(self) -> str:
+        """The control-period kernel this run executes on."""
+        return self.engine_options.kernel
+
+    @property
+    def decision_deadline(self) -> "float | None":
+        """Per-boundary wall-time budget (see :meth:`set_decision_deadline`)."""
+        return self.engine_options.decision_deadline
+
+    @decision_deadline.setter
+    def decision_deadline(self, seconds: "float | None") -> None:
+        self.engine_options.decision_deadline = seconds
+
+    @property
+    def metrics(self):
+        """Attached metrics registry (see :meth:`set_telemetry`)."""
+        return self.engine_options.metrics
+
+    @metrics.setter
+    def metrics(self, value) -> None:
+        self.engine_options.metrics = value
+
+    @property
+    def tracer(self):
+        """Attached decision tracer (see :meth:`set_telemetry`)."""
+        return self.engine_options.tracer
+
+    @tracer.setter
+    def tracer(self, value) -> None:
+        self.engine_options.tracer = value
+
+    @property
+    def total_steps(self) -> int:
+        """Number of T_L0 steps in the full run."""
+        return len(self.trace)
+
+    @property
+    def periods(self) -> int:
+        """Number of control periods (T_L1 = T_L2) in the full run."""
+        return int(np.ceil(self.total_steps / self.substeps))
+
+    @property
+    def finished(self) -> bool:
+        """True once every step of the current run has been taken."""
+        return self._state is not None and self._state.k >= self.total_steps
+
+    @property
+    def steps_taken(self) -> int:
+        """T_L0 steps taken in the current run (0 before/without one)."""
+        return 0 if self._state is None else self._state.k
+
+    def set_decision_deadline(self, seconds: "float | None") -> None:
+        """Budget each boundary's decisions to ``seconds`` of wall time.
+
+        A decision that overruns is discarded: the previous alpha/gamma
+        stay in force and the emitted :class:`L1DecisionEvent` carries
+        ``held=True``. In a cluster the budget is shared down the
+        hierarchy: an overrunning L2 decision holds every module too
+        (its event and theirs carry ``held=True``); an L1 that
+        individually blows the remaining budget holds just its module.
+        ``None`` (the default) disables the budget and skips every clock
+        read.
+        """
+        self.engine_options.set_decision_deadline(seconds)
+
+    def set_telemetry(self, metrics=None, tracer=None) -> None:
+        """Attach a metrics registry and/or decision tracer.
+
+        ``metrics`` (a :class:`~repro.obs.registry.MetricsRegistry`)
+        receives decision-latency histograms and — on the sharded
+        backend — the per-worker registries, merged into the parent at
+        ``finish()`` with a ``worker`` label. ``tracer`` (a
+        :class:`~repro.obs.trace.Tracer` with sinks) receives decision
+        spans: module runs and the serial cluster backend emit the
+        L2-solve (clusters) / L1-lookahead / L0-bank sequence, the
+        sharded backend the parent-side L2 spans only (module state
+        lives in the workers). ``None`` (the default) detaches and skips
+        every related branch and clock read, so batch runs stay
+        byte-identical.
+        """
+        self.engine_options.set_telemetry(metrics, tracer)
+
+    def set_module_override(self, module: int, on: "int | None") -> None:
+        """Pin (or with ``on=None`` release) one module's machines-on count.
+
+        Takes effect at the next control-period boundary: the module's
+        first ``on`` available machines serve with an equal gamma split,
+        and its boundary event carries ``forced=True``. Module plants
+        have exactly one module, index 0.
+        """
+        size, owner = self._override_target(module)
+        if on is None:
+            self.module_overrides.pop(module, None)
+            return
+        if not isinstance(on, int) or isinstance(on, bool) or on < 1:
+            raise ConfigurationError(
+                f"override machines-on count must be a positive int, got {on!r}"
+            )
+        if on > size:
+            raise ConfigurationError(
+                f"override asks for {on} machines but {owner} has only {size}"
+            )
+        self.module_overrides[module] = on
+
+    def _override_target(self, module: int) -> "tuple[int, str]":
+        """``(size, name)`` of the overridable module, or raise."""
+        raise NotImplementedError
+
+    def advance_period(self) -> Iterator:
+        """Generate the remaining steps of the current control period."""
+        state = self._require_state()
+        if state.k >= self.total_steps:
+            return
+        period = state.k // self.substeps
+        while not self.finished and self._state.k // self.substeps == period:
+            yield self.step()
+
+    def steps(self) -> Iterator:
+        """Generate every remaining step of the run."""
+        self._require_state()
+        while not self.finished:
+            yield self.step()
+
+    def run(self, observers: "Iterable[SimulationObserver]" = ()):
+        """Simulate the full trace; returns the structured result."""
+        self.reset(observers=observers)
+        for _ in self.steps():
+            pass
+        return self.finish()
+
+    def _require_state(self):
+        if self._state is None:
+            self.reset()
+        return self._state
+
+    # -- the shared per-module pieces -----------------------------------
+
+    def _begin_period(
+        self, runner: ModuleShardRunner, boundary: ModuleBoundaryInput
+    ) -> L1DecisionEvent:
+        """One module's boundary decision, with its L1 telemetry.
+
+        Times the runner's ``begin_period`` into
+        ``repro_decision_seconds{level="l1"}`` and an ``l1-lookahead``
+        span. Detached telemetry takes no clock reads.
+        """
+        metrics = self.metrics
+        tracer = self.tracer
+        tracing = tracer is not None and tracer.enabled
+        if not tracing and metrics is None:
+            return runner.begin_period(boundary)
+        t0 = time.perf_counter()
+        event = runner.begin_period(boundary)
+        wall = time.perf_counter() - t0
+        if metrics is not None:
+            metrics.histogram(
+                "repro_decision_seconds",
+                "Wall time per controller decision.",
+                level="l1",
+            ).observe(wall)
+        if tracing:
+            tracer.emit(
+                "l1-lookahead",
+                period=event.period,
+                module=event.module,
+                wall_us=wall * 1e6,
+                machines_on=int(event.alpha.sum()),
+                lookahead=0 if runner.is_baseline else self.l1_params.horizon,
+                held=event.held,
+                forced=event.forced,
+            )
+        return event
+
+    def _emit_l0_bank(self, runners, period: int) -> None:
+        """One ``l0-bank`` span per module for the period just closed.
+
+        L0 wall time comes from the bank's own accounting (the
+        controllers time themselves), so the step path gains no clock
+        reads: each span is the delta since the module's last mark.
+        """
+        tracer = self.tracer
+        if tracer is None or not tracer.enabled:
+            return
+        marks = self._state.l0_marks
+        for runner in runners:
+            if not runner.l0_bank:
+                continue
+            wall_total = sum(l0.stats.wall_seconds for l0 in runner.l0_bank)
+            states_total = sum(l0.stats.states_explored for l0 in runner.l0_bank)
+            wall_mark, states_mark = marks.get(runner.module_index, (0.0, 0))
+            tracer.emit(
+                "l0-bank",
+                period=period,
+                module=runner.module_index,
+                wall_us=(wall_total - wall_mark) * 1e6,
+                states=states_total - states_mark,
+            )
+            marks[runner.module_index] = (wall_total, states_total)
+
+    def _module_result(
+        self,
+        spec: ModuleSpec,
+        recorder: ModuleRecorder,
+        final: ModuleFinalization,
+    ) -> ModuleRunResult:
+        """One module's structured result: recorder series + aggregates."""
+        return ModuleRunResult(
+            l0_period=self.l0_params.period,
+            l1_period=self.l1_params.period,
+            computer_names=[c.name for c in spec.computers],
+            arrivals=recorder.arrivals,
+            frequencies=recorder.frequencies,
+            responses=recorder.responses,
+            queues=recorder.queues,
+            power=recorder.power,
+            l1_arrivals=recorder.l1_arrivals,
+            l1_predictions=recorder.l1_predictions,
+            computers_on=recorder.computers_on,
+            target_response=self.l0_params.target_response,
+            energy_base=final.energy_base,
+            energy_dynamic=final.energy_dynamic,
+            energy_transient=final.energy_transient,
+            switch_ons=final.switch_ons,
+            switch_offs=final.switch_offs,
+            l0_stats=final.l0_stats,
+            l1_stats=final.l1_stats,
+            stream=recorder.stream,
+        )
+
+
+def _fold_summary(
+    streams: "list[StreamStats]",
+    finals: "list[ModuleFinalization]",
+    l2_seconds: float = 0.0,
+) -> RunSummary:
+    """Headline metrics from recorder streams and module aggregates.
+
+    The same online aggregates and merge arithmetic as
+    :meth:`~repro.sim.results.ClusterRunResult.summary` (and, for one
+    module, :meth:`~repro.sim.results.ModuleRunResult.summary`), so a
+    live summary taken at the end of a run agrees bit for bit.
+    """
+    total_count = sum(s.response_count for s in streams)
+    mean_response = (
+        sum(s.response_sum for s in streams) / total_count if total_count else 0.0
+    )
+    violations = (
+        sum(s.violation_count for s in streams) / total_count
+        if total_count
+        else 0.0
+    )
+    periods = max(s.decision_count for s in streams)
+    mean_on = (
+        sum(s.computers_on_sum for s in streams) / periods if periods else 0.0
+    )
+    l0 = ControllerStats()
+    l1 = ControllerStats()
+    for final in finals:
+        l0 = l0.merged_with(final.l0_stats)
+        l1 = l1.merged_with(final.l1_stats)
+    return RunSummary(
+        mean_response=mean_response,
+        violation_fraction=violations,
+        total_energy=sum(
+            f.energy_base + f.energy_dynamic + f.energy_transient for f in finals
+        ),
+        base_energy=sum(f.energy_base for f in finals),
+        dynamic_energy=sum(f.energy_dynamic for f in finals),
+        transient_energy=sum(f.energy_transient for f in finals),
+        switch_ons=sum(f.switch_ons for f in finals),
+        switch_offs=sum(f.switch_offs for f in finals),
+        mean_computers_on=mean_on,
+        controller_seconds=l0.total_seconds + l1.total_seconds + l2_seconds,
+        l1_mean_states=l1.mean_states,
+    )
+
+
+class ModuleSimulation(_SimulationBase):
+    """One module under the LLC hierarchy or a baseline policy.
+
+    Steps one :class:`~repro.sim.shard.ModuleShardRunner` (module 0,
+    no L2): at each boundary the module controller observes
+    the closed interval and the L1 takes its arrival-rate set-points
+    from its own predictor; each step hands the runner the bin's
+    arrivals and the module's fine-grained forecast.
+    """
 
     def __init__(
         self,
@@ -148,126 +448,30 @@ class ModuleSimulation:
                 spec, behavior_maps, self.l1_params, self.l0_params
             )
             self.l1.kernel = self.engine_options.kernel
-            self.l0s = [L0Controller(c, self.l0_params) for c in spec.computers]
+            # Like the L1, the L0 bank lives as long as the simulation:
+            # each run's runner drives these same controllers.
+            self._l0_bank = [L0Controller(c, self.l0_params) for c in spec.computers]
         else:
             self.l1 = None
-            self.l0s = []
+            self._l0_bank = []
         if work_series is None:
             work_series = np.full(len(self.trace), self.options.mean_work)
         if work_series.size != len(self.trace):
             raise ConfigurationError("work_series must align with the trace bins")
         self.work_series = work_series
         self.module_overrides: "dict[int, int]" = {}
-        self._l0_kernel = None
-        self._state: "_ModuleRunState | None" = None
-
-    @property
-    def kernel(self) -> str:
-        """The control-period kernel this run executes on."""
-        return self.engine_options.kernel
-
-    @property
-    def decision_deadline(self) -> "float | None":
-        """Per-decision wall-time budget (see :meth:`set_decision_deadline`)."""
-        return self.engine_options.decision_deadline
-
-    @decision_deadline.setter
-    def decision_deadline(self, seconds: "float | None") -> None:
-        self.engine_options.decision_deadline = seconds
-
-    @property
-    def metrics(self):
-        """Attached metrics registry (see :meth:`set_telemetry`)."""
-        return self.engine_options.metrics
-
-    @metrics.setter
-    def metrics(self, value) -> None:
-        self.engine_options.metrics = value
-
-    @property
-    def tracer(self):
-        """Attached decision tracer (see :meth:`set_telemetry`)."""
-        return self.engine_options.tracer
-
-    @tracer.setter
-    def tracer(self, value) -> None:
-        self.engine_options.tracer = value
 
     @property
     def module_controller(self):
         """The active module-level controller (L1 or baseline)."""
         return self.baseline if self.baseline is not None else self.l1
 
-    @property
-    def steps_taken(self) -> int:
-        """T_L0 steps taken in the current run (0 before/without one)."""
-        return 0 if self._state is None else self._state.k
-
-    def set_decision_deadline(self, seconds: "float | None") -> None:
-        """Budget each boundary decision to ``seconds`` of wall time.
-
-        A decision that overruns is discarded: the previous alpha/gamma
-        stay in force and the emitted :class:`L1DecisionEvent` carries
-        ``held=True``. ``None`` (the default) disables the budget.
-
-        Thin delegate to :class:`~repro.sim.options.EngineOptions`.
-        """
-        self.engine_options.set_decision_deadline(seconds)
-
-    def set_module_override(self, module: int, on: "int | None") -> None:
-        """Pin (or with ``on=None`` release) the module's machines-on count.
-
-        Takes effect at the next control-period boundary: the first
-        ``on`` available machines serve with an equal gamma split, and
-        the boundary's event carries ``forced=True``. Module plants have
-        exactly one module, index 0.
-        """
+    def _override_target(self, module: int) -> "tuple[int, str]":
         if module != 0:
             raise ConfigurationError(
                 f"module plants have a single module (index 0), got {module}"
             )
-        if on is None:
-            self.module_overrides.pop(module, None)
-            return
-        if not isinstance(on, int) or isinstance(on, bool) or on < 1:
-            raise ConfigurationError(
-                f"override machines-on count must be a positive int, got {on!r}"
-            )
-        if on > self.spec.size:
-            raise ConfigurationError(
-                f"override asks for {on} machines but the module has "
-                f"only {self.spec.size}"
-            )
-        self.module_overrides[module] = on
-
-    def set_telemetry(self, metrics=None, tracer=None) -> None:
-        """Attach a metrics registry and/or decision tracer.
-
-        ``metrics`` (a :class:`~repro.obs.registry.MetricsRegistry`)
-        receives decision-latency histograms; ``tracer`` (a
-        :class:`~repro.obs.trace.Tracer` with sinks) receives one span
-        per L1 decision and per period's L0 bank. ``None`` (the
-        default) detaches and skips every related branch and clock
-        read, so batch runs stay byte-identical.
-
-        Thin delegate to :class:`~repro.sim.options.EngineOptions`.
-        """
-        self.engine_options.set_telemetry(metrics, tracer)
-
-    @property
-    def total_steps(self) -> int:
-        """Number of T_L0 steps in the full run."""
-        return len(self.trace)
-
-    @property
-    def periods(self) -> int:
-        """Number of T_L1 control periods in the full run."""
-        return int(np.ceil(self.total_steps / self.substeps))
-
-    @property
-    def finished(self) -> bool:
-        """True once every step of the current run has been taken."""
-        return self._state is not None and self._state.k >= self.total_steps
+        return self.spec.size, "the module"
 
     # ------------------------------------------------------------------
     # Stepwise protocol
@@ -286,19 +490,22 @@ class ModuleSimulation:
             step_seconds=self.l0_params.period,
         )
         state = _ModuleRunState(
-            plant=Module(self.spec, initially_on=True),
+            runner=ModuleShardRunner(
+                module_index=0,
+                plant=Module(self.spec, initially_on=True),
+                controller=self.module_controller,
+                l0_bank=self._l0_bank,
+                l0_params=self.l0_params,
+                mean_work=self.options.mean_work,
+                is_baseline=self.baseline is not None,
+                failure_events=self.failure_events,
+                kernel=self.kernel,
+            ),
             recorder=recorder,
             sink=ObserverList((recorder, *observers)),
             fine_predictor=WorkloadPredictor(),
-            alpha=np.ones(self.spec.size, dtype=bool),
-            gamma=np.full(self.spec.size, 1.0 / self.spec.size),
-            pending_events=list(self.failure_events),
         )
         self._tune_predictor(self.module_controller, state.fine_predictor)
-        if self.kernel == "vector" and self.l0s and self._l0_kernel is None:
-            from repro.sim.kernels import L0BankKernel
-
-            self._l0_kernel = L0BankKernel(self.l0s)
         self._state = state
         state.sink.on_run_start(self)
         return self
@@ -309,223 +516,69 @@ class ModuleSimulation:
         if state.k >= self.total_steps:
             raise ControlError("simulation already finished; call reset()")
         k = state.k
-        m = self.spec.size
-        plant = state.plant
-        controller = self.module_controller
-        work = float(self.work_series[k])
         now = k * self.l0_params.period
-
-        while state.pending_events and state.pending_events[0][0] <= now:
-            _, index_failed, kind = state.pending_events.pop(0)
-            if kind == "fail":
-                plant.fail_computer(index_failed)
-                state.alpha[index_failed] = False
-                if state.gamma[index_failed] > 0:
-                    gamma = state.gamma.copy()
-                    gamma[index_failed] = 0.0
-                    total = gamma.sum()
-                    if total > 0:
-                        gamma = gamma / total
-                    else:
-                        # The only serving machine failed: emergency
-                        # power-on of the fastest survivor; arrivals
-                        # queue behind its boot.
-                        survivor = int(
-                            np.argmax(
-                                np.where(
-                                    plant.available_mask,
-                                    [c.model.speed_factor for c in plant.computers],
-                                    -1.0,
-                                )
-                            )
-                        )
-                        plant.computers[survivor].power_on()
-                        state.alpha[survivor] = True
-                        gamma = np.zeros_like(gamma)
-                        gamma[survivor] = 1.0
-                    state.gamma = gamma
-            else:
-                plant.repair_computer(index_failed)
-
+        work = float(self.work_series[k])
         if k % self.substeps == 0:
-            index = k // self.substeps
-            if k > 0:
-                controller.observe(state.interval_arrivals, work)
-            prediction = float(controller.predictor.forecast(1)[0])
-            state.interval_arrivals = 0.0
-            # Compute the decision first, apply it only if it met its
-            # deadline budget: an overrun holds the previous allocation
-            # (the plant never sees the abandoned decision), while the
-            # observe above has already resynced the forecasts.
-            deadline = self.decision_deadline
-            started = time.monotonic() if deadline is not None else None
-            metrics = self.metrics
-            tracer = self.tracer
-            tracing = tracer is not None and tracer.enabled
-            timed = tracing or metrics is not None
-            t0 = time.perf_counter() if timed else None
-            if self.baseline is None:
-                decision = controller.act(
-                    plant.queue_lengths, state.alpha, available=plant.available_mask
-                )
-            else:
-                decision = controller.act(plant.queue_lengths, state.alpha)
-            decision_wall = time.perf_counter() - t0 if timed else 0.0
-            held = (
-                deadline is not None
-                and time.monotonic() - started > deadline
-            )
-            if not held:
-                state.alpha = decision.alpha.astype(bool)
-                state.gamma = decision.gamma
-            plant.apply_configuration(state.alpha)
-            if self.baseline is not None and not held:
-                for computer, freq in zip(
-                    plant.computers, decision.frequency_indices
-                ):
-                    computer.set_frequency_index(int(freq))
-            forced = False
-            force_on = self.module_overrides.get(0)
-            if force_on is not None:
-                state.alpha, state.gamma = forced_configuration(
-                    plant.available_mask, force_on, state.alpha, state.gamma
-                )
-                plant.apply_configuration(state.alpha)
-                forced = True
-            if metrics is not None:
-                metrics.histogram(
-                    "repro_decision_seconds",
-                    "Wall time per controller decision.",
-                    level="l1",
-                ).observe(decision_wall)
-            if tracing:
-                tracer.emit(
-                    "l1-lookahead",
-                    period=index,
-                    module=0,
-                    wall_us=decision_wall * 1e6,
-                    machines_on=int(state.alpha.sum()),
-                    lookahead=(
-                        0 if self.baseline is not None
-                        else self.l1_params.horizon
-                    ),
-                    held=held,
-                    forced=forced,
-                )
-            state.sink.on_l1_decision(
-                L1DecisionEvent(
-                    period=index,
-                    module=0,
-                    alpha=state.alpha.copy(),
-                    gamma=state.gamma.copy(),
-                    prediction=prediction,
-                    held=held,
-                    forced=forced,
-                )
-            )
-
+            event = self._begin_period(state.runner, self._boundary(state, k, work))
+            state.sink.on_l1_decision(event)
         arrivals = float(self.trace.counts[k])
         state.interval_arrivals += arrivals
-
-        freq_row = np.zeros(m)
+        forecast = None
         if self.baseline is None:
-            module_forecast = (
+            forecast = (
                 state.fine_predictor.forecast(self.l0_params.horizon)
                 / self.l0_params.period
             )
-            if self._l0_kernel is not None:
-                serving = [
-                    j for j, c in enumerate(plant.computers) if c.is_serving
-                ]
-                if serving:
-                    decisions = self._l0_kernel.decide_many(
-                        serving,
-                        [plant.computers[j].queue_length for j in serving],
-                        [state.gamma[j] * module_forecast for j in serving],
-                        [self.l0s[j].work_estimate for j in serving],
-                    )
-                    for j, decided in zip(serving, decisions):
-                        plant.computers[j].set_frequency_index(
-                            decided.frequency_index
-                        )
-                freq_row[:] = [c.frequency_ghz for c in plant.computers]
-            else:
-                for j, (computer, l0) in enumerate(
-                    zip(plant.computers, self.l0s)
-                ):
-                    if computer.is_serving:
-                        freq = l0.decide(
-                            computer.queue_length,
-                            state.gamma[j] * module_forecast,
-                            l0.work_estimate,
-                        )
-                        computer.set_frequency_index(freq.frequency_index)
-                    freq_row[j] = computer.frequency_ghz
-        else:
-            freq_row[:] = [c.frequency_ghz for c in plant.computers]
-
-        results = plant.step_fluid(arrivals, work, self.l0_params.period, state.gamma)
-        state.fine_predictor.observe(arrivals)
-        response_row = np.empty(m)
-        queue_row = np.empty(m)
-        for j, result in enumerate(results):
-            response_row[j] = result.response_time
-            queue_row[j] = result.queue
-            if self.baseline is None:
-                self.l0s[j].work_filter.observe(work)
-        power = plant.total_power(results)
-
-        event = StepEvent(
-            step=k,
-            time=now,
-            module=0,
-            arrivals=arrivals,
-            frequencies=freq_row,
-            responses=response_row,
-            queues=queue_row,
-            power=power,
+        event = state.runner.step(
+            ModuleStepInput(
+                step=k,
+                time=now,
+                share=arrivals,
+                gamma_module=1.0,
+                forecast=forecast,
+                work=work,
+            )
         )
+        state.fine_predictor.observe(arrivals)
         state.sink.on_step(event)
         if (k + 1) % self.substeps == 0 or k + 1 == self.total_steps:
-            tracer = self.tracer
-            if tracer is not None and tracer.enabled and self.l0s:
-                # The L0 bank's per-period span aggregates the stats the
-                # controllers already record per invocation, so tracing
-                # adds no clock reads on the step path.
-                wall_total = sum(l0.stats.wall_seconds for l0 in self.l0s)
-                states_total = sum(l0.stats.states_explored for l0 in self.l0s)
-                tracer.emit(
-                    "l0-bank",
-                    period=k // self.substeps,
-                    module=0,
-                    wall_us=(wall_total - state.l0_wall_mark) * 1e6,
-                    states=states_total - state.l0_states_mark,
-                )
-                state.l0_wall_mark = wall_total
-                state.l0_states_mark = states_total
+            period = k // self.substeps
+            self._emit_l0_bank((state.runner,), period)
             state.sink.on_period_end(
-                PeriodEvent(
-                    period=k // self.substeps,
-                    arrivals=state.interval_arrivals,
-                )
+                PeriodEvent(period=period, arrivals=state.interval_arrivals)
             )
         state.k = k + 1
         return event
 
-    def advance_period(self) -> "Iterator[StepEvent]":
-        """Generate the remaining steps of the current control period."""
-        state = self._require_state()
-        if state.k >= self.total_steps:
-            return
-        period = state.k // self.substeps
-        while not self.finished and self._state.k // self.substeps == period:
-            yield self.step()
+    def _boundary(
+        self, state: "_ModuleRunState", k: int, work: float
+    ) -> ModuleBoundaryInput:
+        """Close the interval and take the L1 set-points locally.
 
-    def steps(self) -> "Iterator[StepEvent]":
-        """Generate every remaining step of the run."""
-        self._require_state()
-        while not self.finished:
-            yield self.step()
+        The controller observes the interval here, so the runner gets
+        ``observed_arrivals=None``. The deadline budget covers the
+        set-point forecast as well as the decision.
+        """
+        controller = self.module_controller
+        if k > 0:
+            controller.observe(state.interval_arrivals, work)
+        prediction = float(controller.predictor.forecast(1)[0])
+        state.interval_arrivals = 0.0
+        deadline = self.decision_deadline
+        deadline_at = time.monotonic() + deadline if deadline is not None else None
+        rate_hat = rate_next = delta = 0.0
+        if self.baseline is None:
+            rate_hat, rate_next, delta = self.l1.set_points()
+        return ModuleBoundaryInput(
+            period=k // self.substeps,
+            now=k * self.l0_params.period,
+            rate_hat=rate_hat,
+            rate_next=rate_next,
+            delta=delta,
+            prediction=prediction,
+            deadline_at=deadline_at,
+            force_on=self.module_overrides.get(0),
+        )
 
     def finish(self) -> ModuleRunResult:
         """Assemble the structured result once all steps are taken."""
@@ -536,33 +589,8 @@ class ModuleSimulation:
             )
         if state.result is not None:
             return state.result
-        plant = state.plant
-        recorder = state.recorder
-        on_count, off_count = plant.switch_counts()
-        l0_stats = ControllerStats()
-        for l0 in self.l0s:
-            l0_stats = l0_stats.merged_with(l0.stats)
-        result = ModuleRunResult(
-            l0_period=self.l0_params.period,
-            l1_period=self.l1_params.period,
-            computer_names=[c.name for c in self.spec.computers],
-            arrivals=recorder.arrivals,
-            frequencies=recorder.frequencies,
-            responses=recorder.responses,
-            queues=recorder.queues,
-            power=recorder.power,
-            l1_arrivals=recorder.l1_arrivals,
-            l1_predictions=recorder.l1_predictions,
-            computers_on=recorder.computers_on,
-            target_response=self.l0_params.target_response,
-            energy_base=sum(c.energy.base_energy for c in plant.computers),
-            energy_dynamic=sum(c.energy.dynamic_energy for c in plant.computers),
-            energy_transient=sum(c.energy.transient_energy for c in plant.computers),
-            switch_ons=on_count,
-            switch_offs=off_count,
-            l0_stats=l0_stats,
-            l1_stats=self.module_controller.stats,
-            stream=recorder.stream,
+        result = self._module_result(
+            self.spec, state.recorder, state.runner.finalize()
         )
         state.result = result
         state.sink.on_run_end(result)
@@ -578,43 +606,7 @@ class ModuleSimulation:
         if self._state is None:
             raise ControlError("no active run; call reset() first")
         state = self._state
-        plant = state.plant
-        stream = state.recorder.stream
-        on_count, off_count = plant.switch_counts()
-        l0_stats = ControllerStats()
-        for l0 in self.l0s:
-            l0_stats = l0_stats.merged_with(l0.stats)
-        l1_stats = self.module_controller.stats
-        energy_base = sum(c.energy.base_energy for c in plant.computers)
-        energy_dynamic = sum(c.energy.dynamic_energy for c in plant.computers)
-        energy_transient = sum(c.energy.transient_energy for c in plant.computers)
-        return RunSummary(
-            mean_response=stream.mean_response,
-            violation_fraction=stream.violation_fraction,
-            total_energy=energy_base + energy_dynamic + energy_transient,
-            base_energy=energy_base,
-            dynamic_energy=energy_dynamic,
-            transient_energy=energy_transient,
-            switch_ons=on_count,
-            switch_offs=off_count,
-            mean_computers_on=stream.mean_computers_on,
-            controller_seconds=l0_stats.total_seconds + l1_stats.total_seconds,
-            l1_mean_states=l1_stats.mean_states,
-        )
-
-    def run(
-        self, observers: "Iterable[SimulationObserver]" = ()
-    ) -> ModuleRunResult:
-        """Simulate the full trace; returns structured time series."""
-        self.reset(observers=observers)
-        for _ in self.steps():
-            pass
-        return self.finish()
-
-    def _require_state(self) -> "_ModuleRunState":
-        if self._state is None:
-            self.reset()
-        return self._state
+        return _fold_summary([state.recorder.stream], [state.runner.finalize()])
 
     def _tune_predictor(self, controller, fine_predictor=None) -> None:
         """Tune the Kalman filters on the initial workload portion (§4.3)."""
@@ -634,21 +626,19 @@ class ModuleSimulation:
 class _ModuleRunState:
     """Mutable per-run state for :class:`ModuleSimulation`."""
 
-    plant: Module
+    runner: ModuleShardRunner
     recorder: ModuleRecorder
     sink: ObserverList
     fine_predictor: WorkloadPredictor
-    alpha: np.ndarray
-    gamma: np.ndarray
-    pending_events: list
     interval_arrivals: float = 0.0
     k: int = 0
-    l0_wall_mark: float = 0.0
-    l0_states_mark: int = 0
+    #: Per-module cumulative L0 wall/states already attributed to
+    #: emitted l0-bank spans.
+    l0_marks: dict = field(default_factory=dict)
     result: "ModuleRunResult | None" = None
 
 
-class ClusterSimulation:
+class ClusterSimulation(_SimulationBase):
     """A cluster of modules under the full L2/L1/L0 hierarchy.
 
     Passing ``baseline=`` (a registered baseline name such as
@@ -661,9 +651,9 @@ class ClusterSimulation:
 
     ``execution`` selects the backend: ``"serial"`` advances every module
     in-process; ``"sharded"`` ships each module's per-period inputs to a
-    pool of persistent worker processes (:mod:`repro.sim.shard`, up to
-    ``shard_workers`` of them, default one per module) and replays the
-    events in serial order — results are bit-for-bit identical across
+    pool of persistent worker processes (:mod:`repro.sim.shard`,
+    ``shard_workers`` of them, default min(modules, cores)) and replays
+    the events in serial order — results are bit-for-bit identical across
     backends. ``failure_events`` injects cluster-level faults as
     ``(time_seconds, module_index, computer_index, 'fail'|'repair')``
     tuples (hierarchy mode only, like the module-level engine).
@@ -721,7 +711,7 @@ class ClusterSimulation:
             )
         if shard_workers is not None and execution == "serial":
             raise ConfigurationError(
-                "shard_workers only applies to sharded or threads execution"
+                "shard_workers only applies to sharded execution"
             )
         self.execution = execution
         self.shard_workers = shard_workers
@@ -805,11 +795,6 @@ class ClusterSimulation:
         self.l2 = L2Controller(self.module_maps, self.l2_params)
 
     @property
-    def kernel(self) -> str:
-        """The control-period kernel this run executes on."""
-        return self.engine_options.kernel
-
-    @property
     def pipeline(self) -> str:
         """The period-boundary schedule for pooled backends.
 
@@ -825,75 +810,7 @@ class ClusterSimulation:
         """
         return self.engine_options.pipeline
 
-    @property
-    def decision_deadline(self) -> "float | None":
-        """Per-boundary wall-time budget (see :meth:`set_decision_deadline`)."""
-        return self.engine_options.decision_deadline
-
-    @decision_deadline.setter
-    def decision_deadline(self, seconds: "float | None") -> None:
-        self.engine_options.decision_deadline = seconds
-
-    @property
-    def metrics(self):
-        """Attached metrics registry (see :meth:`set_telemetry`)."""
-        return self.engine_options.metrics
-
-    @metrics.setter
-    def metrics(self, value) -> None:
-        self.engine_options.metrics = value
-
-    @property
-    def tracer(self):
-        """Attached decision tracer (see :meth:`set_telemetry`)."""
-        return self.engine_options.tracer
-
-    @tracer.setter
-    def tracer(self, value) -> None:
-        self.engine_options.tracer = value
-
-    @property
-    def total_steps(self) -> int:
-        """Number of T_L0 steps in the full run."""
-        return len(self.trace)
-
-    @property
-    def periods(self) -> int:
-        """Number of T_L2 control periods in the full run."""
-        return int(np.ceil(self.total_steps / self.substeps))
-
-    @property
-    def finished(self) -> bool:
-        """True once every step of the current run has been taken."""
-        state = getattr(self, "_state", None)
-        return state is not None and state.k >= self.total_steps
-
-    @property
-    def steps_taken(self) -> int:
-        """T_L0 steps taken in the current run (0 before/without one)."""
-        state = getattr(self, "_state", None)
-        return 0 if state is None else state.k
-
-    def set_decision_deadline(self, seconds: "float | None") -> None:
-        """Budget each boundary's L2+L1 decisions to ``seconds`` of wall time.
-
-        The budget is shared down the hierarchy: an overrunning L2
-        decision holds every module too (its event and theirs carry
-        ``held=True``); an L1 that individually blows the remaining
-        budget holds just its module. ``None`` (the default) disables
-        the budget and skips every clock read.
-
-        Thin delegate to :class:`~repro.sim.options.EngineOptions`.
-        """
-        self.engine_options.set_decision_deadline(seconds)
-
-    def set_module_override(self, module: int, on: "int | None") -> None:
-        """Pin (or with ``on=None`` release) one module's machines-on count.
-
-        Takes effect at the next control-period boundary: the module's
-        first ``on`` available machines serve with an equal gamma split,
-        and its boundary event carries ``forced=True``.
-        """
+    def _override_target(self, module: int) -> "tuple[int, str]":
         if not isinstance(module, int) or isinstance(module, bool) or not (
             0 <= module < self.spec.module_count
         ):
@@ -901,37 +818,7 @@ class ClusterSimulation:
                 f"override module index must be in [0, {self.spec.module_count}), "
                 f"got {module!r}"
             )
-        if on is None:
-            self.module_overrides.pop(module, None)
-            return
-        if not isinstance(on, int) or isinstance(on, bool) or on < 1:
-            raise ConfigurationError(
-                f"override machines-on count must be a positive int, got {on!r}"
-            )
-        size = self.spec.modules[module].size
-        if on > size:
-            raise ConfigurationError(
-                f"override asks for {on} machines but module {module} has "
-                f"only {size}"
-            )
-        self.module_overrides[module] = on
-
-    def set_telemetry(self, metrics=None, tracer=None) -> None:
-        """Attach a metrics registry and/or decision tracer.
-
-        ``metrics`` (a :class:`~repro.obs.registry.MetricsRegistry`)
-        receives decision-latency histograms and — on the sharded
-        backend — the per-worker registries, merged into the parent at
-        ``finish()`` with a ``worker`` label. ``tracer`` receives
-        decision spans: the serial backend emits the full L2-solve /
-        L1-lookahead / L0-bank sequence, the sharded backend the
-        parent-side L2 spans only (module state lives in the workers).
-        ``None`` (the default) detaches and skips every related branch
-        and clock read, so batch runs stay byte-identical.
-
-        Thin delegate to :class:`~repro.sim.options.EngineOptions`.
-        """
-        self.engine_options.set_telemetry(metrics, tracer)
+        return self.spec.modules[module].size, f"module {module}"
 
     # ------------------------------------------------------------------
     # Stepwise protocol
@@ -1005,7 +892,10 @@ class ClusterSimulation:
         state = _ClusterRunState(
             cluster_recorder=cluster_recorder,
             module_recorders=module_recorders,
-            sink=ObserverList((cluster_recorder, *module_recorders, *observers)),
+            sink=ObserverList(
+                (cluster_recorder, *module_recorders, *observers),
+                target_response=self.l0_params.target_response,
+            ),
             fine_predictor=fine_predictor,
             gamma_modules=(
                 np.full(p, 1.0 / p)
@@ -1034,18 +924,6 @@ class ClusterSimulation:
             # The parent's runner copies must not be touched again: the
             # authoritative module state now lives in the workers.
             state.runners = None
-        elif self.execution == "threads":
-            state.pool = ThreadShardPool(
-                runners,
-                self.shard_workers,
-                collect_metrics=self.metrics is not None,
-            )
-            state.shard_worker_count = state.pool.workers
-            # The runner plants advance on executor threads; the parent
-            # must read boundary queue lengths from the period outputs
-            # (``last_queue_lengths``), never the live plants — under
-            # pipelining they are mid-period while the parent plans.
-            state.runners = None
         elif self.kernel == "vector" and self.baselines is not None:
             # Serial baseline periods are pure plant work (no L1/L0
             # decisions mid-period), so the whole cluster's substeps can
@@ -1067,8 +945,7 @@ class ClusterSimulation:
     @property
     def effective_shard_workers(self) -> "int | None":
         """Worker-process count of the current sharded run (None if serial)."""
-        state = getattr(self, "_state", None)
-        return None if state is None else state.shard_worker_count
+        return None if self._state is None else self._state.shard_worker_count
 
     def step(self) -> "list[StepEvent]":
         """Advance one T_L0 period; returns one event per module."""
@@ -1081,38 +958,9 @@ class ClusterSimulation:
             events = self._step_serial(state)
         k = state.k
         if (k + 1) % self.substeps == 0 or k + 1 == self.total_steps:
-            tracer = self.tracer
-            if (
-                tracer is not None
-                and tracer.enabled
-                and state.runners is not None
-            ):
-                # L0 wall time comes from the bank's own accounting (the
-                # controllers time themselves), so the step path gains no
-                # clock reads: the span is the delta since the last mark.
-                if state.l0_wall_marks is None:
-                    state.l0_wall_marks = [0.0] * len(state.runners)
-                    state.l0_states_marks = [0] * len(state.runners)
-                period = k // self.substeps
-                for i, runner in enumerate(state.runners):
-                    if not runner.l0_bank:
-                        continue
-                    wall_total = sum(
-                        l0.stats.wall_seconds for l0 in runner.l0_bank
-                    )
-                    states_total = sum(
-                        l0.stats.states_explored for l0 in runner.l0_bank
-                    )
-                    tracer.emit(
-                        "l0-bank",
-                        period=period,
-                        module=i,
-                        wall_us=(wall_total - state.l0_wall_marks[i]) * 1e6,
-                        states=states_total - state.l0_states_marks[i],
-                    )
-                    state.l0_wall_marks[i] = wall_total
-                    state.l0_states_marks[i] = states_total
             period_index = k // self.substeps
+            if state.runners is not None:
+                self._emit_l0_bank(state.runners, period_index)
             totals = state.period_totals.pop(period_index, None)
             if totals is None:
                 # Serial path: the accumulators still hold this period's
@@ -1140,58 +988,17 @@ class ClusterSimulation:
                 state, k, observed_consumed=vector is not None
             )
             state.sink.on_l2_decision(l2_event)
-            metrics = self.metrics
-            tracer = self.tracer
-            tracing = tracer is not None and tracer.enabled
-            timed = tracing or metrics is not None
             for runner, boundary in zip(state.runners, boundaries):
-                t0 = time.perf_counter() if timed else None
-                event = runner.begin_period(boundary)
-                if timed:
-                    wall = time.perf_counter() - t0
-                    if metrics is not None:
-                        metrics.histogram(
-                            "repro_decision_seconds",
-                            "Wall time per controller decision.",
-                            level="l1",
-                        ).observe(wall)
-                    if tracing:
-                        tracer.emit(
-                            "l1-lookahead",
-                            period=event.period,
-                            module=event.module,
-                            wall_us=wall * 1e6,
-                            machines_on=int(event.alpha.sum()),
-                            lookahead=(
-                                0
-                                if self.baselines is not None
-                                else self.l1_params.horizon
-                            ),
-                            held=event.held,
-                            forced=event.forced,
-                        )
-                state.sink.on_l1_decision(event)
+                state.sink.on_l1_decision(self._begin_period(runner, boundary))
             if vector is not None:
                 vector.pull()
         if vector is not None:
             events = vector.step_all(*self._parent_step_vector(state, k))
-            dispatch = state.vector_step_dispatch
-            if dispatch is None:
-                dispatch = self._build_step_dispatch(
-                    state, vector.target_response
-                )
-                state.vector_step_dispatch = dispatch
-            recorders, broadcast = dispatch
+            # The kernel reduced every response row against the
+            # recorders' SLA target (empty when it skipped the fold).
             row_stats = vector.step_stats
             for row, event in enumerate(events):
-                if row_stats:
-                    for recorder in recorders.get(event.module, ()):
-                        recorder.on_step_fast(event, row_stats[row])
-                else:
-                    for recorder in recorders.get(event.module, ()):
-                        recorder.on_step(event)
-                for observer in broadcast.get(event.module, ()):
-                    observer.on_step(event)
+                state.sink.on_step(event, row_stats[row] if row_stats else None)
             return events
         events = []
         for runner, step_input in zip(state.runners, self._parent_step(state, k)):
@@ -1199,45 +1006,6 @@ class ClusterSimulation:
             state.sink.on_step(event)
             events.append(event)
         return events
-
-    def _build_step_dispatch(
-        self, state: "_ClusterRunState", target_response
-    ) -> "tuple[dict[int, list], dict[int, list]]":
-        """Per-module step-event routing for the precomputed-fold paths.
-
-        Behaviour-equivalent to ``sink.on_step`` fan-out: observers whose
-        ``on_step`` is the base-class no-op are dropped, a
-        :class:`ModuleRecorder` receives only its own module's events
-        (its own filter would discard the rest), and every other
-        observer receives everything. Relative observer order is
-        preserved within each module's list.
-
-        Returns ``(recorders, broadcast)``: stock recorders whose SLA
-        target matches ``target_response`` — the target the batched row
-        aggregates were reduced against (the vector kernel's, or the
-        shard workers') — so they fold bit-identically via
-        ``on_step_fast``; everything else is fed plain ``on_step``.
-        """
-        modules = range(self.spec.module_count)
-        recorders: "dict[int, list]" = {module: [] for module in modules}
-        broadcast: "dict[int, list]" = {module: [] for module in modules}
-        for observer in state.sink.observers:
-            if type(observer).on_step is SimulationObserver.on_step:
-                continue
-            if (
-                type(observer) is ModuleRecorder
-                and observer.stream.target_response == target_response
-            ):
-                if observer.module in recorders:
-                    recorders[observer.module].append(observer)
-                continue
-            if isinstance(observer, ModuleRecorder):
-                if observer.module in broadcast:
-                    broadcast[observer.module].append(observer)
-                continue
-            for interested in broadcast.values():
-                interested.append(observer)
-        return recorders, broadcast
 
     def _vector_baseline_observe(
         self, state: "_ClusterRunState", k: int
@@ -1274,22 +1042,8 @@ class ClusterSimulation:
         if not state.step_buffer:
             self._refill_period(state)
         events, row_stats = state.step_buffer.pop(0)
-        dispatch = state.vector_step_dispatch
-        if dispatch is None:
-            dispatch = self._build_step_dispatch(
-                state, self.l0_params.target_response
-            )
-            state.vector_step_dispatch = dispatch
-        recorders, broadcast = dispatch
         for event, stats in zip(events, row_stats):
-            if stats is not None:
-                for recorder in recorders.get(event.module, ()):
-                    recorder.on_step_fast(event, stats)
-            else:
-                for recorder in recorders.get(event.module, ()):
-                    recorder.on_step(event)
-            for observer in broadcast.get(event.module, ()):
-                observer.on_step(event)
+            state.sink.on_step(event, stats)
         return events
 
     def _send_period(self, state: "_ClusterRunState"):
@@ -1562,21 +1316,6 @@ class ClusterSimulation:
         )
         return k, k * self.l0_params.period, shares, work
 
-    def advance_period(self) -> "Iterator[list[StepEvent]]":
-        """Generate the remaining steps of the current control period."""
-        state = self._require_state()
-        if state.k >= self.total_steps:
-            return
-        period = state.k // self.substeps
-        while not self.finished and self._state.k // self.substeps == period:
-            yield self.step()
-
-    def steps(self) -> "Iterator[list[StepEvent]]":
-        """Generate every remaining step of the run."""
-        self._require_state()
-        while not self.finished:
-            yield self.step()
-
     def finish(self) -> ClusterRunResult:
         """Assemble the structured result once all steps are taken."""
         state = self._require_state()
@@ -1603,35 +1342,12 @@ class ClusterSimulation:
             if state.vector_executor is not None:
                 state.vector_executor.flush()
             finals = [runner.finalize() for runner in state.runners]
-        module_results = []
-        for i, final in enumerate(finals):
-            recorder = state.module_recorders[i]
-            module_results.append(
-                ModuleRunResult(
-                    l0_period=self.l0_params.period,
-                    l1_period=self.l1_params.period,
-                    computer_names=[
-                        c.name for c in self.spec.modules[i].computers
-                    ],
-                    arrivals=recorder.arrivals,
-                    frequencies=recorder.frequencies,
-                    responses=recorder.responses,
-                    queues=recorder.queues,
-                    power=recorder.power,
-                    l1_arrivals=recorder.l1_arrivals,
-                    l1_predictions=recorder.l1_predictions,
-                    computers_on=recorder.computers_on,
-                    target_response=self.l0_params.target_response,
-                    energy_base=final.energy_base,
-                    energy_dynamic=final.energy_dynamic,
-                    energy_transient=final.energy_transient,
-                    switch_ons=final.switch_ons,
-                    switch_offs=final.switch_offs,
-                    l0_stats=final.l0_stats,
-                    l1_stats=final.l1_stats,
-                    stream=recorder.stream,
-                )
+        module_results = [
+            self._module_result(module_spec, recorder, final)
+            for module_spec, recorder, final in zip(
+                self.spec.modules, state.module_recorders, finals
             )
+        ]
         cluster = state.cluster_recorder
         result = ClusterRunResult(
             l2_period=self.l2_params.period,
@@ -1664,7 +1380,7 @@ class ClusterSimulation:
         hand-off, so the call raises; retry at the next boundary or run
         with ``pipeline="off"`` (service mode does).
         """
-        state = getattr(self, "_state", None)
+        state = self._state
         if state is None:
             raise ControlError("no active run; call reset() first")
         if state.result is not None:
@@ -1679,80 +1395,33 @@ class ClusterSimulation:
             raise ControlError(
                 "live_summary requires an active run with live module state"
             )
-        streams = [recorder.stream for recorder in state.module_recorders]
-        total_count = sum(s.response_count for s in streams)
-        mean_response = (
-            sum(s.response_sum for s in streams) / total_count
-            if total_count
-            else 0.0
-        )
-        violations = (
-            sum(s.violation_count for s in streams) / total_count
-            if total_count
-            else 0.0
-        )
-        periods = max(s.decision_count for s in streams)
-        mean_on = (
-            sum(s.computers_on_sum for s in streams) / periods
-            if periods
-            else 0.0
-        )
         if state.vector_executor is not None:
             state.vector_executor.flush()
         if state.runners is not None:
             finals = [runner.finalize() for runner in state.runners]
         else:
             finals = list(state.pool.finalize().values())
-        l0 = ControllerStats()
-        l1 = ControllerStats()
-        for final in finals:
-            l0 = l0.merged_with(final.l0_stats)
-            l1 = l1.merged_with(final.l1_stats)
-        l2_seconds = (
-            self.l2.stats.total_seconds if self.l2 is not None else 0.0
-        )
-        return RunSummary(
-            mean_response=mean_response,
-            violation_fraction=violations,
-            total_energy=sum(
-                f.energy_base + f.energy_dynamic + f.energy_transient
-                for f in finals
-            ),
-            base_energy=sum(f.energy_base for f in finals),
-            dynamic_energy=sum(f.energy_dynamic for f in finals),
-            transient_energy=sum(f.energy_transient for f in finals),
-            switch_ons=sum(f.switch_ons for f in finals),
-            switch_offs=sum(f.switch_offs for f in finals),
-            mean_computers_on=mean_on,
-            controller_seconds=(
-                l0.total_seconds + l1.total_seconds + l2_seconds
-            ),
-            l1_mean_states=l1.mean_states,
+        return _fold_summary(
+            [recorder.stream for recorder in state.module_recorders],
+            finals,
+            self.l2.stats.total_seconds if self.l2 is not None else 0.0,
         )
 
     def run(
         self, observers: "Iterable[SimulationObserver]" = ()
     ) -> ClusterRunResult:
         """Simulate the full trace under the three-level hierarchy."""
-        self.reset(observers=observers)
         try:
-            for _ in self.steps():
-                pass
-            return self.finish()
+            return super().run(observers)
         finally:
             self.close()
 
     def close(self) -> None:
         """Release a sharded run's worker processes (serial: no-op)."""
-        state = getattr(self, "_state", None)
+        state = self._state
         if state is not None and state.pool is not None:
             state.pool.shutdown()
             state.pool = None
-
-    def _require_state(self) -> "_ClusterRunState":
-        if getattr(self, "_state", None) is None:
-            self.reset()
-        return self._state
 
     def _tune_predictors(self, l1s, fine_predictor) -> None:
         """Tune L2 and L1 Kalman filters on the initial workload portion."""
@@ -1793,7 +1462,7 @@ class _ClusterRunState:
     gamma_modules: np.ndarray
     interval_module: np.ndarray
     runners: "list[ModuleShardRunner] | None" = None
-    pool: "ShardWorkerPool | ThreadShardPool | None" = None
+    pool: "ShardWorkerPool | None" = None
     shard_worker_count: "int | None" = None
     #: The dispatched-but-not-collected period under pipelined pooled
     #: execution: ``(k, end, l2_event, pending)``.
@@ -1808,17 +1477,14 @@ class _ClusterRunState:
     #: Batched substep engine (serial baseline runs on the vector
     #: kernel only; None everywhere else).
     vector_executor: "object | None" = None
-    #: Lazily-built per-module step-event routing for the vector path.
-    vector_step_dispatch: "tuple[dict[int, list], dict[int, list]] | None" = None
     last_queue_lengths: "list | None" = None
     step_buffer: list = field(default_factory=list)
     interval_global: float = 0.0
     k: int = 0
     result: "ClusterRunResult | None" = None
-    #: Cumulative L0-bank wall/states already attributed to emitted
-    #: l0-bank spans (serial tracing only; lazily sized per runner).
-    l0_wall_marks: "list | None" = None
-    l0_states_marks: "list | None" = None
+    #: Per-module cumulative L0 wall/states already attributed to
+    #: emitted l0-bank spans (serial tracing only).
+    l0_marks: dict = field(default_factory=dict)
 
     def module_queue_lengths(self) -> "list[np.ndarray]":
         """Per-module plant queue vectors at the current period boundary."""

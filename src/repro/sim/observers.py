@@ -128,10 +128,30 @@ class SimulationObserver:
 
 
 class ObserverList:
-    """Fan-out helper: broadcasts each event to every observer in order."""
+    """Fan-out helper: broadcasts each event to every observer in order.
 
-    def __init__(self, observers: "tuple[SimulationObserver, ...]") -> None:
+    :meth:`on_step` is the engines' one step-event fan-out. It skips
+    observers whose ``on_step`` is the base no-op and hands each event
+    to the stock :class:`ModuleRecorder` of the event's module only
+    (the recorder would discard any other module's events); every
+    other observer, :class:`ModuleRecorder` subclasses included, gets
+    every event. ``target_response`` is the SLA target that ``row_stats``
+    passed to :meth:`on_step` were reduced against: a stock recorder
+    with the same target folds them via
+    :meth:`ModuleRecorder.on_step_fast`, bit-identically to re-scanning
+    the row.
+    """
+
+    def __init__(
+        self,
+        observers: "tuple[SimulationObserver, ...]",
+        target_response: "float | None" = None,
+    ) -> None:
         self.observers = tuple(observers)
+        self.target_response = target_response
+        #: Per-module step routes: ``(on_step, on_step_fast | None)``
+        #: pairs in observer order, built on a module's first event.
+        self._step_routes: "dict[int, list]" = {}
 
     def on_run_start(self, simulation) -> None:
         for observer in self.observers:
@@ -145,9 +165,29 @@ class ObserverList:
         for observer in self.observers:
             observer.on_l2_decision(event)
 
-    def on_step(self, event: StepEvent) -> None:
+    def on_step(self, event: StepEvent, row_stats: "tuple | None" = None) -> None:
+        route = self._step_routes.get(event.module)
+        if route is None:
+            route = self._step_routes[event.module] = self._step_route(event.module)
+        for on_step, on_step_fast in route:
+            if on_step_fast is not None and row_stats is not None:
+                on_step_fast(event, row_stats)
+            else:
+                on_step(event)
+
+    def _step_route(self, module: int) -> list:
+        route = []
         for observer in self.observers:
-            observer.on_step(event)
+            if getattr(type(observer), "on_step", None) is SimulationObserver.on_step:
+                continue
+            fast = None
+            if type(observer) is ModuleRecorder:
+                if observer.module != module:
+                    continue
+                if observer.stream.target_response == self.target_response:
+                    fast = observer.on_step_fast
+            route.append((observer.on_step, fast))
+        return route
 
     def on_period_end(self, event: PeriodEvent) -> None:
         for observer in self.observers:
@@ -371,9 +411,10 @@ class ModuleRecorder(SimulationObserver):
         """Vector-kernel entry point: same puts, precomputed stream fold.
 
         ``row_stats`` is ``(sum, count, max, violations)`` for this
-        event's response row, reduced in the kernel's batched pass. The
-        engine only routes events for this recorder's own module here,
-        so the module filter is skipped.
+        event's response row, reduced in the kernel's batched pass (or
+        by a shard worker). :class:`ObserverList` only routes events for
+        this recorder's own module here, so the module filter is
+        skipped.
         """
         k = event.step
         self._arrivals.put(k, event.arrivals)

@@ -4,8 +4,10 @@ Historically the engines grew one ad-hoc seam per knob (``set_telemetry``,
 ``set_decision_deadline``, ``map_cache=``); the kernel selector would have
 been the fourth. :class:`EngineOptions` gathers them behind a single
 validated object consumed by both :class:`~repro.sim.engine.ModuleSimulation`
-and :class:`~repro.sim.engine.ClusterSimulation`. The legacy setters remain
-as thin delegates, so no existing caller breaks.
+and :class:`~repro.sim.engine.ClusterSimulation`. The engines' setters
+(``set_telemetry``, ``set_decision_deadline``) and the ``kernel`` /
+``metrics`` / ``tracer`` / ``decision_deadline`` properties read and
+write this object, written once in the engines' shared base class.
 
 This module is import-light on purpose (no numpy): the scenario layer
 imports :data:`KERNELS` for spec validation, which must work even on an

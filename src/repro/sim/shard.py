@@ -1,4 +1,4 @@
-"""Intra-run sharded execution: one worker per module at cluster level.
+"""The per-module step path, and sharded execution of it at cluster level.
 
 The paper's hierarchy is naturally parallel: the L2 controller splits the
 global arrival stream with gamma, then each module's L1/L0 loop runs
@@ -7,10 +7,11 @@ structure. A :class:`ModuleShardRunner` owns everything module-local —
 the plant, the module controller (L1 or a baseline), the L0 bank, the
 current alpha/gamma, pending fault events — and exposes the intra-period
 stepping as three calls (``begin_period`` / ``step`` / ``finalize``).
-The serial engine drives the runners inline; the pooled backends ship
-them to persistent, spawn-started worker processes
-(:class:`ShardWorkerPool`) or an in-process thread pool
-(:class:`ThreadShardPool`) and drive whole control periods at a time.
+It is the only implementation of a module's step: the module engine
+drives one runner inline, the serial cluster engine drives one per
+module, and the sharded backend ships them to persistent, spawn-started
+worker processes (:class:`ShardWorkerPool`) and drives whole control
+periods at a time.
 
 Three mechanisms keep the process pool's wire thin:
 
@@ -65,7 +66,7 @@ from repro.sim.observers import L1DecisionEvent, StepEvent
 
 #: Cluster execution backends a simulation can run on (the scenario
 #: layer validates ``control.execution`` against this same tuple).
-EXECUTION_MODES = ("serial", "sharded", "threads")
+EXECUTION_MODES = ("serial", "sharded")
 
 
 def resolve_shard_workers(shard_workers: "int | None", module_count: int) -> int:
@@ -212,17 +213,18 @@ def forced_configuration(
 
 
 # ----------------------------------------------------------------------
-# The per-module runner (shared by the serial and pooled paths)
+# The per-module runner (shared by every engine path)
 # ----------------------------------------------------------------------
 
 
 class ModuleShardRunner:
     """Owns one module's mutable run state and intra-period logic.
 
-    The serial engine calls this inline; the sharded backend pickles the
-    fully-initialised runner to a worker process once per run and calls
-    it there. Both paths therefore execute the identical float
-    operations in the identical order.
+    The module engine and the serial cluster engine call this inline;
+    the sharded backend pickles the fully-initialised runner to a
+    worker process once per run and calls it there. Every path
+    therefore executes the identical float operations in the identical
+    order.
     """
 
     def __init__(
@@ -254,7 +256,7 @@ class ModuleShardRunner:
         self.gamma = np.full(plant.size, 1.0 / plant.size)
         self.pending_events = sorted(failure_events, key=lambda e: e[0])
 
-    # -- fault handling (mirrors ModuleSimulation.step) -----------------
+    # -- fault handling -------------------------------------------------
 
     def _apply_faults(self, now: float) -> None:
         while self.pending_events and self.pending_events[0][0] <= now:
@@ -1127,114 +1129,3 @@ class ShardWorkerPool:
         self._release_shm()
         if lock is not None:
             lock.release()
-
-
-class ThreadShardPool:
-    """An in-process thread pool behind the same period protocol.
-
-    Modules are embarrassingly parallel within a period (the parent
-    computes every cross-module float), so a thread per request is
-    enough to overlap the numpy-heavy plant stepping; nothing is
-    pickled and no shared memory is needed. Runner code is identical to
-    the serial path, so results are bit-identical by the same argument
-    as the process pool. The GIL bounds the speed-up — this backend
-    exists for spawn-free startup and for hosts where process pools are
-    unavailable, with the same split-phase pipelining surface.
-    """
-
-    def __init__(
-        self,
-        runners: "list[ModuleShardRunner]",
-        shard_workers: "int | None",
-        collect_metrics: bool = False,
-    ) -> None:
-        if not runners:
-            raise ConfigurationError("shard pool needs at least one module runner")
-        from concurrent.futures import ThreadPoolExecutor
-
-        self.module_count = len(runners)
-        self.workers = resolve_shard_workers(shard_workers, self.module_count)
-        self._runners = {runner.module_index: runner for runner in runners}
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-shard"
-        )
-        #: Same send-to-recv span as the process pool: a ``finalize``
-        #: snapshot from another thread waits for the in-flight period
-        #: instead of reading runners the executor is mutating.
-        self._lock = threading.RLock()
-        self._registry = None
-        if collect_metrics:
-            from repro.obs.registry import MetricsRegistry
-
-            self._registry = MetricsRegistry()
-
-    def send_period(self, inputs: "dict[int, ModulePeriodInput]"):
-        self._lock.acquire()
-        try:
-            started = (
-                time.perf_counter() if self._registry is not None else 0.0
-            )
-            futures = {
-                module: self._executor.submit(
-                    self._runners[module].run_period, period
-                )
-                for module, period in inputs.items()
-            }
-            return (futures, inputs, started)
-        except BaseException:
-            self._lock.release()
-            raise
-
-    def recv_period(self, pending) -> "dict[int, ModulePeriodOutput]":
-        futures, inputs, started = pending
-        try:
-            outputs = {
-                module: future.result() for module, future in futures.items()
-            }
-        except Exception as exc:
-            raise ControlError(
-                f"shard thread failed:\n{traceback.format_exc()}"
-            ) from exc
-        finally:
-            self._lock.release()
-        if self._registry is not None:
-            elapsed = time.perf_counter() - started
-            self._registry.counter(
-                "repro_shard_requests_total",
-                "Period requests served by this worker.",
-            ).inc()
-            self._registry.counter(
-                "repro_shard_periods_total",
-                "Module-periods executed by this worker.",
-            ).inc(len(inputs))
-            self._registry.counter(
-                "repro_shard_steps_total",
-                "Module-steps executed by this worker.",
-            ).inc(sum(len(period.steps) for period in inputs.values()))
-            self._registry.histogram(
-                "repro_shard_request_seconds",
-                "Wall time per period request in this worker.",
-            ).observe(elapsed)
-        return outputs
-
-    def run_period(
-        self, inputs: "dict[int, ModulePeriodInput]"
-    ) -> "dict[int, ModulePeriodOutput]":
-        return self.recv_period(self.send_period(inputs))
-
-    def collect_metrics(self) -> "dict[int, dict | None]":
-        """One pooled snapshot (threads share a registry), keyed worker 0."""
-        with self._lock:
-            return {
-                0: None if self._registry is None else self._registry.to_dict()
-            }
-
-    def finalize(self) -> "dict[int, ModuleFinalization]":
-        with self._lock:
-            return {
-                module: runner.finalize()
-                for module, runner in self._runners.items()
-            }
-
-    def shutdown(self) -> None:
-        self._executor.shutdown(wait=True)

@@ -62,28 +62,3 @@ class TestStoreQuery:
         table.store([0.1, 0.1], [5.0])  # snaps to the same cell
         assert table.entries == 1
         assert table.query([0.0, 0.0])[0] == 5.0
-
-
-class TestOnlineAdjust:
-    def test_adjust_moves_toward_observation(self):
-        table = _table()
-        table.store([0.0, 0.0], [10.0])
-        table.adjust([0.0, 0.0], [20.0], learning_rate=0.1)
-        assert table.query([0.0, 0.0])[0] == pytest.approx(11.0)
-
-    def test_adjust_on_empty_cell_inserts(self):
-        table = _table()
-        table.adjust([0.0, 0.0], [5.0])
-        assert table.query([0.0, 0.0])[0] == 5.0
-
-    def test_adjust_validates_learning_rate(self):
-        table = _table()
-        with pytest.raises(ConfigurationError):
-            table.adjust([0.0, 0.0], [5.0], learning_rate=2.0)
-
-    def test_repeated_adjust_converges(self):
-        table = _table()
-        table.store([0.0, 0.0], [0.0])
-        for _ in range(200):
-            table.adjust([0.0, 0.0], [50.0], learning_rate=0.2)
-        assert table.query([0.0, 0.0])[0] == pytest.approx(50.0, abs=1e-6)

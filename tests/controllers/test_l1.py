@@ -5,7 +5,7 @@ import pytest
 
 from repro.common import ConfigurationError
 from repro.cluster import paper_module_spec
-from repro.controllers import ComputerBehaviorMap, L1Controller, L1Params
+from repro.controllers import L1Controller, L1Params
 
 
 @pytest.fixture(scope="module")
@@ -50,13 +50,6 @@ class TestComputerBehaviorMap:
         expected = (spec.base_power + phi_min**2) * behavior_map.substeps
         assert cost == pytest.approx(expected, rel=0.01)
         assert next_queue == 0.0
-
-    def test_online_adjust_shifts_cell(self, trained_l1):
-        behavior_map = ComputerBehaviorMap.train(trained_l1.spec.computers[0])
-        before, _ = behavior_map.cost_and_next_queue(0.0, 0.0, 0.0175)
-        behavior_map.adjust(0.0, 0.0, 0.0175, before + 10.0, 0.0, learning_rate=0.5)
-        after, _ = behavior_map.cost_and_next_queue(0.0, 0.0, 0.0175)
-        assert after == pytest.approx(before + 5.0)
 
 
 class TestL1Decide:
@@ -233,3 +226,62 @@ class TestActAndObserve:
 
     def test_substep_count(self, trained_l1):
         assert trained_l1.substep_count() == 4
+
+
+def _observed_l1(trained_l1, module_spec, **params):
+    """A fresh L1 that has seen a noisy run of interval counts."""
+    l1 = _fresh_l1(trained_l1, module_spec, **params)
+    rng = np.random.default_rng(3)
+    for count in 9000.0 + rng.normal(0.0, 900.0, 24):
+        l1.observe(arrival_count=float(count), measured_work=0.0175)
+    return l1
+
+
+class TestSetPoints:
+    def test_forecasts_and_band_become_rates(self, trained_l1, module_spec):
+        l1 = _observed_l1(trained_l1, module_spec)
+        forecasts = l1.predictor.forecast(2)
+        band = l1.predictor.band.delta
+        assert band > 0.0
+        period = l1.params.period
+        assert l1.set_points() == (
+            forecasts[0] / period,
+            forecasts[1] / period,
+            band / period,
+        )
+
+    def test_band_off_gives_zero_delta(self, trained_l1, module_spec):
+        l1 = _observed_l1(trained_l1, module_spec, use_uncertainty_band=False)
+        rate_hat, rate_next, delta = l1.set_points()
+        assert delta == 0.0
+        assert rate_hat > 0.0 and rate_next > 0.0
+
+    def test_reading_set_points_leaves_the_predictor_alone(
+        self, trained_l1, module_spec
+    ):
+        l1 = _observed_l1(trained_l1, module_spec)
+        first = l1.set_points()
+        assert l1.set_points() == first
+        assert np.array_equal(
+            l1.predictor.forecast(2), np.array(first[:2]) * l1.params.period
+        )
+
+    def test_act_decides_on_the_set_points(self, trained_l1, module_spec):
+        acting = _observed_l1(trained_l1, module_spec)
+        deciding = _observed_l1(trained_l1, module_spec)
+        queues = np.array([0.0, 3.0, 0.0, 12.0])
+        alpha = np.array([False, True, True, True])
+        acted = acting.act(queues, alpha)
+        rate_hat, rate_next, delta = deciding.set_points()
+        decided = deciding.decide(
+            queues,
+            alpha,
+            rate_hat=rate_hat,
+            rate_next=rate_next,
+            delta=delta,
+            work=deciding.work_estimate,
+        )
+        assert np.array_equal(acted.alpha, decided.alpha)
+        assert np.array_equal(acted.gamma, decided.gamma)
+        assert acted.expected_cost == decided.expected_cost
+        assert acted.states_explored == decided.states_explored

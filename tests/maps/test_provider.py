@@ -62,12 +62,12 @@ class TestProcessMemo:
         assert fresh.table.entries == 360
 
     def test_memo_rebuilds_fresh_instances(self):
-        # Online refinement on one run's map must never leak into the
-        # next run's tables.
+        # Mutating one run's map must never leak into the next run's
+        # tables: a second provider gets a distinct, equal instance.
         first = MapProvider().behavior_map(_computer())
         point = [0.0, 0.0, 0.0175]
         original = first.table.query(point).copy()
-        first.adjust(0.0, 0.0, 0.0175, 999.0, 999.0, learning_rate=1.0)
+        first.table.store(point, [999.0, 999.0])
         second = MapProvider().behavior_map(_computer())
         assert second is not first
         assert np.array_equal(second.table.query(point), original)

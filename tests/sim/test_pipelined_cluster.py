@@ -1,12 +1,10 @@
 """Pipelined and pooled execution: bit-identity, reaping, zero-copy wire.
 
 The boundary pipeline keeps one control period in flight while the
-parent replays the previous one; the threads backend runs the same
-period protocol on an in-process pool. Neither is allowed to move a
-single bit: every registry cluster scenario must produce an identical
-deterministic summary with the pipeline off or on, sharded or threaded,
-windowed or not — including a fault landing exactly on a pipelined
-period boundary. The zero-copy wire has its own gates: a warm map cache
+parent replays the previous one. It is not allowed to move a single
+bit: every registry cluster scenario must produce an identical
+deterministic summary with the pipeline off or on, windowed or not —
+including a fault landing exactly on a pipelined period boundary. The zero-copy wire has its own gates: a warm map cache
 ships zero inline payload bytes to workers, and a worker killed
 mid-run surfaces as one line naming the worker, not a hang.
 """
@@ -17,7 +15,7 @@ import signal
 
 import pytest
 
-from repro.common import ControlError
+from repro.common import ConfigurationError, ControlError
 from repro.maps import reset_map_stats
 from repro.maps.provider import clear_map_memo
 from repro.maps.stats import MAP_STATS
@@ -136,34 +134,24 @@ class TestFaultOnPipelinedBoundary:
         assert_results_identical(off, boundary)
 
 
-class TestThreadsBackend:
-    def test_threads_matches_serial(self):
-        spec = get_scenario("paper/fig6-cluster16", samples=8)
-        serial_log, threads_log = EventLog(), EventLog()
-        serial = build_simulation(spec).run(observers=(serial_log,))
-        threads = build_simulation(
+class TestExecutionModes:
+    def test_threads_execution_is_rejected(self):
+        spec = get_scenario("cluster-baseline-showdown", samples=4)
+        with pytest.raises(ConfigurationError) as excinfo:
             spec.with_overrides(**{"control.execution": "threads"})
-        ).run(observers=(threads_log,))
-        assert serial_log.events == threads_log.events
-        assert_results_identical(serial, threads)
-
-    def test_threads_baseline_and_vector(self):
-        spec = get_scenario("cluster-baseline-showdown", samples=8)
-        serial = _summary_dict(spec, **{"control.kernel": "vector"})
-        threads = _summary_dict(
-            spec,
-            **{"control.kernel": "vector", "control.execution": "threads"},
+        message = str(excinfo.value)
+        assert "\n" not in message
+        assert message == (
+            "control.execution must be one of ('serial', 'sharded'), "
+            "got 'threads'"
         )
-        assert serial == threads
 
-    def test_threads_requires_cluster_plant(self):
-        from repro.common import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
+    def test_sharded_requires_cluster_plant(self):
+        with pytest.raises(ConfigurationError, match="requires a cluster plant"):
             (
                 Scenario.module(m=2)
                 .workload("synthetic", samples=4)
-                .execution("threads")
+                .execution("sharded")
                 .build()
             )
 
@@ -265,10 +253,9 @@ class TestPooledLiveSummary:
             simulation.step()
         return simulation
 
-    @pytest.mark.parametrize("execution", ["sharded", "threads"])
-    def test_pooled_live_summary_matches_serial(self, execution):
+    def test_pooled_live_summary_matches_serial(self):
         serial = self._stepped("serial")
-        pooled = self._stepped(execution)
+        pooled = self._stepped("sharded")
         try:
             assert (
                 serial.live_summary().deterministic_dict()
@@ -307,7 +294,7 @@ class TestServePooled:
 
         spec = get_scenario("cluster-baseline-showdown", samples=6)
         simulation = build_simulation(
-            spec.with_overrides(**{"control.execution": "threads"})
+            spec.with_overrides(**{"control.execution": "sharded"})
         )
         with pytest.raises(ControlError, match="replay plant"):
             ReplayPlant(simulation, feed=None)

@@ -106,14 +106,14 @@ class TestDecisionDeadline:
 
     def test_module_overrun_holds_previous_allocation(self):
         simulation = module_sim()
-        slow_act = simulation.l1.act
+        slow_decide = simulation.l1.decide
 
         def injected(*args, **kwargs):
-            decision = slow_act(*args, **kwargs)
+            decision = slow_decide(*args, **kwargs)
             time.sleep(0.002)
             return decision
 
-        simulation.l1.act = injected
+        simulation.l1.decide = injected
         simulation.set_decision_deadline(1e-9)
         recorder = DecisionRecorder()
         run_all(simulation, recorder)  # completes despite every miss

@@ -17,6 +17,7 @@ from repro.cli import main
 from repro.common import ConfigurationError
 from repro.scenario import Scenario, build_simulation, get_scenario
 from repro.sim import ClusterSimulation, SimulationObserver
+from repro.sim.observers import ModuleRecorder
 from repro.sim.shard import resolve_shard_workers
 from repro.workload import ArrivalTrace
 
@@ -195,6 +196,48 @@ class TestObserverOrdering:
             assert serial_log.events[cursor][1] == period
             cursor += 1
             period += 1
+
+
+class _Module0StepCounter(ModuleRecorder):
+    """A recorder subclass for module 0 that counts its ``on_step`` calls."""
+
+    def __init__(self, steps: int, size: int, periods: int) -> None:
+        super().__init__(steps, size, periods, module=0)
+        self.calls = 0
+
+    def on_step(self, event) -> None:
+        self.calls += 1
+        super().on_step(event)
+
+
+class TestStepEventDelivery:
+    """Every backend hands a user observer the same step events.
+
+    Only the engine's own stock recorders are routed per module; any
+    other observer — a ModuleRecorder subclass included — sees every
+    module's events, whichever path produced them.
+    """
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"control.kernel": "vector"},
+            {"control.execution": "sharded"},
+            {"control.kernel": "vector", "control.execution": "sharded"},
+        ],
+        ids=["serial-scalar", "serial-vector", "sharded-scalar", "sharded-vector"],
+    )
+    def test_recorder_subclass_sees_every_module(self, overrides):
+        spec = get_scenario("cluster-baseline-showdown", samples=4)
+        simulation = build_simulation(spec.with_overrides(**overrides))
+        counter = _Module0StepCounter(
+            simulation.total_steps, spec.plant.module_size, simulation.periods
+        )
+        result = simulation.run(observers=(counter,))
+        assert counter.calls == simulation.total_steps * spec.plant.p == 16 * 4
+        # Its own module filter still keeps exactly module 0's series.
+        assert np.array_equal(counter.power, result.module_results[0].power)
 
 
 def _failover_scenario(with_fault: bool):
