@@ -8,14 +8,17 @@ modules" — i.e. near-flat growth with cluster size, because the L2 only
 ever reasons about p modules and each L1 about m computers.
 
 We re-measure the same path quantity on CPython and check the
-scalability *shape*: the 16 -> 20 computer growth factor stays well below
-the 20/16 = 1.25x a centralized controller would at minimum incur on its
-exponentially larger search space.
+scalability *shape*: the 16 -> 20 computer growth factor stays near
+flat. The L2 scores its 286 -> 1001 simplex vectors from per-module
+share tables (each module's trees evaluated at the 11 quantised shares),
+so the simplex blow-up costs a gather, not tree walks.
 """
 
 import os
 
-from repro.scenario import Scenario, run_scenario
+import numpy as np
+
+from repro.scenario import Scenario, build_simulation, run_scenario
 
 SAMPLES = 60 if os.environ.get("REPRO_BENCH_FAST") else 200
 
@@ -77,14 +80,19 @@ def test_overhead_cluster_path(benchmark, report, fig6_result):
     # far below the T_L2 sampling period at both cluster sizes.
     assert path16 < 0.01 * 120.0
     assert path20 < 0.01 * 120.0
-    # Scalability shape: growth tracks the L2 simplex blow-up (3.5x for
-    # 286 -> 1001 vectors) rather than the exponential blow-up a
-    # centralized controller over 20 machines would incur.
-    assert growth < 4.5
+    # Scalability shape: near-flat, as in the paper (1.36x). The L2's
+    # share tables grow with p, not with the 3.5x larger simplex, and
+    # each L1/L0 reasons only about its own module. Measured 0.8-1.3x;
+    # scoring the simplex by walking the trees per candidate measured
+    # 2.9-3.7x. The bound sits between, with room for host speed swings.
+    assert growth < 2.5
 
-    # Kernel: the L2 -> L1 -> L0 chain cost is dominated by the L2 step;
-    # time the 20-computer variant's L2 decision space enumeration.
-    from repro.core import enumerate_simplex
-
-    count = benchmark(lambda: sum(1 for _ in enumerate_simplex(5, 0.1)))
-    assert count == 1001
+    # Kernel: one L2 solve of the 20-computer variant (p = 5, all 1001
+    # simplex vectors scored).
+    l2 = build_simulation(
+        Scenario.cluster(p=5).workload("wc98", samples=SAMPLES).seed(0).build()
+    ).l2
+    decision = benchmark(
+        lambda: l2.decide(np.zeros(5), 1000.0, 1000.0, 0.0175, np.full(5, 0.2))
+    )
+    assert decision.states_explored == 2 * 1001 * 5

@@ -53,6 +53,9 @@ class L0Controller:
         self.stats = ControllerStats()
         self.predictor = WorkloadPredictor()
         self.work_filter = EwmaFilter(smoothing=0.1)
+        #: ``(work_estimate, capacities, effective_service, powers)`` of
+        #: the last lookahead; see :meth:`_lookahead_constants`.
+        self._constants: "tuple | None" = None
 
     # ------------------------------------------------------------------
     # Online estimation
@@ -103,40 +106,53 @@ class L0Controller:
         if self.params.robustness_margin > 0:
             rates = rates * (1.0 + self.params.robustness_margin)
         started = time.perf_counter()
-
-        n_controls = self.phis.size
+        capacities, effective_service, powers = self._lookahead_constants(
+            work_estimate
+        )
         period = self.params.period
-        service_rates = self.model.service_rate(self.phis, work_estimate)
-        capacities = service_rates * period  # requests servable per period
-        powers = np.asarray(self.model.power(self.phis), dtype=float)
-        effective_service = work_estimate / (
-            self.phis * self.model.speed_factor
-        )  # seconds per request at each setting
-
+        price = self.cost.evaluate_checked
         queues = np.array([float(queue)])
         costs = np.zeros(1)
-        first_action = np.array([-1])
         explored = 0
         for depth in range(self.params.horizon):
             arrivals = max(rates[depth], 0.0) * period
             # Expand every path by every control: shape (paths, |U|).
-            next_queues = np.clip(
-                queues[:, None] + arrivals - capacities[None, :], 0.0, None
-            )
-            responses = (1.0 + next_queues) * effective_service[None, :]
-            step_costs = self.cost.evaluate(responses, powers[None, :])
+            next_queues = np.maximum(queues[:, None] + arrivals - capacities, 0.0)
+            step_costs = price((1.0 + next_queues) * effective_service, powers)
             explored += next_queues.size
             costs = (costs[:, None] + step_costs).ravel()
             queues = next_queues.ravel()
-            if depth == 0:
-                first_action = np.tile(np.arange(n_controls), 1)
-            else:
-                first_action = np.repeat(first_action, n_controls)
+        # Paths are enumerated first action major: each depth repeats
+        # every path once per control.
         best = int(np.argmin(costs))
+        first_action = best // self.phis.size ** (self.params.horizon - 1)
         decision = L0Decision(
-            frequency_index=int(first_action[best]),
+            frequency_index=first_action,
             expected_cost=float(costs[best]),
             states_explored=explored,
         )
         self.stats.record(explored, time.perf_counter() - started)
         return decision
+
+    def _lookahead_constants(
+        self, work_estimate: float
+    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """``(capacities, effective_service, powers)`` at one c-hat.
+
+        Requests servable per period, seconds per request, and power
+        draw, each per frequency setting. They depend only on the
+        controller and ``work_estimate``, so they are rebuilt only when
+        the estimate differs from the previous call's (map training
+        holds it fixed; online it moves by EWMA steps). The power array
+        is checked non-negative here, once, for every depth it prices.
+        """
+        constants = self._constants
+        if constants is None or constants[0] != work_estimate:
+            service_rates = self.model.service_rate(self.phis, work_estimate)
+            constants = self._constants = (
+                work_estimate,
+                service_rates * self.params.period,
+                work_estimate / (self.phis * self.model.speed_factor),
+                self.cost.checked_power(self.model.power(self.phis)),
+            )
+        return constants[1:]

@@ -78,6 +78,42 @@ def _snap_index(grid: list[float], value: float) -> int:
     return pos - 1 if value - before <= after - value else pos
 
 
+def _round_key(x) -> float:
+    """``round(x, 6)`` for a memo key, with the rule ``x``'s type picks.
+
+    A numpy scalar rounds by numpy's rule: scale by 1e6, round half to
+    even, scale back. ``round(float(x) * 1e6) / 1e6`` is that rule bit
+    for bit on the Python float, at a twentieth of the cost of
+    ``round(np.float64(x), 6)``. A Python float keeps Python's
+    correctly rounded ``round(x, 6)``. The two rules disagree on some
+    values (269.7867145 gives 269.786714 under numpy's, 269.786715
+    under Python's), and the disagreement would change which queries
+    share a memo entry. ``x`` must be finite.
+    """
+    if type(x) is float:
+        return round(x, 6)
+    return round(float(x) * 1e6) / 1e6
+
+
+def require_finite_inputs(**inputs) -> None:
+    """Raise a one-line :class:`ControlError` for a NaN or infinite input.
+
+    ``inputs`` maps each argument's name to a number or an array. A
+    non-finite forecast, queue or processing time would otherwise flow
+    into the cost maps and quietly pick an arbitrary decision.
+    """
+    for name, value in inputs.items():
+        values = np.asarray(value, dtype=float)
+        if np.isfinite(values).all():
+            continue
+        if values.ndim == 0:
+            raise ControlError(f"{name} must be finite, got {float(values)!r}")
+        index = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise ControlError(
+            f"{name}[{index}] must be finite, got {float(values[index])!r}"
+        )
+
+
 @dataclass(frozen=True)
 class L1Decision:
     """Outcome of one L1 optimisation."""
@@ -86,6 +122,24 @@ class L1Decision:
     gamma: np.ndarray  # load fraction per computer, sums to 1
     expected_cost: float
     states_explored: int
+
+
+@dataclass(frozen=True)
+class _DecisionPoint:
+    """Inputs of one L1 decision that every candidate's cost shares.
+
+    Computed once per :meth:`L1Controller.decide`: the arrival-rate
+    samples of both horizon terms and the memo-key parts that do not
+    depend on the candidate.
+    """
+
+    queues: np.ndarray
+    work: float
+    samples: list  # first-term rates: the band around rate_hat
+    next_samples: list  # second-term rates: the band around rate_next
+    map_ids: "list[int]"  # id(maps[j]), the memo key's map part
+    queue_keys: "list[float]"  # _round_key(queues[j])
+    work_key: float  # round(work, 9)
 
 
 class ComputerBehaviorMap:
@@ -209,9 +263,11 @@ class ComputerBehaviorMap:
         """Query the map: (interval cost, final queue)."""
         if rate > self._max_trained_rate:
             return self._saturated_rollout(queue, rate, work)
-        key = tuple(
-            _snap_index(grid, value)
-            for grid, value in zip(self._grids, (queue, rate, work))
+        queue_grid, rate_grid, work_grid = self._grids
+        key = (
+            _snap_index(queue_grid, queue),
+            _snap_index(rate_grid, rate),
+            _snap_index(work_grid, work),
         )
         hit = self.table.exact_at(key)
         if hit is not None:
@@ -360,6 +416,10 @@ class L1Controller:
         self._base_powers = [c.base_power for c in module_spec.computers]
         self._memo: dict[tuple, tuple[float, float]] = {}
         self._available = np.ones(module_spec.size, dtype=bool)
+        # Pure functions of an on/serving mask (the capacities and params
+        # are fixed per controller), cached read-only by the mask's bytes.
+        self._gamma_candidates: "dict[bytes, tuple[np.ndarray, ...]]" = {}
+        self._gamma_next: "dict[bytes, np.ndarray]" = {}
         #: Control-period kernel ("scalar" or "vector"); set by the engine
         #: from :class:`repro.sim.options.EngineOptions`. The vector path
         #: expands each lookahead node's map queries as one batched call
@@ -464,6 +524,13 @@ class L1Controller:
             if not available.any():
                 raise ControlError("no machine available to serve the module")
             alpha_current = alpha_current & available
+        require_finite_inputs(
+            queues=queues,
+            rate_hat=rate_hat,
+            rate_next=rate_next,
+            delta=delta,
+            work=work,
+        )
         self._available = available
         started = time.perf_counter()
         explored = 0
@@ -473,6 +540,17 @@ class L1Controller:
         # Candidates re-query the same (computer, queue, rate, work) cells
         # over and over; memoise per decision.
         self._memo: dict[tuple, tuple[float, float]] = {}
+        point = _DecisionPoint(
+            queues=queues,
+            work=work,
+            samples=list(three_point_band(rate_hat, delta)) if delta > 0 else [rate_hat],
+            next_samples=(
+                list(three_point_band(rate_next, delta)) if delta > 0 else [rate_next]
+            ),
+            map_ids=[id(m) for m in self.maps],
+            queue_keys=[_round_key(q) for q in queues],
+            work_key=round(work, 9),
+        )
         # The batched evaluator's per-group bookkeeping only pays off
         # once a module is wide enough to amortise the numpy dispatch;
         # narrow modules stay on the scalar loop (same bits either way).
@@ -488,9 +566,7 @@ class L1Controller:
                 continue
             context = self._alpha_context(alpha, alpha_current)
             for gamma in self._candidate_gammas(serving_now):
-                cost, states = horizon_cost(
-                    queues, context, gamma, rate_hat, rate_next, delta, work
-                )
+                cost, states = horizon_cost(point, context, gamma)
                 explored += states
                 if cost < best_cost:
                     best_cost = cost
@@ -539,8 +615,17 @@ class L1Controller:
                 candidates.append(candidate)
         return candidates
 
-    def _candidate_gammas(self, serving: np.ndarray) -> list[np.ndarray]:
-        """Capacity-proportional seed plus its simplex neighbourhood."""
+    def _candidate_gammas(self, serving: np.ndarray) -> "tuple[np.ndarray, ...]":
+        """Capacity-proportional seed plus its simplex neighbourhood.
+
+        Built once per serving mask and cached; the arrays are read-only,
+        so a caller that mutates a decision's gamma fails loudly instead
+        of corrupting later decisions.
+        """
+        mask = serving.tobytes()
+        cached = self._gamma_candidates.get(mask)
+        if cached is not None:
+            return cached
         weights = np.where(serving, self.capacities, 0.0)
         seed = quantize_to_simplex(weights, self.params.gamma_step)
         candidates = [seed]
@@ -554,7 +639,10 @@ class L1Controller:
                 candidates.append(neighbor)
                 if len(candidates) >= self.params.max_gamma_candidates:
                     break
-        return candidates
+        for candidate in candidates:
+            candidate.setflags(write=False)
+        cached = self._gamma_candidates[mask] = tuple(candidates)
+        return cached
 
     # ------------------------------------------------------------------
     # Cost evaluation over the two-term horizon
@@ -570,9 +658,14 @@ class L1Controller:
         fixed = self.params.switching_weight * int(booting.sum())
         for j in np.flatnonzero(booting):
             fixed += self._base_powers[j] * substeps
-        gamma_next = quantize_to_simplex(
-            np.where(alpha, self.capacities, 0.0), self.params.gamma_step
-        )
+        mask = alpha.tobytes()
+        gamma_next = self._gamma_next.get(mask)
+        if gamma_next is None:
+            gamma_next = quantize_to_simplex(
+                np.where(alpha, self.capacities, 0.0), self.params.gamma_step
+            )
+            gamma_next.setflags(write=False)
+            self._gamma_next[mask] = gamma_next
         return {
             "alpha": alpha,
             "serving_idx": [int(j) for j in np.flatnonzero(serving_now)],
@@ -584,61 +677,52 @@ class L1Controller:
         }
 
     def _horizon_cost(
-        self,
-        queues: np.ndarray,
-        context: dict,
-        gamma: np.ndarray,
-        rate_hat: float,
-        rate_next: float,
-        delta: float,
-        work: float,
+        self, point: "_DecisionPoint", context: dict, gamma: np.ndarray
     ) -> tuple[float, int]:
         """Expected cost of periods k and k+1 under a candidate.
 
         Returns (cost, states evaluated). Each sampled arrival rate is one
         predicted system state, matching the paper's exploration metric.
         """
-        samples = three_point_band(rate_hat, delta) if delta > 0 else [rate_hat]
-        states = 0
+        queues = point.queues
+        map_ids = point.map_ids
+        queue_keys = point.queue_keys
+        work = point.work
+        work_key = point.work_key
         total = context["fixed_cost"]
-        weight = 1.0 / len(samples)
+        weight = 1.0 / len(point.samples)
         next_queues = {j: 0.0 for j in context["serving_idx"]}
-        for rate in samples:
-            states += 1
+        for rate in point.samples:
             step_cost = 0.0
             for j in context["serving_idx"]:
-                cost_j, next_q = self._query(j, queues[j], gamma[j] * rate, work)
+                share = gamma[j] * rate
+                key = (map_ids[j], queue_keys[j], _round_key(share), work_key)
+                cost_j, next_q = self._query(key, j, queues[j], share, work)
                 step_cost += cost_j
                 next_queues[j] += next_q * weight
             for j in context["draining_idx"]:
-                cost_j, _ = self._query(j, queues[j], 0.0, work)
+                key = (map_ids[j], queue_keys[j], 0.0, work_key)
+                cost_j, _ = self._query(key, j, queues[j], 0.0, work)
                 step_cost += cost_j
             total += step_cost * weight
 
         # Second horizon term: boots have completed; load re-allocated
         # capacity-proportionally over the candidate's on-set.
         gamma_next = context["gamma_next"]
-        next_samples = three_point_band(rate_next, delta) if delta > 0 else [rate_next]
-        next_weight = 1.0 / len(next_samples)
-        for rate in next_samples:
-            states += 1
+        next_weight = 1.0 / len(point.next_samples)
+        for rate in point.next_samples:
             step_cost = 0.0
             for j in context["on_idx"]:
                 start_queue = next_queues.get(j, 0.0)
-                cost_j, _ = self._query(j, start_queue, gamma_next[j] * rate, work)
+                share = gamma_next[j] * rate
+                key = (map_ids[j], _round_key(start_queue), _round_key(share), work_key)
+                cost_j, _ = self._query(key, j, start_queue, share, work)
                 step_cost += cost_j
             total += step_cost * next_weight
-        return total, states
+        return total, len(point.samples) + len(point.next_samples)
 
     def _horizon_cost_vector(
-        self,
-        queues: np.ndarray,
-        context: dict,
-        gamma: np.ndarray,
-        rate_hat: float,
-        rate_next: float,
-        delta: float,
-        work: float,
+        self, point: "_DecisionPoint", context: dict, gamma: np.ndarray
     ) -> tuple[float, int]:
         """Vector-kernel twin of :meth:`_horizon_cost`.
 
@@ -648,15 +732,14 @@ class L1Controller:
         in the scalar path's exact order — including the per-decision
         memo's first-occurrence aliasing — so costs are bit-identical.
         """
-        samples = three_point_band(rate_hat, delta) if delta > 0 else [rate_hat]
-        states = 0
+        queues = point.queues
+        work = point.work
         total = context["fixed_cost"]
-        weight = 1.0 / len(samples)
+        weight = 1.0 / len(point.samples)
         serving_idx = context["serving_idx"]
         draining_idx = context["draining_idx"]
         next_queues = {j: 0.0 for j in serving_idx}
-        for rate in samples:
-            states += 1
+        for rate in point.samples:
             step_cost = 0.0
             hits = self._query_group(
                 serving_idx, [queues[j] for j in serving_idx],
@@ -675,10 +758,8 @@ class L1Controller:
 
         gamma_next = context["gamma_next"]
         on_idx = context["on_idx"]
-        next_samples = three_point_band(rate_next, delta) if delta > 0 else [rate_next]
-        next_weight = 1.0 / len(next_samples)
-        for rate in next_samples:
-            states += 1
+        next_weight = 1.0 / len(point.next_samples)
+        for rate in point.next_samples:
             step_cost = 0.0
             hits = self._query_group(
                 on_idx, [next_queues.get(j, 0.0) for j in on_idx],
@@ -687,24 +768,24 @@ class L1Controller:
             for cost_j, _ in hits:
                 step_cost += cost_j
             total += step_cost * next_weight
-        return total, states
+        return total, len(point.samples) + len(point.next_samples)
 
     def _query_group(
         self, js, group_queues, group_rates, work: float
     ) -> "list[tuple[float, float]]":
         """Memoised batched map lookup for one group of computers.
 
-        Replicates the scalar :meth:`_query` semantics exactly: memo keys
-        round the operating point, duplicate keys inside the group alias
-        to the *first* occurrence's evaluation (as the scalar loop's
-        insert-then-hit sequence does), and fresh keys are evaluated in
-        group order through the batched map query.
+        Replicates the scalar :meth:`_query` semantics exactly: the same
+        memo keys, duplicate keys inside the group alias to the *first*
+        occurrence's evaluation (as the scalar loop's insert-then-hit
+        sequence does), and fresh keys are evaluated in group order
+        through the batched map query.
         """
         results: "list[tuple[float, float] | None]" = [None] * len(js)
         work_key = round(work, 9)
         misses: "dict[tuple, tuple[int, float, float, list[int]]]" = {}
         for t, (j, queue, rate) in enumerate(zip(js, group_queues, group_rates)):
-            key = (id(self.maps[j]), round(queue, 6), round(rate, 6), work_key)
+            key = (id(self.maps[j]), _round_key(queue), _round_key(rate), work_key)
             hit = self._memo.get(key)
             if hit is not None:
                 results[t] = hit
@@ -747,13 +828,24 @@ class L1Controller:
                         results[t] = hit
         return results
 
-    def _query(self, j: int, queue: float, rate: float, work: float) -> tuple[float, float]:
+    def _query(
+        self, key: tuple, j: int, queue: float, rate: float, work: float
+    ) -> tuple[float, float]:
         """Memoised abstraction-map lookup for computer ``j``.
 
-        Keyed by map identity rather than computer index: same-profile
-        machines at the same operating point share one evaluation.
+        ``key`` is ``(id(self.maps[j]), _round_key(queue),
+        _round_key(rate), round(work, 9))``. It names the map rather
+        than the computer, so same-profile machines at the same
+        operating point share one evaluation. Queue and rate round to
+        6 decimals by the rule of their type (see :func:`_round_key`):
+        numpy's rule for the numpy scalars the horizon cost forms
+        (start queues, ``gamma_j * rate`` shares) and Python's for the
+        Python floats it accumulates (second-term queues, unless a
+        saturated-regime rollout, which returns numpy scalars, fed
+        them). The first query of a key is evaluated at its own
+        unrounded point; every later query with an equal key reuses
+        that result.
         """
-        key = (id(self.maps[j]), round(queue, 6), round(rate, 6), round(work, 9))
         hit = self._memo.get(key)
         if hit is None:
             hit = self.maps[j].cost_and_next_queue(queue, rate, work)

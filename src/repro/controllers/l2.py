@@ -21,15 +21,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, ControlError
 from repro.approximation.training import TrainingSet, train_tree
 from repro.approximation.regression_tree import RegressionTree
 from repro.cluster.specs import ModuleSpec
 from repro.controllers.l0 import L0Controller
-from repro.controllers.l1 import ComputerBehaviorMap, L1Controller
+from repro.controllers.l1 import (
+    ComputerBehaviorMap,
+    L1Controller,
+    require_finite_inputs,
+)
 from repro.controllers.params import L0Params, L1Params, L2Params
 from repro.controllers.stats import ControllerStats
-from repro.core.simplex import enumerate_simplex, quantize_to_simplex, simplex_neighbors
+from repro.core.simplex import (
+    enumerate_simplex,
+    quantize_to_simplex,
+    simplex_levels,
+    simplex_neighbors,
+)
 from repro.forecast.ewma import EwmaFilter
 from repro.forecast.structural import WorkloadPredictor
 
@@ -301,6 +310,14 @@ class L2Controller:
         self.capacities = np.array(
             [m.spec.max_service_rate(0.0175) for m in module_maps]
         )
+        #: One machine's full-speed capacity per module: the reconfiguration
+        #: term's unit of shifted load.
+        self._machine_capacity = np.array(
+            [m.spec.max_service_rate(0.0175) / m.spec.size for m in module_maps]
+        )
+        #: The exhaustive simplex as ``(candidates, quanta)``, enumerated
+        #: on the first exhaustive solve.
+        self._simplex: "tuple[np.ndarray, np.ndarray] | None" = None
 
     @property
     def module_count(self) -> int:
@@ -340,49 +357,56 @@ class L2Controller:
     ) -> L2Decision:
         """Minimise sum_i J~_i over the quantised gamma simplex.
 
-        Exhaustive enumeration by default (286 vectors for p = 4 at step
-        0.1); bounded neighbourhood search around ``gamma_current`` when
-        ``params.exhaustive`` is off.
+        Scores every candidate: all 286 vectors for p = 4 at step 0.1
+        by default, or the bounded neighbourhood of ``gamma_current``
+        when ``params.exhaustive`` is off. The objective is separable:
+        module i's two horizon terms depend on a candidate only through
+        gamma_i, which takes one of k + 1 quantised levels. So each
+        module's trees are evaluated once per level (a share table) and
+        every candidate's cost is gathered from the tables by its
+        integer quanta, adding the terms in module order.
         """
         p = self.module_count
         queue_avgs = np.asarray(queue_avgs, dtype=float)
         if queue_avgs.shape != (p,):
             raise ConfigurationError(f"queue_avgs must have shape ({p},)")
+        require_finite_inputs(
+            queue_avgs=queue_avgs, rate_hat=rate_hat, rate_next=rate_next, work=work
+        )
         started = time.perf_counter()
-        candidates = np.asarray(self._candidates(gamma_current))
+        candidates, quanta = self._candidate_table(gamma_current)
         current_quantized = (
             quantize_to_simplex(gamma_current, self.params.gamma_step)
             if gamma_current is not None
             else None
         )
         n = candidates.shape[0]
-        machine_capacity = np.array(
-            [m.spec.max_service_rate(0.0175) / m.spec.size for m in self.maps]
-        )
-        # Vectorised evaluation: one batched tree query per module for all
-        # candidates at once (both horizon terms).
+        levels = simplex_levels(self.params.gamma_step)
+        shares_now = levels * rate_hat
+        shares_next = levels * rate_next
+        works = np.full(levels.size, work)
         costs = np.zeros(n)
         explored = 0
         for i, module_map in enumerate(self.maps):
-            shares_now = candidates[:, i] * rate_hat
             features_now = np.column_stack(
-                [np.full(n, queue_avgs[i]), shares_now, np.full(n, work)]
+                [np.full(levels.size, queue_avgs[i]), shares_now, works]
             )
-            costs += module_map.cost_tree.predict(features_now)
+            cost_now = module_map.cost_tree.predict(features_now)
             next_queues = np.clip(
                 module_map.queue_tree.predict(features_now), 0.0, None
             )
-            features_next = np.column_stack(
-                [next_queues, candidates[:, i] * rate_next, np.full(n, work)]
+            cost_next = module_map.cost_tree.predict(
+                np.column_stack([next_queues, shares_next, works])
             )
-            costs += module_map.cost_tree.predict(features_next)
+            costs += cost_now[quanta[:, i]]
+            costs += cost_next[quanta[:, i]]
             explored += 2 * n
         if gamma_current is not None:
             # Charge the boots a gamma increase forces: shifted load
             # divided by one machine's capacity, per module.
             shifted = np.clip(candidates - gamma_current, 0.0, None) * rate_hat
             costs += self.params.reconfiguration_weight * (
-                shifted / machine_capacity
+                shifted / self._machine_capacity
             ).sum(axis=1)
 
         best_index = int(np.argmin(costs))
@@ -419,9 +443,20 @@ class L2Controller:
         self.stats.record(explored, time.perf_counter() - started)
         return decision
 
-    def _candidates(self, gamma_current: np.ndarray | None) -> list[np.ndarray]:
+    def _candidate_table(
+        self, gamma_current: np.ndarray | None
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Candidate vectors and their integer quanta, both read-only.
+
+        The exhaustive simplex is enumerated once per controller; the
+        bounded neighbourhood is rebuilt around each ``gamma_current``.
+        """
         if self.params.exhaustive or gamma_current is None:
-            return list(enumerate_simplex(self.module_count, self.params.gamma_step))
+            if self._simplex is None:
+                self._simplex = self._share_table(
+                    list(enumerate_simplex(self.module_count, self.params.gamma_step))
+                )
+            return self._simplex
         seed = quantize_to_simplex(gamma_current, self.params.gamma_step)
         candidates = [seed]
         candidates.extend(
@@ -432,4 +467,19 @@ class L2Controller:
         candidates.append(
             quantize_to_simplex(self.capacities, self.params.gamma_step)
         )
-        return candidates
+        return self._share_table(candidates)
+
+    def _share_table(
+        self, rows: "list[np.ndarray]"
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """``(candidates, quanta)`` with ``levels[quanta] == candidates``."""
+        candidates = np.asarray(rows)
+        levels = simplex_levels(self.params.gamma_step)
+        quanta = np.rint(candidates * (levels.size - 1)).astype(np.intp)
+        if not np.array_equal(levels[quanta], candidates):
+            raise ControlError(
+                "gamma candidates are not on the quantised simplex levels"
+            )
+        candidates.setflags(write=False)
+        quanta.setflags(write=False)
+        return candidates, quanta

@@ -33,6 +33,7 @@ from repro.core.llc import ControlDecision, LookaheadController
 from repro.core.simplex import (
     enumerate_simplex,
     quantize_to_simplex,
+    simplex_levels,
     simplex_neighbors,
 )
 from repro.core.uncertainty import expected_over_band, three_point_band
@@ -53,6 +54,7 @@ __all__ = [
     "expected_over_band",
     "local_search",
     "quantize_to_simplex",
+    "simplex_levels",
     "simplex_neighbors",
     "three_point_band",
     "weighted_norm",

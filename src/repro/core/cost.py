@@ -96,8 +96,26 @@ class SlackResponseCost:
 
     def evaluate(self, response_time, power) -> np.ndarray:
         """Per-candidate cost, vectorised over response/power arrays."""
-        eps = self.slack(response_time)
+        return self.evaluate_checked(
+            np.asarray(response_time, dtype=float), self.checked_power(power)
+        )
+
+    @staticmethod
+    def checked_power(power) -> np.ndarray:
+        """``power`` as a float array; raises unless it is non-negative."""
         psi = np.asarray(power, dtype=float)
         if np.any(psi < 0):
             raise ConfigurationError("power must be non-negative")
+        return psi
+
+    def evaluate_checked(
+        self, response_time: np.ndarray, psi: np.ndarray
+    ) -> np.ndarray:
+        """The cost formula on float arrays, without conversion or checks.
+
+        ``psi`` must have come through :meth:`checked_power`; hot loops
+        check their power array once when they build it and then price
+        every lookahead depth through here.
+        """
+        eps = np.maximum(response_time - self.target_response, 0.0)
         return self.weights.tracking * eps + self.weights.operating * psi

@@ -26,6 +26,18 @@ def _quanta(step: float) -> int:
     return k
 
 
+def simplex_levels(step: float) -> np.ndarray:
+    """The k + 1 values one coordinate of a quantised vector can take.
+
+    ``levels[n] = n * step`` for n = 0..k, computed as the integer quanta
+    times ``step`` exactly as :func:`enumerate_simplex`,
+    :func:`quantize_to_simplex` and :func:`simplex_neighbors` compute
+    their entries, so a vector with quanta ``q`` equals ``levels[q]``
+    bit for bit.
+    """
+    return np.arange(_quanta(step) + 1).astype(float) * step
+
+
 def enumerate_simplex(dimensions: int, step: float) -> Iterator[np.ndarray]:
     """Yield every quantised vector on the simplex (sums to exactly 1).
 

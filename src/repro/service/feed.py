@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import socket
 import time
 from dataclasses import dataclass
@@ -73,21 +74,33 @@ def parse_observation(line: str) -> "Observation | None":
         raise ControlError(
             f"observation 'step' must be a non-negative int, got {step!r}"
         )
-    arrivals = payload["arrivals"]
-    if not isinstance(arrivals, (int, float)) or isinstance(arrivals, bool):
+    arrivals = _number(payload["arrivals"], "arrivals")
+    if not math.isfinite(arrivals) or arrivals < 0:
         raise ControlError(
-            f"observation 'arrivals' must be a number, got {arrivals!r}"
+            f"observation 'arrivals' must be a finite number >= 0, got {arrivals!r}"
         )
     work = payload.get("work")
-    if work is not None and (
-        not isinstance(work, (int, float)) or isinstance(work, bool)
-    ):
-        raise ControlError(f"observation 'work' must be a number, got {work!r}")
-    return Observation(
-        step=step,
-        arrivals=float(arrivals),
-        work=None if work is None else float(work),
-    )
+    if work is not None:
+        work = _number(work, "work")
+        if not math.isfinite(work) or work <= 0:
+            raise ControlError(
+                f"observation 'work' must be a finite number > 0, got {work!r}"
+            )
+    return Observation(step=step, arrivals=arrivals, work=work)
+
+
+def _number(value: object, field: str) -> float:
+    """A JSON number field as a float (an int too large for one is inf).
+
+    ``json.loads`` also accepts the ``NaN``/``Infinity`` literals, so
+    callers still check the result is finite.
+    """
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ControlError(f"observation {field!r} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
 
 
 class SocketFeed:

@@ -112,6 +112,17 @@ class TestDecide:
         assert controller.stats.mean_states == 399
 
 
+class TestLookaheadConstants:
+    def test_decisions_after_a_work_change_match_a_fresh_controller(self):
+        controller = _controller()
+        rates = np.array([30.0, 45.0, 60.0])
+        for work in (0.0175, 0.021, 0.0175, 0.012, 0.012):
+            for queue in (0.0, 7.5, 40.0):
+                assert controller.decide(queue, rates, work) == _controller().decide(
+                    queue, rates, work
+                )
+
+
 class TestQoSPowerTradeoff:
     def test_high_tracking_weight_prefers_speed(self):
         eager = _controller()

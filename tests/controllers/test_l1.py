@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.common import ConfigurationError
+from repro.common import ConfigurationError, ControlError
 from repro.cluster import paper_module_spec
 from repro.controllers import L1Controller, L1Params
+from repro.controllers.l1 import _round_key
 
 
 @pytest.fixture(scope="module")
@@ -285,3 +286,117 @@ class TestSetPoints:
         assert np.array_equal(acted.gamma, decided.gamma)
         assert acted.expected_cost == decided.expected_cost
         assert acted.states_explored == decided.states_explored
+
+
+class TestMemoKeys:
+    """``_round_key`` keeps the memo keys' values exactly as they were."""
+
+    @staticmethod
+    def _samples():
+        rng = np.random.default_rng(2006)
+        # Queues and shares are non-negative; the half-way values sit
+        # exactly on a rounding boundary in decimal.
+        half_way = (rng.integers(0, 10**9, 20000) + 0.5) / 1e6
+        return np.concatenate(
+            [
+                rng.uniform(0.0, 2000.0, 20000),
+                rng.exponential(50.0, 20000),
+                half_way,
+                [0.0, 5e-7, 1.5e-6, 2.5e-6, 269.7867145, 1e12 + 0.5],
+            ]
+        )
+
+    def test_numpy_scalars_round_like_numpy(self):
+        for x in self._samples():
+            expected = float(round(np.float64(x), 6))
+            assert _round_key(np.float64(x)).hex() == expected.hex()
+
+    def test_python_floats_round_like_python(self):
+        for x in self._samples().tolist():
+            assert _round_key(x).hex() == round(x, 6).hex()
+
+    def test_the_two_rules_differ_where_expected(self):
+        assert _round_key(np.float64(269.7867145)) == 269.786714
+        assert _round_key(269.7867145) == 269.786715
+
+
+def _varied_inputs(module_spec, count, seed):
+    """Decision inputs covering bands, saturation, drains and failures."""
+    rng = np.random.default_rng(seed)
+    m = module_spec.size
+    capacity = float(module_spec.max_service_rate(0.0175))
+    for k in range(count):
+        queues = rng.choice([0.0, 2.0, 40.0, 400.0], size=m) * rng.random(m)
+        alpha = rng.random(m) < 0.7
+        alpha[k % m] = True
+        available = None
+        if k % 4 == 0:
+            available = np.ones(m, dtype=bool)
+            available[(k // 4) % m] = False
+        scale = rng.choice([0.2, 0.8, 1.5, 2.5])
+        yield (
+            queues,
+            alpha,
+            {
+                "rate_hat": float(rng.random() * scale * capacity),
+                "rate_next": float(rng.random() * scale * capacity),
+                "delta": float(rng.choice([0.0, rng.random() * 0.3 * capacity])),
+                "work": float(rng.choice([0.0175, rng.uniform(0.011, 0.024)])),
+                "available": available,
+            },
+        )
+
+
+class TestDecisionCaches:
+    def test_gamma_candidates_are_read_only(self, trained_l1, module_spec):
+        l1 = _fresh_l1(trained_l1, module_spec)
+        decision = l1.decide(
+            np.zeros(4), np.ones(4, dtype=bool),
+            rate_hat=90.0, rate_next=90.0, delta=5.0, work=0.0175,
+        )
+        with pytest.raises(ValueError):
+            decision.gamma[0] = 0.5
+        cached = [g for gammas in l1._gamma_candidates.values() for g in gammas]
+        cached.extend(l1._gamma_next.values())
+        assert cached
+        assert not any(g.flags.writeable for g in cached)
+
+    def test_caches_carry_no_state_across_decisions(self, trained_l1, module_spec):
+        reused = _fresh_l1(trained_l1, module_spec)
+        for queues, alpha, inputs in _varied_inputs(module_spec, 60, seed=14):
+            try:
+                fresh = _fresh_l1(trained_l1, module_spec).decide(queues, alpha, **inputs)
+            except ControlError:
+                with pytest.raises(ControlError):
+                    reused.decide(queues, alpha, **inputs)
+                continue
+            again = reused.decide(queues, alpha, **inputs)
+            assert again.alpha.tobytes() == fresh.alpha.tobytes()
+            assert again.gamma.tobytes() == fresh.gamma.tobytes()
+            assert again.expected_cost.hex() == fresh.expected_cost.hex()
+            assert again.states_explored == fresh.states_explored
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "argument", ["queues", "rate_hat", "rate_next", "delta", "work"]
+    )
+    def test_rejected_with_one_line(self, trained_l1, module_spec, argument, value):
+        inputs = {
+            "queues": np.zeros(4),
+            "alpha_current": np.ones(4, dtype=bool),
+            "rate_hat": 90.0,
+            "rate_next": 90.0,
+            "delta": 5.0,
+            "work": 0.0175,
+        }
+        if argument == "queues":
+            inputs["queues"] = np.array([0.0, value, 0.0, 0.0])
+            expected = f"queues[1] must be finite, got {value!r}"
+        else:
+            inputs[argument] = value
+            expected = f"{argument} must be finite, got {value!r}"
+        with pytest.raises(ControlError) as caught:
+            _fresh_l1(trained_l1, module_spec).decide(**inputs)
+        assert str(caught.value) == expected

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.common import ConfigurationError
+from repro.approximation.regression_tree import RegressionTree
+from repro.common import ConfigurationError, ControlError
 from repro.cluster import paper_module_spec
 from repro.controllers import L2Controller, L2Params, ModuleCostMap
+from repro.core import enumerate_simplex, quantize_to_simplex, simplex_neighbors
 
 
 @pytest.fixture(scope="module")
@@ -105,3 +107,168 @@ class TestActAndObserve:
     def test_work_estimate_default(self, module_map):
         controller = L2Controller([module_map])
         assert controller.work_estimate == pytest.approx(0.0175)
+
+
+def _reference_decide(controller, queue_avgs, rate_hat, rate_next, work, gamma_current=None):
+    """The per-candidate L2 scorer the share tables replaced (test oracle).
+
+    Walks both regression trees once per candidate and module, as
+    ``L2Controller.decide`` did before it gathered from share tables.
+    Returns the decision fields plus how many candidates tied for the
+    minimum and whether hysteresis held the current allocation.
+    """
+    params = controller.params
+    step = params.gamma_step
+    p = controller.module_count
+    queue_avgs = np.asarray(queue_avgs, dtype=float)
+    if params.exhaustive or gamma_current is None:
+        rows = list(enumerate_simplex(p, step))
+    else:
+        seed = quantize_to_simplex(gamma_current, step)
+        rows = [seed, *simplex_neighbors(seed, step, moves=2)]
+        rows.append(quantize_to_simplex(controller.capacities, step))
+    candidates = np.asarray(rows)
+    n = candidates.shape[0]
+    machine_capacity = np.array(
+        [m.spec.max_service_rate(0.0175) / m.spec.size for m in controller.maps]
+    )
+    costs = np.zeros(n)
+    explored = 0
+    for i, module_map in enumerate(controller.maps):
+        features_now = np.column_stack(
+            [np.full(n, queue_avgs[i]), candidates[:, i] * rate_hat, np.full(n, work)]
+        )
+        costs += module_map.cost_tree.predict(features_now)
+        next_queues = np.clip(module_map.queue_tree.predict(features_now), 0.0, None)
+        features_next = np.column_stack(
+            [next_queues, candidates[:, i] * rate_next, np.full(n, work)]
+        )
+        costs += module_map.cost_tree.predict(features_next)
+        explored += 2 * n
+    if gamma_current is not None:
+        shifted = np.clip(candidates - gamma_current, 0.0, None) * rate_hat
+        costs += params.reconfiguration_weight * (shifted / machine_capacity).sum(axis=1)
+    best_index = int(np.argmin(costs))
+    best_cost = float(costs[best_index])
+    best_gamma = candidates[best_index]
+    tied = 1
+    if gamma_current is not None:
+        ties = np.flatnonzero(np.abs(costs - best_cost) <= 1e-12)
+        tied = ties.size
+        if tied > 1:
+            distances = np.abs(candidates[ties] - gamma_current).sum(axis=1)
+            best_index = int(ties[np.argmin(distances)])
+            best_gamma = candidates[best_index]
+    held = False
+    if gamma_current is not None:
+        current = quantize_to_simplex(gamma_current, step)
+        matches = np.flatnonzero(np.all(np.abs(candidates - current) < 1e-9, axis=1))
+        if matches.size:
+            current_cost = float(costs[matches[0]])
+            if best_cost >= (1.0 - params.switching_threshold) * current_cost:
+                best_gamma, best_cost, held = current, current_cost, True
+    return best_gamma, best_cost, explored, tied, held
+
+
+def _assert_matches_reference(controller, *args, **kwargs):
+    decision = controller.decide(*args, **kwargs)
+    gamma, cost, explored, tied, held = _reference_decide(controller, *args, **kwargs)
+    assert decision.gamma.tobytes() == gamma.tobytes()
+    assert decision.expected_cost.hex() == cost.hex()
+    assert decision.states_explored == explored
+    return decision, tied, held
+
+
+def _step_map(threshold: float) -> ModuleCostMap:
+    """A module map costing 1 while its share is <= ``threshold`` req/s, else 10."""
+
+    def tree(root):
+        return RegressionTree.from_dict(
+            {"max_depth": 1, "min_samples_leaf": 1, "n_features": 3, "root": root}
+        )
+
+    cost = tree(
+        {
+            "prediction": 5.5,
+            "feature": 1,
+            "threshold": threshold,
+            "left": {"prediction": 1.0},
+            "right": {"prediction": 10.0},
+        }
+    )
+    # The L2 never reads the training set of a map.
+    return ModuleCostMap(paper_module_spec(), cost, tree({"prediction": 0.0}), None)
+
+
+class TestShareTableSolve:
+    """The share-table solve equals the per-candidate scorer bit for bit."""
+
+    @pytest.mark.parametrize("exhaustive", [True, False])
+    def test_random_inputs_match_reference(self, module_map, exhaustive):
+        controller = L2Controller([module_map] * 4, L2Params(exhaustive=exhaustive))
+        capacity = float(controller.capacities.sum())
+        rng = np.random.default_rng(14 if exhaustive else 41)
+        for k in range(240):
+            queue_avgs = rng.random(4) * rng.choice([0.0, 10.0, 400.0, 1500.0])
+            rate_hat = float(rng.random() * rng.choice([0.3, 1.0, 1.6]) * capacity)
+            rate_next = float(rng.random() * rng.choice([0.3, 1.0, 1.6]) * capacity)
+            work = float(rng.choice([0.0175, rng.uniform(0.011, 0.024)]))
+            gamma_current = None
+            if k % 4:
+                gamma_current = rng.dirichlet(np.ones(4))
+                if k % 3 == 0:
+                    gamma_current = quantize_to_simplex(gamma_current, 0.1)
+            _assert_matches_reference(
+                controller, queue_avgs, rate_hat, rate_next, work, gamma_current
+            )
+
+    def test_exact_tie_goes_to_the_candidate_nearest_the_current(self):
+        # Shares of 40, 50 and 60 req/s on both modules all cost 4.0
+        # exactly; the tie-break picks (0.6, 0.4), nearest (0.9, 0.1).
+        controller = L2Controller(
+            [_step_map(65.0)] * 2, L2Params(reconfiguration_weight=0.0)
+        )
+        decision, tied, held = _assert_matches_reference(
+            controller, np.zeros(2), 100.0, 100.0, 0.0175, np.array([0.9, 0.1])
+        )
+        assert (tied, held) == (3, False)
+        assert decision.expected_cost == 4.0
+        assert decision.gamma.tolist() == pytest.approx([0.6, 0.4])
+
+    def test_hysteresis_holds_the_current_allocation(self):
+        controller = L2Controller(
+            [_step_map(65.0)] * 2,
+            L2Params(reconfiguration_weight=0.0, switching_threshold=0.9),
+        )
+        decision, tied, held = _assert_matches_reference(
+            controller, np.zeros(2), 100.0, 100.0, 0.0175, np.array([0.9, 0.1])
+        )
+        assert held
+        assert decision.expected_cost == 22.0
+        assert decision.gamma.tolist() == pytest.approx([0.9, 0.1])
+
+    def test_candidate_table_is_read_only(self, l2):
+        decision = l2.decide(np.zeros(4), 300.0, 300.0, 0.0175)
+        with pytest.raises(ValueError):
+            decision.gamma[0] = 1.0
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("argument", ["queue_avgs", "rate_hat", "rate_next", "work"])
+    def test_rejected_with_one_line(self, l2, argument, value):
+        inputs = {
+            "queue_avgs": np.zeros(4),
+            "rate_hat": 300.0,
+            "rate_next": 300.0,
+            "work": 0.0175,
+        }
+        if argument == "queue_avgs":
+            inputs["queue_avgs"] = np.array([0.0, 0.0, value, 0.0])
+            expected = f"queue_avgs[2] must be finite, got {value!r}"
+        else:
+            inputs[argument] = value
+            expected = f"{argument} must be finite, got {value!r}"
+        with pytest.raises(ControlError) as caught:
+            l2.decide(**inputs)
+        assert str(caught.value) == expected

@@ -90,6 +90,18 @@ class TestSlackResponseCost:
         with pytest.raises(ConfigurationError):
             cost.evaluate(1.0, -1.0)
 
+    def test_checked_power_rejects_negative(self):
+        with pytest.raises(ConfigurationError):
+            SlackResponseCost.checked_power(np.array([0.75, -0.1]))
+
+    def test_evaluate_checked_is_the_evaluate_formula(self):
+        cost = SlackResponseCost(4.0, CostWeights(tracking=100.0, operating=1.0))
+        responses = np.array([[-1.0, 3.9, 4.0, 4.1, 250.0]])
+        powers = SlackResponseCost.checked_power([0.75, 1.0, 1.2, 1.5, 1.75])
+        assert np.array_equal(
+            cost.evaluate_checked(responses, powers), cost.evaluate(responses, powers)
+        )
+
     def test_rejects_bad_target(self):
         with pytest.raises(ConfigurationError):
             SlackResponseCost(0.0, CostWeights())

@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common import ConfigurationError
-from repro.core import enumerate_simplex, quantize_to_simplex, simplex_neighbors
+from repro.core import (
+    enumerate_simplex,
+    quantize_to_simplex,
+    simplex_levels,
+    simplex_neighbors,
+)
 
 
 class TestEnumerateSimplex:
@@ -103,3 +108,25 @@ class TestSimplexNeighbors:
         gamma = np.array([0.6, 0.4])
         for neighbor in simplex_neighbors(gamma, 0.1):
             assert not np.allclose(neighbor, gamma)
+
+
+class TestSimplexLevels:
+    @pytest.mark.parametrize("step", [0.1, 0.05, 0.2, 0.25, 1.0 / 3.0])
+    def test_entries_of_every_generator_are_levels_bit_for_bit(self, step):
+        levels = simplex_levels(step)
+        k = levels.size - 1
+        vectors = list(enumerate_simplex(3, step))
+        vectors.append(quantize_to_simplex(np.array([0.31, 0.5, 0.19]), step))
+        vectors.extend(simplex_neighbors(vectors[-1], step, moves=2))
+        for vector in vectors:
+            quanta = np.rint(vector * k).astype(int)
+            assert levels[quanta].tobytes() == vector.tobytes()
+
+    def test_count_and_range(self):
+        levels = simplex_levels(0.1)
+        assert levels.size == 11
+        assert levels[0] == 0.0 and levels[-1] == 1.0
+
+    def test_rejects_bad_step(self):
+        with pytest.raises(ConfigurationError):
+            simplex_levels(0.3)

@@ -52,6 +52,35 @@ class TestWireFormat:
         with pytest.raises(ControlError):
             parse_observation(line)
 
+    @pytest.mark.parametrize(
+        "line, field",
+        [
+            ('{"step": 3, "arrivals": NaN}', "arrivals"),
+            ('{"step": 3, "arrivals": Infinity}', "arrivals"),
+            ('{"step": 3, "arrivals": -Infinity}', "arrivals"),
+            ('{"step": 3, "arrivals": 1e999}', "arrivals"),
+            pytest.param(
+                '{"step": 3, "arrivals": 1' + "0" * 400 + "}",
+                "arrivals",
+                id="arrivals-int-beyond-float",
+            ),
+            ('{"step": 5, "arrivals": -7.0}', "arrivals"),
+            ('{"step": 4, "arrivals": 5.0, "work": NaN}', "work"),
+            ('{"step": 4, "arrivals": 5.0, "work": Infinity}', "work"),
+            ('{"step": 4, "arrivals": 5.0, "work": -Infinity}', "work"),
+            ('{"step": 4, "arrivals": 5.0, "work": 0.0}', "work"),
+            ('{"step": 4, "arrivals": 5.0, "work": -0.0175}', "work"),
+        ],
+    )
+    def test_non_finite_or_out_of_range_numbers_raise(self, line, field):
+        with pytest.raises(ControlError, match=f"observation '{field}' must be") as caught:
+            parse_observation(line)
+        assert "\n" not in str(caught.value)
+
+    def test_zero_arrivals_and_integer_fields_parse(self):
+        observation = parse_observation('{"step": 0, "arrivals": 0, "work": 1}')
+        assert observation == Observation(step=0, arrivals=0.0, work=1.0)
+
 
 class TestSocketFeed:
     def test_lines_arrive_in_order_and_end(self):
