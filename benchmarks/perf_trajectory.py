@@ -105,13 +105,12 @@ def _child(
     from repro.scenario import build_simulation, get_scenario
 
     spec = get_scenario(scenario, samples=samples)
-    overrides: dict = {}
-    if kernel != "scalar":
-        overrides["control.kernel"] = kernel
+    # The kernel is always pinned: a series records the kernel it names,
+    # whatever the scenario default is.
+    overrides: dict = {"control.kernel": kernel}
     if execution != "serial":
         overrides["control.execution"] = execution
-    if overrides:
-        spec = spec.with_overrides(**overrides)
+    spec = spec.with_overrides(**overrides)
     simulation = build_simulation(spec)
     startup_seconds = time.perf_counter() - t0
 

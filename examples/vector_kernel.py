@@ -1,15 +1,17 @@
 """The vectorized control-period kernel: a pure speed knob.
 
-`control.kernel = "vector"` swaps the engine's per-computer Python hot
-loops for numpy-batched ones — the L0 bank expands every serving
-computer's lookahead tree at once, the Kalman bank advances all workload
-filters per boundary, map queries gather whole candidate sets in one
-call, and baseline-cluster substeps advance every machine as one array.
+`control.kernel = "vector"`, the default, swaps the engine's
+per-computer Python hot loops for numpy-batched ones — a serial cluster
+step runs every serving computer's L0 lookahead tree as one batched call
+and then advances every machine's fluid queue as one array, the Kalman
+bank advances the baseline workload filters per boundary, and map
+queries gather whole candidate sets in one call.
 
 The contract mirrors the sharded backend's (`sharded_cluster.py`): not
 "approximately the same", but deterministic summaries that are
-**bit-identical** to the scalar reference path, which stays in the tree
-as the parity oracle. CI gates the pair with `cmp` on the run JSON.
+**bit-identical** to the scalar reference path (`control.kernel =
+"scalar"`), which stays in the tree as the parity oracle. CI gates the
+pair with `cmp` on the run JSON.
 
 Run from the repo root:
 
@@ -34,13 +36,15 @@ def timed_run(spec):
 def main() -> None:
     base = get_scenario(SCENARIO, samples=SAMPLES)
 
-    scalar, scalar_seconds = timed_run(base)
+    # The declarative switch: control.kernel. "vector" is the default;
+    # "scalar" selects the reference path, here and from the builder
+    # (`Scenario.cluster(...).kernel("scalar")`), the CLI (`repro run
+    # ... --kernel scalar`), and the EngineOptions surface
+    # (`EngineOptions(kernel="scalar")`) when driving ClusterSimulation
+    # directly.
+    scalar_spec = base.with_overrides(**{"control.kernel": "scalar"})
+    scalar, scalar_seconds = timed_run(scalar_spec)
 
-    # The declarative switch: control.kernel = "vector". The same knob
-    # is reachable from the builder (`Scenario.cluster(...).kernel(
-    # "vector")`), the CLI (`repro run ... --kernel vector`), and the
-    # EngineOptions surface (`EngineOptions(kernel="vector")`) when
-    # driving ClusterSimulation directly.
     vector_spec = base.with_overrides(**{"control.kernel": "vector"})
     vector, vector_seconds = timed_run(vector_spec)
 

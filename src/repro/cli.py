@@ -631,8 +631,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--kernel", choices=("scalar", "vector"), default=None,
-        help="control-period kernel (vector = numpy-batched hot loops; "
-        "deterministic metrics bit-identical to scalar)",
+        help="control-period kernel (default vector: numpy-batched hot "
+        "loops; scalar: the pure-Python reference; output bit-identical)",
     )
     run.add_argument(
         "--window", type=int, default=None, metavar="N",

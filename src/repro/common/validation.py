@@ -193,16 +193,23 @@ def require_cluster_failure_events(
 def require_probability_vector(
     values: Sequence[float], name: str, atol: float = 1e-6
 ) -> np.ndarray:
-    """Validate a vector of non-negative fractions summing to one.
+    """Validate a vector of finite, non-negative fractions summing to one.
 
     Returns the vector as a float ndarray. Used for load-distribution
-    factors (the paper's gamma vectors).
+    factors (the paper's gamma vectors). A NaN entry fails no sum or
+    sign comparison, so non-finite entries are rejected first.
     """
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise ConfigurationError(f"{name} must be one-dimensional")
     if arr.size == 0:
         raise ConfigurationError(f"{name} must be non-empty")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        index = int(np.argmin(finite))
+        raise ConfigurationError(
+            f"{name}[{index}] must be finite, got {float(arr[index])}"
+        )
     if np.any(arr < -atol):
         raise ConfigurationError(f"{name} must be non-negative, got {arr}")
     total = float(arr.sum())

@@ -109,13 +109,25 @@ class SlackResponseCost:
         return psi
 
     def evaluate_checked(
-        self, response_time: np.ndarray, psi: np.ndarray
+        self,
+        response_time: np.ndarray,
+        psi: np.ndarray,
+        out: "np.ndarray | None" = None,
     ) -> np.ndarray:
         """The cost formula on float arrays, without conversion or checks.
 
         ``psi`` must have come through :meth:`checked_power`; hot loops
         check their power array once when they build it and then price
-        every lookahead depth through here.
+        every lookahead depth through here. ``out`` (which may be
+        ``response_time`` itself) receives the result in place, with the
+        same operations on the same operands in the same order, so the
+        values are bit-identical to the allocating form.
         """
-        eps = np.maximum(response_time - self.target_response, 0.0)
-        return self.weights.tracking * eps + self.weights.operating * psi
+        if out is None:
+            eps = np.maximum(response_time - self.target_response, 0.0)
+            return self.weights.tracking * eps + self.weights.operating * psi
+        np.subtract(response_time, self.target_response, out=out)
+        np.maximum(out, 0.0, out=out)
+        np.multiply(self.weights.tracking, out, out=out)
+        np.add(out, self.weights.operating * psi, out=out)
+        return out

@@ -247,10 +247,11 @@ class ControlSpec:
     recorder's. ``None`` (the default) records the whole horizon.
 
     ``kernel`` selects the control-period kernel
-    (:data:`~repro.sim.options.KERNELS`): ``"scalar"`` is the
-    pure-Python reference path; ``"vector"`` batches the hot loops with
-    numpy — bit-identical summaries, selectable per run and carried by
-    the spec so serial and sharded backends agree.
+    (:data:`~repro.sim.options.KERNELS`): ``"vector"`` (default) batches
+    the hot loops with numpy; ``"scalar"`` is the pure-Python reference
+    path the parity checks compare against — bit-identical results,
+    selectable per run and carried by the spec so serial and sharded
+    backends agree.
 
     ``map_cache`` names a directory for the trained-map artifact cache
     (:mod:`repro.maps`): the offline-learned behaviour/cost maps are
@@ -273,7 +274,7 @@ class ControlSpec:
     shard_workers: int | None = None
     window: int | None = None
     map_cache: str | None = None
-    kernel: str = "scalar"
+    kernel: str = "vector"
     pipeline: str = "boundary"
 
     def __post_init__(self) -> None:

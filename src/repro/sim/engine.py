@@ -924,13 +924,14 @@ class ClusterSimulation(_SimulationBase):
             # The parent's runner copies must not be touched again: the
             # authoritative module state now lives in the workers.
             state.runners = None
-        elif self.kernel == "vector" and self.baselines is not None:
-            # Serial baseline periods are pure plant work (no L1/L0
-            # decisions mid-period), so the whole cluster's substeps can
-            # advance as (modules, computers) arrays. Boundary decisions
-            # stay on the scalar objects; pull/flush keep the two views
-            # in sync. (Sharded baseline workers keep the scalar step —
-            # results are bit-identical either way.)
+        elif self.kernel == "vector":
+            # The whole cluster's substeps advance as (modules,
+            # computers) arrays: in hierarchy mode every serving
+            # computer's L0 lookahead runs as one batched call, then the
+            # plant steps. Boundary decisions and faults stay on the
+            # scalar objects; pull/flush keep the two views in sync.
+            # (Sharded workers keep the per-module step — results are
+            # bit-identical either way.)
             from repro.sim.kernels import ClusterVectorExecutor
 
             state.vector_executor = ClusterVectorExecutor(
@@ -981,11 +982,13 @@ class ClusterSimulation(_SimulationBase):
         k = state.k
         vector = state.vector_executor
         if k % self.substeps == 0:
+            batched_observe = vector is not None and self.baselines is not None
             if vector is not None:
                 vector.flush(full=False)
+            if batched_observe:
                 self._vector_baseline_observe(state, k)
             l2_event, boundaries = self._parent_boundary(
-                state, k, observed_consumed=vector is not None
+                state, k, observed_consumed=batched_observe
             )
             state.sink.on_l2_decision(l2_event)
             for runner, boundary in zip(state.runners, boundaries):
@@ -1294,27 +1297,41 @@ class ClusterSimulation(_SimulationBase):
             state.fine_predictor.observe(arrivals)
         return inputs
 
-    def _parent_step_vector(
-        self, state: "_ClusterRunState", k: int
-    ) -> "tuple[int, float, np.ndarray, float | None]":
+    def _parent_step_vector(self, state: "_ClusterRunState", k: int) -> tuple:
         """Array-form twin of :meth:`_parent_step` for the vector path.
 
         Advances the same parent-side accumulators (identical
-        elementwise arithmetic) but skips building per-module
-        ``ModuleStepInput`` objects and the fine-grained forecast, which
-        baseline substeps never read — the executor consumes the share
-        row directly.
+        elementwise arithmetic) and computes the same fine-grained
+        forecast before the fine predictor observes the step (through
+        the kernel's bit-identical scalar-float Kalman update), but
+        skips building per-module ``ModuleStepInput`` objects: returns
+        the :meth:`ClusterVectorExecutor.step_all` arguments. Baseline
+        runs have no fine predictor and pass no forecast.
         """
         arrivals = float(self.trace.counts[k])
         state.interval_global += arrivals
         shares = state.gamma_modules * arrivals
         state.interval_module += shares
+        forecast = None
         if state.fine_predictor is not None:
-            state.fine_predictor.observe(arrivals)
+            from repro.sim.kernels import batched_predictor_observe
+
+            forecast = (
+                state.fine_predictor.forecast(self.l0_params.horizon)
+                / self.l0_params.period
+            )
+            batched_predictor_observe([state.fine_predictor], [arrivals])
         work = (
             float(self.work_series[k]) if self.work_series is not None else None
         )
-        return k, k * self.l0_params.period, shares, work
+        return (
+            k,
+            k * self.l0_params.period,
+            shares,
+            work,
+            state.gamma_modules,
+            forecast,
+        )
 
     def finish(self) -> ClusterRunResult:
         """Assemble the structured result once all steps are taken."""
@@ -1474,8 +1491,8 @@ class _ClusterRunState:
     #: index; consumed by ``on_period_end`` (the pipelined next boundary
     #: zeroes the live accumulators before the period's last step runs).
     period_totals: dict = field(default_factory=dict)
-    #: Batched substep engine (serial baseline runs on the vector
-    #: kernel only; None everywhere else).
+    #: Batched substep engine (serial runs on the vector kernel only;
+    #: None everywhere else).
     vector_executor: "object | None" = None
     last_queue_lengths: "list | None" = None
     step_buffer: list = field(default_factory=list)

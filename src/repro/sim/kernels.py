@@ -1,22 +1,25 @@
 """The vector control-period kernel: batched numpy twins of the hot path.
 
-The scalar engine advances the plant with pure-Python per-computer loops —
+The scalar kernel advances the plant with pure-Python per-computer loops —
 one ``Computer.step_fluid`` call, one L0 ``decide``, one Kalman ``observe``
-at a time. This module provides batched implementations of exactly those
-loops, selectable per run via ``EngineOptions(kernel="vector")`` /
-``ControlSpec.kernel`` / ``repro run --kernel vector``:
+at a time — and stays in the tree as the reference, selected with
+``EngineOptions(kernel="scalar")`` / ``ControlSpec.kernel`` / ``repro
+run --kernel scalar``. This module provides batched implementations of
+exactly those loops, which every run gets by default (``"vector"``):
 
-* :class:`L0BankKernel` — one lookahead expansion for a whole module's
-  L0 bank: every serving computer's candidate tree grows as one padded
-  ``(computers, paths, settings)`` array per depth.
+* :class:`L0BankKernel` — one lookahead expansion for any set of L0
+  controllers: every selected computer's candidate tree grows as one
+  padded ``(computers, paths, settings)`` array per depth.
 * :func:`batched_predictor_observe` — one manual-elementwise Kalman
   predict/update for a whole bank of :class:`WorkloadPredictor` objects
   (the per-module and global arrival filters), written back into the
   scalar filter objects so every downstream ``forecast`` is untouched.
-* :class:`ClusterVectorExecutor` — the serial baseline-cluster substep
-  engine: all modules' fluid updates, energy metering, and lifecycle
-  ticks advance as ``(modules, computers)`` arrays, emitting the very
-  same :class:`StepEvent` stream the scalar runners emit.
+* :class:`ClusterVectorExecutor` — the serial cluster substep engine:
+  in hierarchy mode one :class:`L0BankKernel` call decides every serving
+  computer of every module, then all modules' fluid updates, energy
+  metering, and lifecycle ticks advance as ``(modules, computers)``
+  arrays, emitting the very same :class:`StepEvent` stream the scalar
+  runners emit.
 
 Parity is the design constraint, not an aspiration: every formula here
 replicates the scalar expression's operand order elementwise (float
@@ -79,17 +82,19 @@ import time  # noqa: E402
 
 
 class L0BankKernel:
-    """Batched lookahead for a module's L0 controllers (hierarchy mode).
+    """Batched lookahead for a bank of L0 controllers (hierarchy mode).
 
     The scalar path calls ``L0Controller.decide`` once per serving
     computer per T_L0 step; each call expands its own ``(paths,
-    settings)`` tree. This kernel expands all serving computers' trees
+    settings)`` tree. This kernel expands the trees of any subset of the
+    bank — one module's serving computers, or a whole cluster's —
     simultaneously as one ``(computers, paths, max_settings)`` array per
     depth. Heterogeneous processors (different setting counts) are
-    padded to the widest; padded settings carry ``+inf`` step costs, so
-    they never win the argmin, and the flat index arithmetic maps the
-    winner back to the unpadded tree exactly (base-``max_settings``
-    digit strings preserve the scalar enumeration order).
+    padded to the widest; every path through a padded setting is priced
+    ``+inf`` before the argmin, so it never wins, and the flat index
+    arithmetic maps the winner back to the unpadded tree exactly
+    (base-``max_settings`` digit strings preserve the scalar enumeration
+    order).
 
     Costs and queue trajectories are computed with the scalar
     expressions' operand order, so each computer's decision (frequency
@@ -109,14 +114,19 @@ class L0BankKernel:
         self.max_settings = max(self.setting_counts)
         n = len(self.controllers)
         # Padded per-computer constants. Pad phi = 1.0 keeps every derived
-        # expression finite (no inf*0 NaN risk); padded entries are forced
-        # to +inf step cost explicitly instead.
+        # expression finite (no inf*0 NaN risk); the paths through a pad
+        # are priced out after the last depth instead.
         self._phis = np.ones((n, self.max_settings))
-        self._pad = np.zeros((n, self.max_settings), dtype=bool)
         for row, controller in enumerate(self.controllers):
-            count = controller.phis.size
-            self._phis[row, :count] = controller.phis
-            self._pad[row, count:] = True
+            self._phis[row, : controller.phis.size] = controller.phis
+        #: Per controller, which leaf paths (base-``max_settings`` digit
+        #: strings, first action major) take a padded setting anywhere.
+        paths = np.arange(self.max_settings**self.horizon)
+        counts = np.array(self.setting_counts)[:, None]
+        self._path_pads = np.zeros((n, paths.size), dtype=bool)
+        for depth in range(self.horizon):
+            digits = paths // self.max_settings ** (self.horizon - 1 - depth)
+            self._path_pads |= digits % self.max_settings >= counts
         self._speeds = np.array(
             [c.model.speed_factor for c in self.controllers]
         )
@@ -132,85 +142,118 @@ class L0BankKernel:
             sum(count**d for d in range(1, self.horizon + 1))
             for count in self.setting_counts
         ]
+        #: ``(key, path_pads, capacities, effective_service, powers)``
+        #: of the last call; see :meth:`_lookahead_constants`.
+        self._constants: "tuple | None" = None
 
     def decide_many(
         self,
-        indices: "list[int]",
-        queues: "list[float]",
-        rate_forecasts: "list[np.ndarray]",
-        work_estimates: "list[float]",
+        indices: "list[int] | np.ndarray",
+        queues: "list[float] | np.ndarray",
+        rate_forecasts: "list[np.ndarray] | np.ndarray",
+        work_estimates: "list[float] | np.ndarray",
     ) -> "list[L0Decision]":
         """Run the bank's lookahead for a subset of computers at once.
 
         ``indices`` selects controllers (bank positions); the parallel
-        lists carry each one's queue, per-depth arrival-rate forecasts,
-        and c-hat. Returns one :class:`L0Decision` per entry and records
-        each controller's stats exactly as its scalar ``decide`` would.
+        sequences (lists or arrays; ``rate_forecasts`` may be one
+        ``(computers, horizon)`` array) carry each one's queue, per-depth
+        arrival-rate forecasts, and c-hat. Returns one
+        :class:`L0Decision` per entry and records each controller's
+        stats exactly as its scalar ``decide`` would.
         """
         started = time.perf_counter()
-        rates = np.stack([np.asarray(r, dtype=float) for r in rate_forecasts])
-        if rates.shape[1] < self.horizon:
+        rates = np.asarray(rate_forecasts, dtype=float)
+        if rates.ndim != 2 or rates.shape[1] < self.horizon:
             raise ConfigurationError(
-                f"need {self.horizon} rate forecasts, got {rates.shape[1]}"
+                f"need {self.horizon} rate forecasts per computer, got "
+                f"shape {rates.shape}"
             )
-        for work in work_estimates:
-            if work <= 0:
-                raise ConfigurationError("work_estimate must be positive")
+        works = np.asarray(work_estimates, dtype=float)
+        if not (works > 0).all():
+            raise ConfigurationError("work_estimate must be positive")
         if self.margin > 0:
             rates = rates * (1.0 + self.margin)
         rows = np.asarray(indices, dtype=np.intp)
         n = rows.size
-        works = np.asarray(work_estimates, dtype=float)
-        phis = self._phis[rows]
-        pad = self._pad[rows]
-        speeds = self._speeds[rows]
-        # Same expressions as the scalar decide, batched over computers.
-        service_rates = phis * speeds[:, None] / works[:, None]
-        capacities = service_rates * self.period
-        powers = (
-            self._base_powers[rows][:, None]
-            + self._power_scales[rows][:, None] * phis**2
+        path_pads, capacities, effective_service, powers = (
+            self._lookahead_constants(rows, works)
         )
-        effective_service = works[:, None] / (phis * speeds[:, None])
-        if pad.any():
-            capacities[pad] = np.inf  # a pad path absorbs all arrivals...
-        cost = self.controllers[0].cost
-
+        price = self.controllers[0].cost.evaluate_checked
+        period = self.period
         path_queues = np.asarray(queues, dtype=float)[:, None]
         costs = np.zeros((n, 1))
+        # The scalar lookahead's expressions, operand for operand; each
+        # depth's (computers, paths, settings) temporaries are reused in
+        # place instead of reallocated per operation.
         for depth in range(self.horizon):
-            arrivals = np.maximum(rates[:, depth], 0.0) * self.period
-            next_queues = np.clip(
-                path_queues[:, :, None]
-                + arrivals[:, None, None]
-                - capacities[:, None, :],
-                0.0,
-                None,
-            )
-            responses = (1.0 + next_queues) * effective_service[:, None, :]
-            step_costs = cost.evaluate(responses, powers[:, None, :])
-            if pad.any():
-                # ...and is priced out of the argmin explicitly.
-                step_costs = np.where(pad[:, None, :], np.inf, step_costs)
-            costs = (costs[:, :, None] + step_costs).reshape(n, -1)
+            arrivals = np.maximum(rates[:, depth], 0.0) * period
+            next_queues = (
+                path_queues[:, :, None] + arrivals[:, None, None]
+            ) - capacities
+            np.maximum(next_queues, 0.0, out=next_queues)
+            step_costs = 1.0 + next_queues
+            np.multiply(step_costs, effective_service, out=step_costs)
+            price(step_costs, powers, out=step_costs)
+            np.add(costs[:, :, None], step_costs, out=step_costs)
+            costs = step_costs.reshape(n, -1)
             path_queues = next_queues.reshape(n, -1)
+        if path_pads is not None:
+            np.copyto(costs, np.inf, where=path_pads)
         best = np.argmin(costs, axis=1)
-        first_actions = best // self.max_settings ** (self.horizon - 1)
-        elapsed = time.perf_counter() - started
-        share = elapsed / n
+        first_actions = (best // self.max_settings ** (self.horizon - 1)).tolist()
+        best_costs = costs[np.arange(n), best].tolist()
+        share = (time.perf_counter() - started) / n
         decisions = []
-        for row, bank_index in enumerate(indices):
-            controller = self.controllers[bank_index]
-            explored = self._explored[bank_index]
+        controllers = self.controllers
+        explored_by_row = self._explored
+        for row, bank_index in enumerate(rows.tolist()):
+            explored = explored_by_row[bank_index]
             decisions.append(
                 L0Decision(
-                    frequency_index=int(first_actions[row]),
-                    expected_cost=float(costs[row, best[row]]),
+                    frequency_index=first_actions[row],
+                    expected_cost=best_costs[row],
                     states_explored=explored,
                 )
             )
-            controller.stats.record(explored, share)
+            controllers[bank_index].stats.record(explored, share)
         return decisions
+
+    def _lookahead_constants(self, rows: np.ndarray, works: np.ndarray) -> tuple:
+        """``(path_pads, capacities, effective_service, powers)`` for a call.
+
+        The batched :meth:`L0Controller._lookahead_constants`: per bank
+        row and setting, requests servable per period, seconds per
+        request and power draw, shaped ``(rows, 1, settings)`` to
+        broadcast over the lookahead's paths, plus the selected rows'
+        padded-path masks (``None`` when no selected row is padded).
+        They depend only on the selected rows and their c-hats, so they
+        are rebuilt only when either differs from the previous call's.
+        The power array is checked non-negative here, once, for every
+        depth it prices.
+        """
+        key = (rows.tobytes(), works.tobytes())
+        constants = self._constants
+        if constants is None or constants[0] != key:
+            phis = self._phis[rows]
+            speeds = self._speeds[rows][:, None]
+            work_column = works[:, None]
+            # Same expressions as the scalar constants, batched.
+            capacities = phis * speeds / work_column * self.period
+            effective_service = work_column / (phis * speeds)
+            powers = self.controllers[0].cost.checked_power(
+                self._base_powers[rows][:, None]
+                + self._power_scales[rows][:, None] * phis**2
+            )
+            path_pads = self._path_pads[rows]
+            constants = self._constants = (
+                key,
+                path_pads if path_pads.any() else None,
+                capacities[:, None, :],
+                effective_service[:, None, :],
+                powers[:, None, :],
+            )
+        return constants[1:]
 
 
 # ----------------------------------------------------------------------
@@ -317,7 +360,9 @@ def _fast_probability_vector(gamma, size: int):
     the full validator — which re-runs the same checks and raises the
     proper :class:`ConfigurationError`. The sequential Python sum
     matches numpy's sum for fewer than 8 elements, so accept/reject
-    decisions are identical on this path.
+    decisions are identical on this path. A NaN entry fails the sign
+    test written as ``not value >= -1e-6`` (and an infinite one the sum
+    test), so non-finite vectors always reach the validator.
     """
     if size >= 8:
         return None
@@ -329,7 +374,7 @@ def _fast_probability_vector(gamma, size: int):
         return None
     total = 0.0
     for value in gamma:
-        if value < -1e-6:
+        if not value >= -1e-6:
             return None
         total += value
     if abs(total - 1.0) > 1e-6:
@@ -348,21 +393,31 @@ _CODE_STATES = {code: state for state, code in _STATE_CODES.items()}
 
 
 class ClusterVectorExecutor:
-    """Batched substep engine for a serial baseline cluster run.
+    """Batched substep engine for a serial cluster run (both control modes).
 
-    Baseline-mode substeps touch no controllers — every T_L0 step is
-    pure plant work (gamma split, fluid queue update, energy metering,
-    lifecycle tick). This executor advances all modules' computers as
-    one ``(modules, max_computers)`` array per quantity and emits the
-    identical :class:`StepEvent` per module through the normal sink.
+    Every T_L0 step advances all modules' computers as one ``(modules,
+    max_computers)`` array per quantity — gamma split, fluid queue
+    update, energy metering, lifecycle tick — and emits the identical
+    :class:`StepEvent` per module through the normal sink. In hierarchy
+    mode the step first runs every serving computer's L0 lookahead, across
+    all modules, as one :meth:`L0BankKernel.decide_many` call, with the
+    inputs ``ModuleShardRunner.step`` forms: rate rows
+    ``(gamma_module_i * gamma_ij) * forecast`` from the runner's own
+    gamma, queues from the mirror, and each controller's work estimate.
+    The chosen settings land in the phi/GHz mirrors before the fluid
+    step, and every L0's work filter observes the step's work after it.
+    Baseline periods touch no controllers between boundaries.
 
     The scalar ``Computer`` objects stay authoritative at control-period
     boundaries: ``pull()`` snapshots them into arrays after the boundary
     decisions reconfigure the plant, and ``flush()`` writes queue,
-    lifecycle state, energy, and clock back before the next boundary (or
-    a mid-run ``live_summary``/``finish``) reads them. Switch counts and
-    transient energy only ever change inside the scalar boundary code,
-    so they are never mirrored here.
+    lifecycle state, frequency index, energy, and clock back before the
+    next boundary (or a mid-run ``live_summary``/``finish``) reads them.
+    A fault due mid-period is applied by its runner on the objects
+    between a flush and a pull, so re-dispatch, gamma renormalisation
+    and emergency power-on stay in ``ModuleShardRunner``/``Module``.
+    Switch counts and transient energy only ever change inside that
+    scalar code, so they are never mirrored here.
     """
 
     def __init__(
@@ -380,10 +435,12 @@ class ClusterVectorExecutor:
         #: without re-scanning each row (violations are counted against
         #: ``target_response``).
         self.step_stats: "list[tuple]" = []
-        #: Period-constant cache: masks, power draws, and capacities are
-        #: functions of lifecycle state / phi / work only, all of which
-        #: change at boundaries (pull) or lifecycle transitions (tick) —
-        #: never inside an ordinary substep. ``None`` means rebuild.
+        #: Plant-constant cache: masks, power draws, and capacities are
+        #: functions of lifecycle state / phi / work only. Lifecycle
+        #: state changes at boundaries (pull) and transitions (tick),
+        #: phi at boundaries and, in hierarchy mode, whenever an L0
+        #: picks a different setting; each of those invalidates the
+        #: cache. ``None`` means rebuild.
         self._cache = None
         self.module_count = len(self.runners)
         self._module_indices = [runner.module_index for runner in self.runners]
@@ -411,15 +468,35 @@ class ClusterVectorExecutor:
         self._queues = np.zeros(shape)
         self._states = np.zeros(shape, dtype=np.int64)
         self._boot_remaining = np.zeros(shape)
+        self._findex = np.zeros(shape, dtype=np.intp)
         self._phis = np.ones(shape)
         self._freqs = np.zeros(shape)
         self._gammas = np.zeros(shape)
+        self._raw_gammas = np.zeros(shape)
         self._energy_base = np.zeros(shape)
         self._energy_dynamic = np.zeros(shape)
         self._clocks = np.zeros(shape)
+        #: Hierarchy mode: one L0 bank over every module's computers, in
+        #: module-major order (the order the scalar runners decide in).
+        self._l0s = [l0 for runner in self.runners for l0 in runner.l0_bank]
+        self._bank = L0BankKernel(self._l0s) if self._l0s else None
+        if self._bank is not None:
+            settings = self._bank.max_settings
+            self._bank_rows = np.zeros(shape, dtype=np.intp)
+            self._phi_table = np.ones((len(self._l0s), settings))
+            self._ghz_table = np.zeros((len(self._l0s), settings))
+            row = 0
+            for i, runner in enumerate(self.runners):
+                for j, computer in enumerate(runner.plant.computers):
+                    processor = computer.spec.processor
+                    self._bank_rows[i, j] = row
+                    for s, ghz in enumerate(processor.frequencies_ghz):
+                        self._phi_table[row, s] = processor.scaling_factor(s)
+                        self._ghz_table[row, s] = ghz
+                    row += 1
 
     def pull(self) -> None:
-        """Snapshot plant objects into arrays (call after a boundary).
+        """Snapshot plant objects into arrays (after a boundary or fault).
 
         Boundary code reconfigures lifecycle state, frequency, and gamma
         but never touches the base/dynamic energy accumulators or the
@@ -429,14 +506,17 @@ class ClusterVectorExecutor:
         """
         first_pull = not self._pulled
         for i, runner in enumerate(self.runners):
-            gamma = _fast_probability_vector(runner.gamma, self.sizes[i])
+            size = self.sizes[i]
+            gamma = _fast_probability_vector(runner.gamma, size)
             if gamma is None:
                 gamma = require_probability_vector(runner.gamma, "gamma")
-            self._gammas[i, : self.sizes[i]] = gamma
+            self._gammas[i, :size] = gamma
+            self._raw_gammas[i, :size] = runner.gamma
             for j, computer in enumerate(runner.plant.computers):
                 self._queues[i, j] = computer.queue
                 self._states[i, j] = _STATE_CODES[computer.lifecycle.state]
                 self._boot_remaining[i, j] = computer.lifecycle._boot_remaining
+                self._findex[i, j] = computer.frequency_index
                 self._phis[i, j] = computer.phi
                 self._freqs[i, j] = computer.frequency_ghz
                 if first_pull:
@@ -449,25 +529,29 @@ class ClusterVectorExecutor:
     def flush(self, full: bool = True) -> None:
         """Write array state back into the plant objects (idempotent).
 
-        ``full=False`` writes only what boundary code reads — queue,
-        lifecycle state, boot countdown. The energy accumulators and the
-        step clock are written on full flushes only (result building,
-        live summaries, error paths); nothing between boundaries reads
-        them, so the mirrors stay authoritative in the meantime.
+        ``full=False`` writes only what boundary and fault code read —
+        queue, lifecycle state, boot countdown, frequency index. The
+        energy accumulators and the step clock are written on full
+        flushes only (result building, live summaries, error paths);
+        nothing between boundaries reads them, so the mirrors stay
+        authoritative in the meantime.
         """
         if not self._pulled:
             return
         queues = self._queues.tolist()
         states = self._states.tolist()
         boots = self._boot_remaining.tolist()
+        findex = self._findex.tolist()
         for i, runner in enumerate(self.runners):
             row_q = queues[i]
             row_s = states[i]
             row_b = boots[i]
+            row_f = findex[i]
             for j, computer in enumerate(runner.plant.computers):
                 computer.queue = row_q[j]
                 computer.lifecycle.state = _CODE_STATES[row_s[j]]
                 computer.lifecycle._boot_remaining = row_b[j]
+                computer.frequency_index = row_f[j]
         if not full:
             return
         for i, runner in enumerate(self.runners):
@@ -478,19 +562,72 @@ class ClusterVectorExecutor:
                 )
                 computer._clock = float(self._clocks[i, j])
 
+    def _serving(self) -> np.ndarray:
+        """Mask of the computers processing requests (ON or DRAINING)."""
+        states = self._states
+        return (states == _STATE_CODES[PowerState.ON]) | (
+            states == _STATE_CODES[PowerState.DRAINING]
+        )
+
+    def _apply_due_faults(self, now: float) -> None:
+        """Let each runner with a fault due by ``now`` apply it.
+
+        The runners' ``_apply_faults`` works on the plant objects, so
+        they are brought up to date first and re-read after.
+        """
+        due = [
+            runner
+            for runner in self.runners
+            if runner.pending_events and runner.pending_events[0][0] <= now
+        ]
+        if not due:
+            return
+        self.flush(full=False)
+        for runner in due:
+            runner._apply_faults(now)
+        self.pull()
+
+    def _decide_frequencies(
+        self, gamma_modules: np.ndarray, forecast: np.ndarray
+    ) -> None:
+        """One batched L0 lookahead for every serving computer.
+
+        Serving is read at the start of the step, as each scalar
+        runner reads ``is_serving``; the chosen settings go into the
+        frequency mirrors (invalidating the cache when one changed).
+        """
+        serving = self._serving()
+        rows = self._bank_rows[serving]
+        if rows.size == 0:
+            return
+        coefficients = gamma_modules[:, None] * self._raw_gammas
+        l0s = self._l0s
+        decisions = self._bank.decide_many(
+            rows,
+            self._queues[serving],
+            coefficients[serving][:, None] * forecast,
+            [l0s[row].work_estimate for row in rows.tolist()],
+        )
+        chosen = np.array([d.frequency_index for d in decisions], dtype=np.intp)
+        if np.array_equal(chosen, self._findex[serving]):
+            return
+        self._findex[serving] = chosen
+        self._phis[serving] = self._phi_table[rows, chosen]
+        self._freqs[serving] = self._ghz_table[rows, chosen]
+        self._cache = None
+
     def _rebuild_cache(self, work: float) -> dict:
-        """Recompute the period-constant quantities for the current state.
+        """Recompute the plant-constant quantities for the current state.
 
         Every entry is a pure function of lifecycle state, phi, speed,
-        and work — all frozen between boundaries except across lifecycle
-        transitions, which explicitly invalidate the cache.
+        and work; whatever changes one of them invalidates the cache.
         """
+        if not work > 0:
+            raise ConfigurationError(f"mean_work must be > 0, got {work!r}")
         dt = self.dt
         valid = self._valid
         states = self._states
-        serving = (states == _STATE_CODES[PowerState.ON]) | (
-            states == _STATE_CODES[PowerState.DRAINING]
-        )
+        serving = self._serving()
         accepts = states == _STATE_CODES[PowerState.ON]
         booting = states == _STATE_CODES[PowerState.BOOTING]
         draws = valid & (states != _STATE_CODES[PowerState.OFF]) & (
@@ -518,13 +655,16 @@ class ClusterVectorExecutor:
             ),
             "effective_service": work
             / (np.maximum(self._phis, 1e-12) * self._speeds),
-            "powers": powers,
-            "power_sums": [float(powers[i].sum()) for i in range(self.module_count)],
+            # Left-to-right Python sums, as Module.total_power adds its
+            # computers' draws (numpy would sum 8+ wide rows pairwise).
+            "power_sums": [
+                sum(row[:size]) for row, size in zip(powers.tolist(), self.sizes)
+            ],
             "energy_base_inc": np.where(draws, self._bases * dt, 0.0),
             "energy_dynamic_inc": np.where(draws, dynamic * dt, 0.0),
             "clock_inc": np.where(valid, dt, 0.0),
-            # Frequencies are fixed between boundaries, so one copy per
-            # rebuild serves every event of the period; the copies are
+            # Frequencies are fixed while the cache lives, so one copy
+            # per rebuild serves every event until then; the copies are
             # never mutated afterwards, so sharing them is value-safe
             # even for observers that retain event references.
             "freq_rows": [
@@ -541,19 +681,26 @@ class ClusterVectorExecutor:
         now: float,
         module_shares: np.ndarray,
         work: "float | None",
+        gamma_modules: "np.ndarray | None" = None,
+        forecast: "np.ndarray | None" = None,
     ) -> "list[StepEvent]":
-        """Advance every module one T_L0 fluid step; returns the events.
+        """Advance every module one T_L0 step; returns the events.
 
         ``module_shares`` is the per-module arrival row for this step
         (already split by the parent gamma); ``work`` of ``None`` means
-        the scenario mean.
+        the scenario mean. Hierarchy runs also pass the parent's
+        ``gamma_modules`` and the fine-grained rate ``forecast`` (one
+        entry per L0 lookahead depth) the L0 bank reads.
         """
+        self._apply_due_faults(now)
         if not self._pulled:
             self.pull()
         dt = self.dt
         states = self._states
         if work is None:
             work = self.runners[0].mean_work
+        if self._bank is not None:
+            self._decide_frequencies(gamma_modules, forecast)
         cache = self._cache
         if cache is None or cache["work"] != work:
             cache = self._rebuild_cache(work)
@@ -598,6 +745,8 @@ class ClusterVectorExecutor:
                 states[draining_empty] = _STATE_CODES[PowerState.OFF]
                 self._cache = None
         self._clocks += cache["clock_inc"]
+        for l0 in self._l0s:
+            l0.work_filter.observe(work)
         # One batched reduction of every response row replaces the
         # recorders' per-row scans. Padded and idle entries are NaN, so
         # filling them with 0 (sum) / -inf (max) and comparing NaN>t as

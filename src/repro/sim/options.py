@@ -22,10 +22,11 @@ from dataclasses import dataclass
 from repro.common.errors import ConfigurationError
 from repro.common.validation import require_in
 
-#: Control-period kernels a run can execute on. ``scalar`` is the
-#: reference implementation (pure-Python per-computer loops); ``vector``
-#: batches the hot path across computers/modules with numpy and is
-#: bit-identical to ``scalar`` on every deterministic summary metric.
+#: Control-period kernels a run can execute on. ``vector`` (the
+#: default) batches the hot path across computers/modules with numpy;
+#: ``scalar`` is the reference implementation (pure-Python per-computer
+#: loops) that parity checks compare against. Both give bit-identical
+#: results and output.
 KERNELS = ("scalar", "vector")
 
 #: Period-boundary pipelining modes for pooled execution backends.
@@ -54,7 +55,7 @@ class EngineOptions:
     deadline keeps measuring a single boundary's wall time.
     """
 
-    kernel: str = "scalar"
+    kernel: str = "vector"
     metrics: object = None
     tracer: object = None
     decision_deadline: "float | None" = None

@@ -18,6 +18,15 @@ class TestFluidSplit:
         with pytest.raises(ConfigurationError):
             WeightedDispatcher.split_fluid(100.0, np.array([0.5, 0.6]))
 
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_rejects_nan_gamma(self, position):
+        gamma = np.array([0.5, 0.5, 0.0])
+        gamma[position] = np.nan
+        with pytest.raises(
+            ConfigurationError, match=rf"gamma\[{position}\] must be finite"
+        ):
+            WeightedDispatcher.split_fluid(100.0, gamma)
+
     def test_rejects_negative_arrivals(self):
         with pytest.raises(ValueError):
             WeightedDispatcher.split_fluid(-1.0, np.array([1.0]))

@@ -86,6 +86,19 @@ class TestRequireProbabilityVector:
         with pytest.raises(ConfigurationError):
             require_probability_vector([[0.5, 0.5]], "gamma")
 
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, position, bad):
+        # A NaN fails no sum or sign comparison, so it would pass the
+        # other checks; every position is rejected with one line.
+        gamma = [0.5, 0.5, 0.0]
+        gamma[position] = bad
+        with pytest.raises(
+            ConfigurationError,
+            match=rf"^gamma\[{position}\] must be finite, got {bad}$",
+        ):
+            require_probability_vector(gamma, "gamma")
+
     @given(st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=1, max_size=8))
     def test_normalised_vectors_always_pass(self, raw):
         arr = np.asarray(raw)

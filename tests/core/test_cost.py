@@ -102,6 +102,17 @@ class TestSlackResponseCost:
             cost.evaluate_checked(responses, powers), cost.evaluate(responses, powers)
         )
 
+    def test_evaluate_checked_in_place_is_bit_identical(self):
+        cost = SlackResponseCost(4.0, CostWeights(tracking=100.0, operating=1.3))
+        rng = np.random.default_rng(5)
+        responses = rng.uniform(-2.0, 60.0, (3, 40, 7))
+        powers = SlackResponseCost.checked_power(rng.uniform(0.5, 2.0, (3, 1, 7)))
+        expected = cost.evaluate_checked(responses, powers)
+        buffer = responses.copy()
+        priced = cost.evaluate_checked(buffer, powers, out=buffer)
+        assert priced is buffer
+        assert priced.tobytes() == expected.tobytes()
+
     def test_rejects_bad_target(self):
         with pytest.raises(ConfigurationError):
             SlackResponseCost(0.0, CostWeights())

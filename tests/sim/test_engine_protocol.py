@@ -65,7 +65,7 @@ def _drain(simulation):
 
 class TestSharedProtocol:
     def test_fresh_engine_reports_its_shape(self, simulation):
-        assert simulation.kernel == "scalar"
+        assert simulation.kernel == "vector"
         assert simulation.steps_taken == 0
         assert not simulation.finished
         assert simulation.total_steps == len(simulation.trace)

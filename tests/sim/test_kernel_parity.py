@@ -1,12 +1,15 @@
 """Scalar vs vector kernel parity: the scalar path is the oracle.
 
-``control.kernel = "vector"`` must be a pure speed knob. These tests
-enforce that for every registry scenario — serial and sharded, full and
+``control.kernel = "vector"`` (the default) must be a pure speed knob.
+Every reference side pins ``"scalar"`` explicitly. These tests enforce
+that for every registry scenario — serial and sharded, full and
 windowed recorders — the vector kernel's deterministic summary is
-**bit-identical** (``==``, not approx) to the scalar kernel's, and that
-each batched primitive (the L0 bank, the Kalman bank, the baseline act
-twins, the probability-vector fast path, the batched map queries)
-reproduces its scalar counterpart exactly.
+**bit-identical** (``==``, not approx) to the scalar kernel's, that the
+serial cluster executor matches the per-module runners under faults,
+mid-period summaries and tracing, and that each batched primitive (the
+L0 bank, the Kalman bank, the baseline act twins, the probability-vector
+fast path, the batched map queries) reproduces its scalar counterpart
+exactly.
 """
 
 import json
@@ -16,7 +19,7 @@ import pytest
 
 from repro.approximation import GridQuantizer, LookupTableMap
 from repro.cluster.processor import processor_profile
-from repro.cluster.specs import ComputerSpec, paper_module_spec
+from repro.cluster.specs import ComputerSpec, paper_cluster_spec, paper_module_spec
 from repro.common import ConfigurationError
 from repro.common.validation import require_probability_vector
 from repro.controllers import (
@@ -25,15 +28,26 @@ from repro.controllers import (
     ThresholdDvfsController,
     ThresholdOnOffController,
 )
+from repro.controllers.baselines import BaselineDecision
 from repro.controllers.l1 import ComputerBehaviorMap
 from repro.forecast import WorkloadPredictor
-from repro.scenario import get_scenario, run_scenario, scenario_names
+from repro.obs import MemorySink, Tracer
+from repro.scenario import (
+    Scenario,
+    build_simulation,
+    get_scenario,
+    run_scenario,
+    scenario_names,
+)
+from repro.sim import ClusterSimulation, EngineOptions, SimulationOptions
 from repro.sim.kernels import (
     L0BankKernel,
     _fast_probability_vector,
     batched_predictor_observe,
     fast_baseline_act,
 )
+from repro.workload import ArrivalTrace
+from test_sharded_cluster import _failover_scenario
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -48,6 +62,10 @@ MIN_SAMPLES = {"module-failover": 64}
 
 def _spec(name):
     return get_scenario(name, samples=MIN_SAMPLES.get(name, SAMPLES))
+
+
+def _scalar(spec):
+    return spec.with_overrides(**{"control.kernel": "scalar"})
 
 
 def _vector(spec):
@@ -105,7 +123,7 @@ class TestRegistryScenarioParity:
     @pytest.mark.parametrize("name", scenario_names())
     def test_serial_summary_bit_identical(self, name):
         spec = _spec(name)
-        assert _summary_json(_vector(spec)) == _summary_json(spec)
+        assert _summary_json(_vector(spec)) == _summary_json(_scalar(spec))
 
     @pytest.mark.parametrize(
         "name",
@@ -119,7 +137,7 @@ class TestRegistryScenarioParity:
         spec = _spec(name).with_overrides(
             **{"control.execution": "sharded", "control.shard_workers": 2}
         )
-        assert _summary_json(_vector(spec)) == _summary_json(spec)
+        assert _summary_json(_vector(spec)) == _summary_json(_scalar(spec))
 
     @pytest.mark.parametrize(
         "name", ["paper/fig6-cluster16", "cluster-baseline-showdown"]
@@ -128,19 +146,164 @@ class TestRegistryScenarioParity:
         spec = _spec(name).with_overrides(
             **{"control.window": 5}
         )
-        assert _summary_json(_vector(spec)) == _summary_json(spec)
+        assert _summary_json(_vector(spec)) == _summary_json(_scalar(spec))
 
     def test_full_result_arrays_bit_identical_hierarchy(self):
         spec = _spec("paper/fig6-cluster16")
         _assert_runs_identical(
-            run_scenario(spec), run_scenario(_vector(spec))
+            run_scenario(_scalar(spec)), run_scenario(_vector(spec))
         )
 
     def test_full_result_arrays_bit_identical_baseline(self):
         spec = _spec("cluster-baseline-showdown")
         _assert_runs_identical(
-            run_scenario(spec), run_scenario(_vector(spec))
+            run_scenario(_scalar(spec)), run_scenario(_vector(spec))
         )
+
+
+def _kernel_pair(spec, prepare=None):
+    """Built serial simulations of ``spec``: scalar first, then vector."""
+    simulations = []
+    for kernel in ("scalar", "vector"):
+        simulation = build_simulation(
+            spec.with_overrides(**{"control.kernel": kernel})
+        )
+        if prepare is not None:
+            prepare(simulation)
+        simulations.append(simulation)
+    return simulations
+
+
+class TestClusterExecutorParity:
+    """The serial cluster executor against the per-module runners.
+
+    On ``vector`` a serial hierarchy cluster step is one batched L0
+    lookahead over every serving computer plus one batched plant step;
+    on ``scalar`` each module's runner decides and steps alone. Faults,
+    mid-period summaries, telemetry and bad plant inputs cross the
+    executor's mirrors, so each is compared in full here.
+    """
+
+    def test_mid_period_fault_and_boundary_repair(self):
+        scalar, vector = _kernel_pair(_failover_scenario(with_fault=True))
+        _assert_runs_identical(scalar.run(), vector.run())
+
+    def test_fault_on_a_modules_only_serving_machine(self):
+        # Module 1 is pinned to its first machine; failing that machine
+        # mid-period (t = 300 s is step 10, inside period 2) leaves the
+        # gamma with no serving mass, so the runner powers on the
+        # survivor and queues the arrivals behind its boot.
+        spec = (
+            Scenario.cluster(p=2, computers_per_module=2)
+            .workload("steady", samples=6, rate=40.0)
+            .control(warmup_intervals=2)
+            .with_failures((300.0, 1, 0, "fail"), (600.0, 1, 0, "repair"))
+            .build()
+        )
+        scalar, vector = _kernel_pair(
+            spec, prepare=lambda simulation: simulation.set_module_override(1, 1)
+        )
+        scalar_result, vector_result = scalar.run(), vector.run()
+        _assert_runs_identical(scalar_result, vector_result)
+        module = vector_result.module_results[1]
+        assert module.queues[9, 1] == 0.0
+        assert module.queues[10, 1] > 0.0
+        assert np.isnan(module.responses[10, 1])
+
+    def test_live_summary_mid_period(self):
+        spec = get_scenario("paper/fig6-cluster16", samples=8)
+        simulations = _kernel_pair(spec)
+        summaries = []
+        for simulation in simulations:
+            simulation.reset()
+            for _ in range(2 * simulation.substeps + 2):
+                simulation.step()
+            summaries.append(simulation.live_summary().deterministic_dict())
+        assert summaries[0] == summaries[1]
+        finished = []
+        for simulation in simulations:
+            for _ in simulation.steps():
+                pass
+            finished.append(simulation.finish())
+        _assert_runs_identical(*finished)
+        # The mid-run flush leaves the run as if it had not been taken.
+        _assert_runs_identical(run_scenario(_scalar(spec)), finished[1])
+
+    def test_l0_bank_spans_carry_equal_states(self):
+        spec = get_scenario("paper/fig6-cluster16", samples=6)
+        spans = []
+        for simulation in _kernel_pair(spec):
+            sink = MemorySink()
+            simulation.set_telemetry(tracer=Tracer(sinks=(sink,)))
+            simulation.run()
+            spans.append(
+                [
+                    (span["period"], span["module"], span["states"])
+                    for span in sink.spans
+                    if span["kind"] == "l0-bank"
+                ]
+            )
+        assert spans[0] == spans[1]
+        assert len(spans[1]) == 6 * spec.plant.p
+        assert all(states > 0 for _, _, states in spans[1])
+
+    def test_wide_modules_sum_power_left_to_right(self):
+        # numpy sums a row of 8+ draws pairwise; a module's power is the
+        # left-to-right sum of its computers' draws.
+        spec = (
+            Scenario.cluster(p=2, computers_per_module=8)
+            .workload("wc98", samples=12)
+            .baseline("threshold-dvfs")
+            .build()
+        )
+        scalar, vector = _kernel_pair(spec)
+        _assert_runs_identical(scalar.run(), vector.run())
+
+    @pytest.mark.parametrize("kernel", ["scalar", "vector"])
+    @pytest.mark.parametrize("work", [0.0, float("nan")])
+    def test_non_positive_step_work_raises(self, kernel, work):
+        spec = _failover_scenario(with_fault=False).with_overrides(
+            **{"control.kernel": kernel}
+        )
+        simulation = build_simulation(spec)
+        simulation.work_series = np.full(simulation.total_steps, 0.0175)
+        simulation.work_series[5] = work
+        with pytest.raises(
+            ConfigurationError, match=rf"^mean_work must be > 0, got {work}$"
+        ):
+            simulation.run()
+
+
+class _NanGammaBaseline(ThresholdOnOffController):
+    """A custom baseline whose gamma carries a NaN."""
+
+    def act(self, queues, alpha_current):
+        decision = super().act(queues, alpha_current)
+        gamma = decision.gamma.copy()
+        gamma[0] = np.nan
+        return BaselineDecision(
+            alpha=decision.alpha,
+            gamma=gamma,
+            frequency_indices=decision.frequency_indices,
+        )
+
+
+class TestNonFiniteGamma:
+    """A NaN gamma is rejected with the same one-line error on both kernels."""
+
+    @pytest.mark.parametrize("kernel", ["scalar", "vector"])
+    def test_custom_baseline_nan_gamma_raises(self, kernel):
+        simulation = ClusterSimulation(
+            paper_cluster_spec(),
+            ArrivalTrace(np.full(16, 3000.0), 30.0),
+            options=SimulationOptions(warmup_intervals=2),
+            baseline=_NanGammaBaseline,
+            engine_options=EngineOptions(kernel=kernel),
+        )
+        with pytest.raises(
+            ConfigurationError, match=r"^gamma\[0\] must be finite, got nan$"
+        ):
+            simulation.run()
 
 
 class TestL0BankParity:
@@ -186,6 +349,65 @@ class TestL0BankParity:
             expected = scalar[j].decide(queue, rates, work)
             assert decision.frequency_index == expected.frequency_index
             assert decision.expected_cost == expected.expected_cost
+
+    def test_cluster_bank_matches_scalar_decide(self):
+        # One bank over all sixteen computers of the paper cluster (5- to
+        # 10-setting processors, padded to 10), fed arrays, with work
+        # estimates that repeat (constants reused) and drift (rebuilt).
+        computers = [
+            c for module in paper_cluster_spec().modules for c in module.computers
+        ]
+        assert len({c.processor.setting_count for c in computers}) > 1
+        scalar = [L0Controller(c) for c in computers]
+        bank = L0BankKernel([L0Controller(c) for c in computers])
+        rng = np.random.default_rng(11)
+        n = len(computers)
+        works = np.full(n, 0.0175)
+        for call in range(12):
+            rows = np.flatnonzero(rng.uniform(size=n) > 0.25)
+            queues = rng.uniform(0.0, 40.0, rows.size)
+            queues[rng.uniform(size=rows.size) < 0.3] = 0.0
+            rates = rng.uniform(0.0, 400.0, (rows.size, 3))
+            if call % 3 == 2:
+                works = works * rng.uniform(0.9, 1.1, n)
+            batched = bank.decide_many(rows, queues, rates, works[rows])
+            for decision, row, queue, rate in zip(batched, rows, queues, rates):
+                expected = scalar[row].decide(queue, rate, works[row])
+                assert decision == expected
+        for scalar_l0, bank_l0 in zip(scalar, bank.controllers):
+            assert (
+                bank_l0.stats.states_explored == scalar_l0.stats.states_explored
+            )
+            assert bank_l0.stats.invocations == scalar_l0.stats.invocations
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_rates_pick_like_scalar(self, bad):
+        # Padded paths stay priced out even when every real path costs
+        # inf or NaN: the winner is the scalar argmin's first path.
+        computers = [
+            c for module in paper_cluster_spec().modules for c in module.computers
+        ]
+        bank = L0BankKernel([L0Controller(c) for c in computers])
+        rates = np.full((len(computers), 3), bad)
+        queues = np.zeros(len(computers))
+        works = np.full(len(computers), 0.0175)
+        batched = bank.decide_many(
+            np.arange(len(computers)), queues, rates, works
+        )
+        for computer, decision in zip(computers, batched):
+            expected = L0Controller(computer).decide(0.0, rates[0], 0.0175)
+            assert decision.frequency_index == expected.frequency_index
+            assert np.array_equal(
+                [decision.expected_cost], [expected.expected_cost], equal_nan=True
+            )
+
+    @pytest.mark.parametrize("work", [0.0, -0.01, np.nan])
+    def test_non_positive_work_rejected(self, work):
+        bank = L0BankKernel(self._controllers())
+        with pytest.raises(ConfigurationError, match="work_estimate"):
+            bank.decide_many(
+                [0, 1], [0.0, 0.0], np.full((2, 3), 50.0), [0.0175, work]
+            )
 
     def test_stats_recorded_like_scalar(self):
         controllers = self._controllers()
@@ -327,6 +549,19 @@ class TestProbabilityVectorFastPath:
     def test_invalid_vectors_defer_to_validator(self, gamma):
         assert _fast_probability_vector(gamma, len(gamma)) is None
         with pytest.raises(ConfigurationError):
+            require_probability_vector(gamma, "gamma")
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vectors_defer_to_validator(self, position, bad):
+        gamma = [0.5, 0.5, 0.0]
+        gamma[position] = bad
+        for candidate in (list(gamma), np.array(gamma)):
+            assert _fast_probability_vector(candidate, 3) is None
+        with pytest.raises(
+            ConfigurationError,
+            match=rf"^gamma\[{position}\] must be finite, got {bad}$",
+        ):
             require_probability_vector(gamma, "gamma")
 
     def test_wide_vectors_defer(self):

@@ -221,9 +221,9 @@ class TestStepEventDelivery:
     @pytest.mark.parametrize(
         "overrides",
         [
-            {},
+            {"control.kernel": "scalar"},
             {"control.kernel": "vector"},
-            {"control.execution": "sharded"},
+            {"control.kernel": "scalar", "control.execution": "sharded"},
             {"control.kernel": "vector", "control.execution": "sharded"},
         ],
         ids=["serial-scalar", "serial-vector", "sharded-scalar", "sharded-vector"],
