@@ -13,9 +13,8 @@ stores every output, then compares two stored matrices file by file::
 Each cell is ``repro run <name> --samples 12 --kernel K --json
 --decisions-out F`` (64 samples for ``module-failover``, whose fault
 lands at t = 1 h). The matrix covers every registry scenario on both
-kernels, every cluster scenario again with ``--execution sharded
---shard-workers 2``, and ``paper/fig4-module4`` plus ``module-failover``
-again with ``--window 16``. Both trees should share one ``--map-cache``
+kernels, and ``paper/fig4-module4`` plus ``module-failover`` again with
+``--window 16``. Both trees should share one ``--map-cache``
 so training happens once. ``compare`` prints one line per cell and exits
 non-zero when any file differs or is missing.
 """
@@ -39,38 +38,28 @@ def _samples(name: str) -> int:
     return 64 if name == "module-failover" else 12
 
 
-def _registry(src: Path, env: dict) -> "list[tuple[str, str]]":
-    """``(name, plant kind)`` for every scenario the tree registers."""
+def _registry(src: Path, env: dict) -> "list[str]":
+    """The name of every scenario the tree registers."""
     code = (
         "import json\n"
-        "from repro.scenario import get_scenario\n"
         "from repro.scenario.registry import scenario_names\n"
-        "print(json.dumps([[n, get_scenario(n).plant.kind]"
-        " for n in scenario_names()]))\n"
+        "print(json.dumps(scenario_names()))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, check=True,
         capture_output=True, text=True,
     )
-    return [tuple(row) for row in json.loads(out.stdout)]
+    return json.loads(out.stdout)
 
 
-def matrix(
-    registry: "list[tuple[str, str]]",
-) -> "list[tuple[str, str, list[str]]]":
+def matrix(registry: "list[str]") -> "list[tuple[str, str, list[str]]]":
     """``(cell slug, scenario name, CLI args)`` for every cell of the gate."""
     cells = []
-    for name, kind in registry:
+    for name in registry:
         slug = name.replace("/", "-")
         for kernel in KERNELS:
             base = ["--samples", str(_samples(name)), "--kernel", kernel]
             cells.append((f"{slug}--{kernel}", name, base))
-            if kind == "cluster":
-                cells.append((
-                    f"{slug}--{kernel}--sharded2",
-                    name,
-                    base + ["--execution", "sharded", "--shard-workers", "2"],
-                ))
             if name in WINDOWED:
                 cells.append(
                     (f"{slug}--{kernel}--window16", name, base + ["--window", "16"])

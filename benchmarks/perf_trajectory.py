@@ -59,14 +59,8 @@ def series_path(
     scenario: str,
     directory: "Path | None" = None,
     kernel: str = "scalar",
-    execution: str = "serial",
 ) -> Path:
     slug = scenario.replace("/", "-")
-    if execution != "serial":
-        # Pooled backends pay spawn and wire costs serial runs never
-        # see, so each execution mode gets its own series — same reason
-        # as kernels below.
-        slug = f"{slug}--{execution}"
     if kernel != "scalar":
         # Kernels have different cost structures; comparing a vector
         # measurement against the scalar history (or vice versa) would
@@ -94,12 +88,7 @@ def append_entry(path: Path, entry: dict) -> "list[dict]":
 # ----------------------------------------------------------------------
 
 
-def _child(
-    scenario: str,
-    samples: int,
-    kernel: str = "scalar",
-    execution: str = "serial",
-) -> int:
+def _child(scenario: str, samples: int, kernel: str = "scalar") -> int:
     """Run one measurement in this (fresh) interpreter; print JSON."""
     t0 = time.perf_counter()
     from repro.scenario import build_simulation, get_scenario
@@ -107,10 +96,7 @@ def _child(
     spec = get_scenario(scenario, samples=samples)
     # The kernel is always pinned: a series records the kernel it names,
     # whatever the scenario default is.
-    overrides: dict = {"control.kernel": kernel}
-    if execution != "serial":
-        overrides["control.execution"] = execution
-    spec = spec.with_overrides(**overrides)
+    spec = spec.with_overrides(**{"control.kernel": kernel})
     simulation = build_simulation(spec)
     startup_seconds = time.perf_counter() - t0
 
@@ -138,7 +124,6 @@ def measure(
     samples: int,
     repeats: int = 2,
     kernel: str = "scalar",
-    execution: str = "serial",
 ) -> dict:
     """Best-of-``repeats`` measurement, each in a fresh subprocess.
 
@@ -159,8 +144,6 @@ def measure(
                 str(samples),
                 "--kernel",
                 kernel,
-                "--execution",
-                execution,
             ],
             capture_output=True,
             text=True,
@@ -173,7 +156,6 @@ def measure(
         "samples": samples,
         "repeats": repeats,
         "kernel": kernel,
-        "execution": execution,
         "recorded_at": datetime.datetime.now(datetime.timezone.utc)
         .isoformat(timespec="seconds"),
         **best,
@@ -251,11 +233,6 @@ def main(argv: "list[str] | None" = None) -> int:
         sub.add_argument(
             "--kernel", choices=("scalar", "vector"), default="scalar"
         )
-        sub.add_argument(
-            "--execution",
-            choices=("serial", "sharded"),
-            default="serial",
-        )
         return sub
 
     add("child", "internal: one measurement in this interpreter")
@@ -279,28 +256,17 @@ def main(argv: "list[str] | None" = None) -> int:
         samples = TRACKED.get(args.scenario, 200)
 
     if args.command == "child":
-        return _child(
-            args.scenario, samples, kernel=args.kernel, execution=args.execution
-        )
+        return _child(args.scenario, samples, kernel=args.kernel)
 
     entry = measure(
-        args.scenario,
-        samples,
-        repeats=args.repeats,
-        kernel=args.kernel,
-        execution=args.execution,
+        args.scenario, samples, repeats=args.repeats, kernel=args.kernel
     )
     print(json.dumps(entry, indent=2, sort_keys=True))
 
     if args.command == "measure":
         return 0
 
-    path = series_path(
-        args.scenario,
-        args.trajectory_dir,
-        kernel=args.kernel,
-        execution=args.execution,
-    )
+    path = series_path(args.scenario, args.trajectory_dir, kernel=args.kernel)
     if args.command == "record":
         series = append_entry(path, entry)
         print(f"recorded entry {len(series)} -> {path}")

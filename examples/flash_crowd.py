@@ -63,8 +63,8 @@ def main() -> None:
     #   repro run workloads/flashcrowd-module --samples 20000 --window 256
     #
     # The registered cluster variants (workloads/flashcrowd-cluster16,
-    # workloads/zipfmix-cluster16) accept --window combined with
-    # --execution sharded; the summary stays identical there too.
+    # workloads/zipfmix-cluster16) accept --window too, on either
+    # --kernel; the summary stays identical there as well.
 
 
 if __name__ == "__main__":

@@ -1,14 +1,14 @@
 """The vectorized control-period kernel: a pure speed knob.
 
 `control.kernel = "vector"`, the default, swaps the engine's
-per-computer Python hot loops for numpy-batched ones — a serial cluster
+per-computer Python hot loops for numpy-batched ones — a cluster
 step runs every serving computer's L0 lookahead tree as one batched call
 and then advances every machine's fluid queue as one array, the Kalman
 bank advances the baseline workload filters per boundary, and map
 queries gather whole candidate sets in one call.
 
-The contract mirrors the sharded backend's (`sharded_cluster.py`): not
-"approximately the same", but deterministic summaries that are
+The contract is not "approximately the same", but deterministic
+summaries that are
 **bit-identical** to the scalar reference path (`control.kernel =
 "scalar"`), which stays in the tree as the parity oracle. CI gates the
 pair with `cmp` on the run JSON.

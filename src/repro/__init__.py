@@ -117,7 +117,6 @@ from repro.sim import (
     EngineOptions,
     ModuleSimulation,
     SimulationObserver,
-    SimulationOptions,
     overhead_experiment,
 )
 from repro.maps import MapCache, MapProvider, TrainingPlan, map_stats
@@ -162,7 +161,6 @@ __all__ = [
     "Scenario",
     "ScenarioSpec",
     "SimulationObserver",
-    "SimulationOptions",
     "SweepSpec",
     "TrainingPlan",
     "ThresholdDvfsController",

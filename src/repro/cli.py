@@ -10,14 +10,15 @@ The scenario-first interface runs any registered scenario by name:
     python -m repro.cli run cluster-baseline-showdown --samples 120
     python -m repro.cli run module-failover --progress
 
-Cluster scenarios also run sharded — one worker process per module,
-bit-identical output (``--json`` emits only deterministic metrics, so
-the two are byte-comparable):
+Every run takes a control-period kernel: ``vector`` (the default,
+numpy-batched) or ``scalar`` (the pure-Python reference). The output is
+bit-identical (``--json`` emits only deterministic metrics, so the two
+are byte-comparable):
 
 .. code-block:: bash
 
-    python -m repro.cli run paper/fig6-cluster16 --execution sharded
-    python -m repro.cli run cluster-baseline-showdown --shard-workers 2 --json
+    python -m repro.cli run paper/fig6-cluster16 --kernel scalar --json
+    python -m repro.cli run paper/fig6-cluster16 --json
 
 Long-horizon workloads (trace-file replay, flash crowds, Zipf-mix
 request drift) pair with ``--window`` — a bounded recorder that keeps
@@ -29,13 +30,13 @@ bit-identical to the full recorder:
 
     python -m repro.cli run workloads/trace-replay
     python -m repro.cli run workloads/flashcrowd-module --samples 20000 --window 256
-    python -m repro.cli run workloads/zipfmix-cluster16 --execution sharded --window 64
+    python -m repro.cli run workloads/zipfmix-cluster16 --window 64
 
 Trained-map artifacts — the offline-learned abstraction maps behind the
 hierarchy are content-addressed deployment artifacts. Warm them once
-(optionally training the grid cells on a worker pool), then every run,
-sweep worker, and shard parent loads them instead of retraining, with
-bit-identical results:
+(optionally training the grid cells on a worker pool), then every run
+and sweep worker loads them instead of retraining, with bit-identical
+results:
 
 .. code-block:: bash
 
@@ -128,14 +129,6 @@ def _render_cluster_result(
 def _cmd_run(args: argparse.Namespace) -> None:
     scenario = get_scenario(args.scenario, samples=args.samples, seed=args.seed)
     overrides: dict = {}
-    if args.shard_workers is not None:
-        overrides["control.shard_workers"] = args.shard_workers
-        if args.execution is None:
-            overrides["control.execution"] = "sharded"
-    if args.execution is not None:
-        overrides["control.execution"] = args.execution
-    if args.pipeline is not None:
-        overrides["control.pipeline"] = args.pipeline
     if args.kernel is not None:
         overrides["control.kernel"] = args.kernel
     if args.window is not None:
@@ -168,7 +161,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
         reset_map_stats()
     result = run_scenario(scenario, observers=observers, telemetry=telemetry)
     if args.stats:
-        # To stderr: stdout must stay byte-comparable across backends
+        # To stderr: stdout must stay byte-comparable across kernels
         # for the --json cmp gates.
         import json as json_module
 
@@ -190,7 +183,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
             for line in recorder.lines():
                 handle.write(line + "\n")
     if args.json:
-        # Only the deterministic metrics: serial and sharded runs of the
+        # Only the deterministic metrics: scalar and vector runs of the
         # same scenario must print byte-identical JSON (the CI gate
         # `cmp`s them), and wall-clock controller time never could. The
         # payload and rendering live in repro.common.schema so the live
@@ -235,8 +228,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         map_cache=args.map_cache,
         http_host=args.http_host,
         http_port=args.http_port,
-        execution=args.execution,
-        shard_workers=args.shard_workers,
     )
     return run_service(config)
 
@@ -610,23 +601,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--seed", type=int, default=None)
     run.add_argument(
-        "--execution", choices=("serial", "sharded"), default=None,
-        help="cluster execution backend (sharded = persistent worker "
-        "processes; bit-identical results)",
-    )
-    run.add_argument(
-        "--shard-workers", type=int, default=None, metavar="N",
-        help="cap the pooled worker count (implies --execution sharded; "
-        "default one worker per module, capped at the core count)",
-    )
-    run.add_argument(
-        "--pipeline", choices=("off", "boundary"), default=None,
-        help="period-boundary schedule for pooled backends (boundary = "
-        "keep one period in flight; off = hard barrier; bit-identical)",
-    )
-    run.add_argument(
         "--stats", action="store_true",
-        help="emit the map training/shipping counters as JSON to stderr "
+        help="emit the map training/cache counters as JSON to stderr "
         "after the run (stdout stays byte-comparable)",
     )
     run.add_argument(
@@ -689,17 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--plant", choices=("simulated", "replay"), default="simulated",
         help="simulated: the scenario's own workload drives the run; "
         "replay: an external observation feed does",
-    )
-    serve.add_argument(
-        "--execution", choices=("serial", "sharded"),
-        default=None,
-        help="cluster execution backend for the service's engine "
-        "(pooled backends run with the barrier schedule; bit-identical)",
-    )
-    serve.add_argument(
-        "--shard-workers", type=int, default=None, metavar="N",
-        help="cap the pooled worker count (default one worker per "
-        "module, capped at the core count)",
     )
     serve.add_argument(
         "--host", default="127.0.0.1",

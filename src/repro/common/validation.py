@@ -32,6 +32,15 @@ def require_positive_int(value: object, name: str) -> int:
     return value
 
 
+def require_non_negative_int(value: object, name: str) -> int:
+    """Return ``value`` if an int >= 0 (bools rejected), else raise."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ConfigurationError(
+            f"{name} must be a non-negative int, got {value!r}"
+        )
+    return value
+
+
 def require_non_negative(value: float, name: str) -> float:
     """Return ``value`` if >= 0, else raise ConfigurationError."""
     if not value >= 0:

@@ -4,8 +4,7 @@ The paper reports control overhead as (a) system states explored per
 sampling period and (b) controller execution time. Every controller
 records both per invocation. The aggregates are accumulated online —
 plain running sums rather than per-invocation lists — so month-long
-runs hold constant memory no matter how many decisions fire, and the
-objects stay cheap to pickle across the shard-worker boundary.
+runs hold constant memory no matter how many decisions fire.
 """
 
 from __future__ import annotations

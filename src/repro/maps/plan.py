@@ -5,8 +5,7 @@ every point of a quantised input grid through a black-box cell
 simulation and collect the outputs. A :class:`TrainingPlan` captures
 that shape once — the cell function, the grid, the output arity — and
 executes it either inline or fanned out over a spawn-started process
-pool (the same spawn-safe seam the sharded cluster backend and the
-sweep executor use).
+pool (the same spawn-safe seam the sweep executor uses).
 
 Determinism is by construction: cells are independent (the cell
 functions build fresh, stateless controllers per evaluation), the grid

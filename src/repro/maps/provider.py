@@ -13,7 +13,7 @@ Three layers of reuse sit between a request and an actual training run:
    another run's tables.
 3. **Disk cache** — a :class:`~repro.maps.cache.MapCache` of
    digest-addressed JSON artifacts, shared across processes and runs
-   (sweep workers, shard parents, repeated CLI invocations).
+   (sweep workers, repeated CLI invocations).
 
 Trained-or-loaded makes no numerical difference: ``to_dict`` /
 ``from_dict`` round-trip every float exactly, so a warm-cache run is
@@ -74,43 +74,6 @@ class MapProvider:
     def _note_served(self, kind: str, digest: str) -> None:
         if (kind, digest) not in self._served:
             self._served.append((kind, digest))
-
-    def shipment(self) -> "tuple[dict[int, str], dict]":
-        """What shard workers need to rebuild served maps by digest.
-
-        Returns ``(digest_by_id, payloads)``: live behaviour-map
-        identity (``id(instance)``) to content digest, and a per-digest
-        payload source for anything the on-disk cache cannot serve to
-        another process — ``None`` when the cache file exists (the
-        worker loads it from disk), the inline artifact payload
-        otherwise. The ``"__cache_dir__"`` key names the cache
-        directory workers should read from (``None`` without a cache).
-        Module cost maps never ship: they live in the parent's L2 only.
-        """
-        digest_by_id: "dict[int, str]" = {}
-        payloads: dict = {
-            "__cache_dir__": (
-                str(self.cache.directory) if self.cache is not None else None
-            )
-        }
-        for kind, digest in self._served:
-            if kind != "behavior":
-                continue
-            instance = self._instances.get(digest)
-            if instance is None:
-                continue
-            digest_by_id[id(instance)] = digest
-            if (
-                self.cache is not None
-                and self.cache.path_for(kind, digest).is_file()
-            ):
-                payloads[digest] = None
-            else:
-                memoed = _MEMO.get(digest)
-                payloads[digest] = (
-                    memoed[2] if memoed is not None else instance.to_dict()
-                )
-        return digest_by_id, payloads
 
     # ------------------------------------------------------------------
     # Behaviour maps (L1's abstraction of one L0-controlled computer)

@@ -84,27 +84,6 @@ class MapStats:
         "repro_map_memo_hits_total",
         "Artifacts served from the in-process memo.",
     )
-    #: Maps handed to shard workers by content digest (worker loads them
-    #: from the shared cache directory; nothing crosses the init pipe).
-    shard_digest_refs = _RegistryCounter(
-        "repro_shard_map_refs_total",
-        "Maps shipped to shard workers as content-digest references.",
-        transport="digest",
-    )
-    #: Maps that had to cross the init pipe as inline payloads (cache
-    #: miss in the parent at spawn time — the slow path).
-    shard_inline_payloads = _RegistryCounter(
-        "repro_shard_map_refs_total",
-        "Maps shipped to shard workers as content-digest references.",
-        transport="inline",
-    )
-    #: Serialized bytes of inline map payloads shipped to workers. Zero
-    #: on a warm cache: the spawn-cost gate in CI asserts exactly that.
-    shard_payload_bytes = _RegistryCounter(
-        "repro_shard_map_payload_bytes_total",
-        "Bytes of inline map payloads shipped through worker init pipes.",
-    )
-
     def __init__(self) -> None:
         #: Per-digest tallies of how each artifact was obtained.
         self.sources: dict = {}
@@ -123,9 +102,6 @@ class MapStats:
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "memo_hits": self.memo_hits,
-            "shard_digest_refs": self.shard_digest_refs,
-            "shard_inline_payloads": self.shard_inline_payloads,
-            "shard_payload_bytes": self.shard_payload_bytes,
         }
 
     def reset(self) -> None:
@@ -135,9 +111,6 @@ class MapStats:
         self.cache_hits = 0
         self.cache_misses = 0
         self.memo_hits = 0
-        self.shard_digest_refs = 0
-        self.shard_inline_payloads = 0
-        self.shard_payload_bytes = 0
         self.sources = {}
 
 

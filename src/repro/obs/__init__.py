@@ -3,8 +3,7 @@
 Dependency-free observability for every process in the system:
 
 * :class:`MetricsRegistry` — counters, gauges, histograms with P²
-  quantile sketches; snapshots merge across process boundaries
-  (:mod:`repro.obs.registry`).
+  quantile sketches (:mod:`repro.obs.registry`).
 * :class:`Tracer` + sinks — decision spans (L2 solve, per-module L1
   lookahead, L0 bank) with zero cost when no sink is attached
   (:mod:`repro.obs.trace`, :mod:`repro.obs.sinks`).

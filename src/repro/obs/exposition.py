@@ -3,9 +3,7 @@
 Counters and gauges render as their own kind; histograms render as
 Prometheus *summaries* — ``name{quantile="0.9"}`` series from the P²
 sketches plus ``name_sum`` / ``name_count`` — because the live
-percentile estimate is the read this repo's operators actually want,
-and the exact bucket counts stay available through the JSON snapshot
-(:meth:`~repro.obs.registry.MetricsRegistry.to_dict`).
+percentile estimate is the read this repo's operators actually want.
 
 :func:`parse_prometheus_text` implements just enough of the format to
 verify a round trip in tests and the CI obs-smoke job: comments carry

@@ -133,67 +133,3 @@ class P2Quantile:
         low = int(rank)
         high = min(low + 1, len(data) - 1)
         return data[low] + (rank - low) * (data[high] - data[low])
-
-    # -- serialisation (the shard wire and JSON snapshots) --------------
-
-    def to_dict(self) -> dict:
-        """JSON-safe estimator state."""
-        return {
-            "q": self.q,
-            "count": self.count,
-            "initial": list(self._initial),
-            "heights": None if self._heights is None else list(self._heights),
-            "positions": (
-                None if self._positions is None else list(self._positions)
-            ),
-            "desired": None if self._desired is None else list(self._desired),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "P2Quantile":
-        sketch = cls(payload["q"])
-        sketch.count = int(payload["count"])
-        sketch._initial = [float(v) for v in payload["initial"]]
-        for name in ("heights", "positions", "desired"):
-            value = payload.get(name)
-            setattr(
-                sketch,
-                f"_{name}",
-                None if value is None else [float(v) for v in value],
-            )
-        return sketch
-
-    def merge(self, other: "P2Quantile") -> None:
-        """Fold another sketch in, approximately.
-
-        P² state does not merge exactly. The other sketch's five markers
-        sit at known quantile positions, so they define a piecewise-
-        linear approximation of its quantile function; replaying a
-        low-discrepancy sample of that function reconstructs the stream
-        well enough to fold in. The merged estimate is approximate —
-        exact cross-process aggregates belong to the histogram's
-        count/sum/bucket fields, which do merge exactly.
-        """
-        if other.count == 0:
-            return
-        if other._heights is None:
-            for value in other._initial:
-                self.observe(value)
-            self.count += other.count - len(other._initial)
-            return
-        q = other.q
-        ranks = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-        heights = other._heights
-        replays = min(other.count, 1000)
-        before = self.count
-        # Golden-ratio stride: hits every rank band proportionally but
-        # never in sorted order (long monotone runs skew P² markers).
-        u = 0.0
-        for _ in range(replays):
-            u = (u + 0.6180339887498949) % 1.0
-            cell = min(bisect.bisect_right(ranks, u) - 1, 3)
-            t = (u - ranks[cell]) / (ranks[cell + 1] - ranks[cell])
-            self.observe(heights[cell] + t * (heights[cell + 1] - heights[cell]))
-        # Replayed observations already bumped ``count``; reconcile to
-        # the true combined sample count.
-        self.count = before + other.count

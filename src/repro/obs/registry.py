@@ -1,23 +1,17 @@
 """The metrics core: counters, gauges, histograms, and their registry.
 
 Dependency-free by design (the standard library only): every process in
-the system — batch runs, shard workers, sweep workers, the live-service
-daemon — holds a :class:`MetricsRegistry` without importing anything
-heavier than :mod:`repro.common.errors`. Handles are get-or-create, so
+the system — batch runs, sweep workers, the live-service daemon — holds
+a :class:`MetricsRegistry` without importing anything heavier than
+:mod:`repro.common.errors`. Handles are get-or-create, so
 instrumentation sites can ask for a metric by name without coordinating
-construction, and repeated lookups return the same object.
-
-Aggregation across processes goes through ``to_dict()`` / ``merge()``:
-counters sum, gauges take the incoming value, and histograms merge
-their count/sum/min/max/bucket fields *exactly* (the P² quantile
-sketches fold approximately — see :meth:`~repro.obs.quantile.P2Quantile.merge`).
-This is the wire the sharded backend uses to fold per-worker telemetry
-into the parent registry.
+construction, and repeated lookups return the same object. The text
+exposition (:mod:`repro.obs.exposition`) renders a registry for
+``GET /metrics`` and ``repro ctl metrics``.
 """
 
 from __future__ import annotations
 
-import math
 import re
 import threading
 
@@ -66,37 +60,19 @@ class Gauge:
 
 
 class Histogram:
-    """A distribution: exact moments and buckets, P² quantile sketches.
+    """A distribution: exact count and sum, P² quantile sketches.
 
-    ``count``/``sum``/``min``/``max`` and the cumulative bucket counts
-    merge exactly across processes; the per-quantile P² sketches ride
-    along for live percentile reads and fold approximately on merge.
+    The per-quantile P² sketches give live percentile reads without
+    buffering the samples; ``count`` and ``sum`` are exact.
     """
 
-    DEFAULT_BUCKETS = (
-        0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
-        0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-    )
     DEFAULT_QUANTILES = (0.5, 0.9, 0.99)
 
-    __slots__ = (
-        "buckets", "bucket_counts", "count", "sum", "min", "max", "sketches"
-    )
+    __slots__ = ("count", "sum", "sketches")
 
-    def __init__(self, buckets=None, quantiles=None) -> None:
-        bounds = tuple(
-            float(b) for b in (self.DEFAULT_BUCKETS if buckets is None else buckets)
-        )
-        if list(bounds) != sorted(bounds) or len(set(bounds)) != len(bounds):
-            raise ConfigurationError(
-                f"histogram buckets must strictly increase, got {bounds!r}"
-            )
-        self.buckets = bounds
-        self.bucket_counts = [0] * (len(bounds) + 1)  # last = +Inf
+    def __init__(self, quantiles=None) -> None:
         self.count = 0
         self.sum = 0.0
-        self.min = math.inf
-        self.max = -math.inf
         wanted = self.DEFAULT_QUANTILES if quantiles is None else quantiles
         self.sketches = {float(q): P2Quantile(q) for q in wanted}
 
@@ -104,12 +80,6 @@ class Histogram:
         x = float(x)
         self.count += 1
         self.sum += x
-        if x < self.min:
-            self.min = x
-        if x > self.max:
-            self.max = x
-        index = _bucket_index(self.buckets, x)
-        self.bucket_counts[index] += 1
         for sketch in self.sketches.values():
             sketch.observe(x)
 
@@ -122,53 +92,6 @@ class Histogram:
                 f"{sorted(self.sketches)}"
             )
         return sketch.value
-
-    def merge(self, payload: dict) -> None:
-        """Fold one serialised histogram in (exact except quantiles)."""
-        if tuple(float(b) for b in payload["buckets"]) != self.buckets:
-            raise ConfigurationError(
-                "cannot merge histograms with different bucket bounds"
-            )
-        self.count += int(payload["count"])
-        self.sum += float(payload["sum"])
-        if payload["count"]:
-            self.min = min(self.min, float(payload["min"]))
-            self.max = max(self.max, float(payload["max"]))
-        for index, count in enumerate(payload["bucket_counts"]):
-            self.bucket_counts[index] += int(count)
-        for key, sketch_payload in payload.get("quantiles", {}).items():
-            q = float(key)
-            incoming = P2Quantile.from_dict(sketch_payload)
-            if q in self.sketches:
-                self.sketches[q].merge(incoming)
-            else:
-                self.sketches[q] = incoming
-
-    def to_dict(self) -> dict:
-        return {
-            "buckets": list(self.buckets),
-            "bucket_counts": list(self.bucket_counts),
-            "count": self.count,
-            "sum": self.sum,
-            "min": None if self.count == 0 else self.min,
-            "max": None if self.count == 0 else self.max,
-            "quantiles": {
-                repr(q): sketch.to_dict()
-                for q, sketch in sorted(self.sketches.items())
-            },
-        }
-
-
-def _bucket_index(bounds, x: float) -> int:
-    """Index of the first bucket bound >= x (len(bounds) = overflow)."""
-    low, high = 0, len(bounds)
-    while low < high:
-        mid = (low + high) // 2
-        if x <= bounds[mid]:
-            high = mid
-        else:
-            low = mid + 1
-    return low
 
 
 class _Family:
@@ -231,71 +154,20 @@ class MetricsRegistry:
         return self._metric("gauge", name, help, labels, Gauge)
 
     def histogram(
-        self, name: str, help: str = "", buckets=None, quantiles=None, **labels
+        self, name: str, help: str = "", quantiles=None, **labels
     ) -> Histogram:
         return self._metric(
             "histogram",
             name,
             help,
             labels,
-            lambda: Histogram(buckets=buckets, quantiles=quantiles),
+            lambda: Histogram(quantiles=quantiles),
         )
 
     def families(self) -> "list[_Family]":
         """Every family, sorted by name (the exposition order)."""
         with self._lock:
             return [self._families[name] for name in sorted(self._families)]
-
-    def to_dict(self) -> dict:
-        """JSON-safe snapshot of every family (the merge/ship format)."""
-        snapshot = {}
-        for family in self.families():
-            series = []
-            for key, metric in sorted(family.series.items()):
-                entry: dict = {"labels": dict(key)}
-                if family.kind == "histogram":
-                    entry.update(metric.to_dict())
-                else:
-                    entry["value"] = metric.value
-                series.append(entry)
-            snapshot[family.name] = {
-                "kind": family.kind,
-                "help": family.help,
-                "series": series,
-            }
-        return snapshot
-
-    def merge(self, payload: dict, extra_labels: "dict | None" = None) -> None:
-        """Fold a :meth:`to_dict` snapshot in (the shard-worker wire).
-
-        ``extra_labels`` are added to every incoming series — the parent
-        uses ``worker=<i>`` so per-worker streams stay distinguishable.
-        Counters add, gauges take the incoming value, histograms merge
-        exactly except for the quantile sketches.
-        """
-        extra = extra_labels or {}
-        for name, family_payload in sorted(payload.items()):
-            kind = family_payload["kind"]
-            if kind not in METRIC_KINDS:
-                raise ConfigurationError(
-                    f"cannot merge metric {name!r} of unknown kind {kind!r}"
-                )
-            help = family_payload.get("help", "")
-            for entry in family_payload["series"]:
-                labels = {**entry["labels"], **extra}
-                if kind == "counter":
-                    self.counter(name, help, **labels).inc(entry["value"])
-                elif kind == "gauge":
-                    self.gauge(name, help, **labels).set(entry["value"])
-                else:
-                    histogram = self.histogram(
-                        name,
-                        help,
-                        buckets=entry["buckets"],
-                        quantiles=(),
-                        **labels,
-                    )
-                    histogram.merge(entry)
 
     def reset(self) -> None:
         """Drop every family (tests and fresh CLI invocations)."""

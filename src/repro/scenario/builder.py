@@ -16,7 +16,6 @@ baseline name fails at the call site, not deep inside a run::
     spec = (
         Scenario.cluster(p=4)
         .workload("wc98", samples=300)
-        .execution("sharded")       # one worker process per module
         .with_failures((3600.0, 1, 0, "fail"))  # module 1, computer 0
         .build()
     )
@@ -31,6 +30,7 @@ from repro.common.validation import (
     require_cluster_failure_events,
     require_failure_events,
     require_in,
+    require_non_negative_int,
 )
 from repro.controllers.baselines import BASELINES
 from repro.scenario.spec import (
@@ -154,32 +154,6 @@ class Scenario:
         self._control = replace(self._control, **updates)
         return self
 
-    def execution(
-        self, mode: str, shard_workers: int | None = None
-    ) -> "Scenario":
-        """Pick the cluster backend: ``"serial"`` or ``"sharded"``.
-
-        ``shard_workers`` caps the pooled worker count (default one per
-        module, capped at the core count). Results are bit-identical
-        across backends.
-        """
-        updates: dict = {"execution": mode}
-        if shard_workers is not None:
-            updates["shard_workers"] = shard_workers
-        self._control = replace(self._control, **updates)
-        return self
-
-    def pipeline(self, mode: str) -> "Scenario":
-        """Pick the period-boundary schedule: ``"boundary"`` or ``"off"``.
-
-        ``boundary`` (the default) lets pooled backends keep one control
-        period in flight while the parent replays the previous one;
-        ``off`` restores the hard per-period barrier. Bit-identical
-        either way; serial runs ignore the setting.
-        """
-        self._control = replace(self._control, pipeline=mode)
-        return self
-
     def kernel(self, name: str) -> "Scenario":
         """Select the control-period kernel: ``"scalar"`` or ``"vector"``.
 
@@ -260,11 +234,7 @@ class Scenario:
 
     def seed(self, seed: int) -> "Scenario":
         """Set the run's random seed."""
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise ConfigurationError(
-                f"seed must be a non-negative int, got {seed!r}"
-            )
-        self._seed = seed
+        self._seed = require_non_negative_int(seed, "seed")
         return self
 
     def named(self, name: str) -> "Scenario":

@@ -28,7 +28,7 @@ from repro.maps.cache import env_cache_dir
 from repro.maps.provider import MapProvider
 from repro.maps.stats import MAP_STATS
 from repro.scenario.spec import ScenarioSpec
-from repro.sim.engine import ClusterSimulation, ModuleSimulation, SimulationOptions
+from repro.sim.engine import ClusterSimulation, ModuleSimulation
 from repro.sim.options import EngineOptions
 from repro.sim.observers import SimulationObserver
 from repro.sim.results import ClusterRunResult, ModuleRunResult
@@ -236,7 +236,8 @@ def build_simulation(
         l0_params = resolved_l0
     if l2_params is None:
         l2_params = resolved_l2
-    options = SimulationOptions(
+    engine_options = EngineOptions(
+        kernel=control.kernel,
         warmup_intervals=control.warmup_intervals,
         mean_work=control.mean_work,
         seed=scenario.seed,
@@ -272,10 +273,9 @@ def build_simulation(
             baseline=baseline,
             behavior_maps=behavior_maps,
             work_series=work_series,
-            options=options,
             failure_events=scenario.faults.events,
             map_cache=control.map_cache or env_cache_dir(),
-            engine_options=EngineOptions(kernel=control.kernel),
+            engine_options=engine_options,
         )
 
     if baseline is not None:
@@ -292,17 +292,12 @@ def build_simulation(
         l0_params=l0_params,
         l1_params=l1_params,
         l2_params=l2_params,
-        options=options,
         baseline=control.mode if control.is_baseline else None,
         baseline_params=control.baseline_params or None,
-        execution=control.execution,
-        shard_workers=control.shard_workers,
         failure_events=scenario.faults.events,
         work_series=work_series,
         map_cache=control.map_cache or env_cache_dir(),
-        engine_options=EngineOptions(
-            kernel=control.kernel, pipeline=control.pipeline
-        ),
+        engine_options=engine_options,
     )
 
 

@@ -23,14 +23,14 @@ from repro.common.validation import (
     require_failure_events,
     require_in,
     require_non_negative,
+    require_non_negative_int,
     require_payload_keys,
     require_positive,
     require_positive_int,
 )
 from repro.controllers.baselines import BASELINES
 from repro.controllers.params import L0Params, L1Params, L2Params
-from repro.sim.options import KERNELS, PIPELINE_MODES
-from repro.sim.shard import EXECUTION_MODES
+from repro.sim.options import KERNELS
 
 #: Plant families a scenario can instantiate.
 PLANT_KINDS = ("module", "cluster")
@@ -226,19 +226,6 @@ class ControlSpec:
     override individual fields of :class:`L0Params`/:class:`L1Params`/
     :class:`L2Params` and are validated eagerly on construction.
 
-    ``execution`` picks the cluster backend: ``"serial"`` (default) or
-    ``"sharded"`` — a pool of persistent worker processes, one per
-    module capped at the core count (``shard_workers`` overrides). The
-    sharded backend produces bit-identical results to the serial path;
-    only cluster plants accept it.
-
-    ``pipeline`` picks the period-boundary schedule for the pooled
-    backends (:data:`~repro.sim.options.PIPELINE_MODES`):
-    ``"boundary"`` (default) overlaps the parent's next-period L2
-    solve/forecast and event replay with the workers' compute — a
-    one-period software pipeline, bit-identical to ``"off"``, which
-    keeps the hard per-period barrier. Serial runs ignore it.
-
     ``window`` bounds recorder memory: the run keeps only the last
     ``window`` T_L0 steps (and control periods) of every time series in
     ring buffers, with the summary metrics accumulated online — a
@@ -250,8 +237,7 @@ class ControlSpec:
     (:data:`~repro.sim.options.KERNELS`): ``"vector"`` (default) batches
     the hot loops with numpy; ``"scalar"`` is the pure-Python reference
     path the parity checks compare against — bit-identical results,
-    selectable per run and carried by the spec so serial and sharded
-    backends agree.
+    selectable per run and carried by the spec.
 
     ``map_cache`` names a directory for the trained-map artifact cache
     (:mod:`repro.maps`): the offline-learned behaviour/cost maps are
@@ -270,12 +256,9 @@ class ControlSpec:
     l2: dict = field(default_factory=dict)
     warmup_intervals: int = 48
     mean_work: float = 0.0175
-    execution: str = "serial"
-    shard_workers: int | None = None
     window: int | None = None
     map_cache: str | None = None
     kernel: str = "vector"
-    pipeline: str = "boundary"
 
     def __post_init__(self) -> None:
         modes = (HIERARCHY_MODE, *BASELINES)
@@ -287,15 +270,6 @@ class ControlSpec:
             )
         require_non_negative(self.warmup_intervals, "control.warmup_intervals")
         require_positive(self.mean_work, "control.mean_work")
-        require_in(self.execution, EXECUTION_MODES, "control.execution")
-        require_in(self.pipeline, PIPELINE_MODES, "control.pipeline")
-        if self.shard_workers is not None:
-            require_positive_int(self.shard_workers, "control.shard_workers")
-            if self.execution == "serial":
-                raise ConfigurationError(
-                    "control.shard_workers requires control.execution = "
-                    "'sharded'"
-                )
         if self.window is not None:
             require_positive_int(self.window, "control.window")
         if self.map_cache is not None:
@@ -417,23 +391,7 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if (
-            not isinstance(self.seed, int)
-            or isinstance(self.seed, bool)
-            or self.seed < 0
-        ):
-            raise ConfigurationError(
-                f"seed must be a non-negative int, got {self.seed!r}"
-            )
-        if (
-            self.control.execution == "sharded"
-            and self.plant.kind != "cluster"
-        ):
-            raise ConfigurationError(
-                f"control.execution = {self.control.execution!r} requires a "
-                "cluster plant (pooled backends fan modules out, and a "
-                "module plant has none)"
-            )
+        require_non_negative_int(self.seed, "seed")
         if self.faults:
             if self.control.is_baseline:
                 raise ConfigurationError(

@@ -73,12 +73,6 @@ class ServeConfig:
     #: /healthz). ``None`` disables it; 0 binds an ephemeral port.
     http_host: str = "127.0.0.1"
     http_port: "int | None" = None
-    #: Cluster execution backend for the service's engine (``None``
-    #: keeps the scenario's own setting). Pooled backends run with the
-    #: barrier schedule — the service mutates trace bins (shed, replay)
-    #: right up to each boundary, which a pre-read pipeline would miss.
-    execution: "str | None" = None
-    shard_workers: "int | None" = None
 
 
 def resolve_service_scenario(config: ServeConfig):
@@ -97,17 +91,6 @@ def resolve_service_scenario(config: ServeConfig):
         overrides["service.shed_fraction_on_hold"] = config.shed_on_hold
     if config.map_cache is not None:
         overrides["control.map_cache"] = config.map_cache
-    if config.execution is not None:
-        overrides["control.execution"] = config.execution
-    if config.shard_workers is not None:
-        overrides["control.shard_workers"] = config.shard_workers
-    if (config.execution or scenario.control.execution) != "serial":
-        # Live-service plants mutate trace bins (shed directives, replay
-        # observations) right up to each period boundary; the boundary
-        # pipeline pre-reads the next period's bins, so the service
-        # always runs pooled backends on the barrier schedule. Operator
-        # overrides then take effect at the very next boundary too.
-        overrides["control.pipeline"] = "off"
     return scenario.with_overrides(**overrides) if overrides else scenario
 
 
@@ -192,9 +175,6 @@ async def _serve(scenario, simulation, config: ServeConfig) -> int:
     finally:
         for signum in handled_signals:
             loop.remove_signal_handler(signum)
-        close = getattr(simulation, "close", None)
-        if close is not None:
-            close()  # release a pooled backend's worker processes
         await server.close()
         if http_server is not None:
             await http_server.close()

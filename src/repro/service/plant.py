@@ -44,17 +44,6 @@ class Plant:
         """Reset the underlying run with the supervisor's observers."""
         self.simulation.reset(observers=observers)
 
-    @property
-    def _pooled(self) -> bool:
-        """True when the engine dispatches whole periods to a pool.
-
-        Pooled backends read every trace bin of a control period at the
-        period boundary, so bin mutations must land before the boundary
-        step — per-step mutation would be invisible for the rest of the
-        period.
-        """
-        return getattr(self.simulation, "execution", "serial") != "serial"
-
     def _apply_shed(self, k: int) -> None:
         """Scale step ``k``'s arrivals down by the active shed fraction.
 
@@ -62,29 +51,14 @@ class Plant:
         replay plant overwrites bins with observed arrivals — the engine
         itself never learns shedding exists. No-op at fraction 0, so
         batch-identical runs stay batch-identical.
-
-        Under a pooled engine the whole upcoming period's bins are
-        scaled at its boundary step (they are about to be shipped to the
-        workers in one dispatch); a shed directive issued mid-period
-        therefore takes effect at the next boundary.
         """
-        if self._pooled:
-            substeps = getattr(self.simulation, "substeps", 1)
-            if k % substeps:
-                return  # this period's bins were scaled at its boundary
-            self._shed_bins(k, min(k + substeps, self.simulation.total_steps))
-        else:
-            self._shed_bins(k, k + 1)
-
-    def _shed_bins(self, start: int, end: int) -> None:
         fraction = self.shed_fraction
         if fraction <= 0.0:
             return
         counts = self.simulation.trace.counts
-        for k in range(start, end):
-            kept = counts[k] * (1.0 - fraction)
-            self.shed_requests += float(counts[k] - kept)
-            counts[k] = kept
+        kept = counts[k] * (1.0 - fraction)
+        self.shed_requests += float(counts[k] - kept)
+        counts[k] = kept
 
     @property
     def finished(self) -> bool:
@@ -135,12 +109,6 @@ class ReplayPlant(Plant):
 
     def __init__(self, simulation, feed) -> None:
         super().__init__(simulation)
-        if self._pooled:
-            raise ControlError(
-                "the replay plant requires execution='serial': pooled "
-                "backends read a whole control period's trace bins at the "
-                "boundary, before the per-step feed has observed them"
-            )
         self.feed = feed
 
     async def advance(self):

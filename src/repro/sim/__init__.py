@@ -15,7 +15,7 @@ knobs — the control-period kernel among them — travel in
 """
 
 from repro.sim.des import DiscreteEventModuleSimulation, DiscreteEventRunResult
-from repro.sim.engine import ClusterSimulation, ModuleSimulation, SimulationOptions
+from repro.sim.engine import ClusterSimulation, ModuleSimulation
 from repro.sim.experiments import overhead_experiment
 from repro.sim.options import KERNELS, EngineOptions
 from repro.sim.observers import (
@@ -29,15 +29,9 @@ from repro.sim.observers import (
     StepEvent,
 )
 from repro.sim.results import ClusterRunResult, ModuleRunResult, RunSummary
-from repro.sim.shard import (
-    EXECUTION_MODES,
-    ModuleShardRunner,
-    ShardWorkerPool,
-    resolve_shard_workers,
-)
+from repro.sim.shard import ModuleShardRunner
 
 __all__ = [
-    "EXECUTION_MODES",
     "KERNELS",
     "ClusterRunResult",
     "ClusterSimulation",
@@ -54,10 +48,7 @@ __all__ = [
     "PeriodEvent",
     "ProgressObserver",
     "RunSummary",
-    "ShardWorkerPool",
     "SimulationObserver",
-    "SimulationOptions",
     "StepEvent",
     "overhead_experiment",
-    "resolve_shard_workers",
 ]

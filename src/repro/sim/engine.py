@@ -27,12 +27,8 @@ rest of the run, and ``finish()`` assembles the structured result.
 (:class:`~repro.sim.observers.SimulationObserver`) receive typed events
 at every seam; the result arrays themselves are accumulated by recorder
 observers riding the same interface, so streaming consumers see exactly
-what the results see.
-
-Cluster runs execute on one of two backends behind the same protocol:
-serial (every module advanced in-process) or sharded — a pool of
-persistent worker processes, by default min(modules, cores) of them
-(:mod:`repro.sim.shard`) — with bit-identical events and results.
+what the results see. Every per-run knob travels in one
+:class:`~repro.sim.options.EngineOptions` (``engine_options=``).
 """
 
 from __future__ import annotations
@@ -72,32 +68,12 @@ from repro.sim.observers import (
 from repro.sim.options import EngineOptions, resolve_engine_options
 from repro.sim.results import ClusterRunResult, ModuleRunResult, RunSummary
 from repro.sim.shard import (
-    EXECUTION_MODES,
     ModuleBoundaryInput,
     ModuleFinalization,
-    ModulePeriodInput,
     ModuleShardRunner,
     ModuleStepInput,
-    ShardWorkerPool,
 )
 from repro.workload.trace import ArrivalTrace
-
-
-@dataclass(frozen=True)
-class SimulationOptions:
-    """Knobs shared by module and cluster simulations.
-
-    ``warmup_intervals`` is the initial portion of the workload (in L1
-    periods) used to tune the Kalman filters before the run, mirroring
-    §4.3. ``recorder_window`` bounds recorder memory to the last so-many
-    T_L0 steps/periods (``None`` records the whole horizon); summaries
-    stay bit-identical either way.
-    """
-
-    warmup_intervals: int = 48
-    mean_work: float = 0.0175
-    seed: int = 0
-    recorder_window: "int | None" = None
 
 
 class _SimulationBase:
@@ -182,15 +158,11 @@ class _SimulationBase:
         """Attach a metrics registry and/or decision tracer.
 
         ``metrics`` (a :class:`~repro.obs.registry.MetricsRegistry`)
-        receives decision-latency histograms and — on the sharded
-        backend — the per-worker registries, merged into the parent at
-        ``finish()`` with a ``worker`` label. ``tracer`` (a
+        receives decision-latency histograms. ``tracer`` (a
         :class:`~repro.obs.trace.Tracer` with sinks) receives decision
-        spans: module runs and the serial cluster backend emit the
-        L2-solve (clusters) / L1-lookahead / L0-bank sequence, the
-        sharded backend the parent-side L2 spans only (module state
-        lives in the workers). ``None`` (the default) detaches and skips
-        every related branch and clock read, so batch runs stay
+        spans: the L2-solve (clusters) / L1-lookahead / L0-bank
+        sequence. ``None`` (the default) detaches and skips every
+        related branch and clock read, so batch runs stay
         byte-identical.
         """
         self.engine_options.set_telemetry(metrics, tracer)
@@ -409,7 +381,6 @@ class ModuleSimulation(_SimulationBase):
         baseline: _BaselineBase | None = None,
         behavior_maps: "list[ComputerBehaviorMap] | None" = None,
         work_series: np.ndarray | None = None,
-        options: SimulationOptions | None = None,
         failure_events: "tuple[tuple[float, int, str], ...]" = (),
         map_cache=None,
         engine_options: "EngineOptions | None" = None,
@@ -417,7 +388,6 @@ class ModuleSimulation(_SimulationBase):
         self.spec = spec
         self.l0_params = l0_params or L0Params()
         self.l1_params = l1_params or L1Params()
-        self.options = options or SimulationOptions()
         self.engine_options = resolve_engine_options(engine_options)
         self.trace = trace.rebinned(self.l0_params.period)
         self.substeps = round(self.l1_params.period / self.l0_params.period)
@@ -455,7 +425,7 @@ class ModuleSimulation(_SimulationBase):
             self.l1 = None
             self._l0_bank = []
         if work_series is None:
-            work_series = np.full(len(self.trace), self.options.mean_work)
+            work_series = np.full(len(self.trace), self.engine_options.mean_work)
         if work_series.size != len(self.trace):
             raise ConfigurationError("work_series must align with the trace bins")
         self.work_series = work_series
@@ -485,7 +455,7 @@ class ModuleSimulation(_SimulationBase):
             self.total_steps,
             self.spec.size,
             self.periods,
-            window=self.options.recorder_window,
+            window=self.engine_options.recorder_window,
             target_response=self.l0_params.target_response,
             step_seconds=self.l0_params.period,
         )
@@ -496,7 +466,7 @@ class ModuleSimulation(_SimulationBase):
                 controller=self.module_controller,
                 l0_bank=self._l0_bank,
                 l0_params=self.l0_params,
-                mean_work=self.options.mean_work,
+                mean_work=self.engine_options.mean_work,
                 is_baseline=self.baseline is not None,
                 failure_events=self.failure_events,
                 kernel=self.kernel,
@@ -610,14 +580,14 @@ class ModuleSimulation(_SimulationBase):
 
     def _tune_predictor(self, controller, fine_predictor=None) -> None:
         """Tune the Kalman filters on the initial workload portion (§4.3)."""
-        warmup = self.options.warmup_intervals
+        warmup = self.engine_options.warmup_intervals
         if warmup <= 0:
             return
         l1_counts = (
             self.trace.rebinned(self.l1_params.period).counts[:warmup]
         )
         controller.predictor.tune_on(l1_counts)
-        controller.work_filter.observe(self.options.mean_work)
+        controller.work_filter.observe(self.engine_options.mean_work)
         if fine_predictor is not None:
             fine_predictor.tune_on(self.trace.counts[: warmup * self.substeps])
 
@@ -649,17 +619,13 @@ class ClusterSimulation(_SimulationBase):
     lookahead. This is the §5.2 analogue of the module-level baselines,
     which the original run-to-completion API could not express.
 
-    ``execution`` selects the backend: ``"serial"`` advances every module
-    in-process; ``"sharded"`` ships each module's per-period inputs to a
-    pool of persistent worker processes (:mod:`repro.sim.shard`,
-    ``shard_workers`` of them, default min(modules, cores)) and replays
-    the events in serial order — results are bit-for-bit identical across
-    backends. ``failure_events`` injects cluster-level faults as
+    ``failure_events`` injects cluster-level faults as
     ``(time_seconds, module_index, computer_index, 'fail'|'repair')``
     tuples (hierarchy mode only, like the module-level engine).
     ``work_series`` supplies a per-T_L0-step mean service demand
     (seconds/request) aligned with the trace — the Zipf-mix workloads'
-    drifting ``c`` — and defaults to the constant ``options.mean_work``.
+    drifting ``c`` — and defaults to the constant
+    ``engine_options.mean_work``.
     ``map_cache`` (a :class:`~repro.maps.cache.MapCache` or directory
     path) persists the offline-trained abstraction maps on disk,
     content-addressed; a warm cache turns construction-time training
@@ -674,11 +640,8 @@ class ClusterSimulation(_SimulationBase):
         l1_params: L1Params | None = None,
         l2_params: L2Params | None = None,
         module_maps: "list[ModuleCostMap] | None" = None,
-        options: SimulationOptions | None = None,
         baseline: "str | Callable[[ModuleSpec], _BaselineBase] | None" = None,
         baseline_params: "dict | None" = None,
-        execution: str = "serial",
-        shard_workers: "int | None" = None,
         failure_events: "tuple[tuple[float, int, int, str], ...]" = (),
         work_series: np.ndarray | None = None,
         map_cache=None,
@@ -688,7 +651,6 @@ class ClusterSimulation(_SimulationBase):
         self.l0_params = l0_params or L0Params()
         self.l1_params = l1_params or L1Params()
         self.l2_params = l2_params or L2Params()
-        self.options = options or SimulationOptions()
         self.engine_options = resolve_engine_options(engine_options)
         self.trace = trace.rebinned(self.l0_params.period)
         if work_series is not None and work_series.size != len(self.trace):
@@ -705,16 +667,6 @@ class ClusterSimulation(_SimulationBase):
             raise ConfigurationError(
                 "baseline_params given without a baseline policy"
             )
-        if execution not in EXECUTION_MODES:
-            raise ConfigurationError(
-                f"execution must be one of {EXECUTION_MODES}, got {execution!r}"
-            )
-        if shard_workers is not None and execution == "serial":
-            raise ConfigurationError(
-                "shard_workers only applies to sharded execution"
-            )
-        self.execution = execution
-        self.shard_workers = shard_workers
         validated_events = require_cluster_failure_events(
             failure_events, spec.module_count, None
         )
@@ -737,9 +689,6 @@ class ClusterSimulation(_SimulationBase):
         self.module_maps: list[ModuleCostMap] = []
         self.module_overrides: "dict[int, int]" = {}
         self._state: "_ClusterRunState | None" = None
-        #: The provider the maps came through — sharded pools read its
-        #: shipment table to hand maps to workers by content digest.
-        self._map_provider: "MapProvider | None" = None
         if baseline is not None:
             if callable(baseline):
                 factory = baseline
@@ -759,7 +708,7 @@ class ClusterSimulation(_SimulationBase):
             # Static capacity-proportional split of the global stream.
             capacities = np.array(
                 [
-                    m.max_service_rate(self.options.mean_work)
+                    m.max_service_rate(self.engine_options.mean_work)
                     for m in spec.modules
                 ]
             )
@@ -770,11 +719,10 @@ class ClusterSimulation(_SimulationBase):
         # digest trains at most once per cache, identical computers and
         # modules share instances within this simulation, and
         # ``map_cache`` persists the artifacts across processes and runs
-        # (shard/sweep workers receive trained maps, never retrain).
+        # (sweep workers load trained maps, never retrain).
         provider = self.engine_options.map_provider or MapProvider(
             cache=map_cache
         )
-        self._map_provider = provider
         for module_spec in spec.modules:
             self._behavior_maps.append(
                 provider.behavior_maps(
@@ -794,22 +742,6 @@ class ClusterSimulation(_SimulationBase):
             self.module_maps = list(module_maps)
         self.l2 = L2Controller(self.module_maps, self.l2_params)
 
-    @property
-    def pipeline(self) -> str:
-        """The period-boundary schedule for pooled backends.
-
-        ``"boundary"`` keeps one control period in flight: after a
-        period's outputs arrive, the next period is dispatched *before*
-        the received events are replayed into observers, overlapping the
-        parent's recorder folds with the workers' compute. Serial runs
-        ignore it, and a run with a decision deadline attached falls
-        back to the barrier schedule (the deadline budgets one boundary
-        at a time). Note one operational consequence:
-        :meth:`set_module_override` takes effect one period later under
-        pipelining, because the next boundary is already in flight.
-        """
-        return self.engine_options.pipeline
-
     def _override_target(self, module: int) -> "tuple[int, str]":
         if not isinstance(module, int) or isinstance(module, bool) or not (
             0 <= module < self.spec.module_count
@@ -828,14 +760,13 @@ class ClusterSimulation(_SimulationBase):
         self, observers: "Iterable[SimulationObserver]" = ()
     ) -> "ClusterSimulation":
         """Prepare a fresh run: plants, controller banks, tuned filters."""
-        self.close()
         p = self.spec.module_count
         steps = self.total_steps
         periods = self.periods
         # Per-module dispatcher streams are seeded from (seed, module
-        # index) so serial and sharded backends draw identically.
+        # index).
         plants = [
-            Module(s, initially_on=True, seed=self.options.seed + i)
+            Module(s, initially_on=True, seed=self.engine_options.seed + i)
             for i, s in enumerate(self.spec.modules)
         ]
         if self.baselines is None:
@@ -856,7 +787,7 @@ class ClusterSimulation(_SimulationBase):
             l1s = list(self.baselines)
             l0_banks = [[] for _ in range(p)]
             fine_predictor = None
-        window = self.options.recorder_window
+        window = self.engine_options.recorder_window
         cluster_recorder = ClusterRecorder(periods, p, window=window)
         module_recorders = [
             ModuleRecorder(
@@ -878,7 +809,7 @@ class ClusterSimulation(_SimulationBase):
                 controller=l1s[i],
                 l0_bank=l0_banks[i],
                 l0_params=self.l0_params,
-                mean_work=self.options.mean_work,
+                mean_work=self.engine_options.mean_work,
                 is_baseline=self.baselines is not None,
                 failure_events=tuple(
                     (time, computer, kind)
@@ -904,34 +835,13 @@ class ClusterSimulation(_SimulationBase):
             ),
             interval_module=np.zeros(p),
             runners=runners,
-            last_queue_lengths=[runner.plant.queue_lengths for runner in runners],
         )
-        if self.execution == "sharded":
-            map_digests, map_payloads = (
-                self._map_provider.shipment()
-                if self._map_provider is not None
-                else (None, None)
-            )
-            state.pool = ShardWorkerPool(
-                runners,
-                self.shard_workers,
-                collect_metrics=self.metrics is not None,
-                map_digests=map_digests,
-                map_payloads=map_payloads,
-                substeps=self.substeps,
-            )
-            state.shard_worker_count = state.pool.workers
-            # The parent's runner copies must not be touched again: the
-            # authoritative module state now lives in the workers.
-            state.runners = None
-        elif self.kernel == "vector":
+        if self.kernel == "vector":
             # The whole cluster's substeps advance as (modules,
             # computers) arrays: in hierarchy mode every serving
             # computer's L0 lookahead runs as one batched call, then the
             # plant steps. Boundary decisions and faults stay on the
             # scalar objects; pull/flush keep the two views in sync.
-            # (Sharded workers keep the per-module step — results are
-            # bit-identical either way.)
             from repro.sim.kernels import ClusterVectorExecutor
 
             state.vector_executor = ClusterVectorExecutor(
@@ -943,43 +853,12 @@ class ClusterSimulation(_SimulationBase):
         state.sink.on_run_start(self)
         return self
 
-    @property
-    def effective_shard_workers(self) -> "int | None":
-        """Worker-process count of the current sharded run (None if serial)."""
-        return None if self._state is None else self._state.shard_worker_count
-
     def step(self) -> "list[StepEvent]":
         """Advance one T_L0 period; returns one event per module."""
         state = self._require_state()
-        if state.k >= self.total_steps:
+        k = state.k
+        if k >= self.total_steps:
             raise ControlError("simulation already finished; call reset()")
-        if state.pool is not None:
-            events = self._step_sharded(state)
-        else:
-            events = self._step_serial(state)
-        k = state.k
-        if (k + 1) % self.substeps == 0 or k + 1 == self.total_steps:
-            period_index = k // self.substeps
-            if state.runners is not None:
-                self._emit_l0_bank(state.runners, period_index)
-            totals = state.period_totals.pop(period_index, None)
-            if totals is None:
-                # Serial path: the accumulators still hold this period's
-                # totals. Pooled dispatch snapshots them at send time
-                # (the pipelined next boundary zeroes them early).
-                totals = (state.interval_global, state.interval_module.copy())
-            state.sink.on_period_end(
-                PeriodEvent(
-                    period=period_index,
-                    arrivals=totals[0],
-                    module_arrivals=totals[1],
-                )
-            )
-        state.k = k + 1
-        return events
-
-    def _step_serial(self, state: "_ClusterRunState") -> "list[StepEvent]":
-        k = state.k
         vector = state.vector_executor
         if k % self.substeps == 0:
             batched_observe = vector is not None and self.baselines is not None
@@ -987,7 +866,7 @@ class ClusterSimulation(_SimulationBase):
                 vector.flush(full=False)
             if batched_observe:
                 self._vector_baseline_observe(state, k)
-            l2_event, boundaries = self._parent_boundary(
+            l2_event, boundaries = self._boundary_inputs(
                 state, k, observed_consumed=batched_observe
             )
             state.sink.on_l2_decision(l2_event)
@@ -996,18 +875,29 @@ class ClusterSimulation(_SimulationBase):
             if vector is not None:
                 vector.pull()
         if vector is not None:
-            events = vector.step_all(*self._parent_step_vector(state, k))
+            events = vector.step_all(*self._step_arrays(state, k))
             # The kernel reduced every response row against the
             # recorders' SLA target (empty when it skipped the fold).
             row_stats = vector.step_stats
             for row, event in enumerate(events):
                 state.sink.on_step(event, row_stats[row] if row_stats else None)
-            return events
-        events = []
-        for runner, step_input in zip(state.runners, self._parent_step(state, k)):
-            event = runner.step(step_input)
-            state.sink.on_step(event)
-            events.append(event)
+        else:
+            events = []
+            for runner, step_input in zip(state.runners, self._step_inputs(state, k)):
+                event = runner.step(step_input)
+                state.sink.on_step(event)
+                events.append(event)
+        if (k + 1) % self.substeps == 0 or k + 1 == self.total_steps:
+            period_index = k // self.substeps
+            self._emit_l0_bank(state.runners, period_index)
+            state.sink.on_period_end(
+                PeriodEvent(
+                    period=period_index,
+                    arrivals=state.interval_global,
+                    module_arrivals=state.interval_module.copy(),
+                )
+            )
+        state.k = k + 1
         return events
 
     def _vector_baseline_observe(
@@ -1017,7 +907,7 @@ class ClusterSimulation(_SimulationBase):
 
         Performs the scalar boundary's predictor updates — the global
         filter plus every module controller's arrival filter and work
-        EWMA — in one batched pass, before :meth:`_parent_boundary`
+        EWMA — in one batched pass, before :meth:`_boundary_inputs`
         builds the boundary inputs with ``observed_arrivals=None`` so
         the runners do not observe twice.
         """
@@ -1035,98 +925,13 @@ class ClusterSimulation(_SimulationBase):
         work = (
             float(self.work_series[k])
             if self.work_series is not None
-            else self.options.mean_work
+            else self.engine_options.mean_work
         )
         if work > 0:
             for runner in state.runners:
                 runner.controller.work_filter.observe(float(work))
 
-    def _step_sharded(self, state: "_ClusterRunState") -> "list[StepEvent]":
-        if not state.step_buffer:
-            self._refill_period(state)
-        events, row_stats = state.step_buffer.pop(0)
-        for event, stats in zip(events, row_stats):
-            state.sink.on_step(event, stats)
-        return events
-
-    def _send_period(self, state: "_ClusterRunState"):
-        """Plan and dispatch the next control period (without waiting).
-
-        The parent advances its cross-module state (L2 controller,
-        global predictors, interval accumulators) for the full period —
-        it depends only on the trace and the previous period's module
-        outputs — snapshots the period's arrival totals for the later
-        ``on_period_end`` event, and ships the per-module inputs.
-        Returns ``(k, end, l2_event, pending)`` for :meth:`_refill_period`.
-        """
-        k = state.next_dispatch_k
-        p = self.spec.module_count
-        l2_event, boundaries = self._parent_boundary(state, k)
-        end = min(k + self.substeps, self.total_steps)
-        step_inputs = [self._parent_step(state, kk) for kk in range(k, end)]
-        period_inputs = {
-            i: ModulePeriodInput(
-                boundary=boundaries[i],
-                steps=tuple(row[i] for row in step_inputs),
-            )
-            for i in range(p)
-        }
-        state.period_totals[k // self.substeps] = (
-            state.interval_global,
-            state.interval_module.copy(),
-        )
-        state.next_dispatch_k = end
-        pending = state.pool.send_period(period_inputs)
-        return (k, end, l2_event, pending)
-
-    def _refill_period(self, state: "_ClusterRunState") -> None:
-        """Collect one control period from the pool, buffer its events.
-
-        Only ever runs at a period boundary (the step buffer drains
-        exactly there). With ``pipeline="boundary"`` the *next* period
-        is dispatched before this one's events are replayed, so the
-        workers compute period t+1 while the parent folds period t into
-        recorders and observers — a one-period software pipeline. Any
-        period already in flight is always collected first (so a
-        mid-run switch to a decision deadline drains cleanly), and the
-        events are replayed in the serial emission order either way, so
-        observers cannot tell the schedules apart.
-        """
-        if state.inflight is None:
-            state.inflight = self._send_period(state)
-        k, end, l2_event, pending = state.inflight
-        outputs = state.pool.recv_period(pending)
-        state.inflight = None
-        p = self.spec.module_count
-        state.last_queue_lengths = [outputs[i].queue_lengths for i in range(p)]
-        pipelined = (
-            self.pipeline == "boundary" and self.decision_deadline is None
-        )
-        if pipelined and end < self.total_steps:
-            state.inflight = self._send_period(state)
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.gauge(
-                "repro_shard_pipeline_depth",
-                "Control periods in flight beyond the one being replayed.",
-            ).set(0.0 if state.inflight is None else 1.0)
-        state.sink.on_l2_decision(l2_event)
-        for i in range(p):
-            state.sink.on_l1_decision(outputs[i].l1_event)
-        state.step_buffer = [
-            (
-                [outputs[i].step_events[s] for i in range(p)],
-                [
-                    outputs[i].row_stats[s]
-                    if outputs[i].row_stats is not None
-                    else None
-                    for i in range(p)
-                ],
-            )
-            for s in range(end - k)
-        ]
-
-    def _parent_boundary(
+    def _boundary_inputs(
         self,
         state: "_ClusterRunState",
         k: int,
@@ -1144,7 +949,7 @@ class ClusterSimulation(_SimulationBase):
             work = float(self.work_series[k])
             boundary_work: "float | None" = work
         else:
-            work = self.options.mean_work
+            work = self.engine_options.mean_work
             boundary_work = None
         p = self.spec.module_count
         observed = state.interval_module.copy() if k > 0 else None
@@ -1190,7 +995,7 @@ class ClusterSimulation(_SimulationBase):
         state.interval_global = 0.0
         state.interval_module[:] = 0.0
         queue_avgs = np.array(
-            [queue_lengths.mean() for queue_lengths in state.module_queue_lengths()]
+            [runner.plant.queue_lengths.mean() for runner in state.runners]
         )
         metrics = self.metrics
         tracer = self.tracer
@@ -1261,10 +1066,10 @@ class ClusterSimulation(_SimulationBase):
             )
         return l2_event, boundaries
 
-    def _parent_step(
+    def _step_inputs(
         self, state: "_ClusterRunState", k: int
     ) -> "list[ModuleStepInput]":
-        """Advance parent-side accumulators; build per-module step inputs."""
+        """Advance the cluster accumulators; build per-module step inputs."""
         p = self.spec.module_count
         arrivals = float(self.trace.counts[k])
         state.interval_global += arrivals
@@ -1297,10 +1102,10 @@ class ClusterSimulation(_SimulationBase):
             state.fine_predictor.observe(arrivals)
         return inputs
 
-    def _parent_step_vector(self, state: "_ClusterRunState", k: int) -> tuple:
-        """Array-form twin of :meth:`_parent_step` for the vector path.
+    def _step_arrays(self, state: "_ClusterRunState", k: int) -> tuple:
+        """Array-form twin of :meth:`_step_inputs` for the vector path.
 
-        Advances the same parent-side accumulators (identical
+        Advances the same cluster accumulators (identical
         elementwise arithmetic) and computes the same fine-grained
         forecast before the fine predictor observes the step (through
         the kernel's bit-identical scalar-float Kalman update), but
@@ -1342,23 +1147,9 @@ class ClusterSimulation(_SimulationBase):
             )
         if state.result is not None:
             return state.result
-        if state.pool is not None:
-            if self.metrics is not None:
-                for worker, payload in state.pool.collect_metrics().items():
-                    if payload is not None:
-                        self.metrics.merge(
-                            payload, extra_labels={"worker": str(worker)}
-                        )
-            finals_by_module = state.pool.finalize()
-            state.pool.shutdown()
-            state.pool = None
-            finals = [
-                finals_by_module[i] for i in range(self.spec.module_count)
-            ]
-        else:
-            if state.vector_executor is not None:
-                state.vector_executor.flush()
-            finals = [runner.finalize() for runner in state.runners]
+        if state.vector_executor is not None:
+            state.vector_executor.flush()
+        finals = [runner.finalize() for runner in state.runners]
         module_results = [
             self._module_result(module_spec, recorder, final)
             for module_spec, recorder, final in zip(
@@ -1385,79 +1176,45 @@ class ClusterSimulation(_SimulationBase):
     def live_summary(self) -> RunSummary:
         """Cluster-wide headline metrics over the steps taken so far.
 
-        Works on every backend: serial reads the in-process runners;
-        pooled backends take a non-destructive ``finalize`` snapshot of
-        the workers' plant/controller aggregates (the same pure reads
-        the end-of-run result uses). Uses the same online
-        :class:`StreamStats` aggregates, the same per-module
-        finalization, and the same merge arithmetic as
+        Takes a non-destructive ``finalize`` snapshot of every module
+        runner (the same pure reads the end-of-run result uses), with
+        the same online :class:`StreamStats` aggregates and the same
+        merge arithmetic as
         :meth:`finish`/:meth:`~repro.sim.results.ClusterRunResult.summary`,
-        so at end of run the two agree bit for bit. The only blind spot
-        is a pipelined period in flight — its boundary state is mid
-        hand-off, so the call raises; retry at the next boundary or run
-        with ``pipeline="off"`` (service mode does).
+        so at end of run the two agree bit for bit.
         """
         state = self._state
         if state is None:
             raise ControlError("no active run; call reset() first")
         if state.result is not None:
             return state.result.summary()
-        if state.inflight is not None:
-            raise ControlError(
-                "live_summary unavailable: a pipelined control period is "
-                "in flight; retry at the next boundary or run with "
-                "pipeline='off'"
-            )
-        if state.runners is None and state.pool is None:
-            raise ControlError(
-                "live_summary requires an active run with live module state"
-            )
         if state.vector_executor is not None:
             state.vector_executor.flush()
-        if state.runners is not None:
-            finals = [runner.finalize() for runner in state.runners]
-        else:
-            finals = list(state.pool.finalize().values())
         return _fold_summary(
             [recorder.stream for recorder in state.module_recorders],
-            finals,
+            [runner.finalize() for runner in state.runners],
             self.l2.stats.total_seconds if self.l2 is not None else 0.0,
         )
 
-    def run(
-        self, observers: "Iterable[SimulationObserver]" = ()
-    ) -> ClusterRunResult:
-        """Simulate the full trace under the three-level hierarchy."""
-        try:
-            return super().run(observers)
-        finally:
-            self.close()
-
-    def close(self) -> None:
-        """Release a sharded run's worker processes (serial: no-op)."""
-        state = self._state
-        if state is not None and state.pool is not None:
-            state.pool.shutdown()
-            state.pool = None
-
     def _tune_predictors(self, l1s, fine_predictor) -> None:
         """Tune L2 and L1 Kalman filters on the initial workload portion."""
-        warmup = self.options.warmup_intervals
+        warmup = self.engine_options.warmup_intervals
         if warmup <= 0:
             return
+        mean_work = self.engine_options.mean_work
         l2_counts = self.trace.rebinned(self.l2_params.period).counts[:warmup]
         if self.baselines is not None:
             self._global_predictor.tune_on(l2_counts)
             for i, controller in enumerate(l1s):
                 controller.predictor.tune_on(l2_counts * self._static_gamma[i])
-                controller.work_filter.observe(self.options.mean_work)
+                controller.work_filter.observe(mean_work)
             return
         self.l2.predictor.tune_on(l2_counts)
-        self.l2.work_filter.observe(self.options.mean_work)
+        self.l2.work_filter.observe(mean_work)
         p = self.spec.module_count
         for l1 in l1s:
             l1.predictor.tune_on(l2_counts / p)
-            l1.work_filter.observe(self.options.mean_work)
+            l1.work_filter.observe(mean_work)
         fine_predictor.tune_on(self.trace.counts[: warmup * self.substeps])
 
 
@@ -1466,10 +1223,8 @@ class _ClusterRunState:
     """Mutable per-run state for :class:`ClusterSimulation`.
 
     Per-module mutable state (plant, controllers, alpha/gamma) lives in
-    the :class:`~repro.sim.shard.ModuleShardRunner` objects: held in
-    ``runners`` on the serial path, shipped to ``pool`` workers on the
-    sharded one (``last_queue_lengths`` then carries the end-of-period
-    plant states the next L2 decision needs).
+    the :class:`~repro.sim.shard.ModuleShardRunner` objects in
+    ``runners``.
     """
 
     cluster_recorder: ClusterRecorder
@@ -1478,33 +1233,12 @@ class _ClusterRunState:
     fine_predictor: "WorkloadPredictor | None"
     gamma_modules: np.ndarray
     interval_module: np.ndarray
-    runners: "list[ModuleShardRunner] | None" = None
-    pool: "ShardWorkerPool | None" = None
-    shard_worker_count: "int | None" = None
-    #: The dispatched-but-not-collected period under pipelined pooled
-    #: execution: ``(k, end, l2_event, pending)``.
-    inflight: "tuple | None" = None
-    #: First T_L0 step of the next period to dispatch — runs ahead of
-    #: ``k`` by one period when a dispatch is in flight.
-    next_dispatch_k: int = 0
-    #: Arrival totals snapshotted at dispatch time, keyed by period
-    #: index; consumed by ``on_period_end`` (the pipelined next boundary
-    #: zeroes the live accumulators before the period's last step runs).
-    period_totals: dict = field(default_factory=dict)
-    #: Batched substep engine (serial runs on the vector kernel only;
-    #: None everywhere else).
+    runners: "list[ModuleShardRunner]"
+    #: Batched substep engine (vector kernel only; None on scalar).
     vector_executor: "object | None" = None
-    last_queue_lengths: "list | None" = None
-    step_buffer: list = field(default_factory=list)
     interval_global: float = 0.0
     k: int = 0
     result: "ClusterRunResult | None" = None
     #: Per-module cumulative L0 wall/states already attributed to
-    #: emitted l0-bank spans (serial tracing only).
+    #: emitted l0-bank spans.
     l0_marks: dict = field(default_factory=dict)
-
-    def module_queue_lengths(self) -> "list[np.ndarray]":
-        """Per-module plant queue vectors at the current period boundary."""
-        if self.runners is not None:
-            return [runner.plant.queue_lengths for runner in self.runners]
-        return self.last_queue_lengths

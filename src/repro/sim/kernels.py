@@ -14,7 +14,7 @@ exactly those loops, which every run gets by default (``"vector"``):
   predict/update for a whole bank of :class:`WorkloadPredictor` objects
   (the per-module and global arrival filters), written back into the
   scalar filter objects so every downstream ``forecast`` is untouched.
-* :class:`ClusterVectorExecutor` — the serial cluster substep engine:
+* :class:`ClusterVectorExecutor` — the cluster substep engine:
   in hierarchy mode one :class:`L0BankKernel` call decides every serving
   computer of every module, then all modules' fluid updates, energy
   metering, and lifecycle ticks advance as ``(modules, computers)``
@@ -349,7 +349,7 @@ def batched_predictor_observe(predictors: list, values: "list[float]") -> None:
 
 
 # ----------------------------------------------------------------------
-# K3: the serial baseline-cluster substep executor
+# K3: the cluster substep executor
 # ----------------------------------------------------------------------
 
 def _fast_probability_vector(gamma, size: int):
@@ -393,7 +393,7 @@ _CODE_STATES = {code: state for state, code in _STATE_CODES.items()}
 
 
 class ClusterVectorExecutor:
-    """Batched substep engine for a serial cluster run (both control modes).
+    """Batched substep engine for a cluster run (both control modes).
 
     Every T_L0 step advances all modules' computers as one ``(modules,
     max_computers)`` array per quantity — gamma split, fluid queue

@@ -17,9 +17,8 @@ Stats collection is itself an observer: the engine attaches a
 the structured time series returned by ``run()``. User observers ride
 the same seam, so progress reporting, streaming metrics, and tests see
 exactly what the result arrays see — without the engine holding any
-side channels. This is also the interface behind which future async or
-sharded backends can sit: anything that emits these events can drive
-the same consumers.
+side channels. Anything that emits these events can drive the same
+consumers; the live service (:mod:`repro.service`) does.
 
 Recorders run in one of two storage modes. By default every signal is
 preallocated for the whole horizon (``np.zeros((steps, size))`` and
@@ -206,8 +205,7 @@ class SeriesBuffer:
     recorder layout, zero copies. With a smaller window, writes land in
     a ring of ``window`` slots and :meth:`view` returns the most recent
     entries in chronological order. Indices must arrive in
-    non-decreasing order, which the engine's emission order guarantees
-    on both execution backends.
+    non-decreasing order, which the engine's emission order guarantees.
     """
 
     def __init__(
@@ -255,7 +253,7 @@ class StreamStats:
     Both recorder storage modes update these with identical arithmetic
     in identical order, so the derived :class:`RunSummary` metrics are
     bit-for-bit equal between windowed and full runs (and across the
-    serial/sharded backends, which replay events in the same order).
+    scalar/vector kernels, which emit events in the same order).
     ``energy`` integrates power over the step width — the streaming
     counterpart of summing a full power array.
     """
@@ -411,8 +409,8 @@ class ModuleRecorder(SimulationObserver):
         """Vector-kernel entry point: same puts, precomputed stream fold.
 
         ``row_stats`` is ``(sum, count, max, violations)`` for this
-        event's response row, reduced in the kernel's batched pass (or
-        by a shard worker). :class:`ObserverList` only routes events for
+        event's response row, reduced in the kernel's batched pass.
+        :class:`ObserverList` only routes events for
         this recorder's own module here, so the module filter is
         skipped.
         """

@@ -1,10 +1,10 @@
 """First-class engine options: one surface for the per-run knobs.
 
-Historically the engines grew one ad-hoc seam per knob (``set_telemetry``,
-``set_decision_deadline``, ``map_cache=``); the kernel selector would have
-been the fourth. :class:`EngineOptions` gathers them behind a single
-validated object consumed by both :class:`~repro.sim.engine.ModuleSimulation`
-and :class:`~repro.sim.engine.ClusterSimulation`. The engines' setters
+:class:`EngineOptions` gathers every per-run knob — the kernel,
+telemetry, the decision deadline, the map provider, and the warm-up,
+mean work, seed and recorder window — behind a single validated object
+consumed by both :class:`~repro.sim.engine.ModuleSimulation` and
+:class:`~repro.sim.engine.ClusterSimulation`. The engines' setters
 (``set_telemetry``, ``set_decision_deadline``) and the ``kernel`` /
 ``metrics`` / ``tracer`` / ``decision_deadline`` properties read and
 write this object, written once in the engines' shared base class.
@@ -20,7 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigurationError
-from repro.common.validation import require_in
+from repro.common.validation import (
+    require_in,
+    require_non_negative,
+    require_non_negative_int,
+    require_positive,
+    require_positive_int,
+)
 
 #: Control-period kernels a run can execute on. ``vector`` (the
 #: default) batches the hot path across computers/modules with numpy;
@@ -28,12 +34,6 @@ from repro.common.validation import require_in
 #: loops) that parity checks compare against. Both give bit-identical
 #: results and output.
 KERNELS = ("scalar", "vector")
-
-#: Period-boundary pipelining modes for pooled execution backends.
-#: ``off`` keeps the hard per-period barrier; ``boundary`` overlaps the
-#: parent's L2 solve / forecast for period t+1 with the workers' period-t
-#: compute (a one-period software pipeline, bit-identical by construction).
-PIPELINE_MODES = ("off", "boundary")
 
 
 @dataclass
@@ -48,11 +48,16 @@ class EngineOptions:
     boundary decision to so-many wall seconds (``None`` disables).
     ``map_provider`` supplies trained abstraction maps (a
     :class:`~repro.maps.provider.MapProvider`); ``None`` lets the engine
-    construct one from its ``map_cache`` argument. ``pipeline`` selects
-    the period-boundary schedule for pooled backends (see
-    :data:`PIPELINE_MODES`); serial runs ignore it, and a run with a
-    decision deadline attached falls back to the barrier schedule so the
-    deadline keeps measuring a single boundary's wall time.
+    construct one from its ``map_cache`` argument.
+
+    ``warmup_intervals`` is the initial portion of the workload (in L1
+    periods) used to tune the Kalman filters before the run, mirroring
+    §4.3. ``mean_work`` is the mean service demand (seconds per request)
+    wherever no per-step work series is given. ``seed`` seeds the
+    per-module dispatcher streams. ``recorder_window`` bounds recorder
+    memory to the last so-many T_L0 steps/periods (``None`` records the
+    whole horizon); summaries stay bit-identical either way. These four
+    are checked like their ``control.*``/``seed`` spec fields.
     """
 
     kernel: str = "vector"
@@ -60,11 +65,18 @@ class EngineOptions:
     tracer: object = None
     decision_deadline: "float | None" = None
     map_provider: object = None
-    pipeline: str = "boundary"
+    warmup_intervals: int = 48
+    mean_work: float = 0.0175
+    seed: int = 0
+    recorder_window: "int | None" = None
 
     def __post_init__(self) -> None:
         require_in(self.kernel, KERNELS, "kernel")
-        require_in(self.pipeline, PIPELINE_MODES, "pipeline")
+        require_non_negative(self.warmup_intervals, "warmup_intervals")
+        require_positive(self.mean_work, "mean_work")
+        require_non_negative_int(self.seed, "seed")
+        if self.recorder_window is not None:
+            require_positive_int(self.recorder_window, "recorder_window")
         self.set_decision_deadline(self.decision_deadline)
 
     def set_decision_deadline(self, seconds: "float | None") -> None:

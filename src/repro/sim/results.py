@@ -11,7 +11,7 @@ from repro.controllers.stats import ControllerStats
 from repro.sim.observers import StreamStats
 
 #: :class:`RunSummary` fields that are deterministic across hosts and
-#: execution backends. ``controller_seconds`` is wall-clock time — it
+#: kernels. ``controller_seconds`` is wall-clock time — it
 #: varies per machine and per run — so every byte-compared surface (the
 #: sweep stores, ``repro run --json``, the CI identity gates) sticks to
 #: this subset.
@@ -53,7 +53,7 @@ class RunSummary:
         """The reproducible metrics only (no wall-clock fields).
 
         This is the payload behind every byte-identity comparison:
-        serial and sharded runs of the same scenario agree on it bit for
+        scalar and vector runs of the same scenario agree on it bit for
         bit, as do serial and process-pool sweep stores.
         """
         return {

@@ -108,27 +108,6 @@ def _module_showdown() -> SweepSpec:
     )
 
 
-@register_sweep("cluster-execution-parity")
-def _cluster_execution_parity() -> SweepSpec:
-    """Shard-vs-serial determinism gate as a sweep campaign."""
-    return SweepSpec(
-        name="cluster-execution-parity",
-        description=(
-            "the §5.2 baseline cluster under both execution backends "
-            "(serial vs one-worker-per-module sharded) × two seeds — "
-            "grouped by control.execution, every metric must agree "
-            "exactly, which is the intra-run determinism gate"
-        ),
-        base="cluster-baseline-showdown",
-        axes=(
-            GridAxis(
-                field="control.execution", values=("serial", "sharded")
-            ),
-            GridAxis(field="seed", values=(0, 1)),
-        ),
-    )
-
-
 @register_sweep("workloads/flashcrowd-severity")
 def _flashcrowd_severity() -> SweepSpec:
     """How spike magnitude stresses the module hierarchy."""

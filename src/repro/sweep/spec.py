@@ -25,6 +25,7 @@ import numpy as np
 from repro.common.errors import ConfigurationError
 from repro.common.validation import (
     require_in,
+    require_non_negative_int,
     require_payload_keys,
     require_positive,
 )
@@ -122,10 +123,7 @@ class RandomAxis:
         require_in(self.kind, ("random",), "axis.kind")
         _require_override_keys((self.field,), "random axis")
         require_positive(self.count, "random axis count")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-            raise ConfigurationError(
-                f"random axis seed must be a non-negative int, got {self.seed!r}"
-            )
+        require_non_negative_int(self.seed, "random axis seed")
         if self.choices is not None:
             object.__setattr__(self, "choices", tuple(self.choices))
             if not self.choices:

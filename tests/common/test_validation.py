@@ -1,5 +1,7 @@
 """Unit tests for argument-validation helpers."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,6 +15,7 @@ from repro.common import (
     require_positive,
     require_probability_vector,
 )
+from repro.common.validation import require_non_negative_int, require_positive_int
 
 
 class TestRequirePositive:
@@ -39,6 +42,36 @@ class TestRequireNonNegative:
     def test_rejects_negative(self):
         with pytest.raises(ConfigurationError):
             require_non_negative(-0.1, "x")
+
+
+class TestRequirePositiveInt:
+    def test_accepts_positive_int(self):
+        assert require_positive_int(1, "n") == 1
+
+    @pytest.mark.parametrize("value", [0, -2, 2.0, False, True, "2"])
+    def test_rejects(self, value):
+        with pytest.raises(
+            ConfigurationError,
+            match=f"^n must be a positive int, got {re.escape(repr(value))}$",
+        ):
+            require_positive_int(value, "n")
+
+
+class TestRequireNonNegativeInt:
+    @pytest.mark.parametrize("value", [0, 7, 2**64])
+    def test_accepts_non_negative_int(self, value):
+        assert require_non_negative_int(value, "seed") == value
+
+    @pytest.mark.parametrize("value", [-1, 1.5, 3.0, True, False, "3", None])
+    def test_rejects(self, value):
+        with pytest.raises(
+            ConfigurationError,
+            match=(
+                "^seed must be a non-negative int, "
+                f"got {re.escape(repr(value))}$"
+            ),
+        ):
+            require_non_negative_int(value, "seed")
 
 
 class TestRequireBetween:

@@ -140,29 +140,6 @@ class TestObserverMetrics:
         assert histogram.sum > 0.0
 
 
-class TestShardedMerge:
-    def test_worker_metrics_land_with_worker_labels(self):
-        scenario = get_scenario(
-            "cluster-baseline-showdown", samples=8
-        ).with_overrides(**{
-            "control.execution": "sharded",
-            "control.shard_workers": 2,
-        })
-        registry = MetricsRegistry()
-        telemetry = Telemetry(registry=registry)
-        plain = run_scenario(scenario.with_overrides())
-        instrumented = run_scenario(scenario, telemetry=telemetry)
-        assert payload_of(plain) == payload_of(instrumented)
-        snapshot = registry.to_dict()
-        periods = snapshot["repro_shard_periods_total"]["series"]
-        workers = sorted(entry["labels"]["worker"] for entry in periods)
-        assert workers == ["0", "1"]
-        # One entry per module runner per period, split across workers.
-        assert sum(entry["value"] for entry in periods) == scenario.plant.p * 8
-        latency = snapshot["repro_shard_request_seconds"]["series"]
-        assert all(entry["count"] == 8 for entry in latency)
-
-
 class TestMapStatsFold:
     def test_map_counters_surface_in_global_registry(self):
         reset_map_stats()

@@ -117,20 +117,7 @@ class TestFailuresAndSeed:
         assert spec.description == "why"
 
 
-class TestExecutionBuilder:
-    def test_execution_sharded(self):
-        spec = (
-            Scenario.cluster(p=2, computers_per_module=2)
-            .execution("sharded", shard_workers=2)
-            .build()
-        )
-        assert spec.control.execution == "sharded"
-        assert spec.control.shard_workers == 2
-
-    def test_execution_validates_eagerly(self):
-        with pytest.raises(ConfigurationError):
-            Scenario.cluster().execution("async")
-
+class TestClusterFailuresBuilder:
     def test_cluster_failures_take_module_index(self):
         spec = (
             Scenario.cluster(p=2, computers_per_module=2)

@@ -479,46 +479,38 @@ class TestWithOverrides:
             assert expected in keys
 
 
-class TestExecutionSpec:
-    def test_default_is_serial(self):
-        control = ControlSpec()
-        assert control.execution == "serial"
-        assert control.shard_workers is None
+#: The process-pool knobs: deleted with the pool, not kept as aliases.
+REMOVED_CONTROL_FIELDS = {
+    "execution": "sharded",
+    "shard_workers": 2,
+    "pipeline": "off",
+}
 
-    def test_unknown_execution_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ControlSpec(execution="async")
 
-    def test_shard_workers_require_sharded(self):
-        with pytest.raises(ConfigurationError):
-            ControlSpec(shard_workers=4)
-        control = ControlSpec(execution="sharded", shard_workers=4)
-        assert control.shard_workers == 4
+class TestRemovedPoolKnobs:
+    """The pool's ``control.*`` fields fail as unknown keys, in one line."""
 
-    def test_shard_workers_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            ControlSpec(execution="sharded", shard_workers=0)
-        with pytest.raises(ConfigurationError):
-            ControlSpec(execution="sharded", shard_workers=True)
-
-    def test_module_plants_reject_sharded(self):
-        with pytest.raises(ConfigurationError):
-            ScenarioSpec(control=ControlSpec(execution="sharded"))
-
-    def test_cluster_sharded_round_trips(self):
-        spec = ScenarioSpec(
-            plant=PlantSpec(kind="cluster", p=2, computers_per_module=2),
-            control=ControlSpec(execution="sharded", shard_workers=2),
-        )
-        rebuilt = ScenarioSpec.from_dict(spec.to_dict())
-        assert rebuilt == spec
-        assert rebuilt.control.execution == "sharded"
-
-    def test_with_overrides_moves_execution(self):
+    @pytest.mark.parametrize("field", sorted(REMOVED_CONTROL_FIELDS))
+    def test_with_overrides_rejects(self, field):
         spec = ScenarioSpec(plant=PlantSpec(kind="cluster"))
-        sharded = spec.with_overrides(**{"control.execution": "sharded"})
-        assert sharded.control.execution == "sharded"
-        assert spec.control.execution == "serial"
+        with pytest.raises(ConfigurationError) as excinfo:
+            spec.with_overrides(
+                **{f"control.{field}": REMOVED_CONTROL_FIELDS[field]}
+            )
+        message = str(excinfo.value)
+        assert message.startswith(f"unknown override key 'control.{field}'")
+        assert "\n" not in message
+
+    @pytest.mark.parametrize("field", sorted(REMOVED_CONTROL_FIELDS))
+    def test_from_dict_rejects(self, field):
+        payload = ScenarioSpec(plant=PlantSpec(kind="cluster")).to_dict()
+        payload["control"][field] = REMOVED_CONTROL_FIELDS[field]
+        with pytest.raises(ConfigurationError) as excinfo:
+            ScenarioSpec.from_dict(payload)
+        message = str(excinfo.value)
+        assert message.startswith("invalid scenario 'control' payload")
+        assert repr(field) in message
+        assert "\n" not in message
 
 
 class TestClusterFaults:

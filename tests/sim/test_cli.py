@@ -218,37 +218,38 @@ class TestExecution:
         assert "no sweep store" in capsys.readouterr().err
 
 
-class TestExecutionFlags:
-    def test_run_execution_flags_parse(self):
-        args = build_parser().parse_args(
-            ["run", "paper/fig6-cluster16", "--execution", "sharded",
-             "--shard-workers", "2"]
+class TestRunFlags:
+    @pytest.mark.parametrize(
+        "flag", [["--execution", "sharded"], ["--shard-workers", "2"],
+                 ["--pipeline", "off"]],
+    )
+    def test_removed_pool_flags_are_usage_errors(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "cluster-baseline-showdown", *flag])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in (
+            capsys.readouterr().err
         )
-        assert args.execution == "sharded"
-        assert args.shard_workers == 2
 
-    def test_run_execution_rejects_unknown(self):
-        with pytest.raises(SystemExit):
+    @pytest.mark.parametrize(
+        "flag", [["--execution", "sharded"], ["--shard-workers", "2"],
+                 ["--pipeline", "off"]],
+    )
+    def test_removed_pool_flags_are_serve_usage_errors(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(
-                ["run", "paper/fig6-cluster16", "--execution", "async"]
+                ["serve", "cluster-baseline-showdown", *flag]
             )
-
-    def test_run_execution_defaults_to_scenario(self):
-        args = build_parser().parse_args(["run", "paper/fig6-cluster16"])
-        assert args.execution is None
-        assert args.shard_workers is None
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in (
+            capsys.readouterr().err
+        )
 
     def test_sweep_workers_default_auto(self):
         args = build_parser().parse_args(
             ["sweep", "run", "module-showdown", "--out", "out/x"]
         )
         assert args.workers is None
-
-    def test_module_scenario_rejects_sharded(self, capsys):
-        assert main(
-            ["run", "paper/fig4-module4", "--execution", "sharded"]
-        ) == 2
-        assert "cluster plant" in capsys.readouterr().err
 
     def test_run_json_excludes_wall_clock(self, capsys):
         import json

@@ -6,7 +6,9 @@ import pytest
 from repro.common import ConfigurationError
 from repro.cluster import paper_cluster_spec
 from repro.controllers import L1Params, L2Params
-from repro.sim import ClusterSimulation, SimulationOptions
+from repro.scenario import build_simulation, get_scenario
+from repro.sim import ClusterSimulation, EngineOptions
+from repro.sim.observers import ModuleRecorder
 from repro.workload import ArrivalTrace, WC98Spec, wc98_trace
 
 
@@ -19,7 +21,7 @@ def short_cluster_result():
     peak_rate = trace.counts.max() / trace.bin_seconds
     trace = trace.scaled(0.6 * capacity / peak_rate)
     simulation = ClusterSimulation(
-        spec, trace, options=SimulationOptions(warmup_intervals=12)
+        spec, trace, engine_options=EngineOptions(warmup_intervals=12)
     )
     return simulation.run()
 
@@ -80,3 +82,62 @@ class TestClusterConfiguration:
         L2 spreads load, so every module serves some arrivals."""
         for module_result in short_cluster_result.module_results:
             assert module_result.arrivals.sum() > 0
+
+
+class _Module0StepCounter(ModuleRecorder):
+    """A recorder subclass for module 0 that counts its ``on_step`` calls."""
+
+    def __init__(self, steps: int, size: int, periods: int) -> None:
+        super().__init__(steps, size, periods, module=0)
+        self.calls = 0
+
+    def on_step(self, event) -> None:
+        self.calls += 1
+        super().on_step(event)
+
+
+class TestStepEventDelivery:
+    """Both kernels hand a user observer the same step events.
+
+    Only the engine's own stock recorders are routed per module; any
+    other observer — a ModuleRecorder subclass included — sees every
+    module's events, whichever kernel produced them.
+    """
+
+    @pytest.mark.parametrize("kernel", ["scalar", "vector"])
+    def test_recorder_subclass_sees_every_module(self, kernel):
+        spec = get_scenario("cluster-baseline-showdown", samples=4)
+        simulation = build_simulation(
+            spec.with_overrides(**{"control.kernel": kernel})
+        )
+        counter = _Module0StepCounter(
+            simulation.total_steps, spec.plant.module_size, simulation.periods
+        )
+        result = simulation.run(observers=(counter,))
+        assert counter.calls == simulation.total_steps * spec.plant.p == 16 * 4
+        # Its own module filter still keeps exactly module 0's series.
+        assert np.array_equal(counter.power, result.module_results[0].power)
+
+
+class TestFailureEventValidation:
+    def _spec_and_trace(self):
+        spec = paper_cluster_spec(p=2, computers_per_module=2)
+        trace = ArrivalTrace(np.full(16, 100.0), 30.0)
+        return spec, trace
+
+    def test_baseline_rejects_failure_events(self):
+        spec, trace = self._spec_and_trace()
+        with pytest.raises(ConfigurationError):
+            ClusterSimulation(
+                spec,
+                trace,
+                baseline="always-on-max",
+                failure_events=((60.0, 0, 0, "fail"),),
+            )
+
+    def test_failure_event_indices_checked(self):
+        spec, trace = self._spec_and_trace()
+        with pytest.raises(ConfigurationError):
+            ClusterSimulation(spec, trace, failure_events=((60.0, 5, 0, "fail"),))
+        with pytest.raises(ConfigurationError):
+            ClusterSimulation(spec, trace, failure_events=((60.0, 0, 7, "fail"),))

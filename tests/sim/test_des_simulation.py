@@ -74,7 +74,7 @@ class TestDiscreteEventRun:
     def test_agrees_with_fluid_on_machine_provisioning(self, behavior_maps):
         """Fluid and DES engines should provision similar machine counts
         for the same offered load."""
-        from repro.sim import ModuleSimulation, SimulationOptions
+        from repro.sim import EngineOptions, ModuleSimulation
 
         generator = _generator(rate=110.0, periods=40, seed=3)
         des = DiscreteEventModuleSimulation(
@@ -84,7 +84,7 @@ class TestDiscreteEventRun:
             paper_module_spec(),
             generator.trace,
             behavior_maps=behavior_maps,
-            options=SimulationOptions(warmup_intervals=8),
+            engine_options=EngineOptions(warmup_intervals=8),
         ).run()
         assert des.computers_on.mean() == pytest.approx(
             fluid.computers_on.mean(), abs=1.0

@@ -9,14 +9,19 @@ what it promises its observers and callers.
 """
 
 import os
+import re
 
 import numpy as np
 import pytest
 
+from repro.cluster import paper_cluster_spec, paper_module_spec
 from repro.common import ConfigurationError, ControlError
+from repro.controllers import ThresholdDvfsController
 from repro.obs import MemorySink, MetricsRegistry, Tracer
 from repro.scenario import build_simulation, get_scenario
+from repro.sim import ClusterSimulation, EngineOptions, ModuleSimulation
 from repro.sim.observers import ModuleRecorder
+from repro.workload import ArrivalTrace
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -42,11 +47,7 @@ ENGINES = {
 
 @pytest.fixture(params=sorted(ENGINES))
 def simulation(request):
-    simulation = build_simulation(get_scenario(ENGINES[request.param], samples=3))
-    yield simulation
-    close = getattr(simulation, "close", None)
-    if close is not None:
-        close()
+    return build_simulation(get_scenario(ENGINES[request.param], samples=3))
 
 
 def _module_count(simulation):
@@ -141,6 +142,50 @@ class TestSharedProtocol:
         simulation.run()
         assert len(sink.spans) == spans_before
         assert histogram.count == decisions
+
+
+def _engine_with(kind, engine_options):
+    """A baseline engine of ``kind`` built with ``engine_options``."""
+    trace = ArrivalTrace(np.full(16, 100.0), 30.0)
+    if kind == "module":
+        return ModuleSimulation(
+            paper_module_spec(),
+            trace,
+            baseline=ThresholdDvfsController(paper_module_spec()),
+            engine_options=engine_options,
+        )
+    return ClusterSimulation(
+        paper_cluster_spec(p=2, computers_per_module=2),
+        trace,
+        baseline="threshold-dvfs",
+        engine_options=engine_options,
+    )
+
+
+class TestEngineOptionsValidation:
+    """Both engines reject what the spec layer rejects, with its messages."""
+
+    @pytest.mark.parametrize("kind", sorted(ENGINES))
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("recorder_window", 0, "recorder_window must be a positive int, got 0"),
+            ("recorder_window", -3, "recorder_window must be a positive int, got -3"),
+            ("warmup_intervals", -5, "warmup_intervals must be >= 0, got -5"),
+            ("seed", -1, "seed must be a non-negative int, got -1"),
+            ("seed", 1.5, "seed must be a non-negative int, got 1.5"),
+            ("mean_work", 0.0, "mean_work must be > 0, got 0.0"),
+        ],
+    )
+    def test_bad_value_rejected(self, kind, field, value, message):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            _engine_with(kind, EngineOptions(**{field: value}))
+
+    @pytest.mark.parametrize("kind", sorted(ENGINES))
+    def test_recorder_window_reaches_the_recorders(self, kind):
+        result = _engine_with(kind, EngineOptions(recorder_window=2)).run()
+        module = result if kind == "module" else result.module_results[0]
+        assert module.responses.shape[0] == 2
 
 
 class _StepCounter(ModuleRecorder):

@@ -13,7 +13,7 @@ import pytest
 from repro.common import ConfigurationError, ControlError
 from repro.cluster import Module, PowerState, paper_module_spec
 from repro.controllers import L1Controller
-from repro.sim import ModuleSimulation, SimulationOptions
+from repro.sim import EngineOptions, ModuleSimulation
 from repro.workload import ArrivalTrace
 
 
@@ -114,7 +114,7 @@ class TestEndToEndRecovery:
             spec,
             _steady_trace(rate=100.0, periods=90),
             behavior_maps=behavior_maps,
-            options=SimulationOptions(warmup_intervals=10),
+            engine_options=EngineOptions(warmup_intervals=10),
             failure_events=((fail_at, 3, "fail"),),
         )
         result = simulation.run()
@@ -136,7 +136,7 @@ class TestEndToEndRecovery:
             spec,
             _steady_trace(rate=150.0, periods=90),
             behavior_maps=behavior_maps,
-            options=SimulationOptions(warmup_intervals=10),
+            engine_options=EngineOptions(warmup_intervals=10),
             failure_events=events,
         )
         result = simulation.run()

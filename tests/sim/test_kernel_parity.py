@@ -2,14 +2,14 @@
 
 ``control.kernel = "vector"`` (the default) must be a pure speed knob.
 Every reference side pins ``"scalar"`` explicitly. These tests enforce
-that for every registry scenario — serial and sharded, full and
-windowed recorders — the vector kernel's deterministic summary is
-**bit-identical** (``==``, not approx) to the scalar kernel's, that the
-serial cluster executor matches the per-module runners under faults,
-mid-period summaries and tracing, and that each batched primitive (the
-L0 bank, the Kalman bank, the baseline act twins, the probability-vector
-fast path, the batched map queries) reproduces its scalar counterpart
-exactly.
+that for every registry scenario — full and windowed recorders — the
+vector kernel's deterministic summary is **bit-identical** (``==``, not
+approx) to the scalar kernel's, that the cluster executor matches the
+per-module runners under faults, mid-period summaries and tracing, that
+observers see the same event stream in the same order on both kernels,
+and that each batched primitive (the L0 bank, the Kalman bank, the
+baseline act twins, the probability-vector fast path, the batched map
+queries) reproduces its scalar counterpart exactly.
 """
 
 import json
@@ -39,7 +39,7 @@ from repro.scenario import (
     run_scenario,
     scenario_names,
 )
-from repro.sim import ClusterSimulation, EngineOptions, SimulationOptions
+from repro.sim import ClusterSimulation, EngineOptions, SimulationObserver
 from repro.sim.kernels import (
     L0BankKernel,
     _fast_probability_vector,
@@ -47,7 +47,6 @@ from repro.sim.kernels import (
     fast_baseline_act,
 )
 from repro.workload import ArrivalTrace
-from test_sharded_cluster import _failover_scenario
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -62,6 +61,24 @@ MIN_SAMPLES = {"module-failover": 64}
 
 def _spec(name):
     return get_scenario(name, samples=MIN_SAMPLES.get(name, SAMPLES))
+
+
+def _failover_scenario(with_fault: bool):
+    builder = (
+        Scenario.cluster(p=2, computers_per_module=2)
+        .workload("steady", samples=6, rate=40.0)
+        .control(warmup_intervals=2)
+    )
+    if with_fault:
+        # t = 300 s is step 10 of the run: period 2 spans steps 8..11,
+        # so the failure lands mid-period; the repair hits a boundary.
+        # Computer 1 is the module's fast machine — the one actually
+        # serving under capacity-proportional gamma — so the failure
+        # forces a mid-period re-dispatch.
+        builder = builder.with_failures(
+            (300.0, 1, 1, "fail"), (480.0, 1, 1, "repair")
+        )
+    return builder.build()
 
 
 def _scalar(spec):
@@ -123,20 +140,6 @@ class TestRegistryScenarioParity:
     @pytest.mark.parametrize("name", scenario_names())
     def test_serial_summary_bit_identical(self, name):
         spec = _spec(name)
-        assert _summary_json(_vector(spec)) == _summary_json(_scalar(spec))
-
-    @pytest.mark.parametrize(
-        "name",
-        [
-            name
-            for name in scenario_names()
-            if get_scenario(name).plant.kind == "cluster"
-        ],
-    )
-    def test_sharded_summary_bit_identical(self, name):
-        spec = _spec(name).with_overrides(
-            **{"control.execution": "sharded", "control.shard_workers": 2}
-        )
         assert _summary_json(_vector(spec)) == _summary_json(_scalar(spec))
 
     @pytest.mark.parametrize(
@@ -274,6 +277,115 @@ class TestClusterExecutorParity:
             simulation.run()
 
 
+class EventLog(SimulationObserver):
+    """Records every hook firing with bit-exact payload fingerprints."""
+
+    def __init__(self) -> None:
+        self.events = []
+
+    def on_l1_decision(self, event) -> None:
+        self.events.append(
+            (
+                "l1",
+                event.period,
+                event.module,
+                event.alpha.tobytes(),
+                event.gamma.tobytes(),
+                event.prediction,
+            )
+        )
+
+    def on_l2_decision(self, event) -> None:
+        self.events.append(
+            ("l2", event.period, event.gamma.tobytes(), event.prediction)
+        )
+
+    def on_step(self, event) -> None:
+        self.events.append(
+            (
+                "step",
+                event.step,
+                event.module,
+                event.arrivals,
+                event.frequencies.tobytes(),
+                event.responses.tobytes(),
+                event.queues.tobytes(),
+                event.power,
+            )
+        )
+
+    def on_period_end(self, event) -> None:
+        self.events.append(
+            ("period_end", event.period, event.arrivals,
+             event.module_arrivals.tobytes())
+        )
+
+
+def _logged_pair(spec):
+    """``(scalar result, vector result, scalar log, vector log)``."""
+    logs = (EventLog(), EventLog())
+    scalar, vector = (
+        simulation.run(observers=(log,))
+        for simulation, log in zip(_kernel_pair(spec), logs)
+    )
+    return scalar, vector, *logs
+
+
+class TestEventStreams:
+    """Observers see the same events, in the same order, on both kernels."""
+
+    @pytest.fixture(scope="class")
+    def hierarchy_logs(self):
+        _, _, scalar_log, vector_log = _logged_pair(
+            get_scenario("paper/fig6-cluster16", samples=10)
+        )
+        return scalar_log, vector_log
+
+    @pytest.fixture(scope="class")
+    def fault_pair(self):
+        return _logged_pair(_failover_scenario(with_fault=True))
+
+    def test_hierarchy_event_streams_identical(self, hierarchy_logs):
+        scalar_log, vector_log = hierarchy_logs
+        assert scalar_log.events == vector_log.events
+
+    def test_serial_emission_pattern(self, hierarchy_logs):
+        """Per period: L2, then L1 per module in order, then the steps."""
+        scalar_log, _ = hierarchy_logs
+        kinds = [event[0] for event in scalar_log.events]
+        p, substeps = 4, 4
+        cursor = 0
+        period = 0
+        while cursor < len(kinds):
+            assert kinds[cursor] == "l2"
+            modules = [event[2] for event in
+                       scalar_log.events[cursor + 1:cursor + 1 + p]]
+            assert kinds[cursor + 1:cursor + 1 + p] == ["l1"] * p
+            assert modules == list(range(p))
+            steps = kinds[cursor + 1 + p:cursor + 1 + p + substeps * p]
+            assert steps == ["step"] * substeps * p
+            cursor += 1 + p + substeps * p
+            assert kinds[cursor] == "period_end"
+            assert scalar_log.events[cursor][1] == period
+            cursor += 1
+            period += 1
+
+    def test_fault_event_streams_identical(self, fault_pair):
+        _, _, scalar_log, vector_log = fault_pair
+        assert scalar_log.events == vector_log.events
+
+    def test_fault_actually_fired(self, fault_pair):
+        faulty, _, _, _ = fault_pair
+        healthy = build_simulation(_failover_scenario(with_fault=False)).run()
+        faulty_module = faulty.module_results[1]
+        healthy_module = healthy.module_results[1]
+        assert not np.array_equal(
+            faulty_module.frequencies, healthy_module.frequencies
+        )
+        # While failed, the machine is excluded from the L1's alpha.
+        assert faulty_module.computers_on[3] <= 1
+
+
 class _NanGammaBaseline(ThresholdOnOffController):
     """A custom baseline whose gamma carries a NaN."""
 
@@ -296,9 +408,8 @@ class TestNonFiniteGamma:
         simulation = ClusterSimulation(
             paper_cluster_spec(),
             ArrivalTrace(np.full(16, 3000.0), 30.0),
-            options=SimulationOptions(warmup_intervals=2),
             baseline=_NanGammaBaseline,
-            engine_options=EngineOptions(kernel=kernel),
+            engine_options=EngineOptions(kernel=kernel, warmup_intervals=2),
         )
         with pytest.raises(
             ConfigurationError, match=r"^gamma\[0\] must be finite, got nan$"

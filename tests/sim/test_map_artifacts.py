@@ -12,7 +12,8 @@ from repro.cluster.processor import processor_profile
 from repro.cluster.specs import ClusterSpec, ComputerSpec, ModuleSpec
 from repro.maps import MapCache, map_stats, reset_map_stats
 from repro.maps.provider import clear_map_memo
-from repro.sim.engine import ClusterSimulation, ModuleSimulation, SimulationOptions
+from repro.sim.engine import ClusterSimulation, ModuleSimulation
+from repro.sim.options import EngineOptions
 from repro.workload.trace import ArrivalTrace
 
 
@@ -69,16 +70,16 @@ class TestTrainOncePerContent:
 class TestWarmCacheRuns:
     def test_cluster_cold_vs_warm_bit_identical(self, tmp_path):
         spec = _homogeneous_cluster(2)
-        options = SimulationOptions(warmup_intervals=1)
+        options = EngineOptions(warmup_intervals=1)
         cold = ClusterSimulation(
-            spec, _trace(), options=options, map_cache=MapCache(tmp_path)
+            spec, _trace(), engine_options=options, map_cache=MapCache(tmp_path)
         ).run()
         assert map_stats().trainings > 0
 
         clear_map_memo()
         reset_map_stats()
         warm = ClusterSimulation(
-            spec, _trace(), options=options, map_cache=MapCache(tmp_path)
+            spec, _trace(), engine_options=options, map_cache=MapCache(tmp_path)
         ).run()
         assert map_stats().trainings == 0
         assert map_stats().cache_hits > 0
@@ -93,16 +94,16 @@ class TestWarmCacheRuns:
 
     def test_module_simulation_uses_cache(self, tmp_path):
         module = _homogeneous_cluster(1).modules[0]
-        options = SimulationOptions(warmup_intervals=1)
+        options = EngineOptions(warmup_intervals=1)
         cold = ModuleSimulation(
-            module, _trace(), options=options, map_cache=str(tmp_path)
+            module, _trace(), engine_options=options, map_cache=str(tmp_path)
         ).run()
         assert map_stats().behavior_trainings == 1
 
         clear_map_memo()
         reset_map_stats()
         warm = ModuleSimulation(
-            module, _trace(), options=options, map_cache=str(tmp_path)
+            module, _trace(), engine_options=options, map_cache=str(tmp_path)
         ).run()
         assert map_stats().trainings == 0
         assert (

@@ -10,7 +10,7 @@ from repro.controllers import (
     ThresholdDvfsController,
 )
 from repro.scenario import Scenario, run_scenario
-from repro.sim import ModuleSimulation, SimulationOptions
+from repro.sim import EngineOptions, ModuleSimulation
 from repro.sim.experiments import module_workload
 from repro.workload import ArrivalTrace
 
@@ -112,7 +112,7 @@ class TestAdaptation:
         simulation = ModuleSimulation(
             paper_module_spec(), trace,
             behavior_maps=behavior_maps,
-            options=SimulationOptions(warmup_intervals=8),
+            engine_options=EngineOptions(warmup_intervals=8),
         )
         result = simulation.run()
         first = result.computers_on[5:35].mean()

@@ -1,6 +1,6 @@
 """The one step-event fan-out: :meth:`ObserverList.on_step`.
 
-Every engine path (module, serial scalar/vector cluster, sharded) hands
+Every engine path (module, scalar/vector cluster) hands
 its step events to this method, so its routing contract is tested here
 on synthetic events, without a simulation: the stock recorder of a
 module sees only that module, every other observer sees everything, and

@@ -3,7 +3,7 @@
 The contract under test: a recorder ``window`` changes only how much of
 the time series is retained — every :class:`RunSummary` metric is
 accumulated online and must be **bit-identical** (``==``, not approx)
-to the full recorder's, on both execution backends.
+to the full recorder's.
 """
 
 import json
@@ -104,19 +104,6 @@ class TestClusterWindowedParity:
                 _summary_json(self._cluster_spec(**{"control.window": window}))
                 == full
             )
-
-    def test_sharded_windowed_matches_serial_full(self):
-        full = _summary_json(self._cluster_spec())
-        sharded = _summary_json(
-            self._cluster_spec(
-                **{
-                    "control.execution": "sharded",
-                    "control.shard_workers": 2,
-                    "control.window": 3,
-                }
-            )
-        )
-        assert sharded == full
 
     def test_windowed_cluster_arrays_are_the_tail(self):
         full = run_scenario(self._cluster_spec())

@@ -209,25 +209,3 @@ class TestResolveWorkers:
         )
         assert report.executed == 0
         assert report.workers == 1
-
-
-class TestShardedInsideSweep:
-    def test_execution_parity_sweep_rows_agree(self, tmp_path):
-        """Serial and sharded rows of the parity sweep match per seed —
-        a sharded cluster run composes with the sweep's process pool."""
-        report = run_sweep(
-            "cluster-execution-parity", tmp_path / "store", workers=1,
-            samples=4,
-        )
-        assert report.total == 4
-        store = ResultStore(tmp_path / "store")
-        rows = store.rows()
-        by_key = {
-            (row.overrides["control.execution"], row.overrides["seed"]): row
-            for row in rows
-        }
-        for seed in (0, 1):
-            assert (
-                by_key[("serial", seed)].metrics
-                == by_key[("sharded", seed)].metrics
-            )

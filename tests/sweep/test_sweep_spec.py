@@ -35,6 +35,21 @@ class TestAxes:
         assert axis.fields == ("plant.m", "control.l1")
         assert len(axis.expand()) == 2
 
+    @pytest.mark.parametrize(
+        "field, values",
+        [
+            ("control.execution", ("serial", "sharded")),
+            ("control.shard_workers", (1, 2)),
+            ("control.pipeline", ("off", "boundary")),
+        ],
+    )
+    def test_removed_pool_fields_are_not_axes(self, field, values):
+        with pytest.raises(
+            ConfigurationError,
+            match=f"^grid axis: unknown scenario override key '{field}'",
+        ):
+            GridAxis(field=field, values=values)
+
     def test_list_rejects_bad_points(self):
         with pytest.raises(ConfigurationError):
             ListAxis(points=({},))
