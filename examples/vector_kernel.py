@@ -1,11 +1,11 @@
 """The vectorized control-period kernel: a pure speed knob.
 
-`control.kernel = "vector"`, the default, swaps the engine's
-per-computer Python hot loops for numpy-batched ones — a cluster
-step runs every serving computer's L0 lookahead tree as one batched call
-and then advances every machine's fluid queue as one array, the Kalman
-bank advances the baseline workload filters per boundary, and map
-queries gather whole candidate sets in one call.
+`control.kernel = "vector"`, the default, swaps the engines'
+per-computer Python hot loops for numpy-batched ones — a module or
+cluster step runs every serving computer's L0 lookahead tree as one
+batched call and then advances every machine's fluid queue as one
+array, and the Kalman bank advances the baseline workload filters per
+boundary.
 
 The contract is not "approximately the same", but deterministic
 summaries that are

@@ -68,32 +68,6 @@ class GridQuantizer:
                 indices.append(pos - 1 if value - before <= after - value else pos)
         return tuple(indices)
 
-    def snap_indices_many(self, points: Sequence[Sequence[float]]) -> np.ndarray:
-        """Vector form of :meth:`snap_indices` for a batch of points.
-
-        ``points`` is an ``(n, dimensions)`` array-like; returns an
-        ``(n, dimensions)`` int array. Each row equals
-        ``snap_indices(points[row])`` exactly, including the tie rule
-        (equidistant values snap to the lower grid index).
-        """
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.dimensions:
-            raise ConfigurationError(
-                f"points must be (n, {self.dimensions}), got {pts.shape}"
-            )
-        out = np.empty(pts.shape, dtype=np.intp)
-        for d, grid in enumerate(self.levels):
-            values = pts[:, d]
-            pos = np.searchsorted(grid, values)
-            inner = np.clip(pos, 1, grid.size - 1)
-            before = grid[inner - 1]
-            after = grid[inner]
-            nearest = np.where(values - before <= after - values, inner - 1, inner)
-            out[:, d] = np.where(
-                pos == 0, 0, np.where(pos >= grid.size, grid.size - 1, nearest)
-            )
-        return out
-
     def snap(self, point: Sequence[float]) -> tuple[float, ...]:
         """Nearest grid point to ``point``."""
         indices = self.snap_indices(point)

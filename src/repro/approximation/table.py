@@ -25,7 +25,6 @@ class LookupTableMap:
         self.quantizer = quantizer
         self.output_dim = int(output_dim)
         self._table: dict[tuple[int, ...], np.ndarray] = {}
-        self._dense: "tuple[np.ndarray, np.ndarray] | None" = None
 
     @property
     def entries(self) -> int:
@@ -46,7 +45,6 @@ class LookupTableMap:
                 f"output must have {self.output_dim} entries, got {value.shape}"
             )
         self._table[key] = value.copy()
-        self._dense = None
 
     def query(self, point: Sequence[float]) -> np.ndarray:
         """Output stored at the nearest populated cell.
@@ -81,44 +79,6 @@ class LookupTableMap:
         read-only contract as :meth:`exact_at`.
         """
         return self._table.get(self.quantizer.snap_indices(point))
-
-    def exact_at_many(
-        self, indices: "Sequence[Sequence[int]] | np.ndarray"
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """Batched :meth:`exact_at`: gather many cells in one call.
-
-        ``indices`` is an ``(n, dimensions)`` int array-like. Returns
-        ``(values, populated)`` where ``values`` is ``(n, output_dim)``
-        float and ``populated`` is an ``(n,)`` bool mask; rows whose cell
-        was never stored carry zeros and ``populated=False``. The values
-        are copies of the exact stored vectors (no snapping, no
-        neighbour fallback), identical bit-for-bit to what
-        :meth:`exact_at` returns cell by cell.
-
-        Backed by a lazily-built dense grid cache that is invalidated on
-        every :meth:`store`, so repeated batched queries
-        amortise to a single fancy-indexed gather.
-        """
-        idx = np.asarray(indices, dtype=np.intp)
-        if idx.ndim != 2 or idx.shape[1] != self.quantizer.dimensions:
-            raise ConfigurationError(
-                f"indices must be (n, {self.quantizer.dimensions}), "
-                f"got {idx.shape}"
-            )
-        values, populated = self._dense_cache()
-        flat = np.ravel_multi_index(tuple(idx.T), populated.shape)
-        return values.reshape(-1, self.output_dim)[flat], populated.reshape(-1)[flat]
-
-    def _dense_cache(self) -> "tuple[np.ndarray, np.ndarray]":
-        if self._dense is None:
-            shape = tuple(arr.size for arr in self.quantizer.levels)
-            values = np.zeros(shape + (self.output_dim,), dtype=float)
-            populated = np.zeros(shape, dtype=bool)
-            for key, value in self._table.items():
-                values[key] = value
-                populated[key] = True
-            self._dense = (values, populated)
-        return self._dense
 
     # ------------------------------------------------------------------
     # Serialisation (trained-map artifacts round-trip through JSON)

@@ -275,66 +275,6 @@ class ComputerBehaviorMap:
         cost, next_queue = self.table.query([queue, rate, work])
         return float(cost), float(next_queue)
 
-    def cost_and_next_queue_many(
-        self, queues, rates, work: float
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """Batched :meth:`cost_and_next_queue` over parallel arrays.
-
-        ``queues``/``rates`` are equal-length 1-D array-likes sharing one
-        ``work`` estimate (the L1 hot path always queries at a single
-        c-hat). Returns ``(costs, final_queues)`` float arrays whose
-        entries equal the scalar query bit-for-bit: in-domain points
-        quantize and gather through the public
-        :meth:`LookupTableMap.exact_at_many`, saturated points take the
-        vectorized closed-form rollout, and unpopulated cells fall back
-        to the scalar nearest-neighbour query.
-        """
-        queues = np.asarray(queues, dtype=float)
-        rates = np.asarray(rates, dtype=float)
-        costs = np.empty(queues.shape)
-        finals = np.empty(queues.shape)
-        saturated = rates > self._max_trained_rate
-        if saturated.any():
-            costs[saturated], finals[saturated] = self._saturated_rollout_many(
-                queues[saturated], rates[saturated], work
-            )
-        rows = np.flatnonzero(~saturated)
-        if rows.size:
-            points = np.empty((rows.size, 3))
-            points[:, 0] = queues[rows]
-            points[:, 1] = rates[rows]
-            points[:, 2] = work
-            keys = self.table.quantizer.snap_indices_many(points)
-            values, populated = self.table.exact_at_many(keys)
-            costs[rows] = values[:, 0]
-            finals[rows] = values[:, 1]
-            for t in np.flatnonzero(~populated):
-                row = int(rows[t])
-                cost, next_queue = self.table.query(
-                    [float(queues[row]), float(rates[row]), work]
-                )
-                costs[row] = float(cost)
-                finals[row] = float(next_queue)
-        return costs, finals
-
-    def _saturated_rollout_many(
-        self, queues: np.ndarray, rates: np.ndarray, work: float
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """Vector form of :meth:`_saturated_rollout` (same op order)."""
-        params = self.l0_params
-        speed = self.spec.effective_speed_factor
-        capacity = speed / work * params.period
-        power = self.spec.base_power + self.spec.power_scale  # phi = 1
-        q = np.array(queues, dtype=float)
-        total_cost = np.zeros(q.shape)
-        for _ in range(self.substeps):
-            q = np.maximum(0.0, q + rates * params.period - capacity)
-            response = (1.0 + q) * work / speed
-            slack = np.maximum(0.0, response - params.target_response)
-            total_cost = total_cost + params.weights.tracking * slack
-            total_cost = total_cost + params.weights.operating * power
-        return total_cost, q
-
     def _saturated_rollout(
         self, queue: float, rate: float, work: float
     ) -> tuple[float, float]:
@@ -420,11 +360,6 @@ class L1Controller:
         # are fixed per controller), cached read-only by the mask's bytes.
         self._gamma_candidates: "dict[bytes, tuple[np.ndarray, ...]]" = {}
         self._gamma_next: "dict[bytes, np.ndarray]" = {}
-        #: Control-period kernel ("scalar" or "vector"); set by the engine
-        #: from :class:`repro.sim.options.EngineOptions`. The vector path
-        #: expands each lookahead node's map queries as one batched call
-        #: and is bit-identical to the scalar enumeration.
-        self.kernel = "scalar"
 
     @staticmethod
     def _train_maps(
@@ -551,14 +486,6 @@ class L1Controller:
             queue_keys=[_round_key(q) for q in queues],
             work_key=round(work, 9),
         )
-        # The batched evaluator's per-group bookkeeping only pays off
-        # once a module is wide enough to amortise the numpy dispatch;
-        # narrow modules stay on the scalar loop (same bits either way).
-        horizon_cost = (
-            self._horizon_cost_vector
-            if self.kernel == "vector" and m >= 16
-            else self._horizon_cost
-        )
 
         for alpha in self._candidate_alphas(alpha_current):
             serving_now = alpha & alpha_current  # available during [k, k+1)
@@ -566,7 +493,7 @@ class L1Controller:
                 continue
             context = self._alpha_context(alpha, alpha_current)
             for gamma in self._candidate_gammas(serving_now):
-                cost, states = horizon_cost(point, context, gamma)
+                cost, states = self._horizon_cost(point, context, gamma)
                 explored += states
                 if cost < best_cost:
                     best_cost = cost
@@ -720,113 +647,6 @@ class L1Controller:
                 step_cost += cost_j
             total += step_cost * next_weight
         return total, len(point.samples) + len(point.next_samples)
-
-    def _horizon_cost_vector(
-        self, point: "_DecisionPoint", context: dict, gamma: np.ndarray
-    ) -> tuple[float, int]:
-        """Vector-kernel twin of :meth:`_horizon_cost`.
-
-        Expands every map query of a lookahead node as one batched
-        :meth:`ComputerBehaviorMap.cost_and_next_queue_many` call per
-        (sample, computer-group) while accumulating the returned floats
-        in the scalar path's exact order — including the per-decision
-        memo's first-occurrence aliasing — so costs are bit-identical.
-        """
-        queues = point.queues
-        work = point.work
-        total = context["fixed_cost"]
-        weight = 1.0 / len(point.samples)
-        serving_idx = context["serving_idx"]
-        draining_idx = context["draining_idx"]
-        next_queues = {j: 0.0 for j in serving_idx}
-        for rate in point.samples:
-            step_cost = 0.0
-            hits = self._query_group(
-                serving_idx, [queues[j] for j in serving_idx],
-                [gamma[j] * rate for j in serving_idx], work,
-            )
-            for j, (cost_j, next_q) in zip(serving_idx, hits):
-                step_cost += cost_j
-                next_queues[j] += next_q * weight
-            hits = self._query_group(
-                draining_idx, [queues[j] for j in draining_idx],
-                [0.0 for _ in draining_idx], work,
-            )
-            for cost_j, _ in hits:
-                step_cost += cost_j
-            total += step_cost * weight
-
-        gamma_next = context["gamma_next"]
-        on_idx = context["on_idx"]
-        next_weight = 1.0 / len(point.next_samples)
-        for rate in point.next_samples:
-            step_cost = 0.0
-            hits = self._query_group(
-                on_idx, [next_queues.get(j, 0.0) for j in on_idx],
-                [gamma_next[j] * rate for j in on_idx], work,
-            )
-            for cost_j, _ in hits:
-                step_cost += cost_j
-            total += step_cost * next_weight
-        return total, len(point.samples) + len(point.next_samples)
-
-    def _query_group(
-        self, js, group_queues, group_rates, work: float
-    ) -> "list[tuple[float, float]]":
-        """Memoised batched map lookup for one group of computers.
-
-        Replicates the scalar :meth:`_query` semantics exactly: the same
-        memo keys, duplicate keys inside the group alias to the *first*
-        occurrence's evaluation (as the scalar loop's insert-then-hit
-        sequence does), and fresh keys are evaluated in group order
-        through the batched map query.
-        """
-        results: "list[tuple[float, float] | None]" = [None] * len(js)
-        work_key = round(work, 9)
-        misses: "dict[tuple, tuple[int, float, float, list[int]]]" = {}
-        for t, (j, queue, rate) in enumerate(zip(js, group_queues, group_rates)):
-            key = (id(self.maps[j]), _round_key(queue), _round_key(rate), work_key)
-            hit = self._memo.get(key)
-            if hit is not None:
-                results[t] = hit
-                continue
-            entry = misses.get(key)
-            if entry is None:
-                misses[key] = (j, queue, rate, [t])
-            else:
-                entry[3].append(t)
-        if misses:
-            by_map: "dict[int, list[tuple]]" = {}
-            for key, (j, queue, rate, slots) in misses.items():
-                by_map.setdefault(id(self.maps[j]), []).append(
-                    (key, j, queue, rate, slots)
-                )
-            for items in by_map.values():
-                behavior_map = self.maps[items[0][1]]
-                if len(items) < 16:
-                    # Small miss sets (the module-of-4 common case) are
-                    # cheaper through the scalar query than through the
-                    # batched call's fixed numpy dispatch; both return
-                    # the same bits, so this is a speed choice only.
-                    for key, _, queue, rate, slots in items:
-                        hit = behavior_map.cost_and_next_queue(
-                            queue, rate, work
-                        )
-                        self._memo[key] = hit
-                        for t in slots:
-                            results[t] = hit
-                    continue
-                costs, finals = behavior_map.cost_and_next_queue_many(
-                    [item[2] for item in items],
-                    [item[3] for item in items],
-                    work,
-                )
-                for (key, _, _, _, slots), cost, final in zip(items, costs, finals):
-                    hit = (float(cost), float(final))
-                    self._memo[key] = hit
-                    for t in slots:
-                        results[t] = hit
-        return results
 
     def _query(
         self, key: tuple, j: int, queue: float, rate: float, work: float

@@ -240,7 +240,6 @@ def build_simulation(
         kernel=control.kernel,
         warmup_intervals=control.warmup_intervals,
         mean_work=control.mean_work,
-        seed=scenario.seed,
         recorder_window=control.window,
     )
     plant = scenario.plant.build()

@@ -10,14 +10,18 @@ The engine advances the fluid plant in T_L0 periods. Within each period:
 3. the dispatcher splits the period's arrivals by gamma and every
    computer advances one fluid step.
 
-Both steps 1–3 live in one place, :class:`~repro.sim.shard.ModuleShardRunner`.
+Steps 1–3 live in one place, :class:`~repro.sim.shard.ModuleShardRunner`.
 :class:`ModuleSimulation` drives a single runner with set-points from
 the module's own predictor; :class:`ClusterSimulation` stacks an L2
 controller on top: at T_L2 boundaries it observes aggregate module
 states and global arrivals, re-divides the workload across modules, and
-hands every runner its share. Passing ``baseline=`` pins every module to
-a heuristic policy instead (static capacity-proportional split, no
-L2/L1/L0 optimisation) — the §5.2 setting's reference points.
+hands every runner its share. On the ``vector`` kernel (the default)
+both engines hand steps 2–3 of all their runners to one
+:class:`~repro.sim.kernels.ClusterVectorExecutor` per run; the runner's
+own ``step`` is the ``scalar`` reference. Passing ``baseline=`` pins
+every module to a heuristic policy instead (static
+capacity-proportional split, no L2/L1/L0 optimisation) — the §5.2
+setting's reference points.
 
 Both simulations follow the same **stepwise protocol**: ``reset()``
 prepares a run, ``step()`` advances one T_L0 period, ``advance_period()``
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -63,10 +67,15 @@ from repro.sim.observers import (
     PeriodEvent,
     SimulationObserver,
     StepEvent,
-    StreamStats,
 )
 from repro.sim.options import EngineOptions, resolve_engine_options
-from repro.sim.results import ClusterRunResult, ModuleRunResult, RunSummary
+from repro.sim.results import (
+    ClusterRunResult,
+    ModuleRunResult,
+    RunSummary,
+    fold_summary,
+    stream_quality,
+)
 from repro.sim.shard import (
     ModuleBoundaryInput,
     ModuleFinalization,
@@ -75,14 +84,22 @@ from repro.sim.shard import (
 )
 from repro.workload.trace import ArrivalTrace
 
+if TYPE_CHECKING:
+    from repro.sim.kernels import ClusterVectorExecutor
+
+#: The module engine's ``gamma_modules``: one module takes every arrival.
+_ONE_MODULE = np.ones(1)
+_ONE_MODULE.setflags(write=False)
+
 
 class _SimulationBase:
     """Protocol plumbing shared by the module and cluster engines.
 
     Subclasses set ``engine_options``, ``trace``, ``substeps``,
     ``l0_params``, ``l1_params`` and ``module_overrides``, keep their
-    per-run state (with a step counter ``k``, ``l0_marks`` and a
-    ``result`` slot) in ``_state``, and implement ``reset``/``step``/
+    per-run state (with a step counter ``k``, ``l0_marks``, a ``result``
+    slot, the ``sink``, the ``fine_predictor`` and the
+    ``vector_executor``) in ``_state``, and implement ``reset``/``step``/
     ``finish`` plus :meth:`_override_target`.
     """
 
@@ -284,6 +301,60 @@ class _SimulationBase:
             )
             marks[runner.module_index] = (wall_total, states_total)
 
+    def _vector_executor(self, runners) -> "ClusterVectorExecutor | None":
+        """The batched step engine over ``runners``; ``None`` on scalar.
+
+        Boundaries and faults stay on the runners: ``flush`` before a
+        boundary and ``pull`` after it keep the two views in sync.
+        """
+        if self.kernel != "vector":
+            return None
+        from repro.sim.kernels import ClusterVectorExecutor
+
+        return ClusterVectorExecutor(
+            runners,
+            self.l0_params.period,
+            target_response=self.l0_params.target_response,
+        )
+
+    def _fine_forecast(self, state, arrivals: float) -> "np.ndarray | None":
+        """The L0s' rate forecast for this step, then the predictor observes.
+
+        ``None`` without a fine predictor (baseline runs). The vector
+        kernel observes through the bit-identical scalar-float Kalman
+        update of :func:`~repro.sim.kernels.batched_predictor_observe`.
+        """
+        predictor = state.fine_predictor
+        if predictor is None:
+            return None
+        forecast = predictor.forecast(self.l0_params.horizon) / self.l0_params.period
+        if state.vector_executor is None:
+            predictor.observe(arrivals)
+        else:
+            from repro.sim.kernels import batched_predictor_observe
+
+            batched_predictor_observe([predictor], [arrivals])
+        return forecast
+
+    def _step_vector(self, state, *step_args) -> "list[StepEvent]":
+        """One batched step of every module and its step-event fan-out.
+
+        Stock recorders fold the executor's row stats (none when it
+        skipped the fold) instead of re-scanning each response row.
+        """
+        vector = state.vector_executor
+        events = vector.step_all(*step_args)
+        row_stats = vector.step_stats
+        for row, event in enumerate(events):
+            state.sink.on_step(event, row_stats[row] if row_stats else None)
+        return events
+
+    def _finals(self, state, runners) -> "list[ModuleFinalization]":
+        """Every runner's aggregates, with the executor's mirrors written back."""
+        if state.vector_executor is not None:
+            state.vector_executor.flush()
+        return [runner.finalize() for runner in runners]
+
     def _module_result(
         self,
         spec: ModuleSpec,
@@ -315,53 +386,6 @@ class _SimulationBase:
         )
 
 
-def _fold_summary(
-    streams: "list[StreamStats]",
-    finals: "list[ModuleFinalization]",
-    l2_seconds: float = 0.0,
-) -> RunSummary:
-    """Headline metrics from recorder streams and module aggregates.
-
-    The same online aggregates and merge arithmetic as
-    :meth:`~repro.sim.results.ClusterRunResult.summary` (and, for one
-    module, :meth:`~repro.sim.results.ModuleRunResult.summary`), so a
-    live summary taken at the end of a run agrees bit for bit.
-    """
-    total_count = sum(s.response_count for s in streams)
-    mean_response = (
-        sum(s.response_sum for s in streams) / total_count if total_count else 0.0
-    )
-    violations = (
-        sum(s.violation_count for s in streams) / total_count
-        if total_count
-        else 0.0
-    )
-    periods = max(s.decision_count for s in streams)
-    mean_on = (
-        sum(s.computers_on_sum for s in streams) / periods if periods else 0.0
-    )
-    l0 = ControllerStats()
-    l1 = ControllerStats()
-    for final in finals:
-        l0 = l0.merged_with(final.l0_stats)
-        l1 = l1.merged_with(final.l1_stats)
-    return RunSummary(
-        mean_response=mean_response,
-        violation_fraction=violations,
-        total_energy=sum(
-            f.energy_base + f.energy_dynamic + f.energy_transient for f in finals
-        ),
-        base_energy=sum(f.energy_base for f in finals),
-        dynamic_energy=sum(f.energy_dynamic for f in finals),
-        transient_energy=sum(f.energy_transient for f in finals),
-        switch_ons=sum(f.switch_ons for f in finals),
-        switch_offs=sum(f.switch_offs for f in finals),
-        mean_computers_on=mean_on,
-        controller_seconds=l0.total_seconds + l1.total_seconds + l2_seconds,
-        l1_mean_states=l1.mean_states,
-    )
-
-
 class ModuleSimulation(_SimulationBase):
     """One module under the LLC hierarchy or a baseline policy.
 
@@ -369,7 +393,9 @@ class ModuleSimulation(_SimulationBase):
     no L2): at each boundary the module controller observes
     the closed interval and the L1 takes its arrival-rate set-points
     from its own predictor; each step hands the runner the bin's
-    arrivals and the module's fine-grained forecast.
+    arrivals and the module's fine-grained forecast. On the ``vector``
+    kernel a one-row :class:`~repro.sim.kernels.ClusterVectorExecutor`
+    takes the steps, as in a cluster run.
     """
 
     def __init__(
@@ -417,7 +443,6 @@ class ModuleSimulation(_SimulationBase):
             self.l1: L1Controller | None = L1Controller(
                 spec, behavior_maps, self.l1_params, self.l0_params
             )
-            self.l1.kernel = self.engine_options.kernel
             # Like the L1, the L0 bank lives as long as the simulation:
             # each run's runner drives these same controllers.
             self._l0_bank = [L0Controller(c, self.l0_params) for c in spec.computers]
@@ -459,21 +484,26 @@ class ModuleSimulation(_SimulationBase):
             target_response=self.l0_params.target_response,
             step_seconds=self.l0_params.period,
         )
+        runner = ModuleShardRunner(
+            module_index=0,
+            plant=Module(self.spec, initially_on=True),
+            controller=self.module_controller,
+            l0_bank=self._l0_bank,
+            l0_params=self.l0_params,
+            mean_work=self.engine_options.mean_work,
+            is_baseline=self.baseline is not None,
+            failure_events=self.failure_events,
+            kernel=self.kernel,
+        )
         state = _ModuleRunState(
-            runner=ModuleShardRunner(
-                module_index=0,
-                plant=Module(self.spec, initially_on=True),
-                controller=self.module_controller,
-                l0_bank=self._l0_bank,
-                l0_params=self.l0_params,
-                mean_work=self.engine_options.mean_work,
-                is_baseline=self.baseline is not None,
-                failure_events=self.failure_events,
-                kernel=self.kernel,
-            ),
+            runner=runner,
             recorder=recorder,
-            sink=ObserverList((recorder, *observers)),
-            fine_predictor=WorkloadPredictor(),
+            sink=ObserverList(
+                (recorder, *observers),
+                target_response=self.l0_params.target_response,
+            ),
+            fine_predictor=WorkloadPredictor() if self.baseline is None else None,
+            vector_executor=self._vector_executor([runner]),
         )
         self._tune_predictor(self.module_controller, state.fine_predictor)
         self._state = state
@@ -488,29 +518,33 @@ class ModuleSimulation(_SimulationBase):
         k = state.k
         now = k * self.l0_params.period
         work = float(self.work_series[k])
+        vector = state.vector_executor
         if k % self.substeps == 0:
+            if vector is not None:
+                vector.flush(full=False)
             event = self._begin_period(state.runner, self._boundary(state, k, work))
             state.sink.on_l1_decision(event)
+            if vector is not None:
+                vector.pull()
         arrivals = float(self.trace.counts[k])
         state.interval_arrivals += arrivals
-        forecast = None
-        if self.baseline is None:
-            forecast = (
-                state.fine_predictor.forecast(self.l0_params.horizon)
-                / self.l0_params.period
+        forecast = self._fine_forecast(state, arrivals)
+        if vector is not None:
+            (event,) = self._step_vector(
+                state, k, now, np.array([arrivals]), work, _ONE_MODULE, forecast
             )
-        event = state.runner.step(
-            ModuleStepInput(
-                step=k,
-                time=now,
-                share=arrivals,
-                gamma_module=1.0,
-                forecast=forecast,
-                work=work,
+        else:
+            event = state.runner.step(
+                ModuleStepInput(
+                    step=k,
+                    time=now,
+                    share=arrivals,
+                    gamma_module=1.0,
+                    forecast=forecast,
+                    work=work,
+                )
             )
-        )
-        state.fine_predictor.observe(arrivals)
-        state.sink.on_step(event)
+            state.sink.on_step(event)
         if (k + 1) % self.substeps == 0 or k + 1 == self.total_steps:
             period = k // self.substeps
             self._emit_l0_bank((state.runner,), period)
@@ -559,9 +593,8 @@ class ModuleSimulation(_SimulationBase):
             )
         if state.result is not None:
             return state.result
-        result = self._module_result(
-            self.spec, state.recorder, state.runner.finalize()
-        )
+        (final,) = self._finals(state, [state.runner])
+        result = self._module_result(self.spec, state.recorder, final)
         state.result = result
         state.sink.on_run_end(result)
         return result
@@ -573,10 +606,13 @@ class ModuleSimulation(_SimulationBase):
         arithmetic as :meth:`finish`/:meth:`~repro.sim.results.ModuleRunResult.summary`,
         so at end of run the two agree bit for bit.
         """
-        if self._state is None:
-            raise ControlError("no active run; call reset() first")
         state = self._state
-        return _fold_summary([state.recorder.stream], [state.runner.finalize()])
+        if state is None:
+            raise ControlError("no active run; call reset() first")
+        return fold_summary(
+            self._finals(state, [state.runner]),
+            stream_quality([state.recorder.stream]),
+        )
 
     def _tune_predictor(self, controller, fine_predictor=None) -> None:
         """Tune the Kalman filters on the initial workload portion (§4.3)."""
@@ -599,7 +635,10 @@ class _ModuleRunState:
     runner: ModuleShardRunner
     recorder: ModuleRecorder
     sink: ObserverList
-    fine_predictor: WorkloadPredictor
+    #: The fine-grained rate predictor the L0 reads (hierarchy only).
+    fine_predictor: "WorkloadPredictor | None"
+    #: Batched step engine (vector kernel only; None on scalar).
+    vector_executor: "ClusterVectorExecutor | None" = None
     interval_arrivals: float = 0.0
     k: int = 0
     #: Per-module cumulative L0 wall/states already attributed to
@@ -763,12 +802,7 @@ class ClusterSimulation(_SimulationBase):
         p = self.spec.module_count
         steps = self.total_steps
         periods = self.periods
-        # Per-module dispatcher streams are seeded from (seed, module
-        # index).
-        plants = [
-            Module(s, initially_on=True, seed=self.engine_options.seed + i)
-            for i, s in enumerate(self.spec.modules)
-        ]
+        plants = [Module(s, initially_on=True) for s in self.spec.modules]
         if self.baselines is None:
             l1s = [
                 L1Controller(
@@ -776,8 +810,6 @@ class ClusterSimulation(_SimulationBase):
                 )
                 for module_spec, maps in zip(self.spec.modules, self._behavior_maps)
             ]
-            for l1 in l1s:
-                l1.kernel = self.kernel
             l0_banks = [
                 [L0Controller(c, self.l0_params) for c in s.computers]
                 for s in self.spec.modules
@@ -835,20 +867,8 @@ class ClusterSimulation(_SimulationBase):
             ),
             interval_module=np.zeros(p),
             runners=runners,
+            vector_executor=self._vector_executor(runners),
         )
-        if self.kernel == "vector":
-            # The whole cluster's substeps advance as (modules,
-            # computers) arrays: in hierarchy mode every serving
-            # computer's L0 lookahead runs as one batched call, then the
-            # plant steps. Boundary decisions and faults stay on the
-            # scalar objects; pull/flush keep the two views in sync.
-            from repro.sim.kernels import ClusterVectorExecutor
-
-            state.vector_executor = ClusterVectorExecutor(
-                runners,
-                self.l0_params.period,
-                target_response=self.l0_params.target_response,
-            )
         self._state = state
         state.sink.on_run_start(self)
         return self
@@ -875,12 +895,7 @@ class ClusterSimulation(_SimulationBase):
             if vector is not None:
                 vector.pull()
         if vector is not None:
-            events = vector.step_all(*self._step_arrays(state, k))
-            # The kernel reduced every response row against the
-            # recorders' SLA target (empty when it skipped the fold).
-            row_stats = vector.step_stats
-            for row, event in enumerate(events):
-                state.sink.on_step(event, row_stats[row] if row_stats else None)
+            events = self._step_vector(state, *self._step_arrays(state, k))
         else:
             events = []
             for runner, step_input in zip(state.runners, self._step_inputs(state, k)):
@@ -1078,13 +1093,7 @@ class ClusterSimulation(_SimulationBase):
         work = (
             float(self.work_series[k]) if self.work_series is not None else None
         )
-        if state.fine_predictor is not None:
-            forecast = (
-                state.fine_predictor.forecast(self.l0_params.horizon)
-                / self.l0_params.period
-            )
-        else:
-            forecast = None
+        forecast = self._fine_forecast(state, arrivals)
         inputs = []
         for i in range(p):
             state.interval_module[i] += shares[i]
@@ -1098,34 +1107,22 @@ class ClusterSimulation(_SimulationBase):
                     work=work,
                 )
             )
-        if state.fine_predictor is not None:
-            state.fine_predictor.observe(arrivals)
         return inputs
 
     def _step_arrays(self, state: "_ClusterRunState", k: int) -> tuple:
         """Array-form twin of :meth:`_step_inputs` for the vector path.
 
         Advances the same cluster accumulators (identical
-        elementwise arithmetic) and computes the same fine-grained
-        forecast before the fine predictor observes the step (through
-        the kernel's bit-identical scalar-float Kalman update), but
-        skips building per-module ``ModuleStepInput`` objects: returns
-        the :meth:`ClusterVectorExecutor.step_all` arguments. Baseline
-        runs have no fine predictor and pass no forecast.
+        elementwise arithmetic) and takes the same fine-grained
+        forecast, but skips building per-module ``ModuleStepInput``
+        objects: returns the :meth:`ClusterVectorExecutor.step_all`
+        arguments.
         """
         arrivals = float(self.trace.counts[k])
         state.interval_global += arrivals
         shares = state.gamma_modules * arrivals
         state.interval_module += shares
-        forecast = None
-        if state.fine_predictor is not None:
-            from repro.sim.kernels import batched_predictor_observe
-
-            forecast = (
-                state.fine_predictor.forecast(self.l0_params.horizon)
-                / self.l0_params.period
-            )
-            batched_predictor_observe([state.fine_predictor], [arrivals])
+        forecast = self._fine_forecast(state, arrivals)
         work = (
             float(self.work_series[k]) if self.work_series is not None else None
         )
@@ -1147,9 +1144,7 @@ class ClusterSimulation(_SimulationBase):
             )
         if state.result is not None:
             return state.result
-        if state.vector_executor is not None:
-            state.vector_executor.flush()
-        finals = [runner.finalize() for runner in state.runners]
+        finals = self._finals(state, state.runners)
         module_results = [
             self._module_result(module_spec, recorder, final)
             for module_spec, recorder, final in zip(
@@ -1188,11 +1183,9 @@ class ClusterSimulation(_SimulationBase):
             raise ControlError("no active run; call reset() first")
         if state.result is not None:
             return state.result.summary()
-        if state.vector_executor is not None:
-            state.vector_executor.flush()
-        return _fold_summary(
-            [recorder.stream for recorder in state.module_recorders],
-            [runner.finalize() for runner in state.runners],
+        return fold_summary(
+            self._finals(state, state.runners),
+            stream_quality([recorder.stream for recorder in state.module_recorders]),
             self.l2.stats.total_seconds if self.l2 is not None else 0.0,
         )
 
@@ -1234,8 +1227,8 @@ class _ClusterRunState:
     gamma_modules: np.ndarray
     interval_module: np.ndarray
     runners: "list[ModuleShardRunner]"
-    #: Batched substep engine (vector kernel only; None on scalar).
-    vector_executor: "object | None" = None
+    #: Batched step engine (vector kernel only; None on scalar).
+    vector_executor: "ClusterVectorExecutor | None" = None
     interval_global: float = 0.0
     k: int = 0
     result: "ClusterRunResult | None" = None

@@ -14,12 +14,12 @@ exactly those loops, which every run gets by default (``"vector"``):
   predict/update for a whole bank of :class:`WorkloadPredictor` objects
   (the per-module and global arrival filters), written back into the
   scalar filter objects so every downstream ``forecast`` is untouched.
-* :class:`ClusterVectorExecutor` — the cluster substep engine:
-  in hierarchy mode one :class:`L0BankKernel` call decides every serving
-  computer of every module, then all modules' fluid updates, energy
-  metering, and lifecycle ticks advance as ``(modules, computers)``
-  arrays, emitting the very same :class:`StepEvent` stream the scalar
-  runners emit.
+* :class:`ClusterVectorExecutor` — the substep engine of both engines
+  (a module run is one row): in hierarchy mode one
+  :class:`L0BankKernel` call decides every serving computer of every
+  module, then all modules' fluid updates, energy metering, and
+  lifecycle ticks advance as ``(modules, computers)`` arrays, emitting
+  the very same :class:`StepEvent` stream the scalar runners emit.
 
 Parity is the design constraint, not an aspiration: every formula here
 replicates the scalar expression's operand order elementwise (float
@@ -349,7 +349,7 @@ def batched_predictor_observe(predictors: list, values: "list[float]") -> None:
 
 
 # ----------------------------------------------------------------------
-# K3: the cluster substep executor
+# K3: the substep executor (module and cluster runs)
 # ----------------------------------------------------------------------
 
 def _fast_probability_vector(gamma, size: int):
@@ -393,7 +393,7 @@ _CODE_STATES = {code: state for state, code in _STATE_CODES.items()}
 
 
 class ClusterVectorExecutor:
-    """Batched substep engine for a cluster run (both control modes).
+    """Batched substep engine for a module or cluster run (both modes).
 
     Every T_L0 step advances all modules' computers as one ``(modules,
     max_computers)`` array per quantity — gamma split, fluid queue
@@ -424,7 +424,7 @@ class ClusterVectorExecutor:
         self,
         runners: list,
         l0_period: float,
-        target_response: "float | None" = None,
+        target_response: float,
     ) -> None:
         self.runners = list(runners)
         self.dt = float(l0_period)
@@ -762,10 +762,7 @@ class ClusterVectorExecutor:
             row_maxes = np.where(served_mask, response_values, -np.inf).max(
                 axis=1
             )
-            if self.target_response is not None:
-                row_violations = (responses > self.target_response).sum(axis=1)
-            else:
-                row_violations = row_counts
+            row_violations = (responses > self.target_response).sum(axis=1)
             self.step_stats = list(
                 zip(
                     row_sums.tolist(),

@@ -2,7 +2,7 @@
 
 :class:`EngineOptions` gathers every per-run knob — the kernel,
 telemetry, the decision deadline, the map provider, and the warm-up,
-mean work, seed and recorder window — behind a single validated object
+mean work and recorder window — behind a single validated object
 consumed by both :class:`~repro.sim.engine.ModuleSimulation` and
 :class:`~repro.sim.engine.ClusterSimulation`. The engines' setters
 (``set_telemetry``, ``set_decision_deadline``) and the ``kernel`` /
@@ -23,7 +23,6 @@ from repro.common.errors import ConfigurationError
 from repro.common.validation import (
     require_in,
     require_non_negative,
-    require_non_negative_int,
     require_positive,
     require_positive_int,
 )
@@ -53,11 +52,11 @@ class EngineOptions:
     ``warmup_intervals`` is the initial portion of the workload (in L1
     periods) used to tune the Kalman filters before the run, mirroring
     §4.3. ``mean_work`` is the mean service demand (seconds per request)
-    wherever no per-step work series is given. ``seed`` seeds the
-    per-module dispatcher streams. ``recorder_window`` bounds recorder
-    memory to the last so-many T_L0 steps/periods (``None`` records the
-    whole horizon); summaries stay bit-identical either way. These four
-    are checked like their ``control.*``/``seed`` spec fields.
+    wherever no per-step work series is given. ``recorder_window``
+    bounds recorder memory to the last so-many T_L0 steps/periods
+    (``None`` records the whole horizon); summaries stay bit-identical
+    either way. These three are checked like their ``control.*`` spec
+    fields.
     """
 
     kernel: str = "vector"
@@ -67,14 +66,12 @@ class EngineOptions:
     map_provider: object = None
     warmup_intervals: int = 48
     mean_work: float = 0.0175
-    seed: int = 0
     recorder_window: "int | None" = None
 
     def __post_init__(self) -> None:
         require_in(self.kernel, KERNELS, "kernel")
         require_non_negative(self.warmup_intervals, "warmup_intervals")
         require_positive(self.mean_work, "mean_work")
-        require_non_negative_int(self.seed, "seed")
         if self.recorder_window is not None:
             require_positive_int(self.recorder_window, "recorder_window")
         self.set_decision_deadline(self.decision_deadline)

@@ -97,6 +97,81 @@ class RunSummary:
         )
 
 
+def stream_quality(streams: "list[StreamStats]") -> "tuple[float, float, float]":
+    """``(mean response, violation fraction, mean machines on)``.
+
+    Merges the modules' whole-run :class:`StreamStats`: responses and
+    violations over their total count, machines on summed over modules
+    per control period.
+    """
+    total_count = sum(s.response_count for s in streams)
+    mean_response = (
+        sum(s.response_sum for s in streams) / total_count if total_count else 0.0
+    )
+    violations = (
+        sum(s.violation_count for s in streams) / total_count
+        if total_count
+        else 0.0
+    )
+    periods = max(s.decision_count for s in streams)
+    mean_on = sum(s.computers_on_sum for s in streams) / periods if periods else 0.0
+    return mean_response, violations, mean_on
+
+
+def _result_quality(
+    modules: list, target_response: float, computers_on: np.ndarray
+) -> "tuple[float, float, float]":
+    """:func:`stream_quality` of module results.
+
+    Engine-produced results carry whole-run streams (a recorder window
+    only trims the arrays); hand-built ones fall back to the arrays.
+    """
+    streams = [m.stream for m in modules]
+    if all(s is not None for s in streams):
+        return stream_quality(streams)
+    responses = np.concatenate([m.responses[~np.isnan(m.responses)] for m in modules])
+    mean_response = float(responses.mean()) if responses.size else 0.0
+    violations = (
+        float(np.mean(responses > target_response)) if responses.size else 0.0
+    )
+    return mean_response, violations, float(computers_on.mean())
+
+
+def fold_summary(
+    modules: list,
+    quality: "tuple[float, float, float]",
+    l2_seconds: float = 0.0,
+) -> RunSummary:
+    """The one summary fold of run results and live runs.
+
+    ``modules`` carry ``energy_*``, ``switch_*``, ``l0_stats`` and
+    ``l1_stats`` (module results or runner finalizations). A live
+    summary at the end of a run folds the same numbers in the same order
+    as the result's ``summary()``, so the two agree bit for bit.
+    """
+    mean_response, violations, mean_on = quality
+    l0 = ControllerStats()
+    l1 = ControllerStats()
+    for module in modules:
+        l0 = l0.merged_with(module.l0_stats)
+        l1 = l1.merged_with(module.l1_stats)
+    return RunSummary(
+        mean_response=mean_response,
+        violation_fraction=violations,
+        total_energy=sum(
+            m.energy_base + m.energy_dynamic + m.energy_transient for m in modules
+        ),
+        base_energy=sum(m.energy_base for m in modules),
+        dynamic_energy=sum(m.energy_dynamic for m in modules),
+        transient_energy=sum(m.energy_transient for m in modules),
+        switch_ons=sum(m.switch_ons for m in modules),
+        switch_offs=sum(m.switch_offs for m in modules),
+        mean_computers_on=mean_on,
+        controller_seconds=l0.total_seconds + l1.total_seconds + l2_seconds,
+        l1_mean_states=l1.mean_states,
+    )
+
+
 @dataclass
 class ModuleRunResult:
     """Time series and stats from one module simulation.
@@ -157,31 +232,8 @@ class ModuleRunResult:
         those govern when present; hand-built results fall back to the
         array arithmetic.
         """
-        if self.stream is not None:
-            mean_response = self.stream.mean_response
-            violations = self.stream.violation_fraction
-            mean_on = self.stream.mean_computers_on
-        else:
-            responses = self.responses[~np.isnan(self.responses)]
-            mean_response = float(responses.mean()) if responses.size else 0.0
-            violations = (
-                float(np.mean(responses > self.target_response))
-                if responses.size
-                else 0.0
-            )
-            mean_on = float(self.computers_on.mean())
-        return RunSummary(
-            mean_response=mean_response,
-            violation_fraction=violations,
-            total_energy=self.energy_base + self.energy_dynamic + self.energy_transient,
-            base_energy=self.energy_base,
-            dynamic_energy=self.energy_dynamic,
-            transient_energy=self.energy_transient,
-            switch_ons=self.switch_ons,
-            switch_offs=self.switch_offs,
-            mean_computers_on=mean_on,
-            controller_seconds=self.l0_stats.total_seconds + self.l1_stats.total_seconds,
-            l1_mean_states=self.l1_stats.mean_states,
+        return fold_summary(
+            [self], _result_quality([self], self.target_response, self.computers_on)
         )
 
 
@@ -214,59 +266,10 @@ class ClusterRunResult:
         aggregates govern when every module result carries them,
         arrays otherwise.
         """
-        streams = [m.stream for m in self.module_results]
-        if all(s is not None for s in streams):
-            total_count = sum(s.response_count for s in streams)
-            mean_response = (
-                sum(s.response_sum for s in streams) / total_count
-                if total_count
-                else 0.0
-            )
-            violations = (
-                sum(s.violation_count for s in streams) / total_count
-                if total_count
-                else 0.0
-            )
-            periods = max(s.decision_count for s in streams)
-            mean_on = (
-                sum(s.computers_on_sum for s in streams) / periods
-                if periods
-                else 0.0
-            )
-        else:
-            responses = np.concatenate(
-                [m.responses[~np.isnan(m.responses)] for m in self.module_results]
-            )
-            mean_response = float(responses.mean()) if responses.size else 0.0
-            violations = (
-                float(np.mean(responses > self.target_response))
-                if responses.size
-                else 0.0
-            )
-            mean_on = float(self.total_computers_on.mean())
-        l0 = ControllerStats()
-        l1 = ControllerStats()
-        for module in self.module_results:
-            l0 = l0.merged_with(module.l0_stats)
-            l1 = l1.merged_with(module.l1_stats)
-        return RunSummary(
-            mean_response=mean_response,
-            violation_fraction=violations,
-            total_energy=sum(
-                m.energy_base + m.energy_dynamic + m.energy_transient
-                for m in self.module_results
-            ),
-            base_energy=sum(m.energy_base for m in self.module_results),
-            dynamic_energy=sum(m.energy_dynamic for m in self.module_results),
-            transient_energy=sum(m.energy_transient for m in self.module_results),
-            switch_ons=sum(m.switch_ons for m in self.module_results),
-            switch_offs=sum(m.switch_offs for m in self.module_results),
-            mean_computers_on=mean_on,
-            controller_seconds=(
-                l0.total_seconds + l1.total_seconds + self.l2_stats.total_seconds
-            ),
-            l1_mean_states=l1.mean_states,
+        quality = _result_quality(
+            self.module_results, self.target_response, self.total_computers_on
         )
+        return fold_summary(self.module_results, quality, self.l2_stats.total_seconds)
 
     def hierarchy_path_seconds(self) -> float:
         """Average execution time along one L2 -> L1 -> L0 path per period.

@@ -6,11 +6,13 @@ its own until the next control period. A :class:`ModuleShardRunner`
 owns everything module-local — the plant, the module controller (L1 or
 a baseline), the L0 bank, the current alpha/gamma, pending fault events
 — and exposes the intra-period stepping as three calls
-(``begin_period`` / ``step`` / ``finalize``). It is the only
-implementation of a module's step: the module engine drives one runner,
-and the cluster engine drives one per module (on the ``vector`` kernel
-:class:`~repro.sim.kernels.ClusterVectorExecutor` batches their T_L0
-steps and keeps these runners as the boundary-side view).
+(``begin_period`` / ``step`` / ``finalize``). The module engine drives
+one runner and the cluster engine one per module. Boundaries and
+faults always run here. Between boundaries, the ``scalar`` kernel
+calls :meth:`ModuleShardRunner.step`, the reference; on ``vector``
+(the default) both engines step their runners' computers through
+:class:`~repro.sim.kernels.ClusterVectorExecutor` instead, which keeps
+these runners as the boundary-side view.
 
 The engine computes every cross-module quantity (L2 decisions, arrival
 shares, global forecasts) and hands each runner plain floats through
@@ -156,10 +158,9 @@ class ModuleShardRunner:
         self.l0_params = l0_params
         self.mean_work = mean_work
         self.is_baseline = is_baseline
-        #: Control-period kernel. The batched L0 bank is built lazily,
-        #: on the first vector step.
+        #: Control-period kernel. On ``vector`` a baseline boundary
+        #: decides through :func:`~repro.sim.kernels.fast_baseline_act`.
         self.kernel = kernel
-        self._l0_kernel = None
         self.alpha = np.ones(plant.size, dtype=bool)
         self.gamma = np.full(plant.size, 1.0 / plant.size)
         self.pending_events = sorted(failure_events, key=lambda e: e[0])
@@ -293,35 +294,16 @@ class ModuleShardRunner:
         )
 
     def step(self, inp: ModuleStepInput) -> StepEvent:
-        """Advance the module one T_L0 fluid step."""
+        """Advance the module one T_L0 fluid step (the scalar kernel).
+
+        One L0 ``decide`` per serving computer, then the plant's fluid
+        step: the reference the vector kernel's batched step matches.
+        """
         self._apply_faults(inp.time)
         work = inp.work if inp.work is not None else self.mean_work
         m = self.plant.size
         freq_row = np.zeros(m)
         if self.is_baseline:
-            freq_row[:] = [c.frequency_ghz for c in self.plant.computers]
-        elif self.kernel == "vector":
-            if self._l0_kernel is None:
-                from repro.sim.kernels import L0BankKernel
-
-                self._l0_kernel = L0BankKernel(self.l0_bank)
-            serving = [
-                j for j, c in enumerate(self.plant.computers) if c.is_serving
-            ]
-            if serving:
-                decisions = self._l0_kernel.decide_many(
-                    serving,
-                    [self.plant.computers[j].queue_length for j in serving],
-                    [
-                        inp.gamma_module * self.gamma[j] * inp.forecast
-                        for j in serving
-                    ],
-                    [self.l0_bank[j].work_estimate for j in serving],
-                )
-                for j, decided in zip(serving, decisions):
-                    self.plant.computers[j].set_frequency_index(
-                        decided.frequency_index
-                    )
             freq_row[:] = [c.frequency_ghz for c in self.plant.computers]
         else:
             for j, (computer, l0) in enumerate(

@@ -1,7 +1,7 @@
 """EngineOptions: the one options object both engines take.
 
 The per-run knobs (kernel, telemetry, decision deadline, map provider,
-warm-up, mean work, seed, recorder window) travel in one
+warm-up, mean work, recorder window) travel in one
 :class:`EngineOptions`. Its checks mirror the spec layer's — same
 helpers, same messages, same defaults — so a value the spec rejects is
 rejected the same way when an engine is built by hand.
@@ -29,12 +29,11 @@ SPEC_KEYS = {
     "warmup_intervals": "control.warmup_intervals",
     "mean_work": "control.mean_work",
     "recorder_window": "control.window",
-    "seed": "seed",
 }
 
 
 class TestShape:
-    def test_fields_are_the_nine_knobs(self):
+    def test_fields_are_the_eight_knobs(self):
         assert [f.name for f in dataclasses.fields(EngineOptions)] == [
             "kernel",
             "metrics",
@@ -43,19 +42,21 @@ class TestShape:
             "map_provider",
             "warmup_intervals",
             "mean_work",
-            "seed",
             "recorder_window",
         ]
+
+    def test_seed_is_not_an_engine_knob(self):
+        # The scenario seed seeds the trace; no engine stream reads one.
+        with pytest.raises(TypeError, match="'seed'"):
+            EngineOptions(seed=0)
 
     def test_defaults_match_the_spec_layer(self):
         options = EngineOptions()
         control = ControlSpec()
-        spec = get_scenario("cluster-baseline-showdown")
         assert options.kernel == control.kernel == "vector"
         assert options.warmup_intervals == control.warmup_intervals
         assert options.mean_work == control.mean_work
         assert options.recorder_window is control.window is None
-        assert options.seed == 0 == spec.seed
         assert options.metrics is options.tracer is None
         assert options.decision_deadline is options.map_provider is None
 
@@ -70,10 +71,6 @@ class TestValidation:
             ("mean_work", 0.0),
             ("mean_work", -0.01),
             ("mean_work", float("nan")),
-            ("seed", -1),
-            ("seed", 1.5),
-            ("seed", True),
-            ("seed", "3"),
             ("recorder_window", 0),
             ("recorder_window", 2.5),
             ("recorder_window", True),
@@ -91,8 +88,6 @@ class TestValidation:
         "field, value",
         [
             ("warmup_intervals", 0),
-            ("seed", 0),
-            ("seed", 2**40),
             ("recorder_window", 1),
         ],
     )
@@ -122,7 +117,7 @@ class TestResolve:
         assert first is not second
 
     def test_options_pass_through(self):
-        options = EngineOptions(seed=4, kernel="scalar")
+        options = EngineOptions(warmup_intervals=4, kernel="scalar")
         assert resolve_engine_options(options) is options
 
     def test_other_types_rejected(self):
@@ -130,7 +125,7 @@ class TestResolve:
             ConfigurationError,
             match="^engine_options must be an EngineOptions, got dict$",
         ):
-            resolve_engine_options({"seed": 4})
+            resolve_engine_options({"warmup_intervals": 4})
 
     def test_set_telemetry_attaches_and_detaches(self):
         options = EngineOptions()
@@ -174,7 +169,7 @@ class TestEngines:
 
     @pytest.mark.parametrize("kind", ["module", "cluster"])
     def test_engine_keeps_the_given_options(self, kind):
-        options = EngineOptions(kernel="scalar", seed=3, warmup_intervals=2)
+        options = EngineOptions(kernel="scalar", warmup_intervals=2)
         assert _engine(kind, engine_options=options).engine_options is options
 
     @pytest.mark.parametrize(
@@ -183,7 +178,6 @@ class TestEngines:
     def test_build_simulation_carries_the_spec(self, name):
         spec = get_scenario(name, samples=3).with_overrides(
             **{
-                "seed": 7,
                 "control.kernel": "scalar",
                 "control.warmup_intervals": 5,
                 "control.mean_work": 0.02,
@@ -193,8 +187,7 @@ class TestEngines:
         options = build_simulation(spec).engine_options
         assert (
             options.kernel,
-            options.seed,
             options.warmup_intervals,
             options.mean_work,
             options.recorder_window,
-        ) == ("scalar", 7, 5, 0.02, 4)
+        ) == ("scalar", 5, 0.02, 4)

@@ -172,8 +172,6 @@ class TestEngineOptionsValidation:
             ("recorder_window", 0, "recorder_window must be a positive int, got 0"),
             ("recorder_window", -3, "recorder_window must be a positive int, got -3"),
             ("warmup_intervals", -5, "warmup_intervals must be >= 0, got -5"),
-            ("seed", -1, "seed must be a non-negative int, got -1"),
-            ("seed", 1.5, "seed must be a non-negative int, got 1.5"),
             ("mean_work", 0.0, "mean_work must be > 0, got 0.0"),
         ],
     )

@@ -4,12 +4,12 @@
 Every reference side pins ``"scalar"`` explicitly. These tests enforce
 that for every registry scenario — full and windowed recorders — the
 vector kernel's deterministic summary is **bit-identical** (``==``, not
-approx) to the scalar kernel's, that the cluster executor matches the
-per-module runners under faults, mid-period summaries and tracing, that
-observers see the same event stream in the same order on both kernels,
-and that each batched primitive (the L0 bank, the Kalman bank, the
-baseline act twins, the probability-vector fast path, the batched map
-queries) reproduces its scalar counterpart exactly.
+approx) to the scalar kernel's, that the batched step executor matches
+the per-module runners under faults, mid-period summaries and tracing
+in both engines, that observers see the same event stream in the same
+order on both kernels, and that each batched primitive (the L0 bank,
+the Kalman bank, the baseline act twins, the probability-vector fast
+path) reproduces its scalar counterpart exactly.
 """
 
 import json
@@ -17,9 +17,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.approximation import GridQuantizer, LookupTableMap
-from repro.cluster.processor import processor_profile
-from repro.cluster.specs import ComputerSpec, paper_cluster_spec, paper_module_spec
+from repro.cluster.specs import paper_cluster_spec, paper_module_spec
 from repro.common import ConfigurationError
 from repro.common.validation import require_probability_vector
 from repro.controllers import (
@@ -29,7 +27,6 @@ from repro.controllers import (
     ThresholdOnOffController,
 )
 from repro.controllers.baselines import BaselineDecision
-from repro.controllers.l1 import ComputerBehaviorMap
 from repro.forecast import WorkloadPredictor
 from repro.obs import MemorySink, Tracer
 from repro.scenario import (
@@ -39,13 +36,20 @@ from repro.scenario import (
     run_scenario,
     scenario_names,
 )
-from repro.sim import ClusterSimulation, EngineOptions, SimulationObserver
+from repro.sim import (
+    ClusterSimulation,
+    EngineOptions,
+    ModuleRunResult,
+    SimulationObserver,
+)
 from repro.sim.kernels import (
+    ClusterVectorExecutor,
     L0BankKernel,
     _fast_probability_vector,
     batched_predictor_observe,
     fast_baseline_act,
 )
+from repro.sim.shard import ModuleShardRunner
 from repro.workload import ArrivalTrace
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -81,6 +85,24 @@ def _failover_scenario(with_fault: bool):
     return builder.build()
 
 
+def _module_failover_scenario():
+    """The module twin of :func:`_failover_scenario`'s faulty run.
+
+    The same timeline on one module: the failure at t = 300 s lands on
+    step 10, inside period 2 (steps 8..11), and the repair at t = 480 s
+    on the period-4 boundary. Computer 3 is the module's fastest
+    machine, serving with computer 2 at this load, so the failure forces
+    a mid-period re-dispatch onto computer 2.
+    """
+    return (
+        Scenario.module(m=4)
+        .workload("steady", samples=6, rate=60.0)
+        .control(warmup_intervals=2)
+        .with_failures((300.0, 3, "fail"), (480.0, 3, "repair"))
+        .build()
+    )
+
+
 def _scalar(spec):
     return spec.with_overrides(**{"control.kernel": "scalar"})
 
@@ -95,43 +117,66 @@ def _summary_json(spec):
     )
 
 
+#: Every array of a :class:`ModuleRunResult`, and of a cluster result.
+MODULE_ARRAYS = (
+    "arrivals",
+    "frequencies",
+    "responses",
+    "queues",
+    "power",
+    "l1_arrivals",
+    "l1_predictions",
+    "computers_on",
+)
+CLUSTER_ARRAYS = (
+    "global_arrivals",
+    "global_predictions",
+    "gamma_history",
+    "total_computers_on",
+    "per_module_on",
+)
+
+
 def _assert_runs_identical(scalar, vector):
-    """Every deterministic field of two run results, bit for bit."""
+    """Every deterministic field of two run results, bit for bit.
+
+    Takes two module results or two cluster results; a cluster's module
+    results are compared like a module run's.
+    """
     assert (
         scalar.summary().deterministic_dict()
         == vector.summary().deterministic_dict()
     )
-    for name in (
-        "global_arrivals",
-        "global_predictions",
-        "gamma_history",
-        "total_computers_on",
-        "per_module_on",
-    ):
-        assert np.array_equal(
-            getattr(scalar, name), getattr(vector, name)
-        ), name
-    for module_scalar, module_vector in zip(
-        scalar.module_results, vector.module_results
-    ):
-        for name in (
-            "arrivals",
-            "frequencies",
-            "queues",
-            "power",
-            "computers_on",
-        ):
+    if isinstance(scalar, ModuleRunResult):
+        pairs = [(scalar, vector)]
+    else:
+        for name in CLUSTER_ARRAYS:
             assert np.array_equal(
-                getattr(module_scalar, name), getattr(module_vector, name)
+                getattr(scalar, name), getattr(vector, name)
             ), name
-        assert np.array_equal(
-            module_scalar.responses, module_vector.responses, equal_nan=True
-        )
-        assert module_scalar.energy_base == module_vector.energy_base
-        assert module_scalar.energy_dynamic == module_vector.energy_dynamic
-        assert module_scalar.energy_transient == module_vector.energy_transient
-        assert module_scalar.switch_ons == module_vector.switch_ons
-        assert module_scalar.switch_offs == module_vector.switch_offs
+        pairs = list(zip(scalar.module_results, vector.module_results))
+    for module_scalar, module_vector in pairs:
+        for name in MODULE_ARRAYS:
+            assert np.array_equal(
+                getattr(module_scalar, name),
+                getattr(module_vector, name),
+                equal_nan=True,
+            ), name
+        for name in (
+            "energy_base",
+            "energy_dynamic",
+            "energy_transient",
+            "switch_ons",
+            "switch_offs",
+        ):
+            assert getattr(module_scalar, name) == getattr(module_vector, name), name
+        for name in ("l0_stats", "l1_stats"):
+            scalar_stats = getattr(module_scalar, name)
+            vector_stats = getattr(module_vector, name)
+            assert (scalar_stats.invocations, scalar_stats.states_explored) == (
+                vector_stats.invocations,
+                vector_stats.states_explored,
+            ), name
 
 
 class TestRegistryScenarioParity:
@@ -143,7 +188,13 @@ class TestRegistryScenarioParity:
         assert _summary_json(_vector(spec)) == _summary_json(_scalar(spec))
 
     @pytest.mark.parametrize(
-        "name", ["paper/fig6-cluster16", "cluster-baseline-showdown"]
+        "name",
+        [
+            "paper/fig6-cluster16",
+            "cluster-baseline-showdown",
+            "paper/fig4-module4",
+            "module-baseline-threshold-dvfs",
+        ],
     )
     def test_windowed_summary_bit_identical(self, name):
         spec = _spec(name).with_overrides(
@@ -151,14 +202,18 @@ class TestRegistryScenarioParity:
         )
         assert _summary_json(_vector(spec)) == _summary_json(_scalar(spec))
 
-    def test_full_result_arrays_bit_identical_hierarchy(self):
-        spec = _spec("paper/fig6-cluster16")
+    @pytest.mark.parametrize("name", ["paper/fig6-cluster16", "paper/fig4-module4"])
+    def test_full_result_arrays_bit_identical_hierarchy(self, name):
+        spec = _spec(name)
         _assert_runs_identical(
             run_scenario(_scalar(spec)), run_scenario(_vector(spec))
         )
 
-    def test_full_result_arrays_bit_identical_baseline(self):
-        spec = _spec("cluster-baseline-showdown")
+    @pytest.mark.parametrize(
+        "name", ["cluster-baseline-showdown", "module-baseline-threshold-dvfs"]
+    )
+    def test_full_result_arrays_bit_identical_baseline(self, name):
+        spec = _spec(name)
         _assert_runs_identical(
             run_scenario(_scalar(spec)), run_scenario(_vector(spec))
         )
@@ -178,18 +233,87 @@ def _kernel_pair(spec, prepare=None):
 
 
 class TestClusterExecutorParity:
-    """The serial cluster executor against the per-module runners.
+    """The batched step executor against the per-module runners.
 
-    On ``vector`` a serial hierarchy cluster step is one batched L0
-    lookahead over every serving computer plus one batched plant step;
-    on ``scalar`` each module's runner decides and steps alone. Faults,
-    mid-period summaries, telemetry and bad plant inputs cross the
-    executor's mirrors, so each is compared in full here.
+    On ``vector`` a hierarchy step of either engine is one batched L0
+    lookahead over every serving computer plus one batched plant step
+    (the module engine's executor has one row); on ``scalar`` each
+    module's runner decides and steps alone. Faults, mid-period
+    summaries, telemetry and bad plant inputs cross the executor's
+    mirrors, so each is compared in full here.
     """
+
+    @pytest.mark.parametrize(
+        "name", ["paper/fig4-module4", "module-baseline-threshold-dvfs"]
+    )
+    def test_module_engine_steps_through_the_executor(self, name, monkeypatch):
+        counts = {"step_all": 0, "runner": 0}
+        step_all = ClusterVectorExecutor.step_all
+        runner_step = ModuleShardRunner.step
+
+        def counted_step_all(executor, *args):
+            counts["step_all"] += 1
+            return step_all(executor, *args)
+
+        def counted_runner_step(runner, inp):
+            counts["runner"] += 1
+            return runner_step(runner, inp)
+
+        monkeypatch.setattr(ClusterVectorExecutor, "step_all", counted_step_all)
+        monkeypatch.setattr(ModuleShardRunner, "step", counted_runner_step)
+        simulation = build_simulation(_vector(get_scenario(name, samples=4)))
+        simulation.run()
+        assert counts == {"step_all": simulation.total_steps, "runner": 0}
 
     def test_mid_period_fault_and_boundary_repair(self):
         scalar, vector = _kernel_pair(_failover_scenario(with_fault=True))
         _assert_runs_identical(scalar.run(), vector.run())
+
+    def test_module_mid_period_fault_and_boundary_repair(self):
+        scalar, vector = _kernel_pair(_module_failover_scenario())
+        scalar_result, vector_result = scalar.run(), vector.run()
+        _assert_runs_identical(scalar_result, vector_result)
+        # Computer 3 serves until the fault at step 10. From then to the
+        # repair it holds no queue and serves nothing, and computer 2
+        # takes its load.
+        responses, queues = vector_result.responses, vector_result.queues
+        assert np.isfinite(responses[9, 3])
+        assert np.isnan(responses[10:16, 3]).all()
+        assert queues[10, 3] == 0.0
+        assert queues[10, 2] > queues[9, 2]
+
+    def test_module_fault_on_its_only_serving_machine(self):
+        # At this load computer 3 serves alone. Failing it mid-period
+        # leaves the gamma with no serving mass, so the runner powers on
+        # the fastest survivor and the arrivals queue behind its boot.
+        spec = (
+            Scenario.module(m=4)
+            .workload("steady", samples=6, rate=20.0)
+            .control(warmup_intervals=2)
+            .with_failures((300.0, 3, "fail"), (600.0, 3, "repair"))
+            .build()
+        )
+        scalar, vector = _kernel_pair(spec)
+        scalar_result, vector_result = scalar.run(), vector.run()
+        _assert_runs_identical(scalar_result, vector_result)
+        assert np.isfinite(vector_result.responses[9, 3])
+        assert vector_result.queues[9, 2] == 0.0
+        assert vector_result.queues[10, 2] > 0.0
+        assert np.isnan(vector_result.responses[10, 2])
+
+    def test_module_override_mid_run(self):
+        simulations = _kernel_pair(get_scenario("paper/fig4-module4", samples=8))
+        results = []
+        for simulation in simulations:
+            simulation.reset()
+            for _ in range(simulation.substeps + 2):
+                simulation.step()
+            simulation.set_module_override(0, 3)
+            for _ in simulation.steps():
+                pass
+            results.append(simulation.finish())
+        _assert_runs_identical(*results)
+        assert (results[1].computers_on[2:] == 3).all()
 
     def test_fault_on_a_modules_only_serving_machine(self):
         # Module 1 is pinned to its first machine; failing that machine
@@ -213,8 +337,9 @@ class TestClusterExecutorParity:
         assert module.queues[10, 1] > 0.0
         assert np.isnan(module.responses[10, 1])
 
-    def test_live_summary_mid_period(self):
-        spec = get_scenario("paper/fig6-cluster16", samples=8)
+    @pytest.mark.parametrize("name", ["paper/fig6-cluster16", "paper/fig4-module4"])
+    def test_live_summary_mid_period(self, name):
+        spec = get_scenario(name, samples=8)
         simulations = _kernel_pair(spec)
         summaries = []
         for simulation in simulations:
@@ -232,8 +357,11 @@ class TestClusterExecutorParity:
         # The mid-run flush leaves the run as if it had not been taken.
         _assert_runs_identical(run_scenario(_scalar(spec)), finished[1])
 
-    def test_l0_bank_spans_carry_equal_states(self):
-        spec = get_scenario("paper/fig6-cluster16", samples=6)
+    @pytest.mark.parametrize(
+        "name, modules", [("paper/fig6-cluster16", 4), ("paper/fig4-module4", 1)]
+    )
+    def test_l0_bank_spans_carry_equal_states(self, name, modules):
+        spec = get_scenario(name, samples=6)
         spans = []
         for simulation in _kernel_pair(spec):
             sink = MemorySink()
@@ -247,27 +375,38 @@ class TestClusterExecutorParity:
                 ]
             )
         assert spans[0] == spans[1]
-        assert len(spans[1]) == 6 * spec.plant.p
+        assert len(spans[1]) == 6 * modules
         assert all(states > 0 for _, _, states in spans[1])
 
-    def test_wide_modules_sum_power_left_to_right(self):
+    @pytest.mark.parametrize(
+        "engine, baseline",
+        [("cluster", "threshold-dvfs"), ("module", "threshold-dvfs"), ("module", None)],
+    )
+    def test_wide_modules_sum_power_left_to_right(self, engine, baseline):
         # numpy sums a row of 8+ draws pairwise; a module's power is the
-        # left-to-right sum of its computers' draws.
-        spec = (
+        # left-to-right sum of its computers' draws. Rows this wide also
+        # skip the executor's response fold: recorders scan them.
+        plant = (
             Scenario.cluster(p=2, computers_per_module=8)
-            .workload("wc98", samples=12)
-            .baseline("threshold-dvfs")
-            .build()
+            if engine == "cluster"
+            else Scenario.module(m=8)
         )
-        scalar, vector = _kernel_pair(spec)
+        builder = plant.workload("wc98", samples=12)
+        if baseline is not None:
+            builder = builder.baseline(baseline)
+        scalar, vector = _kernel_pair(builder.build())
         _assert_runs_identical(scalar.run(), vector.run())
 
+    @pytest.mark.parametrize("engine", ["cluster", "module"])
     @pytest.mark.parametrize("kernel", ["scalar", "vector"])
     @pytest.mark.parametrize("work", [0.0, float("nan")])
-    def test_non_positive_step_work_raises(self, kernel, work):
-        spec = _failover_scenario(with_fault=False).with_overrides(
-            **{"control.kernel": kernel}
+    def test_non_positive_step_work_raises(self, engine, kernel, work):
+        scenario = (
+            _failover_scenario(with_fault=False)
+            if engine == "cluster"
+            else _module_failover_scenario()
         )
+        spec = scenario.with_overrides(**{"control.kernel": kernel})
         simulation = build_simulation(spec)
         simulation.work_series = np.full(simulation.total_steps, 0.0175)
         simulation.work_series[5] = work
@@ -315,9 +454,10 @@ class EventLog(SimulationObserver):
         )
 
     def on_period_end(self, event) -> None:
+        module_arrivals = event.module_arrivals
         self.events.append(
             ("period_end", event.period, event.arrivals,
-             event.module_arrivals.tobytes())
+             None if module_arrivals is None else module_arrivals.tobytes())
         )
 
 
@@ -344,6 +484,15 @@ class TestEventStreams:
     @pytest.fixture(scope="class")
     def fault_pair(self):
         return _logged_pair(_failover_scenario(with_fault=True))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [get_scenario("paper/fig4-module4", samples=10), _module_failover_scenario()],
+        ids=["hierarchy", "fault"],
+    )
+    def test_module_event_streams_identical(self, spec):
+        _, _, scalar_log, vector_log = _logged_pair(spec)
+        assert scalar_log.events == vector_log.events
 
     def test_hierarchy_event_streams_identical(self, hierarchy_logs):
         scalar_log, vector_log = hierarchy_logs
@@ -693,51 +842,3 @@ class TestProbabilityVectorFastPath:
         assert (
             _fast_probability_vector(np.array([[0.5, 0.5]]), 2) is None
         )
-
-
-class TestBatchedMapQueries:
-    """``exact_at_many`` / ``cost_and_next_queue_many`` vs the scalars."""
-
-    @pytest.fixture(scope="class")
-    def behavior_map(self):
-        return ComputerBehaviorMap.train(
-            ComputerSpec(name="C4", processor=processor_profile("c4"))
-        )
-
-    def test_exact_at_many_matches_exact_at(self):
-        quantizer = GridQuantizer([[0.0, 1.0, 2.0], [0.0, 10.0]])
-        table = LookupTableMap(quantizer, output_dim=2)
-        table.store([0.0, 0.0], [1.0, 2.0])
-        table.store([2.0, 10.0], [3.0, 4.0])
-        keys = [(0, 0), (1, 0), (2, 1), (0, 1)]
-        values, populated = table.exact_at_many(keys)
-        for row, key in enumerate(keys):
-            hit = table.exact_at(key)
-            if hit is None:
-                assert not populated[row]
-                assert np.array_equal(values[row], np.zeros(2))
-            else:
-                assert populated[row]
-                assert np.array_equal(values[row], hit)
-
-    def test_exact_at_many_rejects_bad_shape(self):
-        quantizer = GridQuantizer([[0.0, 1.0], [0.0, 1.0]])
-        table = LookupTableMap(quantizer, output_dim=1)
-        table.store([0.0, 0.0], [1.0])
-        with pytest.raises(ConfigurationError):
-            table.exact_at_many(np.zeros((2, 3), dtype=np.intp))
-
-    def test_cost_and_next_queue_many_matches_scalar(self, behavior_map):
-        work = 0.0175
-        queues = np.array([0.0, 4.9, 5.0, 30.0, -3.0, 12.0])
-        # In-domain, off-grid, and saturated (beyond the trained rates).
-        rates = np.array([10.0, 10.3, 700.0, 55.0, 10.0, 10_000.0])
-        costs, finals = behavior_map.cost_and_next_queue_many(
-            queues, rates, work
-        )
-        for j in range(queues.size):
-            cost, final = behavior_map.cost_and_next_queue(
-                float(queues[j]), float(rates[j]), work
-            )
-            assert costs[j] == cost
-            assert finals[j] == final

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from repro.controllers import ControllerStats
-from repro.sim.results import ClusterRunResult, ModuleRunResult, RunSummary
+from repro.sim.observers import StreamStats
+from repro.sim.results import (
+    ClusterRunResult,
+    ModuleRunResult,
+    RunSummary,
+    fold_summary,
+    stream_quality,
+)
+from repro.sim.shard import ModuleFinalization
 
 
 def _module_result(
@@ -147,3 +155,92 @@ class TestClusterRunResult:
 
     def test_periods(self):
         assert self._cluster().periods == 2
+
+
+def _stream(rows, machines_on, target=4.0):
+    stream = StreamStats(target_response=target, step_seconds=30.0)
+    for row in rows:
+        stream.observe_step(np.array(row), 3.0)
+    for on in machines_on:
+        stream.observe_decision(on)
+    return stream
+
+
+class TestSummaryFold:
+    """One fold serves module results, cluster results and live runs."""
+
+    def test_one_stream_folds_to_its_own_means(self):
+        stream = _stream([[1.0, 2.5], [np.nan, 7.0], [0.3, np.nan]], [2.0, 1.0, 2.0])
+        assert stream_quality([stream]) == (
+            stream.mean_response,
+            stream.violation_fraction,
+            stream.mean_computers_on,
+        )
+
+    def test_streams_merge_over_modules(self):
+        first = _stream([[1.0, 2.0], [5.0, np.nan]], [2.0, 1.0])
+        second = _stream([[3.0, np.nan]], [1.0])
+        mean_response, violations, mean_on = stream_quality([first, second])
+        assert mean_response == (8.0 + 3.0) / 4
+        assert violations == 1 / 4
+        # Machines on add over modules, per control period.
+        assert mean_on == (3.0 + 1.0) / 2
+
+    def test_empty_streams_fold_to_zero(self):
+        assert stream_quality([StreamStats(), StreamStats()]) == (0.0, 0.0, 0.0)
+
+    def test_one_module_cluster_summary_is_the_module_summary(self):
+        module = _module_result()
+        module.stream = _stream(module.responses, module.computers_on)
+        cluster = ClusterRunResult(
+            l2_period=120.0,
+            module_names=["M1"],
+            global_arrivals=np.array([500.0, 300.0]),
+            global_predictions=np.array([480.0, 310.0]),
+            gamma_history=np.ones((2, 1)),
+            total_computers_on=module.computers_on,
+            per_module_on=module.computers_on[:, None],
+            target_response=4.0,
+            module_results=[module],
+            l2_stats=ControllerStats(),
+        )
+        assert cluster.summary() == module.summary()
+
+    def test_a_module_without_stream_folds_the_arrays(self):
+        streamed = _module_result()
+        streamed.stream = _stream(streamed.responses, streamed.computers_on)
+        plain = _module_result()
+        cluster = ClusterRunResult(
+            l2_period=120.0,
+            module_names=["M1", "M2"],
+            global_arrivals=np.array([500.0, 300.0]),
+            global_predictions=np.array([480.0, 310.0]),
+            gamma_history=np.full((2, 2), 0.5),
+            total_computers_on=np.array([4.0, 2.0]),
+            per_module_on=np.array([[2.0, 2.0], [1.0, 1.0]]),
+            target_response=4.0,
+            module_results=[streamed, plain],
+            l2_stats=ControllerStats(),
+        )
+        # Both modules' served responses: 1, 2, 3, 5, 1 twice.
+        summary = cluster.summary()
+        assert summary.mean_response == pytest.approx(24.0 / 10)
+        assert summary.violation_fraction == pytest.approx(2 / 10)
+        assert summary.mean_computers_on == 3.0
+
+    def test_finalizations_fold_like_results(self):
+        result = _module_result()
+        final = ModuleFinalization(
+            module=0,
+            energy_base=result.energy_base,
+            energy_dynamic=result.energy_dynamic,
+            energy_transient=result.energy_transient,
+            switch_ons=result.switch_ons,
+            switch_offs=result.switch_offs,
+            l0_stats=result.l0_stats,
+            l1_stats=result.l1_stats,
+        )
+        quality = (1.5, 0.25, 2.0)
+        assert fold_summary([final], quality, 0.5) == fold_summary(
+            [result], quality, 0.5
+        )
