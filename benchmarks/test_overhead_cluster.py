@@ -18,6 +18,7 @@ import os
 
 import numpy as np
 
+from repro.controllers.l2 import L2Controller
 from repro.scenario import Scenario, build_simulation, run_scenario
 
 SAMPLES = 60 if os.environ.get("REPRO_BENCH_FAST") else 200
@@ -89,9 +90,10 @@ def test_overhead_cluster_path(benchmark, report, fig6_result):
 
     # Kernel: one L2 solve of the 20-computer variant (p = 5, all 1001
     # simplex vectors scored).
-    l2 = build_simulation(
+    simulation = build_simulation(
         Scenario.cluster(p=5).workload("wc98", samples=SAMPLES).seed(0).build()
-    ).l2
+    )
+    l2 = L2Controller(simulation.module_maps, simulation.l2_params)
     decision = benchmark(
         lambda: l2.decide(np.zeros(5), 1000.0, 1000.0, 0.0175, np.full(5, 0.2))
     )

@@ -4,8 +4,8 @@
 per-computer Python hot loops for numpy-batched ones — a module or
 cluster step runs every serving computer's L0 lookahead tree as one
 batched call and then advances every machine's fluid queue as one
-array, and the Kalman bank advances the baseline workload filters per
-boundary.
+array, and each boundary feeds the closed period to the filters the
+decisions read in one batched Kalman update.
 
 The contract is not "approximately the same", but deterministic
 summaries that are

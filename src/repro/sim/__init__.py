@@ -7,9 +7,10 @@ re-decides alpha/gamma every T_L1. :class:`~repro.sim.engine.ClusterSimulation`
 composes several modules under an L2 controller (Fig. 2a) — or, with
 ``baseline=``, pins every module to a heuristic policy.
 
-Both follow a stepwise protocol (``reset``/``step``/``advance_period``/
-``finish``) with observer hooks (:mod:`~repro.sim.observers`); results
-come back as structured time series (:mod:`~repro.sim.results`). Per-run
+Both share one stepwise protocol (``reset``/``step``/``advance_period``/
+``finish``; every ``reset`` starts a fresh run) with observer hooks
+(:mod:`~repro.sim.observers`); results come back as structured time
+series (:mod:`~repro.sim.results`). Per-run
 knobs — the control-period kernel among them — travel in
 :class:`~repro.sim.options.EngineOptions`.
 """

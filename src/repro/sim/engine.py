@@ -2,41 +2,48 @@
 
 The engine advances the fluid plant in T_L0 periods. Within each period:
 
-1. at T_L1 boundaries the module controller (L1 or a baseline) observes
-   the last interval's arrivals and processing times, decides alpha and
-   gamma, and reconfigures the plant;
+1. at T_L1 boundaries the engine closes the last interval — its
+   arrivals and work go to exactly the filters the coming decisions
+   read — and every module controller (L1 or a baseline) decides alpha
+   and gamma and reconfigures its module;
 2. each computer's L0 controller picks a DVFS setting (hierarchy mode
    only — baselines pin frequencies themselves);
 3. the dispatcher splits the period's arrivals by gamma and every
    computer advances one fluid step.
 
-Steps 1–3 live in one place, :class:`~repro.sim.shard.ModuleShardRunner`.
-:class:`ModuleSimulation` drives a single runner with set-points from
-the module's own predictor; :class:`ClusterSimulation` stacks an L2
-controller on top: at T_L2 boundaries it observes aggregate module
-states and global arrivals, re-divides the workload across modules, and
-hands every runner its share. On the ``vector`` kernel (the default)
-both engines hand steps 2–3 of all their runners to one
+One module's share of steps 1–3 lives in
+:class:`~repro.sim.shard.ModuleShardRunner`, and the run around the
+runners lives once, in :class:`_SimulationBase`. The engines state only
+how a period opens and which result they build. In
+:class:`ModuleSimulation` the L1 takes its arrival-rate set-points from
+its own filter. :class:`ClusterSimulation` stacks an L2 controller on
+top: at each boundary it re-divides the workload across modules and
+hands every L1 its share of the global forecast (the paper's
+lambda_hat_i = gamma_i * lambda_hat_g). A module run is a one-row
+cluster run with ``gamma_modules = [1.0]``. On the ``vector`` kernel
+(the default) both engines hand steps 2–3 of all their runners to one
 :class:`~repro.sim.kernels.ClusterVectorExecutor` per run; the runner's
 own ``step`` is the ``scalar`` reference. Passing ``baseline=`` pins
-every module to a heuristic policy instead (static
-capacity-proportional split, no L2/L1/L0 optimisation) — the §5.2
-setting's reference points.
+every module to a heuristic policy instead (static capacity-proportional
+split, no L2/L1/L0 optimisation) — the §5.2 setting's reference points.
 
-Both simulations follow the same **stepwise protocol**: ``reset()``
-prepares a run, ``step()`` advances one T_L0 period, ``advance_period()``
-generates the steps of one control period, ``steps()`` generates the
-rest of the run, and ``finish()`` assembles the structured result.
-``run()`` is a thin loop over that protocol. Observers
-(:class:`~repro.sim.observers.SimulationObserver`) receive typed events
-at every seam; the result arrays themselves are accumulated by recorder
-observers riding the same interface, so streaming consumers see exactly
-what the results see. Every per-run knob travels in one
-:class:`~repro.sim.options.EngineOptions` (``engine_options=``).
+Both simulations follow one **stepwise protocol**: ``reset()`` starts a
+fresh run (new plants, controllers, recorders and tuned filters, so two
+``run()``\\ s of one simulation give equal results), ``step()`` advances
+one T_L0 period, ``advance_period()`` generates the steps of one control
+period, ``steps()`` generates the rest of the run, and ``finish()``
+assembles the structured result. ``run()`` is a thin loop over that
+protocol. Observers (:class:`~repro.sim.observers.SimulationObserver`)
+receive typed events at every seam; the result arrays themselves are
+accumulated by recorder observers riding the same interface, so
+streaming consumers see exactly what the results see. Every per-run knob
+travels in one :class:`~repro.sim.options.EngineOptions`
+(``engine_options=``).
 """
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
@@ -87,23 +94,25 @@ from repro.workload.trace import ArrivalTrace
 if TYPE_CHECKING:
     from repro.sim.kernels import ClusterVectorExecutor
 
-#: The module engine's ``gamma_modules``: one module takes every arrival.
-_ONE_MODULE = np.ones(1)
-_ONE_MODULE.setflags(write=False)
-
 
 class _SimulationBase:
-    """Protocol plumbing shared by the module and cluster engines.
+    """The stepwise protocol, written once for both engines.
 
-    Subclasses set ``engine_options``, ``trace``, ``substeps``,
-    ``l0_params``, ``l1_params`` and ``module_overrides``, keep their
-    per-run state (with a step counter ``k``, ``l0_marks``, a ``result``
-    slot, the ``sink``, the ``fine_predictor`` and the
-    ``vector_executor``) in ``_state``, and implement ``reset``/``step``/
-    ``finish`` plus :meth:`_override_target`.
+    A subclass constructor sets ``engine_options``, ``trace``,
+    ``work_series`` (``None`` means the constant ``mean_work``),
+    ``substeps``, ``l0_params``, ``l1_params``, ``module_overrides``
+    and what every run is built from: ``_modules`` (the module specs),
+    ``_faults`` (each module's ``(time, computer, kind)`` events),
+    ``_initial_gamma`` (each module's share of the arrivals), and either
+    ``_behavior_maps`` (one list per module, hierarchy mode) or
+    ``_make_baseline`` (``ModuleSpec -> controller``; ``None`` in
+    hierarchy mode). A subclass implements :meth:`_override_target`,
+    :meth:`_boundary` and :meth:`_result`; a cluster also overrides
+    :meth:`_open_run`. The run itself lives in ``_state``.
     """
 
-    _state = None
+    _state: "_RunState | None" = None
+    _make_baseline: "Callable[[ModuleSpec], _BaselineBase] | None" = None
 
     @property
     def kernel(self) -> str:
@@ -166,8 +175,10 @@ class _SimulationBase:
         hierarchy: an overrunning L2 decision holds every module too
         (its event and theirs carry ``held=True``); an L1 that
         individually blows the remaining budget holds just its module.
-        ``None`` (the default) disables the budget and skips every clock
-        read.
+        On both engines the budget starts after the interval close has
+        fed the filters, so it covers the boundary's forecasts and
+        decisions, not filter updates. ``None`` (the default) disables
+        the budget and skips every clock read.
         """
         self.engine_options.set_decision_deadline(seconds)
 
@@ -210,12 +221,81 @@ class _SimulationBase:
         """``(size, name)`` of the overridable module, or raise."""
         raise NotImplementedError
 
+    # ------------------------------------------------------------------
+    # Stepwise protocol
+    # ------------------------------------------------------------------
+
+    def reset(self, observers: "Iterable[SimulationObserver]" = ()):
+        """Start a fresh run: new plants, controllers, recorders, tuned filters.
+
+        Every call builds the run's controllers anew, so one simulation's
+        runs never share state and two ``run()``\\ s give equal results.
+        """
+        hierarchy = self._make_baseline is None
+        if hierarchy:
+            controllers = [
+                L1Controller(spec, maps, self.l1_params, self.l0_params)
+                for spec, maps in zip(self._modules, self._behavior_maps)
+            ]
+        else:
+            controllers = [self._make_baseline(spec) for spec in self._modules]
+        runners = [
+            ModuleShardRunner(
+                module_index=i,
+                plant=Module(spec, initially_on=True),
+                controller=controller,
+                l0_bank=(
+                    [L0Controller(c, self.l0_params) for c in spec.computers]
+                    if hierarchy
+                    else []
+                ),
+                l0_params=self.l0_params,
+                mean_work=self.engine_options.mean_work,
+                is_baseline=not hierarchy,
+                failure_events=faults,
+                kernel=self.kernel,
+            )
+            for i, (spec, controller, faults) in enumerate(
+                zip(self._modules, controllers, self._faults)
+            )
+        ]
+        module_recorders = [
+            ModuleRecorder(
+                self.total_steps,
+                spec.size,
+                self.periods,
+                module=i,
+                window=self.engine_options.recorder_window,
+                target_response=self.l0_params.target_response,
+                step_seconds=self.l0_params.period,
+            )
+            for i, spec in enumerate(self._modules)
+        ]
+        l2, global_filter, cluster_recorder = self._open_run()
+        top = () if cluster_recorder is None else (cluster_recorder,)
+        state = _RunState(
+            runners=runners,
+            module_recorders=module_recorders,
+            sink=ObserverList(
+                (*top, *module_recorders, *observers),
+                target_response=self.l0_params.target_response,
+            ),
+            fine_predictor=WorkloadPredictor() if hierarchy else None,
+            vector_executor=self._vector_executor(runners),
+            gamma_modules=self._initial_gamma.copy(),
+            interval_module=np.zeros(len(runners)),
+            l2=l2,
+            global_filter=global_filter,
+            cluster_recorder=cluster_recorder,
+        )
+        self._tune(state)
+        self._state = state
+        state.sink.on_run_start(self)
+        return self
+
     def advance_period(self) -> Iterator:
         """Generate the remaining steps of the current control period."""
-        state = self._require_state()
-        if state.k >= self.total_steps:
-            return
-        period = state.k // self.substeps
+        period = self._require_state().k // self.substeps
         while not self.finished and self._state.k // self.substeps == period:
             yield self.step()
 
@@ -232,10 +312,209 @@ class _SimulationBase:
             pass
         return self.finish()
 
-    def _require_state(self):
+    def finish(self):
+        """Assemble the structured result once all steps are taken."""
+        state = self._require_state()
+        if state.k < self.total_steps:
+            raise ControlError(
+                f"run not finished: {state.k}/{self.total_steps} steps taken"
+            )
+        if state.result is None:
+            modules = [
+                self._module_result(spec, recorder, final)
+                for spec, recorder, final in zip(
+                    self._modules, state.module_recorders, self._finals(state)
+                )
+            ]
+            state.result = self._result(state, modules)
+            state.sink.on_run_end(state.result)
+        return state.result
+
+    def live_summary(self) -> RunSummary:
+        """Headline metrics over the steps taken so far (mid-run safe).
+
+        A non-destructive ``finalize`` snapshot of every runner, folded
+        with the same online :class:`StreamStats` aggregates and the
+        same arithmetic as the result's ``summary()``, so at end of run
+        the two agree bit for bit.
+        """
+        state = self._state
+        if state is None:
+            raise ControlError("no active run; call reset() first")
+        return fold_summary(
+            self._finals(state),
+            stream_quality([recorder.stream for recorder in state.module_recorders]),
+            0.0 if state.l2 is None else state.l2.stats.total_seconds,
+        )
+
+    def _require_state(self) -> "_RunState":
         if self._state is None:
             self.reset()
         return self._state
+
+    def _step(self) -> "list[StepEvent]":
+        """Advance one T_L0 period; returns one event per module."""
+        state = self._require_state()
+        k = state.k
+        if k >= self.total_steps:
+            raise ControlError("simulation already finished; call reset()")
+        vector = state.vector_executor
+        now = k * self.l0_params.period
+        work = None if self.work_series is None else float(self.work_series[k])
+        if k % self.substeps == 0:
+            if vector is not None:
+                vector.flush(full=False)
+            self._open_period(state, k, now, work)
+            if vector is not None:
+                vector.pull()
+        arrivals = float(self.trace.counts[k])
+        state.interval_global += arrivals
+        shares = state.gamma_modules * arrivals
+        state.interval_module += shares
+        forecast = self._fine_forecast(state, arrivals)
+        if vector is not None:
+            # Stock recorders fold the executor's row stats (none when
+            # it skipped the fold) instead of re-scanning each row.
+            events = vector.step_all(
+                k, now, shares, work, state.gamma_modules, forecast
+            )
+            row_stats = vector.step_stats
+            for row, event in enumerate(events):
+                state.sink.on_step(event, row_stats[row] if row_stats else None)
+        else:
+            events = []
+            for runner, share, gamma_module in zip(
+                state.runners, shares, state.gamma_modules
+            ):
+                event = runner.step(
+                    ModuleStepInput(
+                        step=k,
+                        time=now,
+                        share=share,
+                        gamma_module=gamma_module,
+                        forecast=forecast,
+                        work=work,
+                    )
+                )
+                state.sink.on_step(event)
+                events.append(event)
+        if (k + 1) % self.substeps == 0 or k + 1 == self.total_steps:
+            period = k // self.substeps
+            self._emit_l0_bank(state, period)
+            state.sink.on_period_end(
+                PeriodEvent(
+                    period=period,
+                    arrivals=state.interval_global,
+                    module_arrivals=state.interval_module.copy(),
+                )
+            )
+        state.k = k + 1
+        return events
+
+    # -- the period boundary --------------------------------------------
+
+    def _open_period(
+        self, state: "_RunState", k: int, now: float, work: "float | None"
+    ) -> None:
+        """Close the last interval, then take every module's decision.
+
+        The deadline budget (``None`` in batch runs, which skips every
+        clock read) starts after the close: one absolute instant the L2
+        decision and every module's decision must beat.
+        """
+        if k > 0:
+            self._close_interval(
+                state, self.engine_options.mean_work if work is None else work
+            )
+        state.interval_global = 0.0
+        state.interval_module[:] = 0.0
+        deadline = self.decision_deadline
+        deadline_at = None if deadline is None else time.monotonic() + deadline
+        l2_event, boundaries = self._boundary(
+            state, k // self.substeps, now, deadline_at
+        )
+        if l2_event is not None:
+            state.sink.on_l2_decision(l2_event)
+        for runner, boundary in zip(state.runners, boundaries):
+            state.sink.on_l1_decision(self._begin_period(runner, boundary))
+
+    def _readers(self, state: "_RunState") -> "tuple[list, list, list]":
+        """The filters the coming decisions read: ``(predictors, rows, work)``.
+
+        ``rows[n]`` is the module whose share ``predictors[n]`` is fed,
+        or ``None`` for the global filter (the L2's or a baseline
+        cluster's), which is fed the period total. Where no L2 splits
+        the forecast — the module engine's L1 or baseline and each
+        baseline module of a cluster — a module controller forecasts
+        from its own filter. An L1 under an L2 forecasts from its share
+        of the global filter, so its own arrival filter is not fed.
+        ``work`` is every work filter.
+        """
+        predictors = [] if state.global_filter is None else [state.global_filter]
+        rows = [None] * len(predictors)
+        work = [runner.controller.work_filter for runner in state.runners]
+        if state.l2 is None:
+            predictors += [runner.controller.predictor for runner in state.runners]
+            rows += range(len(state.runners))
+        else:
+            work.append(state.l2.work_filter)
+        return predictors, rows, work
+
+    def _close_interval(self, state: "_RunState", work: float) -> None:
+        """Feed the closed period to the filters :meth:`_readers` names.
+
+        On the vector kernel the arrival filters advance in one
+        :func:`~repro.sim.kernels.batched_predictor_observe` call, bit
+        for bit their own ``observe``; every work filter gets the
+        boundary ``work``.
+        """
+        predictors, rows, work_filters = self._readers(state)
+        values = [
+            state.interval_global if i is None else float(state.interval_module[i])
+            for i in rows
+        ]
+        if state.vector_executor is None:
+            for predictor, value in zip(predictors, values):
+                predictor.observe(value)
+        else:
+            from repro.sim.kernels import batched_predictor_observe
+
+            batched_predictor_observe(predictors, values)
+        if work > 0:
+            for work_filter in work_filters:
+                work_filter.observe(work)
+
+    def _tune(self, state: "_RunState") -> None:
+        """Tune the filters :meth:`_readers` names on the warm-up (§4.3)."""
+        warmup = self.engine_options.warmup_intervals
+        if warmup <= 0:
+            return
+        counts = self.trace.rebinned(self.l1_params.period).counts[:warmup]
+        predictors, rows, work_filters = self._readers(state)
+        for predictor, i in zip(predictors, rows):
+            predictor.tune_on(counts if i is None else counts * state.gamma_modules[i])
+        for work_filter in work_filters:
+            work_filter.observe(self.engine_options.mean_work)
+        if state.fine_predictor is not None:
+            state.fine_predictor.tune_on(self.trace.counts[: warmup * self.substeps])
+
+    def _open_run(self) -> tuple:
+        """A fresh run's ``(l2, global filter, cluster recorder)``: none here."""
+        return None, None, None
+
+    def _boundary(
+        self,
+        state: "_RunState",
+        period: int,
+        now: float,
+        deadline_at: "float | None",
+    ) -> "tuple[L2DecisionEvent | None, list[ModuleBoundaryInput]]":
+        """The boundary's L2 event (clusters) and every module's input."""
+        raise NotImplementedError
+
+    def _result(self, state: "_RunState", modules: "list[ModuleRunResult]"):
+        """The run's structured result from its module results."""
+        raise NotImplementedError
 
     # -- the shared per-module pieces -----------------------------------
 
@@ -275,7 +554,7 @@ class _SimulationBase:
             )
         return event
 
-    def _emit_l0_bank(self, runners, period: int) -> None:
+    def _emit_l0_bank(self, state: "_RunState", period: int) -> None:
         """One ``l0-bank`` span per module for the period just closed.
 
         L0 wall time comes from the bank's own accounting (the
@@ -285,8 +564,8 @@ class _SimulationBase:
         tracer = self.tracer
         if tracer is None or not tracer.enabled:
             return
-        marks = self._state.l0_marks
-        for runner in runners:
+        marks = state.l0_marks
+        for runner in state.runners:
             if not runner.l0_bank:
                 continue
             wall_total = sum(l0.stats.wall_seconds for l0 in runner.l0_bank)
@@ -336,24 +615,11 @@ class _SimulationBase:
             batched_predictor_observe([predictor], [arrivals])
         return forecast
 
-    def _step_vector(self, state, *step_args) -> "list[StepEvent]":
-        """One batched step of every module and its step-event fan-out.
-
-        Stock recorders fold the executor's row stats (none when it
-        skipped the fold) instead of re-scanning each response row.
-        """
-        vector = state.vector_executor
-        events = vector.step_all(*step_args)
-        row_stats = vector.step_stats
-        for row, event in enumerate(events):
-            state.sink.on_step(event, row_stats[row] if row_stats else None)
-        return events
-
-    def _finals(self, state, runners) -> "list[ModuleFinalization]":
+    def _finals(self, state: "_RunState") -> "list[ModuleFinalization]":
         """Every runner's aggregates, with the executor's mirrors written back."""
         if state.vector_executor is not None:
             state.vector_executor.flush()
-        return [runner.finalize() for runner in runners]
+        return [runner.finalize() for runner in state.runners]
 
     def _module_result(
         self,
@@ -386,16 +652,45 @@ class _SimulationBase:
         )
 
 
+@dataclass
+class _RunState:
+    """One run's mutable state, for either engine.
+
+    Per-module state (plant, controllers, alpha/gamma) lives in the
+    :class:`~repro.sim.shard.ModuleShardRunner` objects in ``runners``.
+    """
+
+    runners: "list[ModuleShardRunner]"
+    module_recorders: "list[ModuleRecorder]"
+    sink: ObserverList
+    #: The fine-grained rate predictor the L0s read (hierarchy only).
+    fine_predictor: "WorkloadPredictor | None"
+    #: Batched step engine (vector kernel only; None on scalar).
+    vector_executor: "ClusterVectorExecutor | None"
+    #: Each module's fraction of the arrivals (``[1.0]`` on a module run).
+    gamma_modules: np.ndarray
+    interval_module: np.ndarray
+    #: The cluster's L2 (hierarchy clusters only).
+    l2: "L2Controller | None" = None
+    #: The filter fed each period's total (clusters only).
+    global_filter: "WorkloadPredictor | None" = None
+    cluster_recorder: "ClusterRecorder | None" = None
+    interval_global: float = 0.0
+    k: int = 0
+    #: Per-module cumulative L0 wall/states already attributed to
+    #: emitted l0-bank spans.
+    l0_marks: dict = field(default_factory=dict)
+    result: "ModuleRunResult | ClusterRunResult | None" = None
+
+
 class ModuleSimulation(_SimulationBase):
     """One module under the LLC hierarchy or a baseline policy.
 
-    Steps one :class:`~repro.sim.shard.ModuleShardRunner` (module 0,
-    no L2): at each boundary the module controller observes
-    the closed interval and the L1 takes its arrival-rate set-points
-    from its own predictor; each step hands the runner the bin's
-    arrivals and the module's fine-grained forecast. On the ``vector``
-    kernel a one-row :class:`~repro.sim.kernels.ClusterVectorExecutor`
-    takes the steps, as in a cluster run.
+    One :class:`~repro.sim.shard.ModuleShardRunner` (module 0, no L2)
+    taking every arrival: at each boundary the L1 takes its
+    arrival-rate set-points from its own filter. ``baseline=`` is a
+    template controller: each run steps a deep copy of it, so the
+    caller's instance is never mutated.
     """
 
     def __init__(
@@ -428,38 +723,29 @@ class ModuleSimulation(_SimulationBase):
             sorted(validated_events, key=lambda e: e[0])
         )
         self.baseline = baseline
-        if baseline is None:
-            if behavior_maps is None:
-                # Route training through the artifact layer: identical
-                # computers share one map, repeated constructions reuse
-                # the process memo, and ``map_cache`` persists the
-                # artifacts across processes and runs.
-                provider = self.engine_options.map_provider or MapProvider(
-                    cache=map_cache
-                )
-                behavior_maps = provider.behavior_maps(
-                    spec, self.l0_params, self.l1_params
-                )
-            self.l1: L1Controller | None = L1Controller(
-                spec, behavior_maps, self.l1_params, self.l0_params
+        self._modules = [spec]
+        self._faults = [self.failure_events]
+        self._initial_gamma = np.ones(1)
+        if baseline is not None:
+            self._make_baseline = lambda _spec: copy.deepcopy(baseline)
+        elif behavior_maps is None:
+            # Route training through the artifact layer: identical
+            # computers share one map, repeated constructions reuse the
+            # process memo, and ``map_cache`` persists the artifacts
+            # across processes and runs.
+            provider = self.engine_options.map_provider or MapProvider(
+                cache=map_cache
             )
-            # Like the L1, the L0 bank lives as long as the simulation:
-            # each run's runner drives these same controllers.
-            self._l0_bank = [L0Controller(c, self.l0_params) for c in spec.computers]
-        else:
-            self.l1 = None
-            self._l0_bank = []
+            behavior_maps = provider.behavior_maps(
+                spec, self.l0_params, self.l1_params
+            )
+        self._behavior_maps = [behavior_maps]
         if work_series is None:
             work_series = np.full(len(self.trace), self.engine_options.mean_work)
         if work_series.size != len(self.trace):
             raise ConfigurationError("work_series must align with the trace bins")
         self.work_series = work_series
         self.module_overrides: "dict[int, int]" = {}
-
-    @property
-    def module_controller(self):
-        """The active module-level controller (L1 or baseline)."""
-        return self.baseline if self.baseline is not None else self.l1
 
     def _override_target(self, module: int) -> "tuple[int, str]":
         if module != 0:
@@ -468,183 +754,33 @@ class ModuleSimulation(_SimulationBase):
             )
         return self.spec.size, "the module"
 
-    # ------------------------------------------------------------------
-    # Stepwise protocol
-    # ------------------------------------------------------------------
-
-    def reset(
-        self, observers: "Iterable[SimulationObserver]" = ()
-    ) -> "ModuleSimulation":
-        """Prepare a fresh run: new plant, recorders, tuned predictors."""
-        recorder = ModuleRecorder(
-            self.total_steps,
-            self.spec.size,
-            self.periods,
-            window=self.engine_options.recorder_window,
-            target_response=self.l0_params.target_response,
-            step_seconds=self.l0_params.period,
-        )
-        runner = ModuleShardRunner(
-            module_index=0,
-            plant=Module(self.spec, initially_on=True),
-            controller=self.module_controller,
-            l0_bank=self._l0_bank,
-            l0_params=self.l0_params,
-            mean_work=self.engine_options.mean_work,
-            is_baseline=self.baseline is not None,
-            failure_events=self.failure_events,
-            kernel=self.kernel,
-        )
-        state = _ModuleRunState(
-            runner=runner,
-            recorder=recorder,
-            sink=ObserverList(
-                (recorder, *observers),
-                target_response=self.l0_params.target_response,
-            ),
-            fine_predictor=WorkloadPredictor() if self.baseline is None else None,
-            vector_executor=self._vector_executor([runner]),
-        )
-        self._tune_predictor(self.module_controller, state.fine_predictor)
-        self._state = state
-        state.sink.on_run_start(self)
-        return self
-
     def step(self) -> StepEvent:
         """Advance one T_L0 period; returns the step's event."""
-        state = self._require_state()
-        if state.k >= self.total_steps:
-            raise ControlError("simulation already finished; call reset()")
-        k = state.k
-        now = k * self.l0_params.period
-        work = float(self.work_series[k])
-        vector = state.vector_executor
-        if k % self.substeps == 0:
-            if vector is not None:
-                vector.flush(full=False)
-            event = self._begin_period(state.runner, self._boundary(state, k, work))
-            state.sink.on_l1_decision(event)
-            if vector is not None:
-                vector.pull()
-        arrivals = float(self.trace.counts[k])
-        state.interval_arrivals += arrivals
-        forecast = self._fine_forecast(state, arrivals)
-        if vector is not None:
-            (event,) = self._step_vector(
-                state, k, now, np.array([arrivals]), work, _ONE_MODULE, forecast
-            )
-        else:
-            event = state.runner.step(
-                ModuleStepInput(
-                    step=k,
-                    time=now,
-                    share=arrivals,
-                    gamma_module=1.0,
-                    forecast=forecast,
-                    work=work,
-                )
-            )
-            state.sink.on_step(event)
-        if (k + 1) % self.substeps == 0 or k + 1 == self.total_steps:
-            period = k // self.substeps
-            self._emit_l0_bank((state.runner,), period)
-            state.sink.on_period_end(
-                PeriodEvent(period=period, arrivals=state.interval_arrivals)
-            )
-        state.k = k + 1
+        (event,) = self._step()
         return event
 
-    def _boundary(
-        self, state: "_ModuleRunState", k: int, work: float
-    ) -> ModuleBoundaryInput:
-        """Close the interval and take the L1 set-points locally.
-
-        The controller observes the interval here, so the runner gets
-        ``observed_arrivals=None``. The deadline budget covers the
-        set-point forecast as well as the decision.
-        """
-        controller = self.module_controller
-        if k > 0:
-            controller.observe(state.interval_arrivals, work)
-        prediction = float(controller.predictor.forecast(1)[0])
-        state.interval_arrivals = 0.0
-        deadline = self.decision_deadline
-        deadline_at = time.monotonic() + deadline if deadline is not None else None
-        rate_hat = rate_next = delta = 0.0
+    def _boundary(self, state, period, now, deadline_at):
+        """The L1's own set-points; a baseline forecasts in its runner."""
+        rate_hat = rate_next = delta = prediction = 0.0
         if self.baseline is None:
-            rate_hat, rate_next, delta = self.l1.set_points()
-        return ModuleBoundaryInput(
-            period=k // self.substeps,
-            now=k * self.l0_params.period,
-            rate_hat=rate_hat,
-            rate_next=rate_next,
-            delta=delta,
-            prediction=prediction,
-            deadline_at=deadline_at,
-            force_on=self.module_overrides.get(0),
-        )
-
-    def finish(self) -> ModuleRunResult:
-        """Assemble the structured result once all steps are taken."""
-        state = self._require_state()
-        if state.k < self.total_steps:
-            raise ControlError(
-                f"run not finished: {state.k}/{self.total_steps} steps taken"
+            l1 = state.runners[0].controller
+            rate_hat, rate_next, delta = l1.set_points()
+            prediction = float(l1.predictor.forecast(1)[0])
+        return None, [
+            ModuleBoundaryInput(
+                period=period,
+                now=now,
+                rate_hat=rate_hat,
+                rate_next=rate_next,
+                delta=delta,
+                prediction=prediction,
+                deadline_at=deadline_at,
+                force_on=self.module_overrides.get(0),
             )
-        if state.result is not None:
-            return state.result
-        (final,) = self._finals(state, [state.runner])
-        result = self._module_result(self.spec, state.recorder, final)
-        state.result = result
-        state.sink.on_run_end(result)
-        return result
+        ]
 
-    def live_summary(self) -> RunSummary:
-        """Headline metrics over the steps taken so far (mid-run safe).
-
-        Uses the same online :class:`StreamStats` aggregates and the same
-        arithmetic as :meth:`finish`/:meth:`~repro.sim.results.ModuleRunResult.summary`,
-        so at end of run the two agree bit for bit.
-        """
-        state = self._state
-        if state is None:
-            raise ControlError("no active run; call reset() first")
-        return fold_summary(
-            self._finals(state, [state.runner]),
-            stream_quality([state.recorder.stream]),
-        )
-
-    def _tune_predictor(self, controller, fine_predictor=None) -> None:
-        """Tune the Kalman filters on the initial workload portion (§4.3)."""
-        warmup = self.engine_options.warmup_intervals
-        if warmup <= 0:
-            return
-        l1_counts = (
-            self.trace.rebinned(self.l1_params.period).counts[:warmup]
-        )
-        controller.predictor.tune_on(l1_counts)
-        controller.work_filter.observe(self.engine_options.mean_work)
-        if fine_predictor is not None:
-            fine_predictor.tune_on(self.trace.counts[: warmup * self.substeps])
-
-
-@dataclass
-class _ModuleRunState:
-    """Mutable per-run state for :class:`ModuleSimulation`."""
-
-    runner: ModuleShardRunner
-    recorder: ModuleRecorder
-    sink: ObserverList
-    #: The fine-grained rate predictor the L0 reads (hierarchy only).
-    fine_predictor: "WorkloadPredictor | None"
-    #: Batched step engine (vector kernel only; None on scalar).
-    vector_executor: "ClusterVectorExecutor | None" = None
-    interval_arrivals: float = 0.0
-    k: int = 0
-    #: Per-module cumulative L0 wall/states already attributed to
-    #: emitted l0-bank spans.
-    l0_marks: dict = field(default_factory=dict)
-    result: "ModuleRunResult | None" = None
+    def _result(self, state, modules) -> ModuleRunResult:
+        return modules[0]
 
 
 class ClusterSimulation(_SimulationBase):
@@ -656,7 +792,8 @@ class ClusterSimulation(_SimulationBase):
     split by static full-speed capacity shares and each module is run by
     its own baseline controller — no abstraction-map training, no
     lookahead. This is the §5.2 analogue of the module-level baselines,
-    which the original run-to-completion API could not express.
+    which the original run-to-completion API could not express. Each
+    run builds its own controllers from the factory (or the maps).
 
     ``failure_events`` injects cluster-level faults as
     ``(time_seconds, module_index, computer_index, 'fail'|'repair')``
@@ -723,27 +860,34 @@ class ClusterSimulation(_SimulationBase):
         self.failure_events = tuple(
             sorted(validated_events, key=lambda e: e[0])
         )
-        self.baselines: "list[_BaselineBase] | None" = None
-        self._behavior_maps: list[list[ComputerBehaviorMap]] = []
+        self._modules = list(spec.modules)
+        self._faults = [
+            tuple(
+                (time, computer, kind)
+                for time, module_index, computer, kind in self.failure_events
+                if module_index == i
+            )
+            for i in range(spec.module_count)
+        ]
         self.module_maps: list[ModuleCostMap] = []
         self.module_overrides: "dict[int, int]" = {}
-        self._state: "_ClusterRunState | None" = None
         if baseline is not None:
-            if callable(baseline):
-                factory = baseline
-            else:
-                factory = lambda module_spec: make_baseline(  # noqa: E731
-                    baseline, module_spec, **(baseline_params or {})
-                )
-            self.baselines = [factory(m) for m in spec.modules]
-            for controller in self.baselines:
+
+            def make_module_baseline(module_spec: ModuleSpec) -> _BaselineBase:
+                if callable(baseline):
+                    controller = baseline(module_spec)
+                else:
+                    controller = make_baseline(
+                        baseline, module_spec, **(baseline_params or {})
+                    )
                 if not isinstance(controller, _BaselineBase):
                     raise ConfigurationError(
                         "cluster baseline factory must build baseline "
                         f"controllers, got {type(controller).__name__}"
                     )
-            self.l2: L2Controller | None = None
-            self._global_predictor = WorkloadPredictor()
+                return controller
+
+            self._make_baseline = make_module_baseline
             # Static capacity-proportional split of the global stream.
             capacities = np.array(
                 [
@@ -751,8 +895,9 @@ class ClusterSimulation(_SimulationBase):
                     for m in spec.modules
                 ]
             )
-            self._static_gamma = capacities / capacities.sum()
+            self._initial_gamma = capacities / capacities.sum()
             return
+        self._initial_gamma = np.full(spec.module_count, 1.0 / spec.module_count)
         # Obtain (or accept) the per-module approximation architectures
         # through the trained-map artifact layer: every distinct content
         # digest trains at most once per cache, identical computers and
@@ -762,24 +907,18 @@ class ClusterSimulation(_SimulationBase):
         provider = self.engine_options.map_provider or MapProvider(
             cache=map_cache
         )
-        for module_spec in spec.modules:
-            self._behavior_maps.append(
-                provider.behavior_maps(
-                    module_spec, self.l0_params, self.l1_params
-                )
-            )
+        self._behavior_maps = [
+            provider.behavior_maps(module_spec, self.l0_params, self.l1_params)
+            for module_spec in spec.modules
+        ]
         if module_maps is None:
-            for module_spec, maps in zip(spec.modules, self._behavior_maps):
-                self.module_maps.append(
-                    provider.module_map(
-                        module_spec, maps, self.l1_params, self.l0_params
-                    )
-                )
-        else:
-            if len(module_maps) != spec.module_count:
-                raise ConfigurationError("need one module map per module")
-            self.module_maps = list(module_maps)
-        self.l2 = L2Controller(self.module_maps, self.l2_params)
+            module_maps = [
+                provider.module_map(module_spec, maps, self.l1_params, self.l0_params)
+                for module_spec, maps in zip(spec.modules, self._behavior_maps)
+            ]
+        elif len(module_maps) != spec.module_count:
+            raise ConfigurationError("need one module map per module")
+        self.module_maps = list(module_maps)
 
     def _override_target(self, module: int) -> "tuple[int, str]":
         if not isinstance(module, int) or isinstance(module, bool) or not (
@@ -791,224 +930,46 @@ class ClusterSimulation(_SimulationBase):
             )
         return self.spec.modules[module].size, f"module {module}"
 
-    # ------------------------------------------------------------------
-    # Stepwise protocol
-    # ------------------------------------------------------------------
-
-    def reset(
-        self, observers: "Iterable[SimulationObserver]" = ()
-    ) -> "ClusterSimulation":
-        """Prepare a fresh run: plants, controller banks, tuned filters."""
-        p = self.spec.module_count
-        steps = self.total_steps
-        periods = self.periods
-        plants = [Module(s, initially_on=True) for s in self.spec.modules]
-        if self.baselines is None:
-            l1s = [
-                L1Controller(
-                    module_spec, maps, self.l1_params, self.l0_params
-                )
-                for module_spec, maps in zip(self.spec.modules, self._behavior_maps)
-            ]
-            l0_banks = [
-                [L0Controller(c, self.l0_params) for c in s.computers]
-                for s in self.spec.modules
-            ]
-            fine_predictor = WorkloadPredictor()
-        else:
-            l1s = list(self.baselines)
-            l0_banks = [[] for _ in range(p)]
-            fine_predictor = None
-        window = self.engine_options.recorder_window
-        cluster_recorder = ClusterRecorder(periods, p, window=window)
-        module_recorders = [
-            ModuleRecorder(
-                steps,
-                s.size,
-                periods,
-                module=i,
-                window=window,
-                target_response=self.l0_params.target_response,
-                step_seconds=self.l0_params.period,
-            )
-            for i, s in enumerate(self.spec.modules)
-        ]
-        self._tune_predictors(l1s, fine_predictor)
-        runners = [
-            ModuleShardRunner(
-                module_index=i,
-                plant=plants[i],
-                controller=l1s[i],
-                l0_bank=l0_banks[i],
-                l0_params=self.l0_params,
-                mean_work=self.engine_options.mean_work,
-                is_baseline=self.baselines is not None,
-                failure_events=tuple(
-                    (time, computer, kind)
-                    for time, module_index, computer, kind in self.failure_events
-                    if module_index == i
-                ),
-                kernel=self.kernel,
-            )
-            for i in range(p)
-        ]
-        state = _ClusterRunState(
-            cluster_recorder=cluster_recorder,
-            module_recorders=module_recorders,
-            sink=ObserverList(
-                (cluster_recorder, *module_recorders, *observers),
-                target_response=self.l0_params.target_response,
-            ),
-            fine_predictor=fine_predictor,
-            gamma_modules=(
-                np.full(p, 1.0 / p)
-                if self.baselines is None
-                else self._static_gamma.copy()
-            ),
-            interval_module=np.zeros(p),
-            runners=runners,
-            vector_executor=self._vector_executor(runners),
-        )
-        self._state = state
-        state.sink.on_run_start(self)
-        return self
-
     def step(self) -> "list[StepEvent]":
         """Advance one T_L0 period; returns one event per module."""
-        state = self._require_state()
-        k = state.k
-        if k >= self.total_steps:
-            raise ControlError("simulation already finished; call reset()")
-        vector = state.vector_executor
-        if k % self.substeps == 0:
-            batched_observe = vector is not None and self.baselines is not None
-            if vector is not None:
-                vector.flush(full=False)
-            if batched_observe:
-                self._vector_baseline_observe(state, k)
-            l2_event, boundaries = self._boundary_inputs(
-                state, k, observed_consumed=batched_observe
-            )
-            state.sink.on_l2_decision(l2_event)
-            for runner, boundary in zip(state.runners, boundaries):
-                state.sink.on_l1_decision(self._begin_period(runner, boundary))
-            if vector is not None:
-                vector.pull()
-        if vector is not None:
-            events = self._step_vector(state, *self._step_arrays(state, k))
-        else:
-            events = []
-            for runner, step_input in zip(state.runners, self._step_inputs(state, k)):
-                event = runner.step(step_input)
-                state.sink.on_step(event)
-                events.append(event)
-        if (k + 1) % self.substeps == 0 or k + 1 == self.total_steps:
-            period_index = k // self.substeps
-            self._emit_l0_bank(state.runners, period_index)
-            state.sink.on_period_end(
-                PeriodEvent(
-                    period=period_index,
-                    arrivals=state.interval_global,
-                    module_arrivals=state.interval_module.copy(),
-                )
-            )
-        state.k = k + 1
-        return events
+        return self._step()
 
-    def _vector_baseline_observe(
-        self, state: "_ClusterRunState", k: int
-    ) -> None:
-        """Boundary Kalman observes, batched (vector kernel, baseline).
-
-        Performs the scalar boundary's predictor updates — the global
-        filter plus every module controller's arrival filter and work
-        EWMA — in one batched pass, before :meth:`_boundary_inputs`
-        builds the boundary inputs with ``observed_arrivals=None`` so
-        the runners do not observe twice.
-        """
-        if k == 0:
-            return
-        from repro.sim.kernels import batched_predictor_observe
-
-        predictors = [self._global_predictor] + [
-            runner.controller.predictor for runner in state.runners
-        ]
-        values = [state.interval_global] + [
-            float(v) for v in state.interval_module
-        ]
-        batched_predictor_observe(predictors, values)
-        work = (
-            float(self.work_series[k])
-            if self.work_series is not None
-            else self.engine_options.mean_work
+    def _open_run(self) -> tuple:
+        """A fresh L2 (or a baseline's global filter) and cluster recorder."""
+        recorder = ClusterRecorder(
+            self.periods,
+            self.spec.module_count,
+            window=self.engine_options.recorder_window,
         )
-        if work > 0:
-            for runner in state.runners:
-                runner.controller.work_filter.observe(float(work))
+        if self._make_baseline is not None:
+            return None, WorkloadPredictor(), recorder
+        l2 = L2Controller(self.module_maps, self.l2_params)
+        return l2, l2.predictor, recorder
 
-    def _boundary_inputs(
-        self,
-        state: "_ClusterRunState",
-        k: int,
-        observed_consumed: bool = False,
-    ) -> "tuple[L2DecisionEvent, list[ModuleBoundaryInput]]":
-        """Close the previous period and compute every module's set-points.
+    def _boundary(self, state, period, now, deadline_at):
+        """The L2 split: every module's share of the global forecast.
 
-        ``observed_consumed`` marks that the vector kernel already fed
-        the interval's arrivals to every predictor (batched), so the
-        boundary must not observe them a second time.
+        A baseline cluster keeps its static split, and its modules
+        forecast from their own filters.
         """
-        index = k // self.substeps
-        now = k * self.l0_params.period
-        if self.work_series is not None:
-            work = float(self.work_series[k])
-            boundary_work: "float | None" = work
-        else:
-            work = self.engine_options.mean_work
-            boundary_work = None
-        p = self.spec.module_count
-        observed = state.interval_module.copy() if k > 0 else None
-        # The deadline budget is shared by the whole boundary: one
-        # absolute wall-clock instant the L2 decision and every module's
-        # L1 decision must beat. ``None`` (batch runs) skips every clock
-        # read, keeping the operation sequence byte-identical.
-        deadline_at = (
-            time.monotonic() + self.decision_deadline
-            if self.decision_deadline is not None
-            else None
-        )
-        if self.baselines is not None:
-            if k > 0 and not observed_consumed:
-                self._global_predictor.observe(state.interval_global)
-            global_prediction = float(self._global_predictor.forecast(1)[0])
-            state.interval_global = 0.0
-            state.interval_module[:] = 0.0
+        global_prediction = float(state.global_filter.forecast(1)[0])
+        l2 = state.l2
+        if l2 is None:
             l2_event = L2DecisionEvent(
-                period=index,
+                period=period,
                 gamma=state.gamma_modules.copy(),
                 prediction=global_prediction,
             )
             boundaries = [
                 ModuleBoundaryInput(
-                    period=index,
+                    period=period,
                     now=now,
-                    observed_arrivals=(
-                        None
-                        if observed is None or observed_consumed
-                        else float(observed[i])
-                    ),
-                    work=boundary_work,
                     deadline_at=deadline_at,
                     force_on=self.module_overrides.get(i),
                 )
-                for i in range(p)
+                for i in range(self.spec.module_count)
             ]
             return l2_event, boundaries
-        if k > 0:
-            self.l2.observe(state.interval_global, work)
-        global_prediction = float(self.l2.predictor.forecast(1)[0])
-        state.interval_global = 0.0
-        state.interval_module[:] = 0.0
         queue_avgs = np.array(
             [runner.plant.queue_lengths.mean() for runner in state.runners]
         )
@@ -1017,13 +978,13 @@ class ClusterSimulation(_SimulationBase):
         tracing = tracer is not None and tracer.enabled
         timed = tracing or metrics is not None
         t0 = time.perf_counter() if timed else None
-        l2_decision = self.l2.act(queue_avgs, state.gamma_modules)
+        l2_decision = l2.act(queue_avgs, state.gamma_modules)
         l2_wall = time.perf_counter() - t0 if timed else 0.0
         l2_held = deadline_at is not None and time.monotonic() > deadline_at
         if not l2_held:
             state.gamma_modules = l2_decision.gamma
         l2_event = L2DecisionEvent(
-            period=index,
+            period=period,
             gamma=state.gamma_modules.copy(),
             prediction=global_prediction,
             held=l2_held,
@@ -1037,7 +998,7 @@ class ClusterSimulation(_SimulationBase):
         if tracing:
             tracer.emit(
                 "l2-solve",
-                period=index,
+                period=period,
                 wall_us=l2_wall * 1e6,
                 gamma=[round(float(g), 6) for g in state.gamma_modules],
                 prediction=round(global_prediction, 6),
@@ -1046,113 +1007,30 @@ class ClusterSimulation(_SimulationBase):
         # Each module's load estimate is its share of the global
         # forecast (the paper's lambda_hat_i = gamma_i * lambda_hat_g),
         # so gamma reassignments do not read as workload swings to the
-        # L1 Kalman filters.
-        global_counts = self.l2.predictor.forecast(2)
-        global_delta = self.l2.predictor.band.delta
-        boundaries = []
-        for i in range(p):
-            rate_hat = (
-                state.gamma_modules[i] * global_counts[0] / self.l2_params.period
+        # L1s.
+        global_counts = l2.predictor.forecast(2)
+        global_delta = l2.predictor.band.delta
+        seconds = self.l2_params.period
+        band = self.l1_params.use_uncertainty_band
+        boundaries = [
+            ModuleBoundaryInput(
+                period=period,
+                now=now,
+                rate_hat=gamma * global_counts[0] / seconds,
+                rate_next=gamma * global_counts[1] / seconds,
+                delta=gamma * global_delta / seconds if band else 0.0,
+                prediction=gamma * global_counts[0],
+                deadline_at=deadline_at,
+                hold=l2_held,
+                force_on=self.module_overrides.get(i),
             )
-            rate_next = (
-                state.gamma_modules[i] * global_counts[1] / self.l2_params.period
-            )
-            delta = (
-                state.gamma_modules[i] * global_delta / self.l2_params.period
-                if self.l1_params.use_uncertainty_band
-                else 0.0
-            )
-            boundaries.append(
-                ModuleBoundaryInput(
-                    period=index,
-                    now=now,
-                    observed_arrivals=(
-                        None if observed is None else float(observed[i])
-                    ),
-                    rate_hat=rate_hat,
-                    rate_next=rate_next,
-                    delta=delta,
-                    prediction=state.gamma_modules[i] * global_counts[0],
-                    work=boundary_work,
-                    deadline_at=deadline_at,
-                    hold=l2_held,
-                    force_on=self.module_overrides.get(i),
-                )
-            )
+            for i, gamma in enumerate(state.gamma_modules)
+        ]
         return l2_event, boundaries
 
-    def _step_inputs(
-        self, state: "_ClusterRunState", k: int
-    ) -> "list[ModuleStepInput]":
-        """Advance the cluster accumulators; build per-module step inputs."""
-        p = self.spec.module_count
-        arrivals = float(self.trace.counts[k])
-        state.interval_global += arrivals
-        shares = state.gamma_modules * arrivals
-        now = k * self.l0_params.period
-        work = (
-            float(self.work_series[k]) if self.work_series is not None else None
-        )
-        forecast = self._fine_forecast(state, arrivals)
-        inputs = []
-        for i in range(p):
-            state.interval_module[i] += shares[i]
-            inputs.append(
-                ModuleStepInput(
-                    step=k,
-                    time=now,
-                    share=shares[i],
-                    gamma_module=state.gamma_modules[i],
-                    forecast=forecast,
-                    work=work,
-                )
-            )
-        return inputs
-
-    def _step_arrays(self, state: "_ClusterRunState", k: int) -> tuple:
-        """Array-form twin of :meth:`_step_inputs` for the vector path.
-
-        Advances the same cluster accumulators (identical
-        elementwise arithmetic) and takes the same fine-grained
-        forecast, but skips building per-module ``ModuleStepInput``
-        objects: returns the :meth:`ClusterVectorExecutor.step_all`
-        arguments.
-        """
-        arrivals = float(self.trace.counts[k])
-        state.interval_global += arrivals
-        shares = state.gamma_modules * arrivals
-        state.interval_module += shares
-        forecast = self._fine_forecast(state, arrivals)
-        work = (
-            float(self.work_series[k]) if self.work_series is not None else None
-        )
-        return (
-            k,
-            k * self.l0_params.period,
-            shares,
-            work,
-            state.gamma_modules,
-            forecast,
-        )
-
-    def finish(self) -> ClusterRunResult:
-        """Assemble the structured result once all steps are taken."""
-        state = self._require_state()
-        if state.k < self.total_steps:
-            raise ControlError(
-                f"run not finished: {state.k}/{self.total_steps} steps taken"
-            )
-        if state.result is not None:
-            return state.result
-        finals = self._finals(state, state.runners)
-        module_results = [
-            self._module_result(module_spec, recorder, final)
-            for module_spec, recorder, final in zip(
-                self.spec.modules, state.module_recorders, finals
-            )
-        ]
+    def _result(self, state, modules) -> ClusterRunResult:
         cluster = state.cluster_recorder
-        result = ClusterRunResult(
+        return ClusterRunResult(
             l2_period=self.l2_params.period,
             module_names=[m.name for m in self.spec.modules],
             global_arrivals=cluster.global_arrivals,
@@ -1161,77 +1039,6 @@ class ClusterSimulation(_SimulationBase):
             total_computers_on=cluster.per_module_on.sum(axis=1),
             per_module_on=cluster.per_module_on,
             target_response=self.l0_params.target_response,
-            module_results=module_results,
-            l2_stats=self.l2.stats if self.l2 is not None else ControllerStats(),
+            module_results=modules,
+            l2_stats=ControllerStats() if state.l2 is None else state.l2.stats,
         )
-        state.result = result
-        state.sink.on_run_end(result)
-        return result
-
-    def live_summary(self) -> RunSummary:
-        """Cluster-wide headline metrics over the steps taken so far.
-
-        Takes a non-destructive ``finalize`` snapshot of every module
-        runner (the same pure reads the end-of-run result uses), with
-        the same online :class:`StreamStats` aggregates and the same
-        merge arithmetic as
-        :meth:`finish`/:meth:`~repro.sim.results.ClusterRunResult.summary`,
-        so at end of run the two agree bit for bit.
-        """
-        state = self._state
-        if state is None:
-            raise ControlError("no active run; call reset() first")
-        if state.result is not None:
-            return state.result.summary()
-        return fold_summary(
-            self._finals(state, state.runners),
-            stream_quality([recorder.stream for recorder in state.module_recorders]),
-            self.l2.stats.total_seconds if self.l2 is not None else 0.0,
-        )
-
-    def _tune_predictors(self, l1s, fine_predictor) -> None:
-        """Tune L2 and L1 Kalman filters on the initial workload portion."""
-        warmup = self.engine_options.warmup_intervals
-        if warmup <= 0:
-            return
-        mean_work = self.engine_options.mean_work
-        l2_counts = self.trace.rebinned(self.l2_params.period).counts[:warmup]
-        if self.baselines is not None:
-            self._global_predictor.tune_on(l2_counts)
-            for i, controller in enumerate(l1s):
-                controller.predictor.tune_on(l2_counts * self._static_gamma[i])
-                controller.work_filter.observe(mean_work)
-            return
-        self.l2.predictor.tune_on(l2_counts)
-        self.l2.work_filter.observe(mean_work)
-        p = self.spec.module_count
-        for l1 in l1s:
-            l1.predictor.tune_on(l2_counts / p)
-            l1.work_filter.observe(mean_work)
-        fine_predictor.tune_on(self.trace.counts[: warmup * self.substeps])
-
-
-@dataclass
-class _ClusterRunState:
-    """Mutable per-run state for :class:`ClusterSimulation`.
-
-    Per-module mutable state (plant, controllers, alpha/gamma) lives in
-    the :class:`~repro.sim.shard.ModuleShardRunner` objects in
-    ``runners``.
-    """
-
-    cluster_recorder: ClusterRecorder
-    module_recorders: list
-    sink: ObserverList
-    fine_predictor: "WorkloadPredictor | None"
-    gamma_modules: np.ndarray
-    interval_module: np.ndarray
-    runners: "list[ModuleShardRunner]"
-    #: Batched step engine (vector kernel only; None on scalar).
-    vector_executor: "ClusterVectorExecutor | None" = None
-    interval_global: float = 0.0
-    k: int = 0
-    result: "ClusterRunResult | None" = None
-    #: Per-module cumulative L0 wall/states already attributed to
-    #: emitted l0-bank spans.
-    l0_marks: dict = field(default_factory=dict)

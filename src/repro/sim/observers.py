@@ -94,9 +94,9 @@ class L2DecisionEvent:
 class PeriodEvent:
     """A closed control period with its realised arrivals.
 
-    For module runs ``arrivals`` is the module's total over the period;
-    for cluster runs it is the global total and ``module_arrivals``
-    holds the per-module split.
+    ``arrivals`` is the period's total and ``module_arrivals`` its
+    per-module split; the engines always fill both, with one entry on a
+    module run.
     """
 
     period: int
@@ -431,12 +431,7 @@ class ModuleRecorder(SimulationObserver):
         self.stream.observe_decision(float(on_count))
 
     def on_period_end(self, event: PeriodEvent) -> None:
-        if event.module_arrivals is None:
-            self._l1_arrivals.put(event.period, event.arrivals)
-        else:
-            self._l1_arrivals.put(
-                event.period, event.module_arrivals[self.module]
-            )
+        self._l1_arrivals.put(event.period, event.module_arrivals[self.module])
 
 
 class ClusterRecorder(SimulationObserver):

@@ -15,9 +15,10 @@ calls :meth:`ModuleShardRunner.step`, the reference; on ``vector``
 these runners as the boundary-side view.
 
 The engine computes every cross-module quantity (L2 decisions, arrival
-shares, global forecasts) and hands each runner plain floats through
-:class:`ModuleBoundaryInput` and :class:`ModuleStepInput`; the runner
-returns the typed events the observers consume.
+shares, global forecasts), feeds each closed interval to the filters,
+and hands each runner plain floats through :class:`ModuleBoundaryInput`
+and :class:`ModuleStepInput`; the runner returns the typed events the
+observers consume.
 """
 
 from __future__ import annotations
@@ -40,31 +41,28 @@ from repro.sim.observers import L1DecisionEvent, StepEvent
 class ModuleBoundaryInput:
     """Engine-computed inputs for one module's control-period boundary.
 
-    ``observed_arrivals`` is the module's realised arrival count over the
-    previous period (``None`` on the first boundary). The ``rate_*`` /
-    ``delta`` / ``prediction`` fields are the L1 set-points derived from
-    the L2 forecast; baseline modules ignore them and forecast locally.
-    ``work`` is the engine's mean service demand at the boundary step
-    (``None`` means the runner's constant ``mean_work``).
+    The engine has already fed the closed interval to the filters the
+    decision reads. The ``rate_*`` / ``delta`` / ``prediction`` fields
+    are the L1 set-points: the module's share of the L2 forecast, or
+    the L1's own forecast on a module run. Baseline modules ignore them
+    and forecast from their own filters.
 
     The last three fields are the live-service seams and default to the
     batch behaviour: ``deadline_at`` is an absolute ``time.monotonic()``
     deadline for this boundary's decision (``None`` disables the check
     and skips every clock read, keeping batch runs byte-identical);
     ``hold`` pre-holds the decision (the cluster's L2 already missed the
-    shared deadline, so the L1 keeps its allocation too and only
-    resyncs its filters); ``force_on`` pins the module to its first
-    so-many available machines (a manual operator override).
+    shared deadline, so the L1 keeps its allocation too); ``force_on``
+    pins the module to its first so-many available machines (a manual
+    operator override).
     """
 
     period: int
     now: float
-    observed_arrivals: "float | None" = None
     rate_hat: float = 0.0
     rate_next: float = 0.0
     delta: float = 0.0
     prediction: float = 0.0
-    work: "float | None" = None
     deadline_at: "float | None" = None
     hold: bool = False
     force_on: "int | None" = None
@@ -206,21 +204,19 @@ class ModuleShardRunner:
     # -- the three intra-period calls -----------------------------------
 
     def begin_period(self, boundary: ModuleBoundaryInput) -> L1DecisionEvent:
-        """Observe the closed interval, re-decide alpha/gamma, reconfigure.
+        """Re-decide alpha/gamma and reconfigure the module.
 
-        The decision is *computed first and applied after* the deadline
-        check: a decision that missed its budget (or a ``hold`` the
-        engine already declared) is discarded and the previous
-        alpha/gamma stay in force — the plant never sees a transient
-        from an abandoned decision. The Kalman ``observe`` always runs,
-        so a held period still resyncs the forecasts. With no deadline
+        The engine's interval close has already fed the closed period to
+        the filters (even for a period that ends up held), so this only
+        forecasts and decides. The decision is *computed first and
+        applied after* the deadline check: a decision that missed its
+        budget (or a ``hold`` the engine already declared) is discarded
+        and the previous alpha/gamma stay in force — the plant never
+        sees a transient from an abandoned decision. With no deadline
         and no override the operation sequence is exactly the original
         batch sequence.
         """
         self._apply_faults(boundary.now)
-        work = boundary.work if boundary.work is not None else self.mean_work
-        if boundary.observed_arrivals is not None:
-            self.controller.observe(boundary.observed_arrivals, work)
         held = boundary.hold
         if self.is_baseline:
             if not held:

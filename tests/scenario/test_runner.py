@@ -130,7 +130,7 @@ class TestClusterBaselines:
         simulation = build_simulation(spec)
         elapsed = time.perf_counter() - started
         assert isinstance(simulation, ClusterSimulation)
-        assert simulation.l2 is None
+        assert simulation.module_maps == []
         assert elapsed < 1.0
 
     def test_cluster_l2_stats_empty_under_baseline(self):

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from repro.common.errors import ConfigurationError
+from repro.controllers.l1 import L1Controller
 from repro.obs import MetricsRegistry
 from repro.scenario import build_simulation, get_scenario
 from repro.service import AutonomicSupervisor, ControlServer, SimulatedPlant
@@ -113,12 +114,12 @@ class TestOperatorShed:
 
 
 class TestAutoShed:
-    def test_engages_on_hold_and_releases_after_clean_period(self):
+    def test_engages_on_hold_and_releases_after_clean_period(self, monkeypatch):
         supervisor, plant = make_supervisor(
             samples=8, deadline_seconds=1e-9, shed_fraction_on_hold=0.3
         )
         simulation = plant.simulation
-        fast_decide = simulation.l1.decide
+        fast_decide = L1Controller.decide
         slow = {"on": True}
 
         def gated_decide(*args, **kwargs):
@@ -127,7 +128,7 @@ class TestAutoShed:
                 time.sleep(0.002)  # blow the 1ns budget
             return decision
 
-        simulation.l1.decide = gated_decide
+        monkeypatch.setattr(L1Controller, "decide", gated_decide)
         supervisor.start()
 
         def run_period():

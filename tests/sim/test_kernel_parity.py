@@ -686,14 +686,36 @@ class TestL0BankParity:
         )
 
 
+def _tuned_predictor():
+    """A filter whose noise variances ``tune_on`` set (the engines' warm-up)."""
+    predictor = WorkloadPredictor()
+    predictor.tune_on(np.linspace(900.0, 1500.0, 12) + np.tile([0.0, 60.0, -45.0], 4))
+    return predictor
+
+
+#: Filter factories by index in the bank: default, ``tune_on``-tuned
+#: (the L2's, a baseline's, the module L1's), a non-default band window
+#: (an L1's ``band_window``), and a bank mixing all three.
+PREDICTORS = {
+    "default": lambda i: WorkloadPredictor(),
+    "tuned": lambda i: _tuned_predictor(),
+    "band-window-5": lambda i: WorkloadPredictor(band_window=5),
+    "mixed": lambda i: (
+        WorkloadPredictor(),
+        _tuned_predictor(),
+        WorkloadPredictor(band_window=5),
+    )[i % 3],
+}
+
+
 class TestKalmanBankParity:
     """Batched predictor observe against the scalar filter, bit for bit."""
 
-    def _banks(self, count=4, prime=6):
+    def _banks(self, make, count=4, prime=6):
         rng = np.random.default_rng(7)
         trace = rng.uniform(50.0, 5000.0, size=(count, prime + 24))
-        scalar = [WorkloadPredictor() for _ in range(count)]
-        batched = [WorkloadPredictor() for _ in range(count)]
+        scalar = [make(i) for i in range(count)]
+        batched = [make(i) for i in range(count)]
         for t in range(prime):
             for a, b, value in zip(scalar, batched, trace[:, t]):
                 a.observe(float(value))
@@ -709,17 +731,19 @@ class TestKalmanBankParity:
             assert a.observations == b.observations
             assert len(a._filter.history) == len(b._filter.history)
 
-    def test_primed_banks_bit_identical(self):
-        scalar, batched, trace, prime = self._banks()
+    @pytest.mark.parametrize("make", PREDICTORS.values(), ids=PREDICTORS.keys())
+    def test_primed_banks_bit_identical(self, make):
+        scalar, batched, trace, prime = self._banks(make)
         for t in range(prime, trace.shape[1]):
             for a, value in zip(scalar, trace[:, t]):
                 a.observe(float(value))
             batched_predictor_observe(batched, list(trace[:, t]))
         self._assert_filters_identical(scalar, batched)
 
-    def test_unprimed_bank_falls_back_to_scalar(self):
-        scalar = [WorkloadPredictor() for _ in range(3)]
-        batched = [WorkloadPredictor() for _ in range(3)]
+    @pytest.mark.parametrize("band_window", [20, 5])
+    def test_unprimed_bank_falls_back_to_scalar(self, band_window):
+        scalar = [WorkloadPredictor(band_window=band_window) for _ in range(3)]
+        batched = [WorkloadPredictor(band_window=band_window) for _ in range(3)]
         values = [100.0, 250.0, 975.5]
         for a, value in zip(scalar, values):
             a.observe(value)

@@ -211,13 +211,12 @@ class TestBoundary:
     def test_scalar_and_vector_boundaries_agree(self):
         runners = [_runner(kernel="scalar"), _runner(kernel="vector")]
         for period, arrivals in enumerate((None, 4200.0, 9100.0, 2600.0)):
+            if arrivals is not None:
+                for runner in runners:
+                    runner.controller.observe(arrivals, MEAN_WORK)
             events = [
                 runner.begin_period(
-                    ModuleBoundaryInput(
-                        period=period,
-                        now=60.0 * period,
-                        observed_arrivals=arrivals,
-                    )
+                    ModuleBoundaryInput(period=period, now=60.0 * period)
                 )
                 for runner in runners
             ]

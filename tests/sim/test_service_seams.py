@@ -5,6 +5,8 @@ import time
 import pytest
 
 from repro.common import ConfigurationError
+from repro.controllers.l1 import L1Controller
+from repro.controllers.l2 import L2Controller
 from repro.scenario import build_simulation, get_scenario
 from repro.sim.observers import DecisionRecorder
 
@@ -104,16 +106,16 @@ class TestDecisionDeadline:
         simulation.set_decision_deadline(None)  # default stays allowed
         assert simulation.decision_deadline is None
 
-    def test_module_overrun_holds_previous_allocation(self):
+    def test_module_overrun_holds_previous_allocation(self, monkeypatch):
         simulation = module_sim()
-        slow_decide = simulation.l1.decide
+        slow_decide = L1Controller.decide
 
         def injected(*args, **kwargs):
             decision = slow_decide(*args, **kwargs)
             time.sleep(0.002)
             return decision
 
-        simulation.l1.decide = injected
+        monkeypatch.setattr(L1Controller, "decide", injected)
         simulation.set_decision_deadline(1e-9)
         recorder = DecisionRecorder()
         run_all(simulation, recorder)  # completes despite every miss
@@ -122,16 +124,16 @@ class TestDecisionDeadline:
         first = l1[0]["alpha"]
         assert all(r["alpha"] == first for r in l1)
 
-    def test_cluster_l2_overrun_holds_every_module(self):
+    def test_cluster_l2_overrun_holds_every_module(self, monkeypatch):
         simulation = cluster_sim()
-        slow_act = simulation.l2.act
+        slow_act = L2Controller.act
 
         def injected(*args, **kwargs):
             decision = slow_act(*args, **kwargs)
             time.sleep(0.002)
             return decision
 
-        simulation.l2.act = injected
+        monkeypatch.setattr(L2Controller, "act", injected)
         simulation.set_decision_deadline(1e-9)
         recorder = DecisionRecorder()
         run_all(simulation, recorder)
