@@ -8,31 +8,21 @@ for real-time queries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.common.errors import ConfigurationError, NotTrainedError
 from repro.common.validation import require_positive
 
 
-@dataclass
-class _Node:
-    """One tree node; leaves carry a prediction, internals a split."""
-
-    prediction: float
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
 class RegressionTree:
     """Least-squares regression tree (CART).
+
+    The fitted tree is five parallel lists indexed by node, the root
+    being node 0: ``feature``, ``threshold``, ``left``, ``right`` and
+    ``prediction``. A leaf has ``left == -1``; an internal node sends a
+    point left when ``point[feature] <= threshold``. :meth:`predict`
+    walks the lists in plain Python, which beats both a linked node
+    walk and a numpy level-by-level walk at the L2's batch sizes.
 
     Parameters
     ----------
@@ -58,8 +48,24 @@ class RegressionTree:
         if min_variance_reduction < 0:
             raise ConfigurationError("min_variance_reduction must be >= 0")
         self.min_variance_reduction = min_variance_reduction
-        self._root: _Node | None = None
         self._n_features = 0
+        self._clear()
+
+    def _clear(self) -> None:
+        self.feature: "list[int]" = []
+        self.threshold: "list[float]" = []
+        self.left: "list[int]" = []
+        self.right: "list[int]" = []
+        self.prediction: "list[float]" = []
+
+    def _add_node(self, prediction: float) -> int:
+        """Append a leaf; returns its index."""
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.prediction.append(prediction)
+        return len(self.prediction) - 1
 
     # ------------------------------------------------------------------
     # Fitting
@@ -73,11 +79,12 @@ class RegressionTree:
         if y.size == 0:
             raise ConfigurationError("cannot fit on an empty dataset")
         self._n_features = x.shape[1]
-        self._root = self._build(x, y, depth=0)
+        self._clear()
+        self._build(x, y, depth=0)
         return self
 
-    def _build(self, x: np.ndarray, y: np.ndarray, depth: int) -> _Node:
-        node = _Node(prediction=float(y.mean()))
+    def _build(self, x: np.ndarray, y: np.ndarray, depth: int) -> int:
+        node = self._add_node(float(y.mean()))
         if depth >= self.max_depth or y.size < 2 * self.min_samples_leaf:
             return node
         split = self._best_split(x, y)
@@ -85,10 +92,10 @@ class RegressionTree:
             return node
         feature, threshold = split
         mask = x[:, feature] <= threshold
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._build(x[mask], y[mask], depth + 1)
-        node.right = self._build(x[~mask], y[~mask], depth + 1)
+        self.feature[node] = feature
+        self.threshold[node] = threshold
+        self.left[node] = self._build(x[mask], y[mask], depth + 1)
+        self.right[node] = self._build(x[~mask], y[~mask], depth + 1)
         return node
 
     def _best_split(
@@ -126,7 +133,7 @@ class RegressionTree:
     # ------------------------------------------------------------------
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Predict targets for ``features`` (n, d) or a single point (d,)."""
-        root = self._require_fit()
+        self._require_fit()
         x = np.asarray(features, dtype=float)
         single = x.ndim == 1
         x = np.atleast_2d(x)
@@ -134,12 +141,15 @@ class RegressionTree:
             raise ConfigurationError(
                 f"expected {self._n_features} features, got {x.shape[1]}"
             )
-        out = np.empty(x.shape[0])
-        for i, row in enumerate(x):
-            node = root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.prediction
+        feature, threshold = self.feature, self.threshold
+        left, right, prediction = self.left, self.right, self.prediction
+        out = []
+        for row in x.tolist():
+            node = 0
+            while left[node] >= 0:
+                node = left[node] if row[feature[node]] <= threshold[node] else right[node]
+            out.append(prediction[node])
+        out = np.array(out, dtype=float)
         return out[0] if single else out
 
     def predict_one(self, point) -> float:
@@ -149,30 +159,44 @@ class RegressionTree:
     @property
     def depth(self) -> int:
         """Realised depth of the fitted tree."""
-        return self._measure_depth(self._require_fit())
+        self._require_fit()
+        return self._measure_depth(0)
 
     @property
     def leaf_count(self) -> int:
         """Number of leaves in the fitted tree."""
-        return self._count_leaves(self._require_fit())
+        self._require_fit()
+        return self.left.count(-1)
 
-    def _require_fit(self) -> _Node:
-        if self._root is None:
+    def _require_fit(self) -> None:
+        if not self.prediction:
             raise NotTrainedError("RegressionTree.fit must be called before use")
-        return self._root
+
+    def _measure_depth(self, node: int) -> int:
+        if self.left[node] < 0:
+            return 0
+        return 1 + max(
+            self._measure_depth(self.left[node]), self._measure_depth(self.right[node])
+        )
 
     # ------------------------------------------------------------------
     # Serialisation (trained-map artifacts round-trip through JSON)
     # ------------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """Plain-dict form of the fitted tree; JSON-safe and loss-free."""
+        """Plain-dict form of the fitted tree; JSON-safe and loss-free.
+
+        Nodes nest from ``"root"``: a leaf is ``{"prediction"}``, an
+        internal node adds ``"feature"``, ``"threshold"``, ``"left"``
+        and ``"right"``.
+        """
+        self._require_fit()
         return {
             "max_depth": self.max_depth,
             "min_samples_leaf": self.min_samples_leaf,
             "min_variance_reduction": self.min_variance_reduction,
             "n_features": self._n_features,
-            "root": self._node_to_dict(self._require_fit()),
+            "root": self._node_to_dict(0),
         }
 
     @classmethod
@@ -187,37 +211,25 @@ class RegressionTree:
             min_variance_reduction=payload.get("min_variance_reduction", 1e-9),
         )
         tree._n_features = int(payload["n_features"])
-        tree._root = cls._node_from_dict(payload["root"])
+        tree._node_from_dict(payload["root"])
         return tree
 
-    @classmethod
-    def _node_to_dict(cls, node: _Node) -> dict:
-        if node.is_leaf:
-            return {"prediction": node.prediction}
+    def _node_to_dict(self, node: int) -> dict:
+        if self.left[node] < 0:
+            return {"prediction": self.prediction[node]}
         return {
-            "prediction": node.prediction,
-            "feature": node.feature,
-            "threshold": node.threshold,
-            "left": cls._node_to_dict(node.left),
-            "right": cls._node_to_dict(node.right),
+            "prediction": self.prediction[node],
+            "feature": self.feature[node],
+            "threshold": self.threshold[node],
+            "left": self._node_to_dict(self.left[node]),
+            "right": self._node_to_dict(self.right[node]),
         }
 
-    @classmethod
-    def _node_from_dict(cls, payload: dict) -> _Node:
-        node = _Node(prediction=float(payload["prediction"]))
+    def _node_from_dict(self, payload: dict) -> int:
+        node = self._add_node(float(payload["prediction"]))
         if "left" in payload:
-            node.feature = int(payload["feature"])
-            node.threshold = float(payload["threshold"])
-            node.left = cls._node_from_dict(payload["left"])
-            node.right = cls._node_from_dict(payload["right"])
+            self.feature[node] = int(payload["feature"])
+            self.threshold[node] = float(payload["threshold"])
+            self.left[node] = self._node_from_dict(payload["left"])
+            self.right[node] = self._node_from_dict(payload["right"])
         return node
-
-    def _measure_depth(self, node: _Node) -> int:
-        if node.is_leaf:
-            return 0
-        return 1 + max(self._measure_depth(node.left), self._measure_depth(node.right))
-
-    def _count_leaves(self, node: _Node) -> int:
-        if node.is_leaf:
-            return 1
-        return self._count_leaves(node.left) + self._count_leaves(node.right)

@@ -17,7 +17,10 @@ the paper's design:
 * **Bounded search** — candidate on/off vectors are restricted to a
   Hamming-radius-1 neighbourhood of the current configuration, and
   gamma candidates to a quantised-simplex neighbourhood of the
-  capacity-proportional allocation.
+  capacity-proportional allocation. The horizon cost is separable by
+  computer, so each decision looks every computer's map up once per
+  (gamma level, band sample) into share tables and adds each
+  candidate's cost up from them (see :meth:`L1Controller.decide`).
 * **Chattering mitigation** — every candidate is costed as the average of
   three arrival-rate samples ``lambda_hat - delta, lambda_hat,
   lambda_hat + delta`` (the forecast uncertainty band), plus the
@@ -35,6 +38,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,7 +49,7 @@ from repro.cluster.specs import ComputerSpec, ModuleSpec
 from repro.controllers.l0 import L0Controller
 from repro.controllers.params import L0Params, L1Params
 from repro.controllers.stats import ControllerStats
-from repro.core.simplex import quantize_to_simplex, simplex_neighbors
+from repro.core.simplex import quantize_to_simplex, simplex_levels, simplex_neighbors
 from repro.core.uncertainty import three_point_band
 from repro.forecast.ewma import EwmaFilter
 from repro.forecast.structural import WorkloadPredictor
@@ -95,6 +99,28 @@ def _round_key(x) -> float:
     return round(float(x) * 1e6) / 1e6
 
 
+def _round_keys(values: np.ndarray) -> list:
+    """:func:`_round_key` of every element of a float array, as lists.
+
+    The elements are numpy scalars, so numpy's rule applies: scale by
+    1e6, round half to even, scale back.
+    """
+    return (np.rint(values * 1e6) / 1e6).tolist()
+
+
+def _simplex_quanta(rows: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Integer quanta ``q`` of quantised gamma rows, ``levels[q] == rows``.
+
+    ``levels`` is :func:`~repro.core.simplex.simplex_levels` of the
+    rows' step. Raises :class:`ControlError` unless every row equals
+    its levels bit for bit, which the share tables rely on.
+    """
+    quanta = np.rint(rows * (levels.size - 1)).astype(np.intp)
+    if not np.array_equal(levels[quanta], rows):
+        raise ControlError("gamma candidates are not on the quantised simplex levels")
+    return quanta
+
+
 def require_finite_inputs(**inputs) -> None:
     """Raise a one-line :class:`ControlError` for a NaN or infinite input.
 
@@ -124,22 +150,36 @@ class L1Decision:
     states_explored: int
 
 
-@dataclass(frozen=True)
-class _DecisionPoint:
-    """Inputs of one L1 decision that every candidate's cost shares.
+class _Candidate(NamedTuple):
+    """One (alpha, gamma) candidate and its share-table slots."""
 
-    Computed once per :meth:`L1Controller.decide`: the arrival-rate
-    samples of both horizon terms and the memo-key parts that do not
-    depend on the candidate.
+    alpha: np.ndarray  # read-only on/off mask
+    gamma: np.ndarray  # read-only load fractions
+    fixed_cost: float  # W per boot plus the booting machines' idle power
+    sums: int  # index of its per-sample first-term sums over serving computers
+    first: "tuple[int, ...]"  # first-term slot per serving computer
+    drains: "tuple[int, ...]"  # drain slot per computer switched off
+    second: "tuple[int, ...]"  # second-term slot per computer on
+    first_end: int  # first-term slots used up to this candidate
+    drain_end: int
+    second_end: int
+
+
+class _Neighbourhood(NamedTuple):
+    """The bounded search of one (alpha_current, available) mask.
+
+    Candidates are in search order. Each slot names one table point:
+    ``first_points`` hold ``(j, n)`` (computer, gamma quanta),
+    ``drain_points`` a computer ``j`` and ``second_points`` hold
+    ``(j, f, g)``: computer, the first-term slot its start queue comes
+    from (-1 when it boots and starts empty) and its gamma_next quanta.
     """
 
-    queues: np.ndarray
-    work: float
-    samples: list  # first-term rates: the band around rate_hat
-    next_samples: list  # second-term rates: the band around rate_next
-    map_ids: "list[int]"  # id(maps[j]), the memo key's map part
-    queue_keys: "list[float]"  # _round_key(queues[j])
-    work_key: float  # round(work, 9)
+    levels: np.ndarray  # simplex_levels(gamma_step)
+    candidates: "tuple[_Candidate, ...]"
+    first_points: "tuple[tuple[int, int], ...]"
+    drain_points: "tuple[int, ...]"
+    second_points: "tuple[tuple[int, int, int], ...]"
 
 
 class ComputerBehaviorMap:
@@ -261,15 +301,35 @@ class ComputerBehaviorMap:
         self, queue: float, rate: float, work: float
     ) -> tuple[float, float]:
         """Query the map: (interval cost, final queue)."""
+        return self._cost_at(
+            queue,
+            self._queue_index(queue),
+            rate,
+            work,
+            self._work_index(work),
+        )
+
+    def _queue_index(self, queue: float) -> int:
+        """Index of the queue-grid level nearest ``queue``."""
+        return _snap_index(self._grids[0], queue)
+
+    def _work_index(self, work: float) -> int:
+        """Index of the processing-time grid level nearest ``work``."""
+        return _snap_index(self._grids[2], work)
+
+    def _cost_at(
+        self, queue: float, queue_index: int, rate: float, work: float, work_index: int
+    ) -> tuple[float, float]:
+        """:meth:`cost_and_next_queue` with the queue and work snapped.
+
+        The L1 snaps each computer's queue and work once per decision
+        and reuses the indices for every rate it asks about.
+        """
         if rate > self._max_trained_rate:
             return self._saturated_rollout(queue, rate, work)
-        queue_grid, rate_grid, work_grid = self._grids
-        key = (
-            _snap_index(queue_grid, queue),
-            _snap_index(rate_grid, rate),
-            _snap_index(work_grid, work),
+        hit = self.table.exact_at(
+            (queue_index, _snap_index(self._grids[1], rate), work_index)
         )
-        hit = self.table.exact_at(key)
         if hit is not None:
             return float(hit[0]), float(hit[1])
         cost, next_queue = self.table.query([queue, rate, work])
@@ -354,12 +414,10 @@ class L1Controller:
             [c.effective_speed_factor / 0.0175 for c in module_spec.computers]
         )
         self._base_powers = [c.base_power for c in module_spec.computers]
-        self._memo: dict[tuple, tuple[float, float]] = {}
-        self._available = np.ones(module_spec.size, dtype=bool)
-        # Pure functions of an on/serving mask (the capacities and params
-        # are fixed per controller), cached read-only by the mask's bytes.
-        self._gamma_candidates: "dict[bytes, tuple[np.ndarray, ...]]" = {}
-        self._gamma_next: "dict[bytes, np.ndarray]" = {}
+        # The neighbourhood is a pure function of the (alpha_current,
+        # available) masks (the capacities and params are fixed per
+        # controller), cached read-only by the masks' bytes.
+        self._plans: "dict[bytes, _Neighbourhood]" = {}
 
     @staticmethod
     def _train_maps(
@@ -444,6 +502,23 @@ class L1Controller:
         uncertainty half-width on ``rate_hat`` (0 disables band
         sampling); ``work`` is c-hat. ``available`` masks out failed
         machines — they can be neither kept on nor switched on.
+
+        The two-term horizon cost is separable by computer. In the
+        first term computer j depends on a candidate only through its
+        gamma quanta n and the band sample; in the second, through n
+        (which fixes its start queue), its gamma_next quanta and the
+        sample. So each such point is looked up in j's map once per
+        decision, into a share table, and every candidate's cost is
+        added up from the tables in the order of the per-candidate
+        loop: sample by sample, serving then draining computers, the
+        first term then the second.
+
+        Map lookups are memoised per decision on ``(map, queue, rate,
+        work)`` rounded to 6, 6 and 9 decimals (see :func:`_round_key`),
+        so a point whose key aliases an earlier point's reuses that
+        result. The tables are filled in the order the per-candidate
+        loop first visits each point (candidate, then sample, then
+        computer), so every key is first evaluated at the same point.
         """
         queues = np.asarray(queues, dtype=float)
         alpha_current = np.asarray(alpha_current).astype(bool)
@@ -466,62 +541,270 @@ class L1Controller:
             delta=delta,
             work=work,
         )
-        self._available = available
         started = time.perf_counter()
-        explored = 0
-        best_cost = float("inf")
-        best_alpha: np.ndarray | None = None
-        best_gamma: np.ndarray | None = None
-        # Candidates re-query the same (computer, queue, rate, work) cells
-        # over and over; memoise per decision.
-        self._memo: dict[tuple, tuple[float, float]] = {}
-        point = _DecisionPoint(
-            queues=queues,
-            work=work,
-            samples=list(three_point_band(rate_hat, delta)) if delta > 0 else [rate_hat],
-            next_samples=(
-                list(three_point_band(rate_next, delta)) if delta > 0 else [rate_next]
-            ),
-            map_ids=[id(m) for m in self.maps],
-            queue_keys=[_round_key(q) for q in queues],
-            work_key=round(work, 9),
-        )
-
-        for alpha in self._candidate_alphas(alpha_current):
-            serving_now = alpha & alpha_current  # available during [k, k+1)
-            if not serving_now.any():
-                continue
-            context = self._alpha_context(alpha, alpha_current)
-            for gamma in self._candidate_gammas(serving_now):
-                cost, states = self._horizon_cost(point, context, gamma)
-                explored += states
-                if cost < best_cost:
-                    best_cost = cost
-                    best_alpha = alpha
-                    best_gamma = gamma
-        if best_alpha is None:
+        mask = alpha_current.tobytes() + available.tobytes()
+        plan = self._plans.get(mask)
+        if plan is None:
+            plan = self._plans[mask] = self._neighbourhood(alpha_current, available)
+        if not plan.candidates:
             raise ControlError("no admissible (alpha, gamma) candidate found")
+        samples = list(three_point_band(rate_hat, delta)) if delta > 0 else [rate_hat]
+        next_samples = (
+            list(three_point_band(rate_next, delta)) if delta > 0 else [rate_next]
+        )
+        best_cost, best = self._search(plan, queues, samples, next_samples, work)
+        explored = len(plan.candidates) * (len(samples) + len(next_samples))
         decision = L1Decision(
-            alpha=best_alpha.astype(int),
-            gamma=best_gamma,
+            alpha=best.alpha.astype(int),
+            gamma=best.gamma,
             expected_cost=best_cost,
             states_explored=explored,
         )
         self.stats.record(explored, time.perf_counter() - started)
         return decision
 
+    def _search(
+        self,
+        plan: "_Neighbourhood",
+        queues: np.ndarray,
+        samples: list,
+        next_samples: list,
+        work: float,
+    ) -> "tuple[float, _Candidate]":
+        """The cheapest candidate of ``plan`` and its expected cost.
+
+        Each candidate costs its fixed part, then the two horizon terms
+        (periods k and k+1), each the mean over its band samples of the
+        per-computer map costs. Period k loads the serving computers by
+        gamma and drains the ones switched off; in period k+1 the boots
+        have completed and the on-set shares the load by gamma_next,
+        each serving computer starting from its mean period-k queue.
+        Fills the share tables on first use, in the per-candidate
+        loop's order (see :meth:`decide`).
+        """
+        maps = self.maps
+        map_ids = [id(behavior_map) for behavior_map in maps]
+        levels = plan.levels
+        queue_list = list(queues)
+        queue_keys = [_round_key(q) for q in queue_list]
+        queue_index = [bm._queue_index(q) for bm, q in zip(maps, queue_list)]
+        work_index = [bm._work_index(work) for bm in maps]
+        work_key = round(work, 9)
+        shares = np.multiply.outer(levels, samples)
+        share_keys = _round_keys(shares)
+        next_shares = np.multiply.outer(levels, next_samples)
+        next_keys = _round_keys(next_shares)
+        sample_range = range(len(samples))
+        next_range = range(len(next_samples))
+        weight = 1.0 / len(samples)
+        next_weight = 1.0 / len(next_samples)
+        memo: dict[tuple, tuple[float, float]] = {}
+
+        def look_up(key, j, queue, queue_at, rate):
+            """``key``'s memoised result; evaluated at this point on a miss.
+
+            ``queue_at`` is ``queue``'s index on computer j's queue grid.
+            """
+            hit = memo.get(key)
+            if hit is None:
+                hit = memo[key] = maps[j]._cost_at(
+                    queue, queue_at, rate, work, work_index[j]
+                )
+            return hit
+
+        first_points = plan.first_points
+        drain_points = plan.drain_points
+        second_points = plan.second_points
+        first_cost = [[0.0] * len(first_points) for _ in sample_range]
+        first_next = [[0.0] * len(first_points) for _ in sample_range]
+        starts: list = [0.0] * len(first_points)
+        start_keys = [0.0] * len(first_points)
+        start_index = [0] * len(first_points)
+        drain_cost = [0.0] * len(drain_points)
+        second_cost = [[0.0] * len(second_points) for _ in next_range]
+        sums: "list[list[float]]" = []
+        first_done = drain_done = second_done = 0
+
+        best_cost = float("inf")
+        best: "_Candidate | None" = None
+        for candidate in plan.candidates:
+            _, _, total, sums_index, first, drains, second = candidate[:7]
+            first_end, drain_end, second_end = candidate[7:]
+            # Fill the slots this candidate needs first, sample by
+            # sample: serving computers, then draining ones.
+            if first_end > first_done or drain_end > drain_done:
+                for s in sample_range:
+                    for slot in range(first_done, first_end):
+                        j, n = first_points[slot]
+                        first_cost[s][slot], first_next[s][slot] = look_up(
+                            (map_ids[j], queue_keys[j], share_keys[n][s], work_key),
+                            j, queue_list[j], queue_index[j], shares[n, s],
+                        )
+                    if s == 0:
+                        for slot in range(drain_done, drain_end):
+                            j = drain_points[slot]
+                            drain_cost[slot] = look_up(
+                                (map_ids[j], queue_keys[j], 0.0, work_key),
+                                j, queue_list[j], queue_index[j], 0.0,
+                            )[0]
+                for slot in range(first_done, first_end):
+                    start = 0.0
+                    for s in sample_range:
+                        start += first_next[s][slot] * weight
+                    starts[slot] = start
+                    start_keys[slot] = _round_key(start)
+                    start_index[slot] = maps[first_points[slot][0]]._queue_index(start)
+                first_done, drain_done = first_end, drain_end
+            if second_end > second_done:
+                for s in next_range:
+                    for slot in range(second_done, second_end):
+                        j, f, g = second_points[slot]
+                        if f < 0:  # booting: it starts empty
+                            start, start_key = 0.0, 0.0
+                            index = maps[j]._queue_index(0.0)
+                        else:
+                            start, start_key, index = starts[f], start_keys[f], start_index[f]
+                        second_cost[s][slot] = look_up(
+                            (map_ids[j], start_key, next_keys[g][s], work_key),
+                            j, start, index, next_shares[g, s],
+                        )[0]
+                second_done = second_end
+
+            # Add the cost up in the per-candidate loop's order.
+            if sums_index == len(sums):
+                step_sums = []
+                for s in sample_range:
+                    costs = first_cost[s]
+                    step = 0.0
+                    for slot in first:
+                        step += costs[slot]
+                    step_sums.append(step)
+                sums.append(step_sums)
+            step_sums = sums[sums_index]
+            for s in sample_range:
+                step = step_sums[s]
+                for slot in drains:
+                    step += drain_cost[slot]
+                total += step * weight
+            for s in next_range:
+                costs = second_cost[s]
+                step = 0.0
+                for slot in second:
+                    step += costs[slot]
+                total += step * next_weight
+            if total < best_cost:
+                best_cost = total
+                best = candidate
+        return best_cost, best
+
     # ------------------------------------------------------------------
-    # Candidate generation (the bounded neighbourhood)
+    # The bounded neighbourhood
     # ------------------------------------------------------------------
-    def _candidate_alphas(self, alpha_current: np.ndarray) -> list[np.ndarray]:
+    def _neighbourhood(
+        self, alpha_current: np.ndarray, available: np.ndarray
+    ) -> "_Neighbourhood":
+        """Every (alpha, gamma) candidate in search order, with its table slots.
+
+        An alpha with no computer serving now is skipped. The gamma
+        candidates are shared by every alpha with the same serving set,
+        and so are their per-sample first-term sums. Slots are numbered
+        in the order the search first needs them, so a candidate's new
+        slots are the range from the previous candidate's ends to its
+        own.
+        """
+        step = self.params.gamma_step
+        levels = simplex_levels(step)
+        substeps = self.substep_count()
+        alphas = [
+            alpha
+            for alpha in self._candidate_alphas(alpha_current, available)
+            if (alpha & alpha_current).any()
+        ]
+        if not alphas:
+            return _Neighbourhood(levels, (), (), (), ())
+        # Period k+1 shares the load capacity-proportionally over the on-set.
+        next_gammas = [
+            quantize_to_simplex(np.where(alpha, self.capacities, 0.0), step)
+            for alpha in alphas
+        ]
+        next_quanta = _simplex_quanta(np.array(next_gammas), levels).tolist()
+        groups: "dict[tuple[int, ...], tuple[np.ndarray, list, int]]" = {}
+        first_slots: "dict[tuple[int, int], int]" = {}
+        drain_slots: "dict[int, int]" = {}
+        second_slots: "dict[tuple[int, int, int], int]" = {}
+        candidates: "list[_Candidate]" = []
+        sums_count = 0
+        current = alpha_current.tolist()
+        for alpha, gamma_next in zip(alphas, next_quanta):
+            alpha.setflags(write=False)
+            on = alpha.tolist()
+            on_idx = [j for j, is_on in enumerate(on) if is_on]
+            serving_idx = [j for j in on_idx if current[j]]
+            booting_idx = [j for j in on_idx if not current[j]]
+            fixed = self.params.switching_weight * len(booting_idx)
+            for j in booting_idx:
+                fixed += self._base_powers[j] * substeps
+            drains = tuple(
+                drain_slots.setdefault(j, len(drain_slots))
+                for j, was_on in enumerate(current)
+                if was_on and not on[j]
+            )
+            group = groups.get(tuple(serving_idx))
+            if group is None:
+                gammas = np.array(self._candidate_gammas(alpha & alpha_current))
+                quanta = _simplex_quanta(gammas, levels).tolist()
+                gammas.setflags(write=False)
+                group = groups[tuple(serving_idx)] = (gammas, quanta, sums_count)
+                sums_count += len(quanta)
+            gammas, quanta, sums_base = group
+            # Per computer on: its position among the serving ones (-1
+            # when it boots) and its gamma_next quanta.
+            position = {j: p for p, j in enumerate(serving_idx)}
+            layout = [(j, position.get(j, -1), gamma_next[j]) for j in on_idx]
+            for i, gamma_quanta in enumerate(quanta):
+                first = [
+                    first_slots.setdefault((j, gamma_quanta[j]), len(first_slots))
+                    for j in serving_idx
+                ]
+                second = [
+                    second_slots.setdefault(
+                        (j, first[p] if p >= 0 else -1, g), len(second_slots)
+                    )
+                    for j, p, g in layout
+                ]
+                candidates.append(
+                    _Candidate(
+                        alpha,
+                        gammas[i],
+                        fixed,
+                        sums_base + i,
+                        tuple(first),
+                        drains,
+                        tuple(second),
+                        len(first_slots),
+                        len(drain_slots),
+                        len(second_slots),
+                    )
+                )
+        return _Neighbourhood(
+            levels,
+            tuple(candidates),
+            tuple(first_slots),
+            tuple(drain_slots),
+            tuple(second_slots),
+        )
+
+    def _candidate_alphas(
+        self, alpha_current: np.ndarray, available: np.ndarray
+    ) -> list[np.ndarray]:
         """Hamming-radius neighbourhood of the current configuration.
 
         Radius 1 (default) allows one machine flip per period; radius 2
         adds all pair flips (used when workloads surge faster than one
-        machine per T_L1 can track).
+        machine per T_L1 can track). A failed machine is never switched
+        on.
         """
         m = alpha_current.size
-        available = getattr(self, "_available", np.ones(m, dtype=bool))
         candidates = [alpha_current.copy()]
         flip_sets: list[tuple[int, ...]] = [(j,) for j in range(m)]
         if self.params.alpha_radius >= 2:
@@ -542,135 +825,23 @@ class L1Controller:
                 candidates.append(candidate)
         return candidates
 
-    def _candidate_gammas(self, serving: np.ndarray) -> "tuple[np.ndarray, ...]":
-        """Capacity-proportional seed plus its simplex neighbourhood.
-
-        Built once per serving mask and cached; the arrays are read-only,
-        so a caller that mutates a decision's gamma fails loudly instead
-        of corrupting later decisions.
-        """
-        mask = serving.tobytes()
-        cached = self._gamma_candidates.get(mask)
-        if cached is not None:
-            return cached
+    def _candidate_gammas(self, serving: np.ndarray) -> "list[np.ndarray]":
+        """Capacity-proportional seed plus its simplex neighbourhood."""
         weights = np.where(serving, self.capacities, 0.0)
         seed = quantize_to_simplex(weights, self.params.gamma_step)
         candidates = [seed]
+        idle = ~serving
         if self.params.gamma_neighborhood_moves > 0:
             for neighbor in simplex_neighbors(
                 seed, self.params.gamma_step, moves=self.params.gamma_neighborhood_moves
             ):
                 # gamma may only load machines that are serving now.
-                if np.any(neighbor[~serving] > 0):
+                if (neighbor[idle] > 0).any():
                     continue
                 candidates.append(neighbor)
                 if len(candidates) >= self.params.max_gamma_candidates:
                     break
-        for candidate in candidates:
-            candidate.setflags(write=False)
-        cached = self._gamma_candidates[mask] = tuple(candidates)
-        return cached
-
-    # ------------------------------------------------------------------
-    # Cost evaluation over the two-term horizon
-    # ------------------------------------------------------------------
-    def _alpha_context(
-        self, alpha: np.ndarray, alpha_current: np.ndarray
-    ) -> dict:
-        """Per-alpha quantities shared by every gamma candidate."""
-        serving_now = alpha & alpha_current
-        booting = alpha & ~alpha_current
-        draining = ~alpha & alpha_current
-        substeps = self.substep_count()
-        fixed = self.params.switching_weight * int(booting.sum())
-        for j in np.flatnonzero(booting):
-            fixed += self._base_powers[j] * substeps
-        mask = alpha.tobytes()
-        gamma_next = self._gamma_next.get(mask)
-        if gamma_next is None:
-            gamma_next = quantize_to_simplex(
-                np.where(alpha, self.capacities, 0.0), self.params.gamma_step
-            )
-            gamma_next.setflags(write=False)
-            self._gamma_next[mask] = gamma_next
-        return {
-            "alpha": alpha,
-            "serving_idx": [int(j) for j in np.flatnonzero(serving_now)],
-            "draining_idx": [int(j) for j in np.flatnonzero(draining)],
-            "on_idx": [int(j) for j in np.flatnonzero(alpha)],
-            "serving_now": serving_now,
-            "fixed_cost": fixed,
-            "gamma_next": gamma_next,
-        }
-
-    def _horizon_cost(
-        self, point: "_DecisionPoint", context: dict, gamma: np.ndarray
-    ) -> tuple[float, int]:
-        """Expected cost of periods k and k+1 under a candidate.
-
-        Returns (cost, states evaluated). Each sampled arrival rate is one
-        predicted system state, matching the paper's exploration metric.
-        """
-        queues = point.queues
-        map_ids = point.map_ids
-        queue_keys = point.queue_keys
-        work = point.work
-        work_key = point.work_key
-        total = context["fixed_cost"]
-        weight = 1.0 / len(point.samples)
-        next_queues = {j: 0.0 for j in context["serving_idx"]}
-        for rate in point.samples:
-            step_cost = 0.0
-            for j in context["serving_idx"]:
-                share = gamma[j] * rate
-                key = (map_ids[j], queue_keys[j], _round_key(share), work_key)
-                cost_j, next_q = self._query(key, j, queues[j], share, work)
-                step_cost += cost_j
-                next_queues[j] += next_q * weight
-            for j in context["draining_idx"]:
-                key = (map_ids[j], queue_keys[j], 0.0, work_key)
-                cost_j, _ = self._query(key, j, queues[j], 0.0, work)
-                step_cost += cost_j
-            total += step_cost * weight
-
-        # Second horizon term: boots have completed; load re-allocated
-        # capacity-proportionally over the candidate's on-set.
-        gamma_next = context["gamma_next"]
-        next_weight = 1.0 / len(point.next_samples)
-        for rate in point.next_samples:
-            step_cost = 0.0
-            for j in context["on_idx"]:
-                start_queue = next_queues.get(j, 0.0)
-                share = gamma_next[j] * rate
-                key = (map_ids[j], _round_key(start_queue), _round_key(share), work_key)
-                cost_j, _ = self._query(key, j, start_queue, share, work)
-                step_cost += cost_j
-            total += step_cost * next_weight
-        return total, len(point.samples) + len(point.next_samples)
-
-    def _query(
-        self, key: tuple, j: int, queue: float, rate: float, work: float
-    ) -> tuple[float, float]:
-        """Memoised abstraction-map lookup for computer ``j``.
-
-        ``key`` is ``(id(self.maps[j]), _round_key(queue),
-        _round_key(rate), round(work, 9))``. It names the map rather
-        than the computer, so same-profile machines at the same
-        operating point share one evaluation. Queue and rate round to
-        6 decimals by the rule of their type (see :func:`_round_key`):
-        numpy's rule for the numpy scalars the horizon cost forms
-        (start queues, ``gamma_j * rate`` shares) and Python's for the
-        Python floats it accumulates (second-term queues, unless a
-        saturated-regime rollout, which returns numpy scalars, fed
-        them). The first query of a key is evaluated at its own
-        unrounded point; every later query with an equal key reuses
-        that result.
-        """
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = self.maps[j].cost_and_next_queue(queue, rate, work)
-            self._memo[key] = hit
-        return hit
+        return candidates
 
     def substep_count(self) -> int:
         """L0 periods per L1 period (the paper's l)."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.common.errors import ConfigurationError, ControlError
+from repro.common.errors import ConfigurationError
 from repro.approximation.training import TrainingSet, train_tree
 from repro.approximation.regression_tree import RegressionTree
 from repro.cluster.specs import ModuleSpec
@@ -29,6 +29,7 @@ from repro.controllers.l0 import L0Controller
 from repro.controllers.l1 import (
     ComputerBehaviorMap,
     L1Controller,
+    _simplex_quanta,
     require_finite_inputs,
 )
 from repro.controllers.params import L0Params, L1Params, L2Params
@@ -474,12 +475,7 @@ class L2Controller:
     ) -> "tuple[np.ndarray, np.ndarray]":
         """``(candidates, quanta)`` with ``levels[quanta] == candidates``."""
         candidates = np.asarray(rows)
-        levels = simplex_levels(self.params.gamma_step)
-        quanta = np.rint(candidates * (levels.size - 1)).astype(np.intp)
-        if not np.array_equal(levels[quanta], candidates):
-            raise ControlError(
-                "gamma candidates are not on the quantised simplex levels"
-            )
+        quanta = _simplex_quanta(candidates, simplex_levels(self.params.gamma_step))
         candidates.setflags(write=False)
         quanta.setflags(write=False)
         return candidates, quanta

@@ -56,7 +56,7 @@ class TestFitQuality:
         x = rng.uniform(0, 1, (300, 3))
         y = np.where(x[:, 1] < 0.5, 0.0, 10.0)  # only feature 1 matters
         tree = RegressionTree(max_depth=1).fit(x, y)
-        assert tree._root.feature == 1
+        assert tree.feature[0] == 1
 
     def test_depth_limit_respected(self):
         rng = np.random.default_rng(2)
@@ -113,3 +113,51 @@ class TestProperties:
         mse_shallow = np.mean((shallow.predict(x) - y) ** 2)
         mse_deep = np.mean((deep.predict(x) - y) ** 2)
         assert mse_deep <= mse_shallow + 1e-12
+
+
+def _walk_payload(node: dict, point) -> float:
+    """Predict by walking the nested ``to_dict`` payload recursively."""
+    if "left" not in node:
+        return node["prediction"]
+    branch = "left" if point[node["feature"]] <= node["threshold"] else "right"
+    return _walk_payload(node[branch], point)
+
+
+def _splits(node: dict):
+    """Every ``(feature, threshold)`` of the nested payload."""
+    if "left" in node:
+        yield node["feature"], node["threshold"]
+        yield from _splits(node["left"])
+        yield from _splits(node["right"])
+
+
+class TestFlatNodes:
+    def test_predict_equals_a_walk_of_the_nested_payload(self):
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0.0, 1.0, (400, 3))
+        y = np.sin(5 * x[:, 0]) + x[:, 1] * x[:, 2]
+        tree = RegressionTree(max_depth=8, min_samples_leaf=2).fit(x, y)
+        payload = tree.to_dict()
+        splits = list(_splits(payload["root"]))
+        assert len(splits) > 20
+        # Random points, then points put exactly on each split threshold.
+        points = rng.uniform(-0.1, 1.1, (300, 3))
+        on_threshold = rng.uniform(0.0, 1.0, (len(splits), 3))
+        for row, (feature, threshold) in zip(on_threshold, splits):
+            row[feature] = threshold
+        points = np.vstack([points, on_threshold])
+        expected = [_walk_payload(payload["root"], row) for row in points]
+        assert tree.predict(points).tolist() == expected
+        assert [tree.predict_one(row) for row in points] == expected
+        rebuilt = RegressionTree.from_dict(payload)
+        assert rebuilt.predict(points).tolist() == expected
+        assert rebuilt.to_dict() == payload
+
+    def test_a_leaf_has_no_left_child(self):
+        rng = np.random.default_rng(6)
+        x = rng.uniform(0.0, 1.0, (120, 2))
+        tree = RegressionTree(max_depth=4).fit(x, x[:, 0] + x[:, 1])
+        leaves = [node for node, left in enumerate(tree.left) if left == -1]
+        assert len(leaves) == tree.leaf_count
+        assert all(tree.right[node] == -1 for node in leaves)
+        assert len(tree.prediction) == 2 * tree.leaf_count - 1

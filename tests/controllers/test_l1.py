@@ -1,12 +1,32 @@
 """Tests for the L1 module controller and its abstraction map."""
 
+import re
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro
+from repro.approximation.quantizer import GridQuantizer
+from repro.approximation.table import LookupTableMap
 from repro.common import ConfigurationError, ControlError
-from repro.cluster import paper_module_spec
+from repro.cluster import (
+    ComputerSpec,
+    paper_module_spec,
+    processor_profile,
+    scaled_module_spec,
+)
 from repro.controllers import L1Controller, L1Params
-from repro.controllers.l1 import _round_key
+from repro.controllers.l1 import (
+    ComputerBehaviorMap,
+    L1Decision,
+    _round_key,
+    _round_keys,
+)
+from repro.core.simplex import quantize_to_simplex, simplex_neighbors
+from repro.core.uncertainty import three_point_band
 
 
 @pytest.fixture(scope="module")
@@ -319,6 +339,14 @@ class TestMemoKeys:
         assert _round_key(np.float64(269.7867145)) == 269.786714
         assert _round_key(269.7867145) == 269.786715
 
+    def test_array_keys_round_like_numpy_scalars(self):
+        values = self._samples().reshape(-1, 6)
+        keys = _round_keys(values)
+        for row, key_row in zip(values, keys):
+            for x, key in zip(row, key_row):
+                assert type(key) is float
+                assert key.hex() == _round_key(x).hex()
+
 
 def _varied_inputs(module_spec, count, seed):
     """Decision inputs covering bands, saturation, drains and failures."""
@@ -356,8 +384,12 @@ class TestDecisionCaches:
         )
         with pytest.raises(ValueError):
             decision.gamma[0] = 0.5
-        cached = [g for gammas in l1._gamma_candidates.values() for g in gammas]
-        cached.extend(l1._gamma_next.values())
+        cached = [
+            array
+            for plan in l1._plans.values()
+            for candidate in plan.candidates
+            for array in (candidate.alpha, candidate.gamma)
+        ]
         assert cached
         assert not any(g.flags.writeable for g in cached)
 
@@ -400,3 +432,513 @@ class TestNonFiniteInputs:
         with pytest.raises(ControlError) as caught:
             _fresh_l1(trained_l1, module_spec).decide(**inputs)
         assert str(caught.value) == expected
+
+
+@dataclass(frozen=True)
+class _DecisionPoint:
+    """Inputs of one L1 decision that every candidate's cost shares.
+
+    Computed once per :meth:`L1Controller.decide`: the arrival-rate
+    samples of both horizon terms and the memo-key parts that do not
+    depend on the candidate.
+    """
+
+    queues: np.ndarray
+    work: float
+    samples: list  # first-term rates: the band around rate_hat
+    next_samples: list  # second-term rates: the band around rate_next
+    map_ids: "list[int]"  # id(maps[j]), the memo key's map part
+    queue_keys: "list[float]"  # _round_key(queues[j])
+    work_key: float  # round(work, 9)
+
+
+class _ReferenceL1:
+    """The per-candidate L1 search the share tables replaced (test oracle).
+
+    ``decide`` walks every (alpha, gamma) candidate and costs it with
+    ``_horizon_cost``: one memoised map query per computer and band
+    sample, as ``L1Controller.decide`` did before it added candidates
+    up from share tables. ``_alpha_context``, ``_horizon_cost`` and
+    ``_query`` are that loop verbatim; it reads the controller's maps,
+    params and capacities and keeps its own caches.
+    """
+
+    def __init__(self, controller: L1Controller) -> None:
+        self.spec = controller.spec
+        self.params = controller.params
+        self.l0_params = controller.l0_params
+        self.maps = controller.maps
+        self.capacities = controller.capacities
+        self._base_powers = controller._base_powers
+        self._gamma_candidates: "dict[bytes, tuple[np.ndarray, ...]]" = {}
+        self._gamma_next: "dict[bytes, np.ndarray]" = {}
+
+    def decide(
+        self,
+        queues: np.ndarray,
+        alpha_current: np.ndarray,
+        rate_hat: float,
+        rate_next: float,
+        delta: float,
+        work: float,
+        available: np.ndarray | None = None,
+    ) -> L1Decision:
+        queues = np.asarray(queues, dtype=float)
+        alpha_current = np.asarray(alpha_current).astype(bool)
+        m = self.spec.size
+        if available is None:
+            available = np.ones(m, dtype=bool)
+        else:
+            available = np.asarray(available).astype(bool)
+            if not available.any():
+                raise ControlError("no machine available to serve the module")
+            alpha_current = alpha_current & available
+        self._available = available
+        explored = 0
+        best_cost = float("inf")
+        best_alpha: np.ndarray | None = None
+        best_gamma: np.ndarray | None = None
+        self._memo: dict[tuple, tuple[float, float]] = {}
+        point = _DecisionPoint(
+            queues=queues,
+            work=work,
+            samples=list(three_point_band(rate_hat, delta)) if delta > 0 else [rate_hat],
+            next_samples=(
+                list(three_point_band(rate_next, delta)) if delta > 0 else [rate_next]
+            ),
+            map_ids=[id(m) for m in self.maps],
+            queue_keys=[_round_key(q) for q in queues],
+            work_key=round(work, 9),
+        )
+        for alpha in self._candidate_alphas(alpha_current):
+            serving_now = alpha & alpha_current
+            if not serving_now.any():
+                continue
+            context = self._alpha_context(alpha, alpha_current)
+            for gamma in self._candidate_gammas(serving_now):
+                cost, states = self._horizon_cost(point, context, gamma)
+                explored += states
+                if cost < best_cost:
+                    best_cost = cost
+                    best_alpha = alpha
+                    best_gamma = gamma
+        if best_alpha is None:
+            raise ControlError("no admissible (alpha, gamma) candidate found")
+        return L1Decision(
+            alpha=best_alpha.astype(int),
+            gamma=best_gamma,
+            expected_cost=best_cost,
+            states_explored=explored,
+        )
+
+    def _candidate_alphas(self, alpha_current: np.ndarray) -> list[np.ndarray]:
+        m = alpha_current.size
+        available = getattr(self, "_available", np.ones(m, dtype=bool))
+        candidates = [alpha_current.copy()]
+        flip_sets: list[tuple[int, ...]] = [(j,) for j in range(m)]
+        if self.params.alpha_radius >= 2:
+            flip_sets.extend(
+                (i, j) for i in range(m) for j in range(i + 1, m)
+            )
+        for flips in flip_sets:
+            candidate = alpha_current.copy()
+            skip = False
+            for j in flips:
+                if not candidate[j] and not available[j]:
+                    skip = True  # cannot switch on a failed machine
+                    break
+                candidate[j] = not candidate[j]
+            if skip:
+                continue
+            if candidate.any():  # never turn the whole module off
+                candidates.append(candidate)
+        return candidates
+
+    def _candidate_gammas(self, serving: np.ndarray) -> "tuple[np.ndarray, ...]":
+        mask = serving.tobytes()
+        cached = self._gamma_candidates.get(mask)
+        if cached is not None:
+            return cached
+        weights = np.where(serving, self.capacities, 0.0)
+        seed = quantize_to_simplex(weights, self.params.gamma_step)
+        candidates = [seed]
+        if self.params.gamma_neighborhood_moves > 0:
+            for neighbor in simplex_neighbors(
+                seed, self.params.gamma_step, moves=self.params.gamma_neighborhood_moves
+            ):
+                # gamma may only load machines that are serving now.
+                if np.any(neighbor[~serving] > 0):
+                    continue
+                candidates.append(neighbor)
+                if len(candidates) >= self.params.max_gamma_candidates:
+                    break
+        for candidate in candidates:
+            candidate.setflags(write=False)
+        cached = self._gamma_candidates[mask] = tuple(candidates)
+        return cached
+
+    def _alpha_context(
+        self, alpha: np.ndarray, alpha_current: np.ndarray
+    ) -> dict:
+        """Per-alpha quantities shared by every gamma candidate."""
+        serving_now = alpha & alpha_current
+        booting = alpha & ~alpha_current
+        draining = ~alpha & alpha_current
+        substeps = self.substep_count()
+        fixed = self.params.switching_weight * int(booting.sum())
+        for j in np.flatnonzero(booting):
+            fixed += self._base_powers[j] * substeps
+        mask = alpha.tobytes()
+        gamma_next = self._gamma_next.get(mask)
+        if gamma_next is None:
+            gamma_next = quantize_to_simplex(
+                np.where(alpha, self.capacities, 0.0), self.params.gamma_step
+            )
+            gamma_next.setflags(write=False)
+            self._gamma_next[mask] = gamma_next
+        return {
+            "alpha": alpha,
+            "serving_idx": [int(j) for j in np.flatnonzero(serving_now)],
+            "draining_idx": [int(j) for j in np.flatnonzero(draining)],
+            "on_idx": [int(j) for j in np.flatnonzero(alpha)],
+            "serving_now": serving_now,
+            "fixed_cost": fixed,
+            "gamma_next": gamma_next,
+        }
+
+    def _horizon_cost(
+        self, point: "_DecisionPoint", context: dict, gamma: np.ndarray
+    ) -> tuple[float, int]:
+        """Expected cost of periods k and k+1 under a candidate.
+
+        Returns (cost, states evaluated). Each sampled arrival rate is one
+        predicted system state, matching the paper's exploration metric.
+        """
+        queues = point.queues
+        map_ids = point.map_ids
+        queue_keys = point.queue_keys
+        work = point.work
+        work_key = point.work_key
+        total = context["fixed_cost"]
+        weight = 1.0 / len(point.samples)
+        next_queues = {j: 0.0 for j in context["serving_idx"]}
+        for rate in point.samples:
+            step_cost = 0.0
+            for j in context["serving_idx"]:
+                share = gamma[j] * rate
+                key = (map_ids[j], queue_keys[j], _round_key(share), work_key)
+                cost_j, next_q = self._query(key, j, queues[j], share, work)
+                step_cost += cost_j
+                next_queues[j] += next_q * weight
+            for j in context["draining_idx"]:
+                key = (map_ids[j], queue_keys[j], 0.0, work_key)
+                cost_j, _ = self._query(key, j, queues[j], 0.0, work)
+                step_cost += cost_j
+            total += step_cost * weight
+
+        # Second horizon term: boots have completed; load re-allocated
+        # capacity-proportionally over the candidate's on-set.
+        gamma_next = context["gamma_next"]
+        next_weight = 1.0 / len(point.next_samples)
+        for rate in point.next_samples:
+            step_cost = 0.0
+            for j in context["on_idx"]:
+                start_queue = next_queues.get(j, 0.0)
+                share = gamma_next[j] * rate
+                key = (map_ids[j], _round_key(start_queue), _round_key(share), work_key)
+                cost_j, _ = self._query(key, j, start_queue, share, work)
+                step_cost += cost_j
+            total += step_cost * next_weight
+        return total, len(point.samples) + len(point.next_samples)
+
+    def _query(
+        self, key: tuple, j: int, queue: float, rate: float, work: float
+    ) -> tuple[float, float]:
+        """Memoised abstraction-map lookup for computer ``j``.
+
+        ``key`` is ``(id(self.maps[j]), _round_key(queue),
+        _round_key(rate), round(work, 9))``. It names the map rather
+        than the computer, so same-profile machines at the same
+        operating point share one evaluation. Queue and rate round to
+        6 decimals by the rule of their type (see :func:`_round_key`):
+        numpy's rule for the numpy scalars the horizon cost forms
+        (start queues, ``gamma_j * rate`` shares) and Python's for the
+        Python floats it accumulates (second-term queues, unless a
+        saturated-regime rollout, which returns numpy scalars, fed
+        them). The first query of a key is evaluated at its own
+        unrounded point; every later query with an equal key reuses
+        that result.
+        """
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self.maps[j].cost_and_next_queue(queue, rate, work)
+            self._memo[key] = hit
+        return hit
+
+    def substep_count(self) -> int:
+        return round(self.params.period / self.l0_params.period)
+
+
+def _reference_decide(controller, queues, alpha_current, *args, **kwargs):
+    """The per-candidate loop's decision for ``controller.decide``'s inputs."""
+    return _ReferenceL1(controller).decide(queues, alpha_current, *args, **kwargs)
+
+
+def _assert_matches_reference(controller, queues, alpha_current, *args, **kwargs):
+    """``controller.decide`` equals the per-candidate loop bit for bit."""
+    try:
+        expected = _reference_decide(controller, queues, alpha_current, *args, **kwargs)
+    except ControlError as error:
+        with pytest.raises(ControlError, match=re.escape(str(error))):
+            controller.decide(queues, alpha_current, *args, **kwargs)
+        return None
+    decision = controller.decide(queues, alpha_current, *args, **kwargs)
+    assert decision.alpha.tobytes() == expected.alpha.tobytes()
+    assert decision.gamma.tobytes() == expected.gamma.tobytes()
+    assert decision.expected_cost.hex() == expected.expected_cost.hex()
+    assert decision.states_explored == expected.states_explored
+    return decision
+
+
+def _sized_l1(trained_l1, m, **params):
+    """An L1 over ``scaled_module_spec(m)``, reusing the trained C1..C4 maps."""
+    maps = [trained_l1.maps[j % 4] for j in range(m)]
+    return L1Controller(scaled_module_spec(m), behavior_maps=maps, params=L1Params(**params))
+
+
+#: The parameter sets the share tables are checked under: the defaults,
+#: the overhead scenarios' coarse search, pair flips, the seed gamma
+#: alone, and no band (as ``set_points`` then gives ``delta = 0``).
+_PARAM_SETS = {
+    "default": {},
+    "overhead": {
+        "gamma_step": 0.1,
+        "gamma_neighborhood_moves": 1,
+        "max_gamma_candidates": 8,
+    },
+    "radius-2": {"alpha_radius": 2},
+    "seed-only": {"gamma_neighborhood_moves": 0},
+    "no-band": {"use_uncertainty_band": False},
+}
+
+
+class TestShareTableSearch:
+    """The share-table search equals the per-candidate loop bit for bit."""
+
+    @pytest.mark.parametrize("params", _PARAM_SETS.values(), ids=list(_PARAM_SETS))
+    @pytest.mark.parametrize("m,count", [(1, 24), (4, 40), (10, 10), (16, 5)])
+    def test_varied_inputs_match_reference(self, trained_l1, m, count, params):
+        l1 = _sized_l1(trained_l1, m, **params)
+        for queues, alpha, inputs in _varied_inputs(l1.spec, count, seed=m):
+            if not l1.params.use_uncertainty_band:
+                inputs["delta"] = 0.0
+            _assert_matches_reference(l1, queues, alpha, **inputs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_generated_inputs_match_reference(self, trained_l1, data):
+        m = data.draw(st.integers(min_value=1, max_value=6), label="m")
+        params = data.draw(st.sampled_from(list(_PARAM_SETS.values())), label="params")
+        l1 = _sized_l1(trained_l1, m, **params)
+        capacity = float(l1.capacities.sum())
+        flags = st.lists(st.booleans(), min_size=m, max_size=m)
+        queues = data.draw(
+            st.lists(
+                st.one_of(st.just(0.0), st.floats(0.0, 900.0)), min_size=m, max_size=m
+            ),
+            label="queues",
+        )
+        alpha = data.draw(flags, label="alpha")
+        available = data.draw(st.one_of(st.none(), flags), label="available")
+        rates = st.floats(0.0, 2.5 * capacity)
+        inputs = {
+            "rate_hat": data.draw(rates, label="rate_hat"),
+            "rate_next": data.draw(rates, label="rate_next"),
+            "delta": data.draw(
+                st.one_of(st.just(0.0), st.floats(0.0, capacity)), label="delta"
+            ),
+            "work": data.draw(
+                st.one_of(st.just(0.0175), st.floats(0.008, 0.03)), label="work"
+            ),
+            "available": None if available is None else np.array(available),
+        }
+        _assert_matches_reference(l1, np.array(queues), np.array(alpha), **inputs)
+
+    @pytest.mark.parametrize(
+        "scenario,samples", [("paper/fig6-cluster16", 12), ("module-failover", None)]
+    )
+    def test_recorded_runs_match_reference(self, monkeypatch, scenario, samples):
+        """Every decide call of a run, module-map training included."""
+        decide = L1Controller.decide
+        checked = []
+
+        def checking_decide(controller, *args, **kwargs):
+            decision = decide(controller, *args, **kwargs)
+            expected = _reference_decide(controller, *args, **kwargs)
+            checked.append(
+                decision.alpha.tobytes() == expected.alpha.tobytes()
+                and decision.gamma.tobytes() == expected.gamma.tobytes()
+                and decision.expected_cost.hex() == expected.expected_cost.hex()
+                and decision.states_explored == expected.states_explored
+            )
+            return decision
+
+        monkeypatch.setattr(L1Controller, "decide", checking_decide)
+        spec = (
+            repro.get_scenario(scenario, samples=samples)
+            if samples
+            else repro.get_scenario(scenario)
+        )
+        repro.run_scenario(spec)
+        assert len(checked) >= 40
+        assert all(checked), f"decide call {checked.index(False)} differs"
+
+
+def _tiny_map(
+    rate_top: float, queue_top: float = 7.0, next_queues=(1.0, 2.0, 3.0, 4.0)
+) -> ComputerBehaviorMap:
+    """A one-substep map over a 2 x 2 grid whose every cell differs.
+
+    Rates above ``rate_top`` take the saturated rollout, which is
+    continuous in the queue and the rate, so points whose memo keys
+    alias still give different results there. Below it, a queue right
+    on the midpoint of the queue grid snaps down and one a hair above
+    snaps up. ``next_queues`` are the cells' final queues in grid order
+    (queue-major): the cell of an empty queue at ``rate_top`` is the
+    second.
+    """
+    spec = ComputerSpec(name="tiny", processor=processor_profile("c4"), speed_factor=1.0)
+    quantizer = GridQuantizer([[0.0, queue_top], [0.0, rate_top], [0.0175]])
+    table = LookupTableMap(quantizer, output_dim=2)
+    for index, (point, next_queue) in enumerate(zip(quantizer.grid_points(), next_queues)):
+        table.store(point, [10.0 + 7.0 * index, next_queue])
+    return ComputerBehaviorMap(spec, table, substeps=1)
+
+
+def _equal_l1(m: int, behavior_map: ComputerBehaviorMap, **params) -> L1Controller:
+    """``m`` equal-speed computers that all share ``behavior_map``."""
+    return L1Controller(
+        scaled_module_spec(m, speed_factor=1.0),
+        behavior_maps=[behavior_map] * m,
+        params=L1Params(**params),
+    )
+
+
+class TestMemoAliasing:
+    """Aliased memo keys resolve to the first point the loop visited.
+
+    Each case builds two points with equal keys whose map results
+    differ, so filling the tables in another order changes the bits.
+    """
+
+    WORK = 0.0175
+
+    def test_shared_map_queues_equal_to_six_decimals(self):
+        # Both computers serve 0.5 of a saturated load; their queues
+        # key equally, so computer 1 reuses computer 0's rollout.
+        behavior_map = _tiny_map(rate_top=20.0)
+        l1 = _equal_l1(2, behavior_map, gamma_step=0.5, gamma_neighborhood_moves=0)
+        queues = np.array([100.0, 100.0 + 1e-9])
+        assert _round_key(queues[0]) == _round_key(queues[1])
+        share = 0.5 * 120.0
+        assert behavior_map.cost_and_next_queue(
+            queues[0], share, self.WORK
+        ) != behavior_map.cost_and_next_queue(queues[1], share, self.WORK)
+        decision = _assert_matches_reference(
+            l1, queues, np.ones(2, dtype=bool),
+            rate_hat=120.0, rate_next=120.0, delta=0.0, work=self.WORK,
+        )
+        assert decision.alpha.tolist() == [1, 1]
+
+    def test_serving_at_zero_gamma_and_draining_share_a_key(self):
+        # The seed over three equal computers is (0.5, 0.5, 0): computer
+        # 2 serves at share 0.0 in the first candidate, keyed like
+        # computer 1 draining later. Their queues straddle the queue
+        # grid's midpoint, so the two points snap to different cells.
+        behavior_map = _tiny_map(rate_top=60.0)
+        l1 = _equal_l1(3, behavior_map, gamma_step=0.5, gamma_neighborhood_moves=0)
+        queues = np.array([6.9, 3.5 + 1e-9, 3.5])
+        assert _round_key(queues[1]) == _round_key(queues[2])
+        assert behavior_map.cost_and_next_queue(
+            queues[1], 0.0, self.WORK
+        ) != behavior_map.cost_and_next_queue(queues[2], 0.0, self.WORK)
+        _assert_matches_reference(
+            l1, queues, np.ones(3, dtype=bool),
+            rate_hat=8.0, rate_next=8.0, delta=0.0, work=self.WORK,
+        )
+
+    def test_second_term_key_equal_to_a_later_first_term_key(self):
+        # At step 1/3 a computer on in period k+1 starts from an empty
+        # queue (computer 0 booting, computer 2 drained by its rollout)
+        # and takes a third of rate_next = 3 rate_hat. Computer 2 alone
+        # serves all of rate_hat when computer 1 drains. Both points key
+        # as (0.0, rate_hat), but computer 2's queue is 1e-9, and the
+        # second-term point comes first in the search.
+        behavior_map = _tiny_map(rate_top=20.0)
+        step = 1.0 / 3.0
+        l1 = _equal_l1(
+            3, behavior_map,
+            gamma_step=step, gamma_neighborhood_moves=0, switching_weight=0.0,
+        )
+        queues = np.array([0.0, 50.0, 1e-9])
+        rate = 90.0
+        second_share = np.float64(step) * (3 * rate)
+        assert _round_key(queues[2]) == 0.0
+        assert _round_key(second_share) == _round_key(np.float64(rate))
+        assert behavior_map.cost_and_next_queue(
+            0.0, second_share, self.WORK
+        ) != behavior_map.cost_and_next_queue(queues[2], np.float64(rate), self.WORK)
+        decision = _assert_matches_reference(
+            l1, queues, np.array([False, True, True]),
+            rate_hat=rate, rate_next=3 * rate, delta=0.0, work=self.WORK,
+        )
+        assert decision.alpha.tolist() == [1, 1, 1]
+
+    def test_numpy_and_python_start_queues_round_by_their_own_rule(self):
+        # Four equal computers serve 60 req/s each. Computers 0 and 2
+        # share a map that saturates there; computers 1 and 3 share one
+        # that does not. Both maps end computer 0 or 1 at a queue of
+        # 269.7867145, where the two rounding rules disagree: computer
+        # 0's is a numpy scalar from the saturated rollout, computer 1's
+        # a Python float from the table. So computer 0's start queue
+        # keys by numpy's rule to 269.786714, the key of computer 2's
+        # first-term point (queue 269.786714), and reuses it; computer
+        # 1's keys by Python's rule to 269.786715, not the key of
+        # computer 3's first-term point (queue 269.786714), and is
+        # evaluated on its own. Either point with the other rule would
+        # give a different cost.
+        target = 269.7867145
+        saturating = _tiny_map(rate_top=30.0)
+        # The queue grid's midpoint lies between 269.786714 and target.
+        tabled = _tiny_map(
+            rate_top=100.0,
+            queue_top=539.5734285,
+            next_queues=(1.0, target, 3.0, 4.0),
+        )
+        rate = 240.0
+        share = np.float64(0.25 * rate)
+        start = target - (share * 30.0 - 30.0 / self.WORK)
+        for _ in range(64):
+            _, end = saturating.cost_and_next_queue(start, share, self.WORK)
+            if end == target:
+                break
+            start = np.nextafter(start, np.inf if end < target else -np.inf)
+        assert type(end) is np.float64 and end == target
+        assert _round_key(end) != _round_key(float(end))
+        _, from_table = tabled.cost_and_next_queue(0.0, share, self.WORK)
+        assert type(from_table) is float and from_table == target
+        for behavior_map in (saturating, tabled):
+            assert (
+                behavior_map.cost_and_next_queue(269.786714, share, self.WORK)[0]
+                != behavior_map.cost_and_next_queue(target, share, self.WORK)[0]
+            )
+        l1 = L1Controller(
+            scaled_module_spec(4, speed_factor=1.0),
+            behavior_maps=[saturating, tabled, saturating, tabled],
+            params=L1Params(gamma_step=0.25, gamma_neighborhood_moves=0),
+        )
+        decision = _assert_matches_reference(
+            l1, np.array([start, 0.0, 269.786714, 269.786714]), np.ones(4, dtype=bool),
+            rate_hat=rate, rate_next=rate, delta=0.0, work=self.WORK,
+        )
+        assert decision.alpha.tolist() == [1, 1, 1, 1]
