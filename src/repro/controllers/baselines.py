@@ -45,6 +45,11 @@ class BaselineDecision:
 class _BaselineBase:
     """Shared plumbing: capacity bookkeeping and observation filters."""
 
+    #: Seconds per control period: the forecast is a count per period,
+    #: and this converts it to a rate. The engine sets the run's period
+    #: when it builds the controller.
+    period = 120.0
+
     def __init__(self, module_spec: ModuleSpec, gamma_step: float = 0.05) -> None:
         self.spec = module_spec
         self.gamma_step = gamma_step
@@ -151,7 +156,7 @@ class ThresholdOnOffController(_BaselineBase):
         """Threshold rule on the one-step-ahead predicted utilisation."""
         started = time.perf_counter()
         work = self.work_estimate
-        rate = float(self.predictor.forecast(1)[0]) / 120.0
+        rate = float(self.predictor.forecast(1)[0]) / self.period
         alpha = np.asarray(alpha_current).astype(bool).copy()
         if not alpha.any():
             alpha[int(np.argmax(self.speed_factors))] = True
@@ -208,7 +213,7 @@ class ThresholdDvfsController(ThresholdOnOffController):
         """Provision machines, then scale each one's frequency down."""
         base = super().act(queues, alpha_current)
         work = self.work_estimate
-        rate = float(self.predictor.forecast(1)[0]) / 120.0
+        rate = float(self.predictor.forecast(1)[0]) / self.period
         frequencies = base.frequency_indices.copy()
         for j, computer in enumerate(self.spec.computers):
             if not base.alpha[j]:

@@ -6,9 +6,10 @@ difference model (eqs. 5-7) with the slack cost J = Q*eps + R*psi. The
 search is vectorised: all paths at a depth are expanded simultaneously as
 numpy arrays, which is what makes the full-day module simulations cheap.
 
-The controller owns its own environment estimators — a Kalman-filter
-workload predictor at T_L0 granularity and the paper's pi = 0.1 EWMA
-filter for processing times — fed via :meth:`observe`.
+The controller keeps the paper's pi = 0.1 EWMA filter for processing
+times (``work_filter``), which the engine feeds each T_L0 step. The rate
+forecasts come from outside: the engine gives each L0 its share of the
+module's fine forecast, and map training passes them to :meth:`decide`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from repro.controllers.params import L0Params
 from repro.controllers.stats import ControllerStats
 from repro.core.cost import SlackResponseCost
 from repro.forecast.ewma import EwmaFilter
-from repro.forecast.structural import WorkloadPredictor
 from repro.queueing.fluid import FluidServerModel
 
 
@@ -51,20 +51,10 @@ class L0Controller:
         self.cost = SlackResponseCost(self.params.target_response, self.params.weights)
         self.phis = spec.processor.scaling_factors
         self.stats = ControllerStats()
-        self.predictor = WorkloadPredictor()
         self.work_filter = EwmaFilter(smoothing=0.1)
         #: ``(work_estimate, capacities, effective_service, powers)`` of
         #: the last lookahead; see :meth:`_lookahead_constants`.
         self._constants: "tuple | None" = None
-
-    # ------------------------------------------------------------------
-    # Online estimation
-    # ------------------------------------------------------------------
-    def observe(self, arrival_count: float, measured_work: float | None) -> None:
-        """Feed the period's local arrivals and measured processing time."""
-        self.predictor.observe(float(arrival_count))
-        if measured_work is not None and measured_work > 0:
-            self.work_filter.observe(float(measured_work))
 
     @property
     def work_estimate(self) -> float:
@@ -72,19 +62,6 @@ class L0Controller:
         estimate = self.work_filter.estimate
         return estimate if estimate > 0 else 0.0175
 
-    def act(self, queue: float) -> L0Decision:
-        """Decide the next frequency from the current queue length.
-
-        Uses the internal predictor for the horizon's arrival-rate
-        forecasts; see :meth:`decide` for the pure optimisation.
-        """
-        counts = self.predictor.forecast(self.params.horizon)
-        rates = counts / self.params.period
-        return self.decide(queue, rates, self.work_estimate)
-
-    # ------------------------------------------------------------------
-    # The optimisation itself (pure; used directly for map training)
-    # ------------------------------------------------------------------
     def decide(
         self,
         queue: float,

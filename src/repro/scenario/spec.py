@@ -423,16 +423,17 @@ class ScenarioSpec:
             # healthy run (e.g. `--samples` overrides on module-failover).
             # A `trace` workload without explicit samples has an unknown
             # span until the file is read, so the check moves to run time.
-            period = float(self.control.l1.get("period", 120.0))
+            # Every workload kind builds `samples` two-minute bins,
+            # whatever the L1 period.
             if self.workload.resolved_samples is None:
                 return
-            duration = self.workload.resolved_samples * period
+            duration = self.workload.resolved_samples * 120.0
             for event in self.faults.events:
                 if event[0] >= duration:
                     raise ConfigurationError(
                         f"fault event {tuple(event)!r} falls beyond the "
                         f"{duration:.0f}s trace "
-                        f"({self.workload.resolved_samples} control periods); "
+                        f"({self.workload.resolved_samples} two-minute samples); "
                         "lengthen workload.samples or drop the event"
                     )
 

@@ -239,6 +239,8 @@ class _SimulationBase:
             ]
         else:
             controllers = [self._make_baseline(spec) for spec in self._modules]
+            for controller in controllers:
+                controller.period = self.l1_params.period
         runners = [
             ModuleShardRunner(
                 module_index=i,

@@ -882,7 +882,7 @@ def _fast_threshold_on_off(controller, alpha_current) -> "tuple":
     cached = _fast_act_state(controller)
     n = cached["n"]
     work = controller.work_estimate
-    rate = fast_forecast1(controller.predictor) / 120.0
+    rate = fast_forecast1(controller.predictor) / controller.period
     alpha = [bool(a) for a in alpha_current]
     if not any(alpha):
         speeds = cached["speeds"]

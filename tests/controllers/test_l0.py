@@ -149,23 +149,12 @@ class TestQoSPowerTradeoff:
         assert float(response) <= controller.params.target_response + 1e-9
 
 
-class TestActAndObserve:
-    def test_act_uses_internal_filters(self):
-        controller = _controller()
-        for _ in range(10):
-            controller.observe(arrival_count=900.0, measured_work=0.0175)
-        decision = controller.act(queue=0.0)
-        assert decision.frequency_index > 0  # 30 req/s needs some speed
-
+class TestWorkEstimate:
     def test_work_estimate_default(self):
         controller = _controller()
         assert controller.work_estimate == pytest.approx(0.0175)
 
     def test_work_estimate_tracks_observations(self):
         controller = _controller()
-        controller.observe(100.0, 0.02)
+        controller.work_filter.observe(0.02)
         assert controller.work_estimate == pytest.approx(0.02)
-
-    def test_act_with_no_history_is_idle(self):
-        controller = _controller()
-        assert controller.act(0.0).frequency_index == 0

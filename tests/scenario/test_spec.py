@@ -277,6 +277,20 @@ class TestScenarioSpecValidation:
         ):
             get_scenario("module-failover", samples=12)
 
+    def test_fault_window_counts_two_minute_samples_at_any_l1_period(self):
+        """Every workload builds ``samples`` two-minute bins: 64 samples
+        span 7,680 s at a 60 s L1 period too."""
+        from repro.scenario import get_scenario
+
+        spec = get_scenario("module-failover", samples=64).with_overrides(
+            **{"control.l1": {"period": 60.0}}
+        )
+        assert spec.faults.events[-1][0] == 7200.0
+        with pytest.raises(
+            ConfigurationError, match=r"7680s trace \(64 two-minute samples\)"
+        ):
+            spec.with_overrides(**{"faults.events": [[7680.0, 3, "repair"]]})
+
     def test_faults_incompatible_with_cluster(self):
         with pytest.raises(ConfigurationError):
             ScenarioSpec(

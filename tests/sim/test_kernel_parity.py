@@ -756,11 +756,13 @@ class TestBaselineActParity:
 
     OBSERVATIONS = [9000.0, 11000.0, 14000.0, 12500.0, 8000.0, 15000.0]
 
-    def _pair(self, factory):
+    def _pair(self, factory, period=120.0):
+        """Two controllers fed the same arrival rates as counts per ``period``."""
         scalar, fast = factory(paper_module_spec()), factory(paper_module_spec())
-        for rate in self.OBSERVATIONS:
-            scalar.observe(rate, 0.0175)
-            fast.observe(rate, 0.0175)
+        for controller in (scalar, fast):
+            controller.period = period
+            for count in self.OBSERVATIONS:
+                controller.observe(count * period / 120.0, 0.0175)
         return scalar, fast
 
     @pytest.mark.parametrize(
@@ -777,16 +779,39 @@ class TestBaselineActParity:
         ],
         ids=["all-on", "half-on", "all-off"],
     )
-    def test_decision_bit_identical(self, factory, alpha):
-        scalar, fast = self._pair(factory)
+    @pytest.mark.parametrize("period", [120.0, 60.0])
+    def test_decision_bit_identical(self, factory, alpha, period):
+        """Both paths decide as at 120 s: the same rates, a shorter period."""
+        scalar, fast = self._pair(factory, period)
         queues = np.array([5.0, 0.0, 22.0, 3.0])
-        expected = scalar.act(queues, alpha.copy())
-        decision = fast_baseline_act(fast, queues, alpha.copy())
-        assert np.array_equal(decision.alpha, expected.alpha)
-        assert np.array_equal(decision.gamma, expected.gamma)
-        assert np.array_equal(
-            decision.frequency_indices, expected.frequency_indices
+        expected = self._pair(factory)[0].act(queues, alpha.copy())
+        for decision in (
+            scalar.act(queues, alpha.copy()),
+            fast_baseline_act(fast, queues, alpha.copy()),
+        ):
+            assert np.array_equal(decision.alpha, expected.alpha)
+            assert np.array_equal(decision.gamma, expected.gamma)
+            assert np.array_equal(
+                decision.frequency_indices, expected.frequency_indices
+            )
+
+    @pytest.mark.parametrize(
+        "builder, levels",
+        [
+            (lambda: Scenario.module(m=4).workload("synthetic", samples=48), ("l1",)),
+            (lambda: Scenario.cluster(p=4).workload("wc98", samples=48), ("l1", "l2")),
+        ],
+        ids=["module", "cluster"],
+    )
+    def test_60s_runs_meet_the_sla_on_both_kernels(self, builder, levels):
+        """A baseline converts its forecast with the run's control period."""
+        spec = builder().baseline("threshold-dvfs").build().with_overrides(
+            **{f"control.{level}": {"period": 60.0} for level in levels}
         )
+        scalar = run_scenario(_scalar(spec)).summary()
+        vector = run_scenario(_vector(spec)).summary()
+        assert scalar.violation_fraction < 0.01
+        assert scalar.deterministic_dict() == vector.deterministic_dict()
 
     def test_unknown_subclass_falls_back_to_scalar_act(self):
         class Custom(ThresholdOnOffController):
