@@ -91,13 +91,11 @@ def test_baseline_comparison(benchmark, report, behavior_maps):
         <= llc.violation_fraction + 1e-9
     )
 
-    # Kernel: one threshold-baseline decision (the cheap comparator).
+    # Kernel: one threshold-baseline decision (the cheap comparator) at
+    # 12,000 arrivals per two-minute period.
     baseline = ThresholdOnOffController(paper_module_spec())
-    for _ in range(8):
-        baseline.observe(12000.0, 0.0175)
     import numpy as np
 
-    queues = np.zeros(4)
     alpha = np.ones(4, dtype=bool)
-    decision = benchmark(lambda: baseline.act(queues, alpha))
+    decision = benchmark(lambda: baseline.act(12000.0 / 120.0, 0.0175, alpha))
     assert decision.gamma.sum() == 1.0

@@ -13,8 +13,10 @@ These baselines make that comparison concrete:
 * :class:`AlwaysOnMaxController` — everything on at full speed (the
   QoS-safe / energy-worst reference point).
 
-All of them share the hierarchy's observation interface so the simulation
-engine can drive either controller family interchangeably.
+Like the hierarchy's controllers they hold no filters: the engine
+forecasts each module's arrival rate and processing time and hands both
+to ``act(rate, work, alpha_current)``, so one run can drive either
+controller family.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from repro.common.validation import require_between
 from repro.cluster.specs import ModuleSpec
 from repro.controllers.stats import ControllerStats
 from repro.core.simplex import quantize_to_simplex
-from repro.forecast.ewma import EwmaFilter
-from repro.forecast.structural import WorkloadPredictor
 
 
 @dataclass(frozen=True)
@@ -43,37 +43,22 @@ class BaselineDecision:
 
 
 class _BaselineBase:
-    """Shared plumbing: capacity bookkeeping and observation filters."""
+    """Shared plumbing: capacity bookkeeping and the proportional split.
 
-    #: Seconds per control period: the forecast is a count per period,
-    #: and this converts it to a rate. The engine sets the run's period
-    #: when it builds the controller.
-    period = 120.0
+    ``act(rate, work, alpha_current)`` takes the predicted arrival rate
+    (requests/s) and c-hat (seconds/request) for the coming interval.
+    """
 
     def __init__(self, module_spec: ModuleSpec, gamma_step: float = 0.05) -> None:
         self.spec = module_spec
         self.gamma_step = gamma_step
         self.stats = ControllerStats()
-        self.predictor = WorkloadPredictor()
-        self.work_filter = EwmaFilter(smoothing=0.1)
         self.speed_factors = np.array(
             [c.effective_speed_factor for c in module_spec.computers]
         )
         self.max_indices = np.array(
             [c.processor.setting_count - 1 for c in module_spec.computers]
         )
-
-    def observe(self, arrival_count: float, measured_work: float | None) -> None:
-        """Feed one interval's arrivals and measured processing time."""
-        self.predictor.observe(float(arrival_count))
-        if measured_work is not None and measured_work > 0:
-            self.work_filter.observe(float(measured_work))
-
-    @property
-    def work_estimate(self) -> float:
-        """Current c-hat."""
-        estimate = self.work_filter.estimate
-        return estimate if estimate > 0 else 0.0175
 
     def _capacities(self, work: float) -> np.ndarray:
         """Full-speed service rates at processing time ``work``."""
@@ -117,13 +102,15 @@ def make_baseline(name: str, module_spec: ModuleSpec, **params) -> _BaselineBase
 class AlwaysOnMaxController(_BaselineBase):
     """All machines on, all at maximum frequency."""
 
-    def act(self, queues: np.ndarray, alpha_current: np.ndarray) -> BaselineDecision:
-        """Static decision; ignores state."""
+    def act(
+        self, rate: float, work: float, alpha_current: np.ndarray
+    ) -> BaselineDecision:
+        """Static decision; ignores the rate and state."""
         started = time.perf_counter()
         alpha = np.ones(self.spec.size, dtype=int)
         decision = BaselineDecision(
             alpha=alpha,
-            gamma=self._proportional_gamma(alpha.astype(bool), self.work_estimate),
+            gamma=self._proportional_gamma(alpha.astype(bool), work),
             frequency_indices=self.max_indices.copy(),
         )
         self.stats.record(1, time.perf_counter() - started)
@@ -152,11 +139,11 @@ class ThresholdOnOffController(_BaselineBase):
         self.upper = require_between(upper, 0.0, 1.0, "upper")
         self.lower = require_between(lower, 0.0, upper, "lower")
 
-    def act(self, queues: np.ndarray, alpha_current: np.ndarray) -> BaselineDecision:
+    def act(
+        self, rate: float, work: float, alpha_current: np.ndarray
+    ) -> BaselineDecision:
         """Threshold rule on the one-step-ahead predicted utilisation."""
         started = time.perf_counter()
-        work = self.work_estimate
-        rate = float(self.predictor.forecast(1)[0]) / self.period
         alpha = np.asarray(alpha_current).astype(bool).copy()
         if not alpha.any():
             alpha[int(np.argmax(self.speed_factors))] = True
@@ -209,11 +196,11 @@ class ThresholdDvfsController(ThresholdOnOffController):
         if self.dvfs_target == 0.0:
             raise ConfigurationError("dvfs_target must be > 0")
 
-    def act(self, queues: np.ndarray, alpha_current: np.ndarray) -> BaselineDecision:
+    def act(
+        self, rate: float, work: float, alpha_current: np.ndarray
+    ) -> BaselineDecision:
         """Provision machines, then scale each one's frequency down."""
-        base = super().act(queues, alpha_current)
-        work = self.work_estimate
-        rate = float(self.predictor.forecast(1)[0]) / self.period
+        base = super().act(rate, work, alpha_current)
         frequencies = base.frequency_indices.copy()
         for j, computer in enumerate(self.spec.computers):
             if not base.alpha[j]:

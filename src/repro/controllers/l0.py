@@ -6,10 +6,10 @@ difference model (eqs. 5-7) with the slack cost J = Q*eps + R*psi. The
 search is vectorised: all paths at a depth are expanded simultaneously as
 numpy arrays, which is what makes the full-day module simulations cheap.
 
-The controller keeps the paper's pi = 0.1 EWMA filter for processing
-times (``work_filter``), which the engine feeds each T_L0 step. The rate
-forecasts come from outside: the engine gives each L0 its share of the
-module's fine forecast, and map training passes them to :meth:`decide`.
+The controller holds no filters. The run owns the paper's pi = 0.1
+EWMA of processing time and the fine arrival forecast, and hands each
+:meth:`decide` its c-hat and its share of that forecast; map training
+passes fixed values instead.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.cluster.specs import ComputerSpec
 from repro.controllers.params import L0Params
 from repro.controllers.stats import ControllerStats
 from repro.core.cost import SlackResponseCost
-from repro.forecast.ewma import EwmaFilter
 from repro.queueing.fluid import FluidServerModel
 
 
@@ -51,16 +50,9 @@ class L0Controller:
         self.cost = SlackResponseCost(self.params.target_response, self.params.weights)
         self.phis = spec.processor.scaling_factors
         self.stats = ControllerStats()
-        self.work_filter = EwmaFilter(smoothing=0.1)
         #: ``(work_estimate, capacities, effective_service, powers)`` of
         #: the last lookahead; see :meth:`_lookahead_constants`.
         self._constants: "tuple | None" = None
-
-    @property
-    def work_estimate(self) -> float:
-        """Current c-hat (falls back to 17.5 ms before any observation)."""
-        estimate = self.work_filter.estimate
-        return estimate if estimate > 0 else 0.0175
 
     def decide(
         self,

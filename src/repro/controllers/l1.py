@@ -51,8 +51,6 @@ from repro.controllers.params import L0Params, L1Params
 from repro.controllers.stats import ControllerStats
 from repro.core.simplex import quantize_to_simplex, simplex_levels, simplex_neighbors
 from repro.core.uncertainty import three_point_band
-from repro.forecast.ewma import EwmaFilter
-from repro.forecast.structural import WorkloadPredictor
 
 
 def _behavior_training_cell(
@@ -406,8 +404,6 @@ class L1Controller:
             raise ConfigurationError("need one behaviour map per computer")
         self.maps = behavior_maps
         self.stats = ControllerStats()
-        self.predictor = WorkloadPredictor(band_window=self.params.band_window)
-        self.work_filter = EwmaFilter(smoothing=0.1)
         #: Full-speed capacity (requests/s at c = 17.5 ms) per computer,
         #: used for proportional gamma seeds and candidate ordering.
         self.capacities = np.array(
@@ -433,54 +429,6 @@ class L1Controller:
         from repro.maps.provider import MapProvider
 
         return MapProvider().behavior_maps(module_spec, l0_params, params)
-
-    # ------------------------------------------------------------------
-    # Online estimation
-    # ------------------------------------------------------------------
-    def observe(self, arrival_count: float, measured_work: float | None) -> None:
-        """Feed one T_L1 interval's module arrivals and processing time."""
-        self.predictor.observe(float(arrival_count))
-        if measured_work is not None and measured_work > 0:
-            self.work_filter.observe(float(measured_work))
-
-    @property
-    def work_estimate(self) -> float:
-        """Current c-hat for the module."""
-        estimate = self.work_filter.estimate
-        return estimate if estimate > 0 else 0.0175
-
-    def act(
-        self,
-        queues: np.ndarray,
-        alpha_current: np.ndarray,
-        available: np.ndarray | None = None,
-    ) -> L1Decision:
-        """Decide using the internal predictor's forecasts and band."""
-        rate_hat, rate_next, delta = self.set_points()
-        return self.decide(
-            queues,
-            alpha_current,
-            rate_hat=rate_hat,
-            rate_next=rate_next,
-            delta=delta,
-            work=self.work_estimate,
-            available=available,
-        )
-
-    def set_points(self) -> "tuple[float, float, float]":
-        """``(rate_hat, rate_next, delta)`` from the internal predictor.
-
-        The arrival-rate set-points :meth:`decide` takes when the module
-        forecasts its own load; under L2 they come from the global
-        forecast instead.
-        """
-        forecasts = self.predictor.forecast(2)
-        delta = self.predictor.band.delta if self.params.use_uncertainty_band else 0.0
-        return (
-            forecasts[0] / self.params.period,
-            forecasts[1] / self.params.period,
-            delta / self.params.period,
-        )
 
     # ------------------------------------------------------------------
     # The optimisation itself

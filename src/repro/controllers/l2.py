@@ -1,9 +1,9 @@
 """The L2 controller: cluster-level load distribution (§5).
 
-Every T_L2 the controller observes each module's aggregate state (average
-queue length, processing time), forecasts the global arrival rate, and
-decides the fraction gamma_i of arrivals to dispatch to each module,
-minimising sum_i J~_i over the horizon.
+Every T_L2 the controller takes each module's aggregate state (average
+queue length) with the run's global arrival-rate forecast and
+processing-time estimate, and decides the fraction gamma_i of arrivals
+to dispatch to each module, minimising sum_i J~_i over the horizon.
 
 A module's behaviour "includes complex and non-linear interaction between
 its L0 and L1 controllers" that no closed-form model captures, so J~_i is
@@ -40,8 +40,6 @@ from repro.core.simplex import (
     simplex_levels,
     simplex_neighbors,
 )
-from repro.forecast.ewma import EwmaFilter
-from repro.forecast.structural import WorkloadPredictor
 
 
 @dataclass(frozen=True)
@@ -306,8 +304,6 @@ class L2Controller:
         self.maps = module_maps
         self.params = params or L2Params()
         self.stats = ControllerStats()
-        self.predictor = WorkloadPredictor()
-        self.work_filter = EwmaFilter(smoothing=0.1)
         self.capacities = np.array(
             [m.spec.max_service_rate(0.0175) for m in module_maps]
         )
@@ -324,29 +320,6 @@ class L2Controller:
     def module_count(self) -> int:
         """Number of modules p under control."""
         return len(self.maps)
-
-    def observe(self, arrival_count: float, measured_work: float | None) -> None:
-        """Feed one T_L2 interval's global arrivals and processing time."""
-        self.predictor.observe(float(arrival_count))
-        if measured_work is not None and measured_work > 0:
-            self.work_filter.observe(float(measured_work))
-
-    @property
-    def work_estimate(self) -> float:
-        """Current global c-hat."""
-        estimate = self.work_filter.estimate
-        return estimate if estimate > 0 else 0.0175
-
-    def act(self, queue_avgs: np.ndarray, gamma_current: np.ndarray | None = None) -> L2Decision:
-        """Decide using the internal predictor's forecasts."""
-        forecasts = self.predictor.forecast(2)
-        return self.decide(
-            queue_avgs,
-            rate_hat=forecasts[0] / self.params.period,
-            rate_next=forecasts[1] / self.params.period,
-            work=self.work_estimate,
-            gamma_current=gamma_current,
-        )
 
     def decide(
         self,

@@ -3,9 +3,9 @@
 The engine advances the fluid plant in T_L0 periods. Within each period:
 
 1. at T_L1 boundaries the engine closes the last interval — its
-   arrivals and work go to exactly the filters the coming decisions
-   read — and every module controller (L1 or a baseline) decides alpha
-   and gamma and reconfigures its module;
+   arrivals and work go to the run's filters — reads each filter once,
+   and every module controller (L1 or a baseline) decides alpha and
+   gamma from those readings and reconfigures its module;
 2. each computer's L0 controller picks a DVFS setting (hierarchy mode
    only — baselines pin frequencies themselves);
 3. the dispatcher splits the period's arrivals by gamma and every
@@ -13,14 +13,18 @@ The engine advances the fluid plant in T_L0 periods. Within each period:
 
 One module's share of steps 1–3 lives in
 :class:`~repro.sim.shard.ModuleShardRunner`, and the run around the
-runners lives once, in :class:`_SimulationBase`. The engines state only
-how a period opens and which result they build. In
-:class:`ModuleSimulation` the L1 takes its arrival-rate set-points from
-its own filter. :class:`ClusterSimulation` stacks an L2 controller on
-top: at each boundary it re-divides the workload across modules and
-hands every L1 its share of the global forecast (the paper's
-lambda_hat_i = gamma_i * lambda_hat_g). A module run is a one-row
-cluster run with ``gamma_modules = [1.0]``. On the ``vector`` kernel
+runners lives once, in :class:`_SimulationBase`. The run owns one
+estimate per signal, and the controllers only decide: the global
+arrival filter (an L2's or a baseline cluster's), one arrival filter
+per module that forecasts its own load (no L2), the fine filter the
+L0s read, one processing-time EWMA read at boundaries and one read at
+T_L0 steps. Every decision gets its forecast, band and c-hat as
+arguments. Under :class:`ClusterSimulation`'s L2 each L1 gets its share
+of the global forecast (the paper's lambda_hat_i = gamma_i *
+lambda_hat_g); in :class:`ModuleSimulation` the L1 gets all of its own
+filter's, so a module run is a one-row cluster run with
+``gamma_modules = [1.0]``. The engines state only how a period's split
+is made and which result they build. On the ``vector`` kernel
 (the default) both engines hand steps 2–3 of all their runners to one
 :class:`~repro.sim.kernels.ClusterVectorExecutor` per run; the runner's
 own ``step`` is the ``scalar`` reference. Passing ``baseline=`` pins
@@ -63,6 +67,7 @@ from repro.controllers.l1 import ComputerBehaviorMap, L1Controller
 from repro.controllers.l2 import L2Controller, ModuleCostMap
 from repro.controllers.params import L0Params, L1Params, L2Params
 from repro.controllers.stats import ControllerStats
+from repro.forecast.ewma import EwmaFilter
 from repro.forecast.structural import WorkloadPredictor
 from repro.maps.provider import MapProvider
 from repro.sim.observers import (
@@ -88,6 +93,8 @@ from repro.sim.shard import (
     ModuleFinalization,
     ModuleShardRunner,
     ModuleStepInput,
+    c_hat,
+    set_points,
 )
 from repro.workload.trace import ArrivalTrace
 
@@ -106,9 +113,9 @@ class _SimulationBase:
     ``_initial_gamma`` (each module's share of the arrivals), and either
     ``_behavior_maps`` (one list per module, hierarchy mode) or
     ``_make_baseline`` (``ModuleSpec -> controller``; ``None`` in
-    hierarchy mode). A subclass implements :meth:`_override_target`,
-    :meth:`_boundary` and :meth:`_result`; a cluster also overrides
-    :meth:`_open_run`. The run itself lives in ``_state``.
+    hierarchy mode). A subclass implements :meth:`_override_target` and
+    :meth:`_result`; a cluster also overrides :meth:`_open_run` and
+    :meth:`_split`. The run itself lives in ``_state``.
     """
 
     _state: "_RunState | None" = None
@@ -239,8 +246,6 @@ class _SimulationBase:
             ]
         else:
             controllers = [self._make_baseline(spec) for spec in self._modules]
-            for controller in controllers:
-                controller.period = self.l1_params.period
         runners = [
             ModuleShardRunner(
                 module_index=i,
@@ -282,12 +287,17 @@ class _SimulationBase:
                 (*top, *module_recorders, *observers),
                 target_response=self.l0_params.target_response,
             ),
-            fine_predictor=WorkloadPredictor() if hierarchy else None,
             vector_executor=self._vector_executor(runners),
             gamma_modules=self._initial_gamma.copy(),
             interval_module=np.zeros(len(runners)),
-            l2=l2,
             global_filter=global_filter,
+            module_filters=(
+                [] if l2 is not None else [self._arrival_filter() for _ in runners]
+            ),
+            fine_predictor=self._arrival_filter() if hierarchy else None,
+            boundary_work=EwmaFilter(smoothing=0.1),
+            step_work=EwmaFilter(smoothing=0.1) if hierarchy else None,
+            l2=l2,
             cluster_recorder=cluster_recorder,
         )
         self._tune(state)
@@ -362,7 +372,11 @@ class _SimulationBase:
             raise ControlError("simulation already finished; call reset()")
         vector = state.vector_executor
         now = k * self.l0_params.period
-        work = None if self.work_series is None else float(self.work_series[k])
+        work = (
+            self.engine_options.mean_work
+            if self.work_series is None
+            else float(self.work_series[k])
+        )
         if k % self.substeps == 0:
             if vector is not None:
                 vector.flush(full=False)
@@ -374,11 +388,13 @@ class _SimulationBase:
         shares = state.gamma_modules * arrivals
         state.interval_module += shares
         forecast = self._fine_forecast(state, arrivals)
+        step_work = state.step_work
+        work_estimate = None if step_work is None else c_hat(step_work)
         if vector is not None:
             # Stock recorders fold the executor's row stats (none when
             # it skipped the fold) instead of re-scanning each row.
             events = vector.step_all(
-                k, now, shares, work, state.gamma_modules, forecast
+                k, now, shares, work, state.gamma_modules, forecast, work_estimate
             )
             row_stats = vector.step_stats
             for row, event in enumerate(events):
@@ -396,10 +412,13 @@ class _SimulationBase:
                         gamma_module=gamma_module,
                         forecast=forecast,
                         work=work,
+                        work_estimate=work_estimate,
                     )
                 )
                 state.sink.on_step(event)
                 events.append(event)
+        if step_work is not None:
+            step_work.observe(work)
         if (k + 1) % self.substeps == 0 or k + 1 == self.total_steps:
             period = k // self.substeps
             self._emit_l0_bank(state, period)
@@ -416,7 +435,7 @@ class _SimulationBase:
     # -- the period boundary --------------------------------------------
 
     def _open_period(
-        self, state: "_RunState", k: int, now: float, work: "float | None"
+        self, state: "_RunState", k: int, now: float, work: float
     ) -> None:
         """Close the last interval, then take every module's decision.
 
@@ -425,9 +444,7 @@ class _SimulationBase:
         decision and every module's decision must beat.
         """
         if k > 0:
-            self._close_interval(
-                state, self.engine_options.mean_work if work is None else work
-            )
+            self._close_interval(state, work)
         state.interval_global = 0.0
         state.interval_module[:] = 0.0
         deadline = self.decision_deadline
@@ -440,41 +457,20 @@ class _SimulationBase:
         for runner, boundary in zip(state.runners, boundaries):
             state.sink.on_l1_decision(self._begin_period(runner, boundary))
 
-    def _readers(self, state: "_RunState") -> "tuple[list, list, list]":
-        """The filters the coming decisions read: ``(predictors, rows, work)``.
-
-        ``rows[n]`` is the module whose share ``predictors[n]`` is fed,
-        or ``None`` for the global filter (the L2's or a baseline
-        cluster's), which is fed the period total. Where no L2 splits
-        the forecast — the module engine's L1 or baseline and each
-        baseline module of a cluster — a module controller forecasts
-        from its own filter. An L1 under an L2 forecasts from its share
-        of the global filter, so its own arrival filter is not fed.
-        ``work`` is every work filter.
-        """
-        predictors = [] if state.global_filter is None else [state.global_filter]
-        rows = [None] * len(predictors)
-        work = [runner.controller.work_filter for runner in state.runners]
-        if state.l2 is None:
-            predictors += [runner.controller.predictor for runner in state.runners]
-            rows += range(len(state.runners))
-        else:
-            work.append(state.l2.work_filter)
-        return predictors, rows, work
-
     def _close_interval(self, state: "_RunState", work: float) -> None:
-        """Feed the closed period to the filters :meth:`_readers` names.
+        """Feed the closed period to the run's arrival filters and c-hat.
 
-        On the vector kernel the arrival filters advance in one
+        The global filter gets the period total and each module filter
+        its module's share. On the vector kernel they advance in one
         :func:`~repro.sim.kernels.batched_predictor_observe` call, bit
-        for bit their own ``observe``; every work filter gets the
+        for bit their own ``observe``. The boundary EWMA gets the
         boundary ``work``.
         """
-        predictors, rows, work_filters = self._readers(state)
-        values = [
-            state.interval_global if i is None else float(state.interval_module[i])
-            for i in rows
-        ]
+        predictors = state.module_filters
+        values = state.interval_module.tolist() if predictors else []
+        if state.global_filter is not None:
+            predictors = [state.global_filter, *predictors]
+            values = [state.interval_global, *values]
         if state.vector_executor is None:
             for predictor, value in zip(predictors, values):
                 predictor.observe(value)
@@ -483,22 +479,29 @@ class _SimulationBase:
 
             batched_predictor_observe(predictors, values)
         if work > 0:
-            for work_filter in work_filters:
-                work_filter.observe(work)
+            state.boundary_work.observe(work)
 
     def _tune(self, state: "_RunState") -> None:
-        """Tune the filters :meth:`_readers` names on the warm-up (§4.3)."""
+        """Tune the run's filters on the warm-up (§4.3).
+
+        The boundary EWMA takes one ``mean_work`` observation; the step
+        EWMA gets none.
+        """
         warmup = self.engine_options.warmup_intervals
         if warmup <= 0:
             return
         counts = self.trace.rebinned(self.l1_params.period).counts[:warmup]
-        predictors, rows, work_filters = self._readers(state)
-        for predictor, i in zip(predictors, rows):
-            predictor.tune_on(counts if i is None else counts * state.gamma_modules[i])
-        for work_filter in work_filters:
-            work_filter.observe(self.engine_options.mean_work)
+        if state.global_filter is not None:
+            state.global_filter.tune_on(counts)
+        for predictor, gamma in zip(state.module_filters, state.gamma_modules):
+            predictor.tune_on(counts * gamma)
+        state.boundary_work.observe(self.engine_options.mean_work)
         if state.fine_predictor is not None:
             state.fine_predictor.tune_on(self.trace.counts[: warmup * self.substeps])
+
+    def _arrival_filter(self) -> WorkloadPredictor:
+        """A fresh arrival filter with the L1's band window."""
+        return WorkloadPredictor(band_window=self.l1_params.band_window)
 
     def _open_run(self) -> tuple:
         """A fresh run's ``(l2, global filter, cluster recorder)``: none here."""
@@ -511,8 +514,66 @@ class _SimulationBase:
         now: float,
         deadline_at: "float | None",
     ) -> "tuple[L2DecisionEvent | None, list[ModuleBoundaryInput]]":
-        """The boundary's L2 event (clusters) and every module's input."""
-        raise NotImplementedError
+        """The boundary's L2 event (clusters) and every module's input.
+
+        Each filter is read once. A module's set-points are its share of
+        one filter's forecast: gamma_i of the global filter's under an
+        L2, else all of its own filter's. A baseline reads only its own
+        filter's one-step forecast, as a rate. Every decision gets the
+        one boundary c-hat.
+        """
+        work = c_hat(state.boundary_work)
+        l2_event, global_counts = self._split(state, period, work, deadline_at)
+        filters = state.module_filters
+        if self._make_baseline is not None:
+            if state.vector_executor is None:
+                counts = [float(f.forecast(1)[0]) for f in filters]
+            else:
+                from repro.sim.kernels import fast_forecast1
+
+                counts = [fast_forecast1(f) for f in filters]
+            seconds = self.l1_params.period
+            points = [(count / seconds, 0.0, 0.0, count) for count in counts]
+        else:
+            if state.l2 is None:
+                reads = [(f.forecast(2), f.band.delta, 1.0) for f in filters]
+                seconds = self.l1_params.period
+            else:
+                band = state.global_filter.band.delta
+                reads = [(global_counts, band, g) for g in state.gamma_modules]
+                seconds = self.l2_params.period
+            use_band = self.l1_params.use_uncertainty_band
+            points = [set_points(*read, seconds, use_band) for read in reads]
+        hold = l2_event is not None and l2_event.held
+        boundaries = [
+            ModuleBoundaryInput(
+                period=period,
+                now=now,
+                work=work,
+                rate_hat=rate_hat,
+                rate_next=rate_next,
+                delta=delta,
+                prediction=prediction,
+                deadline_at=deadline_at,
+                hold=hold,
+                force_on=self.module_overrides.get(i),
+            )
+            for i, (rate_hat, rate_next, delta, prediction) in enumerate(points)
+        ]
+        return l2_event, boundaries
+
+    def _split(
+        self,
+        state: "_RunState",
+        period: int,
+        work: float,
+        deadline_at: "float | None",
+    ) -> "tuple[L2DecisionEvent | None, np.ndarray | None]":
+        """The cluster's split and event, and the global forecast read.
+
+        Clusters only: a module run has neither.
+        """
+        return None, None
 
     def _result(self, state: "_RunState", modules: "list[ModuleRunResult]"):
         """The run's structured result from its module results."""
@@ -660,22 +721,30 @@ class _RunState:
 
     Per-module state (plant, controllers, alpha/gamma) lives in the
     :class:`~repro.sim.shard.ModuleShardRunner` objects in ``runners``.
+    Every filter a decision reads lives here, once.
     """
 
     runners: "list[ModuleShardRunner]"
     module_recorders: "list[ModuleRecorder]"
     sink: ObserverList
-    #: The fine-grained rate predictor the L0s read (hierarchy only).
-    fine_predictor: "WorkloadPredictor | None"
     #: Batched step engine (vector kernel only; None on scalar).
     vector_executor: "ClusterVectorExecutor | None"
     #: Each module's fraction of the arrivals (``[1.0]`` on a module run).
     gamma_modules: np.ndarray
     interval_module: np.ndarray
+    #: The filter fed each period's total (clusters only).
+    global_filter: "WorkloadPredictor | None"
+    #: One filter per module, fed its share, where no L2 splits the
+    #: forecast (the module engine and baseline clusters); else empty.
+    module_filters: "list[WorkloadPredictor]"
+    #: The fine-grained rate predictor the L0s read (hierarchy only).
+    fine_predictor: "WorkloadPredictor | None"
+    #: c-hat at boundaries: the L1s, the L2 and the baselines read it.
+    boundary_work: EwmaFilter
+    #: c-hat at T_L0 steps: the L0s read it (hierarchy only).
+    step_work: "EwmaFilter | None"
     #: The cluster's L2 (hierarchy clusters only).
     l2: "L2Controller | None" = None
-    #: The filter fed each period's total (clusters only).
-    global_filter: "WorkloadPredictor | None" = None
     cluster_recorder: "ClusterRecorder | None" = None
     interval_global: float = 0.0
     k: int = 0
@@ -690,7 +759,8 @@ class ModuleSimulation(_SimulationBase):
 
     One :class:`~repro.sim.shard.ModuleShardRunner` (module 0, no L2)
     taking every arrival: at each boundary the L1 takes its
-    arrival-rate set-points from its own filter. ``baseline=`` is a
+    arrival-rate set-points from the run's filter of the module's
+    arrivals. ``baseline=`` is a
     template controller: each run steps a deep copy of it, so the
     caller's instance is never mutated.
     """
@@ -724,7 +794,6 @@ class ModuleSimulation(_SimulationBase):
         self.failure_events = tuple(
             sorted(validated_events, key=lambda e: e[0])
         )
-        self.baseline = baseline
         self._modules = [spec]
         self._faults = [self.failure_events]
         self._initial_gamma = np.ones(1)
@@ -760,26 +829,6 @@ class ModuleSimulation(_SimulationBase):
         """Advance one T_L0 period; returns the step's event."""
         (event,) = self._step()
         return event
-
-    def _boundary(self, state, period, now, deadline_at):
-        """The L1's own set-points; a baseline forecasts in its runner."""
-        rate_hat = rate_next = delta = prediction = 0.0
-        if self.baseline is None:
-            l1 = state.runners[0].controller
-            rate_hat, rate_next, delta = l1.set_points()
-            prediction = float(l1.predictor.forecast(1)[0])
-        return None, [
-            ModuleBoundaryInput(
-                period=period,
-                now=now,
-                rate_hat=rate_hat,
-                rate_next=rate_next,
-                delta=delta,
-                prediction=prediction,
-                deadline_at=deadline_at,
-                force_on=self.module_overrides.get(0),
-            )
-        ]
 
     def _result(self, state, modules) -> ModuleRunResult:
         return modules[0]
@@ -943,35 +992,29 @@ class ClusterSimulation(_SimulationBase):
             self.spec.module_count,
             window=self.engine_options.recorder_window,
         )
-        if self._make_baseline is not None:
-            return None, WorkloadPredictor(), recorder
-        l2 = L2Controller(self.module_maps, self.l2_params)
-        return l2, l2.predictor, recorder
+        l2 = None
+        if self._make_baseline is None:
+            l2 = L2Controller(self.module_maps, self.l2_params)
+        return l2, self._arrival_filter(), recorder
 
-    def _boundary(self, state, period, now, deadline_at):
-        """The L2 split: every module's share of the global forecast.
+    def _split(self, state, period, work, deadline_at):
+        """The L2 decision on the global forecast, read once.
 
-        A baseline cluster keeps its static split, and its modules
-        forecast from their own filters.
+        Returns the event and the two-period global forecast the
+        modules' set-points share. A baseline cluster keeps its static
+        split and reads only the one-step forecast, for the event.
         """
-        global_prediction = float(state.global_filter.forecast(1)[0])
         l2 = state.l2
         if l2 is None:
             l2_event = L2DecisionEvent(
                 period=period,
                 gamma=state.gamma_modules.copy(),
-                prediction=global_prediction,
+                prediction=float(state.global_filter.forecast(1)[0]),
             )
-            boundaries = [
-                ModuleBoundaryInput(
-                    period=period,
-                    now=now,
-                    deadline_at=deadline_at,
-                    force_on=self.module_overrides.get(i),
-                )
-                for i in range(self.spec.module_count)
-            ]
-            return l2_event, boundaries
+            return l2_event, None
+        global_counts = state.global_filter.forecast(2)
+        global_prediction = float(global_counts[0])
+        seconds = self.l2_params.period
         queue_avgs = np.array(
             [runner.plant.queue_lengths.mean() for runner in state.runners]
         )
@@ -980,7 +1023,13 @@ class ClusterSimulation(_SimulationBase):
         tracing = tracer is not None and tracer.enabled
         timed = tracing or metrics is not None
         t0 = time.perf_counter() if timed else None
-        l2_decision = l2.act(queue_avgs, state.gamma_modules)
+        l2_decision = l2.decide(
+            queue_avgs,
+            rate_hat=global_counts[0] / seconds,
+            rate_next=global_counts[1] / seconds,
+            work=work,
+            gamma_current=state.gamma_modules,
+        )
         l2_wall = time.perf_counter() - t0 if timed else 0.0
         l2_held = deadline_at is not None and time.monotonic() > deadline_at
         if not l2_held:
@@ -1006,29 +1055,7 @@ class ClusterSimulation(_SimulationBase):
                 prediction=round(global_prediction, 6),
                 held=l2_held,
             )
-        # Each module's load estimate is its share of the global
-        # forecast (the paper's lambda_hat_i = gamma_i * lambda_hat_g),
-        # so gamma reassignments do not read as workload swings to the
-        # L1s.
-        global_counts = l2.predictor.forecast(2)
-        global_delta = l2.predictor.band.delta
-        seconds = self.l2_params.period
-        band = self.l1_params.use_uncertainty_band
-        boundaries = [
-            ModuleBoundaryInput(
-                period=period,
-                now=now,
-                rate_hat=gamma * global_counts[0] / seconds,
-                rate_next=gamma * global_counts[1] / seconds,
-                delta=gamma * global_delta / seconds if band else 0.0,
-                prediction=gamma * global_counts[0],
-                deadline_at=deadline_at,
-                hold=l2_held,
-                force_on=self.module_overrides.get(i),
-            )
-            for i, gamma in enumerate(state.gamma_modules)
-        ]
-        return l2_event, boundaries
+        return l2_event, global_counts
 
     def _result(self, state, modules) -> ClusterRunResult:
         cluster = state.cluster_recorder

@@ -403,9 +403,8 @@ class ClusterVectorExecutor:
     all modules, as one :meth:`L0BankKernel.decide_many` call, with the
     inputs ``ModuleShardRunner.step`` forms: rate rows
     ``(gamma_module_i * gamma_ij) * forecast`` from the runner's own
-    gamma, queues from the mirror, and each controller's work estimate.
-    The chosen settings land in the phi/GHz mirrors before the fluid
-    step, and every L0's work filter observes the step's work after it.
+    gamma, queues from the mirror, and the run's step c-hat. The chosen
+    settings land in the phi/GHz mirrors before the fluid step.
     Baseline periods touch no controllers between boundaries.
 
     The scalar ``Computer`` objects stay authoritative at control-period
@@ -478,13 +477,13 @@ class ClusterVectorExecutor:
         self._clocks = np.zeros(shape)
         #: Hierarchy mode: one L0 bank over every module's computers, in
         #: module-major order (the order the scalar runners decide in).
-        self._l0s = [l0 for runner in self.runners for l0 in runner.l0_bank]
-        self._bank = L0BankKernel(self._l0s) if self._l0s else None
+        l0s = [l0 for runner in self.runners for l0 in runner.l0_bank]
+        self._bank = L0BankKernel(l0s) if l0s else None
         if self._bank is not None:
             settings = self._bank.max_settings
             self._bank_rows = np.zeros(shape, dtype=np.intp)
-            self._phi_table = np.ones((len(self._l0s), settings))
-            self._ghz_table = np.zeros((len(self._l0s), settings))
+            self._phi_table = np.ones((len(l0s), settings))
+            self._ghz_table = np.zeros((len(l0s), settings))
             row = 0
             for i, runner in enumerate(self.runners):
                 for j, computer in enumerate(runner.plant.computers):
@@ -588,7 +587,7 @@ class ClusterVectorExecutor:
         self.pull()
 
     def _decide_frequencies(
-        self, gamma_modules: np.ndarray, forecast: np.ndarray
+        self, gamma_modules: np.ndarray, forecast: np.ndarray, work_estimate: float
     ) -> None:
         """One batched L0 lookahead for every serving computer.
 
@@ -601,12 +600,11 @@ class ClusterVectorExecutor:
         if rows.size == 0:
             return
         coefficients = gamma_modules[:, None] * self._raw_gammas
-        l0s = self._l0s
         decisions = self._bank.decide_many(
             rows,
             self._queues[serving],
             coefficients[serving][:, None] * forecast,
-            [l0s[row].work_estimate for row in rows.tolist()],
+            np.full(rows.size, work_estimate),
         )
         chosen = np.array([d.frequency_index for d in decisions], dtype=np.intp)
         if np.array_equal(chosen, self._findex[serving]):
@@ -680,27 +678,26 @@ class ClusterVectorExecutor:
         step: int,
         now: float,
         module_shares: np.ndarray,
-        work: "float | None",
+        work: float,
         gamma_modules: "np.ndarray | None" = None,
         forecast: "np.ndarray | None" = None,
+        work_estimate: "float | None" = None,
     ) -> "list[StepEvent]":
         """Advance every module one T_L0 step; returns the events.
 
         ``module_shares`` is the per-module arrival row for this step
-        (already split by the parent gamma); ``work`` of ``None`` means
-        the scenario mean. Hierarchy runs also pass the parent's
-        ``gamma_modules`` and the fine-grained rate ``forecast`` (one
-        entry per L0 lookahead depth) the L0 bank reads.
+        (already split by the parent gamma) and ``work`` its mean
+        service demand. Hierarchy runs also pass the parent's
+        ``gamma_modules``, the fine-grained rate ``forecast`` (one
+        entry per L0 lookahead depth) and the c-hat the L0 bank reads.
         """
         self._apply_due_faults(now)
         if not self._pulled:
             self.pull()
         dt = self.dt
         states = self._states
-        if work is None:
-            work = self.runners[0].mean_work
         if self._bank is not None:
-            self._decide_frequencies(gamma_modules, forecast)
+            self._decide_frequencies(gamma_modules, forecast, work_estimate)
         cache = self._cache
         if cache is None or cache["work"] != work:
             cache = self._rebuild_cache(work)
@@ -745,8 +742,6 @@ class ClusterVectorExecutor:
                 states[draining_empty] = _STATE_CODES[PowerState.OFF]
                 self._cache = None
         self._clocks += cache["clock_inc"]
-        for l0 in self._l0s:
-            l0.work_filter.observe(work)
         # One batched reduction of every response row replaces the
         # recorders' per-row scans. Padded and idle entries are NaN, so
         # filling them with 0 (sum) / -inf (max) and comparing NaN>t as
@@ -876,13 +871,11 @@ def _fast_act_state(controller) -> dict:
     return state
 
 
-def _fast_threshold_on_off(controller, alpha_current) -> "tuple":
+def _fast_threshold_on_off(controller, rate, work, alpha_current) -> "tuple":
     """The shared on/off provisioning core; returns (alpha, gamma, explored,
-    capacities, rate, work) as plain Python values."""
+    cached) as plain Python values."""
     cached = _fast_act_state(controller)
     n = cached["n"]
-    work = controller.work_estimate
-    rate = fast_forecast1(controller.predictor) / controller.period
     alpha = [bool(a) for a in alpha_current]
     if not any(alpha):
         speeds = cached["speeds"]
@@ -927,10 +920,10 @@ def _fast_threshold_on_off(controller, alpha_current) -> "tuple":
         capacities[index] if alpha[index] else 0.0 for index in range(n)
     ]
     gamma = _fast_quantize(weights, cached["k"], cached["step"])
-    return alpha, gamma, explored, rate, work, cached
+    return alpha, gamma, explored, cached
 
 
-def fast_baseline_act(controller, queues, alpha_current) -> BaselineDecision:
+def fast_baseline_act(controller, rate, work, alpha_current) -> BaselineDecision:
     """Bit-exact fast twin of ``controller.act`` for the stock baselines.
 
     Dispatches on the exact controller class; any subclass or policy it
@@ -940,12 +933,11 @@ def fast_baseline_act(controller, queues, alpha_current) -> BaselineDecision:
     """
     kind = type(controller)
     if controller.spec.size >= 8:
-        return controller.act(queues, alpha_current)
+        return controller.act(rate, work, alpha_current)
     if kind is AlwaysOnMaxController:
         started = time.perf_counter()
         cached = _fast_act_state(controller)
         n = cached["n"]
-        work = controller.work_estimate
         weights = [s / work for s in cached["speeds"]]
         gamma = _fast_quantize(weights, cached["k"], cached["step"])
         decision = BaselineDecision(
@@ -957,8 +949,8 @@ def fast_baseline_act(controller, queues, alpha_current) -> BaselineDecision:
         return decision
     if kind is ThresholdOnOffController:
         started = time.perf_counter()
-        alpha, gamma, explored, _, _, cached = _fast_threshold_on_off(
-            controller, alpha_current
+        alpha, gamma, explored, cached = _fast_threshold_on_off(
+            controller, rate, work, alpha_current
         )
         decision = BaselineDecision(
             alpha=np.array([1 if a else 0 for a in alpha]),
@@ -969,8 +961,8 @@ def fast_baseline_act(controller, queues, alpha_current) -> BaselineDecision:
         return decision
     if kind is ThresholdDvfsController:
         started = time.perf_counter()
-        alpha, gamma, explored, rate, work, cached = _fast_threshold_on_off(
-            controller, alpha_current
+        alpha, gamma, explored, cached = _fast_threshold_on_off(
+            controller, rate, work, alpha_current
         )
         decision_freqs = list(cached["max_indices"])
         dvfs_target = controller.dvfs_target
@@ -992,4 +984,4 @@ def fast_baseline_act(controller, queues, alpha_current) -> BaselineDecision:
         )
         controller.stats.record(explored, time.perf_counter() - started)
         return decision
-    return controller.act(queues, alpha_current)
+    return controller.act(rate, work, alpha_current)

@@ -14,11 +14,13 @@ calls :meth:`ModuleShardRunner.step`, the reference; on ``vector``
 :class:`~repro.sim.kernels.ClusterVectorExecutor` instead, which keeps
 these runners as the boundary-side view.
 
-The engine computes every cross-module quantity (L2 decisions, arrival
-shares, global forecasts), feeds each closed interval to the filters,
-and hands each runner plain floats through :class:`ModuleBoundaryInput`
-and :class:`ModuleStepInput`; the runner returns the typed events the
-observers consume.
+The engine owns every filter and computes every cross-module quantity
+(L2 decisions, arrival shares, forecasts, c-hats). It hands each runner
+plain floats through :class:`ModuleBoundaryInput` and
+:class:`ModuleStepInput`; the runner returns the typed events the
+observers consume. :func:`set_points` and :func:`c_hat` turn a
+filter's reading into decision inputs, for the engines and the
+discrete-event simulation alike.
 """
 
 from __future__ import annotations
@@ -37,15 +39,48 @@ from repro.sim.observers import L1DecisionEvent, StepEvent
 # ----------------------------------------------------------------------
 
 
+#: c-hat before any processing time is measured: 17.5 ms per request.
+DEFAULT_WORK = 0.0175
+
+
+def c_hat(ewma) -> float:
+    """A processing-time EWMA's estimate, or :data:`DEFAULT_WORK` before one."""
+    estimate = ewma.estimate
+    return estimate if estimate > 0 else DEFAULT_WORK
+
+
+def set_points(
+    counts: np.ndarray,
+    band_delta: float,
+    share: float,
+    seconds: float,
+    use_band: bool,
+) -> "tuple[float, float, float, float]":
+    """An L1's ``(rate_hat, rate_next, delta, prediction)``.
+
+    ``share`` of an arrival filter's two-period forecast ``counts`` and
+    band half-width ``band_delta``, as rates over ``seconds``; the
+    prediction stays a count. ``delta`` is 0 with the band off.
+    """
+    delta = share * band_delta / seconds if use_band else 0.0
+    return (
+        share * counts[0] / seconds,
+        share * counts[1] / seconds,
+        delta,
+        share * counts[0],
+    )
+
+
 @dataclass(frozen=True)
 class ModuleBoundaryInput:
     """Engine-computed inputs for one module's control-period boundary.
 
-    The engine has already fed the closed interval to the filters the
-    decision reads. The ``rate_*`` / ``delta`` / ``prediction`` fields
-    are the L1 set-points: the module's share of the L2 forecast, or
-    the L1's own forecast on a module run. Baseline modules ignore them
-    and forecast from their own filters.
+    The engine has already fed the closed interval to its filters and
+    read them. ``work`` is the boundary c-hat. The ``rate_*`` /
+    ``delta`` / ``prediction`` fields are the L1 set-points: the
+    module's share of the global forecast under an L2, else its own
+    filter's forecast. A baseline reads ``rate_hat`` (its one-step
+    forecast as a rate) and ``prediction`` only.
 
     The last three fields are the live-service seams and default to the
     batch behaviour: ``deadline_at`` is an absolute ``time.monotonic()``
@@ -59,6 +94,7 @@ class ModuleBoundaryInput:
 
     period: int
     now: float
+    work: float
     rate_hat: float = 0.0
     rate_next: float = 0.0
     delta: float = 0.0
@@ -76,7 +112,8 @@ class ModuleStepInput:
     gamma split), ``gamma_module`` the module's current global load
     fraction, and ``forecast`` the shared fine-grained global rate
     forecast (hierarchy mode only). ``work`` is the step's mean service
-    demand (``None`` means the runner's constant ``mean_work``).
+    demand (``None`` means the runner's constant ``mean_work``), and
+    ``work_estimate`` the L0s' c-hat of it (hierarchy mode only).
     """
 
     step: int
@@ -85,6 +122,7 @@ class ModuleStepInput:
     gamma_module: float
     forecast: "np.ndarray | None" = None
     work: "float | None" = None
+    work_estimate: "float | None" = None
 
 
 @dataclass(frozen=True)
@@ -207,14 +245,14 @@ class ModuleShardRunner:
         """Re-decide alpha/gamma and reconfigure the module.
 
         The engine's interval close has already fed the closed period to
-        the filters (even for a period that ends up held), so this only
-        forecasts and decides. The decision is *computed first and
-        applied after* the deadline check: a decision that missed its
-        budget (or a ``hold`` the engine already declared) is discarded
-        and the previous alpha/gamma stay in force — the plant never
-        sees a transient from an abandoned decision. With no deadline
-        and no override the operation sequence is exactly the original
-        batch sequence.
+        the filters (even for a period that ends up held), and the engine
+        has read them into ``boundary``, so this only decides. The
+        decision is *computed first and applied after* the deadline
+        check: a decision that missed its budget (or a ``hold`` the
+        engine already declared) is discarded and the previous
+        alpha/gamma stay in force — the plant never sees a transient
+        from an abandoned decision. With no deadline and no override the
+        operation sequence is exactly the original batch sequence.
         """
         self._apply_faults(boundary.now)
         held = boundary.hold
@@ -224,11 +262,11 @@ class ModuleShardRunner:
                     from repro.sim.kernels import fast_baseline_act
 
                     decision = fast_baseline_act(
-                        self.controller, self.plant.queue_lengths, self.alpha
+                        self.controller, boundary.rate_hat, boundary.work, self.alpha
                     )
                 else:
                     decision = self.controller.act(
-                        self.plant.queue_lengths, self.alpha
+                        boundary.rate_hat, boundary.work, self.alpha
                     )
                 if (
                     boundary.deadline_at is not None
@@ -245,12 +283,6 @@ class ModuleShardRunner:
                     computer.set_frequency_index(int(freq))
             else:
                 self.plant.apply_configuration(self.alpha)
-            if self.kernel == "vector":
-                from repro.sim.kernels import fast_forecast1
-
-                prediction = fast_forecast1(self.controller.predictor)
-            else:
-                prediction = float(self.controller.predictor.forecast(1)[0])
         else:
             if not held:
                 decision = self.controller.decide(
@@ -259,7 +291,7 @@ class ModuleShardRunner:
                     rate_hat=boundary.rate_hat,
                     rate_next=boundary.rate_next,
                     delta=boundary.delta,
-                    work=self.controller.work_estimate,
+                    work=boundary.work,
                     available=self.plant.available_mask,
                 )
                 if (
@@ -271,7 +303,6 @@ class ModuleShardRunner:
                 self.alpha = decision.alpha.astype(bool)
                 self.gamma = decision.gamma
             self.plant.apply_configuration(self.alpha)
-            prediction = boundary.prediction
         forced = False
         if boundary.force_on is not None:
             self.alpha, self.gamma = forced_configuration(
@@ -284,7 +315,7 @@ class ModuleShardRunner:
             module=self.module_index,
             alpha=self.alpha.copy(),
             gamma=self.gamma.copy(),
-            prediction=prediction,
+            prediction=boundary.prediction,
             held=held,
             forced=forced,
         )
@@ -308,7 +339,7 @@ class ModuleShardRunner:
                 if computer.is_serving:
                     local_forecast = inp.gamma_module * self.gamma[j] * inp.forecast
                     freq = l0.decide(
-                        computer.queue_length, local_forecast, l0.work_estimate
+                        computer.queue_length, local_forecast, inp.work_estimate
                     )
                     computer.set_frequency_index(freq.frequency_index)
                 freq_row[j] = computer.frequency_ghz
@@ -320,8 +351,6 @@ class ModuleShardRunner:
         for j, result in enumerate(results):
             response_row[j] = result.response_time
             queue_row[j] = result.queue
-            if not self.is_baseline:
-                self.l0_bank[j].work_filter.observe(work)
         return StepEvent(
             step=inp.step,
             time=inp.time,

@@ -1,4 +1,8 @@
-"""Tests for the threshold baseline controllers."""
+"""Tests for the threshold baseline controllers.
+
+A baseline decides on the predicted arrival rate (requests/s) and c-hat
+the engine hands it: ``act(rate, work, alpha_current)``.
+"""
 
 import numpy as np
 import pytest
@@ -12,15 +16,13 @@ from repro.controllers import (
 )
 
 
-def _feed(controller, counts_per_interval, work=0.0175, n=8):
-    for _ in range(n):
-        controller.observe(counts_per_interval, work)
+WORK = 0.0175
 
 
 class TestAlwaysOnMax:
     def test_everything_on_at_max(self):
         controller = AlwaysOnMaxController(paper_module_spec())
-        decision = controller.act(np.zeros(4), np.ones(4, dtype=bool))
+        decision = controller.act(0.0, WORK, np.ones(4, dtype=bool))
         assert decision.alpha.sum() == 4
         assert np.array_equal(decision.frequency_indices, controller.max_indices)
         assert decision.gamma.sum() == pytest.approx(1.0)
@@ -29,36 +31,31 @@ class TestAlwaysOnMax:
 class TestThresholdOnOff:
     def test_high_load_turns_machines_on(self):
         controller = ThresholdOnOffController(paper_module_spec())
-        _feed(controller, 170.0 * 120.0)  # ~170 req/s, near capacity
         alpha_now = np.array([True, False, False, False])
-        decision = controller.act(np.zeros(4), alpha_now)
+        decision = controller.act(170.0, WORK, alpha_now)  # near capacity
         assert decision.alpha.sum() == 2  # adds exactly one per interval
 
     def test_low_load_turns_machines_off(self):
         controller = ThresholdOnOffController(paper_module_spec())
-        _feed(controller, 5.0 * 120.0)
-        decision = controller.act(np.zeros(4), np.ones(4, dtype=bool))
+        decision = controller.act(5.0, WORK, np.ones(4, dtype=bool))
         assert decision.alpha.sum() == 3
 
     def test_keeps_at_least_one_machine(self):
         controller = ThresholdOnOffController(paper_module_spec())
-        _feed(controller, 0.0)
         alpha = np.array([True, False, False, False])
-        decision = controller.act(np.zeros(4), alpha)
+        decision = controller.act(0.0, WORK, alpha)
         assert decision.alpha.sum() >= 1
 
     def test_frequencies_pinned_to_max(self):
         controller = ThresholdOnOffController(paper_module_spec())
-        _feed(controller, 100.0 * 120.0)
-        decision = controller.act(np.zeros(4), np.ones(4, dtype=bool))
+        decision = controller.act(100.0, WORK, np.ones(4, dtype=bool))
         assert np.array_equal(decision.frequency_indices, controller.max_indices)
 
     def test_hysteresis_band_is_stable(self):
         """Load inside the band must not flip machines."""
         controller = ThresholdOnOffController(paper_module_spec())
-        _feed(controller, 110.0 * 120.0)  # ~56% of full capacity
         alpha = np.ones(4, dtype=bool)
-        decision = controller.act(np.zeros(4), alpha)
+        decision = controller.act(110.0, WORK, alpha)  # ~56% of full capacity
         assert np.array_equal(decision.alpha.astype(bool), alpha)
 
     def test_threshold_validation(self):
@@ -69,23 +66,20 @@ class TestThresholdOnOff:
 
     def test_recovers_from_all_off(self):
         controller = ThresholdOnOffController(paper_module_spec())
-        _feed(controller, 50.0 * 120.0)
-        decision = controller.act(np.zeros(4), np.zeros(4, dtype=bool))
+        decision = controller.act(50.0, WORK, np.zeros(4, dtype=bool))
         assert decision.alpha.sum() >= 1
 
 
 class TestThresholdDvfs:
     def test_scales_frequency_down_under_light_load(self):
         controller = ThresholdDvfsController(paper_module_spec())
-        _feed(controller, 20.0 * 120.0)
-        decision = controller.act(np.zeros(4), np.ones(4, dtype=bool))
+        decision = controller.act(20.0, WORK, np.ones(4, dtype=bool))
         active = decision.alpha.astype(bool)
         assert np.any(decision.frequency_indices[active] < controller.max_indices[active])
 
     def test_keeps_max_frequency_under_heavy_load(self):
         controller = ThresholdDvfsController(paper_module_spec())
-        _feed(controller, 190.0 * 120.0)
-        decision = controller.act(np.zeros(4), np.ones(4, dtype=bool))
+        decision = controller.act(190.0, WORK, np.ones(4, dtype=bool))
         active = decision.alpha.astype(bool)
         assert np.all(decision.frequency_indices[active] >= controller.max_indices[active] - 1)
 
@@ -94,13 +88,12 @@ class TestThresholdDvfs:
         spec = paper_module_spec()
         controller = ThresholdDvfsController(spec)
         rate = 100.0
-        _feed(controller, rate * 120.0)
-        decision = controller.act(np.zeros(4), np.ones(4, dtype=bool))
+        decision = controller.act(rate, WORK, np.ones(4, dtype=bool))
         for j, computer in enumerate(spec.computers):
             if not decision.alpha[j]:
                 continue
             phi = computer.processor.scaling_factors[decision.frequency_indices[j]]
-            service_rate = phi * computer.effective_speed_factor / controller.work_estimate
+            service_rate = phi * computer.effective_speed_factor / WORK
             local = decision.gamma[j] * rate
             if local > 0:
                 assert local / service_rate <= controller.dvfs_target + 0.05
@@ -114,6 +107,5 @@ class TestStatsInterface:
     def test_all_baselines_record_stats(self):
         for cls in (AlwaysOnMaxController, ThresholdOnOffController, ThresholdDvfsController):
             controller = cls(paper_module_spec())
-            _feed(controller, 1000.0)
-            controller.act(np.zeros(4), np.ones(4, dtype=bool))
+            controller.act(1000.0 / 120.0, WORK, np.ones(4, dtype=bool))
             assert controller.stats.invocations == 1

@@ -7,6 +7,8 @@ from repro.common import ConfigurationError
 from repro.cluster import ComputerSpec, processor_profile
 from repro.controllers import L0Controller, L0Params
 from repro.core import CostWeights
+from repro.forecast.ewma import EwmaFilter
+from repro.sim.shard import c_hat
 
 
 def _controller(profile="c4", **params):
@@ -150,11 +152,12 @@ class TestQoSPowerTradeoff:
 
 
 class TestWorkEstimate:
+    """The c-hat a run hands its L0s, read from its step EWMA."""
+
     def test_work_estimate_default(self):
-        controller = _controller()
-        assert controller.work_estimate == pytest.approx(0.0175)
+        assert c_hat(EwmaFilter(smoothing=0.1)) == pytest.approx(0.0175)
 
     def test_work_estimate_tracks_observations(self):
-        controller = _controller()
-        controller.work_filter.observe(0.02)
-        assert controller.work_estimate == pytest.approx(0.02)
+        work_filter = EwmaFilter(smoothing=0.1)
+        work_filter.observe(0.02)
+        assert c_hat(work_filter) == pytest.approx(0.02)

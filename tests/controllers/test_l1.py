@@ -27,6 +27,8 @@ from repro.controllers.l1 import (
 )
 from repro.core.simplex import quantize_to_simplex, simplex_neighbors
 from repro.core.uncertainty import three_point_band
+from repro.forecast.structural import WorkloadPredictor
+from repro.sim.shard import set_points
 
 
 @pytest.fixture(scope="module")
@@ -189,11 +191,16 @@ class TestChatteringMitigation:
 
         def count_switches(l1, use_pipeline):
             alpha = np.ones(4, dtype=bool)
+            predictor = WorkloadPredictor(band_window=l1.params.band_window)
             switches = 0
             for rate in noisy_rates:
                 if use_pipeline:
-                    l1.observe(rate * 120.0, 0.0175)
-                    decision = l1.act(np.zeros(4), alpha)
+                    predictor.observe(float(rate * 120.0))
+                    rate_hat, rate_next, delta, _ = _set_points(l1, predictor)
+                    decision = l1.decide(
+                        np.zeros(4), alpha, rate_hat=rate_hat,
+                        rate_next=rate_next, delta=delta, work=0.0175,
+                    )
                 else:
                     decision = l1.decide(
                         np.zeros(4), alpha, rate_hat=rate, rate_next=rate,
@@ -237,75 +244,89 @@ class TestChatteringMitigation:
         assert decision.alpha.sum() >= 2
 
 
-class TestActAndObserve:
-    def test_act_runs_with_internal_filters(self, trained_l1, module_spec):
+def _set_points(l1, predictor, share=1.0):
+    """The set-points a run hands ``l1`` from ``predictor``'s forecast."""
+    return set_points(
+        predictor.forecast(2),
+        predictor.band.delta,
+        share,
+        l1.params.period,
+        l1.params.use_uncertainty_band,
+    )
+
+
+class TestFedFilter:
+    def test_decides_on_a_fed_filters_set_points(self, trained_l1, module_spec):
         l1 = _fresh_l1(trained_l1, module_spec)
+        predictor = WorkloadPredictor(band_window=l1.params.band_window)
         for _ in range(5):
-            l1.observe(arrival_count=12000.0, measured_work=0.0175)
-        decision = l1.act(np.zeros(4), np.ones(4, dtype=bool))
+            predictor.observe(12000.0)
+        rate_hat, rate_next, delta, _ = _set_points(l1, predictor)
+        decision = l1.decide(
+            np.zeros(4), np.ones(4, dtype=bool), rate_hat=rate_hat,
+            rate_next=rate_next, delta=delta, work=0.0175,
+        )
         assert decision.gamma.sum() == pytest.approx(1.0)
 
     def test_substep_count(self, trained_l1):
         assert trained_l1.substep_count() == 4
 
 
-def _observed_l1(trained_l1, module_spec, **params):
-    """A fresh L1 that has seen a noisy run of interval counts."""
-    l1 = _fresh_l1(trained_l1, module_spec, **params)
+def _observed_predictor():
+    """An arrival filter that has seen a noisy run of interval counts."""
+    predictor = WorkloadPredictor()
     rng = np.random.default_rng(3)
     for count in 9000.0 + rng.normal(0.0, 900.0, 24):
-        l1.observe(arrival_count=float(count), measured_work=0.0175)
-    return l1
+        predictor.observe(float(count))
+    return predictor
 
 
 class TestSetPoints:
     def test_forecasts_and_band_become_rates(self, trained_l1, module_spec):
-        l1 = _observed_l1(trained_l1, module_spec)
-        forecasts = l1.predictor.forecast(2)
-        band = l1.predictor.band.delta
+        l1 = _fresh_l1(trained_l1, module_spec)
+        predictor = _observed_predictor()
+        forecasts = predictor.forecast(2)
+        band = predictor.band.delta
         assert band > 0.0
         period = l1.params.period
-        assert l1.set_points() == (
+        assert _set_points(l1, predictor) == (
             forecasts[0] / period,
             forecasts[1] / period,
             band / period,
+            forecasts[0],
         )
 
     def test_band_off_gives_zero_delta(self, trained_l1, module_spec):
-        l1 = _observed_l1(trained_l1, module_spec, use_uncertainty_band=False)
-        rate_hat, rate_next, delta = l1.set_points()
+        l1 = _fresh_l1(trained_l1, module_spec, use_uncertainty_band=False)
+        rate_hat, rate_next, delta, _ = _set_points(l1, _observed_predictor())
         assert delta == 0.0
         assert rate_hat > 0.0 and rate_next > 0.0
 
     def test_reading_set_points_leaves_the_predictor_alone(
         self, trained_l1, module_spec
     ):
-        l1 = _observed_l1(trained_l1, module_spec)
-        first = l1.set_points()
-        assert l1.set_points() == first
+        l1 = _fresh_l1(trained_l1, module_spec)
+        predictor = _observed_predictor()
+        first = _set_points(l1, predictor)
+        assert _set_points(l1, predictor) == first
         assert np.array_equal(
-            l1.predictor.forecast(2), np.array(first[:2]) * l1.params.period
+            predictor.forecast(2), np.array(first[:2]) * l1.params.period
         )
 
-    def test_act_decides_on_the_set_points(self, trained_l1, module_spec):
-        acting = _observed_l1(trained_l1, module_spec)
-        deciding = _observed_l1(trained_l1, module_spec)
-        queues = np.array([0.0, 3.0, 0.0, 12.0])
-        alpha = np.array([False, True, True, True])
-        acted = acting.act(queues, alpha)
-        rate_hat, rate_next, delta = deciding.set_points()
-        decided = deciding.decide(
-            queues,
-            alpha,
-            rate_hat=rate_hat,
-            rate_next=rate_next,
-            delta=delta,
-            work=deciding.work_estimate,
+    def test_share_of_the_forecast(self, trained_l1, module_spec):
+        """Under an L2 a module's set-points are gamma_i of the global ones."""
+        l1 = _fresh_l1(trained_l1, module_spec)
+        predictor = _observed_predictor()
+        counts = predictor.forecast(2)
+        band = predictor.band.delta
+        period = l1.params.period
+        gamma = np.float64(0.3)
+        assert _set_points(l1, predictor, share=gamma) == (
+            gamma * counts[0] / period,
+            gamma * counts[1] / period,
+            gamma * band / period,
+            gamma * counts[0],
         )
-        assert np.array_equal(acted.alpha, decided.alpha)
-        assert np.array_equal(acted.gamma, decided.gamma)
-        assert acted.expected_cost == decided.expected_cost
-        assert acted.states_explored == decided.states_explored
 
 
 class TestMemoKeys:

@@ -5,9 +5,12 @@ import pytest
 
 from repro.approximation.regression_tree import RegressionTree
 from repro.common import ConfigurationError, ControlError
-from repro.cluster import paper_module_spec
+from repro.cluster import ClusterSpec, paper_module_spec
 from repro.controllers import L2Controller, L2Params, ModuleCostMap
 from repro.core import enumerate_simplex, quantize_to_simplex, simplex_neighbors
+from repro.forecast.structural import WorkloadPredictor
+from repro.sim import ClusterSimulation, EngineOptions
+from repro.workload import ArrivalTrace
 
 
 @pytest.fixture(scope="module")
@@ -96,17 +99,45 @@ class TestL2Decide:
         assert controller.stats.invocations == 1
 
 
-class TestActAndObserve:
-    def test_act_with_internal_filters(self, module_map):
+class TestRunInputs:
+    """The L2 decides on the forecast and c-hat its run hands it."""
+
+    def test_decides_on_a_fed_global_filter(self, module_map):
         controller = L2Controller([module_map] * 4)
+        predictor = WorkloadPredictor()
         for _ in range(5):
-            controller.observe(arrival_count=36000.0, measured_work=0.0175)
-        decision = controller.act(np.zeros(4))
+            predictor.observe(36000.0)
+        counts = predictor.forecast(2)
+        period = controller.params.period
+        decision = controller.decide(
+            np.zeros(4),
+            rate_hat=counts[0] / period,
+            rate_next=counts[1] / period,
+            work=0.0175,
+        )
         assert decision.gamma.sum() == pytest.approx(1.0)
 
-    def test_work_estimate_default(self, module_map):
-        controller = L2Controller([module_map])
-        assert controller.work_estimate == pytest.approx(0.0175)
+    def test_work_estimate_default(self, module_map, monkeypatch):
+        """Without a warm-up the first L2 decision reads 17.5 ms."""
+        works = []
+        decide = L2Controller.decide
+
+        def recording_decide(self, *args, **kwargs):
+            works.append(kwargs["work"])
+            return decide(self, *args, **kwargs)
+
+        monkeypatch.setattr(L2Controller, "decide", recording_decide)
+        spec = ClusterSpec(
+            "pair", tuple(paper_module_spec(name=f"M{i}") for i in (1, 2))
+        )
+        ClusterSimulation(
+            spec,
+            ArrivalTrace(np.full(8, 3000.0), 30.0),
+            module_maps=[module_map] * 2,
+            engine_options=EngineOptions(warmup_intervals=0, mean_work=0.02),
+        ).run()
+        # Then the boundary EWMA has seen the first period's work.
+        assert works == [0.0175, 0.02]
 
 
 def _reference_decide(controller, queue_avgs, rate_hat, rate_next, work, gamma_current=None):

@@ -29,6 +29,22 @@ def _generator(rate=90.0, periods=40, locality=False, seed=0):
     return RequestStreamGenerator(trace, store=store, locality=loc, seed=seed)
 
 
+def _fingerprint(result) -> tuple:
+    """Every number of a run's result, controller counts included."""
+    return (
+        result.response_stats.count,
+        result.response_stats.mean,
+        result.completed_requests,
+        result.offered_requests,
+        result.computers_on.tolist(),
+        result.total_energy,
+        result.l0_stats.invocations,
+        result.l0_stats.states_explored,
+        result.l1_stats.invocations,
+        result.l1_stats.states_explored,
+    )
+
+
 class TestDiscreteEventRun:
     def test_meets_qos_on_average(self, behavior_maps):
         simulation = DiscreteEventModuleSimulation(
@@ -62,6 +78,20 @@ class TestDiscreteEventRun:
         )
         result = simulation.run()
         assert result.response_stats.count > 0
+
+    def test_second_run_repeats_the_first(self, behavior_maps):
+        """Each run builds its controllers and filters and copies the
+        generator, so a later run neither differs from nor rewrites an
+        earlier result."""
+        simulation = DiscreteEventModuleSimulation(
+            paper_module_spec(), _generator(periods=12), behavior_maps=behavior_maps
+        )
+        first = simulation.run()
+        snapshot = _fingerprint(first)
+        second = simulation.run()
+        assert _fingerprint(second) == snapshot
+        assert _fingerprint(first) == snapshot
+        assert first.l1_stats.invocations == 12
 
     def test_rejects_misbinned_generator(self, behavior_maps):
         trace = ArrivalTrace(np.full(10, 100.0), 60.0)  # not T_L0

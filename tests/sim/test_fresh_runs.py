@@ -1,14 +1,15 @@
-"""Every ``reset()`` starts a fresh run; a boundary feeds only read filters.
+"""Every ``reset()`` starts a fresh run; the run owns one filter per signal.
 
-Both engines build their controllers per run, so two ``run()``\\ s of
-one simulation agree on every result array and every controller count,
-and a baseline handed to :class:`ModuleSimulation` is a template the
-engine never mutates. The shared interval close feeds exactly the
-filters the coming decisions read: an L1 under an L2 forecasts from its
-share of the global filter, so its own arrival filter is never tuned or
-observed.
+Both engines build their controllers and filters per run, so two
+``run()``\\ s of one simulation agree on every result array and every
+controller count, and a baseline handed to :class:`ModuleSimulation` is
+a template the engine never mutates. The run builds only the filters a
+decision reads and the controllers hold none: an L1 under an L2
+forecasts from its share of the global filter, so no module filter is
+built, and every level reads one processing-time EWMA per timescale.
 """
 
+import dataclasses
 import os
 
 import numpy as np
@@ -16,9 +17,13 @@ import pytest
 
 from repro.cluster import paper_module_spec
 from repro.controllers import ThresholdDvfsController
-from repro.controllers.l1 import L1Controller
+from repro.controllers.params import L0Params, L1Params
+from repro.forecast.ewma import EwmaFilter
+from repro.forecast.structural import WorkloadPredictor
+from repro.maps import provider as map_provider
+from repro.maps.stats import MAP_STATS
 from repro.scenario import build_simulation, get_scenario
-from repro.sim import ClusterRunResult
+from repro.sim import ClusterRunResult, ClusterSimulation
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -93,6 +98,16 @@ def _fingerprint(result) -> dict:
     return fingerprint
 
 
+def _same(left: dict, right: dict) -> bool:
+    """Two fingerprints agree on every value and every array."""
+    return left.keys() == right.keys() and all(
+        np.array_equal(value, right[key], equal_nan=True)
+        if isinstance(value, np.ndarray)
+        else value == right[key]
+        for key, value in left.items()
+    )
+
+
 @pytest.mark.parametrize("kernel", ["scalar", "vector"])
 @pytest.mark.parametrize("name,warmup", RERUNS, ids=[name for name, _ in RERUNS])
 def test_second_run_repeats_the_first(name, warmup, kernel):
@@ -112,6 +127,24 @@ def test_second_run_repeats_the_first(name, warmup, kernel):
             assert value == second[key], key
 
 
+def _fed(simulation) -> dict:
+    """Observation counts of the run's own filters after its last run."""
+    state = simulation._state
+    return {
+        "global": None
+        if state.global_filter is None
+        else state.global_filter.observations,
+        "modules": [f.observations for f in state.module_filters],
+        "boundary_work": state.boundary_work.count,
+        "step_work": None if state.step_work is None else state.step_work.count,
+    }
+
+
+def _warmup(simulation) -> int:
+    """Warm-up intervals the filters were tuned on (at most the trace)."""
+    return min(simulation.engine_options.warmup_intervals, simulation.periods)
+
+
 @pytest.mark.parametrize("kernel", ["scalar", "vector"])
 def test_module_baseline_instance_is_a_template(kernel):
     template = ThresholdDvfsController(paper_module_spec())
@@ -122,49 +155,132 @@ def test_module_baseline_instance_is_a_template(kernel):
     result = simulation.run()
     assert result.l1_stats.invocations == 12
     assert template.stats.invocations == 0
-    assert template.predictor.observations == 0
-    assert template.work_filter.count == 0
-
-
-def _track_l1s(monkeypatch) -> list:
-    """Collect every :class:`L1Controller` built from now on."""
-    built = []
-    init = L1Controller.__init__
-
-    def tracking_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        built.append(self)
-
-    monkeypatch.setattr(L1Controller, "__init__", tracking_init)
-    return built
+    # The run's filter fed the copy's decisions, tuned then fed every
+    # closed period but the last; the template holds no filter to feed.
+    assert _fed(simulation) == {
+        "global": None,
+        "modules": [_warmup(simulation) + 12 - 1],
+        "boundary_work": 1 + 12 - 1,
+        "step_work": None,
+    }
 
 
 @pytest.mark.parametrize("kernel", ["scalar", "vector"])
-def test_l1_arrival_filters_under_an_l2_are_never_fed(monkeypatch, kernel):
+def test_l1s_under_an_l2_read_only_the_global_filter(kernel):
     simulation = build_simulation(
         get_scenario("paper/fig6-cluster16", samples=SAMPLES).with_overrides(
             **{"control.kernel": kernel}
         )
     )
-    built = _track_l1s(monkeypatch)
     simulation.run()
-    assert len(built) == simulation.spec.module_count
-    assert [l1.predictor.observations for l1 in built] == [0] * len(built)
-    # Their work filters are read by every decision, so they are fed.
-    assert all(l1.work_filter.count > 0 for l1 in built)
+    # No module filter is built; the global filter and the boundary
+    # EWMA are tuned on the warm-up and fed every closed period but
+    # the last, and the step EWMA every step.
+    assert _fed(simulation) == {
+        "global": _warmup(simulation) + SAMPLES - 1,
+        "modules": [],
+        "boundary_work": 1 + SAMPLES - 1,
+        "step_work": simulation.total_steps,
+    }
 
 
 @pytest.mark.parametrize("kernel", ["scalar", "vector"])
-def test_module_l1_forecasts_from_its_own_filter(monkeypatch, kernel):
+def test_module_l1_forecasts_from_its_own_filter(kernel):
     simulation = build_simulation(
         get_scenario("paper/fig4-module4", samples=SAMPLES).with_overrides(
             **{"control.kernel": kernel}
         )
     )
-    built = _track_l1s(monkeypatch)
     simulation.run()
-    (l1,) = built
     # Tuned on the warm-up, then fed every closed period but the last.
-    warmup = min(simulation.engine_options.warmup_intervals, SAMPLES)
-    assert l1.predictor.observations == warmup + SAMPLES - 1
-    assert l1.work_filter.count == 1 + SAMPLES - 1
+    assert _fed(simulation) == {
+        "global": None,
+        "modules": [_warmup(simulation) + SAMPLES - 1],
+        "boundary_work": 1 + SAMPLES - 1,
+        "step_work": simulation.total_steps,
+    }
+
+
+def _count_constructions(monkeypatch) -> dict:
+    """Count every arrival filter and EWMA built from now on."""
+    counts = {"predictors": 0, "ewmas": 0}
+
+    def counting(cls, key):
+        init = cls.__init__
+
+        def counting_init(self, *args, **kwargs):
+            counts[key] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+
+    counting(WorkloadPredictor, "predictors")
+    counting(EwmaFilter, "ewmas")
+    return counts
+
+
+#: ``(scenario, arrival filters, EWMAs)`` one ``reset()`` builds.
+PER_RESET = [
+    # The global and fine filters; one EWMA per timescale.
+    ("paper/fig6-cluster16", 2, 2),
+    # The global filter and one per module; the boundary EWMA.
+    ("cluster-baseline-showdown", 5, 1),
+    # The module's filter and the fine filter; one EWMA per timescale.
+    ("paper/fig4-module4", 2, 2),
+    # The module's filter; the boundary EWMA.
+    ("module-baseline-threshold-dvfs", 1, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "name,predictors,ewmas", PER_RESET, ids=[name for name, _, _ in PER_RESET]
+)
+def test_one_reset_builds_one_filter_per_signal(
+    name, predictors, ewmas, monkeypatch
+):
+    simulation = build_simulation(get_scenario(name, samples=12))
+    counts = _count_constructions(monkeypatch)
+    simulation.reset()
+    assert counts == {"predictors": predictors, "ewmas": ewmas}
+
+
+def test_cold_map_training_builds_no_filter(monkeypatch):
+    """Training cells pass every forecast and c-hat to ``decide``."""
+    monkeypatch.setattr(map_provider, "_MEMO", {})
+    spec = paper_module_spec(name="pair", profiles=("c1", "c2"))
+    l0_params, l1_params = L0Params(), L1Params()
+    trainings = MAP_STATS.trainings
+    counts = _count_constructions(monkeypatch)
+    provider = map_provider.MapProvider()
+    maps = provider.behavior_maps(spec, l0_params, l1_params)
+    provider.module_map(spec, maps, l1_params, l0_params)
+    assert MAP_STATS.trainings - trainings == 3  # two computers, one module
+    assert counts == {"predictors": 0, "ewmas": 0}
+
+
+@pytest.mark.parametrize("kernel", ["scalar", "vector"])
+def test_l1_band_window_reaches_the_l1s_under_an_l2(kernel):
+    """Each L1's band is its share of the global filter's, so the global
+    filter takes the L1's window."""
+    base = build_simulation(
+        get_scenario("paper/fig6-cluster16", samples=SAMPLES).with_overrides(
+            **{"control.kernel": kernel}
+        )
+    )
+
+    def run(window):
+        return ClusterSimulation(
+            base.spec,
+            base.trace,
+            l0_params=base.l0_params,
+            l1_params=dataclasses.replace(base.l1_params, band_window=window),
+            l2_params=base.l2_params,
+            module_maps=base.module_maps,
+            engine_options=dataclasses.replace(base.engine_options),
+        ).run()
+
+    default = _fingerprint(base.run())
+    assert base.l1_params.band_window == 20
+    assert _same(_fingerprint(run(20)), default)
+    assert not _same(_fingerprint(run(5)), default)
+

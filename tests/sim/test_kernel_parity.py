@@ -48,6 +48,7 @@ from repro.sim.kernels import (
     _fast_probability_vector,
     batched_predictor_observe,
     fast_baseline_act,
+    fast_forecast1,
 )
 from repro.sim.shard import ModuleShardRunner
 from repro.workload import ArrivalTrace
@@ -538,8 +539,8 @@ class TestEventStreams:
 class _NanGammaBaseline(ThresholdOnOffController):
     """A custom baseline whose gamma carries a NaN."""
 
-    def act(self, queues, alpha_current):
-        decision = super().act(queues, alpha_current)
+    def act(self, rate, work, alpha_current):
+        decision = super().act(rate, work, alpha_current)
         gamma = decision.gamma.copy()
         gamma[0] = np.nan
         return BaselineDecision(
@@ -756,14 +757,19 @@ class TestBaselineActParity:
 
     OBSERVATIONS = [9000.0, 11000.0, 14000.0, 12500.0, 8000.0, 15000.0]
 
-    def _pair(self, factory, period=120.0):
-        """Two controllers fed the same arrival rates as counts per ``period``."""
-        scalar, fast = factory(paper_module_spec()), factory(paper_module_spec())
-        for controller in (scalar, fast):
-            controller.period = period
-            for count in self.OBSERVATIONS:
-                controller.observe(count * period / 120.0, 0.0175)
-        return scalar, fast
+    def _rates(self, period=120.0):
+        """Scalar and fast one-step rates of a filter fed per ``period``.
+
+        The filter sees the same arrival rates as counts per ``period``,
+        and each rate is its forecast over ``period``, as a run reads it.
+        """
+        predictor = WorkloadPredictor()
+        for count in self.OBSERVATIONS:
+            predictor.observe(count * period / 120.0)
+        return (
+            float(predictor.forecast(1)[0]) / period,
+            fast_forecast1(predictor) / period,
+        )
 
     @pytest.mark.parametrize(
         "factory",
@@ -782,12 +788,15 @@ class TestBaselineActParity:
     @pytest.mark.parametrize("period", [120.0, 60.0])
     def test_decision_bit_identical(self, factory, alpha, period):
         """Both paths decide as at 120 s: the same rates, a shorter period."""
-        scalar, fast = self._pair(factory, period)
-        queues = np.array([5.0, 0.0, 22.0, 3.0])
-        expected = self._pair(factory)[0].act(queues, alpha.copy())
+        scalar_rate, fast_rate = self._rates(period)
+        expected = factory(paper_module_spec()).act(
+            self._rates()[0], 0.0175, alpha.copy()
+        )
         for decision in (
-            scalar.act(queues, alpha.copy()),
-            fast_baseline_act(fast, queues, alpha.copy()),
+            factory(paper_module_spec()).act(scalar_rate, 0.0175, alpha.copy()),
+            fast_baseline_act(
+                factory(paper_module_spec()), fast_rate, 0.0175, alpha.copy()
+            ),
         ):
             assert np.array_equal(decision.alpha, expected.alpha)
             assert np.array_equal(decision.gamma, expected.gamma)
@@ -817,12 +826,10 @@ class TestBaselineActParity:
         class Custom(ThresholdOnOffController):
             pass
 
-        scalar, _ = self._pair(Custom)
-        _, fast = self._pair(Custom)
-        queues = np.zeros(4)
+        rate, _ = self._rates()
         alpha = np.ones(4, dtype=bool)
-        expected = scalar.act(queues, alpha)
-        decision = fast_baseline_act(fast, queues, alpha)
+        expected = Custom(paper_module_spec()).act(rate, 0.0175, alpha)
+        decision = fast_baseline_act(Custom(paper_module_spec()), rate, 0.0175, alpha)
         assert np.array_equal(decision.alpha, expected.alpha)
         assert np.array_equal(decision.gamma, expected.gamma)
 

@@ -18,6 +18,8 @@ from repro.cluster.lifecycle import PowerState
 from repro.cluster.module import Module
 from repro.controllers import ThresholdDvfsController
 from repro.controllers.params import L0Params
+from repro.forecast import WorkloadPredictor
+from repro.sim.kernels import fast_forecast1
 from repro.sim.shard import (
     ModuleBoundaryInput,
     ModuleShardRunner,
@@ -42,6 +44,11 @@ def _runner(events=(), kernel="scalar", module_index=0):
         failure_events=events,
         kernel=kernel,
     )
+
+
+def _boundary(**fields):
+    """The first boundary's input at the mean work, with ``fields`` set."""
+    return ModuleBoundaryInput(period=0, now=0.0, work=MEAN_WORK, **fields)
 
 
 def _step(runner, step=0, time_s=0.0, share=100.0, work=None):
@@ -146,7 +153,7 @@ class TestFaults:
 
     def test_boundary_applies_due_faults_before_deciding(self):
         runner = _runner(events=((0.0, 0, "fail"),))
-        event = runner.begin_period(ModuleBoundaryInput(period=0, now=0.0))
+        event = runner.begin_period(_boundary())
         assert not event.alpha[0]
         assert event.gamma[0] == 0.0
 
@@ -154,7 +161,7 @@ class TestFaults:
 class TestBoundary:
     def test_decision_is_applied(self):
         runner = _runner()
-        event = runner.begin_period(ModuleBoundaryInput(period=0, now=0.0))
+        event = runner.begin_period(_boundary())
         assert not event.held and not event.forced
         assert event.module == 0 and event.period == 0
         assert np.array_equal(event.alpha, runner.alpha)
@@ -165,7 +172,7 @@ class TestBoundary:
 
     def test_event_holds_copies(self):
         runner = _runner()
-        event = runner.begin_period(ModuleBoundaryInput(period=0, now=0.0))
+        event = runner.begin_period(_boundary())
         event.alpha[:] = False
         event.gamma[:] = 0.0
         assert runner.alpha.any()
@@ -174,22 +181,18 @@ class TestBoundary:
     def test_hold_keeps_the_previous_allocation_without_deciding(self):
         runner = _runner()
         before_alpha, before_gamma = runner.alpha.copy(), runner.gamma.copy()
-        event = runner.begin_period(
-            ModuleBoundaryInput(period=0, now=0.0, hold=True)
-        )
+        event = runner.begin_period(_boundary(hold=True))
         assert event.held
         assert np.array_equal(runner.alpha, before_alpha)
         assert np.array_equal(runner.gamma, before_gamma)
         assert runner.controller.stats.invocations == 0
 
     def test_missed_deadline_discards_the_decision(self):
-        fresh = _runner().begin_period(ModuleBoundaryInput(period=0, now=0.0))
+        fresh = _runner().begin_period(_boundary())
         runner = _runner()
         before_alpha = runner.alpha.copy()
         event = runner.begin_period(
-            ModuleBoundaryInput(
-                period=0, now=0.0, deadline_at=time.monotonic() - 1.0
-            )
+            _boundary(deadline_at=time.monotonic() - 1.0)
         )
         # The decision was computed (and differs) but never applied.
         assert not np.array_equal(fresh.alpha, before_alpha)
@@ -199,9 +202,7 @@ class TestBoundary:
 
     def test_force_on_pins_the_first_available_machines(self):
         runner = _runner(events=((0.0, 0, "fail"),))
-        event = runner.begin_period(
-            ModuleBoundaryInput(period=0, now=0.0, force_on=2)
-        )
+        event = runner.begin_period(_boundary(force_on=2))
         assert event.forced and not event.held
         assert runner.alpha.tolist() == [False, True, True, False]
         assert runner.gamma.tolist() == [0.0, 0.5, 0.5, 0.0]
@@ -210,15 +211,23 @@ class TestBoundary:
 
     def test_scalar_and_vector_boundaries_agree(self):
         runners = [_runner(kernel="scalar"), _runner(kernel="vector")]
+        predictor = WorkloadPredictor()
         for period, arrivals in enumerate((None, 4200.0, 9100.0, 2600.0)):
             if arrivals is not None:
-                for runner in runners:
-                    runner.controller.observe(arrivals, MEAN_WORK)
+                predictor.observe(arrivals)
+            # Each kernel reads the filter its own way, as the engine does.
+            counts = (float(predictor.forecast(1)[0]), fast_forecast1(predictor))
             events = [
                 runner.begin_period(
-                    ModuleBoundaryInput(period=period, now=60.0 * period)
+                    ModuleBoundaryInput(
+                        period=period,
+                        now=60.0 * period,
+                        work=MEAN_WORK,
+                        rate_hat=count / 120.0,
+                        prediction=count,
+                    )
                 )
-                for runner in runners
+                for runner, count in zip(runners, counts)
             ]
             scalar, vector = events
             assert np.array_equal(scalar.alpha, vector.alpha)
@@ -253,7 +262,7 @@ class TestStep:
 class TestFinalize:
     def test_folds_the_plant_and_controller_aggregates(self):
         runner = _runner(module_index=2)
-        runner.begin_period(ModuleBoundaryInput(period=0, now=0.0))
+        runner.begin_period(_boundary())
         for step in range(4):
             _step(runner, step=step, time_s=30.0 * step)
         final = runner.finalize()

@@ -126,14 +126,14 @@ class TestDecisionDeadline:
 
     def test_cluster_l2_overrun_holds_every_module(self, monkeypatch):
         simulation = cluster_sim()
-        slow_act = L2Controller.act
+        slow_decide = L2Controller.decide
 
         def injected(*args, **kwargs):
-            decision = slow_act(*args, **kwargs)
+            decision = slow_decide(*args, **kwargs)
             time.sleep(0.002)
             return decision
 
-        monkeypatch.setattr(L2Controller, "act", injected)
+        monkeypatch.setattr(L2Controller, "decide", injected)
         simulation.set_decision_deadline(1e-9)
         recorder = DecisionRecorder()
         run_all(simulation, recorder)
