@@ -14,9 +14,11 @@ Each cell is ``repro run <name> --samples 12 --kernel K --json
 --decisions-out F`` (64 samples for ``module-failover``, whose fault
 lands at t = 1 h). The matrix covers every registry scenario on both
 kernels, and ``paper/fig4-module4`` plus ``module-failover`` again with
-``--window 16``. Both trees should share one ``--map-cache``
-so training happens once. ``compare`` prints one line per cell and exits
-non-zero when any file differs or is missing.
+``--window 16``. Both trees may share one ``--map-cache`` so training
+happens once, unless the change touches map training: then give each
+tree a fresh cache, or the change is served the parent's maps and never
+trains. ``compare`` prints one line per cell and exits non-zero when
+any file differs or is missing.
 """
 
 from __future__ import annotations

@@ -52,7 +52,7 @@ Package map:
 ``repro.cluster``   the plant: DVFS processors, power states, modules
 ``repro.workload``  synthetic and WC'98-shaped traces, Zipf store
 ``repro.approximation``  lookup tables and CART regression trees
-``repro.maps``      the trained-map artifact layer: parallel offline
+``repro.maps``      the trained-map artifact layer: lockstep offline
                     training plans, content digests, the on-disk
                     content-addressed cache, and the map provider
 ``repro.sim``       the stepwise co-simulation engine, observer hooks,

@@ -72,22 +72,22 @@ def train_table(
     simulate: Callable[[tuple[float, ...]], Sequence[float]],
     quantizer: GridQuantizer,
     output_dim: int = 1,
-    workers: int = 1,
 ) -> tuple[LookupTableMap, TrainingSet]:
     """Sweep every grid point through ``simulate`` and fill a lookup table.
 
-    A thin front over :class:`repro.maps.plan.TrainingPlan`: ``workers``
-    fans the cells out over a spawn pool (``simulate`` must then be
-    picklable), with the table bit-identical to a serial sweep. Returns
-    the populated table plus the raw training set (reusable for tree
+    A thin front over :class:`repro.maps.plan.TrainingPlan` that calls
+    ``simulate`` once per point, in row-major grid order. Returns the
+    populated table plus the raw training set (reusable for tree
     fitting without re-simulating).
     """
     from repro.maps.plan import TrainingPlan
 
     plan = TrainingPlan(
-        simulate=simulate, quantizer=quantizer, output_dim=output_dim
+        simulate=lambda points: [simulate(point) for point in points],
+        quantizer=quantizer,
+        output_dim=output_dim,
     )
-    return plan.execute(workers=workers)
+    return plan.execute()
 
 
 def train_tree(

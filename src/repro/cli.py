@@ -34,9 +34,9 @@ bit-identical to the full recorder:
 
 Trained-map artifacts — the offline-learned abstraction maps behind the
 hierarchy are content-addressed deployment artifacts. Warm them once
-(optionally training the grid cells on a worker pool), then every run
-and sweep worker loads them instead of retraining, with bit-identical
-results:
+(each map's training grid runs in lockstep, in one process), then every
+run and sweep worker loads them instead of retraining, with
+bit-identical results:
 
 .. code-block:: bash
 
@@ -457,7 +457,7 @@ def _cmd_train_warm(args: argparse.Namespace) -> None:
         )
     cache = MapCache(directory)
     reset_map_stats()
-    artifacts = warm_scenario(scenario, map_cache=cache, workers=args.workers)
+    artifacts = warm_scenario(scenario, map_cache=cache)
     for artifact in artifacts:
         print(
             f"{artifact.kind:<8}  {artifact.digest[:16]}  {artifact.source}",
@@ -847,11 +847,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cache directory (default: the scenario's control.map_cache, "
         "then $REPRO_MAP_CACHE; refuses when neither names one, since "
         "runs resolve the same chain)",
-    )
-    train_warm.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="fan the training grid cells out over N spawn workers "
-        "(bit-identical tables; default serial)",
     )
     train_warm.add_argument(
         "--stats", action="store_true",

@@ -53,20 +53,79 @@ from repro.core.simplex import quantize_to_simplex, simplex_levels, simplex_neig
 from repro.core.uncertainty import three_point_band
 
 
-def _behavior_training_cell(
-    spec: ComputerSpec, l0_params: L0Params, substeps: int, point
-) -> tuple[float, float]:
-    """One behaviour-map grid cell (module-level: picklable for fan-out).
+#: Cap on ``rows * max_settings ** (horizon + 1)`` for one map-training
+#: call to ``L0BankKernel.decide_many``, which bounds the lookahead's
+#: temporaries: 1.6e5 is a run's own 16-computer call on 10-setting
+#: processors at horizon 3, so training needs no more than stepping.
+_BANK_BLOCK_ELEMENTS = 160_000
 
-    Builds a fresh L0 controller per cell — ``decide`` is pure given
-    its arguments, so per-cell construction produces floats identical
-    to the historical shared-controller loop, while making the cells
-    independent enough to run on any worker in any order.
+
+def _l0_substep(
+    bank, indices: np.ndarray, queues: np.ndarray, rates: np.ndarray, works: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """One T_L0 period of many L0-controlled computers, for map training.
+
+    Row r is ``bank`` computer ``indices[r]`` with queue ``queues[r]``,
+    a constant arrival rate ``rates[r]`` over its lookahead and c-hat
+    ``works[r]``. The rows' lookaheads run as rows of
+    ``bank.decide_many``, in blocks of at most
+    :data:`_BANK_BLOCK_ELEMENTS`. Each chosen setting then goes through
+    the computer's ``FluidServerModel.predict`` and
+    ``SlackResponseCost.evaluate``, once per computer and work level
+    (``predict`` takes one c). Returns each row's ``(cost, next
+    queue)``, bit for bit what ``L0Controller.decide`` and those two
+    calls give on one row at a time.
     """
-    controller = L0Controller(spec, l0_params)
-    return ComputerBehaviorMap._simulate_cell(
-        controller, point[0], point[1], point[2], substeps
-    )
+    horizon = bank.horizon
+    block = max(1, _BANK_BLOCK_ELEMENTS // bank.max_settings ** (horizon + 1))
+    forecasts = np.repeat(rates[:, None], horizon, axis=1)
+    settings = np.empty(indices.size, dtype=np.intp)
+    for start in range(0, indices.size, block):
+        rows = slice(start, start + block)
+        decisions = bank.decide_many(
+            indices[rows], queues[rows], forecasts[rows], works[rows]
+        )
+        settings[rows] = [decision.frequency_index for decision in decisions]
+    costs = np.empty_like(queues)
+    next_queues = np.empty_like(queues)
+    for index in sorted(set(indices.tolist())):
+        controller = bank.controllers[index]
+        mine = indices == index
+        for work in sorted(set(works[mine].tolist())):
+            group = mine & (works == work)
+            next_queue, response, power = controller.model.predict(
+                queues[group],
+                rates[group],
+                work,
+                controller.phis[settings[group]],
+                bank.period,
+            )
+            costs[group] = controller.cost.evaluate(response, power)
+            next_queues[group] = next_queue
+    return costs, next_queues
+
+
+def _behavior_training_grid(
+    spec: ComputerSpec, l0_params: L0Params, substeps: int, points
+) -> np.ndarray:
+    """Every behaviour-map grid cell, run in lockstep for one T_L1.
+
+    One L0 serves the whole grid: each of the ``substeps`` T_L0 periods
+    advances every cell as a row of one :func:`_l0_substep`, and each
+    cell's cost adds up in substep order. Returns ``(cost, final
+    queue)`` per cell, in the order of ``points``.
+    """
+    from repro.sim.kernels import L0BankKernel
+
+    bank = L0BankKernel([L0Controller(spec, l0_params)])
+    grid = np.array(points, dtype=float)
+    queues, rates, works = grid[:, 0], grid[:, 1], grid[:, 2]
+    computers = np.zeros(len(grid), dtype=np.intp)
+    totals = np.zeros(len(grid))
+    for _ in range(substeps):
+        costs, queues = _l0_substep(bank, computers, queues, rates, works)
+        totals += costs
+    return np.column_stack([totals, queues])
 
 
 def _snap_index(grid: list[float], value: float) -> int:
@@ -220,9 +279,13 @@ class ComputerBehaviorMap:
     ):
         """The offline-learning campaign as a declarative plan.
 
-        The grid defaults cover queue lengths from empty to deep backlog,
-        arrival rates from zero to 140 % of the computer's full-speed
-        capacity, and the virtual store's processing-time range.
+        Each cell rolls the L0-controlled fluid model forward one T_L1
+        from its (queue, arrival rate, processing time), and every cell
+        advances in lockstep: one batched L0 lookahead over the grid per
+        T_L0 substep (see :func:`_behavior_training_grid`). The grid
+        defaults cover queue lengths from empty to deep backlog, arrival
+        rates from zero to 140 % of the computer's full-speed capacity,
+        and the virtual store's processing-time range.
         """
         from functools import partial
 
@@ -243,7 +306,7 @@ class ComputerBehaviorMap:
             work_levels = np.array([0.012, 0.0175, 0.023])
         quantizer = GridQuantizer([queue_levels, rate_levels, work_levels])
         return TrainingPlan(
-            simulate=partial(_behavior_training_cell, spec, l0_params, substeps),
+            simulate=partial(_behavior_training_grid, spec, l0_params, substeps),
             quantizer=quantizer,
             output_dim=2,
         )
@@ -257,43 +320,18 @@ class ComputerBehaviorMap:
         queue_levels: np.ndarray | None = None,
         rate_levels: np.ndarray | None = None,
         work_levels: np.ndarray | None = None,
-        workers: int = 1,
     ) -> "ComputerBehaviorMap":
         """Offline simulation-based learning of the map (§4.2).
 
-        Executes :meth:`training_plan`; ``workers > 1`` fans the grid
-        cells out over a spawn-started pool with a bit-identical table.
+        Executes :meth:`training_plan`.
         """
         l0_params = l0_params or L0Params()
         plan = cls.training_plan(
             spec, l0_params, l1_period, queue_levels, rate_levels, work_levels
         )
-        table, _ = plan.execute(workers=workers)
+        table, _ = plan.execute()
         substeps = round(l1_period / l0_params.period)
         return cls(spec, table, substeps, l0_params)
-
-    @staticmethod
-    def _simulate_cell(
-        controller: L0Controller,
-        queue: float,
-        rate: float,
-        work: float,
-        substeps: int,
-    ) -> tuple[float, float]:
-        """Roll the L0-controlled fluid model forward one T_L1 interval."""
-        params = controller.params
-        rates = np.full(params.horizon, rate)
-        total_cost = 0.0
-        q = float(queue)
-        for _ in range(substeps):
-            decision = controller.decide(q, rates, work)
-            phi = float(controller.phis[decision.frequency_index])
-            next_q, response, power = controller.model.predict(
-                q, rate, work, phi, params.period
-            )
-            total_cost += float(controller.cost.evaluate(response, power))
-            q = float(next_q)
-        return total_cost, q
 
     def cost_and_next_queue(
         self, queue: float, rate: float, work: float

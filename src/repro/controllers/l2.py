@@ -29,6 +29,7 @@ from repro.controllers.l0 import L0Controller
 from repro.controllers.l1 import (
     ComputerBehaviorMap,
     L1Controller,
+    _l0_substep,
     _simplex_quanta,
     require_finite_inputs,
 )
@@ -51,32 +52,64 @@ class L2Decision:
     states_explored: int
 
 
-def _module_training_cell(
+def _module_training_grid(
     module_spec: ModuleSpec,
     behavior_maps: "list[ComputerBehaviorMap]",
     l1_params: L1Params,
     l0_params: L0Params,
-    point,
-) -> tuple[float, float]:
-    """One module-cost-map grid cell (module-level: picklable for fan-out).
+    points,
+) -> np.ndarray:
+    """Every module-cost-map grid cell, run in lockstep for one T_L2.
 
-    Builds fresh, stateless controllers per cell — the L1/L0 ``decide``
-    calls are pure given their arguments, so per-cell construction
-    produces floats identical to the historical shared-controller loop
-    while letting cells run on any worker in any order.
+    One L1 serves the whole grid, so its plan cache serves every cell
+    with the same on/off masks; it decides each cell in grid order.
+    Then every T_L0 substep advances each (cell, computer) pair that
+    serves, or that drains a queue above 1e-9, as a row of one
+    :func:`_l0_substep`, and each cell's cost adds up in computer order
+    (a booting machine adds its base power). Returns ``(cost, mean
+    final queue)`` per cell, in the order of ``points``.
     """
+    from repro.sim.kernels import L0BankKernel
+
     l1 = L1Controller(module_spec, behavior_maps, l1_params, l0_params)
-    l0s = [L0Controller(c, l0_params) for c in module_spec.computers]
-    return ModuleCostMap._simulate_cell(
-        module_spec,
-        l1,
-        l0s,
-        float(point[0]),
-        float(point[1]),
-        float(point[2]),
-        l1.substep_count(),
-        l0_params,
-    )
+    bank = L0BankKernel([L0Controller(c, l0_params) for c in module_spec.computers])
+    grid = np.array(points, dtype=float)
+    rates, works = grid[:, 1], grid[:, 2]
+    shape = (len(grid), module_spec.size)
+    queues = np.empty(shape)
+    alpha0 = np.empty(shape, dtype=bool)
+    alpha = np.empty(shape, dtype=bool)
+    gamma = np.empty(shape)
+    for cell, (queue_avg, rate, work) in enumerate(points):
+        alpha0[cell] = ModuleCostMap._steady_alpha(module_spec, rate, work)
+        queues[cell] = np.where(alpha0[cell], queue_avg, 0.0)
+        decision = l1.decide(
+            queues[cell],
+            alpha0[cell],
+            rate_hat=rate,
+            rate_next=rate,
+            delta=0.0,
+            work=work,
+        )
+        alpha[cell] = decision.alpha.astype(bool)
+        gamma[cell] = decision.gamma
+    serving = alpha & alpha0
+    draining = ~alpha & alpha0
+    booting = alpha & ~alpha0
+    local_rates = np.where(serving, gamma * rates[:, None], 0.0)
+    base_powers = [c.base_power for c in module_spec.computers]
+    totals = l1.params.switching_weight * booting.sum(axis=1)
+    for _ in range(l1.substep_count()):
+        active = serving | (draining & (queues > 1e-9))
+        cells, computers = np.nonzero(active)
+        costs, queues[active] = _l0_substep(
+            bank, computers, queues[active], local_rates[active], works[cells]
+        )
+        for j, base_power in enumerate(base_powers):
+            pairs = computers == j
+            totals[cells[pairs]] += costs[pairs]
+            totals[booting[:, j]] += base_power
+    return np.column_stack([totals, [row.mean() for row in queues]])
 
 
 class ModuleCostMap:
@@ -116,7 +149,9 @@ class ModuleCostMap:
         Each cell plays one T_L2 interval of the Fig. 2(b) structure:
         the L1 controller decides (alpha, gamma) for the cell's load,
         then the L0 controllers and the fluid plant run the module's
-        computers through the interval.
+        computers through the interval. One L1 decides every cell, and
+        the cells' L0s advance in lockstep, one batched lookahead per
+        T_L0 substep (see :func:`_module_training_grid`).
         """
         from functools import partial
 
@@ -136,7 +171,7 @@ class ModuleCostMap:
         quantizer = GridQuantizer([queue_levels, rate_levels, work_levels])
         return TrainingPlan(
             simulate=partial(
-                _module_training_cell,
+                _module_training_grid,
                 module_spec,
                 list(behavior_maps),
                 l1_params,
@@ -157,13 +192,11 @@ class ModuleCostMap:
         rate_levels: np.ndarray | None = None,
         work_levels: np.ndarray | None = None,
         tree_depth: int = 10,
-        workers: int = 1,
     ) -> "ModuleCostMap":
         """Simulate the Fig. 2(b) structure over a training grid.
 
-        Executes :meth:`training_plan` (``workers > 1`` fans the cells
-        out over a spawn pool, bit-identical to serial) and fits the two
-        regression trees on the collected dataset.
+        Executes :meth:`training_plan` and fits the two regression trees
+        on the collected dataset.
         """
         l1_params = l1_params or L1Params()
         l0_params = l0_params or L0Params()
@@ -180,7 +213,7 @@ class ModuleCostMap:
             rate_levels,
             work_levels,
         )
-        _, dataset = plan.execute(workers=workers)
+        _, dataset = plan.execute()
         cost_tree = train_tree(dataset, target_column=0, max_depth=tree_depth)
         queue_tree = train_tree(dataset, target_column=1, max_depth=tree_depth)
         return cls(module_spec, cost_tree, queue_tree, dataset)
@@ -204,48 +237,6 @@ class ModuleCostMap:
             if covered >= needed:
                 break
         return alpha
-
-    @classmethod
-    def _simulate_cell(
-        cls,
-        module_spec: ModuleSpec,
-        l1: L1Controller,
-        l0s: list[L0Controller],
-        queue_avg: float,
-        rate: float,
-        work: float,
-        substeps: int,
-        l0_params: L0Params,
-    ) -> tuple[float, float]:
-        """One T_L2 interval of the module under its own hierarchy."""
-        alpha0 = cls._steady_alpha(module_spec, rate, work)
-        queues = np.where(alpha0, queue_avg, 0.0).astype(float)
-        decision = l1.decide(
-            queues, alpha0, rate_hat=rate, rate_next=rate, delta=0.0, work=work
-        )
-        alpha = decision.alpha.astype(bool)
-        gamma = decision.gamma
-        serving = alpha & alpha0
-        draining = ~alpha & alpha0
-        booting = alpha & ~alpha0
-        switch_ons = int(booting.sum())
-        total_cost = l1.params.switching_weight * switch_ons
-        for _ in range(substeps):
-            for j, controller in enumerate(l0s):
-                if serving[j] or (draining[j] and queues[j] > 1e-9):
-                    local_rate = gamma[j] * rate if serving[j] else 0.0
-                    rates = np.full(l0_params.horizon, local_rate)
-                    freq = controller.decide(queues[j], rates, work)
-                    phi = float(controller.phis[freq.frequency_index])
-                    next_q, response, power = controller.model.predict(
-                        queues[j], local_rate, work, phi, l0_params.period
-                    )
-                    total_cost += float(controller.cost.evaluate(response, power))
-                    queues[j] = float(next_q)
-                elif booting[j]:
-                    total_cost += module_spec.computers[j].base_power
-        next_queue_avg = float(queues.mean())
-        return total_cost, next_queue_avg
 
     # ------------------------------------------------------------------
     # Serialisation (the cacheable trained artifact)

@@ -5,8 +5,8 @@ per-computer behaviour maps the L1 controller searches over (§4.2) and
 the per-module cost maps the L2 controller queries (§5.1). This package
 treats those maps as first-class deployment artifacts:
 
-* :class:`TrainingPlan` fans the offline grid-cell simulations out over
-  a spawn-safe process pool with bit-identical tables versus serial;
+* :class:`TrainingPlan` runs a map's offline training grid through one
+  grid function, which advances every cell in lockstep;
 * :mod:`~repro.maps.digest` gives every trained map a canonical content
   digest (spec + grids + parameters + training-code version);
 * :class:`MapCache` stores artifacts content-addressed on disk

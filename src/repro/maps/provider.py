@@ -55,9 +55,8 @@ def _resolve_cache(cache) -> "MapCache | None":
 class MapProvider:
     """Hands out trained maps, training each distinct content once."""
 
-    def __init__(self, cache=None, workers: int = 1) -> None:
+    def __init__(self, cache=None) -> None:
         self.cache = _resolve_cache(cache)
-        self.workers = workers
         self._instances: "dict[str, object]" = {}
         self._served: "list[tuple[str, str]]" = []
 
@@ -99,7 +98,7 @@ class MapProvider:
             trained = ComputerBehaviorMap.from_dict(payload)
         else:
             trained = ComputerBehaviorMap.train(
-                spec, l0_params, l1_period=l1_period, workers=self.workers
+                spec, l0_params, l1_period=l1_period
             )
             self._publish(
                 digest,
@@ -156,11 +155,7 @@ class MapProvider:
                     module_spec, l0_params, l1_params
                 )
             trained = ModuleCostMap.train(
-                module_spec,
-                behavior_maps,
-                l1_params,
-                l0_params,
-                workers=self.workers,
+                module_spec, behavior_maps, l1_params, l0_params
             )
             self._publish(
                 digest,

@@ -312,7 +312,6 @@ class WarmedArtifact:
 def warm_scenario(
     scenario: "ScenarioSpec | str",
     map_cache=None,
-    workers: int = 1,
 ) -> "list[WarmedArtifact]":
     """Train or load every trained-map artifact a scenario's run needs.
 
@@ -322,9 +321,8 @@ def warm_scenario(
     layer — training on a miss, loading on a hit — so a subsequent run
     against the same cache performs zero trainings. ``map_cache``
     overrides the scenario's ``control.map_cache`` (``None`` falls back
-    to it); ``workers > 1`` fans the training grid cells out over a
-    spawn pool with bit-identical tables. Baseline scenarios train no
-    maps and return an empty list.
+    to it). Each map trains its grid in lockstep in this process.
+    Baseline scenarios train no maps and return an empty list.
     """
     scenario = _resolve(scenario)
     if scenario.control.is_baseline:
@@ -334,7 +332,7 @@ def warm_scenario(
         cache = env_cache_dir()
     l0_params, l1_params, _ = resolve_control_params(scenario)
     plant = scenario.plant.build()
-    provider = MapProvider(cache=cache, workers=workers)
+    provider = MapProvider(cache=cache)
     if scenario.plant.kind == "module":
         module_specs = [plant]
         warm_module_maps = False  # module runs never query L2 cost maps

@@ -126,15 +126,13 @@ def _resolve(sweep: "SweepSpec | str") -> SweepSpec:
     )
 
 
-def _prewarm_map_caches(pending: "list[SweepPoint]", workers: int) -> None:
+def _prewarm_map_caches(pending: "list[SweepPoint]") -> None:
     """Warm trained-map caches once in the parent, before any fan-out.
 
     Only runs that opted into a cache (``control.map_cache``, hierarchy
     mode) are warmed; each distinct map content trains once here and
     every worker — serial or pooled — then loads the artifact instead
-    of retraining in its own process. The campaign's pool width feeds
-    the training plans, so the grid cells of each map fan out over the
-    same process budget the runs will use (bit-identical tables).
+    of retraining in its own process.
     """
     from repro.maps.cache import env_cache_dir
     from repro.scenario.runner import warm_scenario
@@ -146,7 +144,7 @@ def _prewarm_map_caches(pending: "list[SweepPoint]", workers: int) -> None:
         # falling back to $REPRO_MAP_CACHE): any run that will read a
         # cache must find it warm.
         if not control.is_baseline and (control.map_cache or env_fallback):
-            warm_scenario(point.scenario, workers=workers)
+            warm_scenario(point.scenario)
 
 
 def run_sweep(
@@ -179,7 +177,7 @@ def run_sweep(
     backend = make_backend(workers)
     if on_start is not None:
         on_start(len(pending), len(points), workers)
-    _prewarm_map_caches(pending, workers)
+    _prewarm_map_caches(pending)
     payloads = [point.scenario.to_dict() for point in pending]
     for point, summary in zip(pending, backend.map(payloads)):
         row = store.append(point, summary)

@@ -3,18 +3,14 @@
 Satellite coverage for the map's three answer paths — exact cell hits
 through the public :meth:`LookupTableMap.exact_at`, off-grid queries
 snapping to the nearest cell, and the closed-form saturated rollout for
-arrival rates beyond the trained domain — plus serial-vs-parallel
-training bit-identity on the real training plans.
+arrival rates beyond the trained domain.
 """
 
-import numpy as np
 import pytest
 
 from repro.cluster.processor import processor_profile
-from repro.cluster.specs import ComputerSpec, paper_module_spec
+from repro.cluster.specs import ComputerSpec
 from repro.controllers.l1 import ComputerBehaviorMap
-from repro.controllers.l2 import ModuleCostMap
-from repro.controllers.params import L0Params
 
 
 @pytest.fixture(scope="module")
@@ -111,49 +107,3 @@ class TestSaturatedRollout:
         cost, next_queue = behavior_map.cost_and_next_queue(5.0, rate, 0.0175)
         assert cost == stored[0]
         assert next_queue == stored[1]
-
-
-class TestTrainingParity:
-    def test_behavior_serial_vs_parallel_bit_identity(self):
-        spec = ComputerSpec(name="C1", processor=processor_profile("c1"))
-        queue_levels = np.array([0.0, 10.0, 80.0])
-        rate_levels = np.linspace(0.0, 100.0, 4)
-        work_levels = np.array([0.0175])
-        serial = ComputerBehaviorMap.train(
-            spec,
-            queue_levels=queue_levels,
-            rate_levels=rate_levels,
-            work_levels=work_levels,
-        )
-        parallel = ComputerBehaviorMap.train(
-            spec,
-            queue_levels=queue_levels,
-            rate_levels=rate_levels,
-            work_levels=work_levels,
-            workers=2,
-        )
-        assert serial.table._table.keys() == parallel.table._table.keys()
-        for key in serial.table._table:
-            assert np.array_equal(
-                serial.table._table[key], parallel.table._table[key]
-            )
-
-    def test_module_serial_vs_parallel_bit_identity(self):
-        spec = paper_module_spec(profiles=("c1",))
-        behavior_maps = [
-            ComputerBehaviorMap.train(spec.computers[0], L0Params())
-        ]
-        grids = dict(
-            queue_levels=np.array([0.0, 20.0]),
-            rate_levels=np.linspace(0.0, 60.0, 3),
-            work_levels=np.array([0.0175]),
-        )
-        serial = ModuleCostMap.train(spec, behavior_maps, **grids)
-        parallel = ModuleCostMap.train(
-            spec, behavior_maps, workers=2, **grids
-        )
-        assert serial.dataset.inputs == parallel.dataset.inputs
-        for a, b in zip(serial.dataset.outputs, parallel.dataset.outputs):
-            assert np.array_equal(a, b)
-        assert serial.cost_tree.to_dict() == parallel.cost_tree.to_dict()
-        assert serial.queue_tree.to_dict() == parallel.queue_tree.to_dict()

@@ -1,6 +1,5 @@
-"""TrainingPlan: grid fan-out with bit-identical serial/parallel tables."""
+"""TrainingPlan: one grid function call, outputs stored in grid order."""
 
-import numpy as np
 import pytest
 
 from repro.approximation.quantizer import GridQuantizer
@@ -13,9 +12,12 @@ def _quantizer() -> GridQuantizer:
 
 
 class TestSerialExecution:
+    """The plan calls its grid function once, in this process."""
+
     def test_fills_every_cell_in_grid_order(self):
         plan = TrainingPlan(
-            simulate=lambda p: [p[0] + p[1]], quantizer=_quantizer()
+            simulate=lambda points: [[p[0] + p[1]] for p in points],
+            quantizer=_quantizer(),
         )
         table, dataset = plan.execute()
         assert table.entries == 6
@@ -26,47 +28,26 @@ class TestSerialExecution:
 
     def test_output_arity_mismatch_fails_loudly(self):
         plan = TrainingPlan(
-            simulate=lambda p: [1.0, 2.0], quantizer=_quantizer(), output_dim=1
+            simulate=lambda points: [[1.0, 2.0] for _ in points],
+            quantizer=_quantizer(),
+            output_dim=1,
         )
         with pytest.raises(ConfigurationError):
             plan.execute()
 
-    def test_invalid_workers_rejected(self):
-        plan = TrainingPlan(simulate=lambda p: [0.0], quantizer=_quantizer())
-        with pytest.raises(ConfigurationError):
-            plan.execute(workers=0)
+    def test_one_call_sees_every_point_in_row_major_order(self):
+        calls = []
 
+        def simulate(points):
+            calls.append(list(points))
+            return [[0.0] for _ in points]
 
-class TestParallelExecution:
-    def test_parallel_matches_serial_bitwise(self):
-        # np.sum is importable from spawn workers (unlike a lambda).
-        plan = TrainingPlan(simulate=np.sum, quantizer=_quantizer())
-        serial_table, serial_data = plan.execute(workers=1)
-        parallel_table, parallel_data = plan.execute(workers=2)
-        assert serial_data.inputs == parallel_data.inputs
-        for a, b in zip(serial_data.outputs, parallel_data.outputs):
-            assert np.array_equal(a, b)
-        assert serial_table._table.keys() == parallel_table._table.keys()
-        for key in serial_table._table:
-            assert np.array_equal(
-                serial_table._table[key], parallel_table._table[key]
-            )
+        TrainingPlan(simulate=simulate, quantizer=_quantizer()).execute()
+        assert calls == [list(_quantizer().grid_points())]
 
-    def test_more_workers_than_cells_degrades_gracefully(self):
-        quantizer = GridQuantizer([[0.0, 1.0]])
-        plan = TrainingPlan(simulate=np.sum, quantizer=quantizer)
-        table, _ = plan.execute(workers=8)
-        assert table.entries == 2
-
-
-class TestPartition:
-    def test_contiguous_and_complete(self):
-        points = [(float(i),) for i in range(7)]
-        chunks = TrainingPlan._partition(points, 3)
-        assert [len(c) for c in chunks] == [3, 2, 2]
-        assert [p for chunk in chunks for p in chunk] == points
-
-    def test_no_empty_chunks(self):
-        points = [(0.0,), (1.0,)]
-        chunks = TrainingPlan._partition(points, 5)
-        assert [len(c) for c in chunks] == [1, 1]
+    def test_output_count_mismatch_fails_loudly(self):
+        plan = TrainingPlan(
+            simulate=lambda points: [[0.0]], quantizer=_quantizer()
+        )
+        with pytest.raises(ConfigurationError, match="1 outputs for 6 grid points"):
+            plan.execute()

@@ -32,12 +32,11 @@ class TestParser:
     def test_train_commands(self):
         args = build_parser().parse_args(
             ["train", "warm", "paper/fig4-module4", "--map-cache", "x/maps",
-             "--workers", "2", "--stats"]
+             "--stats"]
         )
         assert args.command == "train"
         assert args.train_command == "warm"
         assert args.map_cache == "x/maps"
-        assert args.workers == 2
         assert args.stats is True
         for sub in ("list", "clear"):
             args = build_parser().parse_args(["train", sub])
@@ -244,6 +243,14 @@ class TestRunFlags:
         assert f"unrecognized arguments: {' '.join(flag)}" in (
             capsys.readouterr().err
         )
+
+    def test_removed_training_pool_flag_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["train", "warm", "paper/fig4-module4",
+                  "--map-cache", str(tmp_path / "maps"), "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        assert not (tmp_path / "maps").exists()
 
     def test_sweep_workers_default_auto(self):
         args = build_parser().parse_args(
