@@ -52,9 +52,9 @@ Package map:
 ``repro.cluster``   the plant: DVFS processors, power states, modules
 ``repro.workload``  synthetic and WC'98-shaped traces, Zipf store
 ``repro.approximation``  lookup tables and CART regression trees
-``repro.maps``      the trained-map artifact layer: lockstep offline
-                    training plans, content digests, the on-disk
-                    content-addressed cache, and the map provider
+``repro.maps``      the trained-map artifact layer: content digests,
+                    the on-disk content-addressed cache, and the map
+                    provider
 ``repro.sim``       the stepwise co-simulation engine, observer hooks,
                     and structured results
 ``repro.sweep``     declarative sweep specs over scenario fields,
@@ -119,7 +119,7 @@ from repro.sim import (
     SimulationObserver,
     overhead_experiment,
 )
-from repro.maps import MapCache, MapProvider, TrainingPlan, map_stats
+from repro.maps import MapCache, MapProvider, map_stats
 from repro.scenario import warm_scenario
 from repro.sweep import (
     GridAxis,
@@ -162,7 +162,6 @@ __all__ = [
     "ScenarioSpec",
     "SimulationObserver",
     "SweepSpec",
-    "TrainingPlan",
     "ThresholdDvfsController",
     "ThresholdOnOffController",
     "WorkloadSpec",

@@ -8,11 +8,28 @@ snap to the nearest grid point.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 
 import numpy as np
 
 from repro.common.errors import ConfigurationError
+
+
+def nearest_level(levels: "list[float]", value: float) -> int:
+    """Index of the level nearest ``value``; a tie goes to the lower level.
+
+    ``levels`` is one dimension of :attr:`GridQuantizer.levels` (strictly
+    increasing plain floats). A value outside the grid clamps to its
+    first or last level.
+    """
+    pos = bisect_left(levels, value)
+    if pos == 0:
+        return 0
+    if pos >= len(levels):
+        return len(levels) - 1
+    before, after = levels[pos - 1], levels[pos]
+    return pos - 1 if value - before <= after - value else pos
 
 
 class GridQuantizer:
@@ -21,20 +38,23 @@ class GridQuantizer:
     Parameters
     ----------
     levels:
-        One sorted array of grid values per input dimension.
+        One sorted sequence of grid values per input dimension, kept as
+        plain Python floats.
     """
 
     def __init__(self, levels: Sequence[Sequence[float]]) -> None:
         if not levels:
             raise ConfigurationError("need at least one dimension")
-        self.levels: list[np.ndarray] = []
+        self.levels: list[list[float]] = []
         for i, values in enumerate(levels):
             arr = np.asarray(values, dtype=float)
             if arr.ndim != 1 or arr.size == 0:
                 raise ConfigurationError(f"dimension {i} must be non-empty 1-D")
-            if np.any(np.diff(arr) <= 0):
-                raise ConfigurationError(f"dimension {i} must be strictly increasing")
-            self.levels.append(arr)
+            if not np.isfinite(arr).all() or np.any(np.diff(arr) <= 0):
+                raise ConfigurationError(
+                    f"dimension {i} must be finite and strictly increasing"
+                )
+            self.levels.append(arr.tolist())
 
     @property
     def dimensions(self) -> int:
@@ -45,38 +65,17 @@ class GridQuantizer:
     def cell_count(self) -> int:
         """Total number of grid points."""
         count = 1
-        for arr in self.levels:
-            count *= arr.size
+        for level in self.levels:
+            count *= len(level)
         return count
-
-    def snap_indices(self, point: Sequence[float]) -> tuple[int, ...]:
-        """Indices of the nearest grid value in each dimension."""
-        point = np.asarray(point, dtype=float)
-        if point.shape != (self.dimensions,):
-            raise ConfigurationError(
-                f"point must have {self.dimensions} dimensions, got {point.shape}"
-            )
-        indices = []
-        for value, grid in zip(point, self.levels):
-            pos = int(np.searchsorted(grid, value))
-            if pos == 0:
-                indices.append(0)
-            elif pos >= grid.size:
-                indices.append(grid.size - 1)
-            else:
-                before, after = grid[pos - 1], grid[pos]
-                indices.append(pos - 1 if value - before <= after - value else pos)
-        return tuple(indices)
-
-    def snap(self, point: Sequence[float]) -> tuple[float, ...]:
-        """Nearest grid point to ``point``."""
-        indices = self.snap_indices(point)
-        return tuple(float(self.levels[d][i]) for d, i in enumerate(indices))
 
     def grid_points(self) -> Iterator[tuple[float, ...]]:
         """Iterate every grid point (cartesian product, row-major)."""
-        for combo in itertools.product(*(arr.tolist() for arr in self.levels)):
-            yield tuple(float(v) for v in combo)
+        return itertools.product(*self.levels)
+
+    def grid_indices(self) -> Iterator[tuple[int, ...]]:
+        """Every grid point's per-dimension indices, row-major."""
+        return itertools.product(*(range(len(level)) for level in self.levels))
 
     # ------------------------------------------------------------------
     # Serialisation (trained-map artifacts round-trip through JSON)
@@ -84,7 +83,7 @@ class GridQuantizer:
 
     def to_dict(self) -> dict:
         """Plain-dict form; JSON-safe and loss-free (floats round-trip)."""
-        return {"levels": [arr.tolist() for arr in self.levels]}
+        return {"levels": [list(level) for level in self.levels]}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "GridQuantizer":

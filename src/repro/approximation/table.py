@@ -2,83 +2,55 @@
 
 This realises the paper's abstraction map ``g``: "initially obtained in
 off-line fashion by simulating the L0 controller using various values from
-the input set". The paper's optional online refinement from observed
-behaviour is not implemented: neither engine would call it.
+the input set". Offline training simulates every grid point, so the
+table is dense: one output row per grid cell, in row-major order, built
+straight from the training grid's output array. The paper's optional
+online refinement from observed behaviour is not implemented: neither
+engine would call it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import mul
 
-import numpy as np
-
-from repro.common.errors import ConfigurationError, NotTrainedError
+from repro.common.errors import ConfigurationError
 from repro.approximation.quantizer import GridQuantizer
 
 
 class LookupTableMap:
-    """Maps quantised input points to output vectors."""
+    """One output row per grid cell of a quantiser, in row-major order.
 
-    def __init__(self, quantizer: GridQuantizer, output_dim: int = 1) -> None:
-        if output_dim < 1:
-            raise ConfigurationError("output_dim must be >= 1")
-        self.quantizer = quantizer
-        self.output_dim = int(output_dim)
-        self._table: dict[tuple[int, ...], np.ndarray] = {}
+    ``rows`` may be any ``(cells, outputs)`` sequence, a numpy array
+    included; the table keeps each row as a tuple of Python floats.
+    """
 
-    @property
-    def entries(self) -> int:
-        """Number of populated grid cells."""
-        return len(self._table)
-
-    @property
-    def coverage(self) -> float:
-        """Fraction of the grid populated."""
-        return self.entries / self.quantizer.cell_count
-
-    def store(self, point: Sequence[float], output: Sequence[float]) -> None:
-        """Record the output for the grid cell containing ``point``."""
-        key = self.quantizer.snap_indices(point)
-        value = np.asarray(output, dtype=float).reshape(-1)
-        if value.shape != (self.output_dim,):
+    def __init__(
+        self, quantizer: GridQuantizer, rows: "Sequence[Sequence[float]]"
+    ) -> None:
+        rows = [tuple(map(float, row)) for row in rows]
+        if len(rows) != quantizer.cell_count:
             raise ConfigurationError(
-                f"output must have {self.output_dim} entries, got {value.shape}"
+                f"table needs one row per grid cell: {len(rows)} rows "
+                f"for {quantizer.cell_count} cells"
             )
-        self._table[key] = value.copy()
+        output_dim = len(rows[0])
+        if output_dim < 1 or any(len(row) != output_dim for row in rows):
+            raise ConfigurationError(
+                "every table row needs the same number (>= 1) of outputs"
+            )
+        self.quantizer = quantizer
+        self.output_dim = output_dim
+        self.rows = rows
+        # Row-major flat-index step per dimension.
+        strides = [1] * quantizer.dimensions
+        for d in range(quantizer.dimensions - 1, 0, -1):
+            strides[d - 1] = strides[d] * len(quantizer.levels[d])
+        self._strides = tuple(strides)
 
-    def query(self, point: Sequence[float]) -> np.ndarray:
-        """Output stored at the nearest populated cell.
-
-        Falls back to the nearest populated neighbour (Manhattan ring
-        search) when the snapped cell is empty — the training grid can be
-        sparse at the domain edges.
-        """
-        if not self._table:
-            raise NotTrainedError("lookup table is empty; train it first")
-        key = self.quantizer.snap_indices(point)
-        hit = self._table.get(key)
-        if hit is not None:
-            return hit.copy()
-        return self._nearest_populated(key).copy()
-
-    def exact_at(self, indices: "tuple[int, ...]") -> "np.ndarray | None":
-        """Stored output at exact grid ``indices``, or ``None`` if empty.
-
-        The hot-path counterpart of :meth:`query`: no snapping, no
-        neighbour fallback, no copy. The returned array is the table's
-        own storage — callers must treat it as read-only (use
-        :meth:`query` for an owned copy).
-        """
-        return self._table.get(indices)
-
-    def exact(self, point: Sequence[float]) -> "np.ndarray | None":
-        """Stored output for the cell containing ``point`` (no fallback).
-
-        Snaps ``point`` to its grid cell and returns that cell's stored
-        vector, or ``None`` when the cell was never populated. Same
-        read-only contract as :meth:`exact_at`.
-        """
-        return self._table.get(self.quantizer.snap_indices(point))
+    def at(self, indices: "tuple[int, ...]") -> "tuple[float, ...]":
+        """The row of the cell at in-range grid ``indices``."""
+        return self.rows[sum(map(mul, indices, self._strides))]
 
     # ------------------------------------------------------------------
     # Serialisation (trained-map artifacts round-trip through JSON)
@@ -87,13 +59,12 @@ class LookupTableMap:
     def to_dict(self) -> dict:
         """Plain-dict form; JSON-safe and loss-free (floats round-trip).
 
-        Cell keys serialise as row-major index lists alongside their
-        output vectors, so sparse tables round-trip without inventing
-        entries.
+        Each cell serialises as its index list and its outputs, in
+        row-major order.
         """
         cells = [
-            [list(key), value.tolist()]
-            for key, value in sorted(self._table.items())
+            [list(indices), list(row)]
+            for indices, row in zip(self.quantizer.grid_indices(), self.rows)
         ]
         return {
             "quantizer": self.quantizer.to_dict(),
@@ -103,33 +74,33 @@ class LookupTableMap:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "LookupTableMap":
-        """Rebuild a table from :meth:`to_dict` output (revalidates)."""
+        """Rebuild a table from :meth:`to_dict` output (revalidates).
+
+        The payload must list every grid cell once, in row-major order,
+        each with ``output_dim`` outputs.
+        """
         for key in ("quantizer", "output_dim", "cells"):
             if key not in payload:
                 raise ConfigurationError(f"table payload needs a {key!r} key")
-        table = cls(
-            GridQuantizer.from_dict(payload["quantizer"]),
-            output_dim=int(payload["output_dim"]),
-        )
-        for key, value in payload["cells"]:
-            indices = tuple(int(i) for i in key)
-            if len(indices) != table.quantizer.dimensions:
+        quantizer = GridQuantizer.from_dict(payload["quantizer"])
+        output_dim = int(payload["output_dim"])
+        cells = payload["cells"]
+        if len(cells) != quantizer.cell_count:
+            raise ConfigurationError(
+                f"table payload has {len(cells)} cells for a grid of "
+                f"{quantizer.cell_count}"
+            )
+        rows = []
+        for want, (key, value) in zip(quantizer.grid_indices(), cells):
+            if tuple(key) != want:
                 raise ConfigurationError(
-                    f"cell key {indices} does not match the "
-                    f"{table.quantizer.dimensions}-dimensional grid"
+                    f"table payload cell {list(key)} where the row-major "
+                    f"grid has {list(want)}"
                 )
-            output = np.asarray(value, dtype=float).reshape(-1)
-            if output.shape != (table.output_dim,):
+            if len(value) != output_dim:
                 raise ConfigurationError(
-                    f"cell output must have {table.output_dim} entries, "
-                    f"got {output.shape}"
+                    f"table payload cell {list(key)} has {len(value)} "
+                    f"outputs, expected {output_dim}"
                 )
-            table._table[indices] = output
-        return table
-
-    def _nearest_populated(self, key: tuple[int, ...]) -> np.ndarray:
-        best_key = min(
-            self._table,
-            key=lambda other: sum(abs(a - b) for a, b in zip(key, other)),
-        )
-        return self._table[best_key]
+            rows.append(value)
+        return cls(quantizer, rows)

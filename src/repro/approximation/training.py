@@ -2,35 +2,34 @@
 
 The generic loop from the paper (§5.1): "A module is first simulated and
 the corresponding cost values stored in a large lookup table. This table
-is then used to train a regression tree." :func:`train_table` sweeps a
-quantised input grid through a black-box simulation; :func:`train_tree`
-fits a CART tree to the resulting dataset.
+is then used to train a regression tree." A :class:`TrainingSet` holds
+one simulated grid, its points with their outputs; :func:`train_tree`
+fits a CART tree to one output column of it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.common.errors import ConfigurationError
-from repro.approximation.quantizer import GridQuantizer
 from repro.approximation.regression_tree import RegressionTree
-from repro.approximation.table import LookupTableMap
 
 
 @dataclass
 class TrainingSet:
-    """Accumulated (input, output) pairs from simulation sweeps."""
+    """Simulated (input, output) pairs, one output vector per input point."""
 
     inputs: list[tuple[float, ...]] = field(default_factory=list)
     outputs: list[np.ndarray] = field(default_factory=list)
 
-    def add(self, point: Sequence[float], output: Sequence[float]) -> None:
-        """Record one simulated sample."""
-        self.inputs.append(tuple(float(v) for v in point))
-        self.outputs.append(np.asarray(output, dtype=float).reshape(-1))
+    def __post_init__(self) -> None:
+        if len(self.inputs) != len(self.outputs):
+            raise ConfigurationError(
+                f"training-set inputs and outputs must align: "
+                f"{len(self.inputs)} inputs, {len(self.outputs)} outputs"
+            )
 
     @property
     def size(self) -> int:
@@ -58,36 +57,13 @@ class TrainingSet:
                 raise ConfigurationError(
                     f"training-set payload needs a {key!r} key"
                 )
-        if len(payload["inputs"]) != len(payload["outputs"]):
-            raise ConfigurationError(
-                "training-set inputs and outputs must align"
-            )
-        dataset = cls()
-        for point, output in zip(payload["inputs"], payload["outputs"]):
-            dataset.add(point, output)
-        return dataset
-
-
-def train_table(
-    simulate: Callable[[tuple[float, ...]], Sequence[float]],
-    quantizer: GridQuantizer,
-    output_dim: int = 1,
-) -> tuple[LookupTableMap, TrainingSet]:
-    """Sweep every grid point through ``simulate`` and fill a lookup table.
-
-    A thin front over :class:`repro.maps.plan.TrainingPlan` that calls
-    ``simulate`` once per point, in row-major grid order. Returns the
-    populated table plus the raw training set (reusable for tree
-    fitting without re-simulating).
-    """
-    from repro.maps.plan import TrainingPlan
-
-    plan = TrainingPlan(
-        simulate=lambda points: [simulate(point) for point in points],
-        quantizer=quantizer,
-        output_dim=output_dim,
-    )
-    return plan.execute()
+        return cls(
+            [tuple(float(v) for v in point) for point in payload["inputs"]],
+            [
+                np.asarray(output, dtype=float).reshape(-1)
+                for output in payload["outputs"]
+            ],
+        )
 
 
 def train_tree(

@@ -36,14 +36,13 @@ for itself.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from repro.common.errors import ConfigurationError, ControlError
-from repro.approximation.quantizer import GridQuantizer
+from repro.approximation.quantizer import GridQuantizer, nearest_level
 from repro.approximation.table import LookupTableMap
 from repro.cluster.specs import ComputerSpec, ModuleSpec
 from repro.controllers.l0 import L0Controller
@@ -126,17 +125,6 @@ def _behavior_training_grid(
         costs, queues = _l0_substep(bank, computers, queues, rates, works)
         totals += costs
     return np.column_stack([totals, queues])
-
-
-def _snap_index(grid: list[float], value: float) -> int:
-    """Nearest-grid-value index via bisect (hot-path helper)."""
-    pos = bisect_left(grid, value)
-    if pos == 0:
-        return 0
-    if pos >= len(grid):
-        return len(grid) - 1
-    before, after = grid[pos - 1], grid[pos]
-    return pos - 1 if value - before <= after - value else pos
 
 
 def _round_key(x) -> float:
@@ -259,16 +247,20 @@ class ComputerBehaviorMap:
         substeps: int,
         l0_params: L0Params | None = None,
     ) -> None:
+        if table.quantizer.dimensions != 3 or table.output_dim != 2:
+            raise ConfigurationError(
+                "a behaviour map's table maps (queue, rate, work) to "
+                "(cost, final queue)"
+            )
         self.spec = spec
         self.table = table
         self.substeps = substeps
         self.l0_params = l0_params or L0Params()
-        self._max_trained_rate = float(table.quantizer.levels[1][-1])
-        # Plain-list grids for bisect-based snapping on the query hot path.
-        self._grids = [list(level) for level in table.quantizer.levels]
+        self._levels = table.quantizer.levels
+        self._max_trained_rate = self._levels[1][-1]
 
     @classmethod
-    def training_plan(
+    def train(
         cls,
         spec: ComputerSpec,
         l0_params: L0Params | None = None,
@@ -276,21 +268,18 @@ class ComputerBehaviorMap:
         queue_levels: np.ndarray | None = None,
         rate_levels: np.ndarray | None = None,
         work_levels: np.ndarray | None = None,
-    ):
-        """The offline-learning campaign as a declarative plan.
+    ) -> "ComputerBehaviorMap":
+        """Offline simulation-based learning of the map (§4.2).
 
-        Each cell rolls the L0-controlled fluid model forward one T_L1
-        from its (queue, arrival rate, processing time), and every cell
-        advances in lockstep: one batched L0 lookahead over the grid per
-        T_L0 substep (see :func:`_behavior_training_grid`). The grid
-        defaults cover queue lengths from empty to deep backlog, arrival
-        rates from zero to 140 % of the computer's full-speed capacity,
-        and the virtual store's processing-time range.
+        Each grid cell rolls the L0-controlled fluid model forward one
+        T_L1 from its (queue, arrival rate, processing time), and every
+        cell advances in lockstep: one batched L0 lookahead over the
+        grid per T_L0 substep (see :func:`_behavior_training_grid`). The
+        returned array becomes the table. The grid defaults cover queue
+        lengths from empty to deep backlog, arrival rates from zero to
+        140 % of the computer's full-speed capacity, and the virtual
+        store's processing-time range.
         """
-        from functools import partial
-
-        from repro.maps.plan import TrainingPlan
-
         l0_params = l0_params or L0Params()
         substeps = round(l1_period / l0_params.period)
         if substeps < 1:
@@ -305,33 +294,10 @@ class ComputerBehaviorMap:
         if work_levels is None:
             work_levels = np.array([0.012, 0.0175, 0.023])
         quantizer = GridQuantizer([queue_levels, rate_levels, work_levels])
-        return TrainingPlan(
-            simulate=partial(_behavior_training_grid, spec, l0_params, substeps),
-            quantizer=quantizer,
-            output_dim=2,
+        outputs = _behavior_training_grid(
+            spec, l0_params, substeps, list(quantizer.grid_points())
         )
-
-    @classmethod
-    def train(
-        cls,
-        spec: ComputerSpec,
-        l0_params: L0Params | None = None,
-        l1_period: float = 120.0,
-        queue_levels: np.ndarray | None = None,
-        rate_levels: np.ndarray | None = None,
-        work_levels: np.ndarray | None = None,
-    ) -> "ComputerBehaviorMap":
-        """Offline simulation-based learning of the map (§4.2).
-
-        Executes :meth:`training_plan`.
-        """
-        l0_params = l0_params or L0Params()
-        plan = cls.training_plan(
-            spec, l0_params, l1_period, queue_levels, rate_levels, work_levels
-        )
-        table, _ = plan.execute()
-        substeps = round(l1_period / l0_params.period)
-        return cls(spec, table, substeps, l0_params)
+        return cls(spec, LookupTableMap(quantizer, outputs), substeps, l0_params)
 
     def cost_and_next_queue(
         self, queue: float, rate: float, work: float
@@ -347,11 +313,11 @@ class ComputerBehaviorMap:
 
     def _queue_index(self, queue: float) -> int:
         """Index of the queue-grid level nearest ``queue``."""
-        return _snap_index(self._grids[0], queue)
+        return nearest_level(self._levels[0], queue)
 
     def _work_index(self, work: float) -> int:
         """Index of the processing-time grid level nearest ``work``."""
-        return _snap_index(self._grids[2], work)
+        return nearest_level(self._levels[2], work)
 
     def _cost_at(
         self, queue: float, queue_index: int, rate: float, work: float, work_index: int
@@ -363,13 +329,9 @@ class ComputerBehaviorMap:
         """
         if rate > self._max_trained_rate:
             return self._saturated_rollout(queue, rate, work)
-        hit = self.table.exact_at(
-            (queue_index, _snap_index(self._grids[1], rate), work_index)
+        return self.table.at(
+            (queue_index, nearest_level(self._levels[1], rate), work_index)
         )
-        if hit is not None:
-            return float(hit[0]), float(hit[1])
-        cost, next_queue = self.table.query([queue, rate, work])
-        return float(cost), float(next_queue)
 
     def _saturated_rollout(
         self, queue: float, rate: float, work: float

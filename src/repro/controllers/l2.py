@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.errors import ConfigurationError
+from repro.approximation.quantizer import GridQuantizer
 from repro.approximation.training import TrainingSet, train_tree
 from repro.approximation.regression_tree import RegressionTree
 from repro.cluster.specs import ModuleSpec
@@ -134,54 +135,6 @@ class ModuleCostMap:
         self.dataset = dataset
 
     @classmethod
-    def training_plan(
-        cls,
-        module_spec: ModuleSpec,
-        behavior_maps: "list[ComputerBehaviorMap]",
-        l1_params: L1Params | None = None,
-        l0_params: L0Params | None = None,
-        queue_levels: np.ndarray | None = None,
-        rate_levels: np.ndarray | None = None,
-        work_levels: np.ndarray | None = None,
-    ):
-        """The offline-learning campaign as a declarative plan.
-
-        Each cell plays one T_L2 interval of the Fig. 2(b) structure:
-        the L1 controller decides (alpha, gamma) for the cell's load,
-        then the L0 controllers and the fluid plant run the module's
-        computers through the interval. One L1 decides every cell, and
-        the cells' L0s advance in lockstep, one batched lookahead per
-        T_L0 substep (see :func:`_module_training_grid`).
-        """
-        from functools import partial
-
-        from repro.maps.plan import TrainingPlan
-
-        l1_params = l1_params or L1Params()
-        l0_params = l0_params or L0Params()
-        max_rate = module_spec.max_service_rate(0.0175)
-        if queue_levels is None:
-            queue_levels = np.array([0.0, 5.0, 20.0, 80.0, 320.0, 1280.0])
-        if rate_levels is None:
-            rate_levels = np.linspace(0.0, 1.2 * max_rate, 16)
-        if work_levels is None:
-            work_levels = np.array([0.014, 0.021])
-        from repro.approximation.quantizer import GridQuantizer
-
-        quantizer = GridQuantizer([queue_levels, rate_levels, work_levels])
-        return TrainingPlan(
-            simulate=partial(
-                _module_training_grid,
-                module_spec,
-                list(behavior_maps),
-                l1_params,
-                l0_params,
-            ),
-            quantizer=quantizer,
-            output_dim=2,
-        )
-
-    @classmethod
     def train(
         cls,
         module_spec: ModuleSpec,
@@ -195,8 +148,13 @@ class ModuleCostMap:
     ) -> "ModuleCostMap":
         """Simulate the Fig. 2(b) structure over a training grid.
 
-        Executes :meth:`training_plan` and fits the two regression trees
-        on the collected dataset.
+        Each grid cell plays one T_L2 interval: the L1 controller
+        decides (alpha, gamma) for the cell's load, then the L0
+        controllers and the fluid plant run the module's computers
+        through the interval. One L1 decides every cell, and the cells'
+        L0s advance in lockstep, one batched lookahead per T_L0 substep
+        (see :func:`_module_training_grid`). The two regression trees
+        are fitted on the grid's points and the returned array.
         """
         l1_params = l1_params or L1Params()
         l0_params = l0_params or L0Params()
@@ -204,16 +162,20 @@ class ModuleCostMap:
             behavior_maps = L1Controller._train_maps(
                 module_spec, l0_params, l1_params
             )
-        plan = cls.training_plan(
-            module_spec,
-            behavior_maps,
-            l1_params,
-            l0_params,
-            queue_levels,
-            rate_levels,
-            work_levels,
+        max_rate = module_spec.max_service_rate(0.0175)
+        if queue_levels is None:
+            queue_levels = np.array([0.0, 5.0, 20.0, 80.0, 320.0, 1280.0])
+        if rate_levels is None:
+            rate_levels = np.linspace(0.0, 1.2 * max_rate, 16)
+        if work_levels is None:
+            work_levels = np.array([0.014, 0.021])
+        points = list(
+            GridQuantizer([queue_levels, rate_levels, work_levels]).grid_points()
         )
-        _, dataset = plan.execute()
+        outputs = _module_training_grid(
+            module_spec, list(behavior_maps), l1_params, l0_params, points
+        )
+        dataset = TrainingSet(points, list(outputs))
         cost_tree = train_tree(dataset, target_column=0, max_depth=tree_depth)
         queue_tree = train_tree(dataset, target_column=1, max_depth=tree_depth)
         return cls(module_spec, cost_tree, queue_tree, dataset)

@@ -112,12 +112,12 @@ class L1Params:
 class L2Params:
     """L2 (cluster) controller parameters.
 
-    Defaults: T_L2 = 2 min, N_L2 = 1, gamma step 0.1, exhaustive
-    enumeration of the quantised simplex (286 vectors for four modules).
+    Defaults: T_L2 = 2 min, gamma step 0.1, exhaustive enumeration of
+    the quantised simplex (286 vectors for four modules). The L2 always
+    costs two periods: the next one and the one after it.
     """
 
     period: float = 120.0
-    horizon: int = 1
     gamma_step: float = 0.1
     exhaustive: bool = True
     #: Relative predicted-cost improvement required before moving away
@@ -138,5 +138,3 @@ class L2Params:
         require_positive(self.gamma_step, "gamma_step")
         require_non_negative(self.switching_threshold, "switching_threshold")
         require_non_negative(self.reconfiguration_weight, "reconfiguration_weight")
-        if self.horizon < 1:
-            raise ConfigurationError("horizon must be >= 1")

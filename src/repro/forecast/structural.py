@@ -150,16 +150,6 @@ class WorkloadPredictor:
             return np.zeros(steps)
         return np.clip(self._filter.forecast(steps), 0.0, None)
 
-    def update(self, value: float) -> float:
-        """One online step: consume ``value``, return the next-period forecast.
-
-        The incremental entry point live consumers (the service-mode
-        supervisor) call per control period; equivalent to
-        :meth:`observe` followed by ``forecast(1)[0]``.
-        """
-        self.observe(value)
-        return float(self.forecast(1)[0])
-
     def forecast_band(self, steps: int) -> tuple[np.ndarray, np.ndarray]:
         """Forecasts and the per-step uncertainty half-width delta.
 

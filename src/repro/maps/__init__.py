@@ -5,8 +5,10 @@ per-computer behaviour maps the L1 controller searches over (§4.2) and
 the per-module cost maps the L2 controller queries (§5.1). This package
 treats those maps as first-class deployment artifacts:
 
-* :class:`TrainingPlan` runs a map's offline training grid through one
-  grid function, which advances every cell in lockstep;
+* each map's ``train`` runs its offline training grid through one grid
+  function, which advances every cell in lockstep, and builds the map
+  from the returned array (a dense table for a behaviour map, the
+  regression trees' dataset for a module map);
 * :mod:`~repro.maps.digest` gives every trained map a canonical content
   digest (spec + grids + parameters + training-code version);
 * :class:`MapCache` stores artifacts content-addressed on disk
@@ -30,7 +32,6 @@ from repro.maps.digest import (
     behavior_map_digest,
     module_map_digest,
 )
-from repro.maps.plan import TrainingPlan
 from repro.maps.provider import MapProvider, clear_map_memo
 from repro.maps.stats import MAP_STATS, MapStats, map_stats, reset_map_stats
 
@@ -43,7 +44,6 @@ __all__ = [
     "MapCache",
     "MapProvider",
     "MapStats",
-    "TrainingPlan",
     "behavior_map_digest",
     "clear_map_memo",
     "map_stats",

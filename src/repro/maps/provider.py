@@ -105,7 +105,7 @@ class MapProvider:
                 "behavior",
                 trained.to_dict(),
                 f"behavior map · {spec.processor.name} · "
-                f"{trained.table.entries} cells",
+                f"{len(trained.table.rows)} cells",
             )
             MAP_STATS.behavior_trainings += 1
             MAP_STATS.sources[digest] = "trained"

@@ -2,9 +2,9 @@
 
 :class:`AutonomicSupervisor` owns one live run: it binds its observer to
 the plant's engine, drives the plant step by step on the asyncio loop,
-keeps a service-level Kalman forecast updated per control period, and
-carries the operator surface (overrides with expiry, status snapshots,
-the audit log).
+and carries the operator surface (overrides with expiry, status
+snapshots, the audit log). The status reports the forecasts the
+decisions read, from the decision events; it keeps no filter of its own.
 
 Deadline behaviour is delegated to the engine's seams
 (:meth:`~repro.sim.engine.ClusterSimulation.set_decision_deadline`): a
@@ -26,7 +26,6 @@ from repro.common.schema import (
     l2_decision_record,
     status_payload,
 )
-from repro.forecast.structural import WorkloadPredictor
 from repro.service.manager import AuditLog, OverrideBook, ShedDirective
 from repro.sim.observers import SimulationObserver
 
@@ -84,10 +83,6 @@ class AutonomicSupervisor:
         self.overrides = OverrideBook(
             default_ttl_seconds=self.service.override_ttl_seconds, clock=clock
         )
-        #: Service-level forecast of next-period arrivals (status only;
-        #: the in-engine controllers run their own filters).
-        self.predictor = WorkloadPredictor()
-        self.next_forecast = 0.0
         self.decision_records: "list[dict]" = []
         self.allocations: "dict[int, dict]" = {}
         self.last_l2: "dict | None" = None
@@ -370,7 +365,6 @@ class AutonomicSupervisor:
         }
 
     def _on_period_end(self, event) -> None:
-        self.next_forecast = self.predictor.update(event.arrivals)
         self._expire_overrides()
         self._expire_shed()
         dropped = self.plant.shed_requests - self._shed_mark
@@ -397,8 +391,16 @@ class AutonomicSupervisor:
         if self.state == "idle":
             raise ControlError("supervisor not started; no status to report")
         simulation = self.plant.simulation
+        # The latest boundary decision's forecast: the L2's on a
+        # cluster, the module L1's on a module run.
+        if self.last_l2 is not None:
+            next_arrivals = self.last_l2["prediction"]
+        elif self.allocations:
+            next_arrivals = self.allocations[0]["prediction"]
+        else:
+            next_arrivals = 0.0
         forecasts = {
-            "next_period_arrivals": float(self.next_forecast),
+            "next_period_arrivals": float(next_arrivals),
             "last_l2_prediction": (
                 None if self.last_l2 is None else self.last_l2["prediction"]
             ),

@@ -804,10 +804,7 @@ class ModuleSimulation(_SimulationBase):
             # computers share one map, repeated constructions reuse the
             # process memo, and ``map_cache`` persists the artifacts
             # across processes and runs.
-            provider = self.engine_options.map_provider or MapProvider(
-                cache=map_cache
-            )
-            behavior_maps = provider.behavior_maps(
+            behavior_maps = MapProvider(cache=map_cache).behavior_maps(
                 spec, self.l0_params, self.l1_params
             )
         self._behavior_maps = [behavior_maps]
@@ -955,9 +952,7 @@ class ClusterSimulation(_SimulationBase):
         # modules share instances within this simulation, and
         # ``map_cache`` persists the artifacts across processes and runs
         # (sweep workers load trained maps, never retrain).
-        provider = self.engine_options.map_provider or MapProvider(
-            cache=map_cache
-        )
+        provider = MapProvider(cache=map_cache)
         self._behavior_maps = [
             provider.behavior_maps(module_spec, self.l0_params, self.l1_params)
             for module_spec in spec.modules

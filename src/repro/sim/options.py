@@ -1,8 +1,8 @@
 """First-class engine options: one surface for the per-run knobs.
 
 :class:`EngineOptions` gathers every per-run knob — the kernel,
-telemetry, the decision deadline, the map provider, and the warm-up,
-mean work and recorder window — behind a single validated object
+telemetry, the decision deadline, and the warm-up, mean work and
+recorder window — behind a single validated object
 consumed by both :class:`~repro.sim.engine.ModuleSimulation` and
 :class:`~repro.sim.engine.ClusterSimulation`. The engines' setters
 (``set_telemetry``, ``set_decision_deadline``) and the ``kernel`` /
@@ -45,9 +45,6 @@ class EngineOptions:
     :class:`~repro.obs.trace.Tracer`; ``None`` detaches and skips every
     related branch and clock read). ``decision_deadline`` budgets each
     boundary decision to so-many wall seconds (``None`` disables).
-    ``map_provider`` supplies trained abstraction maps (a
-    :class:`~repro.maps.provider.MapProvider`); ``None`` lets the engine
-    construct one from its ``map_cache`` argument.
 
     ``warmup_intervals`` is the initial portion of the workload (in L1
     periods) used to tune the Kalman filters before the run, mirroring
@@ -63,7 +60,6 @@ class EngineOptions:
     metrics: object = None
     tracer: object = None
     decision_deadline: "float | None" = None
-    map_provider: object = None
     warmup_intervals: int = 48
     mean_work: float = 0.0175
     recorder_window: "int | None" = None

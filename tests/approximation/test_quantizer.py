@@ -1,15 +1,24 @@
-"""Tests for grid quantisation."""
+"""Tests for grid quantisation and the nearest-level rule."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common import ConfigurationError
-from repro.approximation import GridQuantizer
+from repro.approximation import GridQuantizer, nearest_level
 
 
 def _quantizer():
     return GridQuantizer([[0.0, 10.0, 20.0], [0.0, 0.5, 1.0]])
+
+
+def _snap(quantizer, point):
+    """The grid point nearest ``point``, dimension by dimension."""
+    return tuple(
+        levels[nearest_level(levels, value)]
+        for levels, value in zip(quantizer.levels, point)
+    )
 
 
 class TestConstruction:
@@ -30,22 +39,34 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             GridQuantizer([[1.0, 1.0]])
 
+    @pytest.mark.parametrize(
+        "levels", [[0.0, float("nan"), 1.0], [0.0, 1.0, float("inf")]]
+    )
+    def test_rejects_non_finite_levels(self, levels):
+        # A NaN level compares false both ways, so a strictly-increasing
+        # check alone lets it through, and nearby queries snap to it.
+        with pytest.raises(ConfigurationError, match="finite"):
+            GridQuantizer.from_dict({"levels": [levels]})
+
+    def test_levels_are_plain_floats(self):
+        quantizer = GridQuantizer([np.linspace(0.0, 1.0, 3), [0, 2]])
+        assert quantizer.levels == [[0.0, 0.5, 1.0], [0.0, 2.0]]
+        assert all(type(v) is float for level in quantizer.levels for v in level)
+
 
 class TestSnap:
     def test_exact_point(self):
-        assert _quantizer().snap([10.0, 0.5]) == (10.0, 0.5)
+        assert _snap(_quantizer(), [10.0, 0.5]) == (10.0, 0.5)
 
     def test_rounds_to_nearest(self):
-        assert _quantizer().snap([4.9, 0.26]) == (0.0, 0.5)
-        assert _quantizer().snap([5.1, 0.24]) == (10.0, 0.0)
+        assert _snap(_quantizer(), [4.9, 0.26]) == (0.0, 0.5)
+        assert _snap(_quantizer(), [5.1, 0.24]) == (10.0, 0.0)
+        # A tie goes to the lower level.
+        assert _snap(_quantizer(), [15.0, 0.75]) == (10.0, 0.5)
 
     def test_clamps_outside_domain(self):
-        assert _quantizer().snap([-5.0, 2.0]) == (0.0, 1.0)
-        assert _quantizer().snap([100.0, -1.0]) == (20.0, 0.0)
-
-    def test_wrong_dimension_rejected(self):
-        with pytest.raises(ConfigurationError):
-            _quantizer().snap([1.0])
+        assert _snap(_quantizer(), [-5.0, 2.0]) == (0.0, 1.0)
+        assert _snap(_quantizer(), [100.0, -1.0]) == (20.0, 0.0)
 
     @given(
         st.floats(min_value=-100, max_value=100),
@@ -53,15 +74,38 @@ class TestSnap:
     )
     def test_snap_idempotent(self, a, b):
         quantizer = _quantizer()
-        snapped = quantizer.snap([a, b])
-        assert quantizer.snap(snapped) == snapped
+        snapped = _snap(quantizer, [a, b])
+        assert _snap(quantizer, snapped) == snapped
 
     @given(st.floats(min_value=0, max_value=20))
     def test_snap_is_nearest(self, value):
         quantizer = GridQuantizer([[0.0, 10.0, 20.0]])
-        snapped = quantizer.snap([value])[0]
+        snapped = _snap(quantizer, [value])[0]
         distances = [abs(value - g) for g in (0.0, 10.0, 20.0)]
         assert abs(value - snapped) == pytest.approx(min(distances))
+
+    @given(
+        # Levels at least 2**-10 apart, far more than a distance's
+        # rounding error, so no two levels tie by rounding alone.
+        levels=st.lists(
+            st.integers(-(10**6), 10**6), min_size=1, max_size=12, unique=True
+        ).map(lambda ints: [i / 1024 for i in sorted(ints)]),
+        data=st.data(),
+    )
+    def test_nearest_level_is_brute_force_argmin(self, levels, data):
+        # Inside the grid, on its levels and midpoints, and beyond both ends.
+        midpoints = [(a + b) / 2 for a, b in zip(levels, levels[1:])]
+        value = data.draw(
+            st.one_of(
+                st.floats(levels[0], levels[-1]),
+                st.sampled_from(levels + midpoints),
+                st.floats(-2000.0, 2000.0),
+            )
+        )
+        distances = [abs(level - value) for level in levels]
+        # min() keeps the first minimum: ties go to the lower index.
+        want = min(range(len(levels)), key=distances.__getitem__)
+        assert nearest_level(levels, value) == want
 
 
 class TestGridPoints:
@@ -74,4 +118,12 @@ class TestGridPoints:
     def test_all_points_snap_to_themselves(self):
         quantizer = _quantizer()
         for point in quantizer.grid_points():
-            assert quantizer.snap(point) == point
+            assert _snap(quantizer, point) == point
+
+    def test_indices_follow_the_points(self):
+        quantizer = _quantizer()
+        for point, indices in zip(quantizer.grid_points(), quantizer.grid_indices()):
+            assert point == tuple(
+                levels[i] for levels, i in zip(quantizer.levels, indices)
+            )
+        assert len(list(quantizer.grid_indices())) == quantizer.cell_count

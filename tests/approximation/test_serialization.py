@@ -31,34 +31,76 @@ class TestGridQuantizer:
             GridQuantizer.from_dict({})
 
 
-class TestLookupTableMap:
-    def test_round_trip_exact_including_sparse_cells(self):
-        table = LookupTableMap(
-            GridQuantizer([[0.0, 1.0], [0.0, 1.0]]), output_dim=2
-        )
-        table.store((0.0, 1.0), [1.0 / 3.0, 2.0 / 7.0])
-        table.store((1.0, 0.0), [0.1, 0.2])
-        rebuilt = LookupTableMap.from_dict(_json_cycle(table.to_dict()))
-        assert rebuilt.entries == 2
-        assert rebuilt._table.keys() == table._table.keys()
-        for key in table._table:
-            assert np.array_equal(rebuilt._table[key], table._table[key])
+def _dense_payload() -> dict:
+    """A 2 x 3 table's payload: six cells, row-major, two outputs each."""
+    rows = [[1.0 / (r + 3.0), 2.0 / (r + 7.0)] for r in range(6)]
+    return LookupTableMap(
+        GridQuantizer([[0.0, 1.0], [0.0, 1.0, 2.0]]), rows
+    ).to_dict()
 
-    def test_exact_at_and_exact(self):
-        table = LookupTableMap(GridQuantizer([[0.0, 1.0]]), output_dim=1)
-        table.store((1.0,), [5.0])
-        assert table.exact_at((1,))[0] == 5.0
-        assert table.exact_at((0,)) is None
-        assert table.exact([0.9])[0] == 5.0  # snaps to the 1.0 cell
-        assert table.exact([0.1]) is None  # empty cell, no fallback
+
+class TestLookupTableMap:
+    def test_round_trip_exact(self):
+        table = LookupTableMap.from_dict(_dense_payload())
+        rebuilt = LookupTableMap.from_dict(_json_cycle(table.to_dict()))
+        assert rebuilt.rows == table.rows
+        assert rebuilt.to_dict() == table.to_dict()
+
+    def test_cells_serialise_in_row_major_order(self):
+        payload = _dense_payload()
+        assert [key for key, _ in payload["cells"]] == [
+            [0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2]
+        ]
+        assert payload["output_dim"] == 2
 
     def test_bad_cell_shapes_rejected(self):
         payload = LookupTableMap(
-            GridQuantizer([[0.0, 1.0]]), output_dim=1
+            GridQuantizer([[0.0, 1.0]]), [[0.0], [0.0]]
         ).to_dict()
         payload["cells"] = [[[0, 0], [1.0]]]  # key arity != dimensions
         with pytest.raises(ConfigurationError):
             LookupTableMap.from_dict(payload)
+
+
+def _assert_rejected(payload: dict, match: str) -> None:
+    with pytest.raises(ConfigurationError, match=match) as excinfo:
+        LookupTableMap.from_dict(payload)
+    assert "\n" not in str(excinfo.value)
+
+
+class TestLookupTablePayloadChecks:
+    """``from_dict`` takes outside data: every cell once, in order, full width."""
+
+    def test_sparse_cells_rejected(self):
+        payload = _dense_payload()
+        del payload["cells"][4]
+        _assert_rejected(payload, "5 cells for a grid of 6")
+
+    def test_duplicated_cell_rejected(self):
+        payload = _dense_payload()
+        payload["cells"][4] = payload["cells"][3]
+        _assert_rejected(payload, r"cell \[1, 0\] where .* has \[1, 1\]")
+
+    def test_reordered_cells_rejected(self):
+        payload = _dense_payload()
+        cells = payload["cells"]
+        cells[1], cells[2] = cells[2], cells[1]
+        _assert_rejected(payload, r"cell \[0, 2\] where .* has \[0, 1\]")
+
+    def test_out_of_range_cell_rejected(self):
+        payload = _dense_payload()
+        payload["cells"][5][0] = [1, 3]
+        _assert_rejected(payload, r"cell \[1, 3\] where .* has \[1, 2\]")
+
+    def test_overrunning_cell_list_rejected(self):
+        payload = _dense_payload()
+        payload["cells"].append([[2, 0], [0.0, 0.0]])
+        _assert_rejected(payload, "7 cells for a grid of 6")
+
+    def test_wrong_width_rejected(self):
+        payload = _dense_payload()
+        payload["cells"][2][1] = [1.0]
+        _assert_rejected(payload, r"cell \[0, 2\] has 1 outputs, expected 2")
 
 
 class TestRegressionTree:
@@ -81,9 +123,9 @@ class TestRegressionTree:
 
 class TestTrainingSet:
     def test_round_trip_exact(self):
-        dataset = TrainingSet()
-        dataset.add([0.1, 0.2], [1.0 / 3.0])
-        dataset.add([0.3, 0.4], [2.0 / 7.0])
+        dataset = TrainingSet(
+            [(0.1, 0.2), (0.3, 0.4)], [np.array([1.0 / 3.0]), np.array([2.0 / 7.0])]
+        )
         rebuilt = TrainingSet.from_dict(_json_cycle(dataset.to_dict()))
         assert rebuilt.inputs == dataset.inputs
         for a, b in zip(rebuilt.outputs, dataset.outputs):

@@ -1,16 +1,26 @@
 """ComputerBehaviorMap query regimes: exact hits, off-grid, saturation.
 
 Satellite coverage for the map's three answer paths — exact cell hits
-through the public :meth:`LookupTableMap.exact_at`, off-grid queries
-snapping to the nearest cell, and the closed-form saturated rollout for
-arrival rates beyond the trained domain.
+through the public :meth:`LookupTableMap.at`, off-grid queries snapping
+to the nearest cell, and the closed-form saturated rollout for arrival
+rates beyond the trained domain.
 """
 
 import pytest
 
+from repro.common.errors import ConfigurationError
+from repro.approximation import GridQuantizer, LookupTableMap, nearest_level
 from repro.cluster.processor import processor_profile
 from repro.cluster.specs import ComputerSpec
 from repro.controllers.l1 import ComputerBehaviorMap
+
+
+def _stored(behavior_map, point):
+    """The table row of the grid cell nearest ``point``."""
+    levels = behavior_map.table.quantizer.levels
+    return behavior_map.table.at(
+        tuple(nearest_level(lv, v) for lv, v in zip(levels, point))
+    )
 
 
 @pytest.fixture(scope="module")
@@ -24,16 +34,16 @@ class TestExactHits:
     def test_grid_point_query_matches_table(self, behavior_map):
         point = (5.0, 10.0, 0.0175)
         cost, next_queue = behavior_map.cost_and_next_queue(*point)
-        stored = behavior_map.table.query(point)
+        stored = _stored(behavior_map, point)
         assert cost == stored[0]
         assert next_queue == stored[1]
 
     def test_no_private_table_access(self, behavior_map):
-        # The hot path goes through the public exact-hit API.
-        key = behavior_map.table.quantizer.snap_indices((5.0, 10.0, 0.0175))
-        hit = behavior_map.table.exact_at(key)
-        assert hit is not None
-        assert behavior_map.table.exact((5.0, 10.0, 0.0175)) is hit
+        # The hot path returns the table's own row, through the public
+        # lookup by cell indices.
+        hit = behavior_map.table.at((2, 1, 1))  # queue 5, rate level 1, c 17.5 ms
+        assert hit is _stored(behavior_map, (5.0, 10.0, 0.0175))
+        assert behavior_map.cost_and_next_queue(5.0, 10.0, 0.0175) is hit
 
 
 class TestOffGridQueries:
@@ -103,7 +113,25 @@ class TestSaturatedRollout:
         # may agree numerically — the L0 provably runs flat out — but
         # the answer must be the table's).
         rate = behavior_map._max_trained_rate
-        stored = behavior_map.table.query((5.0, rate, 0.0175))
+        stored = _stored(behavior_map, (5.0, rate, 0.0175))
         cost, next_queue = behavior_map.cost_and_next_queue(5.0, rate, 0.0175)
         assert cost == stored[0]
         assert next_queue == stored[1]
+
+
+class TestPayloadShape:
+    """A cached artifact is outside data: its table must fit the map."""
+
+    @pytest.mark.parametrize(
+        "levels, width",
+        [
+            ([[0.0, 10.0], [0.0, 50.0]], 2),  # no work dimension
+            ([[0.0, 10.0], [0.0, 50.0], [0.0175]], 1),  # no final queue
+        ],
+    )
+    def test_misshapen_table_rejected_on_load(self, behavior_map, levels, width):
+        payload = behavior_map.to_dict()
+        table = LookupTableMap(GridQuantizer(levels), [[1.0] * width] * 4)
+        payload["table"] = table.to_dict()
+        with pytest.raises(ConfigurationError, match="behaviour map's table"):
+            ComputerBehaviorMap.from_dict(payload)

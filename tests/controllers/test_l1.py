@@ -52,7 +52,8 @@ def _fresh_l1(trained_l1, module_spec, **params):
 class TestComputerBehaviorMap:
     def test_full_grid_trained(self, trained_l1):
         for behavior_map in trained_l1.maps:
-            assert behavior_map.table.coverage == 1.0
+            table = behavior_map.table
+            assert len(table.rows) == table.quantizer.cell_count == 360
 
     def test_cost_increases_with_load(self, trained_l1):
         behavior_map = trained_l1.maps[3]  # C4
@@ -830,10 +831,8 @@ def _tiny_map(
     """
     spec = ComputerSpec(name="tiny", processor=processor_profile("c4"), speed_factor=1.0)
     quantizer = GridQuantizer([[0.0, queue_top], [0.0, rate_top], [0.0175]])
-    table = LookupTableMap(quantizer, output_dim=2)
-    for index, (point, next_queue) in enumerate(zip(quantizer.grid_points(), next_queues)):
-        table.store(point, [10.0 + 7.0 * index, next_queue])
-    return ComputerBehaviorMap(spec, table, substeps=1)
+    rows = [[10.0 + 7.0 * index, q] for index, q in enumerate(next_queues)]
+    return ComputerBehaviorMap(spec, LookupTableMap(quantizer, rows), substeps=1)
 
 
 def _equal_l1(m: int, behavior_map: ComputerBehaviorMap, **params) -> L1Controller:

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import get_scenario
+from repro.approximation import GridQuantizer
 from repro.cluster.processor import processor_profile
 from repro.cluster.specs import ComputerSpec, paper_module_spec
 from repro.controllers import l1 as l1_module
@@ -91,11 +92,11 @@ def _reference_module_cell(
     return total_cost, float(queues.mean())
 
 
-def _assert_bitwise(dataset, expected):
-    """Every trained output equals the oracle's, bit for bit."""
-    assert len(dataset.outputs) == len(expected)
-    for output, want in zip(dataset.outputs, expected):
-        assert output.tobytes() == np.array(want, dtype=float).tobytes()
+def _assert_bitwise(outputs, expected):
+    """Every trained output row equals the oracle's, bit for bit."""
+    assert len(outputs) == len(expected)
+    for output, want in zip(outputs, expected):
+        assert np.array(output).tobytes() == np.array(want, dtype=float).tobytes()
 
 
 def _levels(low, high, max_size):
@@ -109,7 +110,7 @@ def _levels(low, high, max_size):
 
 
 def _check_behavior_grid(spec, l0_params, queues, rates, works):
-    plan = ComputerBehaviorMap.training_plan(
+    trained = ComputerBehaviorMap.train(
         spec,
         l0_params,
         queue_levels=np.array(queues),
@@ -117,11 +118,11 @@ def _check_behavior_grid(spec, l0_params, queues, rates, works):
         work_levels=np.array(works),
     )
     substeps = round(120.0 / l0_params.period)
-    _, dataset = plan.execute()
-    points = list(plan.quantizer.grid_points())
-    assert dataset.inputs == points
+    # The table's rows are the grid's cells in row-major order.
+    points = list(trained.table.quantizer.grid_points())
+    assert len(trained.table.rows) == len(points)
     _assert_bitwise(
-        dataset,
+        trained.table.rows,
         [_reference_behavior_cell(spec, l0_params, substeps, p) for p in points],
     )
 
@@ -150,7 +151,7 @@ def _behavior_maps(module_spec, l0_params):
 def _check_module_grid(module_spec, l0_params, queues, rates, works, seen=None):
     l1_params = L1Params()
     behavior_maps = _behavior_maps(module_spec, l0_params)
-    plan = ModuleCostMap.training_plan(
+    dataset = ModuleCostMap.train(
         module_spec,
         behavior_maps,
         l1_params,
@@ -158,9 +159,8 @@ def _check_module_grid(module_spec, l0_params, queues, rates, works, seen=None):
         queue_levels=np.array(queues),
         rate_levels=np.array(rates),
         work_levels=np.array(works),
-    )
-    _, dataset = plan.execute()
-    points = list(plan.quantizer.grid_points())
+    ).dataset
+    points = list(GridQuantizer([queues, rates, works]).grid_points())
     assert dataset.inputs == points
     expected = [
         _reference_module_cell(
@@ -168,7 +168,7 @@ def _check_module_grid(module_spec, l0_params, queues, rates, works, seen=None):
         )
         for p in points
     ]
-    _assert_bitwise(dataset, expected)
+    _assert_bitwise(dataset.outputs, expected)
 
 
 #: c1 has 5 settings and pentium_m 10, so a bank of both pads c1's rows.
@@ -214,12 +214,12 @@ class TestBehaviorGrid:
     def test_default_grid_matches(self):
         spec = ComputerSpec(name="C", processor=processor_profile("c2"))
         trained = ComputerBehaviorMap.train(spec)
-        plan = ComputerBehaviorMap.training_plan(spec)
-        points = list(plan.quantizer.grid_points())
-        for point in points:
+        quantizer = trained.table.quantizer
+        assert quantizer.cell_count == 360
+        for point, indices in zip(quantizer.grid_points(), quantizer.grid_indices()):
             want = _reference_behavior_cell(spec, L0Params(), 4, point)
-            got = trained.table.exact(point)
-            assert got.tobytes() == np.array(want).tobytes()
+            got = trained.table.at(indices)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 class TestModuleGrid:

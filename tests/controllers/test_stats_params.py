@@ -67,3 +67,15 @@ class TestParams:
             L1Params(switching_weight=-1.0)
         with pytest.raises(ConfigurationError):
             L2Params(period=0.0)
+
+    def test_l2_horizon_is_an_unknown_key(self):
+        # The L2 always costs two periods; a spec that sets a horizon
+        # fails like any other unknown key, in one line.
+        from repro.scenario.spec import PlantSpec, ScenarioSpec
+
+        spec = ScenarioSpec(plant=PlantSpec(kind="cluster"))
+        with pytest.raises(ConfigurationError) as excinfo:
+            spec.with_overrides(**{"control.l2": {"horizon": 2}})
+        message = str(excinfo.value)
+        assert message.startswith("invalid L2Params overrides")
+        assert "'horizon'" in message and "\n" not in message

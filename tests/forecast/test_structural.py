@@ -26,21 +26,6 @@ class TestWorkloadPredictor:
         predictor = WorkloadPredictor()
         assert np.array_equal(predictor.forecast(3), np.zeros(3))
 
-    def test_update_equals_observe_then_forecast(self):
-        """update() is the online entry point: same floats, one call."""
-        series = [100.0, 120.0, 130.0, 128.0, 140.0]
-        stepwise = WorkloadPredictor()
-        reference = WorkloadPredictor()
-        for value in series:
-            forecast = stepwise.update(value)
-            reference.observe(value)
-            assert forecast == float(reference.forecast(1)[0])
-        assert stepwise.forecast(3).tolist() == reference.forecast(3).tolist()
-
-    def test_update_returns_python_float(self):
-        predictor = WorkloadPredictor()
-        assert type(predictor.update(50.0)) is float
-
     def test_first_observation_anchors_forecast(self):
         predictor = WorkloadPredictor()
         predictor.observe(500.0)

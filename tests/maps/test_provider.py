@@ -1,6 +1,5 @@
 """MapProvider: train-once semantics, memo/cache ladder, isolation."""
 
-import numpy as np
 import pytest
 
 from repro.cluster.processor import processor_profile
@@ -59,27 +58,24 @@ class TestProcessMemo:
         stats = map_stats()
         assert stats.behavior_trainings == 1
         assert stats.memo_hits == 1
-        assert fresh.table.entries == 360
+        assert len(fresh.table.rows) == 360
 
     def test_memo_rebuilds_fresh_instances(self):
         # Mutating one run's map must never leak into the next run's
         # tables: a second provider gets a distinct, equal instance.
         first = MapProvider().behavior_map(_computer())
-        point = [0.0, 0.0, 0.0175]
-        original = first.table.query(point).copy()
-        first.table.store(point, [999.0, 999.0])
+        cell = (0, 0, 1)  # queue 0.0, rate 0.0, work 0.0175: row 1
+        original = first.table.at(cell)
+        first.table.rows[1] = (999.0, 999.0)
+        assert first.table.at(cell) == (999.0, 999.0)
         second = MapProvider().behavior_map(_computer())
         assert second is not first
-        assert np.array_equal(second.table.query(point), original)
+        assert second.table.at(cell) == original
 
     def test_memoed_map_is_numerically_identical(self):
         trained = MapProvider().behavior_map(_computer())
         rebuilt = MapProvider().behavior_map(_computer())
-        assert trained.table._table.keys() == rebuilt.table._table.keys()
-        for key in trained.table._table:
-            assert np.array_equal(
-                trained.table._table[key], rebuilt.table._table[key]
-            )
+        assert rebuilt.table.rows == trained.table.rows
 
 
 class TestDiskCache:
@@ -96,7 +92,7 @@ class TestDiskCache:
         stats = map_stats()
         assert stats.behavior_trainings == 0
         assert stats.cache_hits == 1
-        assert warm.table.entries == 360
+        assert len(warm.table.rows) == 360
 
     def test_memo_hit_backfills_an_empty_cache(self, tmp_path):
         # Train with no cache (memo only), then warm a cache in the
@@ -123,11 +119,7 @@ class TestDiskCache:
         trained = MapProvider(cache=cache).behavior_map(_computer())
         clear_map_memo()
         loaded = MapProvider(cache=cache).behavior_map(_computer())
-        assert trained.table._table.keys() == loaded.table._table.keys()
-        for key in trained.table._table:
-            assert np.array_equal(
-                trained.table._table[key], loaded.table._table[key]
-            )
+        assert loaded.table.rows == trained.table.rows
         assert loaded.substeps == trained.substeps
         assert loaded.l0_params == trained.l0_params
 

@@ -147,6 +147,34 @@ class TestStatusAndStop:
         assert status["deadline"] == {"seconds": None, "misses": 0}
         assert len(status["allocations"]) == 1
 
+    def test_next_arrivals_before_any_decision_is_zero(self):
+        supervisor, _ = make_supervisor(samples=6)
+        supervisor.start()
+        assert supervisor.status()["forecasts"]["next_period_arrivals"] == 0.0
+
+    def test_module_run_reports_its_l1_prediction(self):
+        # The field is the forecast the latest L1 decision read, not a
+        # separate filter's.
+        supervisor, plant = make_supervisor(samples=6)
+        supervisor.start()
+        run_periods(plant, 3)
+        forecasts = supervisor.status()["forecasts"]
+        assert forecasts["last_l1_predictions"]["0"] > 0
+        assert (
+            forecasts["next_period_arrivals"]
+            == forecasts["last_l1_predictions"]["0"]
+        )
+
+    def test_cluster_run_reports_its_l2_prediction(self):
+        supervisor, plant = make_supervisor(
+            samples=6, scenario_name="cluster-baseline-showdown"
+        )
+        supervisor.start()
+        run_periods(plant, 3)
+        forecasts = supervisor.status()["forecasts"]
+        assert forecasts["last_l2_prediction"] > 0
+        assert forecasts["next_period_arrivals"] == forecasts["last_l2_prediction"]
+
     def test_stop_interrupts_a_blocked_feed(self):
         """SIGTERM-style stop must win even with no observations coming."""
         scenario = get_scenario("paper/fig4-module4", samples=6)

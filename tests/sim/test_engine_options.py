@@ -33,13 +33,12 @@ SPEC_KEYS = {
 
 
 class TestShape:
-    def test_fields_are_the_eight_knobs(self):
+    def test_fields_are_the_seven_knobs(self):
         assert [f.name for f in dataclasses.fields(EngineOptions)] == [
             "kernel",
             "metrics",
             "tracer",
             "decision_deadline",
-            "map_provider",
             "warmup_intervals",
             "mean_work",
             "recorder_window",
@@ -58,7 +57,7 @@ class TestShape:
         assert options.mean_work == control.mean_work
         assert options.recorder_window is control.window is None
         assert options.metrics is options.tracer is None
-        assert options.decision_deadline is options.map_provider is None
+        assert options.decision_deadline is None
 
 
 class TestValidation:
