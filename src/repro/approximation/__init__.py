@@ -7,7 +7,8 @@ below them, so the paper approximates lower-level behaviour two ways:
   hash table" over a quantised input grid —
   :class:`~repro.approximation.table.LookupTableMap`, one output row per
   grid cell, looked up at the cell of each input's nearest levels
-  (:func:`~repro.approximation.quantizer.nearest_level`);
+  (:func:`~repro.approximation.quantizer.nearest_level`, on the
+  :func:`~repro.approximation.quantizer.level_pairs` of the grid);
 * the L2 controller's module-cost map ``J~`` is "a compact regression
   tree" trained from simulation data —
   :class:`~repro.approximation.regression_tree.RegressionTree`.
@@ -20,7 +21,7 @@ fitted to them. The trainers themselves (``ComputerBehaviorMap.train``,
 build the map from the returned array.
 """
 
-from repro.approximation.quantizer import GridQuantizer, nearest_level
+from repro.approximation.quantizer import GridQuantizer, level_pairs, nearest_level
 from repro.approximation.regression_tree import RegressionTree
 from repro.approximation.table import LookupTableMap
 from repro.approximation.training import TrainingSet, train_tree
@@ -30,6 +31,7 @@ __all__ = [
     "LookupTableMap",
     "RegressionTree",
     "TrainingSet",
+    "level_pairs",
     "nearest_level",
     "train_tree",
 ]

@@ -8,7 +8,6 @@ snap to the nearest grid point.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 
 import numpy as np
@@ -16,20 +15,37 @@ import numpy as np
 from repro.common.errors import ConfigurationError
 
 
-def nearest_level(levels: "list[float]", value: float) -> int:
-    """Index of the level nearest ``value``; a tie goes to the lower level.
+def level_pairs(levels) -> np.ndarray:
+    """The adjacent level pairs :func:`nearest_level` snaps by.
 
-    ``levels`` is one dimension of :attr:`GridQuantizer.levels` (strictly
-    increasing plain floats). A value outside the grid clamps to its
-    first or last level.
+    ``levels`` holds one dimension's strictly increasing levels along its
+    last axis (:attr:`GridQuantizer.levels` gives them as lists); a stack
+    of rows may end in ``+inf`` padding. Returns ``(2, ..., L)``: each
+    pair's lower level, then its upper level, for the ``L - 1`` adjacent
+    pairs and a last pair ``(top, +inf)`` that no finite value passes.
     """
-    pos = bisect_left(levels, value)
-    if pos == 0:
-        return 0
-    if pos >= len(levels):
-        return len(levels) - 1
-    before, after = levels[pos - 1], levels[pos]
-    return pos - 1 if value - before <= after - value else pos
+    lower = np.asarray(levels, dtype=float)
+    closing = np.full(lower.shape[:-1] + (1,), np.inf)
+    return np.stack([lower, np.concatenate([lower[..., 1:], closing], axis=-1)])
+
+
+def nearest_level(pairs: np.ndarray, values) -> np.ndarray:
+    """Index of the level nearest each value; a tie goes to the lower level.
+
+    ``pairs`` is :func:`level_pairs` of the levels and broadcasts against
+    ``values`` (one row of pairs per value, or one for all). A value
+    outside the grid clamps to its first or last level.
+
+    The index counts the pairs ``(lower, upper)`` with ``value - lower >
+    upper - value``. Exactly the pairs below the value's bisect-left
+    position and, past a tie, the pair around it pass, so this is the
+    bisect rule ``pos - 1 if value - before <= after - value else pos``
+    on whole arrays. Passing pairs come first and the closing pair never
+    passes, so the count is the position of the first pair that fails.
+    """
+    lower, upper = pairs
+    values = np.asarray(values, dtype=float)[..., None]
+    return (values - lower > upper - values).argmin(axis=-1)
 
 
 class GridQuantizer:

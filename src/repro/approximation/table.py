@@ -12,7 +12,8 @@ engine would call it.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from operator import mul
+
+import numpy as np
 
 from repro.common.errors import ConfigurationError
 from repro.approximation.quantizer import GridQuantizer
@@ -22,35 +23,39 @@ class LookupTableMap:
     """One output row per grid cell of a quantiser, in row-major order.
 
     ``rows`` may be any ``(cells, outputs)`` sequence, a numpy array
-    included; the table keeps each row as a tuple of Python floats.
+    included; the table keeps it as one read-only float64 array, which
+    the array queries of the behaviour maps gather from.
     """
 
     def __init__(
         self, quantizer: GridQuantizer, rows: "Sequence[Sequence[float]]"
     ) -> None:
-        rows = [tuple(map(float, row)) for row in rows]
+        width = "every table row needs the same number (>= 1) of outputs"
+        try:
+            rows = np.array(rows, dtype=float)
+        except ValueError:  # rows of unequal length
+            raise ConfigurationError(width) from None
         if len(rows) != quantizer.cell_count:
             raise ConfigurationError(
                 f"table needs one row per grid cell: {len(rows)} rows "
                 f"for {quantizer.cell_count} cells"
             )
-        output_dim = len(rows[0])
-        if output_dim < 1 or any(len(row) != output_dim for row in rows):
-            raise ConfigurationError(
-                "every table row needs the same number (>= 1) of outputs"
-            )
+        if rows.ndim != 2 or rows.shape[1] < 1:
+            raise ConfigurationError(width)
+        rows.setflags(write=False)
         self.quantizer = quantizer
-        self.output_dim = output_dim
+        self.output_dim = rows.shape[1]
         self.rows = rows
         # Row-major flat-index step per dimension.
         strides = [1] * quantizer.dimensions
         for d in range(quantizer.dimensions - 1, 0, -1):
             strides[d - 1] = strides[d] * len(quantizer.levels[d])
-        self._strides = tuple(strides)
+        self.strides = tuple(strides)
 
     def at(self, indices: "tuple[int, ...]") -> "tuple[float, ...]":
-        """The row of the cell at in-range grid ``indices``."""
-        return self.rows[sum(map(mul, indices, self._strides))]
+        """The outputs of the cell at in-range grid ``indices``."""
+        flat = sum(index * stride for index, stride in zip(indices, self.strides))
+        return tuple(self.rows[flat].tolist())
 
     # ------------------------------------------------------------------
     # Serialisation (trained-map artifacts round-trip through JSON)
@@ -63,8 +68,8 @@ class LookupTableMap:
         row-major order.
         """
         cells = [
-            [list(indices), list(row)]
-            for indices, row in zip(self.quantizer.grid_indices(), self.rows)
+            [list(indices), row]
+            for indices, row in zip(self.quantizer.grid_indices(), self.rows.tolist())
         ]
         return {
             "quantizer": self.quantizer.to_dict(),

@@ -18,9 +18,11 @@ the paper's design:
   Hamming-radius-1 neighbourhood of the current configuration, and
   gamma candidates to a quantised-simplex neighbourhood of the
   capacity-proportional allocation. The horizon cost is separable by
-  computer, so each decision looks every computer's map up once per
-  (gamma level, band sample) into share tables and adds each
-  candidate's cost up from them (see :meth:`L1Controller.decide`).
+  computer, so a decision evaluates each (computer, gamma level, band
+  sample) point it needs once, at its own inputs, and adds each
+  candidate's cost up from them. Decisions that share a neighbourhood
+  plan are scored together, each horizon term by one array query over
+  the module's maps (see :meth:`L1Controller.decide_many`).
 * **Chattering mitigation** — every candidate is costed as the average of
   three arrival-rate samples ``lambda_hat - delta, lambda_hat,
   lambda_hat + delta`` (the forecast uncertainty band), plus the
@@ -35,14 +37,17 @@ for itself.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 from repro.common.errors import ConfigurationError, ControlError
-from repro.approximation.quantizer import GridQuantizer, nearest_level
+from repro.approximation.quantizer import GridQuantizer, level_pairs, nearest_level
 from repro.approximation.table import LookupTableMap
 from repro.cluster.specs import ComputerSpec, ModuleSpec
 from repro.controllers.l0 import L0Controller
@@ -51,6 +56,12 @@ from repro.controllers.stats import ControllerStats
 from repro.core.simplex import quantize_to_simplex, simplex_levels, simplex_neighbors
 from repro.core.uncertainty import three_point_band
 
+
+#: Rows one kernel call scores at most. Its array queries hold a few
+#: ``(rows, samples, points, level pairs)`` temporaries; at 32 rows those
+#: of a fig6 module-map grid stay near 0.3 MB each, so deciding a grid
+#: does not raise a run's peak memory.
+_KERNEL_ROWS = 32
 
 #: Cap on ``rows * max_settings ** (horizon + 1)`` for one map-training
 #: call to ``L0BankKernel.decide_many``, which bounds the lookahead's
@@ -127,38 +138,12 @@ def _behavior_training_grid(
     return np.column_stack([totals, queues])
 
 
-def _round_key(x) -> float:
-    """``round(x, 6)`` for a memo key, with the rule ``x``'s type picks.
-
-    A numpy scalar rounds by numpy's rule: scale by 1e6, round half to
-    even, scale back. ``round(float(x) * 1e6) / 1e6`` is that rule bit
-    for bit on the Python float, at a twentieth of the cost of
-    ``round(np.float64(x), 6)``. A Python float keeps Python's
-    correctly rounded ``round(x, 6)``. The two rules disagree on some
-    values (269.7867145 gives 269.786714 under numpy's, 269.786715
-    under Python's), and the disagreement would change which queries
-    share a memo entry. ``x`` must be finite.
-    """
-    if type(x) is float:
-        return round(x, 6)
-    return round(float(x) * 1e6) / 1e6
-
-
-def _round_keys(values: np.ndarray) -> list:
-    """:func:`_round_key` of every element of a float array, as lists.
-
-    The elements are numpy scalars, so numpy's rule applies: scale by
-    1e6, round half to even, scale back.
-    """
-    return (np.rint(values * 1e6) / 1e6).tolist()
-
-
 def _simplex_quanta(rows: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """Integer quanta ``q`` of quantised gamma rows, ``levels[q] == rows``.
 
     ``levels`` is :func:`~repro.core.simplex.simplex_levels` of the
     rows' step. Raises :class:`ControlError` unless every row equals
-    its levels bit for bit, which the share tables rely on.
+    its levels bit for bit, which the plans' point indices rely on.
     """
     quanta = np.rint(rows * (levels.size - 1)).astype(np.intp)
     if not np.array_equal(levels[quanta], rows):
@@ -173,15 +158,26 @@ def require_finite_inputs(**inputs) -> None:
     non-finite forecast, queue or processing time would otherwise flow
     into the cost maps and quietly pick an arbitrary decision.
     """
+    _require(np.isfinite, "must be finite", inputs)
+
+
+def _require(holds, requirement: str, inputs: dict) -> None:
+    """Raise a one-line :class:`ControlError` where ``holds`` is false.
+
+    Names the first failing argument, in ``inputs`` order, and its first
+    failing element by index.
+    """
     for name, value in inputs.items():
         values = np.asarray(value, dtype=float)
-        if np.isfinite(values).all():
+        ok = holds(values)
+        if ok.all():
             continue
         if values.ndim == 0:
-            raise ControlError(f"{name} must be finite, got {float(values)!r}")
-        index = int(np.flatnonzero(~np.isfinite(values))[0])
+            raise ControlError(f"{name} {requirement}, got {float(values)!r}")
+        index = np.unravel_index(int(np.argmin(ok)), values.shape)
         raise ControlError(
-            f"{name}[{index}] must be finite, got {float(values[index])!r}"
+            f"{name}[{', '.join(map(str, index))}] {requirement}, "
+            f"got {float(values[index])!r}"
         )
 
 
@@ -195,36 +191,208 @@ class L1Decision:
     states_explored: int
 
 
-class _Candidate(NamedTuple):
-    """One (alpha, gamma) candidate and its share-table slots."""
+class _Points(NamedTuple):
+    """Per-point constants of an array query: each point's computer's map.
 
-    alpha: np.ndarray  # read-only on/off mask
-    gamma: np.ndarray  # read-only load fractions
-    fixed_cost: float  # W per boot plus the booting machines' idle power
-    sums: int  # index of its per-sample first-term sums over serving computers
-    first: "tuple[int, ...]"  # first-term slot per serving computer
-    drains: "tuple[int, ...]"  # drain slot per computer switched off
-    second: "tuple[int, ...]"  # second-term slot per computer on
-    first_end: int  # first-term slots used up to this candidate
-    drain_end: int
-    second_end: int
+    Built once per map or plan by :meth:`_MapBank.points`, so a query
+    gathers nothing per decision but the table cells.
+    """
+
+    computers: np.ndarray  # computer per point
+    offsets: np.ndarray  # the map's first cell in the bank's table
+    queue_strides: np.ndarray
+    rate_strides: np.ndarray
+    work_strides: np.ndarray
+    max_rates: np.ndarray  # the map's top trained arrival rate
+
+
+class _MapBank:
+    """The behaviour maps of a list of computers, as arrays for queries.
+
+    The distinct maps' tables are concatenated into one, and each
+    computer's cells start at its map's offset, so one gather serves
+    every computer whatever each map's grid shape. ``pairs`` holds, per
+    dimension (queue, rate, work), each computer's level row padded with
+    ``+inf``, which no finite value snaps to, as
+    :func:`~repro.approximation.quantizer.level_pairs`: ``(2, m, width)``.
+    """
+
+    def __init__(self, maps: "list[ComputerBehaviorMap]") -> None:
+        if len({behavior_map.substeps for behavior_map in maps}) > 1:
+            raise ConfigurationError(
+                "a module's behaviour maps must cover one L1 interval "
+                "(equal substeps)"
+            )
+        starts: "dict[int, int]" = {}
+        tables = []
+        for behavior_map in maps:
+            if id(behavior_map) not in starts:
+                starts[id(behavior_map)] = sum(len(table) for table in tables)
+                tables.append(behavior_map.table.rows)
+        self.table = np.concatenate(tables)
+        self.offsets = np.array([starts[id(behavior_map)] for behavior_map in maps])
+        self.pairs = []
+        for dimension in range(3):
+            rows = [behavior_map._levels[dimension] for behavior_map in maps]
+            padded = np.full((len(maps), max(map(len, rows))), np.inf)
+            for j, row in enumerate(rows):
+                padded[j, : len(row)] = row
+            self.pairs.append(level_pairs(padded))
+        self.strides = np.array([behavior_map.table.strides for behavior_map in maps])
+        self.max_rates = np.array([m._max_trained_rate for m in maps])
+        self.substeps = maps[0].substeps
+        # Per computer, the saturated rollout's constants: speed, L0
+        # period, response target, tracking weight and the operating
+        # weight times full-speed power (base + scale at phi = 1).
+        self.rollout = np.array(
+            [
+                (
+                    m.spec.effective_speed_factor,
+                    m.l0_params.period,
+                    m.l0_params.target_response,
+                    m.l0_params.weights.tracking,
+                    m.l0_params.weights.operating
+                    * (m.spec.base_power + m.spec.power_scale),
+                )
+                for m in maps
+            ]
+        )
+
+    def points(self, computers) -> _Points:
+        """The per-point constants of points on ``computers``."""
+        computers = np.asarray(computers, dtype=np.intp)
+        strides = self.strides[computers]
+        return _Points(
+            computers,
+            self.offsets[computers],
+            strides[:, 0],
+            strides[:, 1],
+            strides[:, 2],
+            self.max_rates[computers],
+        )
+
+    def query(
+        self,
+        points: _Points,
+        queues: np.ndarray,
+        rates: np.ndarray,
+        works: np.ndarray,
+        queue_at: np.ndarray,
+        rate_at: np.ndarray,
+        work_at: np.ndarray,
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """``(interval cost, final queue)`` at every point.
+
+        The arrays broadcast together, the last axis running over
+        ``points``; ``queue_at``, ``rate_at`` and ``work_at`` are the
+        coordinates' indices on each point's grid (see
+        :func:`~repro.approximation.quantizer.nearest_level`). Each
+        point's cell outputs are gathered from the table; a rate past
+        the map's trained maximum takes the closed-form saturated
+        rollout instead.
+        """
+        cells = (
+            points.offsets
+            + queue_at * points.queue_strides
+            + rate_at * points.rate_strides
+            + work_at * points.work_strides
+        )
+        outputs = self.table[cells]
+        costs, finals = outputs[..., 0], outputs[..., 1]
+        saturated = rates > points.max_rates
+        if saturated.any():
+            shape = saturated.shape
+            computers = np.broadcast_to(points.computers, shape)[saturated]
+            costs[saturated], finals[saturated] = self._saturated_rollout(
+                computers,
+                np.broadcast_to(queues, shape)[saturated],
+                rates[saturated],
+                np.broadcast_to(works, shape)[saturated],
+            )
+        return costs, finals
+
+    def _saturated_rollout(
+        self,
+        computers: np.ndarray,
+        queues: np.ndarray,
+        rates: np.ndarray,
+        works: np.ndarray,
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Closed-form overload cost: max frequency, fluid eqs. (5)-(7).
+
+        Every point takes each T_L0 substep's operations in the scalar
+        rollout's order. The inputs are finite, non-negative and ``works``
+        positive (see :meth:`L1Controller.decide_many`), so no
+        difference is NaN or ``-0.0`` and ``np.maximum(x, 0.0)`` is
+        ``max(0.0, x)``.
+        """
+        speed, period, target, tracking, power_cost = self.rollout[computers].T
+        capacity = speed / works * period
+        arrivals = rates * period
+        queue = queues
+        total = np.zeros(queues.shape)
+        for _ in range(self.substeps):
+            queue = np.maximum(queue + arrivals - capacity, 0.0)
+            response = (1.0 + queue) * works / speed
+            total += tracking * np.maximum(response - target, 0.0)
+            total += power_cost
+        return total, queue
 
 
 class _Neighbourhood(NamedTuple):
     """The bounded search of one (alpha_current, available) mask.
 
-    Candidates are in search order. Each slot names one table point:
-    ``first_points`` hold ``(j, n)`` (computer, gamma quanta),
-    ``drain_points`` a computer ``j`` and ``second_points`` hold
-    ``(j, f, g)``: computer, the first-term slot its start queue comes
-    from (-1 when it boots and starts empty) and its gamma_next quanta.
+    Candidates are in search order; the first minimum of their totals
+    wins. The first array query evaluates ``first`` at every band
+    sample: the first-term points ``(j, n)`` (computer, gamma quanta)
+    that some candidate serves, then one drain point per computer that
+    some candidate switches off. The second evaluates ``second``: each
+    ``(j, f, g)`` whose start queue is the mean final queue of first
+    slot ``f`` (``first_count`` when it boots and starts empty) and
+    whose gamma_next quanta is ``g``. The slot matrices are padded with
+    the index of a zero column, which adds nothing.
     """
 
-    levels: np.ndarray  # simplex_levels(gamma_step)
-    candidates: "tuple[_Candidate, ...]"
-    first_points: "tuple[tuple[int, int], ...]"
-    drain_points: "tuple[int, ...]"
-    second_points: "tuple[tuple[int, int, int], ...]"
+    alphas: np.ndarray  # (candidates, m) read-only on/off masks
+    gammas: np.ndarray  # (candidates, m) read-only load fractions
+    fixed: np.ndarray  # W per boot plus the booting machines' idle power
+    sums: np.ndarray  # each candidate's row of sum_slots
+    sum_slots: np.ndarray  # first-term slots of serving computers, per sum row
+    drain_slots: np.ndarray  # per candidate, drain points into ``first``
+    second_slots: np.ndarray  # per candidate, second-term points
+    first: _Points
+    first_count: int  # first-term points; the drains follow them
+    second: _Points
+    second_starts: np.ndarray
+    start_pairs: np.ndarray  # queue level pairs of each second-term point
+    # Every point of ``first`` then ``second``: its term (0 or 1, the
+    # band row its rates sample), its gamma level (0 for drains) and
+    # its map's rate level pairs, so one snap serves both terms.
+    terms: np.ndarray
+    levels: np.ndarray
+    rate_pairs: np.ndarray
+
+
+def _padded(rows: "list[list[int]]", pad: int) -> np.ndarray:
+    """Index lists as one matrix, short rows filled with ``pad``."""
+    lengths = np.array([len(row) for row in rows], dtype=np.intp)
+    width = int(lengths.max(initial=0))
+    matrix = np.full((len(rows), width), pad, dtype=np.intp)
+    matrix[np.arange(width) < lengths[:, None]] = list(chain.from_iterable(rows))
+    return matrix
+
+
+def _sequential_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis (one or more columns), one at a time.
+
+    The per-candidate loop's order of addition, which began at 0.0:
+    ``first + 0.0`` is ``0.0 + first``. ``np.sum`` would sum pairwise
+    from 8 terms on and change the last bits.
+    """
+    total = terms[..., 0] + 0.0
+    for k in range(1, terms.shape[-1]):
+        total += terms[..., k]
+    return total
 
 
 class ComputerBehaviorMap:
@@ -234,10 +402,11 @@ class ComputerBehaviorMap:
     interval, final queue length)``, trained by simulating the computer's
     L0 controller over ``substeps`` periods of T_L0.
 
-    Queries beyond the trained arrival-rate domain are answered by a
-    closed-form saturated-regime rollout (the L0 controller provably
-    selects maximum frequency there), so deep overloads are costed
-    correctly instead of being clamped to the grid edge.
+    Queries snap the queue, arrival rate and work to the grid's nearest
+    levels. Queries beyond the trained arrival-rate domain are answered
+    by a closed-form saturated-regime rollout (the L0 controller
+    provably selects maximum frequency there), so deep overloads are
+    costed correctly instead of being clamped to the grid edge.
     """
 
     def __init__(
@@ -299,57 +468,29 @@ class ComputerBehaviorMap:
         )
         return cls(spec, LookupTableMap(quantizer, outputs), substeps, l0_params)
 
-    def cost_and_next_queue(
-        self, queue: float, rate: float, work: float
-    ) -> tuple[float, float]:
-        """Query the map: (interval cost, final queue)."""
-        return self._cost_at(
-            queue,
-            self._queue_index(queue),
-            rate,
-            work,
-            self._work_index(work),
-        )
+    def cost_and_next_queue(self, queue, rate, work) -> "tuple[np.ndarray, np.ndarray]":
+        """Query the map: ``(interval cost, final queue)``.
 
-    def _queue_index(self, queue: float) -> int:
-        """Index of the queue-grid level nearest ``queue``."""
-        return nearest_level(self._levels[0], queue)
-
-    def _work_index(self, work: float) -> int:
-        """Index of the processing-time grid level nearest ``work``."""
-        return nearest_level(self._levels[2], work)
-
-    def _cost_at(
-        self, queue: float, queue_index: int, rate: float, work: float, work_index: int
-    ) -> tuple[float, float]:
-        """:meth:`cost_and_next_queue` with the queue and work snapped.
-
-        The L1 snaps each computer's queue and work once per decision
-        and reuses the indices for every rate it asks about.
+        Takes numbers or arrays, which broadcast together, and answers
+        every point with one array query (0-d arrays for numbers).
         """
-        if rate > self._max_trained_rate:
-            return self._saturated_rollout(queue, rate, work)
-        return self.table.at(
-            (queue_index, nearest_level(self._levels[1], rate), work_index)
+        bank, points = self._bank
+        coordinates = [
+            np.asarray(v, dtype=float)[..., None]
+            for v in np.broadcast_arrays(queue, rate, work)
+        ]
+        costs, finals = bank.query(
+            points,
+            *coordinates,
+            *(nearest_level(p, v) for p, v in zip(bank.pairs, coordinates)),
         )
+        return costs[..., 0], finals[..., 0]
 
-    def _saturated_rollout(
-        self, queue: float, rate: float, work: float
-    ) -> tuple[float, float]:
-        """Closed-form overload cost: max frequency, fluid eqs. (5)-(7)."""
-        params = self.l0_params
-        speed = self.spec.effective_speed_factor
-        capacity = speed / work * params.period
-        power = self.spec.base_power + self.spec.power_scale  # phi = 1
-        q = float(queue)
-        total_cost = 0.0
-        for _ in range(self.substeps):
-            q = max(0.0, q + rate * params.period - capacity)
-            response = (1.0 + q) * work / speed
-            slack = max(0.0, response - params.target_response)
-            total_cost += params.weights.tracking * slack
-            total_cost += params.weights.operating * power
-        return total_cost, q
+    @cached_property
+    def _bank(self) -> "tuple[_MapBank, _Points]":
+        """This map alone as a bank, and its one computer's points."""
+        bank = _MapBank([self])
+        return bank, bank.points([0])
 
     # ------------------------------------------------------------------
     # Serialisation (the cacheable trained artifact)
@@ -410,10 +551,12 @@ class L1Controller:
             [c.effective_speed_factor / 0.0175 for c in module_spec.computers]
         )
         self._base_powers = [c.base_power for c in module_spec.computers]
+        self._bank = _MapBank(behavior_maps)
         # The neighbourhood is a pure function of the (alpha_current,
         # available) masks (the capacities and params are fixed per
-        # controller), cached read-only by the masks' bytes.
-        self._plans: "dict[bytes, _Neighbourhood]" = {}
+        # controller), cached read-only by the masks' bytes; None when
+        # no candidate is admissible.
+        self._plans: "dict[bytes, _Neighbourhood | None]" = {}
 
     @staticmethod
     def _train_maps(
@@ -451,214 +594,225 @@ class L1Controller:
         sampling); ``work`` is c-hat. ``available`` masks out failed
         machines — they can be neither kept on nor switched on.
 
+        :meth:`decide_many` on one row: the decision is a pure function
+        of these inputs.
+        """
+        return self.decide_many(
+            np.asarray(queues, dtype=float)[None],
+            np.asarray(alpha_current)[None],
+            [rate_hat],
+            [rate_next],
+            [delta],
+            [work],
+            None if available is None else np.asarray(available)[None],
+        )[0]
+
+    def decide_many(
+        self,
+        queues: np.ndarray,
+        alpha_current: np.ndarray,
+        rate_hat,
+        rate_next,
+        delta,
+        work,
+        available: np.ndarray | None = None,
+    ) -> "list[L1Decision]":
+        """:meth:`decide` for many rows at once, one decision per row.
+
+        ``queues``, ``alpha_current`` and ``available`` are ``(rows, m)``;
+        the set-points have one value per row. Rows that share a plan
+        (their on/off and availability masks) and a band sample count
+        are decided together, each term of their horizon cost by one
+        array query over the module's maps (see :meth:`_totals`).
+
         The two-term horizon cost is separable by computer. In the
         first term computer j depends on a candidate only through its
         gamma quanta n and the band sample; in the second, through n
         (which fixes its start queue), its gamma_next quanta and the
-        sample. So each such point is looked up in j's map once per
-        decision, into a share table, and every candidate's cost is
-        added up from the tables in the order of the per-candidate
-        loop: sample by sample, serving then draining computers, the
-        first term then the second.
+        sample. So each such point is evaluated once per row, at its own
+        inputs, and every candidate's total adds the points up in the
+        per-candidate loop's order: sample by sample, serving then
+        draining computers, the first term then the second. Ties go to
+        the first candidate in search order.
 
-        Map lookups are memoised per decision on ``(map, queue, rate,
-        work)`` rounded to 6, 6 and 9 decimals (see :func:`_round_key`),
-        so a point whose key aliases an earlier point's reuses that
-        result. The tables are filled in the order the per-candidate
-        loop first visits each point (candidate, then sample, then
-        computer), so every key is first evaluated at the same point.
+        Raises a one-line :class:`ControlError` for a NaN, infinite or
+        negative queue, rate or delta, a work that is not positive, or a
+        row whose best total is not finite.
         """
+        started = time.perf_counter()
         queues = np.asarray(queues, dtype=float)
-        alpha_current = np.asarray(alpha_current).astype(bool)
+        alpha_current = np.asarray(alpha_current, dtype=bool)
         m = self.spec.size
-        if queues.shape != (m,) or alpha_current.shape != (m,):
+        if queues.ndim != 2 or queues.shape[1] != m or alpha_current.shape != queues.shape:
             raise ConfigurationError("queues and alpha must have one entry per computer")
+        rows = len(queues)
         if available is None:
-            available = np.ones(m, dtype=bool)
+            available = np.ones((rows, m), dtype=bool)
         else:
-            available = np.asarray(available).astype(bool)
-            if available.shape != (m,):
+            available = np.asarray(available, dtype=bool)
+            if available.shape != (rows, m):
                 raise ConfigurationError("available mask must match module size")
-            if not available.any():
+            if not available.any(axis=1).all():
                 raise ControlError("no machine available to serve the module")
             alpha_current = alpha_current & available
-        require_finite_inputs(
-            queues=queues,
-            rate_hat=rate_hat,
-            rate_next=rate_next,
-            delta=delta,
-            work=work,
-        )
-        started = time.perf_counter()
-        mask = alpha_current.tobytes() + available.tobytes()
-        plan = self._plans.get(mask)
-        if plan is None:
-            plan = self._plans[mask] = self._neighbourhood(alpha_current, available)
-        if not plan.candidates:
-            raise ControlError("no admissible (alpha, gamma) candidate found")
-        samples = list(three_point_band(rate_hat, delta)) if delta > 0 else [rate_hat]
-        next_samples = (
-            list(three_point_band(rate_next, delta)) if delta > 0 else [rate_next]
-        )
-        best_cost, best = self._search(plan, queues, samples, next_samples, work)
-        explored = len(plan.candidates) * (len(samples) + len(next_samples))
-        decision = L1Decision(
-            alpha=best.alpha.astype(int),
-            gamma=best.gamma,
-            expected_cost=best_cost,
-            states_explored=explored,
-        )
-        self.stats.record(explored, time.perf_counter() - started)
-        return decision
+        try:
+            set_points = np.array([rate_hat, rate_next, delta, work], dtype=float)
+        except ValueError:  # ragged
+            set_points = None
+        if set_points is None or set_points.shape != (4, rows):
+            raise ConfigurationError(
+                "rate_hat, rate_next, delta and work need one value per row"
+            )
+        if not rows:
+            return []
+        checked = np.concatenate([queues.ravel(), set_points.ravel()])
+        if not (
+            checked.min() >= 0.0 and checked.max() < np.inf and set_points[3].min() > 0.0
+        ):
+            # One row names its inputs as decide's arguments, many by row.
+            names = ("queues", "rate_hat", "rate_next", "delta", "work")
+            inputs = dict(zip(names, (queues, *set_points)))
+            if rows == 1:
+                inputs = {name: value[0] for name, value in inputs.items()}
+            require_finite_inputs(**inputs)
+            work = inputs.pop("work")
+            _require(lambda v: v >= 0.0, "must be >= 0", inputs)
+            _require(lambda v: v > 0.0, "must be > 0", {"work": work})
+        rate_hat, rate_next, delta, work = set_points
 
-    def _search(
-        self,
-        plan: "_Neighbourhood",
-        queues: np.ndarray,
-        samples: list,
-        next_samples: list,
-        work: float,
-    ) -> "tuple[float, _Candidate]":
-        """The cheapest candidate of ``plan`` and its expected cost.
-
-        Each candidate costs its fixed part, then the two horizon terms
-        (periods k and k+1), each the mean over its band samples of the
-        per-computer map costs. Period k loads the serving computers by
-        gamma and drains the ones switched off; in period k+1 the boots
-        have completed and the on-set shares the load by gamma_next,
-        each serving computer starting from its mean period-k queue.
-        Fills the share tables on first use, in the per-candidate
-        loop's order (see :meth:`decide`).
-        """
-        maps = self.maps
-        map_ids = [id(behavior_map) for behavior_map in maps]
-        levels = plan.levels
-        queue_list = list(queues)
-        queue_keys = [_round_key(q) for q in queue_list]
-        queue_index = [bm._queue_index(q) for bm, q in zip(maps, queue_list)]
-        work_index = [bm._work_index(work) for bm in maps]
-        work_key = round(work, 9)
-        shares = np.multiply.outer(levels, samples)
-        share_keys = _round_keys(shares)
-        next_shares = np.multiply.outer(levels, next_samples)
-        next_keys = _round_keys(next_shares)
-        sample_range = range(len(samples))
-        next_range = range(len(next_samples))
-        weight = 1.0 / len(samples)
-        next_weight = 1.0 / len(next_samples)
-        memo: dict[tuple, tuple[float, float]] = {}
-
-        def look_up(key, j, queue, queue_at, rate):
-            """``key``'s memoised result; evaluated at this point on a miss.
-
-            ``queue_at`` is ``queue``'s index on computer j's queue grid.
-            """
-            hit = memo.get(key)
-            if hit is None:
-                hit = memo[key] = maps[j]._cost_at(
-                    queue, queue_at, rate, work, work_index[j]
+        groups: "dict[bytes, list[int]]" = {}
+        keys = np.concatenate([alpha_current, available, (delta > 0)[:, None]], axis=1)
+        for row, key in enumerate(keys):
+            groups.setdefault(key.tobytes(), []).append(row)
+        decisions: "list[L1Decision]" = [None] * rows
+        for key, members in groups.items():
+            mask = key[: 2 * m]
+            if mask not in self._plans:
+                self._plans[mask] = self._neighbourhood(
+                    alpha_current[members[0]], available[members[0]]
                 )
-            return hit
+            plan = self._plans[mask]
+            if plan is None:
+                raise ControlError("no admissible (alpha, gamma) candidate found")
+            for start in range(0, len(members), _KERNEL_ROWS):
+                block = members[start : start + _KERNEL_ROWS]
+                # One group holds every row: index by a view, not a copy.
+                index = slice(start, start + len(block)) if len(groups) == 1 else block
+                if key[-1]:  # the band's three samples around both rates
+                    bands = three_point_band(set_points[:2, index], delta[index])
+                    bands = bands.transpose(2, 1, 0)
+                else:
+                    bands = set_points[:2, index, None].transpose(1, 0, 2)
+                totals = self._totals(plan, queues[index], bands, work[index])
+                states = len(plan.fixed) * 2 * bands.shape[2]
+                for row, choice, cost in zip(
+                    block, totals.argmin(axis=1).tolist(), totals.min(axis=1).tolist()
+                ):
+                    if not math.isfinite(cost):
+                        name = "expected_cost" if rows == 1 else f"expected_cost[{row}]"
+                        require_finite_inputs(**{name: cost})
+                    decisions[row] = L1Decision(
+                        alpha=plan.alphas[choice].astype(int),
+                        gamma=plan.gammas[choice],
+                        expected_cost=cost,
+                        states_explored=states,
+                    )
+        share = (time.perf_counter() - started) / rows
+        for decision in decisions:
+            self.stats.record(decision.states_explored, share)
+        return decisions
 
-        first_points = plan.first_points
-        drain_points = plan.drain_points
-        second_points = plan.second_points
-        first_cost = [[0.0] * len(first_points) for _ in sample_range]
-        first_next = [[0.0] * len(first_points) for _ in sample_range]
-        starts: list = [0.0] * len(first_points)
-        start_keys = [0.0] * len(first_points)
-        start_index = [0] * len(first_points)
-        drain_cost = [0.0] * len(drain_points)
-        second_cost = [[0.0] * len(second_points) for _ in next_range]
-        sums: "list[list[float]]" = []
-        first_done = drain_done = second_done = 0
+    def _totals(
+        self,
+        plan: _Neighbourhood,
+        queues: np.ndarray,
+        bands: np.ndarray,
+        work: np.ndarray,
+    ) -> np.ndarray:
+        """Every candidate's expected cost, ``(rows, candidates)``.
 
-        best_cost = float("inf")
-        best: "_Candidate | None" = None
-        for candidate in plan.candidates:
-            _, _, total, sums_index, first, drains, second = candidate[:7]
-            first_end, drain_end, second_end = candidate[7:]
-            # Fill the slots this candidate needs first, sample by
-            # sample: serving computers, then draining ones.
-            if first_end > first_done or drain_end > drain_done:
-                for s in sample_range:
-                    for slot in range(first_done, first_end):
-                        j, n = first_points[slot]
-                        first_cost[s][slot], first_next[s][slot] = look_up(
-                            (map_ids[j], queue_keys[j], share_keys[n][s], work_key),
-                            j, queue_list[j], queue_index[j], shares[n, s],
-                        )
-                    if s == 0:
-                        for slot in range(drain_done, drain_end):
-                            j = drain_points[slot]
-                            drain_cost[slot] = look_up(
-                                (map_ids[j], queue_keys[j], 0.0, work_key),
-                                j, queue_list[j], queue_index[j], 0.0,
-                            )[0]
-                for slot in range(first_done, first_end):
-                    start = 0.0
-                    for s in sample_range:
-                        start += first_next[s][slot] * weight
-                    starts[slot] = start
-                    start_keys[slot] = _round_key(start)
-                    start_index[slot] = maps[first_points[slot][0]]._queue_index(start)
-                first_done, drain_done = first_end, drain_end
-            if second_end > second_done:
-                for s in next_range:
-                    for slot in range(second_done, second_end):
-                        j, f, g = second_points[slot]
-                        if f < 0:  # booting: it starts empty
-                            start, start_key = 0.0, 0.0
-                            index = maps[j]._queue_index(0.0)
-                        else:
-                            start, start_key, index = starts[f], start_keys[f], start_index[f]
-                        second_cost[s][slot] = look_up(
-                            (map_ids[j], start_key, next_keys[g][s], work_key),
-                            j, start, index, next_shares[g, s],
-                        )[0]
-                second_done = second_end
+        ``bands`` is ``(rows, 2, samples)``: each row's arrival-rate
+        samples for periods k and k+1. Each candidate costs its fixed
+        part, then the two horizon terms, each the mean over its band
+        samples of the per-computer map costs. Period k loads the
+        serving computers by gamma and drains the ones switched off; in
+        period k+1 the boots have completed and the on-set shares the
+        load by gamma_next, each serving computer starting from its
+        mean period-k queue. Terms add in the per-candidate loop's
+        order, column by column.
+        """
+        bank = self._bank
+        rows, _, width = bands.shape
+        weight = 1.0 / width
+        work = work[:, None, None]
+        queue_pairs, _, work_pairs = bank.pairs
+        queue_at = nearest_level(queue_pairs, queues)
+        work_at = nearest_level(work_pairs, work[:, 0])
+        rates = bands[:, plan.terms].transpose(0, 2, 1) * plan.levels
+        first, second = plan.first, plan.second
+        split = len(first.computers)
+        rates[:, :, plan.first_count : split] = 0.0  # the drains
+        rate_at = nearest_level(plan.rate_pairs, rates)
 
-            # Add the cost up in the per-candidate loop's order.
-            if sums_index == len(sums):
-                step_sums = []
-                for s in sample_range:
-                    costs = first_cost[s]
-                    step = 0.0
-                    for slot in first:
-                        step += costs[slot]
-                    step_sums.append(step)
-                sums.append(step_sums)
-            step_sums = sums[sums_index]
-            for s in sample_range:
-                step = step_sums[s]
-                for slot in drains:
-                    step += drain_cost[slot]
-                total += step * weight
-            for s in next_range:
-                costs = second_cost[s]
-                step = 0.0
-                for slot in second:
-                    step += costs[slot]
-                total += step * next_weight
-            if total < best_cost:
-                best_cost = total
-                best = candidate
-        return best_cost, best
+        # Period k: every first-term point at every sample, then drains.
+        costs, finals = bank.query(
+            first,
+            queues[:, None, first.computers],
+            rates[:, :, :split],
+            work,
+            queue_at[:, None, first.computers],
+            rate_at[:, :, :split],
+            work_at[:, None, first.computers],
+        )
+        # The mean final queue of each first-term slot, then 0.0 for the
+        # machines that boot.
+        shares = finals[:, :, : plan.first_count] * weight
+        starts = np.zeros((rows, plan.first_count + 1))
+        for s in range(width):
+            starts[:, :-1] += shares[:, s]
+
+        # Period k+1: every second-term point at every sample.
+        start_queues = starts[:, None, plan.second_starts]
+        second_costs, _ = bank.query(
+            second,
+            start_queues,
+            rates[:, :, split:],
+            work,
+            nearest_level(plan.start_pairs, start_queues),
+            rate_at[:, :, split:],
+            work_at[:, None, second.computers],
+        )
+
+        zeros = np.zeros((rows, width, 1))
+        padded = np.concatenate([costs, zeros], axis=2)
+        steps = _sequential_sum(padded[:, :, plan.sum_slots])[:, :, plan.sums]
+        if plan.drain_slots.size:
+            drains = padded[:, 0, plan.drain_slots]
+            for k in range(drains.shape[-1]):
+                steps += drains[:, None, :, k]
+        steps *= weight
+        totals = plan.fixed + steps[:, 0]
+        for s in range(1, width):
+            totals += steps[:, s]
+        padded = np.concatenate([second_costs, zeros], axis=2)
+        steps = _sequential_sum(padded[:, :, plan.second_slots])
+        steps *= weight
+        for s in range(width):
+            totals += steps[:, s]
+        return totals
 
     # ------------------------------------------------------------------
     # The bounded neighbourhood
     # ------------------------------------------------------------------
     def _neighbourhood(
         self, alpha_current: np.ndarray, available: np.ndarray
-    ) -> "_Neighbourhood":
-        """Every (alpha, gamma) candidate in search order, with its table slots.
+    ) -> "_Neighbourhood | None":
+        """Every (alpha, gamma) candidate in search order, with its points.
 
-        An alpha with no computer serving now is skipped. The gamma
-        candidates are shared by every alpha with the same serving set,
-        and so are their per-sample first-term sums. Slots are numbered
-        in the order the search first needs them, so a candidate's new
-        slots are the range from the previous candidate's ends to its
-        own.
+        An alpha with no computer serving now is skipped; None when no
+        candidate is left. The gamma candidates are shared by every
+        alpha with the same serving set, and so are their first-term
+        sums.
         """
         step = self.params.gamma_step
         levels = simplex_levels(step)
@@ -669,77 +823,104 @@ class L1Controller:
             if (alpha & alpha_current).any()
         ]
         if not alphas:
-            return _Neighbourhood(levels, (), (), (), ())
+            return None
         # Period k+1 shares the load capacity-proportionally over the on-set.
         next_gammas = [
             quantize_to_simplex(np.where(alpha, self.capacities, 0.0), step)
             for alpha in alphas
         ]
         next_quanta = _simplex_quanta(np.array(next_gammas), levels).tolist()
-        groups: "dict[tuple[int, ...], tuple[np.ndarray, list, int]]" = {}
+        groups: "dict[tuple[int, ...], tuple[np.ndarray, int]]" = {}
         first_slots: "dict[tuple[int, int], int]" = {}
         drain_slots: "dict[int, int]" = {}
         second_slots: "dict[tuple[int, int, int], int]" = {}
-        candidates: "list[_Candidate]" = []
-        sums_count = 0
+        sum_slots: "list[list[int]]" = []
+        candidate_alphas, candidate_gammas, fixed, sums = [], [], [], []
+        drains_of: "list[list[int]]" = []
+        seconds_of: "list[list[int]]" = []
         current = alpha_current.tolist()
         for alpha, gamma_next in zip(alphas, next_quanta):
-            alpha.setflags(write=False)
             on = alpha.tolist()
             on_idx = [j for j, is_on in enumerate(on) if is_on]
             serving_idx = [j for j in on_idx if current[j]]
             booting_idx = [j for j in on_idx if not current[j]]
-            fixed = self.params.switching_weight * len(booting_idx)
+            cost = self.params.switching_weight * len(booting_idx)
             for j in booting_idx:
-                fixed += self._base_powers[j] * substeps
-            drains = tuple(
+                cost += self._base_powers[j] * substeps
+            drains = [
                 drain_slots.setdefault(j, len(drain_slots))
                 for j, was_on in enumerate(current)
                 if was_on and not on[j]
-            )
+            ]
             group = groups.get(tuple(serving_idx))
             if group is None:
                 gammas = np.array(self._candidate_gammas(alpha & alpha_current))
-                quanta = _simplex_quanta(gammas, levels).tolist()
-                gammas.setflags(write=False)
-                group = groups[tuple(serving_idx)] = (gammas, quanta, sums_count)
-                sums_count += len(quanta)
-            gammas, quanta, sums_base = group
+                group = groups[tuple(serving_idx)] = (gammas, len(sum_slots))
+                for gamma_quanta in _simplex_quanta(gammas, levels).tolist():
+                    sum_slots.append(
+                        [
+                            first_slots.setdefault(
+                                (j, gamma_quanta[j]), len(first_slots)
+                            )
+                            for j in serving_idx
+                        ]
+                    )
+            gammas, sums_base = group
             # Per computer on: its position among the serving ones (-1
             # when it boots) and its gamma_next quanta.
             position = {j: p for p, j in enumerate(serving_idx)}
             layout = [(j, position.get(j, -1), gamma_next[j]) for j in on_idx]
-            for i, gamma_quanta in enumerate(quanta):
-                first = [
-                    first_slots.setdefault((j, gamma_quanta[j]), len(first_slots))
-                    for j in serving_idx
-                ]
-                second = [
-                    second_slots.setdefault(
-                        (j, first[p] if p >= 0 else -1, g), len(second_slots)
-                    )
-                    for j, p, g in layout
-                ]
-                candidates.append(
-                    _Candidate(
-                        alpha,
-                        gammas[i],
-                        fixed,
-                        sums_base + i,
-                        tuple(first),
-                        drains,
-                        tuple(second),
-                        len(first_slots),
-                        len(drain_slots),
-                        len(second_slots),
-                    )
+            for i, gamma in enumerate(gammas):
+                first = sum_slots[sums_base + i]
+                seconds_of.append(
+                    [
+                        second_slots.setdefault(
+                            (j, first[p] if p >= 0 else -1, g), len(second_slots)
+                        )
+                        for j, p, g in layout
+                    ]
                 )
+                candidate_alphas.append(alpha)
+                candidate_gammas.append(gamma)
+                fixed.append(cost)
+                sums.append(sums_base + i)
+                drains_of.append(drains)
+        first_count = len(first_slots)
+        first_points = [j for j, _ in first_slots] + list(drain_slots)
+        pad = len(first_points)
+        second_points = list(second_slots)
+        second_computers = [j for j, _, _ in second_points]
+        queue_pairs, rate_pairs, _ = self._bank.pairs
+        arrays = [
+            np.array(candidate_alphas),
+            np.array(candidate_gammas),
+            np.array(fixed),
+            np.array(sums, dtype=np.intp),
+            _padded(sum_slots, pad),
+            _padded(drains_of, len(drain_slots)) + first_count,
+            _padded(seconds_of, len(second_points)),
+        ]
+        for array in arrays:
+            array.setflags(write=False)
         return _Neighbourhood(
-            levels,
-            tuple(candidates),
-            tuple(first_slots),
-            tuple(drain_slots),
-            tuple(second_slots),
+            *arrays,
+            first=self._bank.points(first_points),
+            first_count=first_count,
+            second=self._bank.points(second_computers),
+            second_starts=np.array(
+                [f if f >= 0 else first_count for _, f, _ in second_points],
+                dtype=np.intp,
+            ),
+            start_pairs=queue_pairs[:, second_computers],
+            terms=np.repeat([0, 1], [pad, len(second_points)]),
+            levels=np.concatenate(
+                [
+                    levels[[n for _, n in first_slots]],
+                    np.zeros(len(drain_slots)),
+                    levels[[g for _, _, g in second_points]],
+                ]
+            ),
+            rate_pairs=rate_pairs[:, first_points + second_computers],
         )
 
     def _candidate_alphas(

@@ -62,38 +62,30 @@ def _module_training_grid(
 ) -> np.ndarray:
     """Every module-cost-map grid cell, run in lockstep for one T_L2.
 
-    One L1 serves the whole grid, so its plan cache serves every cell
-    with the same on/off masks; it decides each cell in grid order.
-    Then every T_L0 substep advances each (cell, computer) pair that
-    serves, or that drains a queue above 1e-9, as a row of one
-    :func:`_l0_substep`, and each cell's cost adds up in computer order
-    (a booting machine adds its base power). Returns ``(cost, mean
-    final queue)`` per cell, in the order of ``points``.
+    One L1 decides the whole grid in one :meth:`L1Controller.decide_many`
+    call, so the cells that share on/off masks share one plan and one
+    array query per horizon term. Then every T_L0 substep advances each
+    (cell, computer) pair that serves, or that drains a queue above
+    1e-9, as a row of one :func:`_l0_substep`, and each cell's cost adds
+    up in computer order (a booting machine adds its base power).
+    Returns ``(cost, mean final queue)`` per cell, in the order of
+    ``points``.
     """
     from repro.sim.kernels import L0BankKernel
 
     l1 = L1Controller(module_spec, behavior_maps, l1_params, l0_params)
     bank = L0BankKernel([L0Controller(c, l0_params) for c in module_spec.computers])
     grid = np.array(points, dtype=float)
-    rates, works = grid[:, 1], grid[:, 2]
-    shape = (len(grid), module_spec.size)
-    queues = np.empty(shape)
-    alpha0 = np.empty(shape, dtype=bool)
-    alpha = np.empty(shape, dtype=bool)
-    gamma = np.empty(shape)
-    for cell, (queue_avg, rate, work) in enumerate(points):
-        alpha0[cell] = ModuleCostMap._steady_alpha(module_spec, rate, work)
-        queues[cell] = np.where(alpha0[cell], queue_avg, 0.0)
-        decision = l1.decide(
-            queues[cell],
-            alpha0[cell],
-            rate_hat=rate,
-            rate_next=rate,
-            delta=0.0,
-            work=work,
-        )
-        alpha[cell] = decision.alpha.astype(bool)
-        gamma[cell] = decision.gamma
+    queue_avgs, rates, works = grid.T
+    alpha0 = np.array(
+        [ModuleCostMap._steady_alpha(module_spec, rate, work) for rate, work in grid[:, 1:]]
+    )
+    queues = np.where(alpha0, queue_avgs[:, None], 0.0)
+    decisions = l1.decide_many(
+        queues, alpha0, rates, rates, np.zeros(len(grid)), works
+    )
+    alpha = np.array([decision.alpha for decision in decisions], dtype=bool)
+    gamma = np.array([decision.gamma for decision in decisions])
     serving = alpha & alpha0
     draining = ~alpha & alpha0
     booting = alpha & ~alpha0

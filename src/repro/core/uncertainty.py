@@ -17,15 +17,17 @@ import numpy as np
 from repro.common.errors import ConfigurationError
 
 
-def three_point_band(mean: float, delta: float, floor: float = 0.0) -> np.ndarray:
+def three_point_band(mean, delta, floor: float = 0.0) -> np.ndarray:
     """The three sampled values, clipped below at ``floor``.
 
     With ``delta == 0`` all three collapse onto the mean (the band
     degenerates gracefully before any forecast errors are observed).
+    ``mean`` and ``delta`` may be arrays that broadcast together; the
+    samples then stack along a new first axis.
     """
-    if delta < 0:
+    if (np.asarray(delta) < 0).any():
         raise ConfigurationError("delta must be >= 0")
-    return np.clip(np.array([mean - delta, mean, mean + delta]), floor, None)
+    return np.maximum(np.array([mean - delta, mean, mean + delta]), floor)
 
 
 def expected_over_band(

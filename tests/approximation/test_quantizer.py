@@ -6,7 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common import ConfigurationError
-from repro.approximation import GridQuantizer, nearest_level
+from repro.approximation import GridQuantizer, level_pairs, nearest_level
+
+
+#: Levels at least 2**-10 apart, far more than a distance's rounding
+#: error, so no two levels tie by rounding alone.
+_LEVELS = st.lists(
+    st.integers(-(10**6), 10**6), min_size=1, max_size=12, unique=True
+).map(lambda ints: [i / 1024 for i in sorted(ints)])
 
 
 def _quantizer():
@@ -16,7 +23,7 @@ def _quantizer():
 def _snap(quantizer, point):
     """The grid point nearest ``point``, dimension by dimension."""
     return tuple(
-        levels[nearest_level(levels, value)]
+        levels[nearest_level(level_pairs(levels), value)]
         for levels, value in zip(quantizer.levels, point)
     )
 
@@ -84,14 +91,7 @@ class TestSnap:
         distances = [abs(value - g) for g in (0.0, 10.0, 20.0)]
         assert abs(value - snapped) == pytest.approx(min(distances))
 
-    @given(
-        # Levels at least 2**-10 apart, far more than a distance's
-        # rounding error, so no two levels tie by rounding alone.
-        levels=st.lists(
-            st.integers(-(10**6), 10**6), min_size=1, max_size=12, unique=True
-        ).map(lambda ints: [i / 1024 for i in sorted(ints)]),
-        data=st.data(),
-    )
+    @given(levels=_LEVELS, data=st.data())
     def test_nearest_level_is_brute_force_argmin(self, levels, data):
         # Inside the grid, on its levels and midpoints, and beyond both ends.
         midpoints = [(a + b) / 2 for a, b in zip(levels, levels[1:])]
@@ -105,7 +105,31 @@ class TestSnap:
         distances = [abs(level - value) for level in levels]
         # min() keeps the first minimum: ties go to the lower index.
         want = min(range(len(levels)), key=distances.__getitem__)
-        assert nearest_level(levels, value) == want
+        assert nearest_level(level_pairs(levels), value) == want
+
+    def test_level_pairs_close_with_an_infinite_pair(self):
+        pairs = level_pairs([[0.0, 1.0, 2.0], [5.0, np.inf, np.inf]])
+        assert pairs.tolist() == [
+            [[0.0, 1.0, 2.0], [5.0, np.inf, np.inf]],
+            [[1.0, 2.0, np.inf], [np.inf, np.inf, np.inf]],
+        ]
+        assert nearest_level(pairs, [1e300, 1e300]).tolist() == [2, 0]
+
+    @given(
+        levels=_LEVELS,
+        values=st.lists(st.floats(-2000.0, 2000.0), min_size=1, max_size=20),
+        padding=st.integers(0, 3),
+    )
+    def test_padded_rows_snap_many_values_at_once(self, levels, values, padding):
+        # One level row per value, ending in +inf padding that no finite
+        # value snaps to, as the behaviour maps' array queries use them.
+        row = levels + [np.inf] * padding
+        got = nearest_level(level_pairs([row] * len(values)), values)
+        want = [
+            min(range(len(levels)), key=lambda i: abs(levels[i] - value))
+            for value in values
+        ]
+        assert got.tolist() == want
 
 
 class TestGridPoints:

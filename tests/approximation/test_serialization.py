@@ -43,7 +43,7 @@ class TestLookupTableMap:
     def test_round_trip_exact(self):
         table = LookupTableMap.from_dict(_dense_payload())
         rebuilt = LookupTableMap.from_dict(_json_cycle(table.to_dict()))
-        assert rebuilt.rows == table.rows
+        assert rebuilt.rows.tobytes() == table.rows.tobytes()
         assert rebuilt.to_dict() == table.to_dict()
 
     def test_cells_serialise_in_row_major_order(self):

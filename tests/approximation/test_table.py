@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.common import ConfigurationError
-from repro.approximation import GridQuantizer, LookupTableMap, nearest_level
+from repro.approximation import GridQuantizer, LookupTableMap, level_pairs, nearest_level
 
 
 def _quantizer():
@@ -20,7 +20,9 @@ def _table(output_dim=1):
 def _query(table, point):
     """The row of the cell nearest ``point``."""
     levels = table.quantizer.levels
-    return table.at(tuple(nearest_level(lv, v) for lv, v in zip(levels, point)))
+    return table.at(
+        tuple(nearest_level(level_pairs(lv), v) for lv, v in zip(levels, point))
+    )
 
 
 class TestRowsAndLookup:
@@ -43,13 +45,22 @@ class TestRowsAndLookup:
         flat = [table.at(indices)[0] for indices in table.quantizer.grid_indices()]
         assert flat == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
-    def test_rows_are_python_floats(self):
-        # A numpy array hands its rows over as tuples of Python floats,
-        # so a lookup converts nothing.
+    def test_rows_are_one_read_only_array(self):
+        # The table keeps its rows as one float64 array that queries
+        # gather from; a cell lookup hands back Python floats.
         table = LookupTableMap(_quantizer(), np.arange(12.0).reshape(6, 2))
+        assert table.rows.dtype == np.float64 and table.rows.shape == (6, 2)
+        with pytest.raises(ValueError):
+            table.rows[0, 0] = 1.0
         row = table.at((2, 1))
         assert row == (10.0, 11.0)
         assert type(row) is tuple and all(type(v) is float for v in row)
+
+    def test_rows_are_copied_from_the_input(self):
+        outputs = np.arange(12.0).reshape(6, 2)
+        table = LookupTableMap(_quantizer(), outputs)
+        outputs[0, 0] = 99.0
+        assert table.at((0, 0)) == (0.0, 1.0)
 
     def test_wrong_output_dim_rejected(self):
         rows = [[1.0, 2.0]] * 5 + [[1.0]]

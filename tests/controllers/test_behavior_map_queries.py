@@ -1,15 +1,17 @@
 """ComputerBehaviorMap query regimes: exact hits, off-grid, saturation.
 
 Satellite coverage for the map's three answer paths — exact cell hits
-through the public :meth:`LookupTableMap.at`, off-grid queries snapping
-to the nearest cell, and the closed-form saturated rollout for arrival
-rates beyond the trained domain.
+(compared with the public :meth:`LookupTableMap.at`), off-grid queries
+snapping to the nearest cell, and the closed-form saturated rollout for
+arrival rates beyond the trained domain — and for answering many points
+in one array query.
 """
 
+import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.approximation import GridQuantizer, LookupTableMap, nearest_level
+from repro.approximation import GridQuantizer, LookupTableMap, level_pairs, nearest_level
 from repro.cluster.processor import processor_profile
 from repro.cluster.specs import ComputerSpec
 from repro.controllers.l1 import ComputerBehaviorMap
@@ -19,8 +21,26 @@ def _stored(behavior_map, point):
     """The table row of the grid cell nearest ``point``."""
     levels = behavior_map.table.quantizer.levels
     return behavior_map.table.at(
-        tuple(nearest_level(lv, v) for lv, v in zip(levels, point))
+        tuple(nearest_level(level_pairs(lv), v) for lv, v in zip(levels, point))
     )
+
+
+def _fluid_rollout(behavior_map, q, rate, work):
+    """Eqs. (5)-(7) at max frequency, re-derived by hand for one point."""
+    params = behavior_map.l0_params
+    spec = behavior_map.spec
+    speed = spec.effective_speed_factor
+    capacity = speed / work * params.period
+    power = spec.base_power + spec.power_scale
+    expected_cost = 0.0
+    for _ in range(behavior_map.substeps):
+        q = max(0.0, q + rate * params.period - capacity)
+        response = (1.0 + q) * work / speed
+        expected_cost += params.weights.tracking * max(
+            0.0, response - params.target_response
+        )
+        expected_cost += params.weights.operating * power
+    return expected_cost, q
 
 
 @pytest.fixture(scope="module")
@@ -38,12 +58,15 @@ class TestExactHits:
         assert cost == stored[0]
         assert next_queue == stored[1]
 
-    def test_no_private_table_access(self, behavior_map):
-        # The hot path returns the table's own row, through the public
-        # lookup by cell indices.
-        hit = behavior_map.table.at((2, 1, 1))  # queue 5, rate level 1, c 17.5 ms
-        assert hit is _stored(behavior_map, (5.0, 10.0, 0.0175))
-        assert behavior_map.cost_and_next_queue(5.0, 10.0, 0.0175) is hit
+    def test_many_points_in_one_query(self, behavior_map):
+        # An array query answers each point as a query of that point
+        # alone would: in the grid, off it and past the trained rates.
+        top = behavior_map._max_trained_rate
+        points = [(5.0, 10.0, 0.0175), (4.9, 10.3, 0.02), (700.0, 2 * top, 0.012)]
+        costs, finals = behavior_map.cost_and_next_queue(*np.array(points).T)
+        assert costs.shape == finals.shape == (3,)
+        for point, cost, final in zip(points, costs, finals):
+            assert (cost, final) == behavior_map.cost_and_next_queue(*point)
 
 
 class TestOffGridQueries:
@@ -68,28 +91,13 @@ class TestSaturatedRollout:
     def test_beyond_grid_rate_uses_closed_form(self, behavior_map):
         rate = behavior_map._max_trained_rate * 1.5
         assert behavior_map.cost_and_next_queue(0.0, rate, 0.0175) == (
-            behavior_map._saturated_rollout(0.0, rate, 0.0175)
+            _fluid_rollout(behavior_map, 0.0, rate, 0.0175)
         )
 
     def test_closed_form_matches_fluid_equations(self, behavior_map):
-        # Re-derive eqs. (5)-(7) at max frequency by hand for one cell.
-        params = behavior_map.l0_params
-        spec = behavior_map.spec
         rate = behavior_map._max_trained_rate * 2.0
-        work = 0.0175
-        speed = spec.effective_speed_factor
-        capacity = speed / work * params.period
-        power = spec.base_power + spec.power_scale
-        q = 40.0
-        expected_cost = 0.0
-        for _ in range(behavior_map.substeps):
-            q = max(0.0, q + rate * params.period - capacity)
-            response = (1.0 + q) * work / speed
-            expected_cost += params.weights.tracking * max(
-                0.0, response - params.target_response
-            )
-            expected_cost += params.weights.operating * power
-        cost, next_queue = behavior_map.cost_and_next_queue(40.0, rate, work)
+        expected_cost, q = _fluid_rollout(behavior_map, 40.0, rate, 0.0175)
+        cost, next_queue = behavior_map.cost_and_next_queue(40.0, rate, 0.0175)
         assert cost == pytest.approx(expected_cost, rel=1e-12)
         assert next_queue == pytest.approx(q, rel=1e-12)
 

@@ -1,6 +1,7 @@
 """Tests for the L1 module controller and its abstraction map."""
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,15 +20,12 @@ from repro.cluster import (
     scaled_module_spec,
 )
 from repro.controllers import L1Controller, L1Params
-from repro.controllers.l1 import (
-    ComputerBehaviorMap,
-    L1Decision,
-    _round_key,
-    _round_keys,
-)
+from repro.controllers import l1 as l1_module
+from repro.controllers.l1 import ComputerBehaviorMap, L1Decision
 from repro.core.simplex import quantize_to_simplex, simplex_neighbors
 from repro.core.uncertainty import three_point_band
 from repro.forecast.structural import WorkloadPredictor
+from repro.maps.provider import clear_map_memo
 from repro.sim.shard import set_points
 
 
@@ -330,46 +328,6 @@ class TestSetPoints:
         )
 
 
-class TestMemoKeys:
-    """``_round_key`` keeps the memo keys' values exactly as they were."""
-
-    @staticmethod
-    def _samples():
-        rng = np.random.default_rng(2006)
-        # Queues and shares are non-negative; the half-way values sit
-        # exactly on a rounding boundary in decimal.
-        half_way = (rng.integers(0, 10**9, 20000) + 0.5) / 1e6
-        return np.concatenate(
-            [
-                rng.uniform(0.0, 2000.0, 20000),
-                rng.exponential(50.0, 20000),
-                half_way,
-                [0.0, 5e-7, 1.5e-6, 2.5e-6, 269.7867145, 1e12 + 0.5],
-            ]
-        )
-
-    def test_numpy_scalars_round_like_numpy(self):
-        for x in self._samples():
-            expected = float(round(np.float64(x), 6))
-            assert _round_key(np.float64(x)).hex() == expected.hex()
-
-    def test_python_floats_round_like_python(self):
-        for x in self._samples().tolist():
-            assert _round_key(x).hex() == round(x, 6).hex()
-
-    def test_the_two_rules_differ_where_expected(self):
-        assert _round_key(np.float64(269.7867145)) == 269.786714
-        assert _round_key(269.7867145) == 269.786715
-
-    def test_array_keys_round_like_numpy_scalars(self):
-        values = self._samples().reshape(-1, 6)
-        keys = _round_keys(values)
-        for row, key_row in zip(values, keys):
-            for x, key in zip(row, key_row):
-                assert type(key) is float
-                assert key.hex() == _round_key(x).hex()
-
-
 def _varied_inputs(module_spec, count, seed):
     """Decision inputs covering bands, saturation, drains and failures."""
     rng = np.random.default_rng(seed)
@@ -409,8 +367,7 @@ class TestDecisionCaches:
         cached = [
             array
             for plan in l1._plans.values()
-            for candidate in plan.candidates
-            for array in (candidate.alpha, candidate.gamma)
+            for array in (plan.alphas, plan.gammas)
         ]
         assert cached
         assert not any(g.flags.writeable for g in cached)
@@ -456,11 +413,58 @@ class TestNonFiniteInputs:
         assert str(caught.value) == expected
 
 
+def _nearest(levels, value) -> int:
+    """The scalar nearest-level rule: bisect, a tie to the lower level."""
+    pos = bisect_left(levels, value)
+    if pos == 0:
+        return 0
+    if pos >= len(levels):
+        return len(levels) - 1
+    before, after = levels[pos - 1], levels[pos]
+    return pos - 1 if value - before <= after - value else pos
+
+
+def _reference_rollout(behavior_map, queue, rate, work):
+    """The scalar closed-form overload cost the array rollout replaced."""
+    params = behavior_map.l0_params
+    speed = behavior_map.spec.effective_speed_factor
+    capacity = speed / work * params.period
+    power = behavior_map.spec.base_power + behavior_map.spec.power_scale  # phi = 1
+    q = float(queue)
+    total_cost = 0.0
+    for _ in range(behavior_map.substeps):
+        q = max(0.0, q + rate * params.period - capacity)
+        response = (1.0 + q) * work / speed
+        slack = max(0.0, response - params.target_response)
+        total_cost += params.weights.tracking * slack
+        total_cost += params.weights.operating * power
+    return total_cost, q
+
+
+def _reference_query(behavior_map, queue, rate, work):
+    """The scalar map query the array query replaced (test oracle).
+
+    Snaps each coordinate to its nearest grid level and reads the table
+    cell, unless the rate is past the trained maximum: then the
+    closed-form saturated rollout answers.
+    """
+    queue_levels, rate_levels, work_levels = behavior_map.table.quantizer.levels
+    if rate > rate_levels[-1]:
+        return _reference_rollout(behavior_map, queue, rate, work)
+    return behavior_map.table.at(
+        (
+            _nearest(queue_levels, queue),
+            _nearest(rate_levels, rate),
+            _nearest(work_levels, work),
+        )
+    )
+
+
 @dataclass(frozen=True)
 class _DecisionPoint:
     """Inputs of one L1 decision that every candidate's cost shares.
 
-    Computed once per :meth:`L1Controller.decide`: the arrival-rate
+    Computed once per :meth:`_ReferenceL1.decide`: the arrival-rate
     samples of both horizon terms and the memo-key parts that do not
     depend on the candidate.
     """
@@ -470,19 +474,18 @@ class _DecisionPoint:
     samples: list  # first-term rates: the band around rate_hat
     next_samples: list  # second-term rates: the band around rate_next
     map_ids: "list[int]"  # id(maps[j]), the memo key's map part
-    queue_keys: "list[float]"  # _round_key(queues[j])
-    work_key: float  # round(work, 9)
 
 
 class _ReferenceL1:
-    """The per-candidate L1 search the share tables replaced (test oracle).
+    """The per-candidate L1 search the array kernel replaced (test oracle).
 
     ``decide`` walks every (alpha, gamma) candidate and costs it with
-    ``_horizon_cost``: one memoised map query per computer and band
-    sample, as ``L1Controller.decide`` did before it added candidates
-    up from share tables. ``_alpha_context``, ``_horizon_cost`` and
-    ``_query`` are that loop verbatim; it reads the controller's maps,
-    params and capacities and keeps its own caches.
+    ``_horizon_cost``: one map query per computer and band sample, each
+    with the scalar :func:`_reference_query`, memoised on the exact
+    point, so every point's result is that point's own query. The loop
+    and its order of addition are those of the former
+    ``L1Controller.decide``; it reads the controller's maps, params and
+    capacities and keeps its own caches.
     """
 
     def __init__(self, controller: L1Controller) -> None:
@@ -529,8 +532,6 @@ class _ReferenceL1:
                 list(three_point_band(rate_next, delta)) if delta > 0 else [rate_next]
             ),
             map_ids=[id(m) for m in self.maps],
-            queue_keys=[_round_key(q) for q in queues],
-            work_key=round(work, 9),
         )
         for alpha in self._candidate_alphas(alpha_current):
             serving_now = alpha & alpha_current
@@ -638,9 +639,7 @@ class _ReferenceL1:
         """
         queues = point.queues
         map_ids = point.map_ids
-        queue_keys = point.queue_keys
         work = point.work
-        work_key = point.work_key
         total = context["fixed_cost"]
         weight = 1.0 / len(point.samples)
         next_queues = {j: 0.0 for j in context["serving_idx"]}
@@ -648,12 +647,12 @@ class _ReferenceL1:
             step_cost = 0.0
             for j in context["serving_idx"]:
                 share = gamma[j] * rate
-                key = (map_ids[j], queue_keys[j], _round_key(share), work_key)
+                key = (map_ids[j], queues[j], share, work)
                 cost_j, next_q = self._query(key, j, queues[j], share, work)
                 step_cost += cost_j
                 next_queues[j] += next_q * weight
             for j in context["draining_idx"]:
-                key = (map_ids[j], queue_keys[j], 0.0, work_key)
+                key = (map_ids[j], queues[j], 0.0, work)
                 cost_j, _ = self._query(key, j, queues[j], 0.0, work)
                 step_cost += cost_j
             total += step_cost * weight
@@ -667,7 +666,7 @@ class _ReferenceL1:
             for j in context["on_idx"]:
                 start_queue = next_queues.get(j, 0.0)
                 share = gamma_next[j] * rate
-                key = (map_ids[j], _round_key(start_queue), _round_key(share), work_key)
+                key = (map_ids[j], start_queue, share, work)
                 cost_j, _ = self._query(key, j, start_queue, share, work)
                 step_cost += cost_j
             total += step_cost * next_weight
@@ -678,22 +677,14 @@ class _ReferenceL1:
     ) -> tuple[float, float]:
         """Memoised abstraction-map lookup for computer ``j``.
 
-        ``key`` is ``(id(self.maps[j]), _round_key(queue),
-        _round_key(rate), round(work, 9))``. It names the map rather
-        than the computer, so same-profile machines at the same
-        operating point share one evaluation. Queue and rate round to
-        6 decimals by the rule of their type (see :func:`_round_key`):
-        numpy's rule for the numpy scalars the horizon cost forms
-        (start queues, ``gamma_j * rate`` shares) and Python's for the
-        Python floats it accumulates (second-term queues, unless a
-        saturated-regime rollout, which returns numpy scalars, fed
-        them). The first query of a key is evaluated at its own
-        unrounded point; every later query with an equal key reuses
-        that result.
+        ``key`` is ``(id(self.maps[j]), queue, rate, work)``, the exact
+        point. It names the map rather than the computer, so
+        same-profile machines at the same operating point share one
+        evaluation, and only equal points share one.
         """
         hit = self._memo.get(key)
         if hit is None:
-            hit = self.maps[j].cost_and_next_queue(queue, rate, work)
+            hit = _reference_query(self.maps[j], queue, rate, work)
             self._memo[key] = hit
         return hit
 
@@ -728,7 +719,7 @@ def _sized_l1(trained_l1, m, **params):
     return L1Controller(scaled_module_spec(m), behavior_maps=maps, params=L1Params(**params))
 
 
-#: The parameter sets the share tables are checked under: the defaults,
+#: The parameter sets the array kernel is checked under: the defaults,
 #: the overhead scenarios' coarse search, pair flips, the seed gamma
 #: alone, and no band (as ``set_points`` then gives ``delta = 0``).
 _PARAM_SETS = {
@@ -745,7 +736,7 @@ _PARAM_SETS = {
 
 
 class TestShareTableSearch:
-    """The share-table search equals the per-candidate loop bit for bit."""
+    """The array kernel equals the per-candidate loop bit for bit."""
 
     @pytest.mark.parametrize("params", _PARAM_SETS.values(), ids=list(_PARAM_SETS))
     @pytest.mark.parametrize("m,count", [(1, 24), (4, 40), (10, 10), (16, 5)])
@@ -786,147 +777,347 @@ class TestShareTableSearch:
         }
         _assert_matches_reference(l1, np.array(queues), np.array(alpha), **inputs)
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_a_batch_matches_each_row(self, trained_l1, data):
+        # Rows with mixed masks and band sample counts on one controller:
+        # decide_many groups them by plan, and every row must equal the
+        # per-candidate loop and decide on that row alone.
+        m = data.draw(st.integers(min_value=1, max_value=6), label="m")
+        params = data.draw(st.sampled_from(list(_PARAM_SETS.values())), label="params")
+        l1 = _sized_l1(trained_l1, m, **params)
+        capacity = float(l1.capacities.sum())
+        flags = st.lists(st.booleans(), min_size=m, max_size=m)
+        rows = data.draw(
+            st.lists(
+                st.fixed_dictionaries(
+                    {
+                        "queues": st.lists(
+                            st.one_of(st.just(0.0), st.floats(0.0, 900.0)),
+                            min_size=m,
+                            max_size=m,
+                        ),
+                        "alpha": flags,
+                        "available": flags,
+                        "rate_hat": st.floats(0.0, 2.5 * capacity),
+                        "rate_next": st.floats(0.0, 2.5 * capacity),
+                        "delta": st.one_of(st.just(0.0), st.floats(0.0, capacity)),
+                        "work": st.one_of(st.just(0.0175), st.floats(0.008, 0.03)),
+                    }
+                ),
+                min_size=1,
+                max_size=12,
+            ),
+            label="rows",
+        )
+        for row in rows:
+            # Every row keeps a machine available and one on among them.
+            row["available"][0] = row["alpha"][0] = True
+        queues = np.array([row["queues"] for row in rows])
+        alpha = np.array([row["alpha"] for row in rows])
+        available = np.array([row["available"] for row in rows])
+        set_points = {
+            name: np.array([row[name] for row in rows])
+            for name in ("rate_hat", "rate_next", "delta", "work")
+        }
+        decisions = l1.decide_many(queues, alpha, **set_points, available=available)
+        assert len(decisions) == len(rows)
+        for r, decision in enumerate(decisions):
+            inputs = {name: float(values[r]) for name, values in set_points.items()}
+            for expected in (
+                _reference_decide(l1, queues[r], alpha[r], **inputs, available=available[r]),
+                l1.decide(queues[r], alpha[r], **inputs, available=available[r]),
+            ):
+                assert decision.alpha.tobytes() == expected.alpha.tobytes()
+                assert decision.gamma.tobytes() == expected.gamma.tobytes()
+                assert decision.expected_cost.hex() == expected.expected_cost.hex()
+                assert decision.states_explored == expected.states_explored
+
+    def test_more_rows_than_one_kernel_block(self, trained_l1):
+        # Rows of one mask run in blocks; a second, interleaved mask
+        # makes every block gather its rows by index.
+        l1 = _sized_l1(trained_l1, 4)
+        rows = 2 * l1_module._KERNEL_ROWS + 5
+        rng = np.random.default_rng(24)
+        queues = rng.choice([0.0, 2.0, 40.0, 400.0], size=(rows, 4)) * rng.random((rows, 4))
+        alpha = np.ones((rows, 4), dtype=bool)
+        alpha[::3, 1] = False
+        set_points = {
+            "rate_hat": rng.random(rows) * 250.0,
+            "rate_next": rng.random(rows) * 250.0,
+            "delta": np.where(rng.random(rows) < 0.5, 0.0, 10.0),
+            "work": rng.uniform(0.011, 0.024, rows),
+        }
+        decisions = l1.decide_many(queues, alpha, **set_points)
+        for r, decision in enumerate(decisions):
+            inputs = {name: float(values[r]) for name, values in set_points.items()}
+            expected = _reference_decide(l1, queues[r], alpha[r], **inputs)
+            assert decision.alpha.tobytes() == expected.alpha.tobytes()
+            assert decision.gamma.tobytes() == expected.gamma.tobytes()
+            assert decision.expected_cost.hex() == expected.expected_cost.hex()
+
     @pytest.mark.parametrize(
-        "scenario,samples", [("paper/fig6-cluster16", 12), ("module-failover", None)]
+        "scenario,samples,least",
+        [("paper/fig6-cluster16", 12, 768 + 48), ("module-failover", None, 40)],
     )
-    def test_recorded_runs_match_reference(self, monkeypatch, scenario, samples):
-        """Every decide call of a run, module-map training included."""
-        decide = L1Controller.decide
+    def test_recorded_runs_match_reference(self, monkeypatch, scenario, samples, least):
+        """Every decided row of a run, module-map training included."""
+        decide_many = L1Controller.decide_many
         checked = []
 
-        def checking_decide(controller, *args, **kwargs):
-            decision = decide(controller, *args, **kwargs)
-            expected = _reference_decide(controller, *args, **kwargs)
-            checked.append(
-                decision.alpha.tobytes() == expected.alpha.tobytes()
-                and decision.gamma.tobytes() == expected.gamma.tobytes()
-                and decision.expected_cost.hex() == expected.expected_cost.hex()
-                and decision.states_explored == expected.states_explored
+        def checking_decide_many(
+            controller, queues, alpha_current, rate_hat, rate_next, delta, work,
+            available=None,
+        ):
+            decisions = decide_many(
+                controller, queues, alpha_current, rate_hat, rate_next, delta, work,
+                available,
             )
-            return decision
+            for r, decision in enumerate(decisions):
+                expected = _reference_decide(
+                    controller,
+                    np.asarray(queues)[r],
+                    np.asarray(alpha_current)[r],
+                    float(np.asarray(rate_hat)[r]),
+                    float(np.asarray(rate_next)[r]),
+                    float(np.asarray(delta)[r]),
+                    float(np.asarray(work)[r]),
+                    None if available is None else np.asarray(available)[r],
+                )
+                checked.append(
+                    decision.alpha.tobytes() == expected.alpha.tobytes()
+                    and decision.gamma.tobytes() == expected.gamma.tobytes()
+                    and decision.expected_cost.hex() == expected.expected_cost.hex()
+                    and decision.states_explored == expected.states_explored
+                )
+            return decisions
 
-        monkeypatch.setattr(L1Controller, "decide", checking_decide)
+        monkeypatch.setattr(L1Controller, "decide_many", checking_decide_many)
+        clear_map_memo()  # train the module maps here, with this spy
         spec = (
             repro.get_scenario(scenario, samples=samples)
             if samples
             else repro.get_scenario(scenario)
         )
         repro.run_scenario(spec)
-        assert len(checked) >= 40
-        assert all(checked), f"decide call {checked.index(False)} differs"
+        assert len(checked) >= least
+        assert all(checked), f"decided row {checked.index(False)} differs"
+
+
+class TestDomain:
+    """Inputs outside the model's domain fail in one line."""
+
+    BASE = {"rate_hat": 90.0, "rate_next": 90.0, "delta": 5.0, "work": 0.0175}
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"queues": [0.0, -1.0, 0.0, 0.0]}, "queues[1] must be >= 0, got -1.0"),
+            ({"rate_hat": -3.0}, "rate_hat must be >= 0, got -3.0"),
+            ({"rate_next": -3.0}, "rate_next must be >= 0, got -3.0"),
+            ({"delta": -0.5}, "delta must be >= 0, got -0.5"),
+            # A rate past every map's grid takes the saturated rollout,
+            # which divides by the work.
+            ({"work": 0.0, "rate_hat": 1000.0}, "work must be > 0, got 0.0"),
+            ({"work": -0.0175, "rate_hat": 1000.0}, "work must be > 0, got -0.0175"),
+            # Every candidate's rollout overflows to an infinite cost.
+            ({"rate_hat": 1.7e308}, "expected_cost must be finite, got inf"),
+        ],
+        ids=[
+            "negative-queue",
+            "negative-rate-hat",
+            "negative-rate-next",
+            "negative-delta",
+            "zero-work",
+            "negative-work",
+            "infinite-best-total",
+        ],
+    )
+    def test_rejected_with_one_line(self, trained_l1, module_spec, change, message):
+        inputs = {"queues": [0.0] * 4, **self.BASE, **change}
+        queues = np.array(inputs.pop("queues"))
+        with pytest.raises(ControlError) as caught:
+            _fresh_l1(trained_l1, module_spec).decide(
+                queues, np.ones(4, dtype=bool), **inputs
+            )
+        assert str(caught.value) == message
+
+    def test_many_rows_name_the_row(self, trained_l1, module_spec):
+        l1 = _fresh_l1(trained_l1, module_spec)
+        queues = np.zeros((3, 4))
+        queues[2, 1] = -1.0
+        set_points = {name: np.full(3, value) for name, value in self.BASE.items()}
+        with pytest.raises(ControlError, match=re.escape("queues[2, 1] must be >= 0")):
+            l1.decide_many(queues, np.ones((3, 4), dtype=bool), **set_points)
+        set_points["rate_hat"][1] = 1.7e308
+        with pytest.raises(ControlError, match=re.escape("expected_cost[1] must be finite")):
+            l1.decide_many(np.zeros((3, 4)), np.ones((3, 4), dtype=bool), **set_points)
+
+    def test_set_points_need_one_value_per_row(self, trained_l1, module_spec):
+        l1 = _fresh_l1(trained_l1, module_spec)
+        set_points = {name: np.full(2, value) for name, value in self.BASE.items()}
+        with pytest.raises(ConfigurationError, match="need one value per row"):
+            l1.decide_many(np.zeros((3, 4)), np.ones((3, 4), dtype=bool), **set_points)
+
+    def test_no_rows_no_decisions(self, trained_l1, module_spec):
+        l1 = _fresh_l1(trained_l1, module_spec)
+        set_points = {name: np.zeros(0) for name in self.BASE}
+        assert l1.decide_many(np.zeros((0, 4)), np.zeros((0, 4), dtype=bool), **set_points) == []
+        assert l1.stats.invocations == 0
+
+
+class TestArrayQuery:
+    """A behaviour map's array query equals the scalar oracle bit for bit."""
+
+    @staticmethod
+    def _coordinate(levels, beyond):
+        """Values on the levels, their midpoints, inside the grid and past it."""
+        midpoints = [(a + b) / 2 for a, b in zip(levels, levels[1:])]
+        return st.one_of(
+            st.sampled_from(levels + midpoints),
+            st.floats(levels[0], levels[-1]),
+            st.floats(levels[-1], beyond * levels[-1]),
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_scalar_oracle(self, trained_l1, data):
+        behavior_map = trained_l1.maps[data.draw(st.integers(0, 3), label="map")]
+        queue_levels, rate_levels, work_levels = behavior_map.table.quantizer.levels
+        points = data.draw(
+            st.lists(
+                st.tuples(
+                    self._coordinate(queue_levels, 8.0),
+                    self._coordinate(rate_levels, 4.0),
+                    self._coordinate(work_levels, 1.5),
+                ),
+                min_size=1,
+                max_size=24,
+            ),
+            label="points",
+        )
+        costs, finals = behavior_map.cost_and_next_queue(*np.array(points).T)
+        for point, cost, final in zip(points, costs.tolist(), finals.tolist()):
+            want_cost, want_final = _reference_query(behavior_map, *point)
+            assert (cost.hex(), final.hex()) == (
+                float(want_cost).hex(),
+                float(want_final).hex(),
+            )
+
+    def test_numbers_give_zero_dimensional_arrays(self, trained_l1):
+        cost, final = trained_l1.maps[0].cost_and_next_queue(5.0, 10.0, 0.0175)
+        assert cost.shape == final.shape == ()
 
 
 def _tiny_map(
-    rate_top: float, queue_top: float = 7.0, next_queues=(1.0, 2.0, 3.0, 4.0)
+    rate_top: float,
+    queue_top: float = 7.0,
+    next_queues=(1.0, 2.0, 3.0, 4.0),
+    costs=(10.0, 17.0, 24.0, 31.0),
+    speed_factor: float = 1.0,
 ) -> ComputerBehaviorMap:
-    """A one-substep map over a 2 x 2 grid whose every cell differs.
+    """A one-substep map over a 2 x 2 grid of (queue, rate) cells.
 
     Rates above ``rate_top`` take the saturated rollout, which is
-    continuous in the queue and the rate, so points whose memo keys
-    alias still give different results there. Below it, a queue right
-    on the midpoint of the queue grid snaps down and one a hair above
-    snaps up. ``next_queues`` are the cells' final queues in grid order
+    continuous in the queue and the rate, so points a hair apart give
+    different results there. Below it, a queue right on the midpoint of
+    the queue grid snaps down and one a hair above snaps up. ``costs``
+    and ``next_queues`` are the cells' outputs in grid order
     (queue-major): the cell of an empty queue at ``rate_top`` is the
     second.
     """
-    spec = ComputerSpec(name="tiny", processor=processor_profile("c4"), speed_factor=1.0)
+    spec = ComputerSpec(
+        name="tiny", processor=processor_profile("c4"), speed_factor=speed_factor
+    )
     quantizer = GridQuantizer([[0.0, queue_top], [0.0, rate_top], [0.0175]])
-    rows = [[10.0 + 7.0 * index, q] for index, q in enumerate(next_queues)]
+    rows = [[cost, q] for cost, q in zip(costs, next_queues)]
     return ComputerBehaviorMap(spec, LookupTableMap(quantizer, rows), substeps=1)
 
 
-def _equal_l1(m: int, behavior_map: ComputerBehaviorMap, **params) -> L1Controller:
-    """``m`` equal-speed computers that all share ``behavior_map``."""
+def _equal_l1(maps, **params) -> L1Controller:
+    """Equal-speed computers, computer j on ``maps[j]``."""
     return L1Controller(
-        scaled_module_spec(m, speed_factor=1.0),
-        behavior_maps=[behavior_map] * m,
+        scaled_module_spec(len(maps), speed_factor=1.0),
+        behavior_maps=list(maps),
         params=L1Params(**params),
     )
 
 
-class TestMemoAliasing:
-    """Aliased memo keys resolve to the first point the loop visited.
+def _differ(behavior_map, point, other) -> bool:
+    """Whether two points of one map give different results."""
+    return _reference_query(behavior_map, *point) != _reference_query(
+        behavior_map, *other
+    )
 
-    Each case builds two points with equal keys whose map results
-    differ, so filling the tables in another order changes the bits.
+
+class TestEachPointIsItsOwnQuery:
+    """Every point a decision costs is evaluated at its own inputs.
+
+    Each case has two points that agree to six decimals, which the
+    former per-decision memo keyed alike, on one map whose results
+    there differ. The first point it visited answered for both; now
+    each point is its own query, and the decision changes with it.
     """
 
     WORK = 0.0175
 
-    def test_shared_map_queues_equal_to_six_decimals(self):
-        # Both computers serve 0.5 of a saturated load; their queues
-        # key equally, so computer 1 reuses computer 0's rollout.
+    def test_two_computers_with_queues_equal_to_six_decimals(self):
+        # Both computers serve 0.5 of a saturated load on one map; the
+        # second one's queue is a hair longer, so its rollout differs.
         behavior_map = _tiny_map(rate_top=20.0)
-        l1 = _equal_l1(2, behavior_map, gamma_step=0.5, gamma_neighborhood_moves=0)
+        l1 = _equal_l1([behavior_map] * 2, gamma_step=0.5, gamma_neighborhood_moves=0)
         queues = np.array([100.0, 100.0 + 1e-9])
-        assert _round_key(queues[0]) == _round_key(queues[1])
-        share = 0.5 * 120.0
-        assert behavior_map.cost_and_next_queue(
-            queues[0], share, self.WORK
-        ) != behavior_map.cost_and_next_queue(queues[1], share, self.WORK)
-        decision = _assert_matches_reference(
-            l1, queues, np.ones(2, dtype=bool),
-            rate_hat=120.0, rate_next=120.0, delta=0.0, work=self.WORK,
-        )
+        assert _differ(behavior_map, (queues[0], 60.0, self.WORK), (queues[1], 60.0, self.WORK))
+        inputs = dict(rate_hat=120.0, rate_next=120.0, delta=0.0, work=self.WORK)
+        decision = _assert_matches_reference(l1, queues, np.ones(2, dtype=bool), **inputs)
         assert decision.alpha.tolist() == [1, 1]
+        equal = l1.decide(np.full(2, 100.0), np.ones(2, dtype=bool), **inputs)
+        assert decision.expected_cost != equal.expected_cost
 
-    def test_serving_at_zero_gamma_and_draining_share_a_key(self):
+    def test_a_serving_point_at_zero_share_and_a_drain(self):
         # The seed over three equal computers is (0.5, 0.5, 0): computer
-        # 2 serves at share 0.0 in the first candidate, keyed like
-        # computer 1 draining later. Their queues straddle the queue
+        # 2 serves at share 0.0 in the first candidate, and computer 1
+        # drains at rate 0.0 later. Their queues straddle the queue
         # grid's midpoint, so the two points snap to different cells.
         behavior_map = _tiny_map(rate_top=60.0)
-        l1 = _equal_l1(3, behavior_map, gamma_step=0.5, gamma_neighborhood_moves=0)
+        l1 = _equal_l1([behavior_map] * 3, gamma_step=0.5, gamma_neighborhood_moves=0)
         queues = np.array([6.9, 3.5 + 1e-9, 3.5])
-        assert _round_key(queues[1]) == _round_key(queues[2])
-        assert behavior_map.cost_and_next_queue(
-            queues[1], 0.0, self.WORK
-        ) != behavior_map.cost_and_next_queue(queues[2], 0.0, self.WORK)
-        _assert_matches_reference(
+        assert _differ(behavior_map, (queues[1], 0.0, self.WORK), (queues[2], 0.0, self.WORK))
+        decision = _assert_matches_reference(
             l1, queues, np.ones(3, dtype=bool),
             rate_hat=8.0, rate_next=8.0, delta=0.0, work=self.WORK,
         )
+        assert decision.alpha.tolist() == [0, 1, 1]
 
-    def test_second_term_key_equal_to_a_later_first_term_key(self):
-        # At step 1/3 a computer on in period k+1 starts from an empty
-        # queue (computer 0 booting, computer 2 drained by its rollout)
-        # and takes a third of rate_next = 3 rate_hat. Computer 2 alone
-        # serves all of rate_hat when computer 1 drains. Both points key
-        # as (0.0, rate_hat), but computer 2's queue is 1e-9, and the
-        # second-term point comes first in the search.
-        behavior_map = _tiny_map(rate_top=20.0)
+    def test_a_boot_point_and_a_later_serving_point(self):
+        # At step 1/3 computer 0 boots, starts empty and takes a third of
+        # rate_next = 3 rate_hat in period k+1. A later candidate drains
+        # the slow computer 1, so computer 2, queue 1e-9, serves all of
+        # rate_hat on computer 0's map: the boot point comes first, and
+        # the chosen candidate costs the serving point.
+        tiny = _tiny_map(rate_top=20.0)
+        slow = _tiny_map(rate_top=1e-3, costs=(0.0,) * 4, speed_factor=0.01)
         step = 1.0 / 3.0
         l1 = _equal_l1(
-            3, behavior_map,
+            [tiny, slow, tiny],
             gamma_step=step, gamma_neighborhood_moves=0, switching_weight=0.0,
         )
         queues = np.array([0.0, 50.0, 1e-9])
         rate = 90.0
-        second_share = np.float64(step) * (3 * rate)
-        assert _round_key(queues[2]) == 0.0
-        assert _round_key(second_share) == _round_key(np.float64(rate))
-        assert behavior_map.cost_and_next_queue(
-            0.0, second_share, self.WORK
-        ) != behavior_map.cost_and_next_queue(queues[2], np.float64(rate), self.WORK)
+        assert _differ(tiny, (0.0, np.float64(step) * (3 * rate), self.WORK), (queues[2], rate, self.WORK))
         decision = _assert_matches_reference(
             l1, queues, np.array([False, True, True]),
             rate_hat=rate, rate_next=3 * rate, delta=0.0, work=self.WORK,
         )
-        assert decision.alpha.tolist() == [1, 1, 1]
+        assert decision.alpha.tolist() == [0, 0, 1]
 
-    def test_numpy_and_python_start_queues_round_by_their_own_rule(self):
+    def test_a_start_queue_and_a_queue_equal_to_six_decimals(self):
         # Four equal computers serve 60 req/s each. Computers 0 and 2
         # share a map that saturates there; computers 1 and 3 share one
-        # that does not. Both maps end computer 0 or 1 at a queue of
-        # 269.7867145, where the two rounding rules disagree: computer
-        # 0's is a numpy scalar from the saturated rollout, computer 1's
-        # a Python float from the table. So computer 0's start queue
-        # keys by numpy's rule to 269.786714, the key of computer 2's
-        # first-term point (queue 269.786714), and reuses it; computer
-        # 1's keys by Python's rule to 269.786715, not the key of
-        # computer 3's first-term point (queue 269.786714), and is
-        # evaluated on its own. Either point with the other rule would
-        # give a different cost.
+        # that does not. Computer 0's rollout, and computer 1's table
+        # cell, end at a queue of 269.7867145, the start queue of their
+        # second-term points; computers 2 and 3 start period k at
+        # 269.786714. Either map costs the two queues differently.
         target = 269.7867145
         saturating = _tiny_map(rate_top=30.0)
         # The queue grid's midpoint lies between 269.786714 and target.
@@ -936,21 +1127,18 @@ class TestMemoAliasing:
             next_queues=(1.0, target, 3.0, 4.0),
         )
         rate = 240.0
-        share = np.float64(0.25 * rate)
+        share = 0.25 * rate
         start = target - (share * 30.0 - 30.0 / self.WORK)
         for _ in range(64):
-            _, end = saturating.cost_and_next_queue(start, share, self.WORK)
+            _, end = _reference_query(saturating, start, share, self.WORK)
             if end == target:
                 break
             start = np.nextafter(start, np.inf if end < target else -np.inf)
-        assert type(end) is np.float64 and end == target
-        assert _round_key(end) != _round_key(float(end))
-        _, from_table = tabled.cost_and_next_queue(0.0, share, self.WORK)
-        assert type(from_table) is float and from_table == target
+        assert end == target
+        assert _reference_query(tabled, 0.0, share, self.WORK)[1] == target
         for behavior_map in (saturating, tabled):
-            assert (
-                behavior_map.cost_and_next_queue(269.786714, share, self.WORK)[0]
-                != behavior_map.cost_and_next_queue(target, share, self.WORK)[0]
+            assert _differ(
+                behavior_map, (269.786714, share, self.WORK), (target, share, self.WORK)
             )
         l1 = L1Controller(
             scaled_module_spec(4, speed_factor=1.0),

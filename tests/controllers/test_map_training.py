@@ -244,21 +244,19 @@ class TestModuleGrid:
         # rows next to pentium_m's, in blocks with a remainder.
         rows, padded, saturated = [], [], Counter()
         decide_many = L0BankKernel.decide_many
-        rollout = ComputerBehaviorMap._saturated_rollout
+        rollout = l1_module._MapBank._saturated_rollout
 
         def spy(self, indices, *args):
             rows.append(len(indices))
             padded.append(self._path_pads[np.asarray(indices)].any())
             return decide_many(self, indices, *args)
 
-        def count_rollout(self, *args):
-            saturated["calls"] += 1
-            return rollout(self, *args)
+        def count_rollout(self, computers, *args):
+            saturated["points"] += len(computers)
+            return rollout(self, computers, *args)
 
         monkeypatch.setattr(L0BankKernel, "decide_many", spy)
-        monkeypatch.setattr(
-            ComputerBehaviorMap, "_saturated_rollout", count_rollout
-        )
+        monkeypatch.setattr(l1_module._MapBank, "_saturated_rollout", count_rollout)
         seen = set()
         _check_module_grid(
             _MIXED,
@@ -269,7 +267,7 @@ class TestModuleGrid:
             seen,
         )
         assert seen == {"booting", "draining-busy", "draining-idle"}
-        assert saturated["calls"] > 0
+        assert saturated["points"] > 0
         assert any(padded)
         block = l1_module._BANK_BLOCK_ELEMENTS // 10**4
         assert any(n % block for n in rows)

@@ -61,21 +61,20 @@ class TestProcessMemo:
         assert len(fresh.table.rows) == 360
 
     def test_memo_rebuilds_fresh_instances(self):
-        # Mutating one run's map must never leak into the next run's
-        # tables: a second provider gets a distinct, equal instance.
+        # One run's map must never leak into the next run's tables: the
+        # tables are read-only, and a second provider gets a distinct,
+        # equal instance.
         first = MapProvider().behavior_map(_computer())
-        cell = (0, 0, 1)  # queue 0.0, rate 0.0, work 0.0175: row 1
-        original = first.table.at(cell)
-        first.table.rows[1] = (999.0, 999.0)
-        assert first.table.at(cell) == (999.0, 999.0)
+        with pytest.raises(ValueError):
+            first.table.rows[1] = (999.0, 999.0)
         second = MapProvider().behavior_map(_computer())
-        assert second is not first
-        assert second.table.at(cell) == original
+        assert second is not first and second.table is not first.table
+        assert second.table.rows.tobytes() == first.table.rows.tobytes()
 
     def test_memoed_map_is_numerically_identical(self):
         trained = MapProvider().behavior_map(_computer())
         rebuilt = MapProvider().behavior_map(_computer())
-        assert rebuilt.table.rows == trained.table.rows
+        assert rebuilt.table.rows.tobytes() == trained.table.rows.tobytes()
 
 
 class TestDiskCache:
@@ -119,7 +118,7 @@ class TestDiskCache:
         trained = MapProvider(cache=cache).behavior_map(_computer())
         clear_map_memo()
         loaded = MapProvider(cache=cache).behavior_map(_computer())
-        assert loaded.table.rows == trained.table.rows
+        assert loaded.table.rows.tobytes() == trained.table.rows.tobytes()
         assert loaded.substeps == trained.substeps
         assert loaded.l0_params == trained.l0_params
 
