@@ -2,10 +2,12 @@
 
 The hierarchy's offline-learned abstraction maps (the L1 behaviour maps
 and L2 module-cost maps) are content-addressed artifacts: a digest of
-everything that shapes a trained table — machine spec, quantisation
-grids, controller parameters, training-code version — names a JSON file
-in a cache directory. Anything that would change the numbers changes
-the digest, so cached artifacts can never be stale.
+everything a map's training reads — machine spec, controller
+parameters, training-code version — names a JSON file in a cache
+directory. Anything that would change the numbers changes the digest,
+so cached artifacts can never be stale; the settings only a run reads
+(the L1's uncertainty band and its window) stay out, so changing them
+still hits the cache.
 
 This example warms a cache for the §5.2 sixteen-computer cluster (nine
 distinct artifacts: five machine profiles, four module mixes), then

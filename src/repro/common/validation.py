@@ -97,26 +97,30 @@ def require_payload_keys(
 
 def require_failure_events(
     events: Iterable[object],
-    size: int | None = None,
+    bounds: "dict[str, int | None]",
     name: str = "failure_events",
-) -> "tuple[tuple[float, int, str], ...]":
+) -> tuple:
     """Validate a sequence of failure-injection events.
 
-    Each event is a ``(time_seconds, computer_index, 'fail'|'repair')``
-    tuple with a non-negative time and, when ``size`` is given, a
-    computer index within ``[0, size)``. Returns the normalised tuple
-    (times as floats, indices as ints). Shared by the declarative
-    ``FaultSpec`` and the simulation engine so both reject the same
-    malformed inputs.
+    Each event is a ``(time_seconds, *indices, 'fail'|'repair')`` tuple
+    with a non-negative time and one integer index per ``bounds`` entry,
+    in order: the entry maps the index's label to its bound, and the
+    index must lie in ``[0, bound)`` (``>= 0`` for a ``None`` bound).
+    Module events index a computer (``{"computer": size}``); cluster
+    events a module, then a computer (``{"module": p, "computer":
+    size}``). Returns the normalised tuple (times as floats, indices as
+    ints). Shared by the declarative specs, the ``Scenario`` builder and
+    both engines, so all reject the same malformed inputs.
     """
+    shape = ", ".join(f"{label}_index" for label in bounds)
     validated = []
     for event in events:
-        if not isinstance(event, Sequence) or len(event) != 3:
+        if not isinstance(event, Sequence) or len(event) != len(bounds) + 2:
             raise ConfigurationError(
-                f"{name} entries are (time_seconds, computer_index, "
+                f"{name} entries are (time_seconds, {shape}, "
                 f"'fail'|'repair') tuples, got {event!r}"
             )
-        time, index, kind = event
+        time, *indices, kind = event
         if kind not in ("fail", "repair"):
             raise ConfigurationError(
                 f"{name} kind must be 'fail' or 'repair', got {kind!r}"
@@ -129,61 +133,8 @@ def require_failure_events(
             ) from None
         if not time >= 0:
             raise ConfigurationError(f"{name} time must be >= 0, got {time!r}")
-        if not isinstance(index, (int, np.integer)) or isinstance(index, bool):
-            raise ConfigurationError(
-                f"{name} computer index must be an integer, got {index!r}"
-            )
-        index = int(index)
-        if index < 0 or (size is not None and index >= size):
-            bound = f"[0, {size})" if size is not None else ">= 0"
-            raise ConfigurationError(
-                f"{name} computer index must be in {bound}, got {index}"
-            )
-        validated.append((time, index, kind))
-    return tuple(validated)
-
-
-def require_cluster_failure_events(
-    events: Iterable[object],
-    module_count: int | None = None,
-    module_size: int | None = None,
-    name: str = "failure_events",
-) -> "tuple[tuple[float, int, int, str], ...]":
-    """Validate a sequence of cluster-level failure-injection events.
-
-    Each event is a ``(time_seconds, module_index, computer_index,
-    'fail'|'repair')`` tuple with a non-negative time and, when the
-    bounds are given, a module index within ``[0, module_count)`` and a
-    computer index within ``[0, module_size)``. Returns the normalised
-    tuple (times as floats, indices as ints). Shared by the declarative
-    ``FaultSpec`` and ``ClusterSimulation`` so both reject the same
-    malformed inputs.
-    """
-    validated = []
-    for event in events:
-        if not isinstance(event, Sequence) or len(event) != 4:
-            raise ConfigurationError(
-                f"{name} entries are (time_seconds, module_index, "
-                f"computer_index, 'fail'|'repair') tuples, got {event!r}"
-            )
-        time, module_index, computer_index, kind = event
-        if kind not in ("fail", "repair"):
-            raise ConfigurationError(
-                f"{name} kind must be 'fail' or 'repair', got {kind!r}"
-            )
-        try:
-            time = float(time)
-        except (TypeError, ValueError):
-            raise ConfigurationError(
-                f"{name} time must be a number, got {event[0]!r}"
-            ) from None
-        if not time >= 0:
-            raise ConfigurationError(f"{name} time must be >= 0, got {time!r}")
-        indices = []
-        for index, bound, label in (
-            (module_index, module_count, "module"),
-            (computer_index, module_size, "computer"),
-        ):
+        checked = []
+        for index, (label, bound) in zip(indices, bounds.items()):
             if not isinstance(index, (int, np.integer)) or isinstance(index, bool):
                 raise ConfigurationError(
                     f"{name} {label} index must be an integer, got {index!r}"
@@ -194,8 +145,8 @@ def require_cluster_failure_events(
                 raise ConfigurationError(
                     f"{name} {label} index must be in {span}, got {index}"
                 )
-            indices.append(index)
-        validated.append((time, indices[0], indices[1], kind))
+            checked.append(index)
+        validated.append((time, *checked, kind))
     return tuple(validated)
 
 

@@ -6,8 +6,9 @@ minimising
 
     sum_{q=k}^{k+N} sum_j alpha_j(q) * J~(x(q), gamma_j(q)) + ||Delta alpha||_W
 
-subject to sum_j gamma_j = 1 and alpha_j >= gamma_j. Three pieces realise
-the paper's design:
+subject to sum_j gamma_j = 1 and alpha_j >= gamma_j, with N = N_L1 = 1
+(:data:`L1_HORIZON`): the next period and the one after it. Three pieces
+realise the paper's design:
 
 * **Abstraction map** — :class:`ComputerBehaviorMap`, a hash table learned
   offline by simulating an L0-controlled computer over a quantised
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -56,6 +58,19 @@ from repro.controllers.stats import ControllerStats
 from repro.core.simplex import quantize_to_simplex, simplex_levels, simplex_neighbors
 from repro.core.uncertainty import three_point_band
 
+
+#: N_L1: the periods the L1 costs past the next one (§4.2), so every
+#: decision costs the next period and the one after it. Decision spans
+#: report it as their ``lookahead``.
+L1_HORIZON = 1
+
+#: Inputs up to ``_QUIET_ABOVE``, with a work of at least its inverse,
+#: keep every value the kernel computes (at most a product of two inputs
+#: and the maps' constants, summed over a few hundred points) far below
+#: the float maximum. A decision with a larger input, or a smaller work,
+#: runs with numpy's overflow warnings off: an overflow there is an
+#: infinite total, which fails in one line as a :class:`ControlError`.
+_QUIET_ABOVE = 1e100
 
 #: Rows one kernel call scores at most. Its array queries hold a few
 #: ``(rows, samples, points, level pairs)`` temporaries; at 32 rows those
@@ -666,9 +681,8 @@ class L1Controller:
         if not rows:
             return []
         checked = np.concatenate([queues.ravel(), set_points.ravel()])
-        if not (
-            checked.min() >= 0.0 and checked.max() < np.inf and set_points[3].min() > 0.0
-        ):
+        top, least_work = checked.max(), set_points[3].min()
+        if not (checked.min() >= 0.0 and top < np.inf and least_work > 0.0):
             # One row names its inputs as decide's arguments, many by row.
             names = ("queues", "rate_hat", "rate_next", "delta", "work")
             inputs = dict(zip(names, (queues, *set_points)))
@@ -679,44 +693,45 @@ class L1Controller:
             _require(lambda v: v >= 0.0, "must be >= 0", inputs)
             _require(lambda v: v > 0.0, "must be > 0", {"work": work})
         rate_hat, rate_next, delta, work = set_points
-
-        groups: "dict[bytes, list[int]]" = {}
-        keys = np.concatenate([alpha_current, available, (delta > 0)[:, None]], axis=1)
-        for row, key in enumerate(keys):
-            groups.setdefault(key.tobytes(), []).append(row)
-        decisions: "list[L1Decision]" = [None] * rows
-        for key, members in groups.items():
-            mask = key[: 2 * m]
-            if mask not in self._plans:
-                self._plans[mask] = self._neighbourhood(
-                    alpha_current[members[0]], available[members[0]]
-                )
-            plan = self._plans[mask]
-            if plan is None:
-                raise ControlError("no admissible (alpha, gamma) candidate found")
-            for start in range(0, len(members), _KERNEL_ROWS):
-                block = members[start : start + _KERNEL_ROWS]
-                # One group holds every row: index by a view, not a copy.
-                index = slice(start, start + len(block)) if len(groups) == 1 else block
-                if key[-1]:  # the band's three samples around both rates
-                    bands = three_point_band(set_points[:2, index], delta[index])
-                    bands = bands.transpose(2, 1, 0)
-                else:
-                    bands = set_points[:2, index, None].transpose(1, 0, 2)
-                totals = self._totals(plan, queues[index], bands, work[index])
-                states = len(plan.fixed) * 2 * bands.shape[2]
-                for row, choice, cost in zip(
-                    block, totals.argmin(axis=1).tolist(), totals.min(axis=1).tolist()
-                ):
-                    if not math.isfinite(cost):
-                        name = "expected_cost" if rows == 1 else f"expected_cost[{row}]"
-                        require_finite_inputs(**{name: cost})
-                    decisions[row] = L1Decision(
-                        alpha=plan.alphas[choice].astype(int),
-                        gamma=plan.gammas[choice],
-                        expected_cost=cost,
-                        states_explored=states,
+        quiet = top > _QUIET_ABOVE or least_work < 1.0 / _QUIET_ABOVE
+        with np.errstate(over="ignore", invalid="ignore") if quiet else nullcontext():
+            groups: "dict[bytes, list[int]]" = {}
+            keys = np.concatenate([alpha_current, available, (delta > 0)[:, None]], axis=1)
+            for row, key in enumerate(keys):
+                groups.setdefault(key.tobytes(), []).append(row)
+            decisions: "list[L1Decision]" = [None] * rows
+            for key, members in groups.items():
+                mask = key[: 2 * m]
+                if mask not in self._plans:
+                    self._plans[mask] = self._neighbourhood(
+                        alpha_current[members[0]], available[members[0]]
                     )
+                plan = self._plans[mask]
+                if plan is None:
+                    raise ControlError("no admissible (alpha, gamma) candidate found")
+                for start in range(0, len(members), _KERNEL_ROWS):
+                    block = members[start : start + _KERNEL_ROWS]
+                    # One group holds every row: index by a view, not a copy.
+                    index = slice(start, start + len(block)) if len(groups) == 1 else block
+                    if key[-1]:  # the band's three samples around both rates
+                        bands = three_point_band(set_points[:2, index], delta[index])
+                        bands = bands.transpose(2, 1, 0)
+                    else:
+                        bands = set_points[:2, index, None].transpose(1, 0, 2)
+                    totals = self._totals(plan, queues[index], bands, work[index])
+                    states = len(plan.fixed) * 2 * bands.shape[2]
+                    for row, choice, cost in zip(
+                        block, totals.argmin(axis=1).tolist(), totals.min(axis=1).tolist()
+                    ):
+                        if not math.isfinite(cost):
+                            name = "expected_cost" if rows == 1 else f"expected_cost[{row}]"
+                            require_finite_inputs(**{name: cost})
+                        decisions[row] = L1Decision(
+                            alpha=plan.alphas[choice].astype(int),
+                            gamma=plan.gammas[choice],
+                            expected_cost=cost,
+                            states_explored=states,
+                        )
         share = (time.perf_counter() - started) / rows
         for decision in decisions:
             self.stats.record(decision.states_explored, share)
@@ -923,34 +938,23 @@ class L1Controller:
             rate_pairs=rate_pairs[:, first_points + second_computers],
         )
 
+    @staticmethod
     def _candidate_alphas(
-        self, alpha_current: np.ndarray, available: np.ndarray
+        alpha_current: np.ndarray, available: np.ndarray
     ) -> list[np.ndarray]:
-        """Hamming-radius neighbourhood of the current configuration.
+        """Hamming-radius-1 neighbourhood of the current configuration.
 
-        Radius 1 (default) allows one machine flip per period; radius 2
-        adds all pair flips (used when workloads surge faster than one
-        machine per T_L1 can track). A failed machine is never switched
-        on.
+        The current configuration, then each single-machine flip in
+        computer order. A failed machine is never switched on, and the
+        whole module is never switched off.
         """
-        m = alpha_current.size
         candidates = [alpha_current.copy()]
-        flip_sets: list[tuple[int, ...]] = [(j,) for j in range(m)]
-        if self.params.alpha_radius >= 2:
-            flip_sets.extend(
-                (i, j) for i in range(m) for j in range(i + 1, m)
-            )
-        for flips in flip_sets:
+        for j in range(alpha_current.size):
+            if not alpha_current[j] and not available[j]:
+                continue  # cannot switch on a failed machine
             candidate = alpha_current.copy()
-            skip = False
-            for j in flips:
-                if not candidate[j] and not available[j]:
-                    skip = True  # cannot switch on a failed machine
-                    break
-                candidate[j] = not candidate[j]
-            if skip:
-                continue
-            if candidate.any():  # never turn the whole module off
+            candidate[j] = not candidate[j]
+            if candidate.any():
                 candidates.append(candidate)
         return candidates
 

@@ -1,9 +1,11 @@
 """The L2 controller: cluster-level load distribution (§5).
 
-Every T_L2 the controller takes each module's aggregate state (average
-queue length) with the run's global arrival-rate forecast and
-processing-time estimate, and decides the fraction gamma_i of arrivals
-to dispatch to each module, minimising sum_i J~_i over the horizon.
+Every T_L2 (the L1's period, T_L1) the controller takes each module's
+aggregate state (average queue length) with the run's global
+arrival-rate forecast and processing-time estimate, and decides the
+fraction gamma_i of arrivals to dispatch to each module, minimising
+sum_i J~_i over the next two periods. It scores every vector of the
+quantised gamma simplex (the paper's exhaustive search, §5).
 
 A module's behaviour "includes complex and non-linear interaction between
 its L0 and L1 controllers" that no closed-form model captures, so J~_i is
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,12 +39,13 @@ from repro.controllers.l1 import (
 )
 from repro.controllers.params import L0Params, L1Params, L2Params
 from repro.controllers.stats import ControllerStats
-from repro.core.simplex import (
-    enumerate_simplex,
-    quantize_to_simplex,
-    simplex_levels,
-    simplex_neighbors,
-)
+from repro.core.simplex import enumerate_simplex, quantize_to_simplex, simplex_levels
+
+
+#: Depth of a module map's two regression trees. Training code, not a
+#: parameter: no digest hashes it, so a change must bump
+#: :data:`~repro.maps.digest.MAPS_SCHEMA_VERSION`.
+_TREE_DEPTH = 10
 
 
 @dataclass(frozen=True)
@@ -136,7 +140,6 @@ class ModuleCostMap:
         queue_levels: np.ndarray | None = None,
         rate_levels: np.ndarray | None = None,
         work_levels: np.ndarray | None = None,
-        tree_depth: int = 10,
     ) -> "ModuleCostMap":
         """Simulate the Fig. 2(b) structure over a training grid.
 
@@ -168,8 +171,8 @@ class ModuleCostMap:
             module_spec, list(behavior_maps), l1_params, l0_params, points
         )
         dataset = TrainingSet(points, list(outputs))
-        cost_tree = train_tree(dataset, target_column=0, max_depth=tree_depth)
-        queue_tree = train_tree(dataset, target_column=1, max_depth=tree_depth)
+        cost_tree = train_tree(dataset, target_column=0, max_depth=_TREE_DEPTH)
+        queue_tree = train_tree(dataset, target_column=1, max_depth=_TREE_DEPTH)
         return cls(module_spec, cost_tree, queue_tree, dataset)
 
     @staticmethod
@@ -249,17 +252,11 @@ class L2Controller:
         self.maps = module_maps
         self.params = params or L2Params()
         self.stats = ControllerStats()
-        self.capacities = np.array(
-            [m.spec.max_service_rate(0.0175) for m in module_maps]
-        )
         #: One machine's full-speed capacity per module: the reconfiguration
         #: term's unit of shifted load.
         self._machine_capacity = np.array(
             [m.spec.max_service_rate(0.0175) / m.spec.size for m in module_maps]
         )
-        #: The exhaustive simplex as ``(candidates, quanta)``, enumerated
-        #: on the first exhaustive solve.
-        self._simplex: "tuple[np.ndarray, np.ndarray] | None" = None
 
     @property
     def module_count(self) -> int:
@@ -276,9 +273,8 @@ class L2Controller:
     ) -> L2Decision:
         """Minimise sum_i J~_i over the quantised gamma simplex.
 
-        Scores every candidate: all 286 vectors for p = 4 at step 0.1
-        by default, or the bounded neighbourhood of ``gamma_current``
-        when ``params.exhaustive`` is off. The objective is separable:
+        Scores every vector of the quantised simplex: 286 for p = 4 at
+        step 0.1 by default. The objective is separable:
         module i's two horizon terms depend on a candidate only through
         gamma_i, which takes one of k + 1 quantised levels. So each
         module's trees are evaluated once per level (a share table) and
@@ -293,7 +289,7 @@ class L2Controller:
             queue_avgs=queue_avgs, rate_hat=rate_hat, rate_next=rate_next, work=work
         )
         started = time.perf_counter()
-        candidates, quanta = self._candidate_table(gamma_current)
+        candidates, quanta = self._simplex
         current_quantized = (
             quantize_to_simplex(gamma_current, self.params.gamma_step)
             if gamma_current is not None
@@ -362,38 +358,15 @@ class L2Controller:
         self.stats.record(explored, time.perf_counter() - started)
         return decision
 
-    def _candidate_table(
-        self, gamma_current: np.ndarray | None
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """Candidate vectors and their integer quanta, both read-only.
+    @cached_property
+    def _simplex(self) -> "tuple[np.ndarray, np.ndarray]":
+        """The quantised simplex as read-only ``(candidates, quanta)``.
 
-        The exhaustive simplex is enumerated once per controller; the
-        bounded neighbourhood is rebuilt around each ``gamma_current``.
+        Enumerated on the first solve; ``levels[quanta] == candidates``.
         """
-        if self.params.exhaustive or gamma_current is None:
-            if self._simplex is None:
-                self._simplex = self._share_table(
-                    list(enumerate_simplex(self.module_count, self.params.gamma_step))
-                )
-            return self._simplex
-        seed = quantize_to_simplex(gamma_current, self.params.gamma_step)
-        candidates = [seed]
-        candidates.extend(
-            simplex_neighbors(seed, self.params.gamma_step, moves=2)
-        )
-        # Capacity-proportional fallback keeps the search from stalling in
-        # a poor local minimum.
-        candidates.append(
-            quantize_to_simplex(self.capacities, self.params.gamma_step)
-        )
-        return self._share_table(candidates)
-
-    def _share_table(
-        self, rows: "list[np.ndarray]"
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """``(candidates, quanta)`` with ``levels[quanta] == candidates``."""
-        candidates = np.asarray(rows)
-        quanta = _simplex_quanta(candidates, simplex_levels(self.params.gamma_step))
+        step = self.params.gamma_step
+        candidates = np.array(list(enumerate_simplex(self.module_count, step)))
+        quanta = _simplex_quanta(candidates, simplex_levels(step))
         candidates.setflags(write=False)
         quanta.setflags(write=False)
         return candidates, quanta

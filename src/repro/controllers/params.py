@@ -35,6 +35,20 @@ class L0Params:
         require_non_negative(self.robustness_margin, "robustness_margin")
         if self.horizon < 1:
             raise ConfigurationError("horizon must be >= 1")
+        # A spec or payload gives the weights as a dict of their fields.
+        if isinstance(self.weights, dict):
+            try:
+                weights = CostWeights(**self.weights)
+            except TypeError as error:
+                raise ConfigurationError(
+                    f"invalid L0Params weights: {error}"
+                ) from None
+            object.__setattr__(self, "weights", weights)
+        elif not isinstance(self.weights, CostWeights):
+            raise ConfigurationError(
+                "L0Params weights must be a CostWeights or a dict of its "
+                f"fields, got {type(self.weights).__name__}"
+            )
 
     def to_dict(self) -> dict:
         """Plain-dict form; JSON-safe and loss-free.
@@ -47,11 +61,8 @@ class L0Params:
     @classmethod
     def from_dict(cls, payload: dict) -> "L0Params":
         """Rebuild params from :meth:`to_dict` output (revalidates)."""
-        data = dict(payload)
-        if isinstance(data.get("weights"), dict):
-            data["weights"] = CostWeights(**data["weights"])
         try:
-            return cls(**data)
+            return cls(**payload)
         except TypeError as error:
             raise ConfigurationError(
                 f"invalid L0Params payload: {error}"
@@ -62,12 +73,16 @@ class L0Params:
 class L1Params:
     """L1 (module) controller parameters.
 
-    Defaults: T_L1 = 2 min (= 4 x T_L0), N_L1 = 1, gamma step 0.05,
-    switching penalty W = 8, three-point uncertainty sampling on.
+    Defaults: T_L1 = 2 min (= 4 x T_L0), gamma step 0.05, switching
+    penalty W = 8, three-point uncertainty sampling on. The L1 always
+    costs two periods (N_L1 = 1: the next one and the one after it) and
+    searches the Hamming-radius-1 neighbourhood of the current on/off
+    configuration. ``use_uncertainty_band`` and ``band_window`` shape
+    only the run's arrival filters and set-points; map training decides
+    every grid cell without a band.
     """
 
     period: float = 120.0
-    horizon: int = 1
     gamma_step: float = 0.05
     switching_weight: float = 8.0
     use_uncertainty_band: bool = True
@@ -77,21 +92,16 @@ class L1Params:
     #: modules grow (the paper's m = 10 module runs *faster* than m = 4
     #: thanks to its coarser quantisation; this cap plays the same role).
     max_gamma_candidates: int = 32
-    alpha_radius: int = 1
     band_window: int = 20
 
     def __post_init__(self) -> None:
         require_positive(self.period, "period")
         require_positive(self.gamma_step, "gamma_step")
         require_non_negative(self.switching_weight, "switching_weight")
-        if self.horizon < 1:
-            raise ConfigurationError("horizon must be >= 1")
         if self.gamma_neighborhood_moves < 0:
             raise ConfigurationError("gamma_neighborhood_moves must be >= 0")
         if self.max_gamma_candidates < 1:
             raise ConfigurationError("max_gamma_candidates must be >= 1")
-        if self.alpha_radius not in (1, 2):
-            raise ConfigurationError("alpha_radius must be 1 or 2")
 
     def to_dict(self) -> dict:
         """Plain-dict form; JSON-safe and loss-free."""
@@ -112,14 +122,13 @@ class L1Params:
 class L2Params:
     """L2 (cluster) controller parameters.
 
-    Defaults: T_L2 = 2 min, gamma step 0.1, exhaustive enumeration of
-    the quantised simplex (286 vectors for four modules). The L2 always
+    Defaults: gamma step 0.1, over which the L2 enumerates the whole
+    quantised simplex (286 vectors for four modules). The L2 decides on
+    the L1's period (T_L2 = T_L1, :attr:`L1Params.period`) and always
     costs two periods: the next one and the one after it.
     """
 
-    period: float = 120.0
     gamma_step: float = 0.1
-    exhaustive: bool = True
     #: Relative predicted-cost improvement required before moving away
     #: from the current allocation. The regression trees are piecewise
     #: constant, so without hysteresis the argmin hops between
@@ -134,7 +143,6 @@ class L2Params:
     reconfiguration_weight: float = 11.0
 
     def __post_init__(self) -> None:
-        require_positive(self.period, "period")
         require_positive(self.gamma_step, "gamma_step")
         require_non_negative(self.switching_threshold, "switching_threshold")
         require_non_negative(self.reconfiguration_weight, "reconfiguration_weight")

@@ -41,18 +41,21 @@ def weighted_norm(vector, weight) -> float:
 
 @dataclass(frozen=True)
 class CostWeights:
-    """The paper's Q / R / S (and L1's W) weights."""
+    """The paper's Q / R / S weights.
+
+    The L0 cost reads Q and R; the generic :class:`SetPointCost` also
+    reads S. The L1's switching penalty W is
+    :attr:`~repro.controllers.params.L1Params.switching_weight`.
+    """
 
     tracking: float = 100.0  # Q
     operating: float = 1.0  # R
     control_change: float = 0.0  # S
-    switching: float = 8.0  # W (L1 transient cost)
 
     def __post_init__(self) -> None:
         require_non_negative(self.tracking, "tracking")
         require_non_negative(self.operating, "operating")
         require_non_negative(self.control_change, "control_change")
-        require_non_negative(self.switching, "switching")
 
 
 class SetPointCost:

@@ -10,7 +10,7 @@ treats those maps as first-class deployment artifacts:
   from the returned array (a dense table for a behaviour map, the
   regression trees' dataset for a module map);
 * :mod:`~repro.maps.digest` gives every trained map a canonical content
-  digest (spec + grids + parameters + training-code version);
+  digest (spec + the parameters training reads + training-code version);
 * :class:`MapCache` stores artifacts content-addressed on disk
   (``~/.cache/repro-maps``, ``$REPRO_MAP_CACHE``, or ``--map-cache``);
 * :class:`MapProvider` is the gateway the engines and the sweep

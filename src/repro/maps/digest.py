@@ -2,19 +2,29 @@
 
 A trained abstraction map is fully determined by the *content* that went
 into its offline training: the computer/module spec fields the cell
-simulations read, the quantisation grids, the L0/L1 parameters, and the
-training-code revision. Hashing exactly that content gives every map a
-stable identity — two modules with identical machines share one digest
-(and therefore one training), while any change to a spec, a grid, a
-parameter, or the training code itself produces a new digest and a cache
-miss, never a stale artifact.
+simulations read, the L0/L1 parameters, and the training-code revision
+(the default grids depend only on the spec). Hashing exactly that
+content gives every map a stable identity — two modules with identical
+machines share one digest (and therefore one training), while any change
+to a spec, a parameter training reads, or the training code itself
+produces a new digest and a cache miss, never a stale artifact.
 
-Identity deliberately excludes presentation-only fields: computer and
-module *names* never enter a digest (module ``M2`` built from the same
-machines as ``M1`` must hit ``M1``'s cache entry), and neither do boot
-delay/energy, which the behaviour-map cell simulation never reads (the
-fluid rollout models serving computers only; boots are costed by the L1
-search, not by the map).
+The parameter identities take every field by default, so a field added
+later enters the digest without anyone listing it. Only fields proven
+unread by training stay out, each with a test that trains with it
+changed and gets the same payload:
+
+* ``L1Params.use_uncertainty_band`` and ``L1Params.band_window`` shape
+  the run's arrival filters and set-points only; module-map training
+  decides every grid cell without a band (delta 0), so changing them
+  must not retrain a map.
+
+Presentation-only spec fields stay out too: computer and module *names*
+never enter a digest (module ``M2`` built from the same machines as
+``M1`` must hit ``M1``'s cache entry), and neither do boot delay/energy,
+which the behaviour-map cell simulation never reads (the fluid rollout
+models serving computers only; boots are costed by the L1 search, not by
+the map).
 """
 
 from __future__ import annotations
@@ -25,11 +35,15 @@ import json
 from repro.cluster.specs import ComputerSpec, ModuleSpec
 from repro.controllers.params import L0Params, L1Params
 
-#: Bump when the training loops, grids, or serialisation format change
-#: in a way that alters trained tables — every cached artifact keyed
-#: under the old version then misses, forcing retraining instead of
-#: silently serving stale numbers.
-MAPS_SCHEMA_VERSION = 1
+#: Bump when the training loops, grids, digest content or artifact
+#: format change: every cached artifact keyed under the old version then
+#: misses, forcing retraining instead of silently serving stale numbers
+#: or a payload the loaders no longer read.
+MAPS_SCHEMA_VERSION = 2
+
+#: :class:`L1Params` fields that only the run reads (its arrival filters
+#: and set-points), never map training.
+RUN_ONLY_L1_FIELDS = frozenset({"band_window", "use_uncertainty_band"})
 
 
 def canonical_json(payload) -> str:
@@ -56,66 +70,35 @@ def computer_identity(spec: ComputerSpec) -> dict:
 
 
 def l0_identity(params: L0Params) -> dict:
-    """The :class:`L0Params` fields the cell simulations read."""
-    return {
-        "target_response": params.target_response,
-        "horizon": params.horizon,
-        "period": params.period,
-        "weights": {
-            "tracking": params.weights.tracking,
-            "operating": params.weights.operating,
-            "control_change": params.weights.control_change,
-            "switching": params.weights.switching,
-        },
-        "robustness_margin": params.robustness_margin,
-    }
+    """Every :class:`L0Params` field, the weights as a dict."""
+    return params.to_dict()
 
 
 def l1_identity(params: L1Params) -> dict:
-    """The :class:`L1Params` fields the module-map cell simulations read."""
+    """Every :class:`L1Params` field but :data:`RUN_ONLY_L1_FIELDS`."""
     return {
-        "period": params.period,
-        "horizon": params.horizon,
-        "gamma_step": params.gamma_step,
-        "switching_weight": params.switching_weight,
-        "use_uncertainty_band": params.use_uncertainty_band,
-        "gamma_neighborhood_moves": params.gamma_neighborhood_moves,
-        "max_gamma_candidates": params.max_gamma_candidates,
-        "alpha_radius": params.alpha_radius,
-        "band_window": params.band_window,
+        name: value
+        for name, value in params.to_dict().items()
+        if name not in RUN_ONLY_L1_FIELDS
     }
 
 
 def behavior_map_digest(
-    spec: ComputerSpec,
-    l0_params: L0Params,
-    l1_period: float,
-    grids: "list[list[float]] | None" = None,
+    spec: ComputerSpec, l0_params: L0Params, l1_period: float
 ) -> str:
-    """Digest of one computer-behaviour map's training content.
-
-    ``grids`` are the resolved quantiser levels; ``None`` means the
-    :meth:`ComputerBehaviorMap.train` defaults (which depend only on
-    the spec, so the digest stays grid-stable without materialising
-    them here).
-    """
+    """Digest of one computer-behaviour map's training content."""
     return content_digest(
         "behavior",
         {
             "computer": computer_identity(spec),
             "l0": l0_identity(l0_params),
             "l1_period": float(l1_period),
-            "grids": grids,
         },
     )
 
 
 def module_map_digest(
-    spec: ModuleSpec,
-    l1_params: L1Params,
-    l0_params: L0Params,
-    grids: "list[list[float]] | None" = None,
-    tree_depth: int = 10,
+    spec: ModuleSpec, l1_params: L1Params, l0_params: L0Params
 ) -> str:
     """Digest of one module-cost map's training content.
 
@@ -128,7 +111,5 @@ def module_map_digest(
             "computers": [computer_identity(c) for c in spec.computers],
             "l1": l1_identity(l1_params),
             "l0": l0_identity(l0_params),
-            "grids": grids,
-            "tree_depth": int(tree_depth),
         },
     )

@@ -27,7 +27,6 @@ from dataclasses import replace
 
 from repro.common.errors import ConfigurationError
 from repro.common.validation import (
-    require_cluster_failure_events,
     require_failure_events,
     require_in,
     require_non_negative_int,
@@ -192,16 +191,10 @@ class Scenario:
         ``(time_seconds, module_index, computer_index, 'fail'|'repair')``.
         """
         if self._plant.kind == "cluster":
-            validated = require_cluster_failure_events(
-                events,
-                self._plant.p,
-                self._plant.computers_per_module,
-                "fault events",
-            )
+            bounds = {"module": self._plant.p, "computer": self._plant.computers_per_module}
         else:
-            validated = require_failure_events(
-                events, self._plant.module_size, "fault events"
-            )
+            bounds = {"computer": self._plant.module_size}
+        validated = require_failure_events(events, bounds, "fault events")
         self._faults = FaultSpec(events=self._faults.events + validated)
         return self
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 
 from repro.common.errors import ConfigurationError
 from repro.common.validation import (
-    require_cluster_failure_events,
     require_failure_events,
     require_in,
     require_non_negative,
@@ -324,11 +323,13 @@ class FaultSpec:
                     "(time, computer, kind) or cluster-level "
                     "(time, module, computer, kind), not a mix"
                 )
-            events = require_cluster_failure_events(
-                events, None, None, "fault events"
+            events = require_failure_events(
+                events, {"module": None, "computer": None}, "fault events"
             )
         else:
-            events = require_failure_events(events, None, "fault events")
+            events = require_failure_events(
+                events, {"computer": None}, "fault events"
+            )
         object.__setattr__(self, "events", events)
 
     @property
@@ -404,7 +405,9 @@ class ScenarioSpec:
                         "fault events; the module index form is for clusters"
                     )
                 require_failure_events(
-                    self.faults.events, self.plant.module_size, "fault events"
+                    self.faults.events,
+                    {"computer": self.plant.module_size},
+                    "fault events",
                 )
             else:
                 if not self.faults.is_cluster_level:
@@ -412,10 +415,9 @@ class ScenarioSpec:
                         "cluster plants take (time, module, computer, "
                         "'fail'|'repair') fault events"
                     )
-                require_cluster_failure_events(
+                require_failure_events(
                     self.faults.events,
-                    self.plant.p,
-                    self.plant.computers_per_module,
+                    {"module": self.plant.p, "computer": self.plant.computers_per_module},
                     "fault events",
                 )
             # Events beyond the trace would silently never fire — a

@@ -34,7 +34,7 @@ from repro.controllers.stats import ControllerStats
 from repro.forecast.ewma import EwmaFilter
 from repro.forecast.structural import WorkloadPredictor
 from repro.queueing.metrics import ResponseStats
-from repro.sim.shard import DEFAULT_WORK, c_hat, set_points
+from repro.sim.shard import DEFAULT_WORK, c_hat, control_substeps, set_points
 from repro.workload.requests import RequestStreamGenerator
 
 
@@ -78,7 +78,7 @@ class DiscreteEventModuleSimulation:
             raise ConfigurationError(
                 "the request generator's trace must be binned at T_L0"
             )
-        self.substeps = round(self.l1_params.period / self.l0_params.period)
+        self.substeps = control_substeps(self.l0_params, self.l1_params)
         if behavior_maps is None:
             behavior_maps = L1Controller._train_maps(
                 spec, self.l0_params, self.l1_params

@@ -55,15 +55,12 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 import numpy as np
 
 from repro.common.errors import ConfigurationError, ControlError
-from repro.common.validation import (
-    require_cluster_failure_events,
-    require_failure_events,
-)
+from repro.common.validation import require_failure_events
 from repro.cluster.module import Module
 from repro.cluster.specs import ClusterSpec, ModuleSpec
 from repro.controllers.baselines import _BaselineBase, make_baseline
 from repro.controllers.l0 import L0Controller
-from repro.controllers.l1 import ComputerBehaviorMap, L1Controller
+from repro.controllers.l1 import L1_HORIZON, ComputerBehaviorMap, L1Controller
 from repro.controllers.l2 import L2Controller, ModuleCostMap
 from repro.controllers.params import L0Params, L1Params, L2Params
 from repro.controllers.stats import ControllerStats
@@ -94,6 +91,7 @@ from repro.sim.shard import (
     ModuleShardRunner,
     ModuleStepInput,
     c_hat,
+    control_substeps,
     set_points,
 )
 from repro.workload.trace import ArrivalTrace
@@ -131,27 +129,15 @@ class _SimulationBase:
         """Per-boundary wall-time budget (see :meth:`set_decision_deadline`)."""
         return self.engine_options.decision_deadline
 
-    @decision_deadline.setter
-    def decision_deadline(self, seconds: "float | None") -> None:
-        self.engine_options.decision_deadline = seconds
-
     @property
     def metrics(self):
         """Attached metrics registry (see :meth:`set_telemetry`)."""
         return self.engine_options.metrics
 
-    @metrics.setter
-    def metrics(self, value) -> None:
-        self.engine_options.metrics = value
-
     @property
     def tracer(self):
         """Attached decision tracer (see :meth:`set_telemetry`)."""
         return self.engine_options.tracer
-
-    @tracer.setter
-    def tracer(self, value) -> None:
-        self.engine_options.tracer = value
 
     @property
     def total_steps(self) -> int:
@@ -525,6 +511,7 @@ class _SimulationBase:
         work = c_hat(state.boundary_work)
         l2_event, global_counts = self._split(state, period, work, deadline_at)
         filters = state.module_filters
+        seconds = self.l1_params.period
         if self._make_baseline is not None:
             if state.vector_executor is None:
                 counts = [float(f.forecast(1)[0]) for f in filters]
@@ -532,16 +519,13 @@ class _SimulationBase:
                 from repro.sim.kernels import fast_forecast1
 
                 counts = [fast_forecast1(f) for f in filters]
-            seconds = self.l1_params.period
             points = [(count / seconds, 0.0, 0.0, count) for count in counts]
         else:
             if state.l2 is None:
                 reads = [(f.forecast(2), f.band.delta, 1.0) for f in filters]
-                seconds = self.l1_params.period
             else:
                 band = state.global_filter.band.delta
                 reads = [(global_counts, band, g) for g in state.gamma_modules]
-                seconds = self.l2_params.period
             use_band = self.l1_params.use_uncertainty_band
             points = [set_points(*read, seconds, use_band) for read in reads]
         hold = l2_event is not None and l2_event.held
@@ -611,7 +595,7 @@ class _SimulationBase:
                 module=event.module,
                 wall_us=wall * 1e6,
                 machines_on=int(event.alpha.sum()),
-                lookahead=0 if runner.is_baseline else self.l1_params.horizon,
+                lookahead=0 if runner.is_baseline else L1_HORIZON,
                 held=event.held,
                 forced=event.forced,
             )
@@ -783,10 +767,10 @@ class ModuleSimulation(_SimulationBase):
         self.l1_params = l1_params or L1Params()
         self.engine_options = resolve_engine_options(engine_options)
         self.trace = trace.rebinned(self.l0_params.period)
-        self.substeps = round(self.l1_params.period / self.l0_params.period)
-        if self.substeps < 1:
-            raise ConfigurationError("T_L1 must cover at least one T_L0")
-        validated_events = require_failure_events(failure_events, spec.size)
+        self.substeps = control_substeps(self.l0_params, self.l1_params)
+        validated_events = require_failure_events(
+            failure_events, {"computer": spec.size}
+        )
         if validated_events and baseline is not None:
             raise ConfigurationError(
                 "failure injection is supported in hierarchy mode only"
@@ -882,17 +866,14 @@ class ClusterSimulation(_SimulationBase):
                 "work_series must align with the trace bins"
             )
         self.work_series = work_series
-        self.substeps = round(self.l2_params.period / self.l0_params.period)
-        if abs(self.l2_params.period - self.l1_params.period) > 1e-9:
-            raise ConfigurationError(
-                "this engine runs L2 and L1 on the same period (as the paper does)"
-            )
+        # The L2 decides on the L1's period, as the paper does.
+        self.substeps = control_substeps(self.l0_params, self.l1_params)
         if baseline_params and baseline is None:
             raise ConfigurationError(
                 "baseline_params given without a baseline policy"
             )
-        validated_events = require_cluster_failure_events(
-            failure_events, spec.module_count, None
+        validated_events = require_failure_events(
+            failure_events, {"module": spec.module_count, "computer": None}
         )
         for _, module_index, computer_index, _ in validated_events:
             if computer_index >= spec.modules[module_index].size:
@@ -1009,7 +990,7 @@ class ClusterSimulation(_SimulationBase):
             return l2_event, None
         global_counts = state.global_filter.forecast(2)
         global_prediction = float(global_counts[0])
-        seconds = self.l2_params.period
+        seconds = self.l1_params.period
         queue_avgs = np.array(
             [runner.plant.queue_lengths.mean() for runner in state.runners]
         )
@@ -1055,7 +1036,7 @@ class ClusterSimulation(_SimulationBase):
     def _result(self, state, modules) -> ClusterRunResult:
         cluster = state.cluster_recorder
         return ClusterRunResult(
-            l2_period=self.l2_params.period,
+            l2_period=self.l1_params.period,
             module_names=[m.name for m in self.spec.modules],
             global_arrivals=cluster.global_arrivals,
             global_predictions=cluster.global_predictions,

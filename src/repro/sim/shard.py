@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.controllers.params import L0Params
+from repro.common.errors import ConfigurationError
+from repro.controllers.params import L0Params, L1Params
 from repro.controllers.stats import ControllerStats
 from repro.sim.observers import L1DecisionEvent, StepEvent
 
@@ -41,6 +42,14 @@ from repro.sim.observers import L1DecisionEvent, StepEvent
 
 #: c-hat before any processing time is measured: 17.5 ms per request.
 DEFAULT_WORK = 0.0175
+
+
+def control_substeps(l0_params: L0Params, l1_params: L1Params) -> int:
+    """T_L0 steps per control period (T_L1); raises unless at least one."""
+    substeps = round(l1_params.period / l0_params.period)
+    if substeps < 1:
+        raise ConfigurationError("T_L1 must cover at least one T_L0")
+    return substeps
 
 
 def c_hat(ewma) -> float:

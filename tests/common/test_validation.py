@@ -15,7 +15,11 @@ from repro.common import (
     require_positive,
     require_probability_vector,
 )
-from repro.common.validation import require_non_negative_int, require_positive_int
+from repro.common.validation import (
+    require_failure_events,
+    require_non_negative_int,
+    require_positive_int,
+)
 
 
 class TestRequirePositive:
@@ -138,3 +142,55 @@ class TestRequireProbabilityVector:
         arr = arr / arr.sum()
         out = require_probability_vector(arr, "gamma")
         assert np.all(out >= 0)
+
+
+#: One label and bound per index: a module event's, then a cluster event's.
+_MODULE = {"computer": 4}
+_CLUSTER = {"module": 4, "computer": 4}
+
+
+class TestRequireFailureEvents:
+    """One validator for module and cluster events, message for message."""
+
+    def test_normalises_times_and_indices(self):
+        events = [(1, np.int64(2), "fail"), (3.5, 0, "repair")]
+        assert require_failure_events(events, _MODULE) == (
+            (1.0, 2, "fail"),
+            (3.5, 0, "repair"),
+        )
+        assert require_failure_events([(0, 1, 3, "fail")], _CLUSTER) == (
+            (0.0, 1, 3, "fail"),
+        )
+        assert require_failure_events([(0.0, 9, "fail")], {"computer": None}) == (
+            (0.0, 9, "fail"),
+        )
+
+    @pytest.mark.parametrize(
+        "bounds, event, message",
+        [
+            (
+                _MODULE,
+                (0.0, 1),
+                "x entries are (time_seconds, computer_index, 'fail'|'repair') "
+                "tuples, got (0.0, 1)",
+            ),
+            (
+                _CLUSTER,
+                (0.0, 1, "fail"),
+                "x entries are (time_seconds, module_index, computer_index, "
+                "'fail'|'repair') tuples, got (0.0, 1, 'fail')",
+            ),
+            (_MODULE, (0.0, 1, "boom"), "x kind must be 'fail' or 'repair', got 'boom'"),
+            (_CLUSTER, ("t", 1, 1, "fail"), "x time must be a number, got 't'"),
+            (_MODULE, (-1.0, 1, "fail"), "x time must be >= 0, got -1.0"),
+            (_MODULE, (0.0, True, "fail"), "x computer index must be an integer, got True"),
+            (_CLUSTER, (0.0, 1.5, 1, "fail"), "x module index must be an integer, got 1.5"),
+            (_MODULE, (0.0, 4, "fail"), "x computer index must be in [0, 4), got 4"),
+            (_CLUSTER, (0.0, 0, 4, "fail"), "x computer index must be in [0, 4), got 4"),
+            ({"module": None, "computer": None}, (0.0, -1, 0, "fail"),
+             "x module index must be in >= 0, got -1"),
+        ],
+    )
+    def test_rejects_with_the_message(self, bounds, event, message):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            require_failure_events([event], bounds, "x")

@@ -1,6 +1,8 @@
 """Tests for the L1 module controller and its abstraction map."""
 
+import math
 import re
+import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -231,16 +233,6 @@ class TestChatteringMitigation:
             return switch_ons
 
         assert run(weight=32.0) <= run(weight=0.0)
-
-    def test_alpha_radius_two_widens_neighbourhood(self, trained_l1, module_spec):
-        l1 = _fresh_l1(trained_l1, module_spec, alpha_radius=2)
-        alpha_now = np.array([False, False, False, True])
-        decision = l1.decide(
-            np.zeros(4), alpha_now,
-            rate_hat=20.0, rate_next=190.0, delta=0.0, work=0.0175,
-        )
-        # Radius 2 can boot two machines in one period for a large surge.
-        assert decision.alpha.sum() >= 2
 
 
 def _set_points(l1, predictor, share=1.0):
@@ -558,21 +550,11 @@ class _ReferenceL1:
         m = alpha_current.size
         available = getattr(self, "_available", np.ones(m, dtype=bool))
         candidates = [alpha_current.copy()]
-        flip_sets: list[tuple[int, ...]] = [(j,) for j in range(m)]
-        if self.params.alpha_radius >= 2:
-            flip_sets.extend(
-                (i, j) for i in range(m) for j in range(i + 1, m)
-            )
-        for flips in flip_sets:
+        for j in range(m):
             candidate = alpha_current.copy()
-            skip = False
-            for j in flips:
-                if not candidate[j] and not available[j]:
-                    skip = True  # cannot switch on a failed machine
-                    break
-                candidate[j] = not candidate[j]
-            if skip:
-                continue
+            if not candidate[j] and not available[j]:
+                continue  # cannot switch on a failed machine
+            candidate[j] = not candidate[j]
             if candidate.any():  # never turn the whole module off
                 candidates.append(candidate)
         return candidates
@@ -720,8 +702,8 @@ def _sized_l1(trained_l1, m, **params):
 
 
 #: The parameter sets the array kernel is checked under: the defaults,
-#: the overhead scenarios' coarse search, pair flips, the seed gamma
-#: alone, and no band (as ``set_points`` then gives ``delta = 0``).
+#: the overhead scenarios' coarse search, the seed gamma alone, and no
+#: band (as ``set_points`` then gives ``delta = 0``).
 _PARAM_SETS = {
     "default": {},
     "overhead": {
@@ -729,7 +711,6 @@ _PARAM_SETS = {
         "gamma_neighborhood_moves": 1,
         "max_gamma_candidates": 8,
     },
-    "radius-2": {"alpha_radius": 2},
     "seed-only": {"gamma_neighborhood_moves": 0},
     "no-band": {"use_uncertainty_band": False},
 }
@@ -941,6 +922,36 @@ class TestDomain:
                 queues, np.ones(4, dtype=bool), **inputs
             )
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"rate_hat": 1.7e308, "rate_next": 1.7e308},
+            {"rate_hat": 1e308, "rate_next": 1e308, "delta": 1e308},
+            {"rate_hat": 1e200, "work": 1e200},
+        ],
+        ids=["float-max-rates", "overflowing-band", "huge-rate-and-work"],
+    )
+    def test_overflow_fails_in_one_line_without_warnings(
+        self, trained_l1, module_spec, change
+    ):
+        l1 = _fresh_l1(trained_l1, module_spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ControlError) as caught:
+                l1.decide(np.zeros(4), np.ones(4, dtype=bool), **{**self.BASE, **change})
+        assert str(caught.value) == "expected_cost must be finite, got inf"
+
+    def test_tiny_work_decides_without_warnings(self, trained_l1, module_spec):
+        # A rate past the maps takes the saturated rollout, which divides
+        # the speed by the work: at 5e-324 that overflows to an infinite
+        # capacity, and the decision still stands.
+        l1 = _fresh_l1(trained_l1, module_spec)
+        inputs = {**self.BASE, "rate_hat": 1000.0, "work": 5e-324}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            decision = l1.decide(np.zeros(4), np.ones(4, dtype=bool), **inputs)
+        assert math.isfinite(decision.expected_cost)
 
     def test_many_rows_name_the_row(self, trained_l1, module_spec):
         l1 = _fresh_l1(trained_l1, module_spec)

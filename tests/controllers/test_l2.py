@@ -6,8 +6,8 @@ import pytest
 from repro.approximation.regression_tree import RegressionTree
 from repro.common import ConfigurationError, ControlError
 from repro.cluster import ClusterSpec, paper_module_spec
-from repro.controllers import L2Controller, L2Params, ModuleCostMap
-from repro.core import enumerate_simplex, quantize_to_simplex, simplex_neighbors
+from repro.controllers import L1Params, L2Controller, L2Params, ModuleCostMap
+from repro.core import enumerate_simplex, quantize_to_simplex
 from repro.forecast.structural import WorkloadPredictor
 from repro.sim import ClusterSimulation, EngineOptions
 from repro.workload import ArrivalTrace
@@ -74,17 +74,6 @@ class TestL2Decide:
         # 286 gamma vectors x 4 modules x 2 horizon terms.
         assert decision.states_explored == 286 * 4 * 2
 
-    def test_bounded_mode_explores_less(self, module_map):
-        bounded = L2Controller(
-            [module_map] * 4, L2Params(exhaustive=False)
-        )
-        exhaustive = L2Controller([module_map] * 4)
-        gamma_now = np.full(4, 0.25)
-        a = bounded.decide(np.zeros(4), 300.0, 300.0, 0.0175, gamma_current=gamma_now)
-        b = exhaustive.decide(np.zeros(4), 300.0, 300.0, 0.0175)
-        assert a.states_explored < b.states_explored
-        assert a.gamma.sum() == pytest.approx(1.0)
-
     def test_shape_validation(self, l2):
         with pytest.raises(ConfigurationError):
             l2.decide(np.zeros(3), 100.0, 100.0, 0.0175)
@@ -108,7 +97,7 @@ class TestRunInputs:
         for _ in range(5):
             predictor.observe(36000.0)
         counts = predictor.forecast(2)
-        period = controller.params.period
+        period = L1Params().period  # T_L2 = T_L1
         decision = controller.decide(
             np.zeros(4),
             rate_hat=counts[0] / period,
@@ -152,13 +141,7 @@ def _reference_decide(controller, queue_avgs, rate_hat, rate_next, work, gamma_c
     step = params.gamma_step
     p = controller.module_count
     queue_avgs = np.asarray(queue_avgs, dtype=float)
-    if params.exhaustive or gamma_current is None:
-        rows = list(enumerate_simplex(p, step))
-    else:
-        seed = quantize_to_simplex(gamma_current, step)
-        rows = [seed, *simplex_neighbors(seed, step, moves=2)]
-        rows.append(quantize_to_simplex(controller.capacities, step))
-    candidates = np.asarray(rows)
+    candidates = np.asarray(list(enumerate_simplex(p, step)))
     n = candidates.shape[0]
     machine_capacity = np.array(
         [m.spec.max_service_rate(0.0175) / m.spec.size for m in controller.maps]
@@ -234,11 +217,10 @@ def _step_map(threshold: float) -> ModuleCostMap:
 class TestShareTableSolve:
     """The share-table solve equals the per-candidate scorer bit for bit."""
 
-    @pytest.mark.parametrize("exhaustive", [True, False])
-    def test_random_inputs_match_reference(self, module_map, exhaustive):
-        controller = L2Controller([module_map] * 4, L2Params(exhaustive=exhaustive))
-        capacity = float(controller.capacities.sum())
-        rng = np.random.default_rng(14 if exhaustive else 41)
+    def test_random_inputs_match_reference(self, module_map):
+        controller = L2Controller([module_map] * 4)
+        capacity = sum(m.spec.max_service_rate(0.0175) for m in controller.maps)
+        rng = np.random.default_rng(14)
         for k in range(240):
             queue_avgs = rng.random(4) * rng.choice([0.0, 10.0, 400.0, 1500.0])
             rate_hat = float(rng.random() * rng.choice([0.3, 1.0, 1.6]) * capacity)

@@ -34,7 +34,7 @@ class TestCostWeights:
         weights = CostWeights()
         assert weights.tracking == 100.0  # Q
         assert weights.operating == 1.0  # R
-        assert weights.switching == 8.0  # W
+        assert weights.control_change == 0.0  # S
 
     def test_rejects_negative(self):
         with pytest.raises(ConfigurationError):

@@ -1,13 +1,42 @@
 """Content digests: stable identity, name-blind, parameter-sensitive."""
 
+import dataclasses
+
+import pytest
+
 from repro.cluster.processor import processor_profile
 from repro.cluster.specs import ComputerSpec, ModuleSpec, paper_module_spec
+from repro.controllers.l2 import ModuleCostMap
 from repro.controllers.params import L0Params, L1Params
 from repro.core.cost import CostWeights
 from repro.maps.digest import (
+    RUN_ONLY_L1_FIELDS,
     behavior_map_digest,
     module_map_digest,
 )
+from repro.maps.provider import MapProvider
+
+#: A value other than the default for every L0Params field and weight.
+L0_CHANGES = {
+    "target_response": 2.0,
+    "horizon": 2,
+    "period": 60.0,
+    "robustness_margin": 0.1,
+    "weights.tracking": 50.0,
+    "weights.operating": 2.0,
+    "weights.control_change": 1.0,
+}
+
+#: A value other than the default for every L1Params field.
+L1_CHANGES = {
+    "period": 240.0,
+    "gamma_step": 0.1,
+    "switching_weight": 4.0,
+    "use_uncertainty_band": False,
+    "gamma_neighborhood_moves": 1,
+    "max_gamma_candidates": 8,
+    "band_window": 5,
+}
 
 
 def _computer(name: str = "C1", profile: str = "c4") -> ComputerSpec:
@@ -60,12 +89,17 @@ class TestBehaviorDigest:
         base = behavior_map_digest(_computer(), L0Params(), 120.0)
         assert base != behavior_map_digest(_computer(), L0Params(), 240.0)
 
-    def test_custom_grids_change_identity(self):
+    def test_every_l0_field_enters_identity(self):
+        fields = {f.name for f in dataclasses.fields(L0Params)} - {"weights"}
+        fields |= {f"weights.{f.name}" for f in dataclasses.fields(CostWeights)}
+        assert set(L0_CHANGES) == fields
         base = behavior_map_digest(_computer(), L0Params(), 120.0)
-        gridded = behavior_map_digest(
-            _computer(), L0Params(), 120.0, grids=[[0.0, 1.0], [0.0], [0.0]]
-        )
-        assert base != gridded
+        for name, value in L0_CHANGES.items():
+            if name.startswith("weights."):
+                value = {"weights": {name.partition(".")[2]: value}}
+            else:
+                value = {name: value}
+            assert base != behavior_map_digest(_computer(), L0Params(**value), 120.0), name
 
 
 class TestModuleDigest:
@@ -98,6 +132,21 @@ class TestModuleDigest:
             spec, L1Params(gamma_step=0.1), L0Params()
         )
 
+    def test_every_l1_field_but_the_run_only_ones_enters_identity(self):
+        assert set(L1_CHANGES) == {f.name for f in dataclasses.fields(L1Params)}
+        spec = paper_module_spec()
+        base = module_map_digest(spec, L1Params(), L0Params())
+        for name, value in L1_CHANGES.items():
+            changed = module_map_digest(spec, L1Params(**{name: value}), L0Params())
+            assert (changed == base) is (name in RUN_ONLY_L1_FIELDS), name
+
+    def test_l0_params_change_identity(self):
+        spec = paper_module_spec()
+        base = module_map_digest(spec, L1Params(), L0Params())
+        assert base != module_map_digest(
+            spec, L1Params(), L0Params(weights={"tracking": 50.0})
+        )
+
     def test_kind_separates_behavior_and_module(self):
         # A one-computer module and its computer share training content
         # shape but must never collide in the cache.
@@ -106,3 +155,29 @@ class TestModuleDigest:
         assert behavior_map_digest(computer, L0Params(), 120.0) != (
             module_map_digest(module, L1Params(), L0Params())
         )
+
+
+class TestRunOnlyFields:
+    """Each field the identity leaves out is proven unread by training."""
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        spec = paper_module_spec()
+        maps = MapProvider().behavior_maps(spec, L0Params(), L1Params())
+
+        def train(**changes):
+            module_map = ModuleCostMap.train(spec, maps, L1Params(**changes), L0Params())
+            return module_map.to_dict()
+
+        return train
+
+    @pytest.mark.parametrize("name", sorted(RUN_ONLY_L1_FIELDS))
+    def test_training_ignores_the_field(self, trained, name):
+        # Module-map training decides every cell without a band (delta
+        # 0), so the band settings shape no table.
+        changed = {name: L1_CHANGES[name]}
+        spec = paper_module_spec()
+        assert module_map_digest(spec, L1Params(**changed), L0Params()) == (
+            module_map_digest(spec, L1Params(), L0Params())
+        )
+        assert trained(**changed) == trained()

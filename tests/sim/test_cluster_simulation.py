@@ -5,7 +5,7 @@ import pytest
 
 from repro.common import ConfigurationError
 from repro.cluster import paper_cluster_spec
-from repro.controllers import L1Params, L2Params
+from repro.controllers import L1Params
 from repro.scenario import build_simulation, get_scenario
 from repro.sim import ClusterSimulation, EngineOptions
 from repro.sim.observers import ModuleRecorder
@@ -67,14 +67,27 @@ class TestClusterRun:
 
 
 class TestClusterConfiguration:
-    def test_mismatched_periods_rejected(self):
-        spec = paper_cluster_spec()
+    def test_the_l2_decides_on_the_l1_period(self):
+        # A baseline cluster trains no maps; its split still opens one
+        # period per T_L1.
         trace = ArrivalTrace(np.full(16, 1000.0), 30.0)
-        with pytest.raises(ConfigurationError):
+        simulation = ClusterSimulation(
+            paper_cluster_spec(),
+            trace,
+            l1_params=L1Params(period=240.0),
+            baseline="always-on-max",
+        )
+        assert (simulation.substeps, simulation.periods) == (8, 2)
+        assert simulation.run().l2_period == 240.0
+
+    def test_a_period_shorter_than_half_a_t_l0_rejected(self):
+        # round(10 / 30) steps per period would divide by zero.
+        with pytest.raises(ConfigurationError, match="^T_L1 must cover at least one T_L0$"):
             ClusterSimulation(
-                spec, trace,
-                l1_params=L1Params(period=120.0),
-                l2_params=L2Params(period=240.0),
+                paper_cluster_spec(),
+                ArrivalTrace(np.full(16, 1000.0), 30.0),
+                l1_params=L1Params(period=10.0),
+                baseline="always-on-max",
             )
 
     def test_load_follows_backlog_relief(self, short_cluster_result):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.common import ConfigurationError
 from repro.cluster import paper_module_spec
-from repro.controllers import L1Controller
+from repro.controllers import L1Controller, L1Params
 from repro.sim import DiscreteEventModuleSimulation
 from repro.workload import (
     ArrivalTrace,
@@ -99,6 +99,16 @@ class TestDiscreteEventRun:
         with pytest.raises(ConfigurationError):
             DiscreteEventModuleSimulation(
                 paper_module_spec(), generator, behavior_maps=behavior_maps
+            )
+
+    def test_rejects_a_period_shorter_than_half_a_t_l0(self, behavior_maps):
+        # round(10 / 30) steps per period would divide by zero in run().
+        with pytest.raises(ConfigurationError, match="^T_L1 must cover at least one T_L0$"):
+            DiscreteEventModuleSimulation(
+                paper_module_spec(),
+                _generator(periods=2),
+                l1_params=L1Params(period=10.0),
+                behavior_maps=behavior_maps,
             )
 
     def test_agrees_with_fluid_on_machine_provisioning(self, behavior_maps):

@@ -167,6 +167,23 @@ class TestEngines:
             _engine(kind, **{keyword: value})
 
     @pytest.mark.parametrize("kind", ["module", "cluster"])
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("decision_deadline", -1.0),
+            ("metrics", MetricsRegistry()),
+            ("tracer", Tracer()),
+        ],
+    )
+    def test_knobs_are_set_through_the_validating_setters(self, kind, name, value):
+        # set_decision_deadline and set_telemetry are the one way in; an
+        # assignment would slip a negative deadline past its check.
+        engine = _engine(kind)
+        with pytest.raises(AttributeError):
+            setattr(engine, name, value)
+        assert getattr(engine, name) is None
+
+    @pytest.mark.parametrize("kind", ["module", "cluster"])
     def test_engine_keeps_the_given_options(self, kind):
         options = EngineOptions(kernel="scalar", warmup_intervals=2)
         assert _engine(kind, engine_options=options).engine_options is options

@@ -17,6 +17,7 @@ import pytest
 from repro.cluster import paper_cluster_spec, paper_module_spec
 from repro.common import ConfigurationError, ControlError
 from repro.controllers import ThresholdDvfsController
+from repro.controllers.l1 import L1_HORIZON
 from repro.obs import MemorySink, MetricsRegistry, Tracer
 from repro.scenario import build_simulation, get_scenario
 from repro.sim import ClusterSimulation, EngineOptions, ModuleSimulation
@@ -220,9 +221,7 @@ class TestModuleEngine:
         simulation.run()
         lookaheads = [s for s in sink.spans if s["kind"] == "l1-lookahead"]
         assert [s["period"] for s in lookaheads] == list(range(simulation.periods))
-        assert all(
-            s["lookahead"] == simulation.l1_params.horizon for s in lookaheads
-        )
+        assert all(s["lookahead"] == L1_HORIZON == 1 for s in lookaheads)
 
     def test_baseline_live_summary_matches_finish(self):
         simulation = build_simulation(
