@@ -41,6 +41,26 @@ def require_non_negative_int(value: object, name: str) -> int:
     return value
 
 
+def store_floats(instance: object, *names: str) -> None:
+    """Store each named int field of a frozen dataclass as its float.
+
+    A number keeps one spelling, so ``120`` and ``120.0`` give one
+    JSON text and one trained-map digest. Only an ``int`` is coerced: a
+    bool or any other value stays as given, for its own check to judge.
+    Call it after the checks, so their messages show the value given.
+    """
+    for name in names:
+        value = getattr(instance, name)
+        if isinstance(value, int) and not isinstance(value, bool):
+            try:
+                number = float(value)
+            except OverflowError:
+                raise ConfigurationError(
+                    f"{name} must be a finite number, got {value!r}"
+                ) from None
+            object.__setattr__(instance, name, number)
+
+
 def require_non_negative(value: float, name: str) -> float:
     """Return ``value`` if >= 0, else raise ConfigurationError."""
     if not value >= 0:

@@ -23,7 +23,11 @@ realise the paper's design:
   sample) point it needs once, at its own inputs, and adds each
   candidate's cost up from them. Decisions that share a neighbourhood
   plan are scored together, each horizon term by one array query over
-  the module's maps (see :meth:`L1Controller.decide_many`).
+  the module's maps (see :meth:`L1Controller.decide_many`). A run
+  decides every module of a boundary in one kernel pass
+  (:class:`L1Bank`): the modules' plans, concatenated into one block
+  plan over one map bank of all their computers, score as one row, and
+  each module takes the first minimum of its own candidates.
 * **Chattering mitigation** — every candidate is costed as the average of
   three arrival-rate samples ``lambda_hat - delta, lambda_hat,
   lambda_hat + delta`` (the forecast uncertainty band), plus the
@@ -34,6 +38,15 @@ load and serves nothing during [k, k+1) (it costs base power plus W), and
 contributes capacity from the *second* horizon term onward — turning a
 machine on is only chosen when the forecast says the capacity will pay
 for itself.
+
+Every path gives the same bits as the per-candidate loop it replaced.
+That loop lives on as the oracle in ``tests/controllers/test_l1.py``
+(``_reference_decide``), checked against :meth:`L1Controller.decide_many`
+on generated and recorded rows; ``TestBlockPass`` there checks each
+row of a generated :class:`L1Bank` pass against its controller's
+:meth:`~L1Controller.decide` on that row alone, and
+``tests/sim/test_l1_pass.py`` checks whole runs, on both kernels and
+with failures, against the pass replaced by one ``decide`` per module.
 """
 
 from __future__ import annotations
@@ -366,10 +379,13 @@ class _Neighbourhood(NamedTuple):
     slot ``f`` (``first_count`` when it boots and starts empty) and
     whose gamma_next quanta is ``g``. The slot matrices are padded with
     the index of a zero column, which adds nothing.
+
+    A block plan (:class:`L1Bank`) scores many modules' plans as one and
+    has no ``alphas`` or ``gammas``: its members' plans keep them.
     """
 
-    alphas: np.ndarray  # (candidates, m) read-only on/off masks
-    gammas: np.ndarray  # (candidates, m) read-only load fractions
+    alphas: "np.ndarray | None"  # (candidates, m) read-only on/off masks
+    gammas: "np.ndarray | None"  # (candidates, m) read-only load fractions
     fixed: np.ndarray  # W per boot plus the booting machines' idle power
     sums: np.ndarray  # each candidate's row of sum_slots
     sum_slots: np.ndarray  # first-term slots of serving computers, per sum row
@@ -381,8 +397,9 @@ class _Neighbourhood(NamedTuple):
     second_starts: np.ndarray
     start_pairs: np.ndarray  # queue level pairs of each second-term point
     # Every point of ``first`` then ``second``: its term (0 or 1, the
-    # band row its rates sample), its gamma level (0 for drains) and
-    # its map's rate level pairs, so one snap serves both terms.
+    # band row its rates sample; 2 * member + term in a block), its
+    # gamma level (0 for drains) and its map's rate level pairs, so one
+    # snap serves both terms.
     terms: np.ndarray
     levels: np.ndarray
     rate_pairs: np.ndarray
@@ -408,6 +425,36 @@ def _sequential_sum(terms: np.ndarray) -> np.ndarray:
     for k in range(1, terms.shape[-1]):
         total += terms[..., k]
     return total
+
+
+def _bands(rates: np.ndarray, delta: np.ndarray, banded: bool) -> np.ndarray:
+    """Each row's arrival-rate samples, ``(rows, 2, samples)``.
+
+    ``rates`` is ``(2, rows)``: rate_hat, then rate_next. ``banded``
+    takes the band's three samples around both rates, else the rates
+    alone.
+    """
+    if banded:
+        return three_point_band(rates, delta).transpose(2, 1, 0)
+    return rates[:, :, None].transpose(1, 0, 2)
+
+
+def _decision(
+    plan: _Neighbourhood, choice: int, cost: float, states: int, name: str
+) -> L1Decision:
+    """Candidate ``choice`` of ``plan`` at total ``cost``.
+
+    Raises a one-line :class:`ControlError` naming the total ``name``
+    when it is not finite.
+    """
+    if not math.isfinite(cost):
+        require_finite_inputs(**{name: cost})
+    return L1Decision(
+        alpha=plan.alphas[choice].astype(int),
+        gamma=plan.gammas[choice],
+        expected_cost=cost,
+        states_explored=states,
+    )
 
 
 class ComputerBehaviorMap:
@@ -655,45 +702,13 @@ class L1Controller:
         row whose best total is not finite.
         """
         started = time.perf_counter()
-        queues = np.asarray(queues, dtype=float)
-        alpha_current = np.asarray(alpha_current, dtype=bool)
-        m = self.spec.size
-        if queues.ndim != 2 or queues.shape[1] != m or alpha_current.shape != queues.shape:
-            raise ConfigurationError("queues and alpha must have one entry per computer")
+        queues, alpha_current, available, set_points, quiet = self._inputs(
+            queues, alpha_current, rate_hat, rate_next, delta, work, available
+        )
         rows = len(queues)
-        if available is None:
-            available = np.ones((rows, m), dtype=bool)
-        else:
-            available = np.asarray(available, dtype=bool)
-            if available.shape != (rows, m):
-                raise ConfigurationError("available mask must match module size")
-            if not available.any(axis=1).all():
-                raise ControlError("no machine available to serve the module")
-            alpha_current = alpha_current & available
-        try:
-            set_points = np.array([rate_hat, rate_next, delta, work], dtype=float)
-        except ValueError:  # ragged
-            set_points = None
-        if set_points is None or set_points.shape != (4, rows):
-            raise ConfigurationError(
-                "rate_hat, rate_next, delta and work need one value per row"
-            )
         if not rows:
             return []
-        checked = np.concatenate([queues.ravel(), set_points.ravel()])
-        top, least_work = checked.max(), set_points[3].min()
-        if not (checked.min() >= 0.0 and top < np.inf and least_work > 0.0):
-            # One row names its inputs as decide's arguments, many by row.
-            names = ("queues", "rate_hat", "rate_next", "delta", "work")
-            inputs = dict(zip(names, (queues, *set_points)))
-            if rows == 1:
-                inputs = {name: value[0] for name, value in inputs.items()}
-            require_finite_inputs(**inputs)
-            work = inputs.pop("work")
-            _require(lambda v: v >= 0.0, "must be >= 0", inputs)
-            _require(lambda v: v > 0.0, "must be > 0", {"work": work})
-        rate_hat, rate_next, delta, work = set_points
-        quiet = top > _QUIET_ABOVE or least_work < 1.0 / _QUIET_ABOVE
+        delta, work = set_points[2:]
         with np.errstate(over="ignore", invalid="ignore") if quiet else nullcontext():
             groups: "dict[bytes, list[int]]" = {}
             keys = np.concatenate([alpha_current, available, (delta > 0)[:, None]], axis=1)
@@ -701,44 +716,28 @@ class L1Controller:
                 groups.setdefault(key.tobytes(), []).append(row)
             decisions: "list[L1Decision]" = [None] * rows
             for key, members in groups.items():
-                mask = key[: 2 * m]
-                if mask not in self._plans:
-                    self._plans[mask] = self._neighbourhood(
-                        alpha_current[members[0]], available[members[0]]
-                    )
-                plan = self._plans[mask]
-                if plan is None:
-                    raise ControlError("no admissible (alpha, gamma) candidate found")
+                first = members[0]
+                plan = self._plan(key[:-1], alpha_current[first], available[first])
                 for start in range(0, len(members), _KERNEL_ROWS):
                     block = members[start : start + _KERNEL_ROWS]
                     # One group holds every row: index by a view, not a copy.
                     index = slice(start, start + len(block)) if len(groups) == 1 else block
-                    if key[-1]:  # the band's three samples around both rates
-                        bands = three_point_band(set_points[:2, index], delta[index])
-                        bands = bands.transpose(2, 1, 0)
-                    else:
-                        bands = set_points[:2, index, None].transpose(1, 0, 2)
-                    totals = self._totals(plan, queues[index], bands, work[index])
+                    bands = _bands(set_points[:2, index], delta[index], key[-1])
+                    totals = self._totals(self._bank, plan, queues[index], bands, work[index])
                     states = len(plan.fixed) * 2 * bands.shape[2]
                     for row, choice, cost in zip(
                         block, totals.argmin(axis=1).tolist(), totals.min(axis=1).tolist()
                     ):
-                        if not math.isfinite(cost):
-                            name = "expected_cost" if rows == 1 else f"expected_cost[{row}]"
-                            require_finite_inputs(**{name: cost})
-                        decisions[row] = L1Decision(
-                            alpha=plan.alphas[choice].astype(int),
-                            gamma=plan.gammas[choice],
-                            expected_cost=cost,
-                            states_explored=states,
-                        )
+                        name = "expected_cost" if rows == 1 else f"expected_cost[{row}]"
+                        decisions[row] = _decision(plan, choice, cost, states, name)
         share = (time.perf_counter() - started) / rows
         for decision in decisions:
             self.stats.record(decision.states_explored, share)
         return decisions
 
+    @staticmethod
     def _totals(
-        self,
+        bank: _MapBank,
         plan: _Neighbourhood,
         queues: np.ndarray,
         bands: np.ndarray,
@@ -746,17 +745,18 @@ class L1Controller:
     ) -> np.ndarray:
         """Every candidate's expected cost, ``(rows, candidates)``.
 
-        ``bands`` is ``(rows, 2, samples)``: each row's arrival-rate
-        samples for periods k and k+1. Each candidate costs its fixed
-        part, then the two horizon terms, each the mean over its band
-        samples of the per-computer map costs. Period k loads the
-        serving computers by gamma and drains the ones switched off; in
-        period k+1 the boots have completed and the on-set shares the
-        load by gamma_next, each serving computer starting from its
-        mean period-k queue. Terms add in the per-candidate loop's
-        order, column by column.
+        ``plan``'s points index ``bank``'s computers, and ``queues`` is
+        ``(rows, computers)``. ``bands`` is ``(rows, terms, samples)``:
+        each row's arrival-rate samples, one band row per horizon term a
+        point names (two for a module's plan: periods k and k+1). Each
+        candidate costs its fixed part, then the two horizon terms, each
+        the mean over its band samples of the per-computer map costs.
+        Period k loads the serving computers by gamma and drains the ones
+        switched off; in period k+1 the boots have completed and the
+        on-set shares the load by gamma_next, each serving computer
+        starting from its mean period-k queue. Terms add in the
+        per-candidate loop's order, column by column.
         """
-        bank = self._bank
         rows, _, width = bands.shape
         weight = 1.0 / width
         work = work[:, None, None]
@@ -815,6 +815,73 @@ class L1Controller:
         for s in range(width):
             totals += steps[:, s]
         return totals
+
+    def _inputs(
+        self, queues, alpha_current, rate_hat, rate_next, delta, work, available
+    ) -> tuple:
+        """:meth:`decide_many`'s arguments as arrays, after every input check.
+
+        Returns ``(queues, alpha_current, available, set_points,
+        quiet)``: the masks are ``(rows, m)`` with failed machines off in
+        ``alpha_current``, ``set_points`` stacks rate_hat, rate_next,
+        delta and work as ``(4, rows)``, and ``quiet`` says the kernel
+        runs with numpy's overflow warnings off (see
+        :data:`_QUIET_ABOVE`).
+        """
+        queues = np.asarray(queues, dtype=float)
+        alpha_current = np.asarray(alpha_current, dtype=bool)
+        m = self.spec.size
+        if queues.ndim != 2 or queues.shape[1] != m or alpha_current.shape != queues.shape:
+            raise ConfigurationError("queues and alpha must have one entry per computer")
+        rows = len(queues)
+        if available is None:
+            available = np.ones((rows, m), dtype=bool)
+        else:
+            available = np.asarray(available, dtype=bool)
+            if available.shape != (rows, m):
+                raise ConfigurationError("available mask must match module size")
+            if not available.any(axis=1).all():
+                raise ControlError("no machine available to serve the module")
+            alpha_current = alpha_current & available
+        try:
+            set_points = np.array([rate_hat, rate_next, delta, work], dtype=float)
+        except ValueError:  # ragged
+            set_points = None
+        if set_points is None or set_points.shape != (4, rows):
+            raise ConfigurationError(
+                "rate_hat, rate_next, delta and work need one value per row"
+            )
+        if not rows:
+            return queues, alpha_current, available, set_points, False
+        checked = np.concatenate([queues.ravel(), set_points.ravel()])
+        top, least_work = checked.max(), set_points[3].min()
+        if not (checked.min() >= 0.0 and top < np.inf and least_work > 0.0):
+            # One row names its inputs as decide's arguments, many by row.
+            names = ("queues", "rate_hat", "rate_next", "delta", "work")
+            inputs = dict(zip(names, (queues, *set_points)))
+            if rows == 1:
+                inputs = {name: value[0] for name, value in inputs.items()}
+            require_finite_inputs(**inputs)
+            work = inputs.pop("work")
+            _require(lambda v: v >= 0.0, "must be >= 0", inputs)
+            _require(lambda v: v > 0.0, "must be > 0", {"work": work})
+        quiet = top > _QUIET_ABOVE or least_work < 1.0 / _QUIET_ABOVE
+        return queues, alpha_current, available, set_points, quiet
+
+    def _plan(
+        self, mask: bytes, alpha_current: np.ndarray, available: np.ndarray
+    ) -> _Neighbourhood:
+        """The neighbourhood plan of one row, cached by its ``mask``.
+
+        ``mask`` is the bytes of ``alpha_current`` then ``available``.
+        Raises :class:`ControlError` when no candidate is admissible.
+        """
+        if mask not in self._plans:
+            self._plans[mask] = self._neighbourhood(alpha_current, available)
+        plan = self._plans[mask]
+        if plan is None:
+            raise ControlError("no admissible (alpha, gamma) candidate found")
+        return plan
 
     # ------------------------------------------------------------------
     # The bounded neighbourhood
@@ -979,3 +1046,230 @@ class L1Controller:
     def substep_count(self) -> int:
         """L0 periods per L1 period (the paper's l)."""
         return round(self.params.period / self.l0_params.period)
+
+
+def _stacked(
+    matrices: "list[np.ndarray]", remap: np.ndarray, bases: "list[int]", pad: int
+) -> np.ndarray:
+    """Members' index matrices, stacked into one block matrix.
+
+    Member b's entry ``i`` becomes ``remap[bases[b] + i]``, and rows
+    shorter than the widest member's are filled with ``pad``.
+    """
+    width = max(matrix.shape[1] for matrix in matrices)
+    stacked = np.full((sum(map(len, matrices)), width), pad, dtype=np.intp)
+    row = 0
+    for matrix, base in zip(matrices, bases):
+        stacked[row : row + len(matrix), : matrix.shape[1]] = remap[matrix + base]
+        row += len(matrix)
+    return stacked
+
+
+class L1Bank:
+    """A run's L1 controllers, decided in one kernel pass per boundary.
+
+    Every module a boundary decides is one member of one *block plan*:
+    the members' cached neighbourhood plans, concatenated over one map
+    bank of all the controllers' computers, score as one row of one
+    :meth:`L1Controller._totals` call, and each member takes the first
+    minimum of its own candidates. Each point is still evaluated at its
+    own inputs and each total still adds its columns in the plan's
+    order, so every decision is bit for bit its controller's
+    :meth:`~L1Controller.decide` on that row alone.
+
+    The block lists every member's serving first-term points, then every
+    member's drains, then every member's second-term points; a point's
+    band row is ``2 * member + term``. The members' slot matrices move
+    by the same offsets and are padded with the zero column's index, so
+    a pad adds ``+0.0`` as a plan's own pads do. Modules whose delta is
+    0 sample the band once, so they make a block of their own. A block
+    of one module is its own plan over its controller's bank: a module
+    run's pass builds nothing. Plans stay cached per controller; only
+    the last block is kept, since a boundary's masks often repeat the
+    last one's.
+    """
+
+    def __init__(self, controllers: "list[L1Controller]") -> None:
+        self.controllers = list(controllers)
+        sizes = [controller.spec.size for controller in self.controllers]
+        #: Each controller's first computer in :attr:`_bank`.
+        self._first_computer = np.cumsum([0, *sizes[:-1]]).tolist()
+        self._computers = sum(sizes)
+        self._last: "tuple | None" = None  # (members' masks, block, bounds)
+
+    @cached_property
+    def _bank(self) -> _MapBank:
+        """Every controller's behaviour maps, in module order, as one bank."""
+        return _MapBank([m for controller in self.controllers for m in controller.maps])
+
+    def decide(
+        self,
+        modules: "list[int]",
+        queues: "list[np.ndarray]",
+        alpha_current: "list[np.ndarray]",
+        rate_hat: "list[float]",
+        rate_next: "list[float]",
+        delta: "list[float]",
+        work: float,
+        available: "list[np.ndarray]",
+    ) -> "list[L1Decision]":
+        """One decision per row: row r decides controller ``modules[r]``.
+
+        Row r's values, with the boundary's one c-hat ``work``, are that
+        controller's :meth:`~L1Controller.decide` arguments, and its
+        decision is that call's, bit for bit. The rows whose delta is
+        above 0 make one block, and so do those whose delta is 0. Each
+        row records one invocation on its controller's stats, at the
+        pass's wall time divided by its rows. Raises ``decide``'s
+        one-line errors, each led by the failing row's module.
+        """
+        started = time.perf_counter()
+        if not modules:
+            return []
+        rows = []  # (module, mask, plan, (1, m) queues, (4,) set-points)
+        groups: "dict[bool, list[int]]" = {}  # rows by band sampling
+        quiet = False
+        for r, module in enumerate(modules):
+            controller = self.controllers[module]
+            try:
+                row_queues, alpha, mask, set_points, row_quiet = controller._inputs(
+                    np.asarray(queues[r], dtype=float)[None],
+                    np.asarray(alpha_current[r])[None],
+                    [rate_hat[r]],
+                    [rate_next[r]],
+                    [delta[r]],
+                    [work],
+                    np.asarray(available[r])[None],
+                )
+                key = alpha.tobytes() + mask.tobytes()
+                plan = controller._plan(key, alpha[0], mask[0])
+            except (ConfigurationError, ControlError) as error:
+                raise type(error)(f"module {module}: {error}") from None
+            quiet = quiet or row_quiet
+            rows.append((module, key, plan, row_queues, set_points[:, 0]))
+            groups.setdefault(bool(set_points[2, 0] > 0), []).append(r)
+        decisions: "list[L1Decision]" = [None] * len(rows)
+        with np.errstate(over="ignore", invalid="ignore") if quiet else nullcontext():
+            for banded, members in groups.items():
+                set_points = np.array([rows[r][4] for r in members]).T
+                if len(members) == 1:
+                    module, _, plan, row_queues, _ = rows[members[0]]
+                    bank, block = self.controllers[module]._bank, plan
+                    bounds = [0, len(plan.fixed)]
+                else:
+                    bank = self._bank
+                    block, bounds = self._block([rows[r][:3] for r in members])
+                    row_queues = np.zeros((1, self._computers))
+                    for r in members:
+                        module, _, _, module_queues, _ = rows[r]
+                        start = self._first_computer[module]
+                        row_queues[:, start : start + module_queues.shape[1]] = module_queues
+                bands = _bands(set_points[:2], set_points[2], banded)
+                samples = bands.shape[2]
+                bands = bands.reshape(1, -1, samples)
+                totals = L1Controller._totals(bank, block, row_queues, bands, set_points[3, :1])[0]
+                for b, r in enumerate(members):
+                    module, _, plan, _, _ = rows[r]
+                    candidates = totals[bounds[b] : bounds[b + 1]]
+                    choice = int(candidates.argmin())
+                    states = len(plan.fixed) * 2 * samples
+                    try:
+                        decisions[r] = _decision(
+                            plan, choice, float(candidates[choice]), states, "expected_cost"
+                        )
+                    except ControlError as error:
+                        raise ControlError(f"module {module}: {error}") from None
+        share = (time.perf_counter() - started) / len(rows)
+        for (module, *_), decision in zip(rows, decisions):
+            self.controllers[module].stats.record(decision.states_explored, share)
+        return decisions
+
+    def _block(self, members: list) -> "tuple[_Neighbourhood, list[int]]":
+        """The block plan of ``members`` and their candidate bounds.
+
+        ``members`` are ``(module, mask, plan)``; member b's candidates
+        are the block's ``bounds[b]:bounds[b + 1]``. The last block is
+        reused while the members and their masks repeat.
+        """
+        key = [(module, mask) for module, mask, _ in members]
+        if self._last is None or self._last[0] != key:
+            block = self._build(
+                [self._first_computer[module] for module, _, _ in members],
+                [plan for _, _, plan in members],
+            )
+            self._last = (key, *block)
+        return self._last[1:]
+
+    def _build(
+        self, offsets: "list[int]", plans: "list[_Neighbourhood]"
+    ) -> "tuple[_Neighbourhood, list[int]]":
+        """Concatenate ``plans``, whose computers start at ``offsets``."""
+        serving = [plan.first_count for plan in plans]
+        firsts = [len(plan.first.computers) for plan in plans]
+        seconds = [len(plan.second.computers) for plan in plans]
+        first_count, second_count = sum(serving), sum(seconds)
+        pad = sum(firsts)  # the zero column after the first-term points
+        # Per member, the block index of each of its point indices, then
+        # of its zero column (``start_at``: of its first-term slots, then
+        # of a boot's empty start queue), from the member's base on.
+        first_at, start_at, second_at = [], [], []
+        first_bases, start_bases, second_bases = [], [], []
+        served = drained = seconded = 0
+        for n, total, n2 in zip(serving, firsts, seconds):
+            first_bases.append(len(first_at))
+            start_bases.append(len(start_at))
+            second_bases.append(len(second_at))
+            drain = first_count + drained
+            first_at += [*range(served, served + n), *range(drain, drain + total - n), pad]
+            start_at += [*range(served, served + n), first_count]
+            second_at += [*range(seconded, seconded + n2), second_count]
+            served, drained, seconded = served + n, drained + total - n, seconded + n2
+        first_at, start_at, second_at = (
+            np.array(at, dtype=np.intp) for at in (first_at, start_at, second_at)
+        )
+        sum_bases = np.cumsum([0, *(len(plan.sum_slots) for plan in plans[:-1])])
+        index = np.arange(len(plans))
+        first_computers = np.concatenate(
+            [plan.first.computers[:n] + o for plan, n, o in zip(plans, serving, offsets)]
+            + [plan.first.computers[n:] + o for plan, n, o in zip(plans, serving, offsets)]
+        )
+        second_computers = np.concatenate(
+            [plan.second.computers + o for plan, o in zip(plans, offsets)]
+        )
+        bank = self._bank
+        queue_pairs, rate_pairs, _ = bank.pairs
+        block = _Neighbourhood(
+            alphas=None,
+            gammas=None,
+            fixed=np.concatenate([plan.fixed for plan in plans]),
+            sums=np.concatenate([plan.sums + base for plan, base in zip(plans, sum_bases)]),
+            sum_slots=_stacked([p.sum_slots for p in plans], first_at, first_bases, pad),
+            drain_slots=_stacked([p.drain_slots for p in plans], first_at, first_bases, pad),
+            second_slots=_stacked(
+                [p.second_slots for p in plans], second_at, second_bases, second_count
+            ),
+            first=bank.points(first_computers),
+            first_count=first_count,
+            second=bank.points(second_computers),
+            second_starts=start_at[
+                np.concatenate(
+                    [plan.second_starts + base for plan, base in zip(plans, start_bases)]
+                )
+            ],
+            start_pairs=queue_pairs[:, second_computers],
+            terms=np.concatenate(
+                [
+                    np.repeat(2 * index, serving),
+                    np.repeat(2 * index, np.subtract(firsts, serving)),
+                    np.repeat(2 * index + 1, seconds),
+                ]
+            ),
+            levels=np.concatenate(
+                [plan.levels[:n] for plan, n in zip(plans, serving)]
+                + [plan.levels[n:f] for plan, n, f in zip(plans, serving, firsts)]
+                + [plan.levels[f:] for plan, f in zip(plans, firsts)]
+            ),
+            rate_pairs=rate_pairs[:, np.concatenate([first_computers, second_computers])],
+        )
+        bounds = np.cumsum([0, *(len(plan.fixed) for plan in plans)]).tolist()
+        return block, bounds

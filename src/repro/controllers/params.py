@@ -6,7 +6,11 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from repro.common.errors import ConfigurationError
-from repro.common.validation import require_non_negative, require_positive
+from repro.common.validation import (
+    require_non_negative,
+    require_positive,
+    store_floats,
+)
 from repro.core.cost import CostWeights
 
 
@@ -35,6 +39,7 @@ class L0Params:
         require_non_negative(self.robustness_margin, "robustness_margin")
         if self.horizon < 1:
             raise ConfigurationError("horizon must be >= 1")
+        store_floats(self, "target_response", "period", "robustness_margin")
         # A spec or payload gives the weights as a dict of their fields.
         if isinstance(self.weights, dict):
             try:
@@ -102,6 +107,7 @@ class L1Params:
             raise ConfigurationError("gamma_neighborhood_moves must be >= 0")
         if self.max_gamma_candidates < 1:
             raise ConfigurationError("max_gamma_candidates must be >= 1")
+        store_floats(self, "period", "gamma_step", "switching_weight")
 
     def to_dict(self) -> dict:
         """Plain-dict form; JSON-safe and loss-free."""

@@ -18,7 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.errors import ConfigurationError
-from repro.common.validation import require_non_negative, require_positive
+from repro.common.validation import (
+    require_non_negative,
+    require_positive,
+    store_floats,
+)
 
 
 def weighted_norm(vector, weight) -> float:
@@ -56,6 +60,7 @@ class CostWeights:
         require_non_negative(self.tracking, "tracking")
         require_non_negative(self.operating, "operating")
         require_non_negative(self.control_change, "control_change")
+        store_floats(self, "tracking", "operating", "control_change")
 
 
 class SetPointCost:

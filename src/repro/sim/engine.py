@@ -4,8 +4,9 @@ The engine advances the fluid plant in T_L0 periods. Within each period:
 
 1. at T_L1 boundaries the engine closes the last interval — its
    arrivals and work go to the run's filters — reads each filter once,
-   and every module controller (L1 or a baseline) decides alpha and
-   gamma from those readings and reconfigures its module;
+   and every module decides alpha and gamma from those readings (the
+   run's L1s in one pass, :class:`~repro.controllers.l1.L1Bank`; each
+   baseline on its own) and reconfigures itself;
 2. each computer's L0 controller picks a DVFS setting (hierarchy mode
    only — baselines pin frequencies themselves);
 3. the dispatcher splits the period's arrivals by gamma and every
@@ -60,7 +61,13 @@ from repro.cluster.module import Module
 from repro.cluster.specs import ClusterSpec, ModuleSpec
 from repro.controllers.baselines import _BaselineBase, make_baseline
 from repro.controllers.l0 import L0Controller
-from repro.controllers.l1 import L1_HORIZON, ComputerBehaviorMap, L1Controller
+from repro.controllers.l1 import (
+    L1_HORIZON,
+    ComputerBehaviorMap,
+    L1Bank,
+    L1Controller,
+    L1Decision,
+)
 from repro.controllers.l2 import L2Controller, ModuleCostMap
 from repro.controllers.params import L0Params, L1Params, L2Params
 from repro.controllers.stats import ControllerStats
@@ -166,8 +173,10 @@ class _SimulationBase:
         stay in force and the emitted :class:`L1DecisionEvent` carries
         ``held=True``. In a cluster the budget is shared down the
         hierarchy: an overrunning L2 decision holds every module too
-        (its event and theirs carry ``held=True``); an L1 that
-        individually blows the remaining budget holds just its module.
+        (its event and theirs carry ``held=True``). The L1s decide in
+        one pass, checked once: a pass that ends past the budget holds
+        every module in it. A baseline module is checked after its own
+        decision and holds alone.
         On both engines the budget starts after the interval close has
         fed the filters, so it covers the boundary's forecasts and
         decisions, not filter updates. ``None`` (the default) disables
@@ -274,6 +283,7 @@ class _SimulationBase:
                 target_response=self.l0_params.target_response,
             ),
             vector_executor=self._vector_executor(runners),
+            l1_bank=L1Bank(controllers) if hierarchy else None,
             gamma_modules=self._initial_gamma.copy(),
             interval_module=np.zeros(len(runners)),
             global_filter=global_filter,
@@ -427,7 +437,15 @@ class _SimulationBase:
 
         The deadline budget (``None`` in batch runs, which skips every
         clock read) starts after the close: one absolute instant the L2
-        decision and every module's decision must beat.
+        decision and every module's decision must beat. Under the
+        hierarchy the boundary runs in this order: the L2 decides and
+        its event is emitted; every runner applies its due faults; one
+        :class:`~repro.controllers.l1.L1Bank` pass decides every module
+        the L2 did not hold; one deadline check follows, and past the
+        deadline every module in the pass holds its allocation; then
+        each runner, in module order, applies, holds or forces its
+        decision and emits its event. Baseline modules decide and check
+        the deadline one by one, in their runners.
         """
         if k > 0:
             self._close_interval(state, work)
@@ -440,8 +458,51 @@ class _SimulationBase:
         )
         if l2_event is not None:
             state.sink.on_l2_decision(l2_event)
-        for runner, boundary in zip(state.runners, boundaries):
-            state.sink.on_l1_decision(self._begin_period(runner, boundary))
+        if state.l1_bank is None:
+            for runner, boundary in zip(state.runners, boundaries):
+                state.sink.on_l1_decision(self._begin_period(runner, boundary))
+            return
+        for runner in state.runners:
+            runner._apply_faults(now)
+        decisions, wall = self._decide_l1(state, boundaries)
+        held = deadline_at is not None and time.monotonic() > deadline_at
+        for runner, boundary, decision in zip(state.runners, boundaries, decisions):
+            event = runner.begin_period(boundary, None if held else decision)
+            self._emit_l1(event, 0.0 if decision is None else wall, L1_HORIZON)
+            state.sink.on_l1_decision(event)
+
+    def _decide_l1(
+        self, state: "_RunState", boundaries: "list[ModuleBoundaryInput]"
+    ) -> "tuple[list[L1Decision | None], float]":
+        """One L1 pass over the modules the L2 did not hold.
+
+        Returns each module's decision (``None`` when held) and each
+        decided module's share of the pass's wall time, read only when
+        telemetry is attached (else 0.0).
+        """
+        decided = [i for i, boundary in enumerate(boundaries) if not boundary.hold]
+        decisions: "list[L1Decision | None]" = [None] * len(boundaries)
+        if not decided:
+            return decisions, 0.0
+        runners = [state.runners[i] for i in decided]
+        inputs = [boundaries[i] for i in decided]
+        tracer = self.tracer
+        timed = self.metrics is not None or (tracer is not None and tracer.enabled)
+        t0 = time.perf_counter() if timed else 0.0
+        made = state.l1_bank.decide(
+            decided,
+            [runner.plant.queue_lengths for runner in runners],
+            [runner.alpha for runner in runners],
+            [boundary.rate_hat for boundary in inputs],
+            [boundary.rate_next for boundary in inputs],
+            [boundary.delta for boundary in inputs],
+            inputs[0].work,
+            [runner.plant.available_mask for runner in runners],
+        )
+        wall = (time.perf_counter() - t0) / len(decided) if timed else 0.0
+        for i, decision in zip(decided, made):
+            decisions[i] = decision
+        return decisions, wall
 
     def _close_interval(self, state: "_RunState", work: float) -> None:
         """Feed the closed period to the run's arrival filters and c-hat.
@@ -568,20 +629,28 @@ class _SimulationBase:
     def _begin_period(
         self, runner: ModuleShardRunner, boundary: ModuleBoundaryInput
     ) -> L1DecisionEvent:
-        """One module's boundary decision, with its L1 telemetry.
+        """One baseline module's boundary decision, with its telemetry.
 
-        Times the runner's ``begin_period`` into
-        ``repro_decision_seconds{level="l1"}`` and an ``l1-lookahead``
-        span. Detached telemetry takes no clock reads.
+        Times the runner's ``begin_period`` into its :meth:`_emit_l1`
+        records. Detached telemetry takes no clock reads.
+        """
+        tracer = self.tracer
+        if self.metrics is None and (tracer is None or not tracer.enabled):
+            return runner.begin_period(boundary)
+        t0 = time.perf_counter()
+        event = runner.begin_period(boundary)
+        self._emit_l1(event, time.perf_counter() - t0, 0)
+        return event
+
+    def _emit_l1(self, event: L1DecisionEvent, wall: float, lookahead: int) -> None:
+        """Record one module decision's telemetry at ``wall`` seconds.
+
+        One ``repro_decision_seconds{level="l1"}`` sample and one
+        ``l1-lookahead`` span; nothing when telemetry is detached.
         """
         metrics = self.metrics
         tracer = self.tracer
         tracing = tracer is not None and tracer.enabled
-        if not tracing and metrics is None:
-            return runner.begin_period(boundary)
-        t0 = time.perf_counter()
-        event = runner.begin_period(boundary)
-        wall = time.perf_counter() - t0
         if metrics is not None:
             metrics.histogram(
                 "repro_decision_seconds",
@@ -595,11 +664,10 @@ class _SimulationBase:
                 module=event.module,
                 wall_us=wall * 1e6,
                 machines_on=int(event.alpha.sum()),
-                lookahead=0 if runner.is_baseline else L1_HORIZON,
+                lookahead=lookahead,
                 held=event.held,
                 forced=event.forced,
             )
-        return event
 
     def _emit_l0_bank(self, state: "_RunState", period: int) -> None:
         """One ``l0-bank`` span per module for the period just closed.
@@ -713,6 +781,9 @@ class _RunState:
     sink: ObserverList
     #: Batched step engine (vector kernel only; None on scalar).
     vector_executor: "ClusterVectorExecutor | None"
+    #: Every module's L1, decided in one pass per boundary (hierarchy
+    #: only; None under baselines).
+    l1_bank: "L1Bank | None"
     #: Each module's fraction of the arrivals (``[1.0]`` on a module run).
     gamma_modules: np.ndarray
     interval_module: np.ndarray

@@ -8,7 +8,9 @@ a baseline), the L0 bank, the current alpha/gamma, pending fault events
 — and exposes the intra-period stepping as three calls
 (``begin_period`` / ``step`` / ``finalize``). The module engine drives
 one runner and the cluster engine one per module. Boundaries and
-faults always run here. Between boundaries, the ``scalar`` kernel
+faults always run here: a baseline decides in its runner, and an L1
+module applies the decision the engine's one pass over every L1 of
+the boundary made. Between boundaries, the ``scalar`` kernel
 calls :meth:`ModuleShardRunner.step`, the reference; on ``vector``
 (the default) both engines step their runners' computers through
 :class:`~repro.sim.kernels.ClusterVectorExecutor` instead, which keeps
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.errors import ConfigurationError
+from repro.controllers.l1 import L1Decision
 from repro.controllers.params import L0Params, L1Params
 from repro.controllers.stats import ControllerStats
 from repro.sim.observers import L1DecisionEvent, StepEvent
@@ -93,12 +96,19 @@ class ModuleBoundaryInput:
 
     The last three fields are the live-service seams and default to the
     batch behaviour: ``deadline_at`` is an absolute ``time.monotonic()``
-    deadline for this boundary's decision (``None`` disables the check
+    deadline for this boundary's decisions (``None`` disables the check
     and skips every clock read, keeping batch runs byte-identical);
     ``hold`` pre-holds the decision (the cluster's L2 already missed the
     shared deadline, so the L1 keeps its allocation too); ``force_on``
     pins the module to its first so-many available machines (a manual
     operator override).
+
+    The hold rule: a baseline module checks ``deadline_at`` after its
+    own decision and holds alone. The L1s of a boundary are decided in
+    one pass (:class:`~repro.controllers.l1.L1Bank`), and the engine
+    checks the deadline once, after it: a pass that ends past the
+    deadline holds every module in it, and each runner is handed no
+    decision.
     """
 
     period: int
@@ -250,18 +260,23 @@ class ModuleShardRunner:
 
     # -- the three intra-period calls -----------------------------------
 
-    def begin_period(self, boundary: ModuleBoundaryInput) -> L1DecisionEvent:
-        """Re-decide alpha/gamma and reconfigure the module.
+    def begin_period(
+        self, boundary: ModuleBoundaryInput, decision: "L1Decision | None" = None
+    ) -> L1DecisionEvent:
+        """Apply this boundary's alpha/gamma and reconfigure the module.
 
         The engine's interval close has already fed the closed period to
         the filters (even for a period that ends up held), and the engine
-        has read them into ``boundary``, so this only decides. The
-        decision is *computed first and applied after* the deadline
-        check: a decision that missed its budget (or a ``hold`` the
-        engine already declared) is discarded and the previous
-        alpha/gamma stay in force — the plant never sees a transient
-        from an abandoned decision. With no deadline and no override the
-        operation sequence is exactly the original batch sequence.
+        has read them into ``boundary``. A baseline module decides here;
+        an L1 module applies ``decision``, which the engine's one L1
+        pass over the boundary made, and holds when it is handed none
+        (the ``hold`` the L2 declared, or a pass that missed the
+        deadline). A decision is *computed first and applied after* the
+        deadline check: one that missed its budget is discarded and the
+        previous alpha/gamma stay in force — the plant never sees a
+        transient from an abandoned decision. With no deadline and no
+        override the operation sequence is exactly the original batch
+        sequence.
         """
         self._apply_faults(boundary.now)
         held = boundary.hold
@@ -293,21 +308,7 @@ class ModuleShardRunner:
             else:
                 self.plant.apply_configuration(self.alpha)
         else:
-            if not held:
-                decision = self.controller.decide(
-                    self.plant.queue_lengths,
-                    self.alpha,
-                    rate_hat=boundary.rate_hat,
-                    rate_next=boundary.rate_next,
-                    delta=boundary.delta,
-                    work=boundary.work,
-                    available=self.plant.available_mask,
-                )
-                if (
-                    boundary.deadline_at is not None
-                    and time.monotonic() > boundary.deadline_at
-                ):
-                    held = True
+            held = held or decision is None
             if not held:
                 self.alpha = decision.alpha.astype(bool)
                 self.gamma = decision.gamma

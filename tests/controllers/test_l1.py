@@ -17,17 +17,19 @@ from repro.approximation.table import LookupTableMap
 from repro.common import ConfigurationError, ControlError
 from repro.cluster import (
     ComputerSpec,
+    ModuleSpec,
     paper_module_spec,
     processor_profile,
     scaled_module_spec,
 )
 from repro.controllers import L1Controller, L1Params
+from repro.controllers.params import L0Params
 from repro.controllers import l1 as l1_module
-from repro.controllers.l1 import ComputerBehaviorMap, L1Decision
+from repro.controllers.l1 import ComputerBehaviorMap, L1Bank, L1Decision
 from repro.core.simplex import quantize_to_simplex, simplex_neighbors
 from repro.core.uncertainty import three_point_band
 from repro.forecast.structural import WorkloadPredictor
-from repro.maps.provider import clear_map_memo
+from repro.maps.provider import MapProvider, clear_map_memo
 from repro.sim.shard import set_points
 
 
@@ -842,9 +844,23 @@ class TestShareTableSearch:
         [("paper/fig6-cluster16", 12, 768 + 48), ("module-failover", None, 40)],
     )
     def test_recorded_runs_match_reference(self, monkeypatch, scenario, samples, least):
-        """Every decided row of a run, module-map training included."""
+        """Every decided row of a run, module-map training included.
+
+        Training decides through ``decide_many`` and a run's boundaries
+        through the ``L1Bank`` pass: both are spied on.
+        """
         decide_many = L1Controller.decide_many
+        decide_pass = L1Bank.decide
         checked = []
+
+        def check(controller, decision, *row):
+            expected = _reference_decide(controller, *row)
+            checked.append(
+                decision.alpha.tobytes() == expected.alpha.tobytes()
+                and decision.gamma.tobytes() == expected.gamma.tobytes()
+                and decision.expected_cost.hex() == expected.expected_cost.hex()
+                and decision.states_explored == expected.states_explored
+            )
 
         def checking_decide_many(
             controller, queues, alpha_current, rate_hat, rate_next, delta, work,
@@ -855,8 +871,9 @@ class TestShareTableSearch:
                 available,
             )
             for r, decision in enumerate(decisions):
-                expected = _reference_decide(
+                check(
                     controller,
+                    decision,
                     np.asarray(queues)[r],
                     np.asarray(alpha_current)[r],
                     float(np.asarray(rate_hat)[r]),
@@ -865,15 +882,32 @@ class TestShareTableSearch:
                     float(np.asarray(work)[r]),
                     None if available is None else np.asarray(available)[r],
                 )
-                checked.append(
-                    decision.alpha.tobytes() == expected.alpha.tobytes()
-                    and decision.gamma.tobytes() == expected.gamma.tobytes()
-                    and decision.expected_cost.hex() == expected.expected_cost.hex()
-                    and decision.states_explored == expected.states_explored
+            return decisions
+
+        def checking_pass(
+            bank, modules, queues, alpha_current, rate_hat, rate_next, delta, work,
+            available,
+        ):
+            decisions = decide_pass(
+                bank, modules, queues, alpha_current, rate_hat, rate_next, delta, work,
+                available,
+            )
+            for r, (module, decision) in enumerate(zip(modules, decisions)):
+                check(
+                    bank.controllers[module],
+                    decision,
+                    queues[r],
+                    alpha_current[r],
+                    rate_hat[r],
+                    rate_next[r],
+                    delta[r],
+                    work,
+                    available[r],
                 )
             return decisions
 
         monkeypatch.setattr(L1Controller, "decide_many", checking_decide_many)
+        monkeypatch.setattr(L1Bank, "decide", checking_pass)
         clear_map_memo()  # train the module maps here, with this spy
         spec = (
             repro.get_scenario(scenario, samples=samples)
@@ -883,6 +917,189 @@ class TestShareTableSearch:
         repro.run_scenario(spec)
         assert len(checked) >= least
         assert all(checked), f"decided row {checked.index(False)} differs"
+
+
+#: The processor profiles the block pass is checked over.
+_PROFILES = ("c1", "c2", "c3", "c4", "pentium_m")
+
+
+@pytest.fixture(scope="module")
+def profile_maps():
+    """A trained behaviour map per profile in :data:`_PROFILES`."""
+    spec = ModuleSpec(
+        "P",
+        tuple(
+            ComputerSpec(name=f"P.{profile}", processor=processor_profile(profile))
+            for profile in _PROFILES
+        ),
+    )
+    maps = MapProvider().behavior_maps(spec, L0Params(), L1Params())
+    return dict(zip(_PROFILES, maps))
+
+
+def _profile_l1(profile_maps, name, profiles, **params):
+    """An L1 over a module of ``profiles``, on the shared trained maps."""
+    spec = ModuleSpec(
+        name,
+        tuple(
+            ComputerSpec(name=f"{name}.C{j}", processor=processor_profile(profile))
+            for j, profile in enumerate(profiles)
+        ),
+    )
+    maps = [profile_maps[profile] for profile in profiles]
+    return L1Controller(spec, behavior_maps=maps, params=L1Params(**params))
+
+
+def _same_decision(decision, expected) -> bool:
+    return (
+        decision.alpha.tobytes() == expected.alpha.tobytes()
+        and decision.gamma.tobytes() == expected.gamma.tobytes()
+        and decision.expected_cost.hex() == expected.expected_cost.hex()
+        and decision.states_explored == expected.states_explored
+    )
+
+
+class TestBlockPass:
+    """One ``L1Bank`` pass decides each module as its ``decide`` alone does."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_each_row_equals_decide_on_it_alone(self, profile_maps, data):
+        # Modules of different widths, maps and params; failed machines,
+        # a lone available machine, deltas of 0 and above in one pass,
+        # queues past the top queue level and rates past a map's top.
+        count = data.draw(st.integers(min_value=1, max_value=5), label="modules")
+        work = data.draw(st.one_of(st.just(0.0175), st.floats(0.008, 0.03)), label="work")
+        controllers, twins, rows = [], [], []
+        for i in range(count):
+            profiles = data.draw(
+                st.lists(st.sampled_from(_PROFILES), min_size=1, max_size=6),
+                label=f"profiles[{i}]",
+            )
+            params = data.draw(st.sampled_from(list(_PARAM_SETS.values())))
+            controllers.append(_profile_l1(profile_maps, f"M{i}", profiles, **params))
+            twins.append(_profile_l1(profile_maps, f"M{i}", profiles, **params))
+            m = len(profiles)
+            capacity = float(controllers[-1].capacities.sum())
+            flags = st.lists(st.booleans(), min_size=m, max_size=m)
+            alpha = np.array(data.draw(flags, label=f"alpha[{i}]"))
+            available = np.array(data.draw(flags, label=f"available[{i}]"))
+            keep = data.draw(st.integers(0, m - 1), label=f"keep[{i}]")
+            if data.draw(st.booleans(), label=f"lone[{i}]"):
+                available[:] = False
+            available[keep] = alpha[keep] = True
+            rates = st.floats(0.0, 2.5 * capacity)
+            rows.append(
+                (
+                    np.array(
+                        data.draw(
+                            st.lists(
+                                st.one_of(st.just(0.0), st.floats(0.0, 900.0)),
+                                min_size=m,
+                                max_size=m,
+                            ),
+                            label=f"queues[{i}]",
+                        )
+                    ),
+                    alpha,
+                    data.draw(rates, label=f"rate_hat[{i}]"),
+                    data.draw(rates, label=f"rate_next[{i}]"),
+                    data.draw(
+                        st.one_of(st.just(0.0), st.floats(0.0, capacity)),
+                        label=f"delta[{i}]",
+                    ),
+                    work,
+                    available,
+                )
+            )
+        modules = data.draw(
+            st.one_of(
+                st.just(list(range(count))),
+                st.lists(
+                    st.integers(0, count - 1), min_size=1, max_size=count, unique=True
+                ).map(sorted),
+            ),
+            label="decided",
+        )
+        expected = [twins[i].decide(*rows[i]) for i in modules]
+        columns = [list(column) for column in zip(*(rows[i] for i in modules))]
+        columns[5] = work  # the boundary's one c-hat
+        decisions = L1Bank(controllers).decide(modules, *columns)
+        for decision, want in zip(decisions, expected):
+            assert _same_decision(decision, want)
+        assert [c.stats.invocations for c in controllers] == [
+            int(i in modules) for i in range(count)
+        ]
+
+    def _rows(self, controllers, **changes):
+        """A pass's arguments: one valid row per controller.
+
+        ``changes["m<i>"]`` holds the fields row i changes.
+        """
+        rows = []
+        for i, controller in enumerate(controllers):
+            m = controller.spec.size
+            row = {
+                "queues": np.full(m, 3.0),
+                "alpha": np.ones(m, dtype=bool),
+                "rate_hat": 0.3 * controller.capacities.sum(),
+                "rate_next": 0.4 * controller.capacities.sum(),
+                "delta": 2.0,
+                "available": np.ones(m, dtype=bool),
+            }
+            row.update(changes.get(f"m{i}", {}))
+            rows.append(row)
+        columns = [
+            [row[key] for row in rows]
+            for key in ("queues", "alpha", "rate_hat", "rate_next", "delta")
+        ]
+        return [list(range(len(rows))), *columns, 0.0175, [row["available"] for row in rows]]
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            (
+                {"available": np.zeros(2, dtype=bool)},
+                "module 1: no machine available to serve the module",
+            ),
+            ({"rate_hat": math.nan}, "module 1: rate_hat must be finite, got nan"),
+            ({"queues": np.array([0.0, -1.0])}, "module 1: queues[1] must be >= 0, got -1.0"),
+            (
+                {"alpha": np.array([True, False]), "available": np.array([False, True])},
+                "module 1: no admissible (alpha, gamma) candidate found",
+            ),
+        ],
+    )
+    def test_a_failing_row_names_its_module(self, profile_maps, change, message):
+        controllers = [
+            _profile_l1(profile_maps, "M0", ["c1", "c4"]),
+            _profile_l1(profile_maps, "M1", ["c2", "pentium_m"]),
+        ]
+        with pytest.raises(ControlError, match=f"^{re.escape(message)}$"):
+            L1Bank(controllers).decide(*self._rows(controllers, m1=change))
+
+    def test_a_module_run_builds_nothing(self, trained_l1, module_spec):
+        l1 = _fresh_l1(trained_l1, module_spec)
+        bank = L1Bank([l1])
+        modules, *columns = self._rows([l1])
+        (decision,) = bank.decide(modules, *columns)
+        row = [column if i == 5 else column[0] for i, column in enumerate(columns)]
+        assert _same_decision(decision, _fresh_l1(trained_l1, module_spec).decide(*row))
+        assert "_bank" not in vars(bank) and bank._last is None
+
+    def test_only_the_last_block_is_kept(self, profile_maps):
+        controllers = [
+            _profile_l1(profile_maps, "M0", ["c1", "c4"]),
+            _profile_l1(profile_maps, "M1", ["c2", "pentium_m", "c3"]),
+        ]
+        bank = L1Bank(controllers)
+        bank.decide(*self._rows(controllers))
+        first = bank._last
+        bank.decide(*self._rows(controllers, m0={"queues": np.array([9.0, 1.0])}))
+        assert bank._last is first  # the masks repeat: the block is reused
+        off = {"alpha": np.array([True, False, True])}
+        bank.decide(*self._rows(controllers, m1=off))
+        assert bank._last is not first and bank._last[0] != first[0]
 
 
 class TestDomain:

@@ -1,10 +1,12 @@
 """Content digests: stable identity, name-blind, parameter-sensitive."""
 
 import dataclasses
+import re
 
 import pytest
 
 from repro.cluster.processor import processor_profile
+from repro.common.errors import ConfigurationError
 from repro.cluster.specs import ComputerSpec, ModuleSpec, paper_module_spec
 from repro.controllers.l2 import ModuleCostMap
 from repro.controllers.params import L0Params, L1Params
@@ -155,6 +157,67 @@ class TestModuleDigest:
         assert behavior_map_digest(computer, L0Params(), 120.0) != (
             module_map_digest(module, L1Params(), L0Params())
         )
+
+
+class TestNumberSpelling:
+    """An int and its float twin are one identity: training reads one number."""
+
+    def test_l1_period_spelled_as_an_int(self):
+        spec = paper_module_spec()
+        assert module_map_digest(spec, L1Params(period=120), L0Params()) == (
+            module_map_digest(spec, L1Params(period=120.0), L0Params())
+        )
+
+    def test_l0_target_spelled_as_an_int(self):
+        computer = _computer()
+        assert behavior_map_digest(
+            computer, L0Params(target_response=4), 120.0
+        ) == behavior_map_digest(computer, L0Params(target_response=4.0), 120.0)
+
+    def test_weights_spelled_as_ints(self):
+        computer = _computer()
+        assert behavior_map_digest(
+            computer, L0Params(weights={"tracking": 100, "operating": 1}), 120.0
+        ) == behavior_map_digest(computer, L0Params(), 120.0)
+
+    @pytest.mark.parametrize(
+        "make,name",
+        [
+            (L0Params, "target_response"),
+            (L0Params, "period"),
+            (L0Params, "robustness_margin"),
+            (CostWeights, "tracking"),
+            (CostWeights, "operating"),
+            (CostWeights, "control_change"),
+            (L1Params, "period"),
+            (L1Params, "gamma_step"),
+            (L1Params, "switching_weight"),
+        ],
+    )
+    def test_every_float_field_stores_an_int_as_its_float(self, make, name):
+        value = getattr(make(**{name: 3}), name)
+        assert type(value) is float and value == 3.0
+
+    def test_counts_and_flags_keep_their_type(self):
+        assert type(L0Params(horizon=2).horizon) is int
+        assert L1Params(use_uncertainty_band=True).use_uncertainty_band is True
+
+    @pytest.mark.parametrize(
+        "make,fields,message",
+        [
+            (L0Params, {"period": 0}, "period must be > 0, got 0"),
+            (L0Params, {"robustness_margin": -1}, "robustness_margin must be >= 0, got -1"),
+            (L1Params, {"gamma_step": -2}, "gamma_step must be > 0, got -2"),
+            (CostWeights, {"tracking": -5}, "tracking must be >= 0, got -5"),
+        ],
+    )
+    def test_rejected_ints_keep_their_message(self, make, fields, message):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            make(**fields)
+
+    def test_an_int_past_the_float_range_fails_in_one_line(self):
+        with pytest.raises(ConfigurationError, match="period must be a finite number"):
+            L1Params(period=10**400)
 
 
 class TestRunOnlyFields:

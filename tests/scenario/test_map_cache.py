@@ -88,6 +88,23 @@ class TestWarmScenario:
         assert map_stats().trainings == 0
         assert all(a.source == "cache" for a in artifacts)
 
+    def test_an_int_period_reuses_the_maps_its_float_twin_warmed(self, tmp_path):
+        def spec(period):
+            return (
+                Scenario.cluster(p=2)
+                .workload("steady", rate=40.0, samples=2)
+                .control(l1={"period": period})
+                .map_cache(tmp_path)
+                .build()
+            )
+
+        warm_scenario(spec(120.0))
+        clear_map_memo()
+        reset_map_stats()
+        artifacts = warm_scenario(spec(120))
+        assert map_stats().trainings == 0
+        assert artifacts and all(a.source == "cache" for a in artifacts)
+
     def test_baseline_scenario_needs_no_maps(self):
         spec = Scenario.module(m=4).baseline("threshold-dvfs").build()
         assert warm_scenario(spec) == []

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.controllers.l1 import L1Controller
+from repro.controllers.l1 import L1Bank
 from repro.obs import MetricsRegistry
 from repro.scenario import build_simulation, get_scenario
 from repro.service import AutonomicSupervisor, ControlServer, SimulatedPlant
@@ -119,16 +119,16 @@ class TestAutoShed:
             samples=8, deadline_seconds=1e-9, shed_fraction_on_hold=0.3
         )
         simulation = plant.simulation
-        fast_decide = L1Controller.decide
+        fast_decide = L1Bank.decide
         slow = {"on": True}
 
         def gated_decide(*args, **kwargs):
-            decision = fast_decide(*args, **kwargs)
+            decisions = fast_decide(*args, **kwargs)
             if slow["on"]:
                 time.sleep(0.002)  # blow the 1ns budget
-            return decision
+            return decisions
 
-        monkeypatch.setattr(L1Controller, "decide", gated_decide)
+        monkeypatch.setattr(L1Bank, "decide", gated_decide)
         supervisor.start()
 
         def run_period():

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.common.errors import ControlError
-from repro.controllers.l1 import L1Controller
+from repro.controllers.l1 import L1Bank
 from repro.scenario import build_simulation, get_scenario
 from repro.service import AutonomicSupervisor, ReplayPlant, SimulatedPlant
 from repro.service.feed import SocketFeed
@@ -47,14 +47,14 @@ class TestDeadlineBudget:
     def test_slow_controller_degrades_to_hold(self, monkeypatch):
         """A forced overrun holds the previous allocation, never crashes."""
         supervisor, plant = make_supervisor(samples=6, deadline_seconds=1e-9)
-        slow_decide = L1Controller.decide
+        slow_decide = L1Bank.decide
 
         def injected_slow_decide(*args, **kwargs):
-            decision = slow_decide(*args, **kwargs)
+            decisions = slow_decide(*args, **kwargs)
             time.sleep(0.002)  # guarantee the 1ns budget is blown
-            return decision
+            return decisions
 
-        monkeypatch.setattr(L1Controller, "decide", injected_slow_decide)
+        monkeypatch.setattr(L1Bank, "decide", injected_slow_decide)
         supervisor.start()
         result = asyncio.run(supervisor.run())
         assert result is not None  # run completed despite every miss

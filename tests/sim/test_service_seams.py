@@ -5,7 +5,7 @@ import time
 import pytest
 
 from repro.common import ConfigurationError
-from repro.controllers.l1 import L1Controller
+from repro.controllers.l1 import L1Bank
 from repro.controllers.l2 import L2Controller
 from repro.scenario import build_simulation, get_scenario
 from repro.sim.observers import DecisionRecorder
@@ -108,14 +108,14 @@ class TestDecisionDeadline:
 
     def test_module_overrun_holds_previous_allocation(self, monkeypatch):
         simulation = module_sim()
-        slow_decide = L1Controller.decide
+        slow_decide = L1Bank.decide
 
         def injected(*args, **kwargs):
-            decision = slow_decide(*args, **kwargs)
+            decisions = slow_decide(*args, **kwargs)
             time.sleep(0.002)
-            return decision
+            return decisions
 
-        monkeypatch.setattr(L1Controller, "decide", injected)
+        monkeypatch.setattr(L1Bank, "decide", injected)
         simulation.set_decision_deadline(1e-9)
         recorder = DecisionRecorder()
         run_all(simulation, recorder)  # completes despite every miss
@@ -142,10 +142,51 @@ class TestDecisionDeadline:
         assert l2 and all(r["held"] for r in l2)
         assert l1 and all(r["held"] for r in l1)
 
+    def test_cluster_pass_overrun_holds_every_module(self, monkeypatch):
+        # One deadline check follows the boundary's L1 pass: a pass that
+        # ends past it holds every module in it. The budget leaves the
+        # L2 room (a 1 ns budget would hold every module at the L2, so
+        # no pass would run); the pass sleeps past it at one boundary.
+        simulation = cluster_sim()
+        decide = L1Bank.decide
+        calls = []
+
+        def overrun_at_period_two(*args, **kwargs):
+            decisions = decide(*args, **kwargs)
+            calls.append(len(decisions))
+            if len(calls) == 3:
+                time.sleep(0.6)
+            return decisions
+
+        monkeypatch.setattr(L1Bank, "decide", overrun_at_period_two)
+        simulation.set_decision_deadline(0.5)
+        recorder = DecisionRecorder()
+        run_all(simulation, recorder)
+        assert calls == [4, 4, 4, 4]  # one pass of every module per boundary
+        l2 = [r for r in recorder.records if r["type"] == "l2"]
+        assert not any(r["held"] for r in l2)
+        l1 = {
+            (r["period"], r["module"]): r for r in recorder.records if r["type"] == "l1"
+        }
+        for module in range(4):
+            held, before = l1[2, module], l1[1, module]
+            assert held["held"] is True
+            assert (held["alpha"], held["gamma"]) == (before["alpha"], before["gamma"])
+        others = [r for (period, _), r in l1.items() if period != 2]
+        assert others and not any(r["held"] for r in others)
+
     def test_generous_deadline_leaves_decisions_untouched(self):
         plain, budgeted = DecisionRecorder(), DecisionRecorder()
         run_all(module_sim(), plain)
         simulation = module_sim()
+        simulation.set_decision_deadline(60.0)
+        run_all(simulation, budgeted)
+        assert budgeted.lines() == plain.lines()
+
+    def test_generous_deadline_leaves_cluster_decisions_untouched(self):
+        plain, budgeted = DecisionRecorder(), DecisionRecorder()
+        run_all(cluster_sim(), plain)
+        simulation = cluster_sim()
         simulation.set_decision_deadline(60.0)
         run_all(simulation, budgeted)
         assert budgeted.lines() == plain.lines()
