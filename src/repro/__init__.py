@@ -73,10 +73,6 @@ seeds and sizes — go through the sweep subsystem::
     )
     run_sweep(sweep, "out/seeds", workers=4)
     print(write_report("out/seeds"))
-
-The pre-1.1 entry points (``module_experiment``, ``cluster_experiment``)
-are retired; calling them raises a ``ConfigurationError`` naming the
-``run_scenario`` replacement.
 """
 
 from repro.cluster import (

@@ -62,20 +62,12 @@ process pool, with results stored as JSONL and aggregated into tables:
 ``sweep run`` resumes: re-invoking it on a half-finished ``--out``
 directory executes only the missing runs. Serial (``--workers 1``) and
 parallel executions produce byte-identical stores and reports.
-
-The legacy figure commands remain as aliases over the registry:
-
-.. code-block:: bash
-
-    python -m repro.cli fig4               # module-of-four day (Figs. 4/5)
-    python -m repro.cli fig6               # WC'98 day on 16 computers (Figs. 6/7)
-    python -m repro.cli overhead           # §4.3 controller-overhead table
-    python -m repro.cli baselines          # LLC vs threshold heuristics
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.common.ascii_chart import line_chart, sparkline
@@ -84,30 +76,28 @@ from repro.sim.observers import ProgressObserver
 from repro.sim.results import ClusterRunResult, ModuleRunResult
 
 
-def _render_module_result(
-    result: ModuleRunResult,
-    arrivals_title: str = "arrivals per control period",
-    before_summary=None,
-) -> None:
+def _render_module_result(result: ModuleRunResult) -> None:
     m = len(result.computer_names)
-    print(line_chart(result.l1_arrivals, title=arrivals_title, height=8))
+    print(
+        line_chart(
+            result.l1_arrivals, title="arrivals per control period", height=8
+        )
+    )
     print()
     print(
         line_chart(result.computers_on, title=f"computers on (of {m})", height=5)
     )
     print()
-    if before_summary is not None:
-        before_summary()
-        print()
     print(result.summary())
 
 
-def _render_cluster_result(
-    result: ClusterRunResult,
-    arrivals_title: str = "global arrivals per period",
-) -> None:
+def _render_cluster_result(result: ClusterRunResult) -> None:
     n = sum(len(m.computer_names) for m in result.module_results)
-    print(line_chart(result.global_arrivals, title=arrivals_title, height=8))
+    print(
+        line_chart(
+            result.global_arrivals, title="global arrivals per period", height=8
+        )
+    )
     print()
     print(
         line_chart(
@@ -506,84 +496,6 @@ def _cmd_train_clear(args: argparse.Namespace) -> None:
     print(f"removed {removed} artifact(s) from {cache.directory}")
 
 
-def _cmd_fig4(args: argparse.Namespace) -> None:
-    scenario = get_scenario(
-        "paper/fig4-module4", samples=args.samples, seed=args.seed
-    )
-    result = run_scenario(scenario)
-
-    def c4_frequency_chart() -> None:
-        c4 = result.computer_names.index("M1.C4")
-        print(
-            line_chart(
-                result.frequencies[:, c4], title="C4 frequency (GHz)", height=5
-            )
-        )
-
-    _render_module_result(
-        result,
-        arrivals_title="arrivals per 2-min period",
-        before_summary=c4_frequency_chart,
-    )
-
-
-def _cmd_fig6(args: argparse.Namespace) -> None:
-    scenario = get_scenario(
-        "paper/fig6-cluster16", samples=args.samples, seed=args.seed
-    )
-    result = run_scenario(scenario)
-    _render_cluster_result(result, arrivals_title="WC'98 arrivals per 2-min")
-
-
-def _cmd_overhead(args: argparse.Namespace) -> None:
-    from repro.sim.experiments import overhead_experiment
-
-    print(f"{'m':>4} | {'L1 states/period':>16} | {'combined L0+L1 (s)':>18}")
-    print("-" * 46)
-    for m in (4, 6, 10):
-        measurement = overhead_experiment(
-            m=m, l1_samples=args.samples, seed=args.seed
-        )
-        print(
-            f"{m:>4} | {measurement.l1_mean_states:>16.0f} | "
-            f"{measurement.combined_seconds:>18.2f}"
-        )
-
-
-def _cmd_baselines(args: argparse.Namespace) -> None:
-    from repro.scenario import Scenario
-
-    policies = {
-        "llc-hierarchy": None,
-        "threshold-on/off": "threshold-on-off",
-        "threshold+dvfs": "threshold-dvfs",
-        "always-on-max": "always-on-max",
-    }
-    print(f"{'policy':>18} | {'mean r':>6} | {'energy':>9} | {'avg on':>6}")
-    print("-" * 50)
-    for name, baseline in policies.items():
-        builder = (
-            Scenario.module(m=4)
-            .workload("synthetic", samples=args.samples)
-            .seed(args.seed)
-        )
-        if baseline is not None:
-            builder = builder.baseline(baseline)
-        summary = run_scenario(builder.build()).summary()
-        print(
-            f"{name:>18} | {summary.mean_response:>6.2f} | "
-            f"{summary.total_energy:>9.0f} | {summary.mean_computers_on:>6.2f}"
-        )
-
-
-_COMMANDS = {
-    "fig4": (_cmd_fig4, 480),
-    "fig6": (_cmd_fig6, 300),
-    "overhead": (_cmd_overhead, 200),
-    "baselines": (_cmd_baselines, 240),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -908,14 +820,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sweep_sub.add_parser("list", help="list the registered sweeps")
-
-    for name, (_, default_samples) in _COMMANDS.items():
-        sub = subparsers.add_parser(name)
-        sub.add_argument(
-            "--samples", type=int, default=default_samples,
-            help="run length in 2-minute periods",
-        )
-        sub.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -924,13 +828,14 @@ def main(argv: "list[str] | None" = None) -> int:
     from repro.common.errors import ConfigurationError, ControlError
 
     args = build_parser().parse_args(argv)
+    code = 0
     try:
         if args.command == "run":
             _cmd_run(args)
         elif args.command == "list-scenarios":
             _cmd_list_scenarios(args)
         elif args.command == "serve":
-            return _cmd_serve(args)
+            code = _cmd_serve(args)
         elif args.command == "ctl":
             _cmd_ctl(args)
         elif args.command == "feed":
@@ -949,13 +854,17 @@ def main(argv: "list[str] | None" = None) -> int:
                 "list": _cmd_sweep_list,
             }[args.sweep_command]
             handler(args)
-        else:
-            handler, _ = _COMMANDS[args.command]
-            handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (`repro ... | head`). Point stdout
+        # at devnull so the interpreter's exit-time flush cannot raise
+        # again, and exit without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ConfigurationError, ControlError) as error:
         print(f"repro: error: {error}", file=sys.stderr)
         return 2
-    return 0
+    return code
 
 
 if __name__ == "__main__":

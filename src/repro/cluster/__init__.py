@@ -10,8 +10,7 @@ splits arrivals by quantised load fractions (the paper's gamma vectors).
 from repro.cluster.computer import Computer, StepResult
 from repro.cluster.dispatcher import WeightedDispatcher
 from repro.cluster.lifecycle import MachineLifecycle, PowerState
-from repro.cluster.module import Module, ModuleObservation
-from repro.cluster.cluster import Cluster
+from repro.cluster.module import Module
 from repro.cluster.power import EnergyMeter
 from repro.cluster.processor import (
     PROCESSOR_PROFILES,
@@ -28,14 +27,12 @@ from repro.cluster.specs import (
 )
 
 __all__ = [
-    "Cluster",
     "ClusterSpec",
     "Computer",
     "ComputerSpec",
     "EnergyMeter",
     "MachineLifecycle",
     "Module",
-    "ModuleObservation",
     "ModuleSpec",
     "PROCESSOR_PROFILES",
     "PowerState",

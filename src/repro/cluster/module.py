@@ -1,14 +1,10 @@
 """A module: the group of computers one L1 controller manages.
 
 Provides the plant-side stepping (split arrivals by gamma, advance every
-computer) and the state aggregation the upper levels observe — the paper's
-eqs. (10)-(12): average queue length, summed arrivals, and average
-processing time over the L1 sampling interval.
+computer), on/off configuration, and failure and repair of machines.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,31 +12,6 @@ from repro.common.errors import ControlError
 from repro.cluster.computer import Computer, StepResult
 from repro.cluster.dispatcher import WeightedDispatcher
 from repro.cluster.specs import ModuleSpec
-
-
-@dataclass(frozen=True)
-class ModuleObservation:
-    """Aggregated module state over one upper-level sampling interval.
-
-    ``queue_length`` is the per-computer average (eq. 10), ``arrivals``
-    the total seen by the module (eq. 11), and ``mean_work`` the average
-    request processing time (eq. 12).
-    """
-
-    queue_length: float
-    arrivals: float
-    mean_work: float
-
-    @staticmethod
-    def aggregate(
-        queue_samples: np.ndarray, arrivals: np.ndarray, works: np.ndarray
-    ) -> "ModuleObservation":
-        """Fold raw per-substep samples into one observation."""
-        return ModuleObservation(
-            queue_length=float(np.mean(queue_samples)) if np.size(queue_samples) else 0.0,
-            arrivals=float(np.sum(arrivals)),
-            mean_work=float(np.mean(works)) if np.size(works) else 0.0,
-        )
 
 
 class Module:

@@ -7,7 +7,7 @@ from repro.common.errors import (
     ReproError,
     SimulationError,
 )
-from repro.common.rng import RandomSource, spawn_rng
+from repro.common.rng import spawn_rng
 from repro.common.validation import (
     require_between,
     require_in,
@@ -20,7 +20,6 @@ __all__ = [
     "ConfigurationError",
     "ControlError",
     "NotTrainedError",
-    "RandomSource",
     "ReproError",
     "SimulationError",
     "require_between",

@@ -1,19 +1,12 @@
 """Deterministic random-number plumbing.
 
 Every stochastic component in the library takes either an integer seed or a
-:class:`numpy.random.Generator`. :func:`spawn_rng` normalises both, and
-:class:`RandomSource` hands out independent child generators so that adding a
-new consumer never perturbs the streams of existing ones (important for
-reproducible experiments).
+:class:`numpy.random.Generator`. :func:`spawn_rng` normalises both.
 """
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
-
-SeedLike = "int | np.random.Generator | None"
 
 
 def spawn_rng(seed: "int | np.random.Generator | None") -> np.random.Generator:
@@ -21,33 +14,3 @@ def spawn_rng(seed: "int | np.random.Generator | None") -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-class RandomSource:
-    """A named tree of independent random generators.
-
-    Children are derived from the root seed and a string label, so the
-    stream used by e.g. the workload generator is independent of the one
-    used by the dispatcher, and stable across code changes that add or
-    remove other consumers.
-    """
-
-    def __init__(self, seed: int | None = None) -> None:
-        self._seed_seq = np.random.SeedSequence(seed)
-        self._children: dict[str, np.random.Generator] = {}
-
-    def child(self, label: str) -> np.random.Generator:
-        """Return (creating on first use) the generator for ``label``."""
-        if label not in self._children:
-            entropy = self._seed_seq.entropy
-            if not isinstance(entropy, (list, tuple)):
-                entropy = [entropy if entropy is not None else 0]
-            digest = int.from_bytes(
-                hashlib.sha256(label.encode("utf-8")).digest()[:4], "little"
-            )
-            child_seq = np.random.SeedSequence(list(entropy) + [digest])
-            self._children[label] = np.random.default_rng(child_seq)
-        return self._children[label]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RandomSource(children={sorted(self._children)})"

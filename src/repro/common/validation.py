@@ -12,9 +12,6 @@ import numpy as np
 
 from repro.common.errors import ConfigurationError
 
-#: Absolute tolerance for "sums to one" checks on quantised simplex vectors.
-SIMPLEX_ATOL = 1e-9
-
 
 def require_positive(value: float, name: str) -> float:
     """Return ``value`` if strictly positive, else raise ConfigurationError."""

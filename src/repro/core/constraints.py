@@ -11,10 +11,6 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from typing import Protocol, runtime_checkable
 
-import numpy as np
-
-from repro.common.errors import ConfigurationError
-
 
 @runtime_checkable
 class Constraint(Protocol):
@@ -23,31 +19,6 @@ class Constraint(Protocol):
     def satisfied(self, state) -> bool:
         """Return True when the state is admissible."""
         ...
-
-
-class BoxConstraint:
-    """Component-wise lower/upper bounds on a state vector."""
-
-    def __init__(self, lower=None, upper=None) -> None:
-        if lower is None and upper is None:
-            raise ConfigurationError("box constraint needs at least one bound")
-        self.lower = None if lower is None else np.atleast_1d(np.asarray(lower, float))
-        self.upper = None if upper is None else np.atleast_1d(np.asarray(upper, float))
-        if (
-            self.lower is not None
-            and self.upper is not None
-            and np.any(self.lower > self.upper)
-        ):
-            raise ConfigurationError("lower bound exceeds upper bound")
-
-    def satisfied(self, state) -> bool:
-        """Check the state lies inside the box."""
-        s = np.atleast_1d(np.asarray(state, dtype=float))
-        if self.lower is not None and np.any(s < self.lower):
-            return False
-        if self.upper is not None and np.any(s > self.upper):
-            return False
-        return True
 
 
 class CallableConstraint:

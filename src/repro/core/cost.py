@@ -1,6 +1,6 @@
 """Norm-based operating costs (paper eq. 3) and soft-constraint slack.
 
-The general cost is
+The paper's general cost is
 
     J(x, u) = ||x - x*||_Q + ||u||_R + ||Delta u||_S
 
@@ -8,7 +8,8 @@ with user weights Q, R, S prioritising set-point tracking against
 operating and switching cost. Soft constraints enter through slack
 variables that are "non-zero only if the corresponding constraints are
 violated" and heavily penalised — :class:`SlackResponseCost` implements
-the L0 instance: J = Q * max(0, r - r*) + R * psi.
+the L0 instance: J = Q * max(0, r - r*) + R * psi. The L1 prices
+switching itself, through its weight W.
 """
 
 from __future__ import annotations
@@ -25,64 +26,21 @@ from repro.common.validation import (
 )
 
 
-def weighted_norm(vector, weight) -> float:
-    """Weighted L1 norm ``sum_i w_i * |v_i|``.
-
-    ``weight`` may be a scalar (applied to every component) or a vector
-    aligned with ``vector``. The paper's ||.||_Q notation reduces to this
-    for the scalar quantities used in the case study.
-    """
-    v = np.atleast_1d(np.asarray(vector, dtype=float))
-    w = np.asarray(weight, dtype=float)
-    if w.ndim == 0:
-        w = np.full_like(v, float(w))
-    if w.shape != v.shape:
-        raise ConfigurationError("weight must be scalar or align with vector")
-    if np.any(w < 0):
-        raise ConfigurationError("weights must be non-negative")
-    return float(np.sum(w * np.abs(v)))
-
-
 @dataclass(frozen=True)
 class CostWeights:
-    """The paper's Q / R / S weights.
+    """The L0 cost's Q and R weights.
 
-    The L0 cost reads Q and R; the generic :class:`SetPointCost` also
-    reads S. The L1's switching penalty W is
+    The L1's switching penalty W is
     :attr:`~repro.controllers.params.L1Params.switching_weight`.
     """
 
     tracking: float = 100.0  # Q
     operating: float = 1.0  # R
-    control_change: float = 0.0  # S
 
     def __post_init__(self) -> None:
         require_non_negative(self.tracking, "tracking")
         require_non_negative(self.operating, "operating")
-        require_non_negative(self.control_change, "control_change")
-        store_floats(self, "tracking", "operating", "control_change")
-
-
-class SetPointCost:
-    """General eq.-3 cost around a set point x*."""
-
-    def __init__(self, set_point, weights: CostWeights) -> None:
-        self.set_point = np.atleast_1d(np.asarray(set_point, dtype=float))
-        self.weights = weights
-
-    def evaluate(self, state, control, previous_control=None) -> float:
-        """J(x, u) with the optional Delta-u term."""
-        state = np.atleast_1d(np.asarray(state, dtype=float))
-        if state.shape != self.set_point.shape:
-            raise ConfigurationError("state must align with the set point")
-        cost = weighted_norm(state - self.set_point, self.weights.tracking)
-        cost += weighted_norm(control, self.weights.operating)
-        if previous_control is not None and self.weights.control_change > 0:
-            delta = np.atleast_1d(np.asarray(control, dtype=float)) - np.atleast_1d(
-                np.asarray(previous_control, dtype=float)
-            )
-            cost += weighted_norm(delta, self.weights.control_change)
-        return cost
+        store_floats(self, "tracking", "operating")
 
 
 class SlackResponseCost:

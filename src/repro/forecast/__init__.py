@@ -7,9 +7,8 @@ smoothing constant pi = 0.1). This package provides:
 
 * :class:`~repro.forecast.kalman.KalmanFilter` — general linear-Gaussian
   filter with multi-step forecasting.
-* :mod:`~repro.forecast.structural` — Harvey-style structural time-series
-  models (local level, local linear trend) and the
-  :class:`~repro.forecast.structural.WorkloadPredictor` convenience wrapper
+* :mod:`~repro.forecast.structural` — Harvey's local linear trend model
+  and the :class:`~repro.forecast.structural.WorkloadPredictor` wrapper
   used by the controllers (the local linear trend is the state-space
   form of ARIMA(0,2,2), the paper's "ARIMA model implemented by a Kalman
   filter").
@@ -20,25 +19,19 @@ smoothing constant pi = 0.1). This package provides:
 """
 
 from repro.forecast.band import UncertaintyBand
-from repro.forecast.evaluation import ForecastReport, coverage, mae, mape, rmse
+from repro.forecast.evaluation import ForecastReport, mae, mape, rmse
 from repro.forecast.ewma import EwmaFilter
 from repro.forecast.kalman import KalmanFilter, StateSpaceModel
-from repro.forecast.structural import (
-    LocalLevelModel,
-    LocalLinearTrendModel,
-    WorkloadPredictor,
-)
+from repro.forecast.structural import LocalLinearTrendModel, WorkloadPredictor
 
 __all__ = [
     "EwmaFilter",
     "ForecastReport",
     "KalmanFilter",
-    "LocalLevelModel",
     "LocalLinearTrendModel",
     "StateSpaceModel",
     "UncertaintyBand",
     "WorkloadPredictor",
-    "coverage",
     "mae",
     "mape",
     "rmse",

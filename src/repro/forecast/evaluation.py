@@ -42,18 +42,6 @@ def mape(actual, predicted, floor: float = 1e-9) -> float:
     return float(np.mean(np.abs((a[mask] - p[mask]) / a[mask])))
 
 
-def coverage(actual, lower, upper) -> float:
-    """Fraction of actual values inside [lower, upper]."""
-    a = np.asarray(actual, dtype=float)
-    lo = np.asarray(lower, dtype=float)
-    hi = np.asarray(upper, dtype=float)
-    if not (a.shape == lo.shape == hi.shape):
-        raise ConfigurationError("coverage inputs must share a shape")
-    if a.size == 0:
-        raise ConfigurationError("cannot score empty series")
-    return float(np.mean((a >= lo) & (a <= hi)))
-
-
 @dataclass(frozen=True)
 class ForecastReport:
     """Bundle of accuracy metrics for one forecaster on one trace."""

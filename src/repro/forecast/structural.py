@@ -1,11 +1,10 @@
-"""Structural time-series models (Harvey) and the workload predictor.
+"""Harvey's local linear trend model and the workload predictor.
 
-A *local level* model is a random walk observed in noise — equivalent to
-ARIMA(0,1,1). A *local linear trend* model adds a stochastic slope —
-equivalent to ARIMA(0,2,2). Both are the standard Kalman-filter
-implementations of low-order ARIMA forecasters, which is exactly what the
-paper uses to predict request arrival rates at each level of the control
-hierarchy.
+A *local linear trend* model is a random walk in level plus a stochastic
+slope, observed in noise — equivalent to ARIMA(0,2,2). It is the standard
+Kalman-filter implementation of a low-order ARIMA forecaster, which is
+exactly what the paper uses to predict request arrival rates at each
+level of the control hierarchy.
 
 :class:`WorkloadPredictor` wraps a local-linear-trend filter with the
 bookkeeping the controllers need: online updates with each new arrival
@@ -21,20 +20,6 @@ import numpy as np
 from repro.common.validation import require_non_negative, require_positive
 from repro.forecast.band import UncertaintyBand
 from repro.forecast.kalman import KalmanFilter, StateSpaceModel
-
-
-class LocalLevelModel(StateSpaceModel):
-    """Random walk plus noise: level(k+1) = level(k) + w; z = level + v."""
-
-    def __init__(self, level_var: float = 1.0, obs_var: float = 1.0) -> None:
-        require_non_negative(level_var, "level_var")
-        require_positive(obs_var, "obs_var")
-        super().__init__(
-            transition=np.array([[1.0]]),
-            observation=np.array([[1.0]]),
-            process_cov=np.array([[level_var]]),
-            observation_cov=np.array([[obs_var]]),
-        )
 
 
 class LocalLinearTrendModel(StateSpaceModel):

@@ -15,28 +15,19 @@ Dependency-free observability for every process in the system:
   (:mod:`repro.obs.instrument`).
 """
 
-from repro.obs.exposition import (
-    CONTENT_TYPE,
-    parse_prometheus_text,
-    render_prometheus,
-)
+from repro.obs.exposition import CONTENT_TYPE, render_prometheus
 from repro.obs.http import ObservabilityHTTPServer
-from repro.obs.instrument import (
-    Telemetry,
-    TelemetryObserver,
-    attach_telemetry,
-)
+from repro.obs.instrument import Telemetry, TelemetryObserver
 from repro.obs.quantile import P2Quantile
 from repro.obs.registry import (
     Counter,
     Gauge,
     Histogram,
-    METRIC_KINDS,
     MetricsRegistry,
     global_registry,
 )
-from repro.obs.sinks import JsonlSink, MemorySink
-from repro.obs.trace import SPAN_KINDS, Tracer
+from repro.obs.sinks import JsonlSink
+from repro.obs.trace import Tracer
 
 __all__ = [
     "CONTENT_TYPE",
@@ -44,17 +35,12 @@ __all__ = [
     "Gauge",
     "Histogram",
     "JsonlSink",
-    "METRIC_KINDS",
-    "MemorySink",
     "MetricsRegistry",
     "ObservabilityHTTPServer",
     "P2Quantile",
-    "SPAN_KINDS",
     "Telemetry",
     "TelemetryObserver",
     "Tracer",
-    "attach_telemetry",
     "global_registry",
-    "parse_prometheus_text",
     "render_prometheus",
 ]

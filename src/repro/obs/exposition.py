@@ -1,18 +1,12 @@
-"""Prometheus text exposition (and a parser for round-trip tests).
+"""Prometheus text exposition.
 
 Counters and gauges render as their own kind; histograms render as
 Prometheus *summaries* — ``name{quantile="0.9"}`` series from the P²
 sketches plus ``name_sum`` / ``name_count`` — because the live
 percentile estimate is the read this repo's operators actually want.
-
-:func:`parse_prometheus_text` implements just enough of the format to
-verify a round trip in tests and the CI obs-smoke job: comments carry
-the family kinds, samples carry name + labels + value.
 """
 
 from __future__ import annotations
-
-from repro.common.errors import ConfigurationError
 
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -75,62 +69,3 @@ def render_prometheus(registry) -> str:
                     f"{_format_value(metric.value)}"
                 )
     return "\n".join(lines) + "\n"
-
-
-def _parse_labels(text: str) -> dict:
-    labels: dict = {}
-    index = 0
-    while index < len(text):
-        equals = text.index("=", index)
-        name = text[index:equals].strip().lstrip(",").strip()
-        if text[equals + 1] != '"':
-            raise ConfigurationError(f"unquoted label value near {text!r}")
-        value_chars: "list[str]" = []
-        cursor = equals + 2
-        while True:
-            char = text[cursor]
-            if char == "\\":
-                escaped = text[cursor + 1]
-                value_chars.append(
-                    {"n": "\n", '"': '"', "\\": "\\"}.get(escaped, escaped)
-                )
-                cursor += 2
-                continue
-            if char == '"':
-                break
-            value_chars.append(char)
-            cursor += 1
-        labels[name] = "".join(value_chars)
-        index = cursor + 1
-    return labels
-
-
-def parse_prometheus_text(text: str) -> "tuple[dict, dict]":
-    """Parse exposition text into ``(kinds, samples)``.
-
-    ``kinds`` maps family name to its declared TYPE; ``samples`` maps
-    ``(metric_name, sorted-label tuple)`` to the float value.
-    """
-    kinds: "dict[str, str]" = {}
-    samples: "dict[tuple, float]" = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("# TYPE "):
-            _, _, name, kind = line.split(None, 3)
-            kinds[name] = kind
-            continue
-        if line.startswith("#"):
-            continue
-        if "{" in line:
-            name = line[: line.index("{")]
-            labels_text = line[line.index("{") + 1 : line.rindex("}")]
-            labels = _parse_labels(labels_text)
-            value_text = line[line.rindex("}") + 1 :].strip()
-        else:
-            name, value_text = line.rsplit(None, 1)
-            labels = {}
-        key = (name, tuple(sorted(labels.items())))
-        samples[key] = float(value_text)
-    return kinds, samples

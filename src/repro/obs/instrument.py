@@ -139,9 +139,3 @@ class Telemetry:
 
     def close(self) -> None:
         self.tracer.close()
-
-
-def attach_telemetry(simulation, telemetry: Telemetry) -> TelemetryObserver:
-    """Attach telemetry to a simulation; returns the observer to pass in."""
-    telemetry.attach(simulation)
-    return telemetry.observer()

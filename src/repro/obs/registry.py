@@ -21,10 +21,6 @@ from repro.obs.quantile import P2Quantile
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
-#: Metric kinds a registry can hold.
-METRIC_KINDS = ("counter", "gauge", "histogram")
-
-
 class Counter:
     """A monotonically increasing tally (resettable only via tests/CLI)."""
 

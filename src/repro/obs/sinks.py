@@ -1,11 +1,10 @@
 """Span sinks: where decision traces go.
 
 A sink receives fully-built span dicts from the
-:class:`~repro.obs.trace.Tracer`. Two implementations cover the needs:
-:class:`MemorySink` buffers spans for tests and in-process consumers;
-:class:`JsonlSink` appends one deterministic JSON line per span to a
-file, flushed per record so a SIGTERM'd process leaves a complete
-trace behind (the same contract the service audit log keeps).
+:class:`~repro.obs.trace.Tracer` through ``emit(span)`` and is closed
+with ``close()``. :class:`JsonlSink` appends one deterministic JSON line
+per span to a file, flushed per record so a SIGTERM'd process leaves a
+complete trace behind (the same contract the service audit log keeps).
 
 The zero-cost rule lives one level up: a tracer with **no** sinks never
 builds a span dict at all, so instrumented batch runs stay
@@ -15,22 +14,6 @@ byte-identical and pay nothing.
 from __future__ import annotations
 
 import json
-
-
-class MemorySink:
-    """Buffer spans in memory (tests, dashboards, ad-hoc inspection)."""
-
-    def __init__(self) -> None:
-        self.spans: "list[dict]" = []
-
-    def emit(self, span: dict) -> None:
-        self.spans.append(span)
-
-    def clear(self) -> None:
-        self.spans = []
-
-    def close(self) -> None:
-        pass
 
 
 class JsonlSink:

@@ -16,9 +16,6 @@ an uninstrumented one.
 
 from __future__ import annotations
 
-#: Span kinds the engine emits, in per-boundary order.
-SPAN_KINDS = ("l2-solve", "l1-lookahead", "l0-bank")
-
 
 class Tracer:
     """Builds decision spans and fans them out to the attached sinks."""

@@ -4,23 +4,17 @@ The paper models each computer as a single FCFS queue whose dynamics are
 summarised by difference equations (eqs. 5-7). This package provides that
 fluid model (:mod:`~repro.queueing.fluid`), an exact request-granular FCFS
 server based on the Lindley/departure recursion
-(:mod:`~repro.queueing.lindley`), analytic M/M/1 formulas used as test
-oracles (:mod:`~repro.queueing.mm1`), and response-time bookkeeping
+(:mod:`~repro.queueing.lindley`), and response-time bookkeeping
 (:mod:`~repro.queueing.metrics`).
 """
 
 from repro.queueing.fluid import FluidServerModel, fluid_step
-from repro.queueing.lindley import FcfsServer, fcfs_response_times
-from repro.queueing.metrics import ResponseStats, utilization
-from repro.queueing.mm1 import mm1_mean_queue_length, mm1_mean_response_time
+from repro.queueing.lindley import FcfsServer
+from repro.queueing.metrics import ResponseStats
 
 __all__ = [
     "FcfsServer",
     "FluidServerModel",
     "ResponseStats",
-    "fcfs_response_times",
     "fluid_step",
-    "mm1_mean_queue_length",
-    "mm1_mean_response_time",
-    "utilization",
 ]

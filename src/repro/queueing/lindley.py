@@ -2,11 +2,11 @@
 
 For a first-come first-served single server, the departure time of the
 n-th request obeys ``d(n) = max(d(n-1), t(n)) + s(n)`` (equivalently the
-Lindley waiting-time recursion). :func:`fcfs_response_times` applies this to
-a complete trace; :class:`FcfsServer` is an incremental version that the
-simulation engine drives period by period, supporting *speed changes* at
-period boundaries (DVFS) — service demands are expressed in units of work,
-and the server drains work at the current speed.
+Lindley waiting-time recursion). :class:`FcfsServer` applies it
+incrementally: the simulation engine drives it period by period,
+supporting *speed changes* at period boundaries (DVFS) — service demands
+are expressed in units of work, and the server drains work at the current
+speed.
 """
 
 from __future__ import annotations
@@ -18,31 +18,6 @@ import numpy as np
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.validation import require_non_negative, require_positive
-
-
-def fcfs_response_times(
-    arrival_times: np.ndarray, service_times: np.ndarray
-) -> np.ndarray:
-    """Response times (sojourn) of each request under FCFS at fixed speed.
-
-    ``arrival_times`` must be non-decreasing; ``service_times`` are in
-    seconds at the server's current speed.
-    """
-    arrivals = np.asarray(arrival_times, dtype=float)
-    services = np.asarray(service_times, dtype=float)
-    if arrivals.shape != services.shape:
-        raise ConfigurationError("arrival and service arrays must align")
-    if arrivals.size and np.any(np.diff(arrivals) < 0):
-        raise ConfigurationError("arrival times must be non-decreasing")
-    if np.any(services < 0):
-        raise ConfigurationError("service times must be non-negative")
-    departures = np.empty_like(arrivals)
-    previous = -np.inf
-    for i in range(arrivals.size):
-        start = arrivals[i] if arrivals[i] > previous else previous
-        previous = start + services[i]
-        departures[i] = previous
-    return departures - arrivals
 
 
 @dataclass

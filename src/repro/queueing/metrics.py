@@ -1,4 +1,4 @@
-"""Response-time and utilisation bookkeeping."""
+"""Response-time bookkeeping."""
 
 from __future__ import annotations
 
@@ -8,14 +8,6 @@ import numpy as np
 
 from repro.common.errors import ConfigurationError
 from repro.common.validation import require_positive
-
-
-def utilization(arrival_rate: float, service_rate: float) -> float:
-    """Offered load rho = lambda / mu (may exceed 1 when overloaded)."""
-    require_positive(service_rate, "service_rate")
-    if arrival_rate < 0:
-        raise ConfigurationError("arrival_rate must be >= 0")
-    return arrival_rate / service_rate
 
 
 @dataclass

@@ -27,7 +27,6 @@ from repro.scenario.registry import (
 from repro.scenario.runner import (
     WarmedArtifact,
     build_simulation,
-    build_trace,
     resolve_control_params,
     run_scenario,
     warm_scenario,
@@ -52,7 +51,6 @@ __all__ = [
     "WarmedArtifact",
     "WorkloadSpec",
     "build_simulation",
-    "build_trace",
     "get_scenario",
     "list_scenarios",
     "register_scenario",

@@ -8,10 +8,8 @@ along on the engine's hook interface.
 
 Runtime-only objects that cannot live in a declarative spec — trained
 behaviour maps, pre-built baseline controller instances, parameter
-dataclasses — can be supplied as keyword overrides. The retired
-``module_experiment``/``cluster_experiment`` wrappers used exactly that
-path, which is why migrating a call site to the equivalent scenario
-produces bit-for-bit identical results.
+dataclasses — can be supplied as keyword overrides; a run given the
+objects its spec would have built produces bit-for-bit the same result.
 """
 
 from __future__ import annotations
@@ -83,13 +81,6 @@ def resolve_control_params(
         l1 = L1Params()
     l2 = L2Params(**control.l2) if control.l2 else L2Params()
     return l0, l1, l2
-
-
-def build_trace(
-    scenario: ScenarioSpec, l0_period: float = 30.0
-) -> ArrivalTrace:
-    """Materialise the scenario's arrival trace (scaled, seeded)."""
-    return build_workload(scenario, l0_period)[0]
 
 
 def build_workload(

@@ -20,7 +20,6 @@ from repro.sim.engine import ClusterSimulation, ModuleSimulation
 from repro.sim.experiments import overhead_experiment
 from repro.sim.options import KERNELS, EngineOptions
 from repro.sim.observers import (
-    HookCounter,
     L1DecisionEvent,
     L2DecisionEvent,
     ObserverList,
@@ -39,7 +38,6 @@ __all__ = [
     "DiscreteEventModuleSimulation",
     "DiscreteEventRunResult",
     "EngineOptions",
-    "HookCounter",
     "L1DecisionEvent",
     "L2DecisionEvent",
     "ModuleRunResult",

@@ -1,15 +1,5 @@
 """Workload helpers and the §4.3 control-overhead experiment.
 
-The pre-1.1 run-to-completion wrappers (``module_experiment``,
-``cluster_experiment``) are retired: the scenario-first API supersedes
-them — ``run_scenario(Scenario.module(m=4).build())`` and the registry
-names (``paper/fig4-module4``, ``paper/fig6-cluster16``, ...) produce
-the same bit-for-bit results with one entry point. Calling the retired
-names now raises :class:`~repro.common.ConfigurationError` pointing at
-the replacement.
-
-What remains here:
-
 * :func:`module_workload` — the §4.3 synthetic day-scale trace, scaled
   to a module of ``m`` computers;
 * :func:`overhead_experiment` — the §4.3 control-overhead measurements.
@@ -22,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster.specs import paper_module_spec, scaled_module_spec
-from repro.common import ConfigurationError
 from repro.workload.synthetic import SyntheticWorkloadSpec, synthetic_trace
 
 #: Aggregate full-speed capacity of the module of four at c = 17.5 ms.
@@ -46,24 +35,6 @@ def module_workload(
         )
         trace = trace.scaled(capacity_ratio)
     return trace
-
-
-def module_experiment(*args, **kwargs):
-    """Removed. Use ``run_scenario`` with ``Scenario.module``."""
-    raise ConfigurationError(
-        "module_experiment was removed; use run_scenario("
-        "Scenario.module(m=...).workload('synthetic', samples=...)"
-        ".seed(...).build()) from repro.scenario"
-    )
-
-
-def cluster_experiment(*args, **kwargs):
-    """Removed. Use ``run_scenario`` with ``Scenario.cluster``."""
-    raise ConfigurationError(
-        "cluster_experiment was removed; use run_scenario("
-        "Scenario.cluster(p=...).workload('wc98', samples=...)"
-        ".seed(...).build()) from repro.scenario"
-    )
 
 
 @dataclass(frozen=True)

@@ -513,35 +513,3 @@ class DecisionRecorder(SimulationObserver):
         from repro.common.schema import decision_line
 
         return [decision_line(record) for record in self.records]
-
-
-class HookCounter(SimulationObserver):
-    """Counts hook firings — used by tests and sanity checks."""
-
-    def __init__(self) -> None:
-        self.counts = {
-            "run_start": 0,
-            "l1_decision": 0,
-            "l2_decision": 0,
-            "step": 0,
-            "period_end": 0,
-            "run_end": 0,
-        }
-
-    def on_run_start(self, simulation) -> None:
-        self.counts["run_start"] += 1
-
-    def on_l1_decision(self, event: L1DecisionEvent) -> None:
-        self.counts["l1_decision"] += 1
-
-    def on_l2_decision(self, event: L2DecisionEvent) -> None:
-        self.counts["l2_decision"] += 1
-
-    def on_step(self, event: StepEvent) -> None:
-        self.counts["step"] += 1
-
-    def on_period_end(self, event: PeriodEvent) -> None:
-        self.counts["period_end"] += 1
-
-    def on_run_end(self, result) -> None:
-        self.counts["run_end"] += 1

@@ -59,7 +59,6 @@ from repro.sweep.registry import (
     get_sweep,
     list_sweeps,
     register_sweep,
-    sweep_names,
 )
 from repro.sweep.spec import (
     GridAxis,
@@ -94,6 +93,5 @@ __all__ = [
     "resolve_workers",
     "report_payload",
     "run_sweep",
-    "sweep_names",
     "write_report",
 ]

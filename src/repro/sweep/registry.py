@@ -79,11 +79,6 @@ def list_sweeps() -> "tuple[RegisteredSweep, ...]":
     return tuple(rows)
 
 
-def sweep_names() -> "tuple[str, ...]":
-    """The sorted registered names (cheap; does not build the specs)."""
-    return tuple(sorted(_REGISTRY))
-
-
 # ----------------------------------------------------------------------
 # Built-in entries
 # ----------------------------------------------------------------------

@@ -24,7 +24,7 @@ from repro.workload.store import VirtualStore
 from repro.workload.synthetic import SyntheticWorkloadSpec, synthetic_trace
 from repro.workload.trace import ArrivalTrace
 from repro.workload.wc98 import WC98Spec, wc98_trace
-from repro.workload.zipf import ZipfSampler, zipf_weights
+from repro.workload.zipf import zipf_weights
 from repro.workload.zipfmix import ZipfMixSpec, zipfmix_workload
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "VirtualStore",
     "WC98Spec",
     "ZipfMixSpec",
-    "ZipfSampler",
     "flashcrowd_rate_profile",
     "flashcrowd_trace",
     "synthetic_trace",

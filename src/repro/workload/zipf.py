@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.common.rng import spawn_rng
 from repro.common.validation import require_positive
 
 
@@ -21,35 +20,3 @@ def zipf_weights(n: int, exponent: float = 1.0) -> np.ndarray:
     ranks = np.arange(1, n + 1, dtype=float)
     weights = ranks**-exponent
     return weights / weights.sum()
-
-
-class ZipfSampler:
-    """Samples object ranks (0-based) from a Zipf distribution."""
-
-    def __init__(
-        self,
-        n: int,
-        exponent: float = 1.0,
-        seed: "int | np.random.Generator | None" = None,
-    ) -> None:
-        self.n = int(require_positive(n, "n"))
-        self.exponent = exponent
-        self._weights = zipf_weights(self.n, exponent)
-        self._cumulative = np.cumsum(self._weights)
-        self._rng = spawn_rng(seed)
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Probability of each rank (a copy)."""
-        return self._weights.copy()
-
-    def sample(self, size: int) -> np.ndarray:
-        """Draw ``size`` ranks; inverse-CDF sampling is O(size log n)."""
-        if size < 0:
-            raise ValueError("size must be >= 0")
-        if size == 0:
-            return np.zeros(0, dtype=int)
-        uniforms = self._rng.random(size)
-        return np.searchsorted(self._cumulative, uniforms, side="right").clip(
-            0, self.n - 1
-        )

@@ -1,16 +1,10 @@
-"""Tests for Module and Cluster plant containers."""
+"""Tests for the Module plant container."""
 
 import numpy as np
 import pytest
 
 from repro.common import ControlError
-from repro.cluster import (
-    Cluster,
-    Module,
-    ModuleObservation,
-    paper_cluster_spec,
-    paper_module_spec,
-)
+from repro.cluster import Module, paper_module_spec
 
 
 def _module(**kwargs):
@@ -64,41 +58,3 @@ class TestModule:
     def test_queue_lengths_vector(self):
         module = _module()
         assert module.queue_lengths.shape == (4,)
-
-
-class TestModuleObservation:
-    def test_aggregate_matches_equations(self):
-        # Eq. 10: average queue over substeps and computers.
-        queues = np.array([[1.0, 3.0], [5.0, 7.0]])  # 2 substeps x 2 computers
-        arrivals = np.array([10.0, 20.0])
-        works = np.array([0.01, 0.03])
-        obs = ModuleObservation.aggregate(queues, arrivals, works)
-        assert obs.queue_length == pytest.approx(4.0)
-        assert obs.arrivals == pytest.approx(30.0)
-        assert obs.mean_work == pytest.approx(0.02)
-
-    def test_empty_aggregate(self):
-        obs = ModuleObservation.aggregate(np.zeros((0,)), np.zeros(0), np.zeros(0))
-        assert obs.queue_length == 0.0
-        assert obs.arrivals == 0.0
-
-
-class TestCluster:
-    def test_shape(self):
-        cluster = Cluster(paper_cluster_spec())
-        assert cluster.module_count == 4
-        assert cluster.computer_count == 16
-        assert cluster.active_count == 16
-
-    def test_split_arrivals(self):
-        cluster = Cluster(paper_cluster_spec())
-        shares = cluster.split_arrivals(1000.0, np.full(4, 0.25))
-        assert np.allclose(shares, 250.0)
-
-    def test_split_shape_checked(self):
-        cluster = Cluster(paper_cluster_spec())
-        with pytest.raises(ControlError):
-            cluster.split_arrivals(1000.0, np.array([0.5, 0.5]))
-
-    def test_total_energy_starts_zero(self):
-        assert Cluster(paper_cluster_spec()).total_energy() == 0.0

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.common import RandomSource, spawn_rng
+from repro.common import spawn_rng
 
 
 class TestSpawnRng:
@@ -17,34 +17,3 @@ class TestSpawnRng:
 
     def test_none_gives_generator(self):
         assert isinstance(spawn_rng(None), np.random.Generator)
-
-
-class TestRandomSource:
-    def test_same_label_same_stream(self):
-        src = RandomSource(42)
-        gen = src.child("workload")
-        assert src.child("workload") is gen
-
-    def test_streams_reproducible_across_instances(self):
-        a = RandomSource(42).child("workload").random(8)
-        b = RandomSource(42).child("workload").random(8)
-        assert np.array_equal(a, b)
-
-    def test_distinct_labels_distinct_streams(self):
-        src = RandomSource(42)
-        a = src.child("workload").random(8)
-        b = src.child("dispatcher").random(8)
-        assert not np.array_equal(a, b)
-
-    def test_label_stream_independent_of_creation_order(self):
-        first = RandomSource(1)
-        first.child("a")
-        series_b_after_a = first.child("b").random(4)
-        second = RandomSource(1)
-        series_b_alone = second.child("b").random(4)
-        assert np.array_equal(series_b_after_a, series_b_alone)
-
-    def test_different_seeds_differ(self):
-        a = RandomSource(1).child("x").random(4)
-        b = RandomSource(2).child("x").random(4)
-        assert not np.array_equal(a, b)

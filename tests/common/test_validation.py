@@ -18,6 +18,7 @@ from repro.common import (
 from repro.common.validation import (
     require_failure_events,
     require_non_negative_int,
+    require_payload_keys,
     require_positive_int,
 )
 
@@ -194,3 +195,28 @@ class TestRequireFailureEvents:
     def test_rejects_with_the_message(self, bounds, event, message):
         with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
             require_failure_events([event], bounds, "x")
+
+
+class TestRequirePayloadKeys:
+    """The check every ``from_dict`` runs on its payload."""
+
+    def test_returns_the_payload_itself(self):
+        payload = {"kind": "module", "m": 4}
+        assert require_payload_keys(payload, ("kind", "m", "p"), "plant") is payload
+
+    def test_rejects_a_non_dict_naming_its_type(self):
+        with pytest.raises(
+            ConfigurationError, match=r"^plant payload must be a dict, got list$"
+        ):
+            require_payload_keys(["kind"], ("kind",), "plant")
+
+    def test_lists_every_unknown_field_sorted(self):
+        with pytest.raises(ConfigurationError) as caught:
+            require_payload_keys({"zeta": 1, "kind": "x", "alpha": 2}, ("kind",), "plant")
+        assert str(caught.value) == "unknown plant fields: ['alpha', 'zeta']"
+
+    def test_complete_payloads_must_name_every_field(self):
+        assert require_payload_keys({}, ("kind", "m"), "plant") == {}
+        with pytest.raises(ConfigurationError) as caught:
+            require_payload_keys({"m": 4}, ("kind", "m", "p"), "plant", complete=True)
+        assert str(caught.value) == "missing plant fields: ['kind', 'p']"

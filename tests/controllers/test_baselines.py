@@ -13,10 +13,26 @@ from repro.controllers import (
     AlwaysOnMaxController,
     ThresholdDvfsController,
     ThresholdOnOffController,
+    make_baseline,
 )
 
 
 WORK = 0.0175
+
+
+class TestMakeBaseline:
+    def test_builds_the_registered_policy_with_its_parameters(self):
+        baseline = make_baseline("threshold-dvfs", paper_module_spec(), upper=0.9)
+        assert isinstance(baseline, ThresholdDvfsController)
+        assert baseline.upper == 0.9
+
+    def test_an_unknown_name_lists_the_registered_ones(self):
+        with pytest.raises(ConfigurationError) as caught:
+            make_baseline("pid", paper_module_spec())
+        assert str(caught.value) == (
+            "unknown baseline 'pid'; registered: "
+            "['always-on-max', 'threshold-dvfs', 'threshold-on-off']"
+        )
 
 
 class TestAlwaysOnMax:

@@ -109,14 +109,17 @@ class TestRemovedSettings:
         assert message.startswith(f"invalid {part.upper()}Params overrides")
         assert f"'{key}'" in message and "\n" not in message
 
-    def test_l0_switching_weight_is_an_unknown_weight(self):
-        # The L1's W is L1Params.switching_weight; the L0 cost reads Q and R.
+    # The L1's W is L1Params.switching_weight; the L0 cost reads Q and R.
+    # S (control_change) priced the change of control in the generic
+    # eq.-3 cost, which no decision used.
+    @pytest.mark.parametrize("weight", ["switching", "control_change"])
+    def test_removed_l0_weight_is_an_unknown_weight(self, weight):
         spec = ScenarioSpec(plant=PlantSpec(kind="cluster"))
         with pytest.raises(ConfigurationError) as excinfo:
-            spec.with_overrides(**{"control.l0": {"weights": {"switching": 8.0}}})
+            spec.with_overrides(**{"control.l0": {"weights": {weight: 8.0}}})
         message = str(excinfo.value)
         assert message.startswith("invalid L0Params weights")
-        assert "'switching'" in message and "\n" not in message
+        assert f"'{weight}'" in message and "\n" not in message
 
 
 class TestL0Weights:

@@ -1,4 +1,4 @@
-"""Tests for norm-based costs and slack variables."""
+"""Tests for the L0 cost weights and slack-variable cost."""
 
 import numpy as np
 import pytest
@@ -6,27 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common import ConfigurationError
-from repro.core import CostWeights, SetPointCost, SlackResponseCost, weighted_norm
-
-
-class TestWeightedNorm:
-    def test_scalar_weight(self):
-        assert weighted_norm([1.0, -2.0], 2.0) == pytest.approx(6.0)
-
-    def test_vector_weight(self):
-        assert weighted_norm([1.0, -2.0], [1.0, 10.0]) == pytest.approx(21.0)
-
-    def test_rejects_negative_weights(self):
-        with pytest.raises(ConfigurationError):
-            weighted_norm([1.0], [-1.0])
-
-    def test_rejects_misaligned_weights(self):
-        with pytest.raises(ConfigurationError):
-            weighted_norm([1.0, 2.0], [1.0, 2.0, 3.0])
-
-    @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=5))
-    def test_non_negative(self, values):
-        assert weighted_norm(values, 1.0) >= 0.0
+from repro.core import CostWeights, SlackResponseCost
 
 
 class TestCostWeights:
@@ -34,33 +14,10 @@ class TestCostWeights:
         weights = CostWeights()
         assert weights.tracking == 100.0  # Q
         assert weights.operating == 1.0  # R
-        assert weights.control_change == 0.0  # S
 
     def test_rejects_negative(self):
         with pytest.raises(ConfigurationError):
             CostWeights(tracking=-1.0)
-
-
-class TestSetPointCost:
-    def test_zero_at_set_point_with_zero_control(self):
-        cost = SetPointCost([4.0], CostWeights(tracking=100.0, operating=0.0))
-        assert cost.evaluate([4.0], [0.0]) == 0.0
-
-    def test_tracking_term(self):
-        cost = SetPointCost([4.0], CostWeights(tracking=10.0, operating=0.0))
-        assert cost.evaluate([6.0], [0.0]) == pytest.approx(20.0)
-
-    def test_control_change_term(self):
-        weights = CostWeights(tracking=0.0, operating=0.0, control_change=5.0)
-        cost = SetPointCost([0.0], weights)
-        assert cost.evaluate([0.0], [1.0], previous_control=[3.0]) == pytest.approx(
-            10.0
-        )
-
-    def test_state_shape_checked(self):
-        cost = SetPointCost([4.0, 5.0], CostWeights())
-        with pytest.raises(ConfigurationError):
-            cost.evaluate([4.0], [0.0])
 
 
 class TestSlackResponseCost:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.common import ConfigurationError
-from repro.forecast import ForecastReport, coverage, mae, mape, rmse
+from repro.forecast import ForecastReport, mae, mape, rmse
 
 
 class TestMetrics:
@@ -37,22 +37,6 @@ class TestMetrics:
         assert mae(series, series) == 0.0
         assert rmse(series, series) == 0.0
         assert mape(series, series) == 0.0
-
-
-class TestCoverage:
-    def test_full_coverage(self):
-        assert coverage([1, 2], [0, 0], [5, 5]) == 1.0
-
-    def test_partial_coverage(self):
-        assert coverage([1, 10], [0, 0], [5, 5]) == 0.5
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            coverage([1], [0, 0], [5, 5])
-
-    def test_empty(self):
-        with pytest.raises(ConfigurationError):
-            coverage([], [], [])
 
 
 class TestForecastReport:

@@ -6,11 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common import ConfigurationError
-from repro.forecast import KalmanFilter, LocalLevelModel, StateSpaceModel
+from repro.forecast import KalmanFilter, StateSpaceModel
+
+
+def _level_model(level_var=1.0, obs_var=1.0):
+    """The one-state local level model: a random walk observed in noise."""
+    return StateSpaceModel(
+        transition=np.array([[1.0]]),
+        observation=np.array([[1.0]]),
+        process_cov=np.array([[level_var]]),
+        observation_cov=np.array([[obs_var]]),
+    )
 
 
 def _level_filter(level_var=0.5, obs_var=2.0):
-    return KalmanFilter(LocalLevelModel(level_var=level_var, obs_var=obs_var))
+    return KalmanFilter(_level_model(level_var=level_var, obs_var=obs_var))
 
 
 class TestStateSpaceModel:
@@ -33,7 +43,7 @@ class TestStateSpaceModel:
             )
 
     def test_dims(self):
-        model = LocalLevelModel()
+        model = _level_model()
         assert model.state_dim == 1
         assert model.obs_dim == 1
 
@@ -79,11 +89,11 @@ class TestFiltering:
 
     def test_bad_initial_state_shape(self):
         with pytest.raises(ConfigurationError):
-            KalmanFilter(LocalLevelModel(), initial_state=np.zeros(3))
+            KalmanFilter(_level_model(), initial_state=np.zeros(3))
 
     def test_bad_initial_cov_shape(self):
         with pytest.raises(ConfigurationError):
-            KalmanFilter(LocalLevelModel(), initial_cov=np.eye(3))
+            KalmanFilter(_level_model(), initial_cov=np.eye(3))
 
 
 class TestForecasting:

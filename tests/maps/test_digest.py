@@ -1,6 +1,7 @@
 """Content digests: stable identity, name-blind, parameter-sensitive."""
 
 import dataclasses
+import json
 import re
 
 import pytest
@@ -11,9 +12,12 @@ from repro.cluster.specs import ComputerSpec, ModuleSpec, paper_module_spec
 from repro.controllers.l2 import ModuleCostMap
 from repro.controllers.params import L0Params, L1Params
 from repro.core.cost import CostWeights
+from repro.maps import digest
 from repro.maps.digest import (
     RUN_ONLY_L1_FIELDS,
     behavior_map_digest,
+    canonical_json,
+    content_digest,
     module_map_digest,
 )
 from repro.maps.provider import MapProvider
@@ -26,7 +30,6 @@ L0_CHANGES = {
     "robustness_margin": 0.1,
     "weights.tracking": 50.0,
     "weights.operating": 2.0,
-    "weights.control_change": 1.0,
 }
 
 #: A value other than the default for every L1Params field.
@@ -43,6 +46,21 @@ L1_CHANGES = {
 
 def _computer(name: str = "C1", profile: str = "c4") -> ComputerSpec:
     return ComputerSpec(name=name, processor=processor_profile(profile))
+
+
+class TestCanonicalForm:
+    def test_canonical_json_is_sorted_compact_and_exact(self):
+        payload = {"b": 0.1 + 0.2, "a": [1, 2.5, None], "c": {"z": True, "y": "s"}}
+        text = canonical_json(payload)
+        assert text == (
+            '{"a":[1,2.5,null],"b":0.30000000000000004,"c":{"y":"s","z":true}}'
+        )
+        assert json.loads(text) == payload
+
+    def test_a_schema_bump_rekeys_every_digest(self, monkeypatch):
+        before = content_digest("behavior-map", {"x": 1.0})
+        monkeypatch.setattr(digest, "MAPS_SCHEMA_VERSION", digest.MAPS_SCHEMA_VERSION + 1)
+        assert content_digest("behavior-map", {"x": 1.0}) != before
 
 
 class TestBehaviorDigest:
@@ -188,7 +206,6 @@ class TestNumberSpelling:
             (L0Params, "robustness_margin"),
             (CostWeights, "tracking"),
             (CostWeights, "operating"),
-            (CostWeights, "control_change"),
             (L1Params, "period"),
             (L1Params, "gamma_step"),
             (L1Params, "switching_weight"),

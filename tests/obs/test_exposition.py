@@ -2,12 +2,9 @@
 
 import pytest
 
-from repro.obs import (
-    CONTENT_TYPE,
-    MetricsRegistry,
-    parse_prometheus_text,
-    render_prometheus,
-)
+from helpers import parse_prometheus_text
+
+from repro.obs import CONTENT_TYPE, MetricsRegistry, render_prometheus
 
 
 def sample_registry():

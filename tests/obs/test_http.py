@@ -3,12 +3,9 @@
 import asyncio
 import json
 
-from repro.obs import (
-    CONTENT_TYPE,
-    MetricsRegistry,
-    ObservabilityHTTPServer,
-    parse_prometheus_text,
-)
+from helpers import parse_prometheus_text
+
+from repro.obs import CONTENT_TYPE, MetricsRegistry, ObservabilityHTTPServer
 
 
 async def fetch(port, path, method="GET"):

@@ -1,9 +1,10 @@
 """Telemetry through the engine seams: zero-cost, byte-identity, spans."""
 
+from helpers import MemorySink
+
 from repro.common.schema import dump_json, run_payload
 from repro.maps.stats import MAP_STATS, reset_map_stats
 from repro.obs import (
-    MemorySink,
     MetricsRegistry,
     Telemetry,
     TelemetryObserver,

@@ -36,6 +36,15 @@ class TestHandles:
     def test_global_registry_is_singleton(self):
         assert global_registry() is global_registry()
 
+    def test_gauge_moves_both_ways_and_a_set_wins(self):
+        gauge = MetricsRegistry().gauge("repro_machines_on", "Machines on.")
+        gauge.inc(3)
+        gauge.dec()
+        assert gauge.value == 2.0
+        gauge.set(7)
+        gauge.dec(9.5)
+        assert gauge.value == -2.5
+
 
 class TestHistogram:
     def test_moments(self):

@@ -5,34 +5,45 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import mm1_mean_response_time
+
 from repro.common import ConfigurationError, SimulationError
-from repro.queueing import FcfsServer, fcfs_response_times
-from repro.queueing import mm1_mean_response_time
+from repro.queueing import FcfsServer
 
 
-class TestFcfsResponseTimes:
+def _served(arrivals, work, speed=1.0):
+    """Response times of one batch served to completion at ``speed``."""
+    server = FcfsServer()
+    server.offer(np.asarray(arrivals, dtype=float), np.asarray(work, dtype=float))
+    return np.array([r.response_time for r in server.advance(until=1e9, speed=speed)])
+
+
+class TestFcfsBatch:
+    """A whole trace through the server obeys the departure recursion."""
+
     def test_idle_server_response_is_service_time(self):
-        out = fcfs_response_times([0.0, 100.0], [2.0, 3.0])
-        assert np.allclose(out, [2.0, 3.0])
+        assert np.allclose(_served([0.0, 100.0], [2.0, 3.0]), [2.0, 3.0])
 
     def test_back_to_back_requests_queue(self):
-        out = fcfs_response_times([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
-        assert np.allclose(out, [1.0, 2.0, 3.0])
+        assert np.allclose(_served([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]), [1.0, 2.0, 3.0])
 
     def test_rejects_decreasing_arrivals(self):
         with pytest.raises(ConfigurationError):
-            fcfs_response_times([1.0, 0.5], [1.0, 1.0])
+            FcfsServer().offer(np.array([1.0, 0.5]), np.array([1.0, 1.0]))
 
-    def test_rejects_negative_service(self):
+    def test_rejects_negative_work(self):
         with pytest.raises(ConfigurationError):
-            fcfs_response_times([0.0], [-1.0])
+            FcfsServer().offer(np.array([0.0]), np.array([-1.0]))
 
     def test_rejects_misaligned(self):
         with pytest.raises(ConfigurationError):
-            fcfs_response_times([0.0, 1.0], [1.0])
+            FcfsServer().offer(np.array([0.0, 1.0]), np.array([1.0]))
 
-    def test_empty(self):
-        assert fcfs_response_times([], []).size == 0
+    def test_empty_offer_queues_nothing(self):
+        server = FcfsServer()
+        server.offer(np.array([]), np.array([]))
+        assert server.queue_length == 0
+        assert server.advance(until=5.0, speed=1.0) == []
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -50,7 +61,8 @@ class TestFcfsResponseTimes:
                 )
             )
         )
-        out = fcfs_response_times(arrivals, services)
+        out = _served(arrivals, services)
+        assert out.shape == services.shape
         assert np.all(out >= services - 1e-12)
 
     def test_matches_mm1_statistically(self):
@@ -58,7 +70,7 @@ class TestFcfsResponseTimes:
         lam, mu, n = 50.0, 80.0, 60000
         arrivals = np.cumsum(rng.exponential(1 / lam, n))
         services = rng.exponential(1 / mu, n)
-        mean_measured = fcfs_response_times(arrivals, services).mean()
+        mean_measured = _served(arrivals, services).mean()
         mean_analytic = mm1_mean_response_time(lam, mu)
         assert mean_measured == pytest.approx(mean_analytic, rel=0.1)
 
@@ -122,7 +134,12 @@ class TestFcfsServer:
         rng = np.random.default_rng(1)
         arrivals = np.cumsum(rng.exponential(0.1, 200))
         work = rng.uniform(0.01, 0.2, 200)
-        expected = fcfs_response_times(arrivals, work)
+        # d(n) = max(d(n-1), t(n)) + s(n), the Lindley departure recursion.
+        departures, previous = [], -np.inf
+        for t, w in zip(arrivals, work):
+            previous = max(previous, t) + w
+            departures.append(previous)
+        expected = np.array(departures) - arrivals
 
         server = FcfsServer()
         server.offer(arrivals, work)

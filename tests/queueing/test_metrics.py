@@ -2,25 +2,10 @@
 
 import pytest
 
+from helpers import mm1_mean_queue_length, mm1_mean_response_time
+
 from repro.common import ConfigurationError
-from repro.queueing import ResponseStats, utilization
-from repro.queueing import mm1_mean_queue_length, mm1_mean_response_time
-
-
-class TestUtilization:
-    def test_value(self):
-        assert utilization(50.0, 100.0) == pytest.approx(0.5)
-
-    def test_overload_allowed(self):
-        assert utilization(200.0, 100.0) == pytest.approx(2.0)
-
-    def test_rejects_zero_service_rate(self):
-        with pytest.raises(ConfigurationError):
-            utilization(1.0, 0.0)
-
-    def test_rejects_negative_arrivals(self):
-        with pytest.raises(ConfigurationError):
-            utilization(-1.0, 1.0)
+from repro.queueing import ResponseStats
 
 
 class TestMm1:

@@ -3,17 +3,14 @@
 import numpy as np
 import pytest
 
+from helpers import HookCounter
+
 from repro.cluster import paper_module_spec
 from repro.common import ConfigurationError
 from repro.controllers import L1Controller, ThresholdDvfsController
 from repro.scenario import Scenario, build_simulation, get_scenario, run_scenario
-from repro.sim import (
-    ClusterSimulation,
-    HookCounter,
-    ModuleSimulation,
-    SimulationObserver,
-)
-from repro.sim.experiments import cluster_experiment, module_experiment
+from repro.scenario.runner import build_workload
+from repro.sim import ClusterSimulation, ModuleSimulation, SimulationObserver
 
 
 @pytest.fixture(scope="module")
@@ -23,15 +20,7 @@ def behavior_maps():
 
 
 class TestRetiredShims:
-    """The pre-1.1 wrappers are gone; calls must point at run_scenario."""
-
-    def test_module_experiment_raises_with_pointer(self):
-        with pytest.raises(ConfigurationError, match="run_scenario"):
-            module_experiment(m=4, l1_samples=36)
-
-    def test_cluster_experiment_raises_with_pointer(self):
-        with pytest.raises(ConfigurationError, match="run_scenario"):
-            cluster_experiment(p=4, samples=36)
+    """The pre-1.1 wrappers are gone; run_scenario replaces them."""
 
     def test_retired_names_not_exported(self):
         import repro
@@ -314,13 +303,12 @@ class TestRunnerValidation:
             )
 
     def test_steady_workload_builds_constant_trace(self):
-        from repro.scenario import build_trace
-
         spec = (
             Scenario.module()
             .workload("steady", samples=10, rate=50.0)
             .build()
         )
-        trace = build_trace(spec)
+        trace, work = build_workload(spec)
         assert len(trace) == 40  # 10 periods x 4 L0 bins
         assert np.allclose(trace.counts, 50.0 * 30.0)
+        assert work is None

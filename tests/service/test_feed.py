@@ -147,3 +147,86 @@ class TestFileTailFeed:
         assert first == Observation(step=0, arrivals=1.0)
         assert second == Observation(step=1, arrivals=2.0)
         assert end is None
+
+    def test_poll_interval_must_be_positive(self, tmp_path):
+        for poll in (0.0, -1.0, float("nan")):
+            with pytest.raises(ControlError, match="poll_seconds must be positive"):
+                FileTailFeed(str(tmp_path / "feed.jsonl"), poll_seconds=poll)
+
+    def test_a_missing_file_fails_at_start_in_one_line(self, tmp_path):
+        feed = FileTailFeed(str(tmp_path / "absent.jsonl"))
+        with pytest.raises(ControlError, match="^cannot open feed file") as caught:
+            asyncio.run(feed.start())
+        assert "\n" not in str(caught.value)
+
+    def test_reading_before_start_or_after_close_is_an_error(self, tmp_path):
+        path = tmp_path / "feed.jsonl"
+        path.write_text(observation_line(0, 1.0) + "\n")
+
+        async def run():
+            feed = FileTailFeed(str(path))
+            with pytest.raises(ControlError, match="feed not started"):
+                await feed.next()
+            await feed.start()
+            await feed.close()
+            await feed.close()  # a second close is harmless
+            with pytest.raises(ControlError, match="feed not started"):
+                await feed.next()
+
+        asyncio.run(run())
+
+    def test_a_partial_line_waits_for_its_newline(self, tmp_path):
+        path = tmp_path / "feed.jsonl"
+        line = observation_line(0, 7.5)
+        path.write_text(line[:10])
+
+        async def run():
+            feed = await FileTailFeed(str(path), poll_seconds=0.01).start()
+            pending = asyncio.ensure_future(feed.next())
+            await asyncio.sleep(0.1)
+            assert not pending.done()  # a writer mid-append is not junk
+            with open(path, "a") as handle:
+                handle.write(line[10:] + "\n")
+            observation = await asyncio.wait_for(pending, timeout=10.0)
+            await feed.close()
+            return observation
+
+        assert asyncio.run(run()) == Observation(step=0, arrivals=7.5)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "feed.jsonl"
+        path.write_text("\n  \n" + observation_line(0, 2.0) + "\n\n" + END_LINE + "\n")
+
+        async def run():
+            feed = await FileTailFeed(str(path), poll_seconds=0.01).start()
+            first = await asyncio.wait_for(feed.next(), timeout=10.0)
+            end = await asyncio.wait_for(feed.next(), timeout=10.0)
+            await feed.close()
+            return first, end
+
+        assert asyncio.run(run()) == (Observation(step=0, arrivals=2.0), None)
+
+    def test_a_hostile_line_is_a_one_line_error_and_the_tail_goes_on(self, tmp_path):
+        path = tmp_path / "feed.jsonl"
+        path.write_text(
+            '{"step": 0, "arrivals": NaN}\n'
+            + '{"step": 0, "arrivals"\n'
+            + observation_line(0, 3.0) + "\n"
+        )
+
+        async def run():
+            feed = await FileTailFeed(str(path), poll_seconds=0.01).start()
+            errors = []
+            for _ in range(2):
+                with pytest.raises(ControlError) as caught:
+                    await asyncio.wait_for(feed.next(), timeout=10.0)
+                errors.append(str(caught.value))
+            good = await asyncio.wait_for(feed.next(), timeout=10.0)
+            await feed.close()
+            return errors, good
+
+        errors, good = asyncio.run(run())
+        assert errors[0].startswith("observation 'arrivals' must be a finite number")
+        assert errors[1].startswith("bad observation line")
+        assert all("\n" not in error for error in errors)
+        assert good == Observation(step=0, arrivals=3.0)

@@ -1,20 +1,22 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
-
-    def test_known_commands(self):
-        for command in ("fig4", "fig6", "overhead", "baselines"):
-            args = build_parser().parse_args([command])
-            assert args.command == command
-            assert args.samples > 0
 
     def test_run_command(self):
         args = build_parser().parse_args(
@@ -74,28 +76,20 @@ class TestParser:
         assert args.json is True
         assert args.group_by == "plant.m,seed"
 
-    def test_overrides(self):
-        args = build_parser().parse_args(["fig4", "--samples", "24", "--seed", "9"])
-        assert args.samples == 24
-        assert args.seed == 9
-
-    def test_unknown_command(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fig99"])
+    # fig4, fig6, overhead and baselines were removed: `repro run
+    # paper/fig4-module4`, `repro run paper/fig6-cluster16`, the OVH1
+    # benchmark and the module-showdown sweep do their work.
+    @pytest.mark.parametrize(
+        "command", ["fig99", "fig4", "fig6", "overhead", "baselines"]
+    )
+    def test_unknown_command(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestExecution:
-    def test_fig4_smoke(self, capsys):
-        assert main(["fig4", "--samples", "24"]) == 0
-        out = capsys.readouterr().out
-        assert "computers on" in out
-        assert "mean r" in out
-
-    def test_overhead_smoke(self, capsys):
-        assert main(["overhead", "--samples", "12"]) == 0
-        out = capsys.readouterr().out
-        assert "L1 states/period" in out
-
     def test_list_scenarios_smoke(self, capsys):
         assert main(["list-scenarios"]) == 0
         out = capsys.readouterr().out
@@ -108,6 +102,50 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "cluster-baseline-showdown" in out
         assert "mean r" in out
+
+    def test_run_module_renders_arrivals_and_machines(self, capsys):
+        assert main(["run", "module-baseline-threshold-dvfs", "--samples", "8"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("=== module-baseline-threshold-dvfs ===")
+        assert "arrivals per control period" in out
+        assert "computers on (of 4)" in out
+        assert "mean r" in out
+
+    def test_run_progress_goes_to_stderr_and_keeps_json_clean(self, capsys):
+        argv = ["run", "module-baseline-threshold-dvfs", "--samples", "4", "--json"]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert main([*argv, "--progress", "2"]) == 0
+        reported = capsys.readouterr()
+        assert reported.out == plain.out
+        lines = reported.err.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "[repro] period 2", "[repro] period 4"
+        ]
+
+    def test_run_trace_and_metrics_out_leave_json_unchanged(self, tmp_path, capsys):
+        argv = ["run", "paper/fig4-module4", "--samples", "4", "--json"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        trace, metrics = tmp_path / "trace.jsonl", tmp_path / "metrics.prom"
+        assert main(
+            [*argv, "--trace-out", str(trace), "--metrics-out", str(metrics)]
+        ) == 0
+        assert capsys.readouterr().out == plain
+        spans = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert [span["kind"] for span in spans] == ["l1-lookahead", "l0-bank"] * 4
+        assert [span["seq"] for span in spans] == list(range(8))
+        assert "# TYPE repro_steps_total counter" in metrics.read_text()
+
+    def test_run_decisions_out_writes_one_line_per_decision(self, tmp_path, capsys):
+        out = tmp_path / "decisions.jsonl"
+        assert main(
+            ["run", "module-baseline-threshold-dvfs", "--samples", "4",
+             "--decisions-out", str(out)]
+        ) == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [record["period"] for record in records] == [0, 1, 2, 3]
+        assert {record["type"] for record in records} == {"l1"}
 
     def test_run_unknown_scenario_fails_cleanly(self, capsys):
         assert main(["run", "paper/fig99"]) == 2
@@ -215,6 +253,28 @@ class TestExecution:
     def test_sweep_report_missing_store_fails_cleanly(self, tmp_path, capsys):
         assert main(["sweep", "report", str(tmp_path / "nope")]) == 2
         assert "no sweep store" in capsys.readouterr().err
+
+
+class TestClosedPipe:
+    def test_reader_closing_the_pipe_exits_without_a_traceback(self):
+        """`repro list-scenarios | head -0`: the pipe is closed before the write."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "list-scenarios"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env={**os.environ, "PYTHONPATH": path},
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr
+        assert "BrokenPipeError" not in proc.stderr
+        assert proc.returncode == 1
 
 
 class TestRunFlags:

@@ -14,11 +14,13 @@ import re
 import numpy as np
 import pytest
 
+from helpers import MemorySink
+
 from repro.cluster import paper_cluster_spec, paper_module_spec
 from repro.common import ConfigurationError, ControlError
 from repro.controllers import ThresholdDvfsController
 from repro.controllers.l1 import L1_HORIZON
-from repro.obs import MemorySink, MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry, Tracer
 from repro.scenario import build_simulation, get_scenario
 from repro.sim import ClusterSimulation, EngineOptions, ModuleSimulation
 from repro.sim.observers import ModuleRecorder

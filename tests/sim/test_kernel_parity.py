@@ -17,6 +17,8 @@ import json
 import numpy as np
 import pytest
 
+from helpers import MemorySink
+
 from repro.cluster.specs import paper_cluster_spec, paper_module_spec
 from repro.common import ConfigurationError
 from repro.common.validation import require_probability_vector
@@ -28,7 +30,7 @@ from repro.controllers import (
 )
 from repro.controllers.baselines import BaselineDecision
 from repro.forecast import WorkloadPredictor
-from repro.obs import MemorySink, Tracer
+from repro.obs import Tracer
 from repro.scenario import (
     Scenario,
     build_simulation,

@@ -5,7 +5,8 @@ Both engines step a module through :class:`ModuleShardRunner`
 runner by hand on a baseline module, so each promise of the three calls
 — fault application, the hold and deadline seams, manual overrides,
 work defaults and the final fold — is checked without an engine around
-it. :func:`forced_configuration` is checked as the pure function it is.
+it. :func:`forced_configuration` and :func:`control_substeps` are checked
+as the pure functions they are.
 """
 
 import time
@@ -17,13 +18,15 @@ from repro.cluster import paper_module_spec
 from repro.cluster.lifecycle import PowerState
 from repro.cluster.module import Module
 from repro.controllers import ThresholdDvfsController
-from repro.controllers.params import L0Params
+from repro.common import ConfigurationError
+from repro.controllers.params import L0Params, L1Params
 from repro.forecast import WorkloadPredictor
 from repro.sim.kernels import fast_forecast1
 from repro.sim.shard import (
     ModuleBoundaryInput,
     ModuleShardRunner,
     ModuleStepInput,
+    control_substeps,
     forced_configuration,
 )
 
@@ -109,6 +112,21 @@ class TestForcedConfiguration:
         )
         assert alpha is self.ALPHA
         assert gamma is self.GAMMA
+
+
+class TestControlSubsteps:
+    """T_L0 steps per control period, as both engines count them."""
+
+    def test_paper_periods_give_four_steps(self):
+        assert control_substeps(L0Params(), L1Params()) == 4  # 120 s / 30 s
+
+    def test_a_period_that_is_no_multiple_rounds_to_the_nearest(self):
+        assert control_substeps(L0Params(period=30.0), L1Params(period=100.0)) == 3
+        assert control_substeps(L0Params(period=30.0), L1Params(period=110.0)) == 4
+
+    def test_a_control_period_under_half_a_step_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="T_L1 must cover at least one T_L0"):
+            control_substeps(L0Params(period=30.0), L1Params(period=10.0))
 
 
 class TestFaults:

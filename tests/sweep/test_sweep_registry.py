@@ -9,13 +9,12 @@ from repro.sweep import (
     get_sweep,
     list_sweeps,
     register_sweep,
-    sweep_names,
 )
 
 
 class TestRegistry:
     def test_builtins_registered(self):
-        names = sweep_names()
+        names = [row.name for row in list_sweeps()]
         assert "module-showdown" in names
         assert "module-seeds" in names
 

@@ -5,6 +5,7 @@ import pytest
 from repro.common import ConfigurationError
 from repro.scenario import Scenario
 from repro.sweep import GridAxis, ListAxis, RandomAxis, SweepSpec
+from repro.sweep.spec import axis_from_dict, axis_to_dict
 
 
 def _base():
@@ -84,6 +85,48 @@ class TestAxes:
             RandomAxis(field="seed", count=2)
         with pytest.raises(ConfigurationError, match="not both"):
             RandomAxis(field="seed", count=2, low=0, high=1, choices=(1, 2))
+
+
+class TestAxisPayloads:
+    """One axis to and from its plain-dict form (a sweep file's ``axes``)."""
+
+    def test_a_payload_without_kind_is_a_grid(self):
+        axis = axis_from_dict({"field": "seed", "values": [0, 1]})
+        assert axis == GridAxis(field="seed", values=(0, 1))
+        assert axis_to_dict(axis) == {"field": "seed", "values": [0, 1], "kind": "grid"}
+
+    def test_a_non_dict_payload_is_rejected(self):
+        with pytest.raises(
+            ConfigurationError, match="^sweep axis payload must be a dict, got list$"
+        ):
+            axis_from_dict(["seed", 0, 1])
+
+    def test_a_stray_field_fails_in_one_line_naming_the_kind(self):
+        with pytest.raises(ConfigurationError) as caught:
+            axis_from_dict({"kind": "random", "field": "seed", "choices": [1], "size": 3})
+        message = str(caught.value)
+        assert message.startswith("invalid random axis payload")
+        assert "'size'" in message and "\n" not in message
+
+    def test_a_range_axis_drops_its_unset_choices(self):
+        axis = RandomAxis(field="plant.m", count=2, seed=5, low=4, high=10, integer=True)
+        payload = axis_to_dict(axis)
+        assert "choices" not in payload
+        assert axis_from_dict(payload) == axis
+
+    def test_a_choices_axis_drops_its_unset_range(self):
+        axis = RandomAxis(field="workload.kind", count=3, choices=("synthetic", "wc98"))
+        payload = axis_to_dict(axis)
+        assert "low" not in payload and "high" not in payload
+        assert payload["choices"] == ["synthetic", "wc98"]
+        assert axis_from_dict(payload) == axis
+
+    def test_list_points_come_out_as_copies(self):
+        axis = ListAxis(points=({"plant.m": 4, "seed": 1},))
+        payload = axis_to_dict(axis)
+        payload["points"][0]["seed"] = 99
+        assert axis.points == ({"plant.m": 4, "seed": 1},)
+        assert axis_from_dict(axis_to_dict(axis)) == axis
 
 
 class TestSweepSpec:

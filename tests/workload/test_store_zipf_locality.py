@@ -7,7 +7,6 @@ from repro.common import ConfigurationError
 from repro.workload import (
     LognormalLocality,
     VirtualStore,
-    ZipfSampler,
     zipf_weights,
 )
 
@@ -36,26 +35,6 @@ class TestZipfWeights:
             zipf_weights(0)
         with pytest.raises(ValueError):
             zipf_weights(10, exponent=-1.0)
-
-
-class TestZipfSampler:
-    def test_sample_range(self):
-        sampler = ZipfSampler(100, seed=0)
-        ranks = sampler.sample(1000)
-        assert ranks.min() >= 0 and ranks.max() < 100
-
-    def test_empirical_matches_theoretical(self):
-        sampler = ZipfSampler(20, seed=1)
-        ranks = sampler.sample(100_000)
-        empirical = np.bincount(ranks, minlength=20) / 100_000
-        assert np.allclose(empirical, sampler.weights, atol=0.01)
-
-    def test_zero_size(self):
-        assert ZipfSampler(10, seed=0).sample(0).size == 0
-
-    def test_negative_size_rejected(self):
-        with pytest.raises(ValueError):
-            ZipfSampler(10, seed=0).sample(-1)
 
 
 class TestVirtualStore:
