@@ -4,9 +4,9 @@ Runs a 20k-control-period flash-crowd scenario (an ~28-day trace at
 2-minute periods, 80k T_L0 steps) under ``--window`` and asserts the
 tracemalloc peak stays inside the budget. The full preallocating
 recorder needs ~10.5 MiB for the same horizon and grows linearly with
-it; the windowed recorder's ring buffers, online summary aggregates,
-bounded Kalman history, and streaming controller stats keep the peak
-flat at ~2.5 MiB no matter how long the trace runs.
+it; the windowed recorder's ring buffers, online summary aggregates
+and streaming controller stats keep the peak flat at ~2.5 MiB no
+matter how long the trace runs.
 
 The controller is pinned to the threshold-DVFS baseline so the gate
 runs in CI time; recorder memory is control-mode-independent. Invoked

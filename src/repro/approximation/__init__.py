@@ -13,25 +13,20 @@ below them, so the paper approximates lower-level behaviour two ways:
   tree" trained from simulation data —
   :class:`~repro.approximation.regression_tree.RegressionTree`.
 
-:mod:`~repro.approximation.training` holds the simulation-based
-learning data (Bertsekas & Tsitsiklis style): the outputs of a
-lower-level simulation over a quantised input domain, and the tree
-fitted to them. The trainers themselves (``ComputerBehaviorMap.train``,
-``ModuleCostMap.train``) simulate their whole grid in one call and
-build the map from the returned array.
+The trainers (``ComputerBehaviorMap.train``, ``ModuleCostMap.train``)
+simulate their whole quantised input grid in one call (simulation-based
+learning, Bertsekas & Tsitsiklis style) and build the map from the
+returned array: the table's rows, or the trees fitted to its columns.
 """
 
 from repro.approximation.quantizer import GridQuantizer, level_pairs, nearest_level
 from repro.approximation.regression_tree import RegressionTree
 from repro.approximation.table import LookupTableMap
-from repro.approximation.training import TrainingSet, train_tree
 
 __all__ = [
     "GridQuantizer",
     "LookupTableMap",
     "RegressionTree",
-    "TrainingSet",
     "level_pairs",
     "nearest_level",
-    "train_tree",
 ]

@@ -125,7 +125,13 @@ class RegressionTree:
                 gain = parent_sse - (left_sse + right_sse)
                 if gain > best_gain:
                     best_gain = gain
-                    best = (feature, float((xs[i] + xs[i + 1]) / 2.0))
+                    threshold = (xs[i] + xs[i + 1]) / 2.0
+                    if threshold == xs[i + 1]:
+                        # Adjacent floats: the midpoint rounds onto the
+                        # upper value, which ``x <= threshold`` would
+                        # send left with the lower one.
+                        threshold = xs[i]
+                    best = (feature, float(threshold))
         return best
 
     # ------------------------------------------------------------------
@@ -152,32 +158,9 @@ class RegressionTree:
         out = np.array(out, dtype=float)
         return out[0] if single else out
 
-    def predict_one(self, point) -> float:
-        """Scalar prediction for one input point."""
-        return float(self.predict(np.asarray(point, dtype=float)))
-
-    @property
-    def depth(self) -> int:
-        """Realised depth of the fitted tree."""
-        self._require_fit()
-        return self._measure_depth(0)
-
-    @property
-    def leaf_count(self) -> int:
-        """Number of leaves in the fitted tree."""
-        self._require_fit()
-        return self.left.count(-1)
-
     def _require_fit(self) -> None:
         if not self.prediction:
             raise NotTrainedError("RegressionTree.fit must be called before use")
-
-    def _measure_depth(self, node: int) -> int:
-        if self.left[node] < 0:
-            return 0
-        return 1 + max(
-            self._measure_depth(self.left[node]), self._measure_depth(self.right[node])
-        )
 
     # ------------------------------------------------------------------
     # Serialisation (trained-map artifacts round-trip through JSON)

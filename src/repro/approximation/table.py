@@ -52,11 +52,6 @@ class LookupTableMap:
             strides[d - 1] = strides[d] * len(quantizer.levels[d])
         self.strides = tuple(strides)
 
-    def at(self, indices: "tuple[int, ...]") -> "tuple[float, ...]":
-        """The outputs of the cell at in-range grid ``indices``."""
-        flat = sum(index * stride for index, stride in zip(indices, self.strides))
-        return tuple(self.rows[flat].tolist())
-
     # ------------------------------------------------------------------
     # Serialisation (trained-map artifacts round-trip through JSON)
     # ------------------------------------------------------------------

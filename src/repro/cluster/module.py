@@ -37,16 +37,6 @@ class Module:
         return len(self.computers)
 
     @property
-    def active_count(self) -> int:
-        """Computers currently serving (ON or DRAINING)."""
-        return sum(1 for c in self.computers if c.is_serving)
-
-    @property
-    def on_count(self) -> int:
-        """Computers currently accepting new work."""
-        return sum(1 for c in self.computers if c.accepts_work)
-
-    @property
     def queue_lengths(self) -> np.ndarray:
         """Per-computer queue lengths."""
         return np.array([c.queue_length for c in self.computers])
@@ -129,10 +119,6 @@ class Module:
     def total_power(self, results: list[StepResult]) -> float:
         """Sum of per-computer power draws for one step."""
         return float(sum(r.power for r in results))
-
-    def total_energy(self) -> float:
-        """Total energy consumed by the module so far."""
-        return float(sum(c.energy.total for c in self.computers))
 
     def switch_counts(self) -> tuple[int, int]:
         """Total (switch_on, switch_off) events across computers."""

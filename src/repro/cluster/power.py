@@ -39,11 +39,3 @@ class EnergyMeter:
     def total(self) -> float:
         """Total energy consumed (normalised units x seconds)."""
         return self.base_energy + self.dynamic_energy + self.transient_energy
-
-    def merged_with(self, other: "EnergyMeter") -> "EnergyMeter":
-        """Return a new meter summing this one and ``other``."""
-        return EnergyMeter(
-            base_energy=self.base_energy + other.base_energy,
-            dynamic_energy=self.dynamic_energy + other.dynamic_energy,
-            transient_energy=self.transient_energy + other.transient_energy,
-        )

@@ -58,15 +58,6 @@ class ProcessorSpec:
         """phi for the setting at ``index``."""
         return float(self.frequencies_ghz[index] / self.max_frequency)
 
-    def index_of(self, frequency_ghz: float) -> int:
-        """Index of an exact frequency value; raises if absent."""
-        for i, f in enumerate(self.frequencies_ghz):
-            if abs(f - frequency_ghz) < 1e-12:
-                return i
-        raise ConfigurationError(
-            f"{frequency_ghz} GHz not in {self.name}'s frequency set"
-        )
-
     def to_dict(self) -> dict:
         """Plain-dict form; JSON-safe and loss-free."""
         return {"name": self.name, "frequencies_ghz": list(self.frequencies_ghz)}

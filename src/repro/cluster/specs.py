@@ -164,11 +164,6 @@ class ClusterSpec:
         """Number of modules p."""
         return len(self.modules)
 
-    @property
-    def computer_count(self) -> int:
-        """Total computers n across all modules."""
-        return sum(m.size for m in self.modules)
-
 
 def paper_module_spec(
     name: str = "M1",

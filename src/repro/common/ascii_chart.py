@@ -31,11 +31,10 @@ def sparkline(values: Sequence[float], width: int = 80) -> str:
 def line_chart(
     values: Sequence[float],
     title: str = "",
-    width: int = 78,
     height: int = 12,
     y_label: str = "",
 ) -> str:
-    """Render a multi-row ASCII line chart, paper-figure style."""
+    """Render a multi-row ASCII line chart, 78 columns wide, paper-figure style."""
     arr = np.asarray(values, dtype=float)
     lines: list[str] = []
     if title:
@@ -43,7 +42,7 @@ def line_chart(
     if arr.size == 0:
         lines.append("(empty series)")
         return "\n".join(lines)
-    arr = _downsample(arr, width)
+    arr = _downsample(arr, 78)
     lo, hi = float(np.nanmin(arr)), float(np.nanmax(arr))
     span = hi - lo if hi > lo else 1.0
     rows = [[" "] * arr.size for _ in range(height)]
@@ -71,9 +70,11 @@ def series_table(
     columns: dict[str, Sequence[float]],
     index_name: str = "t",
     max_rows: int = 20,
-    float_fmt: str = "{:.4g}",
 ) -> str:
-    """Render named series as an aligned text table, downsampled to max_rows."""
+    """Render named series as an aligned text table, downsampled to max_rows.
+
+    Values print in ``.4g`` format.
+    """
     if not columns:
         return "(no data)"
     lengths = {len(v) for v in columns.values()}
@@ -85,7 +86,7 @@ def series_table(
         row = [str(int(i))]
         for series in columns.values():
             arr = np.asarray(series, dtype=float)
-            row.append(float_fmt.format(arr[i]) if i < arr.size else "-")
+            row.append(f"{arr[i]:.4g}" if i < arr.size else "-")
         table_rows.append(row)
     widths = [
         max(len(headers[c]), *(len(r[c]) for r in table_rows))

@@ -167,11 +167,10 @@ def require_failure_events(
     return tuple(validated)
 
 
-def require_probability_vector(
-    values: Sequence[float], name: str, atol: float = 1e-6
-) -> np.ndarray:
+def require_probability_vector(values: Sequence[float], name: str) -> np.ndarray:
     """Validate a vector of finite, non-negative fractions summing to one.
 
+    Entries may dip below zero, and the sum stray from one, by 1e-6.
     Returns the vector as a float ndarray. Used for load-distribution
     factors (the paper's gamma vectors). A NaN entry fails no sum or
     sign comparison, so non-finite entries are rejected first.
@@ -187,9 +186,9 @@ def require_probability_vector(
         raise ConfigurationError(
             f"{name}[{index}] must be finite, got {float(arr[index])}"
         )
-    if np.any(arr < -atol):
+    if np.any(arr < -1e-6):
         raise ConfigurationError(f"{name} must be non-negative, got {arr}")
     total = float(arr.sum())
-    if abs(total - 1.0) > atol:
+    if abs(total - 1.0) > 1e-6:
         raise ConfigurationError(f"{name} must sum to 1, got sum={total}")
     return np.clip(arr, 0.0, None)

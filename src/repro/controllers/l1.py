@@ -530,30 +530,6 @@ class ComputerBehaviorMap:
         )
         return cls(spec, LookupTableMap(quantizer, outputs), substeps, l0_params)
 
-    def cost_and_next_queue(self, queue, rate, work) -> "tuple[np.ndarray, np.ndarray]":
-        """Query the map: ``(interval cost, final queue)``.
-
-        Takes numbers or arrays, which broadcast together, and answers
-        every point with one array query (0-d arrays for numbers).
-        """
-        bank, points = self._bank
-        coordinates = [
-            np.asarray(v, dtype=float)[..., None]
-            for v in np.broadcast_arrays(queue, rate, work)
-        ]
-        costs, finals = bank.query(
-            points,
-            *coordinates,
-            *(nearest_level(p, v) for p, v in zip(bank.pairs, coordinates)),
-        )
-        return costs[..., 0], finals[..., 0]
-
-    @cached_property
-    def _bank(self) -> "tuple[_MapBank, _Points]":
-        """This map alone as a bank, and its one computer's points."""
-        bank = _MapBank([self])
-        return bank, bank.points([0])
-
     # ------------------------------------------------------------------
     # Serialisation (the cacheable trained artifact)
     # ------------------------------------------------------------------

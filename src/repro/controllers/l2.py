@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.common.errors import ConfigurationError
 from repro.approximation.quantizer import GridQuantizer
-from repro.approximation.training import TrainingSet, train_tree
 from repro.approximation.regression_tree import RegressionTree
 from repro.cluster.specs import ModuleSpec
 from repro.controllers.l0 import L0Controller
@@ -42,10 +41,11 @@ from repro.controllers.stats import ControllerStats
 from repro.core.simplex import enumerate_simplex, quantize_to_simplex, simplex_levels
 
 
-#: Depth of a module map's two regression trees. Training code, not a
-#: parameter: no digest hashes it, so a change must bump
-#: :data:`~repro.maps.digest.MAPS_SCHEMA_VERSION`.
+#: Depth and least leaf size of a module map's two regression trees.
+#: Training code, not parameters: no digest hashes them, so a change must
+#: bump :data:`~repro.maps.digest.MAPS_SCHEMA_VERSION`.
 _TREE_DEPTH = 10
+_TREE_MIN_LEAF = 2
 
 
 @dataclass(frozen=True)
@@ -123,12 +123,10 @@ class ModuleCostMap:
         spec: ModuleSpec,
         cost_tree: RegressionTree,
         queue_tree: RegressionTree,
-        dataset: TrainingSet,
     ) -> None:
         self.spec = spec
         self.cost_tree = cost_tree
         self.queue_tree = queue_tree
-        self.dataset = dataset
 
     @classmethod
     def train(
@@ -149,7 +147,8 @@ class ModuleCostMap:
         through the interval. One L1 decides every cell, and the cells'
         L0s advance in lockstep, one batched lookahead per T_L0 substep
         (see :func:`_module_training_grid`). The two regression trees
-        are fitted on the grid's points and the returned array.
+        are fitted on the grid's points and the returned array's two
+        columns.
         """
         l1_params = l1_params or L1Params()
         l0_params = l0_params or L0Params()
@@ -157,23 +156,43 @@ class ModuleCostMap:
             behavior_maps = L1Controller._train_maps(
                 module_spec, l0_params, l1_params
             )
-        max_rate = module_spec.max_service_rate(0.0175)
-        if queue_levels is None:
-            queue_levels = np.array([0.0, 5.0, 20.0, 80.0, 320.0, 1280.0])
-        if rate_levels is None:
-            rate_levels = np.linspace(0.0, 1.2 * max_rate, 16)
-        if work_levels is None:
-            work_levels = np.array([0.014, 0.021])
         points = list(
-            GridQuantizer([queue_levels, rate_levels, work_levels]).grid_points()
+            cls.training_grid(
+                module_spec, queue_levels, rate_levels, work_levels
+            ).grid_points()
         )
         outputs = _module_training_grid(
             module_spec, list(behavior_maps), l1_params, l0_params, points
         )
-        dataset = TrainingSet(points, list(outputs))
-        cost_tree = train_tree(dataset, target_column=0, max_depth=_TREE_DEPTH)
-        queue_tree = train_tree(dataset, target_column=1, max_depth=_TREE_DEPTH)
-        return cls(module_spec, cost_tree, queue_tree, dataset)
+        cost_tree, queue_tree = (
+            RegressionTree(max_depth=_TREE_DEPTH, min_samples_leaf=_TREE_MIN_LEAF).fit(
+                np.asarray(points, dtype=float), outputs[:, column]
+            )
+            for column in (0, 1)
+        )
+        return cls(module_spec, cost_tree, queue_tree)
+
+    @staticmethod
+    def training_grid(
+        module_spec: ModuleSpec,
+        queue_levels: np.ndarray | None = None,
+        rate_levels: np.ndarray | None = None,
+        work_levels: np.ndarray | None = None,
+    ) -> GridQuantizer:
+        """The (average queue, rate, processing time) training grid.
+
+        A level set left ``None`` takes its default: six queue levels,
+        16 rates from 0 to 1.2 times the module's top service rate, and
+        two processing times.
+        """
+        if queue_levels is None:
+            queue_levels = np.array([0.0, 5.0, 20.0, 80.0, 320.0, 1280.0])
+        if rate_levels is None:
+            max_rate = module_spec.max_service_rate(0.0175)
+            rate_levels = np.linspace(0.0, 1.2 * max_rate, 16)
+        if work_levels is None:
+            work_levels = np.array([0.014, 0.021])
+        return GridQuantizer([queue_levels, rate_levels, work_levels])
 
     @staticmethod
     def _steady_alpha(module_spec: ModuleSpec, rate: float, work: float) -> np.ndarray:
@@ -200,43 +219,26 @@ class ModuleCostMap:
     # ------------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """Plain-dict artifact form; JSON-safe and loss-free.
-
-        Carries the fitted trees *and* the raw training set, so a cached
-        artifact can be re-fitted with different tree settings without
-        re-simulating the grid.
-        """
+        """Plain-dict artifact form; JSON-safe and loss-free."""
         return {
             "spec": self.spec.to_dict(),
             "cost_tree": self.cost_tree.to_dict(),
             "queue_tree": self.queue_tree.to_dict(),
-            "dataset": self.dataset.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ModuleCostMap":
         """Rebuild a trained map from :meth:`to_dict` output."""
-        for key in ("spec", "cost_tree", "queue_tree", "dataset"):
+        for key in ("spec", "cost_tree", "queue_tree"):
             if key not in payload:
                 raise ConfigurationError(
                     f"module-map payload needs a {key!r} key"
                 )
-        from repro.approximation.regression_tree import RegressionTree
-
         return cls(
             spec=ModuleSpec.from_dict(payload["spec"]),
             cost_tree=RegressionTree.from_dict(payload["cost_tree"]),
             queue_tree=RegressionTree.from_dict(payload["queue_tree"]),
-            dataset=TrainingSet.from_dict(payload["dataset"]),
         )
-
-    def cost(self, queue_avg: float, rate: float, work: float) -> float:
-        """Predicted module cost for one interval."""
-        return self.cost_tree.predict_one([queue_avg, rate, work])
-
-    def next_queue(self, queue_avg: float, rate: float, work: float) -> float:
-        """Predicted end-of-interval average queue."""
-        return max(0.0, self.queue_tree.predict_one([queue_avg, rate, work]))
 
 
 class L2Controller:

@@ -113,16 +113,6 @@ class L1Params:
         """Plain-dict form; JSON-safe and loss-free."""
         return dataclasses.asdict(self)
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "L1Params":
-        """Rebuild params from :meth:`to_dict` output (revalidates)."""
-        try:
-            return cls(**payload)
-        except TypeError as error:
-            raise ConfigurationError(
-                f"invalid L1Params payload: {error}"
-            ) from None
-
 
 @dataclass(frozen=True)
 class L2Params:

@@ -39,10 +39,6 @@ class ConstraintSet:
     def __init__(self, constraints: Iterable[Constraint] = ()) -> None:
         self._constraints = list(constraints)
 
-    def add(self, constraint: Constraint) -> None:
-        """Append another constraint."""
-        self._constraints.append(constraint)
-
     def satisfied(self, state) -> bool:
         """True when every member constraint admits the state."""
         return all(c.satisfied(state) for c in self._constraints)

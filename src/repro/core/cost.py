@@ -55,11 +55,6 @@ class SlackResponseCost:
         self.target_response = require_positive(target_response, "target_response")
         self.weights = weights
 
-    def slack(self, response_time) -> np.ndarray:
-        """eps: the amount by which r exceeds r* (vectorised)."""
-        r = np.asarray(response_time, dtype=float)
-        return np.clip(r - self.target_response, 0.0, None)
-
     def evaluate(self, response_time, power) -> np.ndarray:
         """Per-candidate cost, vectorised over response/power arrays."""
         return self.evaluate_checked(

@@ -15,8 +15,8 @@ import numpy as np
 from repro.common.errors import ConfigurationError
 
 
-def three_point_band(mean, delta, floor: float = 0.0) -> np.ndarray:
-    """The three sampled values, clipped below at ``floor``.
+def three_point_band(mean, delta) -> np.ndarray:
+    """The three sampled values, clipped below at zero.
 
     With ``delta == 0`` all three collapse onto the mean (the band
     degenerates gracefully before any forecast errors are observed).
@@ -25,5 +25,5 @@ def three_point_band(mean, delta, floor: float = 0.0) -> np.ndarray:
     """
     if (np.asarray(delta) < 0).any():
         raise ConfigurationError("delta must be >= 0")
-    return np.maximum(np.array([mean - delta, mean, mean + delta]), floor)
+    return np.maximum(np.array([mean - delta, mean, mean + delta]), 0.0)
 

@@ -30,12 +30,3 @@ class UncertaintyBand:
         if not self._errors:
             return 0.0
         return sum(self._errors) / len(self._errors)
-
-    @property
-    def count(self) -> int:
-        """Number of errors currently inside the window."""
-        return len(self._errors)
-
-    def reset(self) -> None:
-        """Forget all recorded errors."""
-        self._errors.clear()

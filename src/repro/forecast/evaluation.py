@@ -33,10 +33,10 @@ def rmse(actual, predicted) -> float:
     return float(np.sqrt(np.mean((a - p) ** 2)))
 
 
-def mape(actual, predicted, floor: float = 1e-9) -> float:
-    """Mean absolute percentage error, ignoring near-zero actuals."""
+def mape(actual, predicted) -> float:
+    """Mean absolute percentage error, ignoring actuals within 1e-9 of zero."""
     a, p = _paired(actual, predicted)
-    mask = np.abs(a) > floor
+    mask = np.abs(a) > 1e-9
     if not np.any(mask):
         raise ConfigurationError("all actual values are ~0; MAPE undefined")
     return float(np.mean(np.abs((a[mask] - p[mask]) / a[mask])))

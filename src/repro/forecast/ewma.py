@@ -13,19 +13,14 @@ from repro.common.validation import require_between
 class EwmaFilter:
     """Scalar EWMA estimator.
 
-    Parameters
-    ----------
-    smoothing:
-        The paper's pi; weight given to the newest observation.
-    initial:
-        Optional initial estimate. If omitted, the first observation seeds
-        the filter directly (avoids a long transient from zero).
+    ``smoothing`` is the paper's pi, the weight given to the newest
+    observation. The first observation seeds the filter directly (avoids
+    a long transient from zero).
     """
 
-    def __init__(self, smoothing: float = 0.1, initial: float | None = None) -> None:
+    def __init__(self, smoothing: float = 0.1) -> None:
         self.smoothing = require_between(smoothing, 0.0, 1.0, "smoothing")
-        self._estimate = initial
-        self._count = 0 if initial is None else 1
+        self._estimate: "float | None" = None
 
     def observe(self, value: float) -> float:
         """Fold in a new observation and return the updated estimate."""
@@ -36,20 +31,9 @@ class EwmaFilter:
             self._estimate = (
                 self.smoothing * value + (1.0 - self.smoothing) * self._estimate
             )
-        self._count += 1
         return self._estimate
 
     @property
     def estimate(self) -> float:
         """Current estimate (0.0 if nothing observed yet)."""
         return 0.0 if self._estimate is None else self._estimate
-
-    @property
-    def count(self) -> int:
-        """Number of observations folded in."""
-        return self._count
-
-    def reset(self, initial: float | None = None) -> None:
-        """Reset the filter, optionally seeding a new initial estimate."""
-        self._estimate = initial
-        self._count = 0 if initial is None else 1

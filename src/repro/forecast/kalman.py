@@ -5,14 +5,13 @@ State-space form (Harvey 2001, the reference the paper cites):
     x(k+1) = F x(k) + w(k),   w ~ N(0, Q)
     z(k)   = H x(k) + v(k),   v ~ N(0, R)
 
-The filter supports the standard predict/update cycle, multi-step ahead
-forecasting (used by the limited-lookahead controllers to fill their
-prediction horizon), and innovation bookkeeping for uncertainty bands.
+The filter supports the standard predict/update cycle and multi-step
+ahead forecasting (used by the limited-lookahead controllers to fill their
+prediction horizon).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,60 +53,19 @@ class StateSpaceModel:
         """Dimension of the latent state vector."""
         return self.transition.shape[0]
 
-    @property
-    def obs_dim(self) -> int:
-        """Dimension of the observation vector."""
-        return self.observation.shape[0]
-
-
-@dataclass
-class KalmanStep:
-    """Diagnostics recorded for one filter update."""
-
-    prediction: float
-    innovation: float
-    innovation_var: float
-
 
 class KalmanFilter:
     """Linear-Gaussian Kalman filter with multi-step forecasting.
 
-    Parameters
-    ----------
-    model:
-        The state-space matrices.
-    initial_state:
-        Prior mean for the state (defaults to zeros).
-    initial_cov:
-        Prior covariance (defaults to a large diagonal — a diffuse prior).
-    history_window:
-        How many recent :class:`KalmanStep` diagnostics to retain.
-        Bounded so month-long streaming runs hold constant memory; the
-        filter state itself never depends on the retained history.
+    The prior is zero-mean with a large diagonal covariance (a diffuse
+    prior) over ``model``'s state.
     """
 
-    def __init__(
-        self,
-        model: StateSpaceModel,
-        initial_state: np.ndarray | None = None,
-        initial_cov: np.ndarray | None = None,
-        history_window: int = 256,
-    ) -> None:
+    def __init__(self, model: StateSpaceModel) -> None:
         self.model = model
         n = model.state_dim
-        self.state = (
-            np.zeros(n) if initial_state is None else np.asarray(initial_state, float)
-        )
-        if self.state.shape != (n,):
-            raise ConfigurationError(f"initial_state must have shape ({n},)")
-        self.cov = (
-            np.eye(n) * 1e6 if initial_cov is None else np.asarray(initial_cov, float)
-        )
-        if self.cov.shape != (n, n):
-            raise ConfigurationError(f"initial_cov must have shape ({n}, {n})")
-        if history_window < 1:
-            raise ConfigurationError("history_window must be >= 1")
-        self.history: "deque[KalmanStep]" = deque(maxlen=int(history_window))
+        self.state = np.zeros(n)
+        self.cov = np.eye(n) * 1e6
 
     # ------------------------------------------------------------------
     # Filtering
@@ -120,8 +78,8 @@ class KalmanFilter:
         self.cov = _symmetrize(self.cov)
         return self.state.copy(), self.cov.copy()
 
-    def update(self, observation: float | np.ndarray) -> KalmanStep:
-        """Measurement update with a new observation; returns diagnostics."""
+    def update(self, observation: float | np.ndarray) -> None:
+        """Measurement update with a new observation."""
         h = self.model.observation
         z = np.atleast_1d(np.asarray(observation, dtype=float))
         predicted = h @ self.state
@@ -137,18 +95,11 @@ class KalmanFilter:
             + gain @ self.model.observation_cov @ gain.T
         )
         self.cov = _symmetrize(self.cov)
-        step = KalmanStep(
-            prediction=float(predicted[0]),
-            innovation=float(innovation[0]),
-            innovation_var=float(s[0, 0]),
-        )
-        self.history.append(step)
-        return step
 
-    def step(self, observation: float | np.ndarray) -> KalmanStep:
+    def step(self, observation: float | np.ndarray) -> None:
         """One predict-then-update cycle (the usual online loop body)."""
         self.predict()
-        return self.update(observation)
+        self.update(observation)
 
     # ------------------------------------------------------------------
     # Forecasting
@@ -164,20 +115,6 @@ class KalmanFilter:
             state = f @ state
             out[i] = float((h @ state)[0])
         return out
-
-    def forecast_with_variance(self, steps: int) -> tuple[np.ndarray, np.ndarray]:
-        """Forecast means and observation variances for 1..steps ahead."""
-        f, h = self.model.transition, self.model.observation
-        q, r = self.model.process_cov, self.model.observation_cov
-        state, cov = self.state.copy(), self.cov.copy()
-        means = np.empty(steps)
-        variances = np.empty(steps)
-        for i in range(steps):
-            state = f @ state
-            cov = _symmetrize(f @ cov @ f.T + q)
-            means[i] = float((h @ state)[0])
-            variances[i] = float((h @ cov @ h.T + r)[0, 0])
-        return means, variances
 
 
 def _symmetrize(matrix: np.ndarray) -> np.ndarray:

@@ -52,37 +52,18 @@ class LocalLinearTrendModel(StateSpaceModel):
 class WorkloadPredictor:
     """Online arrival-rate forecaster used by the L0/L1/L2 controllers.
 
-    Parameters
-    ----------
-    level_var, slope_var, obs_var:
-        Local-linear-trend hyperparameters. The defaults suit arrival
-        *counts* in the hundreds-to-thousands per period; use
-        :meth:`tune_on` to set them from an initial trace segment, mirroring
-        the paper's "parameters of the Kalman filter were first tuned using
-        an initial portion of the workload".
-    band_window:
-        Window length for the rolling mean-absolute-error band delta.
+    The local-linear-trend variances start at values that suit arrival
+    *counts* in the hundreds-to-thousands per period; :meth:`tune_on` sets
+    them from an initial trace segment, mirroring the paper's "parameters
+    of the Kalman filter were first tuned using an initial portion of the
+    workload". ``band_window`` is the window length of the rolling
+    mean-absolute-error band delta.
     """
 
-    def __init__(
-        self,
-        level_var: float = 50.0,
-        slope_var: float = 5.0,
-        obs_var: float = 400.0,
-        band_window: int = 20,
-    ) -> None:
-        self._model_params = (level_var, slope_var, obs_var)
-        self._filter = KalmanFilter(
-            LocalLinearTrendModel(level_var, slope_var, obs_var)
-        )
+    def __init__(self, band_window: int = 20) -> None:
+        self._filter = KalmanFilter(LocalLinearTrendModel(50.0, 5.0, 400.0))
         self._band = UncertaintyBand(window=band_window)
         self._primed = False
-        self._observations = 0
-
-    @property
-    def observations(self) -> int:
-        """Number of observations consumed so far."""
-        return self._observations
 
     @property
     def band(self) -> UncertaintyBand:
@@ -107,13 +88,11 @@ class WorkloadPredictor:
         obs_var = max(total_var / 6.0, 1e-6)
         level_var = max(total_var / 12.0, 1e-8)
         slope_var = max(total_var / 120.0, 1e-8)
-        self._model_params = (level_var, slope_var, obs_var)
         self._filter = KalmanFilter(
             LocalLinearTrendModel(level_var, slope_var, obs_var)
         )
         self._band = UncertaintyBand(window=self._band.window)
         self._primed = False
-        self._observations = 0
         for value in warmup:
             self.observe(float(value))
 
@@ -127,21 +106,9 @@ class WorkloadPredictor:
         one_ahead = self.forecast(1)[0]
         self._band.observe(error=value - one_ahead)
         self._filter.step(value)
-        self._observations += 1
 
     def forecast(self, steps: int) -> np.ndarray:
         """Non-negative mean forecasts for 1..steps periods ahead."""
         if not self._primed:
             return np.zeros(steps)
         return np.clip(self._filter.forecast(steps), 0.0, None)
-
-    def forecast_band(self, steps: int) -> tuple[np.ndarray, np.ndarray]:
-        """Forecasts and the per-step uncertainty half-width delta.
-
-        The half width grows with sqrt(horizon), matching the growth of the
-        filter's forecast-error variance for integrated processes.
-        """
-        means = self.forecast(steps)
-        delta = self._band.delta
-        widths = delta * np.sqrt(np.arange(1, steps + 1))
-        return means, widths

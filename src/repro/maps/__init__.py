@@ -7,8 +7,8 @@ treats those maps as first-class deployment artifacts:
 
 * each map's ``train`` runs its offline training grid through one grid
   function, which advances every cell in lockstep, and builds the map
-  from the returned array (a dense table for a behaviour map, the
-  regression trees' dataset for a module map);
+  from the returned array (a dense table for a behaviour map, two
+  regression trees fitted on its columns for a module map);
 * :mod:`~repro.maps.digest` gives every trained map a canonical content
   digest (spec + the parameters training reads + training-code version);
 * :class:`MapCache` stores artifacts content-addressed on disk

@@ -80,17 +80,12 @@ class MapCache:
             )
         return self.directory / f"{kind}-{digest}.json"
 
-    def load(self, kind: str, digest: str) -> "dict | None":
-        """The stored artifact payload, or ``None`` on a miss.
+    def load_entry(self, kind: str, digest: str) -> "tuple[dict, str] | None":
+        """``(artifact payload, description)``, or ``None`` on a miss.
 
         Unreadable or schema-mismatched files read as misses (the caller
         retrains and overwrites) rather than failing the run.
         """
-        entry = self.load_entry(kind, digest)
-        return None if entry is None else entry[0]
-
-    def load_entry(self, kind: str, digest: str) -> "tuple[dict, str] | None":
-        """``(artifact payload, description)``, or ``None`` on a miss."""
         path = self.path_for(kind, digest)
         try:
             with open(path) as handle:

@@ -39,7 +39,7 @@ from repro.controllers.params import L0Params, L1Params
 #: format change: every cached artifact keyed under the old version then
 #: misses, forcing retraining instead of silently serving stale numbers
 #: or a payload the loaders no longer read.
-MAPS_SCHEMA_VERSION = 3
+MAPS_SCHEMA_VERSION = 4
 
 #: :class:`L1Params` fields that only the run reads (its arrival filters
 #: and set-points), never map training.

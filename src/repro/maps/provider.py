@@ -162,7 +162,7 @@ class MapProvider:
                 "module",
                 trained.to_dict(),
                 f"module cost map · m={module_spec.size} · "
-                f"{trained.dataset.size} cells",
+                f"{ModuleCostMap.training_grid(module_spec).cell_count} cells",
             )
             MAP_STATS.module_trainings += 1
             MAP_STATS.sources[digest] = "trained"

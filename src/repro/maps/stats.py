@@ -12,9 +12,7 @@ Since the telemetry core landed, the tallies are *backed by* the global
 :class:`~repro.obs.registry.MetricsRegistry` — every increment through
 the historical ``MAP_STATS.behavior_trainings += 1`` style lands in
 ``repro_map_trainings_total{kind=...}`` / ``repro_map_cache_lookups_total``
-/ ``repro_map_memo_hits_total`` and shows up on ``/metrics``. The
-:class:`MapStats` surface (attributes, ``to_dict``, ``reset``) is kept
-as a shim so existing callers and tests are untouched.
+/ ``repro_map_memo_hits_total`` and shows up on ``/metrics``.
 """
 
 from __future__ import annotations

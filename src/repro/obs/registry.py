@@ -22,7 +22,7 @@ _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
 class Counter:
-    """A monotonically increasing tally (resettable only via tests/CLI)."""
+    """A monotonically increasing tally."""
 
     __slots__ = ("value",)
 
@@ -48,12 +48,6 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += float(amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= float(amount)
-
 
 class Histogram:
     """A distribution: exact count and sum, P² quantile sketches.
@@ -62,15 +56,14 @@ class Histogram:
     buffering the samples; ``count`` and ``sum`` are exact.
     """
 
-    DEFAULT_QUANTILES = (0.5, 0.9, 0.99)
+    QUANTILES = (0.5, 0.9, 0.99)
 
     __slots__ = ("count", "sum", "sketches")
 
-    def __init__(self, quantiles=None) -> None:
+    def __init__(self) -> None:
         self.count = 0
         self.sum = 0.0
-        wanted = self.DEFAULT_QUANTILES if quantiles is None else quantiles
-        self.sketches = {float(q): P2Quantile(q) for q in wanted}
+        self.sketches = {q: P2Quantile(q) for q in self.QUANTILES}
 
     def observe(self, x: float) -> None:
         x = float(x)
@@ -78,16 +71,6 @@ class Histogram:
         self.sum += x
         for sketch in self.sketches.values():
             sketch.observe(x)
-
-    def quantile(self, q: float) -> float:
-        """The P² estimate for a tracked quantile."""
-        sketch = self.sketches.get(float(q))
-        if sketch is None:
-            raise ConfigurationError(
-                f"quantile {q!r} not tracked; tracked: "
-                f"{sorted(self.sketches)}"
-            )
-        return sketch.value
 
 
 class _Family:
@@ -149,26 +132,13 @@ class MetricsRegistry:
     def gauge(self, name: str, help: str = "", **labels) -> Gauge:
         return self._metric("gauge", name, help, labels, Gauge)
 
-    def histogram(
-        self, name: str, help: str = "", quantiles=None, **labels
-    ) -> Histogram:
-        return self._metric(
-            "histogram",
-            name,
-            help,
-            labels,
-            lambda: Histogram(quantiles=quantiles),
-        )
+    def histogram(self, name: str, help: str = "", **labels) -> Histogram:
+        return self._metric("histogram", name, help, labels, Histogram)
 
     def families(self) -> "list[_Family]":
         """Every family, sorted by name (the exposition order)."""
         with self._lock:
             return [self._families[name] for name in sorted(self._families)]
-
-    def reset(self) -> None:
-        """Drop every family (tests and fresh CLI invocations)."""
-        with self._lock:
-            self._families = {}
 
 
 _GLOBAL_REGISTRY: "MetricsRegistry | None" = None

@@ -33,9 +33,6 @@ class Tracer:
         """
         return bool(self._sinks)
 
-    def add_sink(self, sink) -> None:
-        self._sinks.append(sink)
-
     def emit(
         self,
         kind: str,

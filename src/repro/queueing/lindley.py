@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.common.validation import require_non_negative, require_positive
+from repro.common.validation import require_non_negative
 
 
 @dataclass
@@ -50,16 +50,6 @@ class FcfsServer:
     def queue_length(self) -> int:
         """Requests currently waiting or in service."""
         return len(self._pending)
-
-    @property
-    def backlog_work(self) -> float:
-        """Total remaining work units in the queue."""
-        return sum(item[1] for item in self._pending)
-
-    @property
-    def clock(self) -> float:
-        """Simulation time the server has been advanced to."""
-        return self._clock
 
     def offer(self, arrival_times: np.ndarray, work_units: np.ndarray) -> None:
         """Enqueue a batch of requests (times must be >= current clock)."""
@@ -110,8 +100,3 @@ class FcfsServer:
                 break
         self._clock = until
         return completed
-
-    def drain_estimate(self, speed: float) -> float:
-        """Seconds needed to clear the current backlog at ``speed``."""
-        require_positive(speed, "speed")
-        return self.backlog_work / speed

@@ -58,7 +58,3 @@ class ResponseStats:
             return 0.0
         samples = np.asarray(self._samples)
         return float(np.mean(samples > self.target))
-
-    def as_array(self) -> np.ndarray:
-        """All samples as an ndarray copy."""
-        return np.asarray(self._samples, dtype=float)

@@ -33,7 +33,6 @@ from repro.common.validation import (
 )
 from repro.controllers.baselines import BASELINES
 from repro.scenario.spec import (
-    HIERARCHY_MODE,
     WORKLOAD_KINDS,
     ControlSpec,
     FaultSpec,
@@ -123,13 +122,6 @@ class Scenario:
         )
         return self
 
-    def hierarchy(self) -> "Scenario":
-        """Use the paper's LLC hierarchy (the default)."""
-        self._control = replace(
-            self._control, mode=HIERARCHY_MODE, baseline_params={}
-        )
-        return self
-
     def control(
         self,
         l0: dict | None = None,
@@ -198,41 +190,9 @@ class Scenario:
         self._faults = FaultSpec(events=self._faults.events + validated)
         return self
 
-    def service(
-        self,
-        tick_seconds: float | None = None,
-        deadline_seconds: float | None = None,
-        override_ttl_seconds: float | None = None,
-        shed_fraction_on_hold: float | None = None,
-    ) -> "Scenario":
-        """Set live-service parameters (``repro serve``; batch runs ignore).
-
-        ``tick_seconds`` paces the supervisor loop, ``deadline_seconds``
-        budgets each boundary's decisions (overruns hold the previous
-        allocation), ``override_ttl_seconds`` is the default operator
-        override expiry, ``shed_fraction_on_hold`` arms automatic load
-        shedding after deadline-held periods.
-        """
-        updates: dict = {}
-        if tick_seconds is not None:
-            updates["tick_seconds"] = tick_seconds
-        if deadline_seconds is not None:
-            updates["deadline_seconds"] = deadline_seconds
-        if override_ttl_seconds is not None:
-            updates["override_ttl_seconds"] = override_ttl_seconds
-        if shed_fraction_on_hold is not None:
-            updates["shed_fraction_on_hold"] = shed_fraction_on_hold
-        self._service = replace(self._service, **updates)
-        return self
-
     def seed(self, seed: int) -> "Scenario":
         """Set the run's random seed."""
         self._seed = require_non_negative_int(seed, "seed")
-        return self
-
-    def named(self, name: str) -> "Scenario":
-        """Attach a registry-style name."""
-        self._name = str(name)
         return self
 
     def describe(self, description: str) -> "Scenario":

@@ -190,11 +190,11 @@ def _cluster_always_on() -> ScenarioSpec:
     )
 
 
-def packaged_trace_path(name: str = "spiky_day.csv") -> str:
-    """Absolute path of a trace file shipped with the package."""
+def packaged_trace_path() -> str:
+    """Absolute path of the spiky-day trace file shipped with the package."""
     import repro.workload as _workload
 
-    return str(Path(_workload.__file__).parent / "data" / name)
+    return str(Path(_workload.__file__).parent / "data" / "spiky_day.csv")
 
 
 @register_scenario("workloads/trace-replay")

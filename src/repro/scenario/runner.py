@@ -210,7 +210,6 @@ def build_simulation(
     scenario: "ScenarioSpec | str",
     l0_params: L0Params | None = None,
     l1_params: L1Params | None = None,
-    l2_params: L2Params | None = None,
     baseline: "_BaselineBase | None" = None,
     behavior_maps=None,
 ) -> "ModuleSimulation | ClusterSimulation":
@@ -225,8 +224,6 @@ def build_simulation(
     resolved_l0, resolved_l1, resolved_l2 = resolve_control_params(scenario)
     if l0_params is None:
         l0_params = resolved_l0
-    if l2_params is None:
-        l2_params = resolved_l2
     engine_options = EngineOptions(
         kernel=control.kernel,
         warmup_intervals=control.warmup_intervals,
@@ -281,7 +278,7 @@ def build_simulation(
         trace,
         l0_params=l0_params,
         l1_params=l1_params,
-        l2_params=l2_params,
+        l2_params=resolved_l2,
         baseline=control.mode if control.is_baseline else None,
         baseline_params=control.baseline_params or None,
         failure_events=scenario.faults.events,
@@ -351,7 +348,6 @@ def run_scenario(
     observers: "Iterable[SimulationObserver]" = (),
     l0_params: L0Params | None = None,
     l1_params: L1Params | None = None,
-    l2_params: L2Params | None = None,
     baseline: "_BaselineBase | None" = None,
     behavior_maps=None,
     telemetry=None,
@@ -370,7 +366,6 @@ def run_scenario(
         scenario,
         l0_params=l0_params,
         l1_params=l1_params,
-        l2_params=l2_params,
         baseline=baseline,
         behavior_maps=behavior_maps,
     )

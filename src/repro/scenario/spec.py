@@ -93,13 +93,6 @@ class PlantSpec:
         """Computers per module."""
         return self.m if self.kind == "module" else self.computers_per_module
 
-    @property
-    def computer_count(self) -> int:
-        """Total computers in the plant."""
-        if self.kind == "module":
-            return self.m
-        return self.p * self.computers_per_module
-
     def build(self):
         """Instantiate the concrete :class:`ModuleSpec`/:class:`ClusterSpec`."""
         from repro.cluster.specs import (
@@ -484,15 +477,6 @@ class ScenarioSpec:
     def to_json(self, indent: int | None = 2) -> str:
         """JSON form of :meth:`to_dict`."""
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        """Rebuild a spec from :meth:`to_json` output."""
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ConfigurationError(f"invalid scenario JSON: {error}") from None
-        return cls.from_dict(payload)
 
     # ------------------------------------------------------------------
     # Convenience

@@ -75,10 +75,6 @@ class Plant:
         """T_L0 steps in the full horizon."""
         return self.simulation.total_steps
 
-    def live_summary(self):
-        """Mid-run :class:`~repro.sim.results.RunSummary` (StreamStats)."""
-        return self.simulation.live_summary()
-
     def finish(self):
         """The structured run result (once finished)."""
         return self.simulation.finish()

@@ -166,18 +166,15 @@ class AutonomicSupervisor:
         """Ask the run loop to stop at the next step (signal-handler safe)."""
         self._stop.set()
 
-    @property
-    def result(self):
-        """The finished run's structured result (None until finished)."""
-        return self._result
-
     async def run(self):
         """Drive the plant until the horizon completes or stop is requested.
 
         Returns the structured run result when the horizon completed,
         ``None`` when stopped early. A stop request interrupts even a
         plant blocked on its feed — the wait races the step against the
-        stop event.
+        stop event. A plant error (a hostile feed line, say) sets the
+        state ``failed`` and leaves a ``failed`` audit record naming the
+        step and the error before it propagates.
         """
         if self.state == "idle":
             self.start()
@@ -190,7 +187,14 @@ class AutonomicSupervisor:
             )
             if advance in done:
                 stop_wait.cancel()
-                event = advance.result()  # re-raises plant errors
+                try:
+                    event = advance.result()
+                except Exception as error:
+                    self.state = "failed"
+                    self.audit.record(
+                        "failed", step=self.plant.steps_taken, error=str(error)
+                    )
+                    raise
                 if event is None:
                     break  # feed ended short of the horizon
                 # Yield every step so the control server stays live even

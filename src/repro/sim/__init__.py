@@ -7,7 +7,7 @@ re-decides alpha/gamma every T_L1. :class:`~repro.sim.engine.ClusterSimulation`
 composes several modules under an L2 controller (Fig. 2a) — or, with
 ``baseline=``, pins every module to a heuristic policy.
 
-Both share one stepwise protocol (``reset``/``step``/``advance_period``/
+Both share one stepwise protocol (``reset``/``step``/``steps``/
 ``finish``; every ``reset`` starts a fresh run) with observer hooks
 (:mod:`~repro.sim.observers`); results come back as structured time
 series (:mod:`~repro.sim.results`). Per-run

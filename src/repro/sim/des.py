@@ -3,7 +3,8 @@
 The paper's MATLAB evaluation simulates the fluid model; this engine runs
 the same L1 + L0 hierarchy against an *exact* FCFS plant fed by
 request-level streams from the virtual store (10,000 objects, Zipf
-popularity, lognormal temporal locality, U(10, 25) ms service demands).
+popularity, U(10, 25) ms service demands; each request draws its object
+independently, without temporal locality).
 Every response time is an individual request's sojourn, so the fluid
 results can be validated end to end — including the EWMA processing-time
 estimator, which here tracks a genuinely varying request mix.
@@ -49,13 +50,6 @@ class DiscreteEventRunResult:
     total_energy: float
     l0_stats: ControllerStats
     l1_stats: ControllerStats
-
-    @property
-    def completion_fraction(self) -> float:
-        """Completed / offered requests (tail may still be queued)."""
-        if self.offered_requests == 0:
-            return 1.0
-        return self.completed_requests / self.offered_requests
 
 
 class DiscreteEventModuleSimulation:

@@ -35,13 +35,13 @@ split, no L2/L1/L0 optimisation) — the §5.2 setting's reference points.
 Both simulations follow one **stepwise protocol**: ``reset()`` starts a
 fresh run (new plants, controllers, recorders and tuned filters, so two
 ``run()``\\ s of one simulation give equal results), ``step()`` advances
-one T_L0 period, ``advance_period()`` generates the steps of one control
-period, ``steps()`` generates the rest of the run, and ``finish()``
-assembles the structured result. ``run()`` is a thin loop over that
-protocol. Observers (:class:`~repro.sim.observers.SimulationObserver`)
-receive typed events at every seam; the result arrays themselves are
-accumulated by recorder observers riding the same interface, so
-streaming consumers see exactly what the results see. Every per-run knob
+one T_L0 period, ``steps()`` generates the rest of the run, and
+``finish()`` assembles the structured result. ``run()`` is a thin loop
+over that protocol. Observers
+(:class:`~repro.sim.observers.SimulationObserver`) receive typed events
+at every seam; the result arrays themselves are accumulated by recorder
+observers riding the same interface, so streaming consumers see exactly
+what the results see. Every per-run knob
 travels in one :class:`~repro.sim.options.EngineOptions`
 (``engine_options=``).
 """
@@ -300,12 +300,6 @@ class _SimulationBase:
         self._state = state
         state.sink.on_run_start(self)
         return self
-
-    def advance_period(self) -> Iterator:
-        """Generate the remaining steps of the current control period."""
-        period = self._require_state().k // self.substeps
-        while not self.finished and self._state.k // self.substeps == period:
-            yield self.step()
 
     def steps(self) -> Iterator:
         """Generate every remaining step of the run."""
@@ -918,7 +912,6 @@ class ClusterSimulation(_SimulationBase):
         l0_params: L0Params | None = None,
         l1_params: L1Params | None = None,
         l2_params: L2Params | None = None,
-        module_maps: "list[ModuleCostMap] | None" = None,
         baseline: "str | Callable[[ModuleSpec], _BaselineBase] | None" = None,
         baseline_params: "dict | None" = None,
         failure_events: "tuple[tuple[float, int, int, str], ...]" = (),
@@ -998,25 +991,21 @@ class ClusterSimulation(_SimulationBase):
             self._initial_gamma = capacities / capacities.sum()
             return
         self._initial_gamma = np.full(spec.module_count, 1.0 / spec.module_count)
-        # Obtain (or accept) the per-module approximation architectures
-        # through the trained-map artifact layer: every distinct content
-        # digest trains at most once per cache, identical computers and
-        # modules share instances within this simulation, and
-        # ``map_cache`` persists the artifacts across processes and runs
-        # (sweep workers load trained maps, never retrain).
+        # Obtain the per-module approximation architectures through the
+        # trained-map artifact layer: every distinct content digest trains
+        # at most once per cache, identical computers and modules share
+        # instances within this simulation, and ``map_cache`` persists the
+        # artifacts across processes and runs (sweep workers load trained
+        # maps, never retrain).
         provider = MapProvider(cache=map_cache)
         self._behavior_maps = [
             provider.behavior_maps(module_spec, self.l0_params, self.l1_params)
             for module_spec in spec.modules
         ]
-        if module_maps is None:
-            module_maps = [
-                provider.module_map(module_spec, maps, self.l1_params, self.l0_params)
-                for module_spec, maps in zip(spec.modules, self._behavior_maps)
-            ]
-        elif len(module_maps) != spec.module_count:
-            raise ConfigurationError("need one module map per module")
-        self.module_maps = list(module_maps)
+        self.module_maps = [
+            provider.module_map(module_spec, maps, self.l1_params, self.l0_params)
+            for module_spec, maps in zip(spec.modules, self._behavior_maps)
+        ]
 
     def _override_target(self, module: int) -> "tuple[int, str]":
         if not isinstance(module, int) or isinstance(module, bool) or not (

@@ -69,7 +69,6 @@ from repro.controllers.baselines import (  # noqa: E402
     ThresholdOnOffController,
 )
 from repro.controllers.l0 import L0Decision  # noqa: E402
-from repro.forecast.kalman import KalmanStep  # noqa: E402
 from repro.sim.observers import StepEvent  # noqa: E402
 
 import math  # noqa: E402
@@ -265,10 +264,10 @@ def batched_predictor_observe(predictors: list, values: "list[float]") -> None:
     """One boundary's Kalman predict/update for a bank of predictors.
 
     Performs exactly what ``predictor.observe(value)`` performs for each
-    (one-ahead forecast, uncertainty-band update, filter step, history
-    append), but with the 2-state local-linear-trend algebra expanded to
-    explicit scalar formulas — the same IEEE-754 double operations in
-    the same order as the matrix path, so the result is bit-identical —
+    (one-ahead forecast, uncertainty-band update, filter step), but with
+    the 2-state local-linear-trend algebra expanded to explicit scalar
+    formulas — the same IEEE-754 double operations in the same order as
+    the matrix path, so the result is bit-identical —
     and the results written back into each filter object. Banks are a
     handful of 2-state filters, so plain Python floats beat numpy's
     per-call dispatch by an order of magnitude here. Any unprimed
@@ -338,14 +337,6 @@ def batched_predictor_observe(predictors: list, values: "list[float]") -> None:
 
         kalman.state = np.array([s0, s1])
         kalman.cov = np.array([[c00, c01], [c10, c11]])
-        kalman.history.append(
-            KalmanStep(
-                prediction=predicted,
-                innovation=innovation,
-                innovation_var=s_var,
-            )
-        )
-        predictor._observations += 1
 
 
 # ----------------------------------------------------------------------

@@ -321,34 +321,6 @@ class StreamStats:
         self.computers_on_sum += machines_on
         self.decision_count += 1
 
-    @property
-    def mean_response(self) -> float:
-        """Mean response over every served step (0 when nothing served)."""
-        if not self.response_count:
-            return 0.0
-        return self.response_sum / self.response_count
-
-    @property
-    def violation_fraction(self) -> float:
-        """Fraction of served responses above the target."""
-        if not self.response_count:
-            return 0.0
-        return self.violation_count / self.response_count
-
-    @property
-    def mean_power(self) -> float:
-        """Mean power draw per step (0 before any step)."""
-        if not self.steps_seen:
-            return 0.0
-        return self.power_sum / self.steps_seen
-
-    @property
-    def mean_computers_on(self) -> float:
-        """Mean machines serving per control period."""
-        if not self.decision_count:
-            return 0.0
-        return self.computers_on_sum / self.decision_count
-
 
 class ModuleRecorder(SimulationObserver):
     """Accumulates the time series behind :class:`ModuleRunResult`.

@@ -60,19 +60,6 @@ class RunSummary:
             name: getattr(self, name) for name in DETERMINISTIC_SUMMARY_METRICS
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RunSummary":
-        """Rebuild a summary from :meth:`to_dict` output."""
-        from repro.common.validation import require_payload_keys
-
-        require_payload_keys(
-            payload,
-            (f.name for f in dataclasses.fields(cls)),
-            "run summary",
-            complete=True,
-        )
-        return cls(**payload)
-
     def deterministic_str(self) -> str:
         """The one-line rendering minus wall-clock fields.
 
@@ -116,25 +103,6 @@ def stream_quality(streams: "list[StreamStats]") -> "tuple[float, float, float]"
     periods = max(s.decision_count for s in streams)
     mean_on = sum(s.computers_on_sum for s in streams) / periods if periods else 0.0
     return mean_response, violations, mean_on
-
-
-def _result_quality(
-    modules: list, target_response: float, computers_on: np.ndarray
-) -> "tuple[float, float, float]":
-    """:func:`stream_quality` of module results.
-
-    Engine-produced results carry whole-run streams (a recorder window
-    only trims the arrays); hand-built ones fall back to the arrays.
-    """
-    streams = [m.stream for m in modules]
-    if all(s is not None for s in streams):
-        return stream_quality(streams)
-    responses = np.concatenate([m.responses[~np.isnan(m.responses)] for m in modules])
-    mean_response = float(responses.mean()) if responses.size else 0.0
-    violations = (
-        float(np.mean(responses > target_response)) if responses.size else 0.0
-    )
-    return mean_response, violations, float(computers_on.mean())
 
 
 def fold_summary(
@@ -203,12 +171,12 @@ class ModuleRunResult:
     switch_offs: int
     l0_stats: ControllerStats
     l1_stats: ControllerStats
-    #: Online summary aggregates (present on engine-produced results).
-    #: With a recorder ``window`` the arrays above hold only the tail of
-    #: the run, so the summary derives from these instead — and for
-    #: bit-identity between windowed and full runs, the full recorder
-    #: accumulates (and the summary uses) the very same aggregates.
-    stream: "StreamStats | None" = None
+    #: Online summary aggregates over the whole run. With a recorder
+    #: ``window`` the arrays above hold only the tail of the run, so the
+    #: summary derives from these instead — and for bit-identity between
+    #: windowed and full runs, the full recorder accumulates (and the
+    #: summary uses) the very same aggregates.
+    stream: StreamStats
 
     @property
     def steps(self) -> int:
@@ -227,14 +195,10 @@ class ModuleRunResult:
     def summary(self) -> RunSummary:
         """Headline metrics over the run.
 
-        Engine-produced results carry :attr:`stream` aggregates covering
-        the *whole* run (a recorder window only trims the arrays), so
-        those govern when present; hand-built results fall back to the
-        array arithmetic.
+        They fold the :attr:`stream` aggregates, which cover the *whole*
+        run (a recorder window only trims the arrays).
         """
-        return fold_summary(
-            [self], _result_quality([self], self.target_response, self.computers_on)
-        )
+        return fold_summary([self], stream_quality([self.stream]))
 
 
 @dataclass
@@ -254,21 +218,13 @@ class ClusterRunResult:
     module_results: list[ModuleRunResult]
     l2_stats: ControllerStats
 
-    @property
-    def periods(self) -> int:
-        """Number of T_L2 periods simulated."""
-        return self.global_arrivals.size
-
     def summary(self) -> RunSummary:
         """Cluster-wide headline metrics (modules merged).
 
-        Mirrors :meth:`ModuleRunResult.summary`: whole-run stream
-        aggregates govern when every module result carries them,
-        arrays otherwise.
+        Mirrors :meth:`ModuleRunResult.summary`: the modules' whole-run
+        stream aggregates merge through :func:`stream_quality`.
         """
-        quality = _result_quality(
-            self.module_results, self.target_response, self.total_computers_on
-        )
+        quality = stream_quality([m.stream for m in self.module_results])
         return fold_summary(self.module_results, quality, self.l2_stats.total_seconds)
 
     def hierarchy_path_seconds(self) -> float:

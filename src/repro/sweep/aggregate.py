@@ -142,22 +142,19 @@ def _cell(aggregate: MetricAggregate) -> str:
     return f"{aggregate.mean:.4g} ±{aggregate.std:.2g}"
 
 
-def render_table(
-    groups: "tuple[AggregateGroup, ...]",
-    metrics: "tuple[str, ...]" = TABLE_METRICS,
-) -> str:
-    """Aligned text table: one row per group, mean ±std per metric."""
+def render_table(groups: "tuple[AggregateGroup, ...]") -> str:
+    """Aligned text table: one row per group, mean ±std per :data:`TABLE_METRICS`."""
     if not groups:
         raise ConfigurationError("no groups to render")
     key_fields = sorted(groups[0].key)
-    headers = [*key_fields, "runs", *metrics]
+    headers = [*key_fields, "runs", *TABLE_METRICS]
     lines = []
     for group in groups:
         lines.append(
             [
                 *(str(group.key[field]) for field in key_fields),
                 str(group.count),
-                *(_cell(group.metrics[name]) for name in metrics),
+                *(_cell(group.metrics[name]) for name in TABLE_METRICS),
             ]
         )
     widths = [

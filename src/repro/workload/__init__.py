@@ -7,10 +7,11 @@ Figs. 1b and 6). The original WC'98 tapes are not redistributable, so
 :mod:`~repro.workload.wc98` generates a calibrated trace reproducing the
 published shape (see DESIGN.md, substitutions).
 
-Request-level content follows the paper's §4.3 recipe: a 10,000-object
-virtual store with per-object service times U(10, 25) ms, Zipf popularity
-with a 1000-object "popular" set receiving 90 % of requests, and lognormal
-temporal locality.
+Request-level content follows the paper's §4.3 recipe for the store: a
+10,000-object virtual store with per-object service times U(10, 25) ms and
+Zipf popularity with a 1000-object "popular" set receiving 90 % of
+requests. The recipe's lognormal temporal locality is not modelled: each
+request draws its object independently from that popularity.
 """
 
 from repro.workload.flashcrowd import (
@@ -18,7 +19,6 @@ from repro.workload.flashcrowd import (
     flashcrowd_rate_profile,
     flashcrowd_trace,
 )
-from repro.workload.locality import LognormalLocality
 from repro.workload.requests import RequestStream, RequestStreamGenerator
 from repro.workload.store import VirtualStore
 from repro.workload.synthetic import SyntheticWorkloadSpec, synthetic_trace
@@ -30,7 +30,6 @@ from repro.workload.zipfmix import ZipfMixSpec, zipfmix_workload
 __all__ = [
     "ArrivalTrace",
     "FlashCrowdSpec",
-    "LognormalLocality",
     "RequestStream",
     "RequestStreamGenerator",
     "SyntheticWorkloadSpec",

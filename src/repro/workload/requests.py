@@ -1,10 +1,10 @@
 """Request-level stream generation from an arrival trace.
 
 Couples an :class:`~repro.workload.trace.ArrivalTrace` (how many requests
-arrive in each bin) with the virtual store and locality model (which
-objects they touch, hence their processing demand). Produces per-bin
-batches for the discrete-event plant and per-bin mean-work series for the
-fluid plant.
+arrive in each bin) with the virtual store (which objects they touch,
+hence their processing demand). Produces per-bin batches for the
+discrete-event plant. Each request draws its object independently from
+the store's popularity: the streams carry no temporal locality.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.rng import spawn_rng
-from repro.workload.locality import LognormalLocality
 from repro.workload.store import VirtualStore
 from repro.workload.trace import ArrivalTrace
 
@@ -38,7 +37,7 @@ class RequestStream:
 
 
 class RequestStreamGenerator:
-    """Iterates an arrival trace as request-level batches.
+    """Materialises an arrival trace's bins as request-level batches.
 
     Arrival instants within a bin are uniform (the trace already carries
     the coarse-scale structure; within-bin placement is second-order for
@@ -49,13 +48,11 @@ class RequestStreamGenerator:
         self,
         trace: ArrivalTrace,
         store: VirtualStore | None = None,
-        locality: LognormalLocality | None = None,
         seed: "int | np.random.Generator | None" = 0,
     ) -> None:
         self.trace = trace
         self.store = store or VirtualStore(seed=seed)
         self._rng = spawn_rng(seed)
-        self.locality = locality
 
     def bin_stream(self, bin_index: int) -> RequestStream:
         """Materialise the request batch for one trace bin."""
@@ -66,31 +63,5 @@ class RequestStreamGenerator:
         times = np.sort(
             self._rng.uniform(start, start + self.trace.bin_seconds, count)
         )
-        if self.locality is not None:
-            object_ids = self.locality.sample_stream(count)
-        else:
-            object_ids = self.store.sample_objects(count, self._rng)
-        works = self.store.work_of(object_ids)
+        works = self.store.work_of(self.store.sample_objects(count, self._rng))
         return RequestStream(arrival_times=times, works=works)
-
-    def __iter__(self):
-        for i in range(len(self.trace)):
-            yield self.bin_stream(i)
-
-    def mean_work_series(self, sample_per_bin: int = 64) -> np.ndarray:
-        """Per-bin mean processing times for fluid simulation.
-
-        Estimates each bin's c by sampling the object mix rather than
-        materialising every request; bins with no arrivals inherit the
-        store-wide mean.
-        """
-        out = np.empty(len(self.trace))
-        fallback = self.store.mean_work
-        for i, count in enumerate(self.trace.counts):
-            if count <= 0:
-                out[i] = fallback
-                continue
-            n = min(int(count), sample_per_bin)
-            ids = self.store.sample_objects(n, self._rng)
-            out[i] = float(self.store.work_of(ids).mean())
-        return out

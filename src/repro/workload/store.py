@@ -42,18 +42,7 @@ class VirtualStore:
         popular = zipf_weights(self.popular_objects, zipf_exponent) * popular_mass
         rare_count = self.n_objects - self.popular_objects
         rare = zipf_weights(rare_count, zipf_exponent) * (1.0 - popular_mass)
-        self._popularity = np.concatenate([popular, rare])
-        self._cumulative = np.cumsum(self._popularity)
-
-    @property
-    def popularity(self) -> np.ndarray:
-        """Stationary request probability of each object (a copy)."""
-        return self._popularity.copy()
-
-    @property
-    def mean_work(self) -> float:
-        """Popularity-weighted mean processing time (the long-run c)."""
-        return float(self._popularity @ self.work_seconds)
+        self._cumulative = np.cumsum(np.concatenate([popular, rare]))
 
     def sample_objects(
         self, size: int, rng: "np.random.Generator | None" = None

@@ -49,16 +49,6 @@ class ArrivalTrace:
         """Total trace duration in seconds."""
         return self.counts.size * self.bin_seconds
 
-    @property
-    def rates(self) -> np.ndarray:
-        """Per-bin arrival rates (requests per second)."""
-        return self.counts / self.bin_seconds
-
-    @property
-    def total(self) -> float:
-        """Total requests in the trace."""
-        return float(self.counts.sum())
-
     def scaled(self, factor: float) -> "ArrivalTrace":
         """Multiply all counts by ``factor`` (capacity-planning helper)."""
         require_positive(factor, "factor")
@@ -101,24 +91,8 @@ class ArrivalTrace:
         return ArrivalTrace(refined, bin_seconds)
 
     # ------------------------------------------------------------------
-    # Persistence (two-column CSV: bin start seconds, request count)
+    # Loading (delimited text: bin start seconds, request count)
     # ------------------------------------------------------------------
-    def save_csv(self, path: "str | Path") -> None:
-        """Write the trace as ``time_seconds,count`` rows with a header."""
-        path = Path(path)
-        times = np.arange(self.counts.size) * self.bin_seconds
-        with path.open("w") as handle:
-            handle.write(f"# bin_seconds={self.bin_seconds}\n")
-            handle.write("time_seconds,count\n")
-            for t, count in zip(times, self.counts):
-                handle.write(f"{t:.6g},{count:.6g}\n")
-
-    @classmethod
-    def load_csv(cls, path: "str | Path") -> "ArrivalTrace":
-        """Read a trace written by :meth:`save_csv`."""
-        trace = cls.load_file(path)
-        return trace
-
     @classmethod
     def load_file(
         cls,
@@ -129,7 +103,7 @@ class ArrivalTrace:
     ) -> "ArrivalTrace":
         """Read an arrival trace from a delimited text file.
 
-        Accepts the :meth:`save_csv` format and the common variations of
+        Accepts ``time_seconds,count`` rows and the common variations of
         logged rate files: comma- or whitespace-delimited columns, an
         optional ``# bin_seconds=...`` comment header, and an optional
         non-numeric column-title row. ``column`` picks the value column

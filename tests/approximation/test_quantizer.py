@@ -151,3 +151,11 @@ class TestGridPoints:
                 levels[i] for levels, i in zip(quantizer.levels, indices)
             )
         assert len(list(quantizer.grid_indices())) == quantizer.cell_count
+
+
+class TestGridQuantizerLevels:
+    def test_an_empty_or_nested_level_set_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="dimension 1 must be non-empty 1-D"):
+            GridQuantizer([[0.0, 1.0], []])
+        with pytest.raises(ConfigurationError, match="dimension 0 must be non-empty 1-D"):
+            GridQuantizer([[[0.0, 1.0]]])

@@ -1,5 +1,7 @@
 """Tests for the CART regression tree."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 from repro.common import ConfigurationError, NotTrainedError
 from repro.approximation import RegressionTree
+
+from helpers import tree_depth
 
 
 class TestFitBasics:
@@ -24,8 +28,12 @@ class TestFitBasics:
 
     def test_constant_target_single_leaf(self):
         tree = RegressionTree().fit(np.arange(20.0).reshape(-1, 1), np.full(20, 3.0))
-        assert tree.leaf_count == 1
-        assert tree.predict_one([5.0]) == pytest.approx(3.0)
+        assert tree.left.count(-1) == 1
+        assert tree.predict(np.array([5.0])) == pytest.approx(3.0)
+
+    def test_negative_variance_reduction_rejected(self):
+        with pytest.raises(ConfigurationError, match="min_variance_reduction"):
+            RegressionTree(min_variance_reduction=-1e-3)
 
     def test_wrong_feature_count_rejected(self):
         tree = RegressionTree().fit(np.zeros((4, 2)), np.arange(4.0))
@@ -38,8 +46,8 @@ class TestFitQuality:
         x = np.linspace(0, 1, 200).reshape(-1, 1)
         y = np.where(x[:, 0] < 0.5, 1.0, 5.0)
         tree = RegressionTree(max_depth=2).fit(x, y)
-        assert tree.predict_one([0.2]) == pytest.approx(1.0)
-        assert tree.predict_one([0.8]) == pytest.approx(5.0)
+        assert tree.predict(np.array([0.2])) == pytest.approx(1.0)
+        assert tree.predict(np.array([0.8])) == pytest.approx(5.0)
 
     def test_beats_mean_predictor_on_smooth_function(self):
         rng = np.random.default_rng(0)
@@ -63,14 +71,14 @@ class TestFitQuality:
         x = rng.uniform(0, 1, (400, 1))
         y = rng.normal(0, 1, 400)
         tree = RegressionTree(max_depth=3, min_variance_reduction=0.0).fit(x, y)
-        assert tree.depth <= 3
+        assert tree_depth(tree) <= 3
 
     def test_min_samples_leaf_respected(self):
         x = np.arange(10.0).reshape(-1, 1)
         y = np.arange(10.0)
         tree = RegressionTree(max_depth=10, min_samples_leaf=5).fit(x, y)
         # With 10 samples and 5-per-leaf, at most one split is possible.
-        assert tree.leaf_count <= 2
+        assert tree.left.count(-1) <= 2
 
     def test_single_point_prediction_matches_batch(self):
         rng = np.random.default_rng(3)
@@ -78,8 +86,22 @@ class TestFitQuality:
         y = x[:, 0] * 3
         tree = RegressionTree().fit(x, y)
         batch = tree.predict(x[:5])
-        singles = [tree.predict_one(row) for row in x[:5]]
+        singles = [tree.predict(row) for row in x[:5]]
         assert np.allclose(batch, singles)
+
+    def test_a_split_between_adjacent_floats_separates_them(self):
+        # Their midpoint rounds onto the upper value, so a split there
+        # would send both values left and leave an empty right leaf.
+        a = np.nextafter(1.0, 2.0)
+        b = np.nextafter(a, 2.0)
+        assert (a + b) / 2.0 == b
+        x = np.array([[a], [a], [b], [b]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            tree = RegressionTree(min_samples_leaf=1).fit(x, [0.0, 0.0, 10.0, 10.0])
+        assert tree.predict(x).tolist() == [0.0, 0.0, 10.0, 10.0]
+        assert tree.threshold[0] == a
+        assert not np.isnan(tree.prediction).any()
 
 
 class TestProperties:
@@ -148,7 +170,7 @@ class TestFlatNodes:
         points = np.vstack([points, on_threshold])
         expected = [_walk_payload(payload["root"], row) for row in points]
         assert tree.predict(points).tolist() == expected
-        assert [tree.predict_one(row) for row in points] == expected
+        assert [tree.predict(row) for row in points] == expected
         rebuilt = RegressionTree.from_dict(payload)
         assert rebuilt.predict(points).tolist() == expected
         assert rebuilt.to_dict() == payload
@@ -158,6 +180,5 @@ class TestFlatNodes:
         x = rng.uniform(0.0, 1.0, (120, 2))
         tree = RegressionTree(max_depth=4).fit(x, x[:, 0] + x[:, 1])
         leaves = [node for node, left in enumerate(tree.left) if left == -1]
-        assert len(leaves) == tree.leaf_count
         assert all(tree.right[node] == -1 for node in leaves)
-        assert len(tree.prediction) == 2 * tree.leaf_count - 1
+        assert len(tree.prediction) == 2 * len(leaves) - 1

@@ -5,12 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.approximation import (
-    GridQuantizer,
-    LookupTableMap,
-    RegressionTree,
-    TrainingSet,
-)
+from repro.approximation import GridQuantizer, LookupTableMap, RegressionTree
 from repro.common.errors import ConfigurationError
 
 
@@ -111,8 +106,17 @@ class TestRegressionTree:
         tree = RegressionTree(max_depth=4).fit(x, y)
         rebuilt = RegressionTree.from_dict(_json_cycle(tree.to_dict()))
         assert np.array_equal(rebuilt.predict(x), tree.predict(x))
-        assert rebuilt.depth == tree.depth
-        assert rebuilt.leaf_count == tree.leaf_count
+        assert (rebuilt.feature, rebuilt.left, rebuilt.right) == (
+            tree.feature,
+            tree.left,
+            tree.right,
+        )
+
+    def test_payload_missing_a_key_is_named(self):
+        payload = RegressionTree().fit(np.zeros((2, 1)), [1.0, 2.0]).to_dict()
+        del payload["n_features"]
+        with pytest.raises(ConfigurationError, match="tree payload needs a 'n_features' key"):
+            RegressionTree.from_dict(payload)
 
     def test_unfitted_tree_cannot_serialise(self):
         from repro.common.errors import NotTrainedError
@@ -121,16 +125,10 @@ class TestRegressionTree:
             RegressionTree().to_dict()
 
 
-class TestTrainingSet:
-    def test_round_trip_exact(self):
-        dataset = TrainingSet(
-            [(0.1, 0.2), (0.3, 0.4)], [np.array([1.0 / 3.0]), np.array([2.0 / 7.0])]
-        )
-        rebuilt = TrainingSet.from_dict(_json_cycle(dataset.to_dict()))
-        assert rebuilt.inputs == dataset.inputs
-        for a, b in zip(rebuilt.outputs, dataset.outputs):
-            assert np.array_equal(a, b)
-
-    def test_misaligned_payload_rejected(self):
-        with pytest.raises(ConfigurationError):
-            TrainingSet.from_dict({"inputs": [[0.0]], "outputs": []})
+class TestTablePayloadKeys:
+    def test_payload_missing_a_key_is_named(self):
+        quantizer = GridQuantizer([[0.0, 1.0]])
+        payload = LookupTableMap(quantizer, [[1.0], [2.0]]).to_dict()
+        del payload["output_dim"]
+        with pytest.raises(ConfigurationError, match="table payload needs a 'output_dim' key"):
+            LookupTableMap.from_dict(payload)

@@ -14,8 +14,7 @@ def _module(**kwargs):
 class TestModule:
     def test_initial_state_all_on(self):
         module = _module()
-        assert module.active_count == 4
-        assert module.on_count == 4
+        assert all(c.is_serving and c.accepts_work for c in module.computers)
 
     def test_apply_configuration_turns_machines_off(self):
         module = _module()
@@ -23,7 +22,7 @@ class TestModule:
         # Off computers drain first; with empty queues they drop to OFF on
         # the next step.
         module.step_fluid(0.0, 0.0175, 30.0, np.array([0.5, 0.5, 0.0, 0.0]))
-        assert module.on_count == 2
+        assert [c.accepts_work for c in module.computers] == [True, True, False, False]
 
     def test_apply_configuration_shape_checked(self):
         with pytest.raises(ControlError):
@@ -44,7 +43,8 @@ class TestModule:
         results = module.step_fluid(0.0, 0.0175, 30.0, np.full(4, 0.25))
         power = module.total_power(results)
         assert power == pytest.approx(4 * 1.75)
-        assert module.total_energy() == pytest.approx(power * 30.0)
+        energy = sum(c.energy.total for c in module.computers)
+        assert energy == pytest.approx(power * 30.0)
 
     def test_switch_counts(self):
         module = _module()

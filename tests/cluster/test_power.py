@@ -38,14 +38,3 @@ class TestEnergyMeter:
     def test_negative_transient_rejected(self):
         with pytest.raises(ConfigurationError, match="^energy must be >= 0"):
             EnergyMeter().add_transient(-1.0)
-
-    def test_merge_sums_each_category_into_a_new_meter(self):
-        a = EnergyMeter(base_energy=1.0, dynamic_energy=2.0, transient_energy=3.0)
-        b = EnergyMeter(base_energy=10.0, dynamic_energy=20.0, transient_energy=30.0)
-        merged = a.merged_with(b)
-        assert merged == EnergyMeter(
-            base_energy=11.0, dynamic_energy=22.0, transient_energy=33.0
-        )
-        assert merged is not a and merged is not b
-        assert a == EnergyMeter(1.0, 2.0, 3.0)
-        assert b == EnergyMeter(10.0, 20.0, 30.0)

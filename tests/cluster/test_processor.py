@@ -14,18 +14,15 @@ class TestProcessorSpec:
         assert factors[-1] == pytest.approx(1.0)
         assert np.all(np.diff(factors) > 0)
 
+    def test_frequency_range_ends(self):
+        spec = ProcessorSpec("x", (0.6, 1.0, 1.4))
+        assert (spec.min_frequency, spec.max_frequency) == (0.6, 1.4)
+        assert spec.setting_count == 3
+
     def test_scaling_factor_by_index(self):
         spec = ProcessorSpec("x", (1.0, 2.0))
         assert spec.scaling_factor(0) == pytest.approx(0.5)
         assert spec.scaling_factor(1) == pytest.approx(1.0)
-
-    def test_index_of(self):
-        spec = processor_profile("c1")
-        assert spec.index_of(1.4) == spec.setting_count - 1
-
-    def test_index_of_missing_raises(self):
-        with pytest.raises(ConfigurationError):
-            processor_profile("c1").index_of(9.99)
 
     def test_rejects_empty(self):
         with pytest.raises(ConfigurationError):

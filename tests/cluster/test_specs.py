@@ -77,11 +77,11 @@ class TestPaperFactories:
     def test_paper_cluster_shape(self):
         cluster = paper_cluster_spec()
         assert cluster.module_count == 4
-        assert cluster.computer_count == 16
+        assert sum(m.size for m in cluster.modules) == 16
 
     def test_twenty_computer_variant(self):
         cluster = paper_cluster_spec(p=5)
-        assert cluster.computer_count == 20
+        assert sum(m.size for m in cluster.modules) == 20
 
     def test_modules_are_heterogeneous(self):
         cluster = paper_cluster_spec()
@@ -94,3 +94,21 @@ class TestPaperFactories:
         module = paper_module_spec()
         with pytest.raises(ConfigurationError):
             ClusterSpec(name="X", modules=(module, module))
+
+
+class TestPayloadErrors:
+    def test_a_cluster_needs_a_module(self):
+        with pytest.raises(ConfigurationError, match="at least one module"):
+            ClusterSpec("empty", ())
+
+    def test_a_computer_payload_names_its_missing_key(self):
+        payload = ComputerSpec(name="C", processor=processor_profile("c1")).to_dict()
+        del payload["base_power"]
+        with pytest.raises(ConfigurationError, match="computer payload missing key 'base_power'"):
+            ComputerSpec.from_dict(payload)
+
+    def test_a_module_payload_names_its_missing_key(self):
+        payload = paper_module_spec().to_dict()
+        del payload["computers"]
+        with pytest.raises(ConfigurationError, match="module payload missing key 'computers'"):
+            ModuleSpec.from_dict(payload)

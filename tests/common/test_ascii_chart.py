@@ -49,3 +49,14 @@ class TestSeriesTable:
     def test_ragged_columns_render_dash(self):
         out = series_table({"a": [1.0, 2.0, 3.0], "b": [4.0]}, max_rows=3)
         assert "-" in out.splitlines()[-1]
+
+
+class TestLineChartDetails:
+    def test_gaps_stay_blank_and_the_y_label_marks_the_middle_row(self):
+        out = line_chart([1.0, float("nan"), 3.0], height=5, y_label="req")
+        rows = out.splitlines()
+        assert len(rows) == 6  # five plot rows and the axis
+        assert rows[2].startswith("req |")
+        # The NaN column holds no point in any row.
+        assert all(row.split("|", 1)[1][1] == " " for row in rows[:5])
+        assert sum(row.count("*") for row in rows) == 2

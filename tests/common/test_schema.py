@@ -11,9 +11,10 @@ from repro.common.schema import (
     l2_decision_record,
     run_payload,
     status_payload,
+    summary_payload,
 )
 from repro.sim.observers import L1DecisionEvent, L2DecisionEvent
-from repro.sim.results import RunSummary
+from repro.sim.results import DETERMINISTIC_SUMMARY_METRICS, RunSummary
 
 SUMMARY = RunSummary(
     mean_response=1.5,
@@ -46,6 +47,17 @@ def _status(**overrides):
     )
     fields.update(overrides)
     return status_payload(**fields)
+
+
+class TestSummaryPayload:
+    def test_lists_the_deterministic_metrics_in_their_order(self):
+        payload = summary_payload(SUMMARY)
+        assert list(payload) == list(DETERMINISTIC_SUMMARY_METRICS)
+        assert (payload["mean_computers_on"], payload["switch_offs"]) == (3.25, 2)
+        assert run_payload("paper/x", SUMMARY) == {
+            "scenario": "paper/x",
+            "summary": payload,
+        }
 
 
 class TestStatusPayload:

@@ -1,5 +1,6 @@
 """Unit tests for argument-validation helpers."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -20,7 +21,23 @@ from repro.common.validation import (
     require_non_negative_int,
     require_payload_keys,
     require_positive_int,
+    store_floats,
 )
+
+
+@dataclasses.dataclass(frozen=True)
+class _Fields:
+    a: object
+    b: object = 0
+    c: object = 0
+
+
+class TestStoreFloats:
+    def test_an_int_becomes_its_float_and_nothing_else_changes(self):
+        fields = _Fields(a=120, b=True, c="7")
+        store_floats(fields, "a", "b", "c")
+        assert type(fields.a) is float and fields.a == 120.0
+        assert fields.b is True and fields.c == "7"
 
 
 class TestRequirePositive:

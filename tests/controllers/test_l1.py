@@ -25,12 +25,19 @@ from repro.cluster import (
 from repro.controllers import L1Controller, L1Params
 from repro.controllers.params import L0Params
 from repro.controllers import l1 as l1_module
-from repro.controllers.l1 import ComputerBehaviorMap, L1Bank, L1Decision
+from repro.controllers.l1 import (
+    ComputerBehaviorMap,
+    L1Bank,
+    L1Decision,
+    require_finite_inputs,
+)
 from repro.core.simplex import quantize_to_simplex, simplex_neighbors
 from repro.core.uncertainty import three_point_band
 from repro.forecast.structural import WorkloadPredictor
 from repro.maps.provider import MapProvider, clear_map_memo
 from repro.sim.shard import set_points
+
+from helpers import behavior_map_query, table_cell
 
 
 @pytest.fixture(scope="module")
@@ -59,18 +66,18 @@ class TestComputerBehaviorMap:
 
     def test_cost_increases_with_load(self, trained_l1):
         behavior_map = trained_l1.maps[3]  # C4
-        low, _ = behavior_map.cost_and_next_queue(0.0, 10.0, 0.0175)
-        high, _ = behavior_map.cost_and_next_queue(0.0, 55.0, 0.0175)
+        low, _ = behavior_map_query(behavior_map, 0.0, 10.0, 0.0175)
+        high, _ = behavior_map_query(behavior_map, 0.0, 55.0, 0.0175)
         assert high > low
 
     def test_overload_grows_queue(self, trained_l1):
         behavior_map = trained_l1.maps[3]
-        _, next_queue = behavior_map.cost_and_next_queue(0.0, 75.0, 0.0175)
+        _, next_queue = behavior_map_query(behavior_map, 0.0, 75.0, 0.0175)
         assert next_queue > 0.0
 
     def test_idle_cost_is_base_plus_min_dynamic(self, trained_l1):
         behavior_map = trained_l1.maps[3]
-        cost, next_queue = behavior_map.cost_and_next_queue(0.0, 0.0, 0.0175)
+        cost, next_queue = behavior_map_query(behavior_map, 0.0, 0.0, 0.0175)
         spec = behavior_map.spec
         phi_min = spec.processor.scaling_factors[0]
         expected = (spec.base_power + phi_min**2) * behavior_map.substeps
@@ -445,7 +452,8 @@ def _reference_query(behavior_map, queue, rate, work):
     queue_levels, rate_levels, work_levels = behavior_map.table.quantizer.levels
     if rate > rate_levels[-1]:
         return _reference_rollout(behavior_map, queue, rate, work)
-    return behavior_map.table.at(
+    return table_cell(
+        behavior_map.table,
         (
             _nearest(queue_levels, queue),
             _nearest(rate_levels, rate),
@@ -1224,7 +1232,7 @@ class TestArrayQuery:
             ),
             label="points",
         )
-        costs, finals = behavior_map.cost_and_next_queue(*np.array(points).T)
+        costs, finals = behavior_map_query(behavior_map, *np.array(points).T)
         for point, cost, final in zip(points, costs.tolist(), finals.tolist()):
             want_cost, want_final = _reference_query(behavior_map, *point)
             assert (cost.hex(), final.hex()) == (
@@ -1233,7 +1241,7 @@ class TestArrayQuery:
             )
 
     def test_numbers_give_zero_dimensional_arrays(self, trained_l1):
-        cost, final = trained_l1.maps[0].cost_and_next_queue(5.0, 10.0, 0.0175)
+        cost, final = behavior_map_query(trained_l1.maps[0], 5.0, 10.0, 0.0175)
         assert cost.shape == final.shape == ()
 
 
@@ -1378,3 +1386,16 @@ class TestEachPointIsItsOwnQuery:
             rate_hat=rate, rate_next=rate, delta=0.0, work=self.WORK,
         )
         assert decision.alpha.tolist() == [1, 1, 1, 1]
+
+
+class TestRequireFiniteInputs:
+    def test_finite_inputs_pass(self):
+        assert require_finite_inputs(rate=40.0, queues=np.zeros((2, 3))) is None
+
+    def test_names_the_first_bad_input_and_element(self):
+        queues = np.zeros((2, 3))
+        queues[1, 2] = np.inf
+        with pytest.raises(ControlError, match=r"^queues\[1, 2\] must be finite, got inf$"):
+            require_finite_inputs(rate=40.0, queues=queues, work=np.nan)
+        with pytest.raises(ControlError, match=r"^work must be finite, got nan$"):
+            require_finite_inputs(rate=40.0, queues=np.zeros(3), work=np.nan)

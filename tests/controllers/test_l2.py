@@ -6,11 +6,15 @@ import pytest
 from repro.approximation.regression_tree import RegressionTree
 from repro.common import ConfigurationError, ControlError
 from repro.cluster import ClusterSpec, paper_module_spec
-from repro.controllers import L1Params, L2Controller, L2Params, ModuleCostMap
+from repro.controllers import L1Controller, L1Params, L2Controller, L2Params, ModuleCostMap
+from repro.controllers.l2 import _module_training_grid
+from repro.controllers.params import L0Params
 from repro.core import enumerate_simplex, quantize_to_simplex
 from repro.forecast.structural import WorkloadPredictor
 from repro.sim import ClusterSimulation, EngineOptions
 from repro.workload import ArrivalTrace
+
+from helpers import tree_depth
 
 
 @pytest.fixture(scope="module")
@@ -24,31 +28,64 @@ def l2(module_map):
     return L2Controller([module_map] * 4)
 
 
+def _cost(module_map, queue_avg, rate, work):
+    """The cost tree's prediction for one interval."""
+    return module_map.cost_tree.predict(np.array([queue_avg, rate, work]))
+
+
+def _next_queue(module_map, queue_avg, rate, work):
+    """The queue tree's predicted end-of-interval average queue."""
+    return module_map.queue_tree.predict(np.array([queue_avg, rate, work]))
+
+
 class TestModuleCostMap:
-    def test_dataset_covers_grid(self, module_map):
-        assert module_map.dataset.size == 6 * 16 * 2
+    def test_training_grid_has_192_cells(self, module_map):
+        grid = ModuleCostMap.training_grid(module_map.spec)
+        assert grid.cell_count == 6 * 16 * 2
 
     def test_cost_increases_with_load(self, module_map):
-        low = module_map.cost(0.0, 20.0, 0.0175)
-        high = module_map.cost(0.0, 180.0, 0.0175)
+        low = _cost(module_map, 0.0, 20.0, 0.0175)
+        high = _cost(module_map, 0.0, 180.0, 0.0175)
         assert high > low
 
     def test_cost_increases_with_backlog(self, module_map):
-        empty = module_map.cost(0.0, 100.0, 0.0175)
-        backed_up = module_map.cost(320.0, 100.0, 0.0175)
+        empty = _cost(module_map, 0.0, 100.0, 0.0175)
+        backed_up = _cost(module_map, 320.0, 100.0, 0.0175)
         assert backed_up > empty
 
     def test_next_queue_non_negative(self, module_map):
         for rate in (0.0, 60.0, 200.0):
-            assert module_map.next_queue(50.0, rate, 0.0175) >= 0.0
+            assert _next_queue(module_map, 50.0, rate, 0.0175) >= 0.0
 
     def test_overload_grows_queue(self, module_map):
-        next_queue = module_map.next_queue(0.0, 230.0, 0.021)
+        next_queue = _next_queue(module_map, 0.0, 230.0, 0.021)
         assert next_queue > 10.0
 
     def test_trees_are_compact(self, module_map):
-        assert module_map.cost_tree.depth <= 10
-        assert module_map.cost_tree.leaf_count <= module_map.dataset.size
+        assert tree_depth(module_map.cost_tree) <= 10
+        assert module_map.cost_tree.left.count(-1) <= 6 * 16 * 2
+
+    def test_trees_fit_the_grid_array(self, module_map):
+        # Each tree is fitted on the grid's points and one column of the
+        # grid function's array; the artifact keeps only the trees.
+        spec = module_map.spec
+        levels = dict(
+            queue_levels=np.array([0.0, 40.0]),
+            rate_levels=np.array([0.0, 90.0, 180.0]),
+            work_levels=np.array([0.0175]),
+        )
+        trained = ModuleCostMap.train(spec, **levels)
+        points = list(ModuleCostMap.training_grid(spec, **levels).grid_points())
+        outputs = _module_training_grid(
+            spec, L1Controller._train_maps(spec, L0Params(), L1Params()),
+            L1Params(), L0Params(), points,
+        )
+        for tree, column in ((trained.cost_tree, 0), (trained.queue_tree, 1)):
+            want = RegressionTree(max_depth=10, min_samples_leaf=2).fit(
+                np.array(points), outputs[:, column]
+            )
+            assert tree.to_dict() == want.to_dict()
+        assert set(trained.to_dict()) == {"spec", "cost_tree", "queue_tree"}
 
 
 class TestL2Decide:
@@ -122,7 +159,6 @@ class TestRunInputs:
         ClusterSimulation(
             spec,
             ArrivalTrace(np.full(8, 3000.0), 30.0),
-            module_maps=[module_map] * 2,
             engine_options=EngineOptions(warmup_intervals=0, mean_work=0.02),
         ).run()
         # Then the boundary EWMA has seen the first period's work.
@@ -210,8 +246,7 @@ def _step_map(threshold: float) -> ModuleCostMap:
             "right": {"prediction": 10.0},
         }
     )
-    # The L2 never reads the training set of a map.
-    return ModuleCostMap(paper_module_spec(), cost, tree({"prediction": 0.0}), None)
+    return ModuleCostMap(paper_module_spec(), cost, tree({"prediction": 0.0}))
 
 
 class TestShareTableSolve:

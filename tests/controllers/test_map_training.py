@@ -21,11 +21,13 @@ from repro.cluster.specs import ComputerSpec, paper_module_spec
 from repro.controllers import l1 as l1_module
 from repro.controllers.l0 import L0Controller
 from repro.controllers.l1 import ComputerBehaviorMap, L1Controller
-from repro.controllers.l2 import ModuleCostMap
+from repro.controllers.l2 import ModuleCostMap, _module_training_grid
 from repro.controllers.params import L0Params, L1Params
 from repro.maps.provider import MapProvider
 from repro.scenario.runner import resolve_control_params
 from repro.sim.kernels import L0BankKernel
+
+from helpers import table_cell
 
 
 def _reference_behavior_cell(spec, l0_params, substeps, point):
@@ -151,24 +153,24 @@ def _behavior_maps(module_spec, l0_params):
 def _check_module_grid(module_spec, l0_params, queues, rates, works, seen=None):
     l1_params = L1Params()
     behavior_maps = _behavior_maps(module_spec, l0_params)
-    dataset = ModuleCostMap.train(
+    grid = ModuleCostMap.training_grid(
         module_spec,
-        behavior_maps,
-        l1_params,
-        l0_params,
         queue_levels=np.array(queues),
         rate_levels=np.array(rates),
         work_levels=np.array(works),
-    ).dataset
-    points = list(GridQuantizer([queues, rates, works]).grid_points())
-    assert dataset.inputs == points
+    )
+    points = list(grid.grid_points())
+    assert points == list(GridQuantizer([queues, rates, works]).grid_points())
+    outputs = _module_training_grid(
+        module_spec, behavior_maps, l1_params, l0_params, points
+    )
     expected = [
         _reference_module_cell(
             module_spec, behavior_maps, l1_params, l0_params, p, seen
         )
         for p in points
     ]
-    _assert_bitwise(dataset.outputs, expected)
+    _assert_bitwise(outputs, expected)
 
 
 #: c1 has 5 settings and pentium_m 10, so a bank of both pads c1's rows.
@@ -218,7 +220,7 @@ class TestBehaviorGrid:
         assert quantizer.cell_count == 360
         for point, indices in zip(quantizer.grid_points(), quantizer.grid_indices()):
             want = _reference_behavior_cell(spec, L0Params(), 4, point)
-            got = trained.table.at(indices)
+            got = table_cell(trained.table, indices)
             assert np.array(got).tobytes() == np.array(want).tobytes()
 
 

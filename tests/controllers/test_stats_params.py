@@ -142,3 +142,11 @@ class TestL0Weights:
         assert simulation.l0_params.weights == CostWeights(tracking=50.0)
         result = simulation.run()
         assert result.steps == simulation.total_steps
+
+
+class TestL1ParamsNeighbourhood:
+    def test_negative_moves_and_an_empty_candidate_cap_are_rejected(self):
+        with pytest.raises(ConfigurationError, match="gamma_neighborhood_moves must be >= 0"):
+            L1Params(gamma_neighborhood_moves=-1)
+        with pytest.raises(ConfigurationError, match="max_gamma_candidates must be >= 1"):
+            L1Params(max_gamma_candidates=0)

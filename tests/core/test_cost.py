@@ -22,13 +22,14 @@ class TestCostWeights:
 
 class TestSlackResponseCost:
     def test_slack_zero_below_target(self):
-        cost = SlackResponseCost(4.0, CostWeights())
-        assert cost.slack(3.0) == 0.0
-        assert cost.slack(4.0) == 0.0
+        # With Q = 1 and R = 0 the cost is the slack eps(r) alone.
+        cost = SlackResponseCost(4.0, CostWeights(tracking=1.0, operating=0.0))
+        assert cost.evaluate(3.0, 0.0) == 0.0
+        assert cost.evaluate(4.0, 0.0) == 0.0
 
     def test_slack_linear_above_target(self):
-        cost = SlackResponseCost(4.0, CostWeights())
-        assert cost.slack(6.5) == pytest.approx(2.5)
+        cost = SlackResponseCost(4.0, CostWeights(tracking=1.0, operating=0.0))
+        assert cost.evaluate(6.5, 0.0) == pytest.approx(2.5)
 
     def test_paper_l0_cost(self):
         # J = Q*eps + R*psi with Q=100, R=1

@@ -130,3 +130,11 @@ class TestSimplexLevels:
     def test_rejects_bad_step(self):
         with pytest.raises(ConfigurationError):
             simplex_levels(0.3)
+
+
+class TestQuantizeRejects:
+    def test_an_empty_or_nested_weight_vector(self):
+        with pytest.raises(ConfigurationError, match="non-empty vector"):
+            quantize_to_simplex(np.zeros(0), 0.1)
+        with pytest.raises(ConfigurationError, match="non-empty vector"):
+            quantize_to_simplex(np.ones((2, 2)), 0.1)

@@ -30,13 +30,6 @@ class TestUncertaintyBand:
         band.observe(1.0)
         assert band.delta == pytest.approx(1.0)
 
-    def test_reset(self):
-        band = UncertaintyBand()
-        band.observe(5.0)
-        band.reset()
-        assert band.delta == 0.0
-        assert band.count == 0
-
     def test_rejects_non_positive_window(self):
         with pytest.raises(ConfigurationError):
             UncertaintyBand(window=0)

@@ -16,12 +16,14 @@ class TestEwmaFilter:
 
     def test_paper_update_rule(self):
         # c_hat(k+1) = pi * c(k) + (1 - pi) * c_hat(k), pi = 0.1
-        filt = EwmaFilter(smoothing=0.1, initial=0.010)
+        filt = EwmaFilter(smoothing=0.1)
+        filt.observe(0.010)
         filt.observe(0.020)
         assert filt.estimate == pytest.approx(0.1 * 0.020 + 0.9 * 0.010)
 
     def test_converges_to_constant(self):
-        filt = EwmaFilter(smoothing=0.1, initial=1.0)
+        filt = EwmaFilter(smoothing=0.1)
+        filt.observe(1.0)
         for _ in range(300):
             filt.observe(0.5)
         assert filt.estimate == pytest.approx(0.5, abs=1e-6)
@@ -30,18 +32,8 @@ class TestEwmaFilter:
         with pytest.raises(ConfigurationError):
             EwmaFilter(smoothing=1.5)
 
-    def test_reset(self):
-        filt = EwmaFilter(initial=1.0)
-        filt.observe(2.0)
-        filt.reset()
-        assert filt.estimate == 0.0
-        assert filt.count == 0
-
-    def test_count_tracks_observations(self):
-        filt = EwmaFilter()
-        filt.observe(1.0)
-        filt.observe(2.0)
-        assert filt.count == 2
+    def test_estimate_reads_zero_before_any_observation(self):
+        assert EwmaFilter().estimate == 0.0
 
     @given(
         st.floats(min_value=0.0, max_value=1.0),

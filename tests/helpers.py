@@ -5,7 +5,12 @@
 * :func:`parse_prometheus_text` — just enough of the Prometheus text
   format to check a ``render_prometheus`` round trip;
 * :func:`mm1_mean_response_time` / :func:`mm1_mean_queue_length` — the
-  analytic M/M/1 formulas the queueing tests compare against.
+  analytic M/M/1 formulas the queueing tests compare against;
+* :func:`behavior_map_query` — one behaviour map queried through the L1's
+  own array query, the behaviour-map query tests' subject;
+* :func:`tree_depth` — the realised depth of a fitted regression tree;
+* :func:`table_cell` — one cell's row of a lookup table, read through its
+  row-major strides.
 
 ``tests/conftest.py`` puts this directory on ``sys.path``, so every test
 directory imports it as ``helpers``.
@@ -13,7 +18,13 @@ directory imports it as ``helpers``.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+import numpy as np
+
+from repro.approximation.quantizer import nearest_level
 from repro.common.errors import ConfigurationError
+from repro.controllers.l1 import _MapBank
 from repro.sim.observers import SimulationObserver
 
 
@@ -144,3 +155,43 @@ def mm1_mean_queue_length(arrival_rate: float, service_rate: float) -> float:
     _check_stable(arrival_rate, service_rate)
     rho = arrival_rate / service_rate
     return rho / (1.0 - rho)
+
+
+@lru_cache(maxsize=8)
+def _single_map_bank(behavior_map):
+    """One behaviour map alone as a bank, and its one computer's points."""
+    bank = _MapBank([behavior_map])
+    return bank, bank.points([0])
+
+
+def behavior_map_query(behavior_map, queue, rate, work) -> "tuple[np.ndarray, np.ndarray]":
+    """Query one behaviour map: ``(interval cost, final queue)``.
+
+    Takes numbers or arrays, which broadcast together, and answers every
+    point with one array query of the L1's map bank (0-d arrays for
+    numbers).
+    """
+    bank, points = _single_map_bank(behavior_map)
+    coordinates = [
+        np.asarray(v, dtype=float)[..., None]
+        for v in np.broadcast_arrays(queue, rate, work)
+    ]
+    costs, finals = bank.query(
+        points,
+        *coordinates,
+        *(nearest_level(p, v) for p, v in zip(bank.pairs, coordinates)),
+    )
+    return costs[..., 0], finals[..., 0]
+
+
+def tree_depth(tree, node: int = 0) -> int:
+    """Realised depth of a fitted :class:`RegressionTree` below ``node``."""
+    if tree.left[node] < 0:
+        return 0
+    return 1 + max(tree_depth(tree, tree.left[node]), tree_depth(tree, tree.right[node]))
+
+
+def table_cell(table, indices) -> "tuple[float, ...]":
+    """The outputs of a :class:`LookupTableMap`'s cell at grid ``indices``."""
+    flat = sum(index * stride for index, stride in zip(indices, table.strides))
+    return tuple(table.rows[flat].tolist())

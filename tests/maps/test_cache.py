@@ -44,19 +44,18 @@ class TestStoreLoad:
         artifact = {"table": [1.0, 2.5], "nested": {"x": 3}}
         path = cache.store("behavior", DIGEST, artifact, "test artifact")
         assert path.is_file()
-        assert cache.load("behavior", DIGEST) == artifact
         assert cache.load_entry("behavior", DIGEST) == (
             artifact,
             "test artifact",
         )
 
     def test_miss_returns_none(self, tmp_path):
-        assert MapCache(tmp_path).load("behavior", DIGEST) is None
+        assert MapCache(tmp_path).load_entry("behavior", DIGEST) is None
 
     def test_kinds_do_not_collide(self, tmp_path):
         cache = MapCache(tmp_path)
         cache.store("behavior", DIGEST, {"kind": "b"})
-        assert cache.load("module", DIGEST) is None
+        assert cache.load_entry("module", DIGEST) is None
 
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -68,14 +67,14 @@ class TestStoreLoad:
             parents=True, exist_ok=True
         )
         cache.path_for("behavior", DIGEST).write_text("{not json")
-        assert cache.load("behavior", DIGEST) is None
+        assert cache.load_entry("behavior", DIGEST) is None
 
     def test_non_dict_json_reads_as_miss(self, tmp_path):
         # Valid JSON of a foreign shape must miss, not crash.
         cache = MapCache(tmp_path)
         cache.directory.mkdir(parents=True, exist_ok=True)
         cache.path_for("behavior", DIGEST).write_text("[]")
-        assert cache.load("behavior", DIGEST) is None
+        assert cache.load_entry("behavior", DIGEST) is None
         assert cache.entries()[0].description == "(unreadable)"
 
     def test_schema_mismatch_reads_as_miss(self, tmp_path):
@@ -85,7 +84,7 @@ class TestStoreLoad:
         wrapper = json.loads(path.read_text())
         wrapper["schema"] = MAPS_SCHEMA_VERSION + 1
         path.write_text(json.dumps(wrapper))
-        assert cache.load("behavior", DIGEST) is None
+        assert cache.load_entry("behavior", DIGEST) is None
 
     def test_digest_mismatch_reads_as_miss(self, tmp_path):
         # A renamed/copied file must not serve under the wrong identity.
@@ -95,7 +94,7 @@ class TestStoreLoad:
         cache.path_for("behavior", DIGEST).rename(
             cache.path_for("behavior", other)
         )
-        assert cache.load("behavior", other) is None
+        assert cache.load_entry("behavior", other) is None
 
 
 class TestEntriesAndClear:
@@ -108,6 +107,13 @@ class TestEntriesAndClear:
         assert entries[0].digest == DIGEST
         assert entries[0].description == "behavior artifact"
         assert entries[0].size_bytes > 0
+
+    def test_foreign_json_files_are_not_listed(self, tmp_path):
+        cache = MapCache(tmp_path)
+        cache.store("behavior", DIGEST, {"v": 1})
+        (tmp_path / "notes.json").write_text("{}")
+        (tmp_path / "module.json").write_text("{}")  # no digest part
+        assert [e.digest for e in cache.entries()] == [DIGEST]
 
     def test_missing_directory_lists_empty(self, tmp_path):
         assert MapCache(tmp_path / "nope").entries() == []

@@ -17,7 +17,10 @@ from repro.maps.digest import (
     RUN_ONLY_L1_FIELDS,
     behavior_map_digest,
     canonical_json,
+    computer_identity,
     content_digest,
+    l0_identity,
+    l1_identity,
     module_map_digest,
 )
 from repro.maps.provider import MapProvider
@@ -235,6 +238,31 @@ class TestNumberSpelling:
     def test_an_int_past_the_float_range_fails_in_one_line(self):
         with pytest.raises(ConfigurationError, match="period must be a finite number"):
             L1Params(period=10**400)
+
+
+class TestIdentities:
+    """What each part of a digest reads of its spec or parameters."""
+
+    def test_a_computer_is_its_trained_figures_not_its_name(self):
+        spec = _computer("C9", "c1")
+        assert computer_identity(spec) == {
+            "frequencies_ghz": list(spec.processor.frequencies_ghz),
+            "base_power": spec.base_power,
+            "power_scale": spec.power_scale,
+            "speed_factor": spec.effective_speed_factor,
+        }
+        assert computer_identity(_computer("other", "c1")) == computer_identity(spec)
+        assert computer_identity(_computer("C9", "c2")) != computer_identity(spec)
+
+    def test_l0_identity_is_every_l0_field(self):
+        params = L0Params(horizon=2, robustness_margin=0.1)
+        assert l0_identity(params) == params.to_dict()
+        assert l0_identity(params)["weights"] == {"tracking": 100.0, "operating": 1.0}
+
+    def test_l1_identity_drops_only_the_run_only_fields(self):
+        identity = l1_identity(L1Params(band_window=5, use_uncertainty_band=False))
+        assert set(identity) == set(L1Params().to_dict()) - RUN_ONLY_L1_FIELDS
+        assert identity == l1_identity(L1Params())
 
 
 class TestRunOnlyFields:

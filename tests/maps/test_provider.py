@@ -140,7 +140,6 @@ class TestDiskCache:
         assert stats.behavior_trainings == 0  # loading skips map deps too
         assert loaded.cost_tree.to_dict() == trained.cost_tree.to_dict()
         assert loaded.queue_tree.to_dict() == trained.queue_tree.to_dict()
-        assert loaded.dataset.inputs == trained.dataset.inputs
 
     def test_homogeneous_modules_share_module_map(self):
         provider = MapProvider()

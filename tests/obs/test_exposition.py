@@ -17,9 +17,7 @@ def sample_registry():
         "repro_decisions_total", "Decisions.", level="l2"
     ).inc(3)
     registry.gauge("repro_power_watts", "Power.").set(123.5)
-    histogram = registry.histogram(
-        "repro_response_seconds", "Responses.", quantiles=(0.5, 0.9)
-    )
+    histogram = registry.histogram("repro_response_seconds", "Responses.")
     for i in range(100):
         histogram.observe(0.01 * (i + 1))
     return registry

@@ -1,4 +1,4 @@
-"""Registry semantics: handles, families, histograms, reset."""
+"""Registry semantics: handles, families, histograms."""
 
 import pytest
 
@@ -33,36 +33,36 @@ class TestHandles:
         with pytest.raises(ConfigurationError):
             registry.counter("repro_x_total").inc(-1)
 
+    def test_a_later_lookup_fills_in_missing_help(self):
+        registry = MetricsRegistry()
+        registry.counter("repro_x_total")
+        registry.counter("repro_x_total", "Things counted.")
+        registry.counter("repro_x_total", "Ignored once help is set.")
+        (family,) = registry.families()
+        assert family.help == "Things counted."
+
     def test_global_registry_is_singleton(self):
         assert global_registry() is global_registry()
 
     def test_gauge_moves_both_ways_and_a_set_wins(self):
         gauge = MetricsRegistry().gauge("repro_machines_on", "Machines on.")
-        gauge.inc(3)
-        gauge.dec()
-        assert gauge.value == 2.0
         gauge.set(7)
-        gauge.dec(9.5)
+        assert gauge.value == 7.0
+        gauge.set(-2.5)
         assert gauge.value == -2.5
 
 
 class TestHistogram:
     def test_moments(self):
-        histogram = Histogram(quantiles=(0.5,))
+        histogram = Histogram()
         for value in (0.05, 0.5, 0.5, 5.0):
             histogram.observe(value)
         assert histogram.count == 4
         assert histogram.sum == pytest.approx(6.05)
 
-    def test_untracked_quantile_raises(self):
-        histogram = Histogram(quantiles=(0.5,))
-        with pytest.raises(ConfigurationError):
-            histogram.quantile(0.9)
-
-
-class TestReset:
-    def test_reset_drops_everything(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_a_total").inc()
-        registry.reset()
-        assert registry.families() == []
+    def test_every_histogram_tracks_the_median_p90_and_p99(self):
+        histogram = MetricsRegistry().histogram("repro_x_seconds")
+        assert list(histogram.sketches) == [0.5, 0.9, 0.99]
+        for value in range(1, 102):
+            histogram.observe(float(value))
+        assert histogram.sketches[0.5].value == pytest.approx(51.0)

@@ -95,11 +95,19 @@ class TestFcfsServer:
         assert server.advance(until=5.0, speed=0.0) == []
         assert server.queue_length == 1
 
+    def test_a_later_arrival_waits_for_its_time(self):
+        server = FcfsServer()
+        server.offer(np.array([10.0]), np.array([1.0]))
+        assert server.advance(until=5.0, speed=1.0) == []
+        assert server.queue_length == 1
+        (done,) = server.advance(until=20.0, speed=1.0)
+        assert (done.arrival_time, done.departure_time) == (10.0, 11.0)
+
     def test_partial_service_carries_over(self):
         server = FcfsServer()
         server.offer(np.array([0.0]), np.array([10.0]))
         assert server.advance(until=4.0, speed=1.0) == []
-        assert server.backlog_work == pytest.approx(6.0)
+        assert server.queue_length == 1
         done = server.advance(until=20.0, speed=1.0)
         assert done[0].departure_time == pytest.approx(10.0)
 
@@ -156,11 +164,6 @@ class TestFcfsServer:
         assert len(done) == 2
         # First finishes at 1.0, second starts at max(1.0, 0.6) = 1.0.
         assert done[1].departure_time == pytest.approx(2.0)
-
-    def test_drain_estimate(self):
-        server = FcfsServer()
-        server.offer(np.array([0.0, 0.0]), np.array([2.0, 4.0]))
-        assert server.drain_estimate(speed=2.0) == pytest.approx(3.0)
 
 
 class TestAgainstFluidModel:

@@ -51,10 +51,3 @@ class TestResponseStats:
     def test_rejects_bad_target(self):
         with pytest.raises(ConfigurationError):
             ResponseStats(target=0.0)
-
-    def test_as_array_is_copy(self):
-        stats = ResponseStats(target=1.0)
-        stats.record(0.5)
-        arr = stats.as_array()
-        arr[0] = 99.0
-        assert stats.mean == pytest.approx(0.5)

@@ -52,11 +52,6 @@ class TestControlChaining:
         with pytest.raises(ConfigurationError):
             Scenario.module().baseline("do-what-i-mean")
 
-    def test_hierarchy_resets_baseline(self):
-        spec = Scenario.module().baseline("always-on-max").hierarchy().build()
-        assert not spec.control.is_baseline
-        assert spec.control.baseline_params == {}
-
     def test_control_overrides_accumulate(self):
         spec = (
             Scenario.module()
@@ -112,8 +107,7 @@ class TestFailuresAndSeed:
             Scenario.module().seed(-1)
 
     def test_metadata(self):
-        spec = Scenario.module().named("x/y").describe("why").build()
-        assert spec.name == "x/y"
+        spec = Scenario.module().describe("why").build()
         assert spec.description == "why"
 
 
@@ -132,3 +126,24 @@ class TestClusterFailuresBuilder:
             Scenario.cluster(p=2, computers_per_module=2).with_failures(
                 (60.0, 4, 0, "fail")
             )
+
+
+class TestKernelAndControlFields:
+    def test_kernel_selects_the_control_period_kernel(self):
+        assert Scenario.module().build().control.kernel == "vector"
+        assert Scenario.module().kernel("scalar").build().control.kernel == "scalar"
+        with pytest.raises(ConfigurationError, match="kernel"):
+            Scenario.module().kernel("gpu")
+
+    def test_control_sets_l2_params_and_mean_work(self):
+        spec = (
+            Scenario.cluster(p=2)
+            .control(l2={"gamma_step": 0.25}, mean_work=0.02)
+            .build()
+        )
+        assert spec.control.l2 == {"gamma_step": 0.25}
+        assert spec.control.mean_work == 0.02
+
+    def test_an_unknown_workload_field_fails_in_one_line(self):
+        with pytest.raises(ConfigurationError, match="^invalid workload fields: "):
+            Scenario.module().workload("synthetic", burstiness=3)

@@ -1,5 +1,7 @@
 """ControlSpec.map_cache threading and the warm_scenario entry point."""
 
+import json
+
 import pytest
 
 from repro.common.errors import ConfigurationError
@@ -43,7 +45,7 @@ class TestSpecValidation:
 
     def test_round_trips_through_json(self):
         spec = Scenario.module(m=4).map_cache("out/maps").build()
-        rebuilt = ScenarioSpec.from_json(spec.to_json())
+        rebuilt = ScenarioSpec.from_dict(json.loads(spec.to_json()))
         assert rebuilt.control.map_cache == "out/maps"
         assert rebuilt == spec
 

@@ -1,5 +1,7 @@
 """Registry completeness and lookup semantics."""
 
+import json
+
 import pytest
 
 from repro.common import ConfigurationError
@@ -42,7 +44,7 @@ class TestCompleteness:
             assert spec.name == name
             assert spec.description, f"{name} needs a description"
             # Round-trips, so it can be stored and shipped.
-            assert ScenarioSpec.from_json(spec.to_json()) == spec
+            assert ScenarioSpec.from_dict(json.loads(spec.to_json())) == spec
 
     def test_every_registered_scenario_has_a_buildable_plant(self):
         for name in scenario_names():

@@ -1,5 +1,7 @@
 """run_scenario: shim equivalence, cluster baselines, observers."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -102,7 +104,7 @@ class TestClusterBaselines:
         result = run_scenario(
             get_scenario("cluster-baseline-showdown", samples=30)
         )
-        assert result.periods == 30
+        assert result.global_arrivals.size == 30
         assert np.allclose(result.gamma_history.sum(axis=1), 1.0)
         assert result.summary().total_energy > 0
 
@@ -257,13 +259,13 @@ class TestObserverIntegration:
 
 
 class TestStepwiseProtocol:
-    def test_advance_period_yields_one_period(self, behavior_maps):
+    def test_steps_yield_one_event_per_step(self, behavior_maps):
         simulation = build_simulation(
             get_scenario("paper/fig4-module4", samples=8),
             behavior_maps=behavior_maps,
         )
         simulation.reset()
-        events = list(simulation.advance_period())
+        events = list(islice(simulation.steps(), simulation.substeps))
         assert len(events) == simulation.substeps
         assert [e.step for e in events] == list(range(simulation.substeps))
         assert not simulation.finished

@@ -1,6 +1,7 @@
 """Validation and serialisation of the declarative scenario specs."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -20,12 +21,10 @@ class TestPlantSpec:
         plant = PlantSpec()
         assert plant.kind == "module"
         assert plant.module_size == 4
-        assert plant.computer_count == 4
 
     def test_cluster_counts(self):
         plant = PlantSpec(kind="cluster", p=5, computers_per_module=4)
-        assert plant.computer_count == 20
-        assert plant.module_size == 4
+        assert (plant.p, plant.module_size) == (5, 4)
 
     def test_build_module_and_cluster(self):
         assert PlantSpec(kind="module", m=6).build().size == 6
@@ -163,7 +162,7 @@ class TestWorkloadKindFields:
             ),
         ):
             spec = ScenarioSpec(workload=workload)
-            rebuilt = ScenarioSpec.from_json(spec.to_json())
+            rebuilt = ScenarioSpec.from_dict(json.loads(spec.to_json()))
             assert rebuilt == spec
             assert rebuilt.workload == workload
 
@@ -344,7 +343,6 @@ class TestSerialisation:
             .control(l1={"gamma_step": 0.1}, warmup_intervals=12)
             .with_failures((240.0, 2, "fail"), (960.0, 2, "repair"))
             .seed(7)
-            .named("test/specimen")
             .describe("round-trip specimen")
             .build()
         )
@@ -355,7 +353,7 @@ class TestSerialisation:
 
     def test_json_round_trip(self):
         spec = self._specimen()
-        assert ScenarioSpec.from_json(spec.to_json()) == spec
+        assert ScenarioSpec.from_dict(json.loads(spec.to_json())) == spec
 
     def test_json_round_trip_cluster_baseline(self):
         spec = (
@@ -364,13 +362,11 @@ class TestSerialisation:
             .baseline("threshold-dvfs", upper=0.8)
             .build()
         )
-        again = ScenarioSpec.from_json(spec.to_json())
+        again = ScenarioSpec.from_dict(json.loads(spec.to_json()))
         assert again == spec
         assert again.control.baseline_params == {"upper": 0.8}
 
     def test_to_dict_is_json_safe_plain_data(self):
-        import json
-
         payload = self._specimen().to_dict()
         json.dumps(payload)  # must not raise
         assert isinstance(payload["faults"]["events"][0], list)
@@ -383,11 +379,7 @@ class TestSerialisation:
         with pytest.raises(ConfigurationError, match="plant"):
             ScenarioSpec.from_dict({"plant": {"bogus": 1}})
         with pytest.raises(ConfigurationError, match="workload"):
-            ScenarioSpec.from_json('{"workload": {"bogus": 1}}')
-
-    def test_invalid_json_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ScenarioSpec.from_json("{not json")
+            ScenarioSpec.from_dict({"workload": {"bogus": 1}})
 
     def test_with_overrides(self):
         spec = self._specimen()

@@ -41,6 +41,7 @@ class TestWireFormat:
         "line",
         [
             "not json",
+            "[5, 1.0]",  # JSON, but not an object
             '{"arrivals": 1.0}',  # missing step
             '{"step": -1, "arrivals": 1.0}',
             '{"step": 0, "arrivals": "many"}',

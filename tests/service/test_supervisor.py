@@ -2,15 +2,16 @@
 
 import asyncio
 import time
+from itertools import islice
 
 import pytest
 
-from repro.common.errors import ControlError
+from repro.common.errors import ConfigurationError, ControlError
 from repro.controllers.l1 import L1Bank
 from repro.scenario import build_simulation, get_scenario
 from repro.service import AutonomicSupervisor, ReplayPlant, SimulatedPlant
 from repro.service.feed import SocketFeed
-from repro.service.manager import AuditLog, OverrideBook
+from repro.service.manager import AuditLog, Override, OverrideBook, ShedDirective
 
 
 class FakeClock:
@@ -38,9 +39,9 @@ def make_supervisor(
 
 
 def run_periods(plant, periods):
-    for _ in range(periods):
-        for _ in plant.simulation.advance_period():
-            pass
+    simulation = plant.simulation
+    for _ in islice(simulation.steps(), periods * simulation.substeps):
+        pass
 
 
 class TestDeadlineBudget:
@@ -194,6 +195,29 @@ class TestStatusAndStop:
         assert supervisor.state == "stopped"
         assert supervisor.audit.records[-1]["kind"] == "stopped"
 
+    def test_a_plant_error_leaves_a_failed_record_and_propagates(self):
+        """A plant that fails mid-run (a hostile feed line, say) is audited."""
+
+        class FailingPlant(SimulatedPlant):
+            async def advance(self):
+                if self.simulation.steps_taken == 3:
+                    raise ControlError("observation 'arrivals' is bad")
+                return await super().advance()
+
+        scenario = get_scenario("module-baseline-threshold-dvfs", samples=4)
+        plant = FailingPlant(build_simulation(scenario))
+        supervisor = AutonomicSupervisor(scenario, plant)
+        with pytest.raises(ControlError, match="'arrivals' is bad"):
+            asyncio.run(supervisor.run())
+        assert supervisor.state == "failed"
+        record = supervisor.audit.records[-1]
+        assert (record["kind"], record["step"], record["error"]) == (
+            "failed",
+            3,
+            "observation 'arrivals' is bad",
+        )
+        assert [r["kind"] for r in supervisor.audit.records] == ["started", "failed"]
+
 
 class TestManagerPrimitives:
     def test_override_book_sweeps_by_clock(self):
@@ -205,6 +229,51 @@ class TestManagerPrimitives:
         expired = book.sweep_expired()
         assert [o.module for o in expired] == [1]
         assert [o.module for o in book.active()] == [0]
+
+    def test_override_book_rejects_non_positive_ttls(self):
+        with pytest.raises(ConfigurationError, match="default_ttl_seconds must be positive"):
+            OverrideBook(default_ttl_seconds=0.0)
+        book = OverrideBook(default_ttl_seconds=60.0)
+        with pytest.raises(ConfigurationError, match="override ttl must be positive"):
+            book.set(0, 2, ttl_seconds=-5.0)
+        assert book.active() == []
+
+    def test_audit_tail_of_nothing_is_empty(self):
+        log = AuditLog(clock=FakeClock(0.0))
+        log.record("started")
+        assert log.tail(0) == []
+        assert [r["kind"] for r in log.tail(5)] == ["started"]
+
+    def test_override_expires_when_its_ttl_runs_out(self):
+        override = Override(module=0, machines_on=2, ttl_seconds=5.0, set_at=100.0)
+        assert override.remaining_seconds(103.0) == 2.0
+        assert not override.is_expired(104.5)
+        assert override.is_expired(105.0)
+
+    def test_shed_directive_without_ttl_holds_until_cleared(self):
+        directive = ShedDirective(fraction=0.3, ttl_seconds=None, set_at=10.0)
+        assert directive.remaining_seconds(1e9) is None
+        assert not directive.is_expired(1e9)
+        assert directive.snapshot(1e9) == {
+            "fraction": 0.3,
+            "ttl_seconds": None,
+            "remaining_seconds": None,
+            "source": "operator",
+        }
+
+    def test_shed_directive_with_ttl_counts_down(self):
+        directive = ShedDirective(
+            fraction=0.5, ttl_seconds=10.0, set_at=100.0, source="auto"
+        )
+        assert not directive.is_expired(109.9)
+        assert directive.is_expired(110.0)
+        # The status view rounds the remaining time to milliseconds.
+        assert directive.snapshot(103.3333333) == {
+            "fraction": 0.5,
+            "ttl_seconds": 10.0,
+            "remaining_seconds": 6.667,
+            "source": "auto",
+        }
 
     def test_audit_log_flushes_jsonl(self, tmp_path):
         import json

@@ -29,7 +29,7 @@ def short_cluster_result():
 class TestClusterRun:
     def test_periods_and_shapes(self, short_cluster_result):
         result = short_cluster_result
-        periods = result.periods
+        periods = result.global_arrivals.size
         assert result.gamma_history.shape == (periods, 4)
         assert result.per_module_on.shape == (periods, 4)
         assert result.total_computers_on.shape == (periods,)
@@ -63,7 +63,7 @@ class TestClusterRun:
 
     def test_l2_stats_recorded(self, short_cluster_result):
         result = short_cluster_result
-        assert result.l2_stats.invocations == result.periods
+        assert result.l2_stats.invocations == result.global_arrivals.size
 
 
 class TestClusterConfiguration:

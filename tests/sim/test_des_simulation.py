@@ -7,12 +7,7 @@ from repro.common import ConfigurationError
 from repro.cluster import paper_module_spec
 from repro.controllers import L1Controller, L1Params
 from repro.sim import DiscreteEventModuleSimulation
-from repro.workload import (
-    ArrivalTrace,
-    LognormalLocality,
-    RequestStreamGenerator,
-    VirtualStore,
-)
+from repro.workload import ArrivalTrace, RequestStreamGenerator, VirtualStore
 
 
 @pytest.fixture(scope="module")
@@ -20,13 +15,11 @@ def behavior_maps():
     return L1Controller(paper_module_spec()).maps
 
 
-def _generator(rate=90.0, periods=40, locality=False, seed=0):
+def _generator(rate=90.0, periods=40, seed=0):
     rng = np.random.default_rng(seed)
     counts = rng.poisson(rate * 30.0, periods * 4).astype(float)
     trace = ArrivalTrace(counts, 30.0)
-    store = VirtualStore(seed=seed)
-    loc = LognormalLocality(store, seed=seed) if locality else None
-    return RequestStreamGenerator(trace, store=store, locality=loc, seed=seed)
+    return RequestStreamGenerator(trace, store=VirtualStore(seed=seed), seed=seed)
 
 
 def _fingerprint(result) -> tuple:
@@ -59,7 +52,7 @@ class TestDiscreteEventRun:
             paper_module_spec(), _generator(), behavior_maps=behavior_maps
         )
         result = simulation.run()
-        assert result.completion_fraction > 0.98
+        assert result.completed_requests > 0.98 * result.offered_requests
 
     def test_energy_positive_and_machines_tracked(self, behavior_maps):
         simulation = DiscreteEventModuleSimulation(
@@ -69,15 +62,6 @@ class TestDiscreteEventRun:
         assert result.total_energy > 0
         assert np.all(result.computers_on >= 1)
         assert result.l1_stats.invocations == result.computers_on.size
-
-    def test_locality_workload_runs(self, behavior_maps):
-        simulation = DiscreteEventModuleSimulation(
-            paper_module_spec(),
-            _generator(rate=60.0, periods=20, locality=True),
-            behavior_maps=behavior_maps,
-        )
-        result = simulation.run()
-        assert result.response_stats.count > 0
 
     def test_second_run_repeats_the_first(self, behavior_maps):
         """Each run builds its controllers and filters and copies the

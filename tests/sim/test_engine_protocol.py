@@ -1,7 +1,7 @@
 """The stepwise protocol both engines share, and the module engine on top.
 
 :class:`ModuleSimulation` and :class:`ClusterSimulation` inherit their
-protocol plumbing (state queries, ``advance_period``/``finish`` guards,
+protocol plumbing (state queries, ``steps``/``finish`` guards,
 override validation, telemetry attachment) from one base, so each check
 here runs on both. The module engine itself steps one
 :class:`~repro.sim.shard.ModuleShardRunner`; the remaining tests pin
@@ -10,6 +10,7 @@ what it promises its observers and callers.
 
 import os
 import re
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -77,14 +78,14 @@ class TestSharedProtocol:
             np.ceil(simulation.total_steps / simulation.substeps)
         )
 
-    def test_advance_period_takes_exactly_one_period(self, simulation):
+    def test_steps_generates_one_step_at_a_time(self, simulation):
         simulation.reset()
-        first = list(simulation.advance_period())
+        first = list(islice(simulation.steps(), simulation.substeps))
         assert len(first) == simulation.substeps
         assert simulation.steps_taken == simulation.substeps
-        second = list(simulation.advance_period())
-        assert len(second) == simulation.substeps
-        assert simulation.steps_taken == 2 * simulation.substeps
+        rest = list(simulation.steps())
+        assert len(rest) == simulation.total_steps - simulation.substeps
+        assert simulation.finished
 
     def test_step_after_the_last_raises(self, simulation):
         simulation.reset()

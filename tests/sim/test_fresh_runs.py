@@ -11,6 +11,7 @@ built, and every level reads one processing-time EWMA per timescale.
 
 import dataclasses
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from repro.forecast.structural import WorkloadPredictor
 from repro.maps import provider as map_provider
 from repro.maps.stats import MAP_STATS
 from repro.scenario import build_simulation, get_scenario
-from repro.sim import ClusterRunResult, ClusterSimulation
+from repro.sim import ClusterRunResult, ClusterSimulation, kernels
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -127,16 +128,46 @@ def test_second_run_repeats_the_first(name, warmup, kernel):
             assert value == second[key], key
 
 
-def _fed(simulation) -> dict:
+@pytest.fixture
+def feeds(monkeypatch) -> Counter:
+    """Observations fed to each filter from now on, keyed by the filter.
+
+    The vector kernel feeds primed predictors through
+    ``batched_predictor_observe``, which skips ``observe``, so both
+    paths are counted.
+    """
+    fed = Counter()
+
+    def counting(cls):
+        observe = cls.observe
+
+        def counting_observe(self, value):
+            fed[self] += 1
+            return observe(self, value)
+
+        monkeypatch.setattr(cls, "observe", counting_observe)
+
+    counting(WorkloadPredictor)
+    counting(EwmaFilter)
+    batched = kernels.batched_predictor_observe
+
+    def counting_batched(predictors, values):
+        if all(p._primed for p in predictors):  # else it calls observe
+            fed.update(predictors)
+        batched(predictors, values)
+
+    monkeypatch.setattr(kernels, "batched_predictor_observe", counting_batched)
+    return fed
+
+
+def _fed(simulation, feeds) -> dict:
     """Observation counts of the run's own filters after its last run."""
     state = simulation._state
     return {
-        "global": None
-        if state.global_filter is None
-        else state.global_filter.observations,
-        "modules": [f.observations for f in state.module_filters],
-        "boundary_work": state.boundary_work.count,
-        "step_work": None if state.step_work is None else state.step_work.count,
+        "global": None if state.global_filter is None else feeds[state.global_filter],
+        "modules": [feeds[f] for f in state.module_filters],
+        "boundary_work": feeds[state.boundary_work],
+        "step_work": None if state.step_work is None else feeds[state.step_work],
     }
 
 
@@ -146,7 +177,7 @@ def _warmup(simulation) -> int:
 
 
 @pytest.mark.parametrize("kernel", ["scalar", "vector"])
-def test_module_baseline_instance_is_a_template(kernel):
+def test_module_baseline_instance_is_a_template(kernel, feeds):
     template = ThresholdDvfsController(paper_module_spec())
     spec = get_scenario("module-baseline-threshold-dvfs", samples=12)
     simulation = build_simulation(
@@ -157,7 +188,7 @@ def test_module_baseline_instance_is_a_template(kernel):
     assert template.stats.invocations == 0
     # The run's filter fed the copy's decisions, tuned then fed every
     # closed period but the last; the template holds no filter to feed.
-    assert _fed(simulation) == {
+    assert _fed(simulation, feeds) == {
         "global": None,
         "modules": [_warmup(simulation) + 12 - 1],
         "boundary_work": 1 + 12 - 1,
@@ -166,7 +197,7 @@ def test_module_baseline_instance_is_a_template(kernel):
 
 
 @pytest.mark.parametrize("kernel", ["scalar", "vector"])
-def test_l1s_under_an_l2_read_only_the_global_filter(kernel):
+def test_l1s_under_an_l2_read_only_the_global_filter(kernel, feeds):
     simulation = build_simulation(
         get_scenario("paper/fig6-cluster16", samples=SAMPLES).with_overrides(
             **{"control.kernel": kernel}
@@ -176,7 +207,7 @@ def test_l1s_under_an_l2_read_only_the_global_filter(kernel):
     # No module filter is built; the global filter and the boundary
     # EWMA are tuned on the warm-up and fed every closed period but
     # the last, and the step EWMA every step.
-    assert _fed(simulation) == {
+    assert _fed(simulation, feeds) == {
         "global": _warmup(simulation) + SAMPLES - 1,
         "modules": [],
         "boundary_work": 1 + SAMPLES - 1,
@@ -185,7 +216,7 @@ def test_l1s_under_an_l2_read_only_the_global_filter(kernel):
 
 
 @pytest.mark.parametrize("kernel", ["scalar", "vector"])
-def test_module_l1_forecasts_from_its_own_filter(kernel):
+def test_module_l1_forecasts_from_its_own_filter(kernel, feeds):
     simulation = build_simulation(
         get_scenario("paper/fig4-module4", samples=SAMPLES).with_overrides(
             **{"control.kernel": kernel}
@@ -193,7 +224,7 @@ def test_module_l1_forecasts_from_its_own_filter(kernel):
     )
     simulation.run()
     # Tuned on the warm-up, then fed every closed period but the last.
-    assert _fed(simulation) == {
+    assert _fed(simulation, feeds) == {
         "global": None,
         "modules": [_warmup(simulation) + SAMPLES - 1],
         "boundary_work": 1 + SAMPLES - 1,
@@ -275,7 +306,6 @@ def test_l1_band_window_reaches_the_l1s_under_an_l2(kernel):
             l0_params=base.l0_params,
             l1_params=dataclasses.replace(base.l1_params, band_window=window),
             l2_params=base.l2_params,
-            module_maps=base.module_maps,
             engine_options=dataclasses.replace(base.engine_options),
         ).run()
 

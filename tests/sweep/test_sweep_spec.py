@@ -292,3 +292,23 @@ class TestSerialisation:
             }
         )
         assert widened.digest() != sweep.digest()
+
+
+class TestResolveBase:
+    def test_a_named_base_is_looked_up_and_shortened(self):
+        from repro.scenario import get_scenario
+
+        sweep = SweepSpec(
+            base="paper/fig4-module4", axes=(GridAxis(field="seed", values=(0,)),)
+        )
+        registered = get_scenario("paper/fig4-module4")
+        assert sweep.resolve_base() == registered
+        shortened = sweep.resolve_base(samples=12)
+        assert shortened == registered.with_overrides(samples=12)
+        assert shortened.workload.samples == 12
+
+    def test_an_inline_base_is_used_as_given(self):
+        base = _base()
+        sweep = SweepSpec(base=base, axes=(GridAxis(field="seed", values=(0,)),))
+        assert sweep.resolve_base() == base
+        assert sweep.resolve_base(samples=6).workload.samples == 6

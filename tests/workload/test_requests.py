@@ -1,21 +1,13 @@
 """Tests for request-level stream generation."""
 
 import numpy as np
-import pytest
 
-from repro.workload import (
-    ArrivalTrace,
-    LognormalLocality,
-    RequestStreamGenerator,
-    VirtualStore,
-)
+from repro.workload import ArrivalTrace, RequestStreamGenerator, VirtualStore
 
 
-def _generator(counts=(5, 0, 12), locality=False, seed=0):
+def _generator(counts=(5, 0, 12), seed=0):
     trace = ArrivalTrace(np.asarray(counts, dtype=float), 30.0)
-    store = VirtualStore(seed=seed)
-    loc = LognormalLocality(store, seed=seed) if locality else None
-    return RequestStreamGenerator(trace, store=store, locality=loc, seed=seed)
+    return RequestStreamGenerator(trace, store=VirtualStore(seed=seed), seed=seed)
 
 
 class TestBinStream:
@@ -40,27 +32,8 @@ class TestBinStream:
     def test_empty_bin_mean_work_zero(self):
         assert _generator().bin_stream(1).mean_work == 0.0
 
-    def test_locality_mode_works(self):
-        stream = _generator(locality=True).bin_stream(2)
-        assert stream.count == 12
-
-    def test_iteration_covers_trace(self):
-        streams = list(_generator())
+    def test_bins_cover_trace(self):
+        generator = _generator()
+        streams = [generator.bin_stream(i) for i in range(len(generator.trace))]
         assert len(streams) == 3
         assert sum(s.count for s in streams) == 17
-
-
-class TestMeanWorkSeries:
-    def test_length_matches_trace(self):
-        series = _generator().mean_work_series()
-        assert series.size == 3
-
-    def test_empty_bin_uses_store_mean(self):
-        generator = _generator()
-        series = generator.mean_work_series()
-        assert series[1] == pytest.approx(generator.store.mean_work)
-
-    def test_values_in_plausible_range(self):
-        series = _generator(counts=(200, 300, 400)).mean_work_series()
-        assert np.all(series > 0.010)
-        assert np.all(series < 0.025)

@@ -1,14 +1,10 @@
-"""Tests for the virtual store, Zipf sampling, and temporal locality."""
+"""Tests for the virtual store and Zipf sampling."""
 
 import numpy as np
 import pytest
 
 from repro.common import ConfigurationError
-from repro.workload import (
-    LognormalLocality,
-    VirtualStore,
-    zipf_weights,
-)
+from repro.workload import VirtualStore, zipf_weights
 
 
 class TestZipfWeights:
@@ -55,12 +51,12 @@ class TestVirtualStore:
         popular_fraction = np.mean(ids < store.popular_objects)
         assert popular_fraction == pytest.approx(0.9, abs=0.01)
 
-    def test_popularity_sums_to_one(self):
-        assert VirtualStore(seed=0).popularity.sum() == pytest.approx(1.0)
-
-    def test_mean_work_in_range(self):
-        mean_work = VirtualStore(seed=0).mean_work
-        assert 0.010 < mean_work < 0.025
+    def test_sample_sizes(self):
+        store = VirtualStore(seed=0)
+        empty = store.sample_objects(0)
+        assert empty.size == 0 and empty.dtype.kind == "i"
+        with pytest.raises(ConfigurationError, match="size must be >= 0"):
+            store.sample_objects(-1)
 
     def test_work_of_validates_range(self):
         store = VirtualStore(seed=0)
@@ -74,34 +70,3 @@ class TestVirtualStore:
     def test_rejects_bad_work_range(self):
         with pytest.raises(ConfigurationError):
             VirtualStore(work_range_ms=(25.0, 10.0))
-
-
-class TestLognormalLocality:
-    def test_stream_size_and_range(self):
-        store = VirtualStore(seed=0)
-        locality = LognormalLocality(store, seed=1)
-        stream = locality.sample_stream(500)
-        assert stream.size == 500
-        assert stream.min() >= 0 and stream.max() < store.n_objects
-
-    def test_locality_raises_reuse_fraction(self):
-        store = VirtualStore(seed=0)
-        with_locality = LognormalLocality(store, reuse_probability=0.5, seed=2)
-        without = LognormalLocality(store, reuse_probability=0.0, seed=2)
-        stream_loc = with_locality.sample_stream(3000)
-        stream_no = without.sample_stream(3000)
-        assert with_locality.reuse_fraction(stream_loc) > without.reuse_fraction(
-            stream_no
-        )
-
-    def test_zero_size(self):
-        locality = LognormalLocality(VirtualStore(seed=0), seed=0)
-        assert locality.sample_stream(0).size == 0
-
-    def test_rejects_bad_probability(self):
-        with pytest.raises(ConfigurationError):
-            LognormalLocality(VirtualStore(seed=0), reuse_probability=1.5)
-
-    def test_reuse_fraction_empty_stream(self):
-        locality = LognormalLocality(VirtualStore(seed=0), seed=0)
-        assert locality.reuse_fraction(np.zeros(0, dtype=int)) == 0.0

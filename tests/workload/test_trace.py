@@ -18,8 +18,7 @@ class TestConstruction:
         trace = _trace()
         assert len(trace) == 4
         assert trace.duration == pytest.approx(120.0)
-        assert trace.total == pytest.approx(100.0)
-        assert np.allclose(trace.rates, [10 / 30, 20 / 30, 1.0, 40 / 30])
+        assert trace.counts.sum() == pytest.approx(100.0)
 
     def test_rejects_empty(self):
         with pytest.raises(ConfigurationError):
@@ -40,7 +39,7 @@ class TestConstruction:
 
 class TestTransforms:
     def test_scaled(self):
-        assert _trace().scaled(4.0).total == pytest.approx(400.0)
+        assert _trace().scaled(4.0).counts.sum() == pytest.approx(400.0)
 
     def test_scaled_rejects_non_positive(self):
         with pytest.raises(ConfigurationError):
@@ -63,11 +62,15 @@ class TestTransforms:
         fine = _trace().rebinned(15.0)
         assert len(fine) == 8
         assert fine.counts[0] == pytest.approx(5.0)
-        assert fine.total == pytest.approx(100.0)
+        assert fine.counts.sum() == pytest.approx(100.0)
 
     def test_rebin_same_width_is_identity(self):
         trace = _trace()
         assert trace.rebinned(30.0) is trace
+
+    def test_rebin_coarser_than_the_trace_rejected(self):
+        with pytest.raises(ConfigurationError, match="too short to rebin"):
+            _trace().rebinned(150.0)
 
     def test_rebin_non_integer_ratio_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -79,39 +82,26 @@ class TestTransforms:
     def test_rebin_round_trip_conserves_total(self, factor):
         trace = _trace(counts=np.arange(1, 25, dtype=float))
         coarse = trace.rebinned(30.0 * factor)
-        assert coarse.total == pytest.approx(
+        assert coarse.counts.sum() == pytest.approx(
             trace.counts[: len(coarse) * factor].sum()
         )
 
 
 class TestCsvPersistence:
     def test_round_trip(self, tmp_path):
-        from repro.workload import ArrivalTrace
-
-        trace = _trace(counts=(10.5, 20.25, 0.0, 40.0))
         path = tmp_path / "trace.csv"
-        trace.save_csv(path)
-        loaded = ArrivalTrace.load_csv(path)
-        assert loaded.bin_seconds == trace.bin_seconds
-        assert np.allclose(loaded.counts, trace.counts)
+        path.write_text(
+            "# bin_seconds=30.0\ntime_seconds,count\n0,10.5\n30,20.25\n60,0\n90,40\n"
+        )
+        loaded = ArrivalTrace.load_file(path)
+        assert loaded.bin_seconds == 30.0
+        assert loaded.counts.tolist() == [10.5, 20.25, 0.0, 40.0]
 
     def test_missing_header_rejected(self, tmp_path):
-        from repro.common import ConfigurationError
-        from repro.workload import ArrivalTrace
-
         path = tmp_path / "bad.csv"
         path.write_text("time_seconds,count\n0,10\n")
-        with pytest.raises(ConfigurationError):
-            ArrivalTrace.load_csv(path)
-
-    def test_synthetic_trace_round_trips(self, tmp_path):
-        from repro.workload import ArrivalTrace, synthetic_trace
-
-        trace = synthetic_trace(seed=0).sliced(0, 100)
-        path = tmp_path / "synthetic.csv"
-        trace.save_csv(path)
-        loaded = ArrivalTrace.load_csv(path)
-        assert np.allclose(loaded.counts, trace.counts, rtol=1e-5)
+        with pytest.raises(ConfigurationError, match="carries no bin width"):
+            ArrivalTrace.load_file(path)
 
 
 class TestLoadFile:
@@ -199,3 +189,17 @@ class TestLoadFile:
             tmp_path, "0,5\n60,7\n240,9\n", bin_seconds=60.0
         )
         assert trace.bin_seconds == 60.0
+
+
+class TestLoadFileLines:
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "trace.txt"
+        path.write_text("0,5\n\n30,7\n   \n60,9\n")
+        trace = ArrivalTrace.load_file(path)
+        assert trace.counts.tolist() == [5.0, 7.0, 9.0]
+
+    def test_a_non_numeric_value_column_is_rejected(self, tmp_path):
+        path = tmp_path / "trace.txt"
+        path.write_text("0,5\n30,seven\n")
+        with pytest.raises(ConfigurationError, match="column 1 is not numeric"):
+            ArrivalTrace.load_file(path)

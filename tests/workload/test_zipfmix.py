@@ -16,6 +16,8 @@ class TestZipfMixSpec:
             ("rotate_every", 0),
             ("work_sample_cap", 0),
             ("zipf_exponent", -0.5),
+            # A 120 s L1 bin holds no whole number of 45 s sub-bins.
+            ("sub_bin_seconds", 45.0),
         ],
     )
     def test_rejects_bad_values(self, field, value):
