@@ -3,8 +3,11 @@
 Reproduces the paper's Fig. 6: the World-Cup-98-shaped arrival trace at
 2-minute intervals and the number of computers (of sixteen, in four
 modules) the full L2/L1/L0 hierarchy keeps operating. The benchmark
-kernel is one L2 decision over the quantised gamma simplex.
+kernels are one L2 decision over the quantised gamma simplex, from one
+current allocation on every call and from two that alternate.
 """
+
+import itertools
 
 import numpy as np
 
@@ -79,6 +82,8 @@ def test_fig6_cluster_tracking(benchmark, report, fig6_result, module_cost_map):
     assert result.total_computers_on.max() > result.total_computers_on.min()
 
     # Kernel: one L2 decision (286 gamma vectors x 4 modules x 2 terms).
+    # Its current allocation repeats, so every call after the first finds
+    # it quantised already.
     from repro.controllers import L2Controller
 
     l2 = L2Controller([module_cost_map] * 4)
@@ -90,3 +95,23 @@ def test_fig6_cluster_tracking(benchmark, report, fig6_result, module_cost_map):
 
     decision = benchmark(kernel)
     assert decision.gamma.sum() == 1.0
+
+
+def test_fig6_l2_kernel_alternating_allocations(benchmark, module_cost_map):
+    """The L2 kernel when the current allocation changes at every call.
+
+    Two allocations alternate, so every call quantises its own and
+    rebuilds its reconfiguration lifts.
+    """
+    from repro.controllers import L2Controller
+
+    l2 = L2Controller([module_cost_map] * 4)
+    queue_avgs = np.array([5.0, 0.0, 12.0, 3.0])
+    allocations = itertools.cycle([np.full(4, 0.25), np.array([0.4, 0.3, 0.2, 0.1])])
+
+    def kernel():
+        return l2.decide(queue_avgs, 420.0, 450.0, 0.0175,
+                         gamma_current=next(allocations))
+
+    decision = benchmark(kernel)
+    assert abs(decision.gamma.sum() - 1.0) < 1e-12

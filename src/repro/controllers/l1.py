@@ -189,6 +189,21 @@ def require_finite_inputs(**inputs) -> None:
     _require(np.isfinite, "must be finite", inputs)
 
 
+def require_valid_inputs(**inputs) -> None:
+    """Raise a one-line :class:`ControlError` for an input out of its domain.
+
+    Every input must be finite, then every one but ``work`` must be
+    ``>= 0``, then ``work`` (when given) must be ``> 0``; the first
+    failing argument, in ``inputs`` order, is named. Callers check in
+    plain floats or one array first and call this only to raise.
+    """
+    require_finite_inputs(**inputs)
+    work = inputs.pop("work", None)
+    _require(lambda v: v >= 0.0, "must be >= 0", inputs)
+    if work is not None:
+        _require(lambda v: v > 0.0, "must be > 0", {"work": work})
+
+
 def _require(holds, requirement: str, inputs: dict) -> None:
     """Raise a one-line :class:`ControlError` where ``holds`` is false.
 
@@ -837,10 +852,7 @@ class L1Controller:
             inputs = dict(zip(names, (queues, *set_points)))
             if rows == 1:
                 inputs = {name: value[0] for name, value in inputs.items()}
-            require_finite_inputs(**inputs)
-            work = inputs.pop("work")
-            _require(lambda v: v >= 0.0, "must be >= 0", inputs)
-            _require(lambda v: v > 0.0, "must be > 0", {"work": work})
+            require_valid_inputs(**inputs)
         quiet = top > _QUIET_ABOVE or least_work < 1.0 / _QUIET_ABOVE
         return queues, alpha_current, available, set_points, quiet
 
@@ -1102,28 +1114,12 @@ class L1Bank:
         started = time.perf_counter()
         if not modules:
             return []
-        rows = []  # (module, mask, plan, (1, m) queues, (4,) set-points)
+        rows, quiet = self._rows(
+            modules, queues, alpha_current, rate_hat, rate_next, delta, work, available
+        )
         groups: "dict[bool, list[int]]" = {}  # rows by band sampling
-        quiet = False
-        for r, module in enumerate(modules):
-            controller = self.controllers[module]
-            try:
-                row_queues, alpha, mask, set_points, row_quiet = controller._inputs(
-                    np.asarray(queues[r], dtype=float)[None],
-                    np.asarray(alpha_current[r])[None],
-                    [rate_hat[r]],
-                    [rate_next[r]],
-                    [delta[r]],
-                    [work],
-                    np.asarray(available[r])[None],
-                )
-                key = alpha.tobytes() + mask.tobytes()
-                plan = controller._plan(key, alpha[0], mask[0])
-            except (ConfigurationError, ControlError) as error:
-                raise type(error)(f"module {module}: {error}") from None
-            quiet = quiet or row_quiet
-            rows.append((module, key, plan, row_queues, set_points[:, 0]))
-            groups.setdefault(bool(set_points[2, 0] > 0), []).append(r)
+        for r, row in enumerate(rows):
+            groups.setdefault(bool(row[4][2] > 0), []).append(r)
         decisions: "list[L1Decision]" = [None] * len(rows)
         with np.errstate(over="ignore", invalid="ignore") if quiet else nullcontext():
             for banded, members in groups.items():
@@ -1159,6 +1155,87 @@ class L1Bank:
         for (module, *_), decision in zip(rows, decisions):
             self.controllers[module].stats.record(decision.states_explored, share)
         return decisions
+
+    def _rows(
+        self, modules, queues, alpha_current, rate_hat, rate_next, delta, work, available
+    ) -> "tuple[list[tuple], bool]":
+        """:meth:`decide`'s rows after every input check, and ``quiet``.
+
+        Row r is ``(module, mask, plan, (1, m) queues, (4,) set-points)``
+        with its failed machines off in the mask's alpha, and ``quiet``
+        is :meth:`L1Controller._inputs`'s flag over all rows. One check
+        covers the pass's concatenated rows: each row's shapes, every
+        queue and set-point finite and non-negative, the work above 0
+        and a machine available in each module. Only a pass that fails
+        it goes through ``_inputs`` row by row, so the first failing row
+        raises, led by its module.
+        """
+        sizes = [self.controllers[module].spec.size for module in modules]
+        bounds = np.cumsum([0, *sizes])
+        try:
+            set_points = np.array(
+                [rate_hat, rate_next, delta, [work] * len(modules)], dtype=float
+            )
+            passed = set_points.shape == (4, len(modules)) and all(
+                np.shape(q) == np.shape(a) == np.shape(v) == (m,)
+                for q, a, v, m in zip(queues, alpha_current, available, sizes, strict=True)
+            )
+            if passed:
+                values = np.concatenate([*queues, set_points.ravel()], dtype=float)
+                masks = np.concatenate(available, dtype=bool, casting="unsafe")
+                top, least_work = values.max(), set_points[3, 0]
+                passed = (
+                    values.min() >= 0.0
+                    and top < np.inf
+                    and least_work > 0.0
+                    and np.logical_or.reduceat(masks, bounds[:-1]).all()
+                )
+        except ValueError:  # ragged
+            passed = False
+        if not passed:
+            return self._rows_one_by_one(
+                modules, queues, alpha_current, rate_hat, rate_next, delta, work, available
+            )
+        alphas = np.concatenate(alpha_current, dtype=bool, casting="unsafe") & masks
+        bounds = bounds.tolist()
+        rows = []
+        for r, module in enumerate(modules):
+            start, end = bounds[r], bounds[r + 1]
+            alpha, mask = alphas[start:end], masks[start:end]
+            key = alpha.tobytes() + mask.tobytes()
+            try:
+                plan = self.controllers[module]._plan(key, alpha, mask)
+            except ControlError as error:
+                raise ControlError(f"module {module}: {error}") from None
+            rows.append((module, key, plan, values[None, start:end], set_points[:, r]))
+        quiet = top > _QUIET_ABOVE or least_work < 1.0 / _QUIET_ABOVE
+        return rows, bool(quiet)
+
+    def _rows_one_by_one(
+        self, modules, queues, alpha_current, rate_hat, rate_next, delta, work, available
+    ) -> "tuple[list[tuple], bool]":
+        """:meth:`_rows` through each row's own ``_inputs`` and plan, in order."""
+        rows = []
+        quiet = False
+        for r, module in enumerate(modules):
+            controller = self.controllers[module]
+            try:
+                row_queues, alpha, mask, set_points, row_quiet = controller._inputs(
+                    np.asarray(queues[r], dtype=float)[None],
+                    np.asarray(alpha_current[r])[None],
+                    [rate_hat[r]],
+                    [rate_next[r]],
+                    [delta[r]],
+                    [work],
+                    np.asarray(available[r])[None],
+                )
+                key = alpha.tobytes() + mask.tobytes()
+                plan = controller._plan(key, alpha[0], mask[0])
+            except (ConfigurationError, ControlError) as error:
+                raise type(error)(f"module {module}: {error}") from None
+            quiet = quiet or row_quiet
+            rows.append((module, key, plan, row_queues, set_points[:, 0]))
+        return rows, quiet
 
     def _block(self, members: list) -> "tuple[_Neighbourhood, list[int]]":
         """The block plan of ``members`` and their candidate bounds.

@@ -18,6 +18,7 @@ that table — exactly the paper's pipeline.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,8 +34,9 @@ from repro.controllers.l1 import (
     ComputerBehaviorMap,
     L1Controller,
     _l0_substep,
+    _sequential_sum,
     _simplex_quanta,
-    require_finite_inputs,
+    require_valid_inputs,
 )
 from repro.controllers.params import L0Params, L1Params, L2Params
 from repro.controllers.stats import ControllerStats
@@ -254,11 +256,14 @@ class L2Controller:
         self.maps = module_maps
         self.params = params or L2Params()
         self.stats = ControllerStats()
-        #: One machine's full-speed capacity per module: the reconfiguration
-        #: term's unit of shifted load.
+        #: One machine's full-speed capacity per module, as a column: the
+        #: reconfiguration term's unit of shifted load.
         self._machine_capacity = np.array(
-            [m.spec.max_service_rate(0.0175) / m.spec.size for m in module_maps]
+            [[m.spec.max_service_rate(0.0175) / m.spec.size] for m in module_maps]
         )
+        #: The last ``gamma_current`` seen: ``(bytes, quantised, candidate
+        #: index, lifts)`` (see :meth:`_current`).
+        self._memo: "tuple | None" = None
 
     @property
     def module_count(self) -> int:
@@ -276,55 +281,67 @@ class L2Controller:
         """Minimise sum_i J~_i over the quantised gamma simplex.
 
         Scores every vector of the quantised simplex: 286 for p = 4 at
-        step 0.1 by default. The objective is separable:
-        module i's two horizon terms depend on a candidate only through
-        gamma_i, which takes one of k + 1 quantised levels. So each
-        module's trees are evaluated once per level (a share table) and
-        every candidate's cost is gathered from the tables by its
-        integer quanta, adding the terms in module order.
+        step 0.1 by default. The objective is separable: module i's two
+        horizon terms depend on a candidate only through gamma_i, which
+        takes one of k + 1 quantised levels. So each module's trees fill
+        a share table of one entry per level and term: the period-k cost
+        and queue trees in one sorted walk each along the rate
+        (:meth:`RegressionTree.predict_along`), the period-(k+1) cost in
+        one row walk. Every candidate's cost is gathered from the tables
+        by its integer quanta, adding the terms in module order from 0.0.
+        The quantised current allocation, its candidate and its
+        reconfiguration lifts are kept for the last ``gamma_current``,
+        which changes at few boundaries.
+
+        Raises a one-line :class:`ControlError` for a NaN, infinite or
+        negative queue, rate or ``gamma_current`` entry, or a work that
+        is not above 0, and a :class:`ConfigurationError` for a
+        ``queue_avgs`` or ``gamma_current`` whose shape is not ``(p,)``.
         """
         p = self.module_count
         queue_avgs = np.asarray(queue_avgs, dtype=float)
         if queue_avgs.shape != (p,):
             raise ConfigurationError(f"queue_avgs must have shape ({p},)")
-        require_finite_inputs(
-            queue_avgs=queue_avgs, rate_hat=rate_hat, rate_next=rate_next, work=work
-        )
-        started = time.perf_counter()
-        candidates, quanta = self._simplex
-        current_quantized = (
-            quantize_to_simplex(gamma_current, self.params.gamma_step)
-            if gamma_current is not None
-            else None
-        )
-        n = candidates.shape[0]
-        levels = simplex_levels(self.params.gamma_step)
-        shares_now = levels * rate_hat
-        shares_next = levels * rate_next
-        works = np.full(levels.size, work)
-        costs = np.zeros(n)
-        explored = 0
-        for i, module_map in enumerate(self.maps):
-            features_now = np.column_stack(
-                [np.full(levels.size, queue_avgs[i]), shares_now, works]
-            )
-            cost_now = module_map.cost_tree.predict(features_now)
-            next_queues = np.clip(
-                module_map.queue_tree.predict(features_now), 0.0, None
-            )
-            cost_next = module_map.cost_tree.predict(
-                np.column_stack([next_queues, shares_next, works])
-            )
-            costs += cost_now[quanta[:, i]]
-            costs += cost_next[quanta[:, i]]
-            explored += 2 * n
         if gamma_current is not None:
+            gamma_current = np.asarray(gamma_current, dtype=float)
+            if gamma_current.shape != (p,):
+                raise ConfigurationError(f"gamma_current must have shape ({p},)")
+        queues = queue_avgs.tolist()
+        rate_hat, rate_next, work = float(rate_hat), float(rate_next), float(work)
+        if not (
+            all(0.0 <= queue < math.inf for queue in queues)
+            and 0.0 <= rate_hat < math.inf
+            and 0.0 <= rate_next < math.inf
+            and 0.0 < work < math.inf
+        ):
+            require_valid_inputs(
+                queue_avgs=queue_avgs, rate_hat=rate_hat, rate_next=rate_next, work=work
+            )
+        started = time.perf_counter()
+        candidates, levels, share_at, lift_at = self._simplex
+        shares_now = [level * rate_hat for level in levels]
+        shares_next = [level * rate_next for level in levels]
+        tables: "list[float]" = []
+        for queue, module_map in zip(queues, self.maps):
+            point = [queue, 0.0, work]
+            cost_tree = module_map.cost_tree
+            tables += cost_tree.predict_along(point, 1, shares_now)
+            next_queues = module_map.queue_tree.predict_along(point, 1, shares_now)
+            tables += cost_tree.predict_rows(
+                [
+                    [max(next_queue, 0.0), share, work]
+                    for next_queue, share in zip(next_queues, shares_next)
+                ]
+            )
+        costs = _sequential_sum(np.array(tables)[share_at].T)
+        explored = 2 * len(candidates) * p
+        current_quantized = current_index = None
+        if gamma_current is not None:
+            current_quantized, current_index, lifts = self._current(gamma_current)
             # Charge the boots a gamma increase forces: shifted load
             # divided by one machine's capacity, per module.
-            shifted = np.clip(candidates - gamma_current, 0.0, None) * rate_hat
-            costs += self.params.reconfiguration_weight * (
-                shifted / self._machine_capacity
-            ).sum(axis=1)
+            shifted = (lifts * rate_hat / self._machine_capacity).ravel()[lift_at]
+            costs += self.params.reconfiguration_weight * shifted.sum(axis=1)
 
         best_index = int(np.argmin(costs))
         best_cost = float(costs[best_index])
@@ -337,21 +354,13 @@ class L2Controller:
                 distances = np.abs(candidates[tied] - gamma_current).sum(axis=1)
                 best_index = int(tied[np.argmin(distances)])
                 best_gamma = candidates[best_index]
-        current_cost: float | None = None
-        if current_quantized is not None:
-            matches = np.flatnonzero(
-                np.all(np.abs(candidates - current_quantized) < 1e-9, axis=1)
-            )
-            if matches.size:
-                current_cost = float(costs[matches[0]])
         # Hysteresis: keep the current allocation unless the best
         # candidate is meaningfully better.
-        if (
-            current_cost is not None
-            and best_cost >= (1.0 - self.params.switching_threshold) * current_cost
-        ):
-            best_gamma = current_quantized
-            best_cost = current_cost
+        if current_index is not None:
+            current_cost = float(costs[current_index])
+            if best_cost >= (1.0 - self.params.switching_threshold) * current_cost:
+                best_gamma = current_quantized
+                best_cost = current_cost
         decision = L2Decision(
             gamma=best_gamma,
             expected_cost=best_cost,
@@ -360,15 +369,52 @@ class L2Controller:
         self.stats.record(explored, time.perf_counter() - started)
         return decision
 
-    @cached_property
-    def _simplex(self) -> "tuple[np.ndarray, np.ndarray]":
-        """The quantised simplex as read-only ``(candidates, quanta)``.
+    def _current(self, gamma: np.ndarray) -> tuple:
+        """``(quantised, candidate index, lifts)`` of the allocation ``gamma``.
 
-        Enumerated on the first solve; ``levels[quanta] == candidates``.
+        ``gamma`` on the quantised simplex, the index of its candidate
+        (``None`` if none matches), and the ``(p, k + 1)`` table of the
+        lifts ``max(level - gamma_i, 0)`` that each module's share takes
+        to each level. One entry is kept, keyed on ``gamma``'s bytes, so
+        ``gamma`` is checked only when it changes; its arrays are
+        read-only, since a held decision hands out the quantised one.
+        """
+        key = gamma.tobytes()
+        if self._memo is None or self._memo[0] != key:
+            if not all(0.0 <= share < math.inf for share in gamma.tolist()):
+                require_valid_inputs(gamma_current=gamma)
+            candidates, levels, _, _ = self._simplex
+            quantized = quantize_to_simplex(gamma, self.params.gamma_step)
+            matches = np.flatnonzero(
+                np.all(np.abs(candidates - quantized) < 1e-9, axis=1)
+            )
+            lifts = np.clip(np.array(levels) - gamma[:, None], 0.0, None)
+            quantized.setflags(write=False)
+            lifts.setflags(write=False)
+            index = int(matches[0]) if matches.size else None
+            self._memo = (key, quantized, index, lifts)
+        return self._memo[1:]
+
+    @cached_property
+    def _simplex(self) -> tuple:
+        """The quantised simplex and the solve's gather indices, read-only.
+
+        ``(candidates, levels, share_at, lift_at)``, enumerated on the
+        first solve: the ``(n, p)`` candidates; the k + 1 ``levels`` a
+        share can take, as floats (``levels[quanta] == candidates``);
+        each candidate's entry in the flat share tables, ``(2p, n)``,
+        whose row 2i is module i's period-k term and row 2i + 1 its
+        period-(k+1) term; and its entry in the flat ``(p, k + 1)`` lift
+        table, ``(n, p)``.
         """
         step = self.params.gamma_step
+        levels = simplex_levels(step)
         candidates = np.array(list(enumerate_simplex(self.module_count, step)))
-        quanta = _simplex_quanta(candidates, simplex_levels(step))
-        candidates.setflags(write=False)
-        quanta.setflags(write=False)
-        return candidates, quanta
+        quanta = _simplex_quanta(candidates, levels)
+        offsets = levels.size * np.arange(self.module_count)
+        share_at = np.repeat((quanta + 2 * offsets).T, 2, axis=0)
+        share_at[1::2] += levels.size
+        lift_at = quanta + offsets
+        for array in (candidates, share_at, lift_at):
+            array.setflags(write=False)
+        return candidates, levels.tolist(), share_at, lift_at

@@ -182,3 +182,96 @@ class TestFlatNodes:
         leaves = [node for node, left in enumerate(tree.left) if left == -1]
         assert all(tree.right[node] == -1 for node in leaves)
         assert len(tree.prediction) == 2 * len(leaves) - 1
+
+
+#: Feature values that stress the split rule: duplicates, ±0.0 and
+#: three adjacent floats (a midpoint between two of them rounds onto
+#: the upper one).
+_EDGE_VALUES = [
+    0.0,
+    -0.0,
+    1.0,
+    float(np.nextafter(1.0, 2.0)),
+    float(np.nextafter(np.nextafter(1.0, 2.0), 2.0)),
+    2.5,
+    -3.0,
+]
+_VALUE = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(-5.0, 10.0))
+
+
+@st.composite
+def _fitted_trees(draw):
+    """A tree fitted on rows drawn mostly from :data:`_EDGE_VALUES`."""
+    features = draw(st.integers(1, 3))
+    rows = draw(
+        st.lists(
+            st.lists(_VALUE, min_size=features, max_size=features), min_size=2, max_size=40
+        )
+    )
+    targets = draw(st.lists(st.floats(-100.0, 100.0), min_size=len(rows), max_size=len(rows)))
+    tree = RegressionTree(max_depth=draw(st.integers(1, 8)), min_samples_leaf=1)
+    return tree.fit(np.array(rows), np.array(targets))
+
+
+@st.composite
+def _built_trees(draw):
+    """A tree built by hand through ``from_dict``, thresholds on edge values."""
+    features = draw(st.integers(1, 3))
+    prediction = st.floats(-100.0, 100.0)
+    leaf = st.builds(lambda p: {"prediction": p}, prediction)
+    root = draw(
+        st.recursive(
+            leaf,
+            lambda children: st.builds(
+                lambda f, t, left, right, p: {
+                    "prediction": p,
+                    "feature": f,
+                    "threshold": t,
+                    "left": left,
+                    "right": right,
+                },
+                st.integers(0, features - 1),
+                _VALUE,
+                children,
+                children,
+                prediction,
+            ),
+            max_leaves=24,
+        )
+    )
+    return RegressionTree.from_dict(
+        {"max_depth": 8, "min_samples_leaf": 1, "n_features": features, "root": root}
+    )
+
+
+class TestSortedWalk:
+    """``predict_along`` reaches the leaf ``predict`` reaches, value by value."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_predict_row_by_row(self, data):
+        tree = data.draw(st.one_of(_fitted_trees(), _built_trees()), label="tree")
+        features = tree._n_features
+        # Values on the tree's own thresholds too, with duplicates.
+        value = st.one_of(_VALUE, st.sampled_from(tree.threshold))
+        feature = data.draw(st.integers(0, features - 1), label="feature")
+        point = data.draw(st.lists(value, min_size=features, max_size=features), label="point")
+        values = sorted(data.draw(st.lists(value, max_size=14), label="values"))
+        along = tree.predict_along(point, feature, values)
+        rows = [[*point[:feature], v, *point[feature + 1 :]] for v in values]
+        expected = [float(tree.predict(np.array(row))).hex() for row in rows]
+        assert [p.hex() for p in along] == expected
+        assert [p.hex() for p in tree.predict_rows(rows)] == expected
+
+    def test_every_value_of_a_fitted_grid(self):
+        # The L2's case: a module map's rate feature at 11 share levels,
+        # queue and work held, on the thresholds and between them.
+        rng = np.random.default_rng(8)
+        x = rng.choice([0.0, 5.0, 20.0, 80.0], (300, 3)) + rng.choice([0.0, 1e-9], (300, 3))
+        tree = RegressionTree(max_depth=10, min_samples_leaf=2).fit(x, rng.random(300))
+        rates = sorted({t for f, t in zip(tree.feature, tree.threshold) if f == 1})
+        assert len(rates) > 5
+        for values in (np.linspace(0.0, 80.0, 11).tolist(), rates, [r - 1e-9 for r in rates]):
+            for point in ([0.0, -1.0, 20.0], [80.0, 0.0, 5.0 + 1e-9]):
+                expected = tree.predict(np.array([[point[0], v, point[2]] for v in values]))
+                assert tree.predict_along(point, 1, values) == expected.tolist()

@@ -1086,6 +1086,75 @@ class TestBlockPass:
         with pytest.raises(ControlError, match=f"^{re.escape(message)}$"):
             L1Bank(controllers).decide(*self._rows(controllers, m1=change))
 
+    def _four(self, profile_maps):
+        """Four controllers of 2, 2, 1 and 3 machines."""
+        return [
+            _profile_l1(profile_maps, f"M{i}", profiles)
+            for i, profiles in enumerate(
+                [["c1", "c4"], ["c2", "pentium_m"], ["c3"], ["c1", "c2", "c3"]]
+            )
+        ]
+
+    def test_a_clean_pass_checks_its_rows_at_once(self, profile_maps, monkeypatch):
+        controllers = self._four(profile_maps)
+        args = self._rows(controllers, m3={"queues": np.array([0.0, 700.0, 2.5])})
+        modules, *columns = args
+        expected = [
+            twin.decide(*[column if k == 5 else column[i] for k, column in enumerate(columns)])
+            for i, twin in enumerate(self._four(profile_maps))
+        ]
+        calls = []
+        inputs = L1Controller._inputs
+
+        def spy(controller, *row):
+            calls.append(controller)
+            return inputs(controller, *row)
+
+        monkeypatch.setattr(L1Controller, "_inputs", spy)
+        decisions = L1Bank(controllers).decide(*args)
+        assert calls == []
+        assert all(_same_decision(d, want) for d, want in zip(decisions, expected))
+
+    @pytest.mark.parametrize(
+        "changes,error,message",
+        [
+            # Two failing rows: the first is named.
+            (
+                {"m1": {"rate_hat": math.nan}, "m3": {"queues": np.array([0.0, -1.0, 0.0])}},
+                ControlError,
+                "module 1: rate_hat must be finite, got nan",
+            ),
+            (
+                {"m0": {"alpha": np.array([True, False]), "available": np.array([False, True])},
+                 "m2": {"delta": -1.0}},
+                ControlError,
+                "module 0: no admissible (alpha, gamma) candidate found",
+            ),
+            (
+                {"m3": {"queues": np.array([0.0, 3.0, np.nan])}},
+                ControlError,
+                "module 3: queues[2] must be finite, got nan",
+            ),
+            (
+                {"m2": {"queues": np.zeros(2)}},
+                ConfigurationError,
+                "module 2: queues and alpha must have one entry per computer",
+            ),
+            (
+                {"m3": {"available": np.ones(2, dtype=bool)}},
+                ConfigurationError,
+                "module 3: available mask must match module size",
+            ),
+        ],
+        ids=["two-failing-rows", "plan-before-a-later-row", "nan-last-row", "wrong-shape", "mask-shape"],
+    )
+    def test_a_failing_pass_names_the_first_failing_module(
+        self, profile_maps, changes, error, message
+    ):
+        controllers = self._four(profile_maps)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            L1Bank(controllers).decide(*self._rows(controllers, **changes))
+
     def test_a_module_run_builds_nothing(self, trained_l1, module_spec):
         l1 = _fresh_l1(trained_l1, module_spec)
         bank = L1Bank([l1])

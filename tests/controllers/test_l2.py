@@ -1,11 +1,17 @@
 """Tests for the L2 cluster controller and module cost map."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro
 from repro.approximation.regression_tree import RegressionTree
 from repro.common import ConfigurationError, ControlError
-from repro.cluster import ClusterSpec, paper_module_spec
+from repro.cluster import ClusterSpec, paper_module_spec, scaled_module_spec
 from repro.controllers import L1Controller, L1Params, L2Controller, L2Params, ModuleCostMap
 from repro.controllers.l2 import _module_training_grid
 from repro.controllers.params import L0Params
@@ -249,26 +255,95 @@ def _step_map(threshold: float) -> ModuleCostMap:
     return ModuleCostMap(paper_module_spec(), cost, tree({"prediction": 0.0}))
 
 
+@pytest.fixture(scope="module")
+def distinct_maps(module_map):
+    """Five module maps with distinct trees and machine capacities."""
+    return [
+        module_map,
+        ModuleCostMap.train(
+            paper_module_spec(name="M2"),
+            queue_levels=np.array([0.0, 30.0, 300.0]),
+            rate_levels=np.linspace(0.0, 250.0, 9),
+        ),
+        ModuleCostMap.train(scaled_module_spec(2, name="M3")),
+        ModuleCostMap.train(scaled_module_spec(3, name="M4")),
+        ModuleCostMap.train(
+            paper_module_spec(name="M5"), work_levels=np.array([0.012, 0.018, 0.024])
+        ),
+    ]
+
+
+#: The parameter sets the solve is checked under: the defaults, no
+#: reconfiguration charge (more exact ties), and strong hysteresis.
+_L2_PARAMS = [
+    L2Params(),
+    L2Params(reconfiguration_weight=0.0),
+    L2Params(switching_threshold=0.5),
+]
+
+
+def _allocation():
+    """An off-grid or on-grid ``gamma_current`` (all-zero included)."""
+    weights = st.lists(
+        st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=1, max_size=5
+    )
+    return st.tuples(weights, st.booleans())
+
+
 class TestShareTableSolve:
     """The share-table solve equals the per-candidate scorer bit for bit."""
 
-    def test_random_inputs_match_reference(self, module_map):
-        controller = L2Controller([module_map] * 4)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_inputs_match_reference(self, distinct_maps, data):
+        # One controller decides a sequence of calls, so its memo of the
+        # current allocation sees None, repeats and A, B, A changes.
+        count = data.draw(st.integers(2, 5), label="modules")
+        order = data.draw(st.permutations(range(len(distinct_maps))), label="maps")
+        params = data.draw(st.sampled_from(_L2_PARAMS), label="params")
+        controller = L2Controller([distinct_maps[i] for i in order[:count]], params)
         capacity = sum(m.spec.max_service_rate(0.0175) for m in controller.maps)
-        rng = np.random.default_rng(14)
-        for k in range(240):
-            queue_avgs = rng.random(4) * rng.choice([0.0, 10.0, 400.0, 1500.0])
-            rate_hat = float(rng.random() * rng.choice([0.3, 1.0, 1.6]) * capacity)
-            rate_next = float(rng.random() * rng.choice([0.3, 1.0, 1.6]) * capacity)
-            work = float(rng.choice([0.0175, rng.uniform(0.011, 0.024)]))
-            gamma_current = None
-            if k % 4:
-                gamma_current = rng.dirichlet(np.ones(4))
-                if k % 3 == 0:
-                    gamma_current = quantize_to_simplex(gamma_current, 0.1)
-            _assert_matches_reference(
-                controller, queue_avgs, rate_hat, rate_next, work, gamma_current
+        allocations = []
+        for label in ("A", "B"):
+            weights, on_grid = data.draw(_allocation(), label=label)
+            gamma = np.resize(np.array(weights), count)
+            allocations.append(quantize_to_simplex(gamma, 0.1) if on_grid else gamma)
+        sequence = data.draw(
+            st.lists(st.sampled_from([None, 0, 1]), min_size=1, max_size=5),
+            label="sequence",
+        )
+        queue = st.one_of(st.just(0.0), st.floats(0.0, 200.0), st.floats(1280.0, 9000.0))
+        rate = st.one_of(st.just(0.0), st.floats(0.0, 1.6 * capacity))
+        for call in sequence:
+            gamma_current = None if call is None else allocations[call].copy()
+            decision, _, held = _assert_matches_reference(
+                controller,
+                np.array(data.draw(st.lists(queue, min_size=count, max_size=count))),
+                data.draw(rate, label="rate_hat"),
+                data.draw(rate, label="rate_next"),
+                data.draw(st.one_of(st.just(0.0175), st.floats(0.011, 0.024))),
+                gamma_current,
             )
+            # A held decision hands out the kept allocation: the caller
+            # cannot write it, so the next call still matches.
+            with pytest.raises(ValueError):
+                decision.gamma[0] = 0.5
+            if held:
+                assert decision.gamma.tobytes() == quantize_to_simplex(
+                    gamma_current, 0.1
+                ).tobytes()
+
+    def test_a_held_gamma_cannot_be_written(self):
+        controller = L2Controller(
+            [_step_map(65.0)] * 2,
+            L2Params(reconfiguration_weight=0.0, switching_threshold=0.9),
+        )
+        args = (np.zeros(2), 100.0, 100.0, 0.0175, np.array([0.9, 0.1]))
+        decision = controller.decide(*args)
+        with pytest.raises(ValueError):
+            decision.gamma[:] = [0.0, 1.0]
+        again, _, held = _assert_matches_reference(controller, *args)
+        assert held and again.gamma.tolist() == pytest.approx([0.9, 0.1])
 
     def test_exact_tie_goes_to_the_candidate_nearest_the_current(self):
         # Shares of 40, 50 and 60 req/s on both modules all cost 4.0
@@ -320,3 +395,86 @@ class TestNonFiniteInputs:
         with pytest.raises(ControlError) as caught:
             l2.decide(**inputs)
         assert str(caught.value) == expected
+
+
+class TestInputDomain:
+    """Inputs outside the L2's domain fail in one line, in the L1's words."""
+
+    BASE = {"queue_avgs": np.zeros(4), "rate_hat": 300.0, "rate_next": 300.0, "work": 0.0175}
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"rate_hat": -50.0}, "rate_hat must be >= 0, got -50.0"),
+            ({"rate_next": -1.0}, "rate_next must be >= 0, got -1.0"),
+            ({"work": 0.0}, "work must be > 0, got 0.0"),
+            ({"work": -1.0}, "work must be > 0, got -1.0"),
+            (
+                {"queue_avgs": np.array([0.0, 0.0, -3.0, 0.0])},
+                "queue_avgs[2] must be >= 0, got -3.0",
+            ),
+            (
+                {"gamma_current": np.array([0.5, 0.5, np.nan, 0.0])},
+                "gamma_current[2] must be finite, got nan",
+            ),
+            (
+                {"gamma_current": np.array([0.5, np.inf, 0.0, 0.0])},
+                "gamma_current[1] must be finite, got inf",
+            ),
+            (
+                {"gamma_current": np.array([0.6, 0.5, -0.1, 0.0])},
+                "gamma_current[2] must be >= 0, got -0.1",
+            ),
+            # The scalars are checked before the allocation.
+            (
+                {"work": 0.0, "gamma_current": np.array([0.5, 0.5, np.nan, 0.0])},
+                "work must be > 0, got 0.0",
+            ),
+        ],
+    )
+    def test_rejected_with_one_line(self, l2, change, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ControlError, match=f"^{re.escape(message)}$"):
+                l2.decide(**{**self.BASE, **change})
+
+    @pytest.mark.parametrize(
+        "gamma", [np.array([0.5, 0.5, 0.0]), np.full((1, 4), 0.25), np.array(0.25)]
+    )
+    def test_a_mis_shaped_gamma_is_a_configuration_error(self, l2, gamma):
+        with pytest.raises(ConfigurationError, match=r"^gamma_current must have shape \(4,\)$"):
+            l2.decide(**self.BASE, gamma_current=gamma)
+
+    def test_a_bad_allocation_after_a_kept_one_is_rejected(self, module_map):
+        # The kept allocation skips the check only for its own bytes.
+        controller = L2Controller([module_map] * 4)
+        good = np.array([0.4, 0.3, 0.2, 0.1])
+        controller.decide(**self.BASE, gamma_current=good)
+        with pytest.raises(ControlError, match=r"^gamma_current\[3\] must be >= 0, got -0.1$"):
+            controller.decide(**self.BASE, gamma_current=np.array([0.4, 0.3, 0.4, -0.1]))
+        _assert_matches_reference(controller, *self.BASE.values(), gamma_current=good)
+
+
+class TestRecordedRuns:
+    @pytest.mark.parametrize("scenario", ["paper/fig6-cluster16", "paper/fig6-cluster20"])
+    def test_every_solve_matches_reference(self, monkeypatch, scenario):
+        """Each L2 decision of a run equals the per-candidate scorer's."""
+        decide = L2Controller.decide
+        checked = []
+
+        def checking_decide(
+            controller, queue_avgs, rate_hat, rate_next, work, gamma_current=None
+        ):
+            args = (queue_avgs, rate_hat, rate_next, work, gamma_current)
+            decision = decide(controller, *args)
+            gamma, cost, explored, _, _ = _reference_decide(controller, *args)
+            checked.append(
+                decision.gamma.tobytes() == gamma.tobytes()
+                and decision.expected_cost.hex() == cost.hex()
+                and decision.states_explored == explored
+            )
+            return decision
+
+        monkeypatch.setattr(L2Controller, "decide", checking_decide)
+        repro.run_scenario(repro.get_scenario(scenario, samples=48))
+        assert len(checked) == 48 and all(checked)
