@@ -91,10 +91,11 @@ _QUIET_ABOVE = 1e100
 #: does not raise a run's peak memory.
 _KERNEL_ROWS = 32
 
-#: Cap on ``rows * max_settings ** (horizon + 1)`` for one map-training
-#: call to ``L0BankKernel.decide_many``, which bounds the lookahead's
-#: temporaries: 1.6e5 is a run's own 16-computer call on 10-setting
-#: processors at horizon 3, so training needs no more than stepping.
+#: Cap on ``rows * settings ** (horizon + 1)`` for one map-training
+#: call to ``L0BankKernel.decide_many`` on rows of one setting count,
+#: which bounds the lookahead's temporaries: 1.6e5 is a run's own
+#: 16-computer call on 10-setting processors at horizon 3, so training
+#: needs no more than stepping.
 _BANK_BLOCK_ELEMENTS = 160_000
 
 
@@ -105,9 +106,12 @@ def _l0_substep(
 
     Row r is ``bank`` computer ``indices[r]`` with queue ``queues[r]``,
     a constant arrival rate ``rates[r]`` over its lookahead and c-hat
-    ``works[r]``. The rows' lookaheads run as rows of
-    ``bank.decide_many``, in blocks of at most
-    :data:`_BANK_BLOCK_ELEMENTS`. Each chosen setting then goes through
+    ``works[r]``; callers hand rows computer by computer. The rows'
+    lookaheads run as rows of ``bank.decide_many``, in blocks of at most
+    :data:`_BANK_BLOCK_ELEMENTS` that never mix setting counts, so the
+    bank grows each block as one rectangle at its own count (a mixed
+    block's ragged pass would hold more memory at training's block
+    sizes). Each chosen setting then goes through
     the computer's ``FluidServerModel.predict`` and
     ``SlackResponseCost.evaluate``, once per computer and work level
     (``predict`` takes one c). Returns each row's ``(cost, next
@@ -115,15 +119,18 @@ def _l0_substep(
     calls give on one row at a time.
     """
     horizon = bank.horizon
-    block = max(1, _BANK_BLOCK_ELEMENTS // bank.max_settings ** (horizon + 1))
     forecasts = np.repeat(rates[:, None], horizon, axis=1)
     settings = np.empty(indices.size, dtype=np.intp)
-    for start in range(0, indices.size, block):
-        rows = slice(start, start + block)
-        decisions = bank.decide_many(
-            indices[rows], queues[rows], forecasts[rows], works[rows]
-        )
-        settings[rows] = [decision.frequency_index for decision in decisions]
+    widths = np.array([c.phis.size for c in bank.controllers])[indices]
+    edges = [0, *(np.flatnonzero(np.diff(widths)) + 1).tolist(), indices.size]
+    for low, high in zip(edges, edges[1:]):
+        block = max(1, _BANK_BLOCK_ELEMENTS // int(widths[low]) ** (horizon + 1))
+        for start in range(low, high, block):
+            rows = slice(start, min(start + block, high))
+            decisions = bank.decide_many(
+                indices[rows], queues[rows], forecasts[rows], works[rows]
+            )
+            settings[rows] = [decision.frequency_index for decision in decisions]
     costs = np.empty_like(queues)
     next_queues = np.empty_like(queues)
     for index in sorted(set(indices.tolist())):

@@ -72,10 +72,10 @@ def _module_training_grid(
     call, so the cells that share on/off masks share one plan and one
     array query per horizon term. Then every T_L0 substep advances each
     (cell, computer) pair that serves, or that drains a queue above
-    1e-9, as a row of one :func:`_l0_substep`, and each cell's cost adds
-    up in computer order (a booting machine adds its base power).
-    Returns ``(cost, mean final queue)`` per cell, in the order of
-    ``points``.
+    1e-9, as a row of one :func:`_l0_substep`, computer by computer, and
+    each cell's cost adds up in computer order (a booting machine adds
+    its base power). Returns ``(cost, mean final queue)`` per cell, in
+    the order of ``points``.
     """
     from repro.sim.kernels import L0BankKernel
 
@@ -99,10 +99,12 @@ def _module_training_grid(
     base_powers = [c.base_power for c in module_spec.computers]
     totals = l1.params.switching_weight * booting.sum(axis=1)
     for _ in range(l1.substep_count()):
-        active = serving | (draining & (queues > 1e-9))
-        cells, computers = np.nonzero(active)
-        costs, queues[active] = _l0_substep(
-            bank, computers, queues[active], local_rates[active], works[cells]
+        # Computer-major rows: each of the bank's blocks then holds one
+        # setting count (see _l0_substep).
+        active = (serving | (draining & (queues > 1e-9))).T
+        computers, cells = np.nonzero(active)
+        costs, queues.T[active] = _l0_substep(
+            bank, computers, queues.T[active], local_rates.T[active], works[cells]
         )
         for j, base_power in enumerate(base_powers):
             pairs = computers == j
@@ -318,7 +320,7 @@ class L2Controller:
                 queue_avgs=queue_avgs, rate_hat=rate_hat, rate_next=rate_next, work=work
             )
         started = time.perf_counter()
-        candidates, levels, share_at, lift_at = self._simplex
+        candidates, levels, share_at, lift_at, _ = self._simplex
         shares_now = [level * rate_hat for level in levels]
         shares_next = [level * rate_next for level in levels]
         tables: "list[float]" = []
@@ -373,25 +375,25 @@ class L2Controller:
         """``(quantised, candidate index, lifts)`` of the allocation ``gamma``.
 
         ``gamma`` on the quantised simplex, the index of its candidate
-        (``None`` if none matches), and the ``(p, k + 1)`` table of the
-        lifts ``max(level - gamma_i, 0)`` that each module's share takes
-        to each level. One entry is kept, keyed on ``gamma``'s bytes, so
-        ``gamma`` is checked only when it changes; its arrays are
-        read-only, since a held decision hands out the quantised one.
+        (named by its integer quanta), and the ``(p, k + 1)`` table of
+        the lifts ``max(level - gamma_i, 0)`` that each module's share
+        takes to each level. One entry is kept, keyed on ``gamma``'s
+        bytes, so ``gamma`` is checked only when it changes; its arrays
+        are read-only, since a held decision hands out the quantised one.
         """
         key = gamma.tobytes()
         if self._memo is None or self._memo[0] != key:
             if not all(0.0 <= share < math.inf for share in gamma.tolist()):
                 require_valid_inputs(gamma_current=gamma)
-            candidates, levels, _, _ = self._simplex
+            _, levels, _, _, index_of = self._simplex
             quantized = quantize_to_simplex(gamma, self.params.gamma_step)
-            matches = np.flatnonzero(
-                np.all(np.abs(candidates - quantized) < 1e-9, axis=1)
-            )
+            # Each share is its quanta times the step, so the quanta
+            # round back exactly.
+            k = len(levels) - 1
+            index = index_of[tuple(round(share * k) for share in quantized.tolist())]
             lifts = np.clip(np.array(levels) - gamma[:, None], 0.0, None)
             quantized.setflags(write=False)
             lifts.setflags(write=False)
-            index = int(matches[0]) if matches.size else None
             self._memo = (key, quantized, index, lifts)
         return self._memo[1:]
 
@@ -399,13 +401,14 @@ class L2Controller:
     def _simplex(self) -> tuple:
         """The quantised simplex and the solve's gather indices, read-only.
 
-        ``(candidates, levels, share_at, lift_at)``, enumerated on the
-        first solve: the ``(n, p)`` candidates; the k + 1 ``levels`` a
-        share can take, as floats (``levels[quanta] == candidates``);
-        each candidate's entry in the flat share tables, ``(2p, n)``,
-        whose row 2i is module i's period-k term and row 2i + 1 its
-        period-(k+1) term; and its entry in the flat ``(p, k + 1)`` lift
-        table, ``(n, p)``.
+        ``(candidates, levels, share_at, lift_at, index_of)``, enumerated
+        on the first solve: the ``(n, p)`` candidates; the k + 1
+        ``levels`` a share can take, as floats (``levels[quanta] ==
+        candidates``); each candidate's entry in the flat share tables,
+        ``(2p, n)``, whose row 2i is module i's period-k term and row
+        2i + 1 its period-(k+1) term; its entry in the flat ``(p, k + 1)``
+        lift table, ``(n, p)``; and each candidate's index by its quanta
+        (a tuple of ints).
         """
         step = self.params.gamma_step
         levels = simplex_levels(step)
@@ -417,4 +420,5 @@ class L2Controller:
         lift_at = quanta + offsets
         for array in (candidates, share_at, lift_at):
             array.setflags(write=False)
-        return candidates, levels.tolist(), share_at, lift_at
+        index_of = {tuple(row): index for index, row in enumerate(quanta.tolist())}
+        return candidates, levels.tolist(), share_at, lift_at, index_of

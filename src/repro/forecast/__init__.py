@@ -6,7 +6,7 @@ processing times with an exponentially-weighted moving average (EWMA,
 smoothing constant pi = 0.1). This package provides:
 
 * :class:`~repro.forecast.kalman.KalmanFilter` — general linear-Gaussian
-  filter with multi-step forecasting.
+  filter.
 * :mod:`~repro.forecast.structural` — Harvey's local linear trend model
   and the :class:`~repro.forecast.structural.WorkloadPredictor` wrapper
   used by the controllers (the local linear trend is the state-space

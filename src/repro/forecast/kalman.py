@@ -5,9 +5,10 @@ State-space form (Harvey 2001, the reference the paper cites):
     x(k+1) = F x(k) + w(k),   w ~ N(0, Q)
     z(k)   = H x(k) + v(k),   v ~ N(0, R)
 
-The filter supports the standard predict/update cycle and multi-step
-ahead forecasting (used by the limited-lookahead controllers to fill their
-prediction horizon).
+The filter supports the standard predict/update cycle. The workload
+predictor (:mod:`repro.forecast.structural`) rolls its trend model's mean
+forward itself to fill the limited-lookahead controllers' prediction
+horizons.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class StateSpaceModel:
 
 
 class KalmanFilter:
-    """Linear-Gaussian Kalman filter with multi-step forecasting.
+    """Linear-Gaussian Kalman filter.
 
     The prior is zero-mean with a large diagonal covariance (a diffuse
     prior) over ``model``'s state.
@@ -100,21 +101,6 @@ class KalmanFilter:
         """One predict-then-update cycle (the usual online loop body)."""
         self.predict()
         self.update(observation)
-
-    # ------------------------------------------------------------------
-    # Forecasting
-    # ------------------------------------------------------------------
-    def forecast(self, steps: int) -> np.ndarray:
-        """Mean observation forecasts for 1..steps ahead (no side effects)."""
-        if steps <= 0:
-            return np.zeros(0)
-        f, h = self.model.transition, self.model.observation
-        state = self.state.copy()
-        out = np.empty(steps)
-        for i in range(steps):
-            state = f @ state
-            out[i] = float((h @ state)[0])
-        return out
 
 
 def _symmetrize(matrix: np.ndarray) -> np.ndarray:

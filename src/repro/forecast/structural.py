@@ -108,7 +108,18 @@ class WorkloadPredictor:
         self._filter.step(value)
 
     def forecast(self, steps: int) -> np.ndarray:
-        """Non-negative mean forecasts for 1..steps periods ahead."""
+        """Non-negative mean forecasts for 1..steps periods ahead.
+
+        The trend model's mean rolls forward as the level plus the
+        slope, once per step, in plain floats: on every finite state
+        whose forecasts stay finite, the values of ``F @ state`` read
+        through ``H`` and clipped at zero, bit for bit.
+        """
         if not self._primed:
             return np.zeros(steps)
-        return np.clip(self._filter.forecast(steps), 0.0, None)
+        level, slope = self._filter.state.tolist()
+        forecasts = []
+        for _ in range(steps):
+            level += slope
+            forecasts.append(0.0 if level <= 0.0 else level)
+        return np.array(forecasts)

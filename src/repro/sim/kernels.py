@@ -8,8 +8,10 @@ run --kernel scalar``. This module provides batched implementations of
 exactly those loops, which every run gets by default (``"vector"``):
 
 * :class:`L0BankKernel` — one lookahead expansion for any set of L0
-  controllers: every selected computer's candidate tree grows as one
-  padded ``(computers, paths, settings)`` array per depth.
+  controllers, pricing only the nodes each computer's own frequency set
+  gives it: one ``(computers, paths, settings)`` array per depth when
+  the selected computers share a setting count, else one flat array per
+  depth with each computer's nodes end to end.
 * :func:`batched_predictor_observe` — one manual-elementwise Kalman
   predict/update for a whole bank of :class:`WorkloadPredictor` objects
   (the per-module and global arrival filters), written back into the
@@ -73,11 +75,56 @@ from repro.sim.observers import StepEvent  # noqa: E402
 
 import math  # noqa: E402
 import time  # noqa: E402
+from typing import NamedTuple  # noqa: E402
 
 
 # ----------------------------------------------------------------------
 # K2: the batched L0 bank
 # ----------------------------------------------------------------------
+
+
+class _RaggedLayout(NamedTuple):
+    """Where the nodes of a mixed call's trees sit in its flat arrays.
+
+    A function of the rows' setting counts alone (never of c-hat), so
+    one layout serves every call whose rows have the same counts in the
+    same order. At each depth the nodes of every row lie end to end, row
+    by row, each row's in its scalar tree's order (first action major),
+    so a parent's children are one contiguous run.
+    """
+
+    #: The call's widest setting count: the padded width of its leaves.
+    width: int
+    #: Per depth: each parent's child count, the parents being the rows
+    #: at depth 0 and the previous depth's nodes after.
+    fanouts: "tuple[np.ndarray, ...]"
+    #: Per depth: each parent's row (``None`` at depth 0, row itself).
+    parent_rows: "tuple[np.ndarray | None, ...]"
+    #: Per depth: each node's flat index ``row * width + setting`` into
+    #: the call's ``(rows, width)`` constants.
+    settings_at: "tuple[np.ndarray, ...]"
+    #: Each leaf's flat index into the call's padded ``(rows,
+    #: width**horizon)`` leaf array.
+    leaf_at: np.ndarray
+
+    @classmethod
+    def build(cls, counts: np.ndarray, horizon: int) -> "_RaggedLayout":
+        """The layout of rows with setting counts ``counts``, in order."""
+        width = int(counts.max())
+        node_rows = np.arange(counts.size)
+        positions = np.zeros(counts.size, dtype=np.intp)
+        fanouts, parent_rows, settings_at = [], [], []
+        for depth in range(horizon):
+            fanout = counts[node_rows]
+            starts = np.repeat(np.cumsum(fanout) - fanout, fanout)
+            settings = np.arange(starts.size) - starts
+            fanouts.append(fanout)
+            parent_rows.append(node_rows if depth else None)
+            node_rows = np.repeat(node_rows, fanout)
+            settings_at.append(node_rows * width + settings)
+            positions = np.repeat(positions, fanout) * width + settings
+        leaf_at = node_rows * width**horizon + positions
+        return cls(width, tuple(fanouts), tuple(parent_rows), tuple(settings_at), leaf_at)
 
 
 class L0BankKernel:
@@ -86,14 +133,18 @@ class L0BankKernel:
     The scalar path calls ``L0Controller.decide`` once per serving
     computer per T_L0 step; each call expands its own ``(paths,
     settings)`` tree. This kernel expands the trees of any subset of the
-    bank — one module's serving computers, or a whole cluster's —
-    simultaneously as one ``(computers, paths, max_settings)`` array per
-    depth. Heterogeneous processors (different setting counts) are
-    padded to the widest; every path through a padded setting is priced
-    ``+inf`` before the argmin, so it never wins, and the flat index
-    arithmetic maps the winner back to the unpadded tree exactly
-    (base-``max_settings`` digit strings preserve the scalar enumeration
-    order).
+    bank — one module's serving computers, or a whole cluster's — in one
+    pass, and prices only the nodes each row owns:
+
+    * rows that share one setting count S grow as one ``(computers,
+      paths, S)`` array per depth, the scalar tree's own shape;
+    * rows of mixed counts grow as one flat array per depth, each row's
+      nodes end to end (:class:`_RaggedLayout`, kept for the last
+      sequence of counts). The leaves then go into a ``(computers,
+      width**horizon)`` array at the call's widest count, ``+inf`` where
+      a narrower row has no path, so the first-minimum ``argmin`` picks
+      each row's scalar winner (NaN and all-``inf`` rows included):
+      base-``width`` digit strings keep the scalar enumeration order.
 
     Costs and queue trajectories are computed with the scalar
     expressions' operand order, so each computer's decision (frequency
@@ -109,23 +160,15 @@ class L0BankKernel:
         self.horizon = params.horizon
         self.period = params.period
         self.margin = params.robustness_margin
-        self.setting_counts = [c.phis.size for c in self.controllers]
-        self.max_settings = max(self.setting_counts)
-        n = len(self.controllers)
-        # Padded per-computer constants. Pad phi = 1.0 keeps every derived
-        # expression finite (no inf*0 NaN risk); the paths through a pad
-        # are priced out after the last depth instead.
-        self._phis = np.ones((n, self.max_settings))
+        setting_counts = [c.phis.size for c in self.controllers]
+        self.max_settings = max(setting_counts)
+        self._setting_counts = np.array(setting_counts, dtype=np.intp)
+        # Per-computer constants, padded to the widest processor. Pad
+        # phi = 1.0 keeps every derived expression finite (no inf*0 NaN
+        # risk); no lookahead node reads a pad.
+        self._phis = np.ones((len(self.controllers), self.max_settings))
         for row, controller in enumerate(self.controllers):
             self._phis[row, : controller.phis.size] = controller.phis
-        #: Per controller, which leaf paths (base-``max_settings`` digit
-        #: strings, first action major) take a padded setting anywhere.
-        paths = np.arange(self.max_settings**self.horizon)
-        counts = np.array(self.setting_counts)[:, None]
-        self._path_pads = np.zeros((n, paths.size), dtype=bool)
-        for depth in range(self.horizon):
-            digits = paths // self.max_settings ** (self.horizon - 1 - depth)
-            self._path_pads |= digits % self.max_settings >= counts
         self._speeds = np.array(
             [c.model.speed_factor for c in self.controllers]
         )
@@ -139,11 +182,13 @@ class L0BankKernel:
         #: sum_{d=1..horizon} settings**d (the full tree, every depth).
         self._explored = [
             sum(count**d for d in range(1, self.horizon + 1))
-            for count in self.setting_counts
+            for count in setting_counts
         ]
-        #: ``(key, path_pads, capacities, effective_service, powers)``
+        #: ``(key, width, layout, capacities, effective_service, powers)``
         #: of the last call; see :meth:`_lookahead_constants`.
         self._constants: "tuple | None" = None
+        #: ``(counts bytes, layout)`` of the last mixed call.
+        self._layout: "tuple | None" = None
 
     def decide_many(
         self,
@@ -175,32 +220,19 @@ class L0BankKernel:
             rates = rates * (1.0 + self.margin)
         rows = np.asarray(indices, dtype=np.intp)
         n = rows.size
-        path_pads, capacities, effective_service, powers = (
+        width, layout, capacities, effective_service, powers = (
             self._lookahead_constants(rows, works)
         )
-        price = self.controllers[0].cost.evaluate_checked
-        period = self.period
-        path_queues = np.asarray(queues, dtype=float)[:, None]
-        costs = np.zeros((n, 1))
-        # The scalar lookahead's expressions, operand for operand; each
-        # depth's (computers, paths, settings) temporaries are reused in
-        # place instead of reallocated per operation.
-        for depth in range(self.horizon):
-            arrivals = np.maximum(rates[:, depth], 0.0) * period
-            next_queues = (
-                path_queues[:, :, None] + arrivals[:, None, None]
-            ) - capacities
-            np.maximum(next_queues, 0.0, out=next_queues)
-            step_costs = 1.0 + next_queues
-            np.multiply(step_costs, effective_service, out=step_costs)
-            price(step_costs, powers, out=step_costs)
-            np.add(costs[:, :, None], step_costs, out=step_costs)
-            costs = step_costs.reshape(n, -1)
-            path_queues = next_queues.reshape(n, -1)
-        if path_pads is not None:
-            np.copyto(costs, np.inf, where=path_pads)
-        best = np.argmin(costs, axis=1)
-        first_actions = (best // self.max_settings ** (self.horizon - 1)).tolist()
+        arrivals = np.maximum(rates[:, : self.horizon], 0.0) * self.period
+        queues = np.asarray(queues, dtype=float)
+        if layout is None:
+            costs = self._expand(queues, arrivals, capacities, effective_service, powers)
+        else:
+            costs = self._expand_ragged(
+                layout, queues, arrivals, capacities, effective_service, powers
+            )
+        best = costs.argmin(axis=1)
+        first_actions = (best // width ** (self.horizon - 1)).tolist()
         best_costs = costs[np.arange(n), best].tolist()
         share = (time.perf_counter() - started) / n
         decisions = []
@@ -218,41 +250,110 @@ class L0BankKernel:
             controllers[bank_index].stats.record(explored, share)
         return decisions
 
-    def _lookahead_constants(self, rows: np.ndarray, works: np.ndarray) -> tuple:
-        """``(path_pads, capacities, effective_service, powers)`` for a call.
+    def _expand(
+        self, queues, arrivals, capacities, effective_service, powers
+    ) -> np.ndarray:
+        """Leaf costs ``(rows, S**horizon)`` of rows sharing S settings.
 
-        The batched :meth:`L0Controller._lookahead_constants`: per bank
-        row and setting, requests servable per period, seconds per
-        request and power draw, shaped ``(rows, 1, settings)`` to
-        broadcast over the lookahead's paths, plus the selected rows'
-        padded-path masks (``None`` when no selected row is padded).
-        They depend only on the selected rows and their c-hats, so they
-        are rebuilt only when either differs from the previous call's.
-        The power array is checked non-negative here, once, for every
-        depth it prices.
+        The scalar lookahead's expressions, operand for operand; each
+        depth's ``(rows, paths, S)`` temporaries are reused in place
+        instead of reallocated per operation.
+        """
+        price = self.controllers[0].cost.evaluate_checked
+        n = queues.size
+        path_queues = queues[:, None]
+        costs = np.zeros((n, 1))
+        for depth in range(self.horizon):
+            next_queues = (
+                path_queues[:, :, None] + arrivals[:, depth, None, None]
+            ) - capacities
+            np.maximum(next_queues, 0.0, out=next_queues)
+            step_costs = 1.0 + next_queues
+            np.multiply(step_costs, effective_service, out=step_costs)
+            price(step_costs, powers, out=step_costs)
+            np.add(costs[:, :, None], step_costs, out=step_costs)
+            costs = step_costs.reshape(n, -1)
+            path_queues = next_queues.reshape(n, -1)
+        return costs
+
+    def _expand_ragged(
+        self, layout, queues, arrivals, capacities, effective_service, powers
+    ) -> np.ndarray:
+        """Leaf costs ``(rows, width**horizon)`` of rows of mixed counts.
+
+        The same expressions as :meth:`_expand` on each row's own nodes
+        only (``capacities``, ``effective_service`` and ``powers`` hold
+        each depth's node constants); the leaves go into their padded
+        places, ``+inf`` elsewhere.
+        """
+        price = self.controllers[0].cost.evaluate_checked
+        path_queues = queues
+        costs = np.zeros(queues.size)
+        for depth, (fanout, parents) in enumerate(
+            zip(layout.fanouts, layout.parent_rows)
+        ):
+            depth_arrivals = arrivals[:, depth]
+            if parents is not None:
+                depth_arrivals = depth_arrivals[parents]
+            next_queues = (path_queues + depth_arrivals).repeat(fanout)
+            next_queues -= capacities[depth]
+            np.maximum(next_queues, 0.0, out=next_queues)
+            step_costs = 1.0 + next_queues
+            np.multiply(step_costs, effective_service[depth], out=step_costs)
+            price(step_costs, powers[depth], out=step_costs)
+            np.add(costs.repeat(fanout), step_costs, out=step_costs)
+            costs = step_costs
+            path_queues = next_queues
+        leaves = np.full((queues.size, layout.width**self.horizon), np.inf)
+        leaves.ravel()[layout.leaf_at] = costs
+        return leaves
+
+    def _lookahead_constants(self, rows: np.ndarray, works: np.ndarray) -> tuple:
+        """``(width, layout, capacities, effective_service, powers)``.
+
+        The batched :meth:`L0Controller._lookahead_constants`: per row
+        and setting, requests servable per period, seconds per request
+        and power draw. For rows that share one setting count ``width``,
+        ``layout`` is ``None`` and each constant is ``(rows, 1, width)``,
+        to broadcast over the lookahead's paths; for mixed counts it is
+        the rows' :class:`_RaggedLayout` and each constant a tuple of
+        per-depth node arrays. They depend only on the selected rows and
+        their c-hats, so they are rebuilt only when either differs from
+        the previous call's. The power array is checked non-negative
+        here, once, for every depth it prices.
         """
         key = (rows.tobytes(), works.tobytes())
         constants = self._constants
         if constants is None or constants[0] != key:
-            phis = self._phis[rows]
+            counts = self._setting_counts[rows]
+            width = int(counts.max())
+            layout = None if counts.min() == width else self._ragged_layout(counts)
+            phis = self._phis[rows, :width]
             speeds = self._speeds[rows][:, None]
             work_column = works[:, None]
             # Same expressions as the scalar constants, batched.
-            capacities = phis * speeds / work_column * self.period
-            effective_service = work_column / (phis * speeds)
-            powers = self.controllers[0].cost.checked_power(
-                self._base_powers[rows][:, None]
-                + self._power_scales[rows][:, None] * phis**2
+            terms = (
+                phis * speeds / work_column * self.period,
+                work_column / (phis * speeds),
+                self.controllers[0].cost.checked_power(
+                    self._base_powers[rows][:, None]
+                    + self._power_scales[rows][:, None] * phis**2
+                ),
             )
-            path_pads = self._path_pads[rows]
-            constants = self._constants = (
-                key,
-                path_pads if path_pads.any() else None,
-                capacities[:, None, :],
-                effective_service[:, None, :],
-                powers[:, None, :],
-            )
+            if layout is None:
+                terms = tuple(term[:, None, :] for term in terms)
+            else:
+                flat = np.stack(terms).reshape(len(terms), -1)
+                terms = tuple(zip(*(flat.take(at, axis=1) for at in layout.settings_at)))
+            constants = self._constants = (key, width, layout, *terms)
         return constants[1:]
+
+    def _ragged_layout(self, counts: np.ndarray) -> _RaggedLayout:
+        """The :class:`_RaggedLayout` of ``counts``, kept for the next call."""
+        key = counts.tobytes()
+        if self._layout is None or self._layout[0] != key:
+            self._layout = (key, _RaggedLayout.build(counts, self.horizon))
+        return self._layout[1]
 
 
 # ----------------------------------------------------------------------
@@ -428,9 +529,11 @@ class ClusterVectorExecutor:
         #: Plant-constant cache: masks, power draws, and capacities are
         #: functions of lifecycle state / phi / work only. Lifecycle
         #: state changes at boundaries (pull) and transitions (tick),
-        #: phi at boundaries and, in hierarchy mode, whenever an L0
-        #: picks a different setting; each of those invalidates the
-        #: cache. ``None`` means rebuild.
+        #: which rebuild the whole cache (``None``). Phi changes at
+        #: boundaries too and, in hierarchy mode, whenever an L0 picks a
+        #: different setting, which re-prices only the phi- and
+        #: work-dependent entries, as a new work does (``"work"`` holds
+        #: the work they were priced at, ``None`` once they are stale).
         self._cache = None
         self.module_count = len(self.runners)
         self._module_indices = [runner.module_index for runner in self.runners]
@@ -584,7 +687,7 @@ class ClusterVectorExecutor:
 
         Serving is read at the start of the step, as each scalar
         runner reads ``is_serving``; the chosen settings go into the
-        frequency mirrors (invalidating the cache when one changed).
+        frequency mirrors (re-pricing the cache when one changed).
         """
         serving = self._serving()
         rows = self._bank_rows[serving]
@@ -603,35 +706,28 @@ class ClusterVectorExecutor:
         self._findex[serving] = chosen
         self._phis[serving] = self._phi_table[rows, chosen]
         self._freqs[serving] = self._ghz_table[rows, chosen]
-        self._cache = None
+        if self._cache is not None:
+            self._cache["work"] = None
 
     def _rebuild_cache(self, work: float) -> dict:
         """Recompute the plant-constant quantities for the current state.
 
         Every entry is a pure function of lifecycle state, phi, speed,
-        and work; whatever changes one of them invalidates the cache.
+        and work: the lifecycle masks here, the rest in
+        :meth:`_price_settings`.
         """
-        if not work > 0:
-            raise ConfigurationError(f"mean_work must be > 0, got {work!r}")
         dt = self.dt
         valid = self._valid
         states = self._states
-        serving = self._serving()
         accepts = states == _STATE_CODES[PowerState.ON]
         booting = states == _STATE_CODES[PowerState.BOOTING]
         draws = valid & (states != _STATE_CODES[PowerState.OFF]) & (
             states != _STATE_CODES[PowerState.FAILED]
         )
-        dynamic = np.where(
-            serving,
-            (self._bases + self._scales * self._phis**2) - self._bases,
-            0.0,
-        )
-        powers = np.where(draws, self._bases + dynamic, 0.0)
         rejecting = valid & ~(accepts | booting)
         cache = {
-            "work": work,
-            "serving": serving,
+            "serving": self._serving(),
+            "draws": draws,
             "rejecting": rejecting,
             "any_rejecting": bool(rejecting.any()),
             "any_booting": bool(booting.any()),
@@ -639,30 +735,45 @@ class ClusterVectorExecutor:
             "any_draining": bool(
                 (states == _STATE_CODES[PowerState.DRAINING]).any()
             ),
-            "capacities": np.where(
-                serving, self._phis * self._speeds / work * dt, 0.0
-            ),
-            "effective_service": work
-            / (np.maximum(self._phis, 1e-12) * self._speeds),
+            "energy_base_inc": np.where(draws, self._bases * dt, 0.0),
+            "clock_inc": np.where(valid, dt, 0.0),
+        }
+        self._price_settings(cache, work)
+        self._cache = cache
+        return cache
+
+    def _price_settings(self, cache: dict, work: float) -> None:
+        """(Re)compute the entries of ``cache`` that depend on phi or work."""
+        if not work > 0:
+            raise ConfigurationError(f"mean_work must be > 0, got {work!r}")
+        dt = self.dt
+        serving = cache["serving"]
+        draws = cache["draws"]
+        dynamic = np.where(
+            serving,
+            (self._bases + self._scales * self._phis**2) - self._bases,
+            0.0,
+        )
+        powers = np.where(draws, self._bases + dynamic, 0.0)
+        cache.update(
+            work=work,
+            capacities=np.where(serving, self._phis * self._speeds / work * dt, 0.0),
+            effective_service=work / (np.maximum(self._phis, 1e-12) * self._speeds),
             # Left-to-right Python sums, as Module.total_power adds its
             # computers' draws (numpy would sum 8+ wide rows pairwise).
-            "power_sums": [
+            power_sums=[
                 sum(row[:size]) for row, size in zip(powers.tolist(), self.sizes)
             ],
-            "energy_base_inc": np.where(draws, self._bases * dt, 0.0),
-            "energy_dynamic_inc": np.where(draws, dynamic * dt, 0.0),
-            "clock_inc": np.where(valid, dt, 0.0),
-            # Frequencies are fixed while the cache lives, so one copy
-            # per rebuild serves every event until then; the copies are
-            # never mutated afterwards, so sharing them is value-safe
-            # even for observers that retain event references.
-            "freq_rows": [
+            energy_dynamic_inc=np.where(draws, dynamic * dt, 0.0),
+            # Frequencies are fixed until the next pricing, so one copy
+            # serves every event until then; the copies are never
+            # mutated afterwards, so sharing them is value-safe even for
+            # observers that retain event references.
+            freq_rows=[
                 self._freqs[i, : self.sizes[i]].copy()
                 for i in range(self.module_count)
             ],
-        }
-        self._cache = cache
-        return cache
+        )
 
     def step_all(
         self,
@@ -690,8 +801,10 @@ class ClusterVectorExecutor:
         if self._bank is not None:
             self._decide_frequencies(gamma_modules, forecast, work_estimate)
         cache = self._cache
-        if cache is None or cache["work"] != work:
+        if cache is None:
             cache = self._rebuild_cache(work)
+        elif cache["work"] != work:
+            self._price_settings(cache, work)
         serving = cache["serving"]
         shares = self._gammas * module_shares[:, None]
         if cache["any_rejecting"]:

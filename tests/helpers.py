@@ -10,7 +10,9 @@
   own array query, the behaviour-map query tests' subject;
 * :func:`tree_depth` — the realised depth of a fitted regression tree;
 * :func:`table_cell` — one cell's row of a lookup table, read through its
-  row-major strides.
+  row-major strides;
+* :func:`kalman_forecast` — a Kalman filter's mean forecasts by the
+  ``F @ state`` matrix loop, the oracle of ``WorkloadPredictor.forecast``.
 
 ``tests/conftest.py`` puts this directory on ``sys.path``, so every test
 directory imports it as ``helpers``.
@@ -195,3 +197,20 @@ def table_cell(table, indices) -> "tuple[float, ...]":
     """The outputs of a :class:`LookupTableMap`'s cell at grid ``indices``."""
     flat = sum(index * stride for index, stride in zip(indices, table.strides))
     return tuple(table.rows[flat].tolist())
+
+
+def kalman_forecast(kalman, steps: int) -> np.ndarray:
+    """Mean observation forecasts for 1..steps ahead (no side effects).
+
+    The state-space form's own loop: ``F @ state`` once per step, read
+    through ``H``.
+    """
+    if steps <= 0:
+        return np.zeros(0)
+    f, h = kalman.model.transition, kalman.model.observation
+    state = kalman.state.copy()
+    out = np.empty(steps)
+    for i in range(steps):
+        state = f @ state
+        out[i] = float((h @ state)[0])
+    return out

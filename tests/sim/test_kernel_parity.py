@@ -16,10 +16,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import MemorySink
 
-from repro.cluster.specs import paper_cluster_spec, paper_module_spec
+from repro.cluster.processor import processor_profile
+from repro.cluster.specs import ComputerSpec, paper_cluster_spec, paper_module_spec
 from repro.common import ConfigurationError
 from repro.common.validation import require_probability_vector
 from repro.controllers import (
@@ -29,6 +32,7 @@ from repro.controllers import (
     ThresholdOnOffController,
 )
 from repro.controllers.baselines import BaselineDecision
+from repro.controllers.params import L0Params
 from repro.core.simplex import quantize_to_simplex
 from repro.forecast import WorkloadPredictor
 from repro.obs import Tracer
@@ -617,7 +621,7 @@ class TestL0BankParity:
 
     def test_cluster_bank_matches_scalar_decide(self):
         # One bank over all sixteen computers of the paper cluster (5- to
-        # 10-setting processors, padded to 10), fed arrays, with work
+        # 10-setting processors, so mostly ragged calls), fed arrays, with work
         # estimates that repeat (constants reused) and drift (rebuilt).
         computers = [
             c for module in paper_cluster_spec().modules for c in module.computers
@@ -689,6 +693,119 @@ class TestL0BankParity:
             controllers[0].stats.states_explored
             == scalar[0].stats.states_explored
         )
+
+
+#: Every processor profile a registry cluster mixes: 5, 6, 6, 7 and 10
+#: settings.
+BANK_PROFILES = ("c1", "c2", "c3", "c4", "pentium_m")
+
+#: Arrival rates (requests/s): idle, negative (clipped to 0), loads up
+#: to several times a fast machine's ~70/s at full speed, and non-finite.
+_rate = st.one_of(
+    st.floats(-50.0, 400.0, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1e-12, np.nan, np.inf, -np.inf]),
+)
+
+
+@st.composite
+def _bank_call(draw, size, horizon):
+    """One ``decide_many`` call: a subset of a bank in any order, with
+    queues from empty to well past a period's capacity (a fast machine
+    serves ~2,000 requests per 30 s period), rates per depth and c-hats
+    from a few values, so calls repeat and change them."""
+    rows = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=size, unique=True))
+    queues = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(0.0, 9000.0, allow_nan=False)),
+            min_size=len(rows),
+            max_size=len(rows),
+        )
+    )
+    rates = draw(
+        st.lists(
+            st.lists(_rate, min_size=horizon, max_size=horizon),
+            min_size=len(rows),
+            max_size=len(rows),
+        )
+    )
+    works = draw(
+        st.lists(
+            st.sampled_from([0.0175, 0.014, 0.021, 0.0175 * 1.01]),
+            min_size=len(rows),
+            max_size=len(rows),
+        )
+    )
+    return rows, queues, rates, works
+
+
+class TestL0BankProperties:
+    """``decide_many`` against each row's ``L0Controller.decide``, on
+    drawn banks, horizons, margins and calls."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_every_call_decides_like_scalar(self, data):
+        profiles = data.draw(st.lists(st.sampled_from(BANK_PROFILES), min_size=1, max_size=7))
+        horizon = data.draw(st.integers(1, 3))
+        params = L0Params(horizon=horizon, robustness_margin=data.draw(st.sampled_from([0.0, 0.1])))
+        specs = [
+            ComputerSpec(name=f"C{j}", processor=processor_profile(profile))
+            for j, profile in enumerate(profiles)
+        ]
+        bank = L0BankKernel([L0Controller(spec, params) for spec in specs])
+        scalar = [L0Controller(spec, params) for spec in specs]
+        call = None
+        for _ in range(data.draw(st.integers(1, 4))):
+            # A call repeats the previous one (constants and layout
+            # reused) or draws anew.
+            if call is None or not data.draw(st.booleans()):
+                call = data.draw(_bank_call(len(specs), horizon))
+            rows, queues, rates, works = call
+            decisions = bank.decide_many(
+                np.array(rows), np.array(queues), np.array(rates), np.array(works)
+            )
+            assert len(decisions) == len(rows)
+            for decision, row, queue, rate, work in zip(decisions, rows, queues, rates, works):
+                expected = scalar[row].decide(queue, np.array(rate), work)
+                assert decision.frequency_index == expected.frequency_index
+                assert decision.expected_cost.hex() == expected.expected_cost.hex()
+                assert decision.states_explored == expected.states_explored
+        for scalar_l0, bank_l0 in zip(scalar, bank.controllers):
+            assert (bank_l0.stats.invocations, bank_l0.stats.states_explored) == (
+                scalar_l0.stats.invocations,
+                scalar_l0.stats.states_explored,
+            )
+
+
+class TestShortHorizonRuns:
+    """Every registry scenario runs the paper's N_L0 = 3, and the bank's
+    first action is ``best // width ** (horizon - 1)``: horizons 1 and 2
+    run here, scalar against vector."""
+
+    @pytest.mark.parametrize("horizon", [1, 2])
+    def test_fig6_cluster16_bit_identical(self, horizon, monkeypatch):
+        spec = get_scenario("paper/fig6-cluster16", samples=48).with_overrides(
+            **{"control.l0": {"horizon": horizon}}
+        )
+        scalar = run_scenario(_scalar(spec))
+        ragged = []
+        expand_ragged = L0BankKernel._expand_ragged
+
+        def spy(self, layout, *args):
+            ragged.append(len(layout.fanouts))
+            return expand_ragged(self, layout, *args)
+
+        monkeypatch.setattr(L0BankKernel, "_expand_ragged", spy)
+        vector = run_scenario(_vector(spec))
+        assert json.dumps(
+            scalar.summary().deterministic_dict(), sort_keys=True
+        ) == json.dumps(vector.summary().deterministic_dict(), sort_keys=True)
+        _assert_runs_identical(scalar, vector)
+        # The run stepped mixed calls at this horizon, and its widest
+        # tree (pentium_m's 10 settings) bounds every decision's states.
+        assert ragged and set(ragged) == {horizon}
+        for module in vector.module_results:
+            assert 0 < module.l0_stats.mean_states <= sum(10**d for d in range(1, horizon + 1))
 
 
 def _tuned_predictor():
