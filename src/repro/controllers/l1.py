@@ -21,13 +21,15 @@ realise the paper's design:
   capacity-proportional allocation. The horizon cost is separable by
   computer, so a decision evaluates each (computer, gamma level, band
   sample) point it needs once, at its own inputs, and adds each
-  candidate's cost up from them. Decisions that share a neighbourhood
-  plan are scored together, each horizon term by one array query over
-  the module's maps (see :meth:`L1Controller.decide_many`). A run
-  decides every module of a boundary in one kernel pass
-  (:class:`L1Bank`): the modules' plans, concatenated into one block
-  plan over one map bank of all their computers, score as one row, and
-  each module takes the first minimum of its own candidates.
+  candidate's cost up from them. Every decision goes through one entry
+  point, :meth:`L1Bank.decide`, which takes any number of rows per
+  controller: a run's boundary (one row per module), module-map
+  training (one row per grid cell) and :meth:`L1Controller.decide` (one
+  row). Modules decided together are concatenated into one block plan
+  over one map bank of all their computers, which scores as one kernel
+  row; blocks that repeat stack along the kernel's rows, each horizon
+  term one array query; each row takes the first minimum of its own
+  candidates.
 * **Chattering mitigation** — every candidate is costed as the average of
   three arrival-rate samples ``lambda_hat - delta, lambda_hat,
   lambda_hat + delta`` (the forecast uncertainty band), plus the
@@ -39,14 +41,13 @@ contributes capacity from the *second* horizon term onward — turning a
 machine on is only chosen when the forecast says the capacity will pay
 for itself.
 
-Every path gives the same bits as the per-candidate loop it replaced.
-That loop lives on as the oracle in ``tests/controllers/test_l1.py``
-(``_reference_decide``), checked against :meth:`L1Controller.decide_many`
-on generated and recorded rows; ``TestBlockPass`` there checks each
-row of a generated :class:`L1Bank` pass against its controller's
-:meth:`~L1Controller.decide` on that row alone, and
-``tests/sim/test_l1_pass.py`` checks whole runs, on both kernels and
-with failures, against the pass replaced by one ``decide`` per module.
+Every decision has the same bits as the per-candidate loop the kernel
+replaced. That loop lives on as the oracle ``reference_l1_decide`` in
+``tests/helpers.py``: ``tests/controllers/test_l1.py`` checks generated
+passes (many controllers, many rows each) and every row of recorded
+runs against it, row by row, and ``tests/sim/test_l1_pass.py`` checks
+whole runs, on both kernels and with failures, against the pass
+replaced by one oracle decision per module.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -372,7 +373,7 @@ class _MapBank:
 
         Every point takes each T_L0 substep's operations in the scalar
         rollout's order. The inputs are finite, non-negative and ``works``
-        positive (see :meth:`L1Controller.decide_many`), so no
+        positive (see :meth:`L1Bank.decide`), so no
         difference is NaN or ``-0.0`` and ``np.maximum(x, 0.0)`` is
         ``max(0.0, x)``.
         """
@@ -461,16 +462,13 @@ def _bands(rates: np.ndarray, delta: np.ndarray, banded: bool) -> np.ndarray:
     return rates[:, :, None].transpose(1, 0, 2)
 
 
-def _decision(
-    plan: _Neighbourhood, choice: int, cost: float, states: int, name: str
-) -> L1Decision:
+def _decision(plan: _Neighbourhood, choice: int, cost: float, states: int) -> L1Decision:
     """Candidate ``choice`` of ``plan`` at total ``cost``.
 
-    Raises a one-line :class:`ControlError` naming the total ``name``
-    when it is not finite.
+    Raises a one-line :class:`ControlError` when the total is not finite.
     """
     if not math.isfinite(cost):
-        require_finite_inputs(**{name: cost})
+        require_finite_inputs(expected_cost=cost)
     return L1Decision(
         alpha=plan.alphas[choice].astype(int),
         gamma=plan.gammas[choice],
@@ -654,84 +652,15 @@ class L1Controller:
         sampling); ``work`` is c-hat. ``available`` masks out failed
         machines — they can be neither kept on nor switched on.
 
-        :meth:`decide_many` on one row: the decision is a pure function
-        of these inputs.
+        A one-row pass of ``L1Bank([self])``: the decision is a pure
+        function of these inputs, and the errors are the pass's.
         """
-        return self.decide_many(
-            np.asarray(queues, dtype=float)[None],
-            np.asarray(alpha_current)[None],
-            [rate_hat],
-            [rate_next],
-            [delta],
-            [work],
-            None if available is None else np.asarray(available)[None],
-        )[0]
-
-    def decide_many(
-        self,
-        queues: np.ndarray,
-        alpha_current: np.ndarray,
-        rate_hat,
-        rate_next,
-        delta,
-        work,
-        available: np.ndarray | None = None,
-    ) -> "list[L1Decision]":
-        """:meth:`decide` for many rows at once, one decision per row.
-
-        ``queues``, ``alpha_current`` and ``available`` are ``(rows, m)``;
-        the set-points have one value per row. Rows that share a plan
-        (their on/off and availability masks) and a band sample count
-        are decided together, each term of their horizon cost by one
-        array query over the module's maps (see :meth:`_totals`).
-
-        The two-term horizon cost is separable by computer. In the
-        first term computer j depends on a candidate only through its
-        gamma quanta n and the band sample; in the second, through n
-        (which fixes its start queue), its gamma_next quanta and the
-        sample. So each such point is evaluated once per row, at its own
-        inputs, and every candidate's total adds the points up in the
-        per-candidate loop's order: sample by sample, serving then
-        draining computers, the first term then the second. Ties go to
-        the first candidate in search order.
-
-        Raises a one-line :class:`ControlError` for a NaN, infinite or
-        negative queue, rate or delta, a work that is not positive, or a
-        row whose best total is not finite.
-        """
-        started = time.perf_counter()
-        queues, alpha_current, available, set_points, quiet = self._inputs(
-            queues, alpha_current, rate_hat, rate_next, delta, work, available
+        if available is None:
+            available = np.ones(self.spec.size, dtype=bool)
+        (decision,) = L1Bank([self]).decide(
+            [0], [queues], [alpha_current], [rate_hat], [rate_next], [delta], [work], [available]
         )
-        rows = len(queues)
-        if not rows:
-            return []
-        delta, work = set_points[2:]
-        with np.errstate(over="ignore", invalid="ignore") if quiet else nullcontext():
-            groups: "dict[bytes, list[int]]" = {}
-            keys = np.concatenate([alpha_current, available, (delta > 0)[:, None]], axis=1)
-            for row, key in enumerate(keys):
-                groups.setdefault(key.tobytes(), []).append(row)
-            decisions: "list[L1Decision]" = [None] * rows
-            for key, members in groups.items():
-                first = members[0]
-                plan = self._plan(key[:-1], alpha_current[first], available[first])
-                for start in range(0, len(members), _KERNEL_ROWS):
-                    block = members[start : start + _KERNEL_ROWS]
-                    # One group holds every row: index by a view, not a copy.
-                    index = slice(start, start + len(block)) if len(groups) == 1 else block
-                    bands = _bands(set_points[:2, index], delta[index], key[-1])
-                    totals = self._totals(self._bank, plan, queues[index], bands, work[index])
-                    states = len(plan.fixed) * 2 * bands.shape[2]
-                    for row, choice, cost in zip(
-                        block, totals.argmin(axis=1).tolist(), totals.min(axis=1).tolist()
-                    ):
-                        name = "expected_cost" if rows == 1 else f"expected_cost[{row}]"
-                        decisions[row] = _decision(plan, choice, cost, states, name)
-        share = (time.perf_counter() - started) / rows
-        for decision in decisions:
-            self.stats.record(decision.states_explored, share)
-        return decisions
+        return decision
 
     @staticmethod
     def _totals(
@@ -813,55 +742,6 @@ class L1Controller:
         for s in range(width):
             totals += steps[:, s]
         return totals
-
-    def _inputs(
-        self, queues, alpha_current, rate_hat, rate_next, delta, work, available
-    ) -> tuple:
-        """:meth:`decide_many`'s arguments as arrays, after every input check.
-
-        Returns ``(queues, alpha_current, available, set_points,
-        quiet)``: the masks are ``(rows, m)`` with failed machines off in
-        ``alpha_current``, ``set_points`` stacks rate_hat, rate_next,
-        delta and work as ``(4, rows)``, and ``quiet`` says the kernel
-        runs with numpy's overflow warnings off (see
-        :data:`_QUIET_ABOVE`).
-        """
-        queues = np.asarray(queues, dtype=float)
-        alpha_current = np.asarray(alpha_current, dtype=bool)
-        m = self.spec.size
-        if queues.ndim != 2 or queues.shape[1] != m or alpha_current.shape != queues.shape:
-            raise ConfigurationError("queues and alpha must have one entry per computer")
-        rows = len(queues)
-        if available is None:
-            available = np.ones((rows, m), dtype=bool)
-        else:
-            available = np.asarray(available, dtype=bool)
-            if available.shape != (rows, m):
-                raise ConfigurationError("available mask must match module size")
-            if not available.any(axis=1).all():
-                raise ControlError("no machine available to serve the module")
-            alpha_current = alpha_current & available
-        try:
-            set_points = np.array([rate_hat, rate_next, delta, work], dtype=float)
-        except ValueError:  # ragged
-            set_points = None
-        if set_points is None or set_points.shape != (4, rows):
-            raise ConfigurationError(
-                "rate_hat, rate_next, delta and work need one value per row"
-            )
-        if not rows:
-            return queues, alpha_current, available, set_points, False
-        checked = np.concatenate([queues.ravel(), set_points.ravel()])
-        top, least_work = checked.max(), set_points[3].min()
-        if not (checked.min() >= 0.0 and top < np.inf and least_work > 0.0):
-            # One row names its inputs as decide's arguments, many by row.
-            names = ("queues", "rate_hat", "rate_next", "delta", "work")
-            inputs = dict(zip(names, (queues, *set_points)))
-            if rows == 1:
-                inputs = {name: value[0] for name, value in inputs.items()}
-            require_valid_inputs(**inputs)
-        quiet = top > _QUIET_ABOVE or least_work < 1.0 / _QUIET_ABOVE
-        return queues, alpha_current, available, set_points, quiet
 
     def _plan(
         self, mask: bytes, alpha_current: np.ndarray, available: np.ndarray
@@ -1061,27 +941,32 @@ def _stacked(
 
 
 class L1Bank:
-    """A run's L1 controllers, decided in one kernel pass per boundary.
+    """L1 controllers decided together: every L1 decision's one entry point.
 
-    Every module a boundary decides is one member of one *block plan*:
-    the members' cached neighbourhood plans, concatenated over one map
-    bank of all the controllers' computers, score as one row of one
-    :meth:`L1Controller._totals` call, and each member takes the first
-    minimum of its own candidates. Each point is still evaluated at its
-    own inputs and each total still adds its columns in the plan's
-    order, so every decision is bit for bit its controller's
-    :meth:`~L1Controller.decide` on that row alone.
+    A pass takes any number of rows per controller, each with its own
+    inputs. A controller's t-th row joins *lane* t, so a run's boundary
+    (one row per module) is one lane and module-map training (one
+    controller, a row per grid cell) a lane per cell. A lane's rows that
+    share a band flag (delta above 0 or not) and a work are the members
+    of one *block plan*: the members' cached neighbourhood plans,
+    concatenated over one map bank of all the controllers' computers,
+    score as one row of :meth:`L1Controller._totals`. Blocks of the same
+    members, masks and band flag stack along its rows, at most
+    :data:`_KERNEL_ROWS` to a call. Each row takes the first minimum of
+    its own candidates, ties going to the first in search order. Each
+    point is still evaluated at its own inputs and each total still adds
+    its columns in the plan's order, so every decision is bit for bit
+    the one its row gets alone.
 
     The block lists every member's serving first-term points, then every
     member's drains, then every member's second-term points; a point's
     band row is ``2 * member + term``. The members' slot matrices move
     by the same offsets and are padded with the zero column's index, so
-    a pad adds ``+0.0`` as a plan's own pads do. Modules whose delta is
-    0 sample the band once, so they make a block of their own. A block
-    of one module is its own plan over its controller's bank: a module
-    run's pass builds nothing. Plans stay cached per controller; only
-    the last block is kept, since a boundary's masks often repeat the
-    last one's.
+    a pad adds ``+0.0`` as a plan's own pads do. A block of one member
+    is its own plan over its controller's bank: a module run's pass and
+    map training build nothing. Plans stay cached per controller; only
+    the last block of several members is kept, since a boundary's masks
+    often repeat the last one's.
     """
 
     def __init__(self, controllers: "list[L1Controller]") -> None:
@@ -1105,59 +990,77 @@ class L1Bank:
         rate_hat: "list[float]",
         rate_next: "list[float]",
         delta: "list[float]",
-        work: float,
+        work: "list[float]",
         available: "list[np.ndarray]",
     ) -> "list[L1Decision]":
         """One decision per row: row r decides controller ``modules[r]``.
 
-        Row r's values, with the boundary's one c-hat ``work``, are that
-        controller's :meth:`~L1Controller.decide` arguments, and its
-        decision is that call's, bit for bit. The rows whose delta is
-        above 0 make one block, and so do those whose delta is 0. Each
-        row records one invocation on its controller's stats, at the
-        pass's wall time divided by its rows. Raises ``decide``'s
-        one-line errors, each led by the failing row's module.
+        Row r's values are that controller's :meth:`~L1Controller.decide`
+        arguments, and its decision is that call's, bit for bit. Each row
+        records one invocation on its controller's stats, at the pass's
+        wall time divided by its rows. Raises the first failing row's
+        one-line :class:`ControlError` (a NaN, infinite or negative queue,
+        rate or delta, a work that is not positive, no machine available,
+        no admissible candidate or a best total that is not finite) or
+        :class:`ConfigurationError` (a shape), led by ``module i:`` when
+        the bank holds several controllers.
         """
         started = time.perf_counter()
-        if not modules:
+        if not len(modules):
             return []
         rows, quiet = self._rows(
             modules, queues, alpha_current, rate_hat, rate_next, delta, work, available
         )
-        groups: "dict[bool, list[int]]" = {}  # rows by band sampling
-        for r, row in enumerate(rows):
-            groups.setdefault(bool(row[4][2] > 0), []).append(r)
-        decisions: "list[L1Decision]" = [None] * len(rows)
+        # A controller's t-th row joins lane t; a lane's rows of one band
+        # flag and work make a block; blocks of the same members, masks
+        # and band flag stack along the kernel's rows.
+        lanes: "dict[int, int]" = {}
+        blocks: "dict[tuple, list[int]]" = {}
+        for r, (module, _, _, _, (_, _, row_delta, row_work)) in enumerate(rows):
+            lane = lanes[module] = lanes.get(module, -1) + 1
+            blocks.setdefault((lane, row_delta > 0, row_work), []).append(r)
+        stacks: "dict[tuple, list[list[int]]]" = {}
+        for (_, banded, _), members in blocks.items():
+            stacks.setdefault((banded, tuple(rows[r][:2] for r in members)), []).append(members)
+        outcomes: "list[tuple]" = [None] * len(rows)  # (choice, total, samples)
         with np.errstate(over="ignore", invalid="ignore") if quiet else nullcontext():
-            for banded, members in groups.items():
-                set_points = np.array([rows[r][4] for r in members]).T
-                if len(members) == 1:
-                    module, _, plan, row_queues, _ = rows[members[0]]
-                    bank, block = self.controllers[module]._bank, plan
-                    bounds = [0, len(plan.fixed)]
+            for (banded, key), stack in stacks.items():
+                plans = [rows[r][2] for r in stack[0]]
+                if len(key) == 1:
+                    controller = self.controllers[key[0][0]]
+                    bank, width, starts = controller._bank, controller.spec.size, [0]
+                    block, bounds = plans[0], [0, len(plans[0].fixed)]
                 else:
-                    bank = self._bank
-                    block, bounds = self._block([rows[r][:3] for r in members])
-                    row_queues = np.zeros((1, self._computers))
-                    for r in members:
-                        module, _, _, module_queues, _ = rows[r]
-                        start = self._first_computer[module]
-                        row_queues[:, start : start + module_queues.shape[1]] = module_queues
-                bands = _bands(set_points[:2], set_points[2], banded)
-                samples = bands.shape[2]
-                bands = bands.reshape(1, -1, samples)
-                totals = L1Controller._totals(bank, block, row_queues, bands, set_points[3, :1])[0]
-                for b, r in enumerate(members):
-                    module, _, plan, _, _ = rows[r]
-                    candidates = totals[bounds[b] : bounds[b + 1]]
-                    choice = int(candidates.argmin())
-                    states = len(plan.fixed) * 2 * samples
-                    try:
-                        decisions[r] = _decision(
-                            plan, choice, float(candidates[choice]), states, "expected_cost"
-                        )
-                    except ControlError as error:
-                        raise ControlError(f"module {module}: {error}") from None
+                    bank, width = self._bank, self._computers
+                    block, bounds = self._block(key, plans)
+                    starts = [self._first_computer[module] for module, _ in key]
+                for low in range(0, len(stack), _KERNEL_ROWS):
+                    chunk = stack[low : low + _KERNEL_ROWS]
+                    points = np.array([rows[r][4] for members in chunk for r in members]).T
+                    bands = _bands(points[:2], points[2], banded)
+                    samples = bands.shape[2]
+                    row_queues = np.zeros((len(chunk), width))
+                    for k, members in enumerate(chunk):
+                        for r, start in zip(members, starts):
+                            row_queues[k, start : start + len(rows[r][3])] = rows[r][3]
+                    totals = L1Controller._totals(
+                        bank,
+                        block,
+                        row_queues,
+                        bands.reshape(len(chunk), -1, samples),
+                        points[3, :: len(key)],
+                    )
+                    for k, members in enumerate(chunk):
+                        for r, first, last in zip(members, bounds, bounds[1:]):
+                            candidates = totals[k, first:last]
+                            choice = int(candidates.argmin())
+                            outcomes[r] = (choice, float(candidates[choice]), samples)
+        decisions = []
+        for (module, _, plan, _, _), (choice, total, samples) in zip(rows, outcomes):
+            try:
+                decisions.append(_decision(plan, choice, total, len(plan.fixed) * 2 * samples))
+            except ControlError as error:
+                raise self._named(error, module) from None
         share = (time.perf_counter() - started) / len(rows)
         for (module, *_), decision in zip(rows, decisions):
             self.controllers[module].stats.record(decision.states_explored, share)
@@ -1168,21 +1071,21 @@ class L1Bank:
     ) -> "tuple[list[tuple], bool]":
         """:meth:`decide`'s rows after every input check, and ``quiet``.
 
-        Row r is ``(module, mask, plan, (1, m) queues, (4,) set-points)``
-        with its failed machines off in the mask's alpha, and ``quiet``
-        is :meth:`L1Controller._inputs`'s flag over all rows. One check
+        Row r is ``(module, mask, plan, queues, set-points)``, with its
+        failed machines off in the mask's alpha and its rate_hat,
+        rate_next, delta and work as a list of floats; ``quiet`` says the
+        kernel runs with numpy's overflow warnings off (see
+        :data:`_QUIET_ABOVE`). One check
         covers the pass's concatenated rows: each row's shapes, every
-        queue and set-point finite and non-negative, the work above 0
-        and a machine available in each module. Only a pass that fails
-        it goes through ``_inputs`` row by row, so the first failing row
-        raises, led by its module.
+        queue and set-point finite and non-negative, every work above 0
+        and a machine available in each row. Only a pass that fails it
+        goes row by row, so the first failing row raises
+        (:meth:`_raise_first_failure`).
         """
         sizes = [self.controllers[module].spec.size for module in modules]
         bounds = np.cumsum([0, *sizes])
         try:
-            set_points = np.array(
-                [rate_hat, rate_next, delta, [work] * len(modules)], dtype=float
-            )
+            set_points = np.array([rate_hat, rate_next, delta, work], dtype=float)
             passed = set_points.shape == (4, len(modules)) and all(
                 np.shape(q) == np.shape(a) == np.shape(v) == (m,)
                 for q, a, v, m in zip(queues, alpha_current, available, sizes, strict=True)
@@ -1190,7 +1093,7 @@ class L1Bank:
             if passed:
                 values = np.concatenate([*queues, set_points.ravel()], dtype=float)
                 masks = np.concatenate(available, dtype=bool, casting="unsafe")
-                top, least_work = values.max(), set_points[3, 0]
+                top, least_work = values.max(), set_points[3].min()
                 passed = (
                     values.min() >= 0.0
                     and top < np.inf
@@ -1200,63 +1103,82 @@ class L1Bank:
         except ValueError:  # ragged
             passed = False
         if not passed:
-            return self._rows_one_by_one(
+            self._raise_first_failure(
                 modules, queues, alpha_current, rate_hat, rate_next, delta, work, available
             )
         alphas = np.concatenate(alpha_current, dtype=bool, casting="unsafe") & masks
         bounds = bounds.tolist()
         rows = []
-        for r, module in enumerate(modules):
+        for r, (module, points) in enumerate(zip(modules, set_points.T.tolist())):
             start, end = bounds[r], bounds[r + 1]
             alpha, mask = alphas[start:end], masks[start:end]
             key = alpha.tobytes() + mask.tobytes()
             try:
                 plan = self.controllers[module]._plan(key, alpha, mask)
             except ControlError as error:
-                raise ControlError(f"module {module}: {error}") from None
-            rows.append((module, key, plan, values[None, start:end], set_points[:, r]))
+                raise self._named(error, module) from None
+            rows.append((module, key, plan, values[start:end], points))
         quiet = top > _QUIET_ABOVE or least_work < 1.0 / _QUIET_ABOVE
         return rows, bool(quiet)
 
-    def _rows_one_by_one(
-        self, modules, queues, alpha_current, rate_hat, rate_next, delta, work, available
-    ) -> "tuple[list[tuple], bool]":
-        """:meth:`_rows` through each row's own ``_inputs`` and plan, in order."""
-        rows = []
-        quiet = False
-        for r, module in enumerate(modules):
-            controller = self.controllers[module]
-            try:
-                row_queues, alpha, mask, set_points, row_quiet = controller._inputs(
-                    np.asarray(queues[r], dtype=float)[None],
-                    np.asarray(alpha_current[r])[None],
-                    [rate_hat[r]],
-                    [rate_next[r]],
-                    [delta[r]],
-                    [work],
-                    np.asarray(available[r])[None],
-                )
-                key = alpha.tobytes() + mask.tobytes()
-                plan = controller._plan(key, alpha[0], mask[0])
-            except (ConfigurationError, ControlError) as error:
-                raise type(error)(f"module {module}: {error}") from None
-            quiet = quiet or row_quiet
-            rows.append((module, key, plan, row_queues, set_points[:, 0]))
-        return rows, quiet
+    def _raise_first_failure(self, modules, *columns) -> NoReturn:
+        """Raise the one-line error of the first row that fails its checks.
 
-    def _block(self, members: list) -> "tuple[_Neighbourhood, list[int]]":
-        """The block plan of ``members`` and their candidate bounds.
-
-        ``members`` are ``(module, mask, plan)``; member b's candidates
-        are the block's ``bounds[b]:bounds[b + 1]``. The last block is
-        reused while the members and their masks repeat.
+        Row by row, in order: the queue and mask shapes, a machine
+        available, one value per set-point, the values' domain (see
+        :func:`require_valid_inputs`), then the row's plan. When every
+        row passes, the arguments do not hold one value per row.
         """
-        key = [(module, mask) for module, mask, _ in members]
+        for r, module in enumerate(modules):
+            try:
+                queues, alpha, rate_hat, rate_next, delta, work, available = (
+                    column[r] for column in columns
+                )
+            except (IndexError, TypeError):
+                break
+            controller = self.controllers[module]
+            shape = (controller.spec.size,)
+            try:
+                queues = np.asarray(queues, dtype=float)
+                alpha = np.asarray(alpha, dtype=bool)
+                available = np.asarray(available, dtype=bool)
+                if queues.shape != shape or alpha.shape != shape:
+                    raise ConfigurationError("queues and alpha must have one entry per computer")
+                if available.shape != shape:
+                    raise ConfigurationError("available mask must match module size")
+                if not available.any():
+                    raise ControlError("no machine available to serve the module")
+                if any(np.ndim(value) for value in (rate_hat, rate_next, delta, work)):
+                    raise ConfigurationError(
+                        "rate_hat, rate_next, delta and work need one value per row"
+                    )
+                require_valid_inputs(
+                    queues=queues, rate_hat=rate_hat, rate_next=rate_next, delta=delta, work=work
+                )
+                alpha = alpha & available
+                controller._plan(alpha.tobytes() + available.tobytes(), alpha, available)
+            except (ConfigurationError, ControlError) as error:
+                raise self._named(error, module) from None
+        raise ConfigurationError("a pass's arguments need one value per row")
+
+    def _named(self, error: Exception, module: int) -> Exception:
+        """``error`` led by ``module i:`` when the bank holds several controllers."""
+        if len(self.controllers) == 1:
+            return error
+        return type(error)(f"module {module}: {error}")
+
+    def _block(
+        self, key: tuple, plans: "list[_Neighbourhood]"
+    ) -> "tuple[_Neighbourhood, list[int]]":
+        """The block plan of the members ``key`` and their candidate bounds.
+
+        ``key`` holds each member's ``(module, mask)`` and ``plans`` its
+        plan; member b's candidates are the block's ``bounds[b]:bounds[b
+        + 1]``. The last block is reused while the members and their
+        masks repeat.
+        """
         if self._last is None or self._last[0] != key:
-            block = self._build(
-                [self._first_computer[module] for module, _, _ in members],
-                [plan for _, _, plan in members],
-            )
+            block = self._build([self._first_computer[module] for module, _ in key], plans)
             self._last = (key, *block)
         return self._last[1:]
 

@@ -32,6 +32,7 @@ from repro.cluster.specs import ModuleSpec
 from repro.controllers.l0 import L0Controller
 from repro.controllers.l1 import (
     ComputerBehaviorMap,
+    L1Bank,
     L1Controller,
     _l0_substep,
     _sequential_sum,
@@ -68,14 +69,15 @@ def _module_training_grid(
 ) -> np.ndarray:
     """Every module-cost-map grid cell, run in lockstep for one T_L2.
 
-    One L1 decides the whole grid in one :meth:`L1Controller.decide_many`
-    call, so the cells that share on/off masks share one plan and one
-    array query per horizon term. Then every T_L0 substep advances each
-    (cell, computer) pair that serves, or that drains a queue above
-    1e-9, as a row of one :func:`_l0_substep`, computer by computer, and
-    each cell's cost adds up in computer order (a booting machine adds
-    its base power). Returns ``(cost, mean final queue)`` per cell, in
-    the order of ``points``.
+    One L1 decides the whole grid in one :meth:`L1Bank.decide` pass, a
+    row per cell. Each cell is a lane of its own, so the cells that
+    share on/off masks share one plan and stack along the kernel's
+    rows, one array query per horizon term. Then every T_L0 substep
+    advances each (cell, computer) pair that serves, or that drains a
+    queue above 1e-9, as a row of one :func:`_l0_substep`, computer by
+    computer, and each cell's cost adds up in computer order (a booting
+    machine adds its base power). Returns ``(cost, mean final queue)``
+    per cell, in the order of ``points``.
     """
     from repro.sim.kernels import L0BankKernel
 
@@ -87,8 +89,9 @@ def _module_training_grid(
         [ModuleCostMap._steady_alpha(module_spec, rate, work) for rate, work in grid[:, 1:]]
     )
     queues = np.where(alpha0, queue_avgs[:, None], 0.0)
-    decisions = l1.decide_many(
-        queues, alpha0, rates, rates, np.zeros(len(grid)), works
+    decisions = L1Bank([l1]).decide(
+        [0] * len(grid), queues, alpha0, rates, rates, np.zeros(len(grid)), works,
+        np.ones_like(alpha0),
     )
     alpha = np.array([decision.alpha for decision in decisions], dtype=bool)
     gamma = np.array([decision.gamma for decision in decisions])

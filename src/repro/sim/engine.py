@@ -490,7 +490,7 @@ class _SimulationBase:
             [boundary.rate_hat for boundary in inputs],
             [boundary.rate_next for boundary in inputs],
             [boundary.delta for boundary in inputs],
-            inputs[0].work,
+            [boundary.work for boundary in inputs],
             [runner.plant.available_mask for runner in runners],
         )
         wall = (time.perf_counter() - t0) / len(decided) if timed else 0.0
@@ -568,12 +568,7 @@ class _SimulationBase:
         filters = state.module_filters
         seconds = self.l1_params.period
         if self._make_baseline is not None:
-            if state.vector_executor is None:
-                counts = [float(f.forecast(1)[0]) for f in filters]
-            else:
-                from repro.sim.kernels import fast_forecast1
-
-                counts = [fast_forecast1(f) for f in filters]
+            counts = [float(f.forecast(1)[0]) for f in filters]
             points = [(count / seconds, 0.0, 0.0, count) for count in counts]
         else:
             if state.l2 is None:

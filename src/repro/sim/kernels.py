@@ -905,15 +905,6 @@ class ClusterVectorExecutor:
 # method.
 
 
-def fast_forecast1(predictor) -> float:
-    """Bit-exact scalar twin of ``float(predictor.forecast(1)[0])``."""
-    if not predictor._primed:
-        return 0.0
-    state = predictor._filter.state
-    value = float(state[0]) + float(state[1])
-    return value if value > 0.0 else 0.0
-
-
 def _fast_quantize(weights: "list[float]", k: int, step: float) -> "list[float]":
     """Scalar twin of :func:`repro.core.simplex.quantize_to_simplex`."""
     n = len(weights)

@@ -3,8 +3,6 @@
 import math
 import re
 import warnings
-from bisect import bisect_left
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -28,16 +26,13 @@ from repro.controllers import l1 as l1_module
 from repro.controllers.l1 import (
     ComputerBehaviorMap,
     L1Bank,
-    L1Decision,
     require_finite_inputs,
 )
-from repro.core.simplex import quantize_to_simplex, simplex_neighbors
-from repro.core.uncertainty import three_point_band
 from repro.forecast.structural import WorkloadPredictor
 from repro.maps.provider import MapProvider, clear_map_memo
 from repro.sim.shard import set_points
 
-from helpers import behavior_map_query, table_cell
+from helpers import behavior_map_query, reference_l1_decide, reference_map_query
 
 
 @pytest.fixture(scope="module")
@@ -414,295 +409,41 @@ class TestNonFiniteInputs:
         assert str(caught.value) == expected
 
 
-def _nearest(levels, value) -> int:
-    """The scalar nearest-level rule: bisect, a tie to the lower level."""
-    pos = bisect_left(levels, value)
-    if pos == 0:
-        return 0
-    if pos >= len(levels):
-        return len(levels) - 1
-    before, after = levels[pos - 1], levels[pos]
-    return pos - 1 if value - before <= after - value else pos
-
-
-def _reference_rollout(behavior_map, queue, rate, work):
-    """The scalar closed-form overload cost the array rollout replaced."""
-    params = behavior_map.l0_params
-    speed = behavior_map.spec.effective_speed_factor
-    capacity = speed / work * params.period
-    power = behavior_map.spec.base_power + behavior_map.spec.power_scale  # phi = 1
-    q = float(queue)
-    total_cost = 0.0
-    for _ in range(behavior_map.substeps):
-        q = max(0.0, q + rate * params.period - capacity)
-        response = (1.0 + q) * work / speed
-        slack = max(0.0, response - params.target_response)
-        total_cost += params.weights.tracking * slack
-        total_cost += params.weights.operating * power
-    return total_cost, q
-
-
-def _reference_query(behavior_map, queue, rate, work):
-    """The scalar map query the array query replaced (test oracle).
-
-    Snaps each coordinate to its nearest grid level and reads the table
-    cell, unless the rate is past the trained maximum: then the
-    closed-form saturated rollout answers.
-    """
-    queue_levels, rate_levels, work_levels = behavior_map.table.quantizer.levels
-    if rate > rate_levels[-1]:
-        return _reference_rollout(behavior_map, queue, rate, work)
-    return table_cell(
-        behavior_map.table,
-        (
-            _nearest(queue_levels, queue),
-            _nearest(rate_levels, rate),
-            _nearest(work_levels, work),
-        )
-    )
-
-
-@dataclass(frozen=True)
-class _DecisionPoint:
-    """Inputs of one L1 decision that every candidate's cost shares.
-
-    Computed once per :meth:`_ReferenceL1.decide`: the arrival-rate
-    samples of both horizon terms and the memo-key parts that do not
-    depend on the candidate.
-    """
-
-    queues: np.ndarray
-    work: float
-    samples: list  # first-term rates: the band around rate_hat
-    next_samples: list  # second-term rates: the band around rate_next
-    map_ids: "list[int]"  # id(maps[j]), the memo key's map part
-
-
-class _ReferenceL1:
-    """The per-candidate L1 search the array kernel replaced (test oracle).
-
-    ``decide`` walks every (alpha, gamma) candidate and costs it with
-    ``_horizon_cost``: one map query per computer and band sample, each
-    with the scalar :func:`_reference_query`, memoised on the exact
-    point, so every point's result is that point's own query. The loop
-    and its order of addition are those of the former
-    ``L1Controller.decide``; it reads the controller's maps, params and
-    capacities and keeps its own caches.
-    """
-
-    def __init__(self, controller: L1Controller) -> None:
-        self.spec = controller.spec
-        self.params = controller.params
-        self.l0_params = controller.l0_params
-        self.maps = controller.maps
-        self.capacities = controller.capacities
-        self._base_powers = controller._base_powers
-        self._gamma_candidates: "dict[bytes, tuple[np.ndarray, ...]]" = {}
-        self._gamma_next: "dict[bytes, np.ndarray]" = {}
-
-    def decide(
-        self,
-        queues: np.ndarray,
-        alpha_current: np.ndarray,
-        rate_hat: float,
-        rate_next: float,
-        delta: float,
-        work: float,
-        available: np.ndarray | None = None,
-    ) -> L1Decision:
-        queues = np.asarray(queues, dtype=float)
-        alpha_current = np.asarray(alpha_current).astype(bool)
-        m = self.spec.size
-        if available is None:
-            available = np.ones(m, dtype=bool)
-        else:
-            available = np.asarray(available).astype(bool)
-            if not available.any():
-                raise ControlError("no machine available to serve the module")
-            alpha_current = alpha_current & available
-        self._available = available
-        explored = 0
-        best_cost = float("inf")
-        best_alpha: np.ndarray | None = None
-        best_gamma: np.ndarray | None = None
-        self._memo: dict[tuple, tuple[float, float]] = {}
-        point = _DecisionPoint(
-            queues=queues,
-            work=work,
-            samples=list(three_point_band(rate_hat, delta)) if delta > 0 else [rate_hat],
-            next_samples=(
-                list(three_point_band(rate_next, delta)) if delta > 0 else [rate_next]
-            ),
-            map_ids=[id(m) for m in self.maps],
-        )
-        for alpha in self._candidate_alphas(alpha_current):
-            serving_now = alpha & alpha_current
-            if not serving_now.any():
-                continue
-            context = self._alpha_context(alpha, alpha_current)
-            for gamma in self._candidate_gammas(serving_now):
-                cost, states = self._horizon_cost(point, context, gamma)
-                explored += states
-                if cost < best_cost:
-                    best_cost = cost
-                    best_alpha = alpha
-                    best_gamma = gamma
-        if best_alpha is None:
-            raise ControlError("no admissible (alpha, gamma) candidate found")
-        return L1Decision(
-            alpha=best_alpha.astype(int),
-            gamma=best_gamma,
-            expected_cost=best_cost,
-            states_explored=explored,
-        )
-
-    def _candidate_alphas(self, alpha_current: np.ndarray) -> list[np.ndarray]:
-        m = alpha_current.size
-        available = getattr(self, "_available", np.ones(m, dtype=bool))
-        candidates = [alpha_current.copy()]
-        for j in range(m):
-            candidate = alpha_current.copy()
-            if not candidate[j] and not available[j]:
-                continue  # cannot switch on a failed machine
-            candidate[j] = not candidate[j]
-            if candidate.any():  # never turn the whole module off
-                candidates.append(candidate)
-        return candidates
-
-    def _candidate_gammas(self, serving: np.ndarray) -> "tuple[np.ndarray, ...]":
-        mask = serving.tobytes()
-        cached = self._gamma_candidates.get(mask)
-        if cached is not None:
-            return cached
-        weights = np.where(serving, self.capacities, 0.0)
-        seed = quantize_to_simplex(weights, self.params.gamma_step)
-        candidates = [seed]
-        if self.params.gamma_neighborhood_moves > 0:
-            for neighbor in simplex_neighbors(
-                seed, self.params.gamma_step, moves=self.params.gamma_neighborhood_moves
-            ):
-                # gamma may only load machines that are serving now.
-                if np.any(neighbor[~serving] > 0):
-                    continue
-                candidates.append(neighbor)
-                if len(candidates) >= self.params.max_gamma_candidates:
-                    break
-        for candidate in candidates:
-            candidate.setflags(write=False)
-        cached = self._gamma_candidates[mask] = tuple(candidates)
-        return cached
-
-    def _alpha_context(
-        self, alpha: np.ndarray, alpha_current: np.ndarray
-    ) -> dict:
-        """Per-alpha quantities shared by every gamma candidate."""
-        serving_now = alpha & alpha_current
-        booting = alpha & ~alpha_current
-        draining = ~alpha & alpha_current
-        substeps = self.substep_count()
-        fixed = self.params.switching_weight * int(booting.sum())
-        for j in np.flatnonzero(booting):
-            fixed += self._base_powers[j] * substeps
-        mask = alpha.tobytes()
-        gamma_next = self._gamma_next.get(mask)
-        if gamma_next is None:
-            gamma_next = quantize_to_simplex(
-                np.where(alpha, self.capacities, 0.0), self.params.gamma_step
-            )
-            gamma_next.setflags(write=False)
-            self._gamma_next[mask] = gamma_next
-        return {
-            "alpha": alpha,
-            "serving_idx": [int(j) for j in np.flatnonzero(serving_now)],
-            "draining_idx": [int(j) for j in np.flatnonzero(draining)],
-            "on_idx": [int(j) for j in np.flatnonzero(alpha)],
-            "serving_now": serving_now,
-            "fixed_cost": fixed,
-            "gamma_next": gamma_next,
-        }
-
-    def _horizon_cost(
-        self, point: "_DecisionPoint", context: dict, gamma: np.ndarray
-    ) -> tuple[float, int]:
-        """Expected cost of periods k and k+1 under a candidate.
-
-        Returns (cost, states evaluated). Each sampled arrival rate is one
-        predicted system state, matching the paper's exploration metric.
-        """
-        queues = point.queues
-        map_ids = point.map_ids
-        work = point.work
-        total = context["fixed_cost"]
-        weight = 1.0 / len(point.samples)
-        next_queues = {j: 0.0 for j in context["serving_idx"]}
-        for rate in point.samples:
-            step_cost = 0.0
-            for j in context["serving_idx"]:
-                share = gamma[j] * rate
-                key = (map_ids[j], queues[j], share, work)
-                cost_j, next_q = self._query(key, j, queues[j], share, work)
-                step_cost += cost_j
-                next_queues[j] += next_q * weight
-            for j in context["draining_idx"]:
-                key = (map_ids[j], queues[j], 0.0, work)
-                cost_j, _ = self._query(key, j, queues[j], 0.0, work)
-                step_cost += cost_j
-            total += step_cost * weight
-
-        # Second horizon term: boots have completed; load re-allocated
-        # capacity-proportionally over the candidate's on-set.
-        gamma_next = context["gamma_next"]
-        next_weight = 1.0 / len(point.next_samples)
-        for rate in point.next_samples:
-            step_cost = 0.0
-            for j in context["on_idx"]:
-                start_queue = next_queues.get(j, 0.0)
-                share = gamma_next[j] * rate
-                key = (map_ids[j], start_queue, share, work)
-                cost_j, _ = self._query(key, j, start_queue, share, work)
-                step_cost += cost_j
-            total += step_cost * next_weight
-        return total, len(point.samples) + len(point.next_samples)
-
-    def _query(
-        self, key: tuple, j: int, queue: float, rate: float, work: float
-    ) -> tuple[float, float]:
-        """Memoised abstraction-map lookup for computer ``j``.
-
-        ``key`` is ``(id(self.maps[j]), queue, rate, work)``, the exact
-        point. It names the map rather than the computer, so
-        same-profile machines at the same operating point share one
-        evaluation, and only equal points share one.
-        """
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = _reference_query(self.maps[j], queue, rate, work)
-            self._memo[key] = hit
-        return hit
-
-    def substep_count(self) -> int:
-        return round(self.params.period / self.l0_params.period)
-
-
-def _reference_decide(controller, queues, alpha_current, *args, **kwargs):
-    """The per-candidate loop's decision for ``controller.decide``'s inputs."""
-    return _ReferenceL1(controller).decide(queues, alpha_current, *args, **kwargs)
-
-
 def _assert_matches_reference(controller, queues, alpha_current, *args, **kwargs):
     """``controller.decide`` equals the per-candidate loop bit for bit."""
     try:
-        expected = _reference_decide(controller, queues, alpha_current, *args, **kwargs)
+        expected = reference_l1_decide(controller, queues, alpha_current, *args, **kwargs)
     except ControlError as error:
         with pytest.raises(ControlError, match=re.escape(str(error))):
             controller.decide(queues, alpha_current, *args, **kwargs)
         return None
     decision = controller.decide(queues, alpha_current, *args, **kwargs)
-    assert decision.alpha.tobytes() == expected.alpha.tobytes()
-    assert decision.gamma.tobytes() == expected.gamma.tobytes()
-    assert decision.expected_cost.hex() == expected.expected_cost.hex()
-    assert decision.states_explored == expected.states_explored
+    assert _same_decision(decision, expected)
     return decision
+
+
+def _same_decision(decision, expected) -> bool:
+    return (
+        decision.alpha.tobytes() == expected.alpha.tobytes()
+        and decision.gamma.tobytes() == expected.gamma.tobytes()
+        and decision.expected_cost.hex() == expected.expected_cost.hex()
+        and decision.states_explored == expected.states_explored
+    )
+
+
+def _row(columns, r):
+    """Row ``r`` of a pass's columns: one controller's ``decide`` arguments."""
+    return [column[r] for column in columns]
+
+
+def _assert_pass_matches_reference(bank, modules, *columns):
+    """Each row of one ``bank`` pass equals the oracle on that row alone."""
+    decisions = bank.decide(modules, *columns)
+    assert len(decisions) == len(modules)
+    for r, (module, decision) in enumerate(zip(modules, decisions)):
+        expected = reference_l1_decide(bank.controllers[module], *_row(columns, r))
+        assert _same_decision(decision, expected), f"row {r} differs"
+    return decisions
 
 
 def _sized_l1(trained_l1, m, **params):
@@ -771,9 +512,10 @@ class TestShareTableSearch:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_a_batch_matches_each_row(self, trained_l1, data):
-        # Rows with mixed masks and band sample counts on one controller:
-        # decide_many groups them by plan, and every row must equal the
-        # per-candidate loop and decide on that row alone.
+        # Rows with mixed masks, band sample counts and works on one
+        # controller, as map training hands them: each row is a lane of
+        # its own, rows of one plan stack, and every row must equal the
+        # per-candidate loop on that row alone.
         m = data.draw(st.integers(min_value=1, max_value=6), label="m")
         params = data.draw(st.sampled_from(list(_PARAM_SETS.values())), label="params")
         l1 = _sized_l1(trained_l1, m, **params)
@@ -789,11 +531,11 @@ class TestShareTableSearch:
                             max_size=m,
                         ),
                         "alpha": flags,
-                        "available": flags,
                         "rate_hat": st.floats(0.0, 2.5 * capacity),
                         "rate_next": st.floats(0.0, 2.5 * capacity),
                         "delta": st.one_of(st.just(0.0), st.floats(0.0, capacity)),
                         "work": st.one_of(st.just(0.0175), st.floats(0.008, 0.03)),
+                        "available": flags,
                     }
                 ),
                 min_size=1,
@@ -804,48 +546,30 @@ class TestShareTableSearch:
         for row in rows:
             # Every row keeps a machine available and one on among them.
             row["available"][0] = row["alpha"][0] = True
-        queues = np.array([row["queues"] for row in rows])
-        alpha = np.array([row["alpha"] for row in rows])
-        available = np.array([row["available"] for row in rows])
-        set_points = {
-            name: np.array([row[name] for row in rows])
-            for name in ("rate_hat", "rate_next", "delta", "work")
-        }
-        decisions = l1.decide_many(queues, alpha, **set_points, available=available)
-        assert len(decisions) == len(rows)
-        for r, decision in enumerate(decisions):
-            inputs = {name: float(values[r]) for name, values in set_points.items()}
-            for expected in (
-                _reference_decide(l1, queues[r], alpha[r], **inputs, available=available[r]),
-                l1.decide(queues[r], alpha[r], **inputs, available=available[r]),
-            ):
-                assert decision.alpha.tobytes() == expected.alpha.tobytes()
-                assert decision.gamma.tobytes() == expected.gamma.tobytes()
-                assert decision.expected_cost.hex() == expected.expected_cost.hex()
-                assert decision.states_explored == expected.states_explored
+        names = ("queues", "alpha", "rate_hat", "rate_next", "delta", "work", "available")
+        columns = [np.array([row[name] for row in rows]) for name in names]
+        _assert_pass_matches_reference(L1Bank([l1]), [0] * len(rows), *columns)
 
     def test_more_rows_than_one_kernel_block(self, trained_l1):
-        # Rows of one mask run in blocks; a second, interleaved mask
-        # makes every block gather its rows by index.
+        # Rows of one mask stack in chunks; a second, interleaved mask
+        # makes every chunk gather its rows by index.
         l1 = _sized_l1(trained_l1, 4)
         rows = 2 * l1_module._KERNEL_ROWS + 5
         rng = np.random.default_rng(24)
         queues = rng.choice([0.0, 2.0, 40.0, 400.0], size=(rows, 4)) * rng.random((rows, 4))
         alpha = np.ones((rows, 4), dtype=bool)
         alpha[::3, 1] = False
-        set_points = {
-            "rate_hat": rng.random(rows) * 250.0,
-            "rate_next": rng.random(rows) * 250.0,
-            "delta": np.where(rng.random(rows) < 0.5, 0.0, 10.0),
-            "work": rng.uniform(0.011, 0.024, rows),
-        }
-        decisions = l1.decide_many(queues, alpha, **set_points)
-        for r, decision in enumerate(decisions):
-            inputs = {name: float(values[r]) for name, values in set_points.items()}
-            expected = _reference_decide(l1, queues[r], alpha[r], **inputs)
-            assert decision.alpha.tobytes() == expected.alpha.tobytes()
-            assert decision.gamma.tobytes() == expected.gamma.tobytes()
-            assert decision.expected_cost.hex() == expected.expected_cost.hex()
+        _assert_pass_matches_reference(
+            L1Bank([l1]),
+            [0] * rows,
+            queues,
+            alpha,
+            rng.random(rows) * 250.0,
+            rng.random(rows) * 250.0,
+            np.where(rng.random(rows) < 0.5, 0.0, 10.0),
+            rng.uniform(0.011, 0.024, rows),
+            np.ones((rows, 4), dtype=bool),
+        )
 
     @pytest.mark.parametrize(
         "scenario,samples,least",
@@ -854,67 +578,19 @@ class TestShareTableSearch:
     def test_recorded_runs_match_reference(self, monkeypatch, scenario, samples, least):
         """Every decided row of a run, module-map training included.
 
-        Training decides through ``decide_many`` and a run's boundaries
-        through the ``L1Bank`` pass: both are spied on.
+        Training and a run's boundaries both decide through the
+        ``L1Bank`` pass, which is spied on.
         """
-        decide_many = L1Controller.decide_many
         decide_pass = L1Bank.decide
         checked = []
 
-        def check(controller, decision, *row):
-            expected = _reference_decide(controller, *row)
-            checked.append(
-                decision.alpha.tobytes() == expected.alpha.tobytes()
-                and decision.gamma.tobytes() == expected.gamma.tobytes()
-                and decision.expected_cost.hex() == expected.expected_cost.hex()
-                and decision.states_explored == expected.states_explored
-            )
-
-        def checking_decide_many(
-            controller, queues, alpha_current, rate_hat, rate_next, delta, work,
-            available=None,
-        ):
-            decisions = decide_many(
-                controller, queues, alpha_current, rate_hat, rate_next, delta, work,
-                available,
-            )
-            for r, decision in enumerate(decisions):
-                check(
-                    controller,
-                    decision,
-                    np.asarray(queues)[r],
-                    np.asarray(alpha_current)[r],
-                    float(np.asarray(rate_hat)[r]),
-                    float(np.asarray(rate_next)[r]),
-                    float(np.asarray(delta)[r]),
-                    float(np.asarray(work)[r]),
-                    None if available is None else np.asarray(available)[r],
-                )
-            return decisions
-
-        def checking_pass(
-            bank, modules, queues, alpha_current, rate_hat, rate_next, delta, work,
-            available,
-        ):
-            decisions = decide_pass(
-                bank, modules, queues, alpha_current, rate_hat, rate_next, delta, work,
-                available,
-            )
+        def checking_pass(bank, modules, *columns):
+            decisions = decide_pass(bank, modules, *columns)
             for r, (module, decision) in enumerate(zip(modules, decisions)):
-                check(
-                    bank.controllers[module],
-                    decision,
-                    queues[r],
-                    alpha_current[r],
-                    rate_hat[r],
-                    rate_next[r],
-                    delta[r],
-                    work,
-                    available[r],
-                )
+                expected = reference_l1_decide(bank.controllers[module], *_row(columns, r))
+                checked.append(_same_decision(decision, expected))
             return decisions
 
-        monkeypatch.setattr(L1Controller, "decide_many", checking_decide_many)
         monkeypatch.setattr(L1Bank, "decide", checking_pass)
         clear_map_memo()  # train the module maps here, with this spy
         spec = (
@@ -958,68 +634,87 @@ def _profile_l1(profile_maps, name, profiles, **params):
     return L1Controller(spec, behavior_maps=maps, params=L1Params(**params))
 
 
-def _same_decision(decision, expected) -> bool:
+#: A pass's columns after the modules, in ``L1Controller.decide``'s order.
+_COLUMNS = ("queues", "alpha_current", "rate_hat", "rate_next", "delta", "work", "available")
+
+#: One-row corruptions: ``(column, value, the row's own one-line error)``.
+_CORRUPTIONS = [
+    ("queues", math.nan, "queues[{}] must be finite, got nan"),
+    ("queues", -1.0, "queues[{}] must be >= 0, got -1.0"),
+    ("rate_hat", -3.0, "rate_hat must be >= 0, got -3.0"),
+    ("rate_next", math.inf, "rate_next must be finite, got inf"),
+    ("delta", -0.5, "delta must be >= 0, got -0.5"),
+    ("work", 0.0, "work must be > 0, got 0.0"),
+    ("available", None, "no machine available to serve the module"),
+    # Every candidate's rollout overflows to an infinite cost.
+    ("rate_hat", 1.7e308, "expected_cost must be finite, got inf"),
+]
+
+
+def _drawn_l1(profile_maps, data, i):
+    """Controller ``i`` of a generated pass: 1-6 computers of any profiles."""
+    profiles = data.draw(
+        st.lists(st.sampled_from(_PROFILES), min_size=1, max_size=6), label=f"profiles[{i}]"
+    )
+    params = data.draw(st.sampled_from(list(_PARAM_SETS.values())), label=f"params[{i}]")
+    return _profile_l1(profile_maps, f"M{i}", profiles, **params)
+
+
+def _drawn_masks(controller, data, label):
+    """``(alpha, available)`` of one row: failed machines, maybe all but one.
+
+    One available machine is always on, so the row has a plan.
+    """
+    m = controller.spec.size
+    flags = st.lists(st.booleans(), min_size=m, max_size=m)
+    alpha = np.array(data.draw(flags, label=f"alpha{label}"))
+    available = np.array(data.draw(flags, label=f"available{label}"))
+    keep = data.draw(st.integers(0, m - 1), label=f"keep{label}")
+    if data.draw(st.booleans(), label=f"lone{label}"):
+        available[:] = False
+    available[keep] = alpha[keep] = True
+    return alpha, available
+
+
+def _drawn_row(controller, data, label, works, masks=None):
+    """One generated row of ``controller``: its ``decide`` arguments.
+
+    Queues past the top queue level, rates past a map's top and deltas
+    of 0 and above; the work from ``works`` and the masks from
+    ``masks`` (else drawn afresh).
+    """
+    m = controller.spec.size
+    capacity = float(controller.capacities.sum())
+    if masks is None:
+        alpha, available = _drawn_masks(controller, data, label)
+    else:
+        alpha, available = data.draw(masks, label=f"masks{label}")
+    queues = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 900.0)), min_size=m, max_size=m)
+    rates = st.floats(0.0, 2.5 * capacity)
     return (
-        decision.alpha.tobytes() == expected.alpha.tobytes()
-        and decision.gamma.tobytes() == expected.gamma.tobytes()
-        and decision.expected_cost.hex() == expected.expected_cost.hex()
-        and decision.states_explored == expected.states_explored
+        np.array(data.draw(queues, label=f"queues{label}")),
+        alpha,
+        data.draw(rates, label=f"rate_hat{label}"),
+        data.draw(rates, label=f"rate_next{label}"),
+        data.draw(st.one_of(st.just(0.0), st.floats(0.0, capacity)), label=f"delta{label}"),
+        data.draw(works, label=f"work{label}"),
+        available,
     )
 
 
 class TestBlockPass:
-    """One ``L1Bank`` pass decides each module as its ``decide`` alone does."""
+    """Each row of an ``L1Bank`` pass equals the oracle on that row alone."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_each_row_equals_decide_on_it_alone(self, profile_maps, data):
-        # Modules of different widths, maps and params; failed machines,
-        # a lone available machine, deltas of 0 and above in one pass,
-        # queues past the top queue level and rates past a map's top.
+        # A boundary's pass: one row per module, one work. Modules of
+        # different widths, maps and params; failed machines, a lone
+        # available machine, deltas of 0 and above in one pass, queues
+        # past the top queue level and rates past a map's top.
         count = data.draw(st.integers(min_value=1, max_value=5), label="modules")
         work = data.draw(st.one_of(st.just(0.0175), st.floats(0.008, 0.03)), label="work")
-        controllers, twins, rows = [], [], []
-        for i in range(count):
-            profiles = data.draw(
-                st.lists(st.sampled_from(_PROFILES), min_size=1, max_size=6),
-                label=f"profiles[{i}]",
-            )
-            params = data.draw(st.sampled_from(list(_PARAM_SETS.values())))
-            controllers.append(_profile_l1(profile_maps, f"M{i}", profiles, **params))
-            twins.append(_profile_l1(profile_maps, f"M{i}", profiles, **params))
-            m = len(profiles)
-            capacity = float(controllers[-1].capacities.sum())
-            flags = st.lists(st.booleans(), min_size=m, max_size=m)
-            alpha = np.array(data.draw(flags, label=f"alpha[{i}]"))
-            available = np.array(data.draw(flags, label=f"available[{i}]"))
-            keep = data.draw(st.integers(0, m - 1), label=f"keep[{i}]")
-            if data.draw(st.booleans(), label=f"lone[{i}]"):
-                available[:] = False
-            available[keep] = alpha[keep] = True
-            rates = st.floats(0.0, 2.5 * capacity)
-            rows.append(
-                (
-                    np.array(
-                        data.draw(
-                            st.lists(
-                                st.one_of(st.just(0.0), st.floats(0.0, 900.0)),
-                                min_size=m,
-                                max_size=m,
-                            ),
-                            label=f"queues[{i}]",
-                        )
-                    ),
-                    alpha,
-                    data.draw(rates, label=f"rate_hat[{i}]"),
-                    data.draw(rates, label=f"rate_next[{i}]"),
-                    data.draw(
-                        st.one_of(st.just(0.0), st.floats(0.0, capacity)),
-                        label=f"delta[{i}]",
-                    ),
-                    work,
-                    available,
-                )
-            )
+        controllers = [_drawn_l1(profile_maps, data, i) for i in range(count)]
         modules = data.draw(
             st.one_of(
                 st.just(list(range(count))),
@@ -1029,15 +724,90 @@ class TestBlockPass:
             ),
             label="decided",
         )
-        expected = [twins[i].decide(*rows[i]) for i in modules]
-        columns = [list(column) for column in zip(*(rows[i] for i in modules))]
-        columns[5] = work  # the boundary's one c-hat
-        decisions = L1Bank(controllers).decide(modules, *columns)
-        for decision, want in zip(decisions, expected):
-            assert _same_decision(decision, want)
+        rows = [_drawn_row(controllers[i], data, f"[{i}]", st.just(work)) for i in modules]
+        columns = [list(column) for column in zip(*rows)]
+        _assert_pass_matches_reference(L1Bank(controllers), modules, *columns)
         assert [c.stats.invocations for c in controllers] == [
             int(i in modules) for i in range(count)
         ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_lanes_and_stacks_equal_each_row_alone(self, profile_maps, data):
+        # Several controllers, several rows each in any order, with mixed
+        # band flags and works: lanes of one or more members, blocks that
+        # repeat and stack, and one-member blocks, all in one pass. Each
+        # row's masks come from two per controller, so blocks repeat.
+        count = data.draw(st.integers(min_value=1, max_value=4), label="controllers")
+        controllers = [_drawn_l1(profile_maps, data, i) for i in range(count)]
+        masks = [
+            [_drawn_masks(controller, data, f"[{i}, {k}]") for k in range(2)]
+            for i, controller in enumerate(controllers)
+        ]
+        modules = data.draw(
+            st.lists(st.integers(0, count - 1), min_size=1, max_size=10), label="modules"
+        )
+        works = st.one_of(st.sampled_from([0.0175, 0.012]), st.floats(0.008, 0.03))
+        rows = [
+            _drawn_row(
+                controllers[i], data, f"[{r}]", works, st.sampled_from(masks[i])
+            )
+            for r, i in enumerate(modules)
+        ]
+        columns = [list(column) for column in zip(*rows)]
+        _assert_pass_matches_reference(L1Bank(controllers), modules, *columns)
+        assert [c.stats.invocations for c in controllers] == [
+            modules.count(i) for i in range(count)
+        ]
+
+        # One corrupted row raises its own one-line error, led by its
+        # module when the bank holds several controllers.
+        r = data.draw(st.integers(0, len(modules) - 1), label="corrupted")
+        name, value, message = data.draw(st.sampled_from(_CORRUPTIONS), label="corruption")
+        if name == "queues":
+            j = data.draw(st.integers(0, len(columns[0][r]) - 1), label="computer")
+            columns[0][r] = columns[0][r].copy()
+            columns[0][r][j] = value
+            message = message.format(j)
+        elif name == "available":
+            columns[6][r] = np.zeros_like(columns[6][r])
+        else:
+            columns[_COLUMNS.index(name)][r] = value
+        if count > 1:
+            message = f"module {modules[r]}: {message}"
+        with pytest.raises(ControlError, match=f"^{re.escape(message)}$"):
+            L1Bank(controllers).decide(modules, *columns)
+
+    def test_repeated_blocks_stack_in_one_kernel_call(self, profile_maps, monkeypatch):
+        # Two controllers, three rows each: lane t holds each one's t-th
+        # row, and the three blocks of the same members and masks stack
+        # as the rows of one kernel call, each at its own work.
+        controllers = [
+            _profile_l1(profile_maps, "M0", ["c1", "c4"]),
+            _profile_l1(profile_maps, "M1", ["c2", "pentium_m", "c3"]),
+        ]
+        modules = [0, 1, 0, 1, 0, 1]
+        sizes = [controllers[i].spec.size for i in modules]
+        works = [0.0175, 0.0175, 0.012, 0.012, 0.02, 0.02]
+        columns = [
+            [np.full(m, 4.0 * r) for r, m in enumerate(sizes)],
+            [np.ones(m, dtype=bool) for m in sizes],
+            [30.0 + 10.0 * r for r in range(6)],
+            [50.0] * 6,
+            [3.0] * 6,
+            works,
+            [np.ones(m, dtype=bool) for m in sizes],
+        ]
+        calls = []
+        totals = L1Controller._totals
+
+        def spy(bank, plan, queues, bands, work):
+            calls.append((queues.shape, work.tolist()))
+            return totals(bank, plan, queues, bands, work)
+
+        monkeypatch.setattr(L1Controller, "_totals", staticmethod(spy))
+        _assert_pass_matches_reference(L1Bank(controllers), modules, *columns)
+        assert calls == [((3, 5), [0.0175, 0.012, 0.02])]
 
     def _rows(self, controllers, **changes):
         """A pass's arguments: one valid row per controller.
@@ -1061,7 +831,8 @@ class TestBlockPass:
             [row[key] for row in rows]
             for key in ("queues", "alpha", "rate_hat", "rate_next", "delta")
         ]
-        return [list(range(len(rows))), *columns, 0.0175, [row["available"] for row in rows]]
+        work = [0.0175] * len(rows)
+        return [list(range(len(rows))), *columns, work, [row["available"] for row in rows]]
 
     @pytest.mark.parametrize(
         "change,message",
@@ -1098,22 +869,16 @@ class TestBlockPass:
     def test_a_clean_pass_checks_its_rows_at_once(self, profile_maps, monkeypatch):
         controllers = self._four(profile_maps)
         args = self._rows(controllers, m3={"queues": np.array([0.0, 700.0, 2.5])})
-        modules, *columns = args
-        expected = [
-            twin.decide(*[column if k == 5 else column[i] for k, column in enumerate(columns)])
-            for i, twin in enumerate(self._four(profile_maps))
-        ]
         calls = []
-        inputs = L1Controller._inputs
+        row_by_row = L1Bank._raise_first_failure
 
-        def spy(controller, *row):
-            calls.append(controller)
-            return inputs(controller, *row)
+        def spy(bank, *columns):
+            calls.append(columns)
+            row_by_row(bank, *columns)
 
-        monkeypatch.setattr(L1Controller, "_inputs", spy)
-        decisions = L1Bank(controllers).decide(*args)
+        monkeypatch.setattr(L1Bank, "_raise_first_failure", spy)
+        _assert_pass_matches_reference(L1Bank(controllers), *args)
         assert calls == []
-        assert all(_same_decision(d, want) for d, want in zip(decisions, expected))
 
     @pytest.mark.parametrize(
         "changes,error,message",
@@ -1159,9 +924,7 @@ class TestBlockPass:
         l1 = _fresh_l1(trained_l1, module_spec)
         bank = L1Bank([l1])
         modules, *columns = self._rows([l1])
-        (decision,) = bank.decide(modules, *columns)
-        row = [column if i == 5 else column[0] for i, column in enumerate(columns)]
-        assert _same_decision(decision, _fresh_l1(trained_l1, module_spec).decide(*row))
+        _assert_pass_matches_reference(bank, modules, *columns)
         assert "_bank" not in vars(bank) and bank._last is None
 
     def test_only_the_last_block_is_kept(self, profile_maps):
@@ -1247,27 +1010,47 @@ class TestDomain:
             decision = l1.decide(np.zeros(4), np.ones(4, dtype=bool), **inputs)
         assert math.isfinite(decision.expected_cost)
 
-    def test_many_rows_name_the_row(self, trained_l1, module_spec):
+    def _columns(self, rows, **set_points):
+        """A pass's columns after the modules: ``rows`` valid rows of 4."""
+        values = {**self.BASE, **set_points}
+        return [
+            np.zeros((rows, 4)),
+            np.ones((rows, 4), dtype=bool),
+            *(np.full(rows, values[name]) for name in ("rate_hat", "rate_next", "delta", "work")),
+            np.ones((rows, 4), dtype=bool),
+        ]
+
+    def test_many_rows_raise_the_failing_row_s_error(self, trained_l1, module_spec):
+        # The first failing row of a pass raises its own one-line error:
+        # unprefixed when the bank holds one controller, led by the row's
+        # module when it holds several.
         l1 = _fresh_l1(trained_l1, module_spec)
-        queues = np.zeros((3, 4))
-        queues[2, 1] = -1.0
-        set_points = {name: np.full(3, value) for name, value in self.BASE.items()}
-        with pytest.raises(ControlError, match=re.escape("queues[2, 1] must be >= 0")):
-            l1.decide_many(queues, np.ones((3, 4), dtype=bool), **set_points)
-        set_points["rate_hat"][1] = 1.7e308
-        with pytest.raises(ControlError, match=re.escape("expected_cost[1] must be finite")):
-            l1.decide_many(np.zeros((3, 4)), np.ones((3, 4), dtype=bool), **set_points)
+        columns = self._columns(3)
+        columns[0][2, 1] = -1.0
+        message = "queues[1] must be >= 0, got -1.0"
+        with pytest.raises(ControlError, match=f"^{re.escape(message)}$"):
+            L1Bank([l1]).decide([0, 0, 0], *columns)
+        columns = self._columns(3)
+        columns[2][1] = 1.7e308
+        two = L1Bank([l1, _fresh_l1(trained_l1, module_spec)])
+        with pytest.raises(
+            ControlError, match="^module 1: expected_cost must be finite, got inf$"
+        ):
+            two.decide([0, 1, 1], *columns)
 
     def test_set_points_need_one_value_per_row(self, trained_l1, module_spec):
         l1 = _fresh_l1(trained_l1, module_spec)
-        set_points = {name: np.full(2, value) for name, value in self.BASE.items()}
-        with pytest.raises(ConfigurationError, match="need one value per row"):
-            l1.decide_many(np.zeros((3, 4)), np.ones((3, 4), dtype=bool), **set_points)
+        short = self._columns(3)
+        short[2:6] = [np.full(2, value) for value in self.BASE.values()]
+        scalar_work = self._columns(3)
+        scalar_work[5] = 0.0175
+        for columns in (short, scalar_work):
+            with pytest.raises(ConfigurationError, match="need one value per row"):
+                L1Bank([l1]).decide([0, 0, 0], *columns)
 
     def test_no_rows_no_decisions(self, trained_l1, module_spec):
         l1 = _fresh_l1(trained_l1, module_spec)
-        set_points = {name: np.zeros(0) for name in self.BASE}
-        assert l1.decide_many(np.zeros((0, 4)), np.zeros((0, 4), dtype=bool), **set_points) == []
+        assert L1Bank([l1]).decide([], *self._columns(0)) == []
         assert l1.stats.invocations == 0
 
 
@@ -1303,7 +1086,7 @@ class TestArrayQuery:
         )
         costs, finals = behavior_map_query(behavior_map, *np.array(points).T)
         for point, cost, final in zip(points, costs.tolist(), finals.tolist()):
-            want_cost, want_final = _reference_query(behavior_map, *point)
+            want_cost, want_final = reference_map_query(behavior_map, *point)
             assert (cost.hex(), final.hex()) == (
                 float(want_cost).hex(),
                 float(want_final).hex(),
@@ -1350,7 +1133,7 @@ def _equal_l1(maps, **params) -> L1Controller:
 
 def _differ(behavior_map, point, other) -> bool:
     """Whether two points of one map give different results."""
-    return _reference_query(behavior_map, *point) != _reference_query(
+    return reference_map_query(behavior_map, *point) != reference_map_query(
         behavior_map, *other
     )
 
@@ -1435,12 +1218,12 @@ class TestEachPointIsItsOwnQuery:
         share = 0.25 * rate
         start = target - (share * 30.0 - 30.0 / self.WORK)
         for _ in range(64):
-            _, end = _reference_query(saturating, start, share, self.WORK)
+            _, end = reference_map_query(saturating, start, share, self.WORK)
             if end == target:
                 break
             start = np.nextafter(start, np.inf if end < target else -np.inf)
         assert end == target
-        assert _reference_query(tabled, 0.0, share, self.WORK)[1] == target
+        assert reference_map_query(tabled, 0.0, share, self.WORK)[1] == target
         for behavior_map in (saturating, tabled):
             assert _differ(
                 behavior_map, (269.786714, share, self.WORK), (target, share, self.WORK)

@@ -56,7 +56,6 @@ from repro.sim.kernels import (
     _fast_quantize,
     batched_predictor_observe,
     fast_baseline_act,
-    fast_forecast1,
 )
 from repro.sim.shard import ModuleShardRunner
 from repro.workload import ArrivalTrace
@@ -876,19 +875,17 @@ class TestBaselineActParity:
 
     OBSERVATIONS = [9000.0, 11000.0, 14000.0, 12500.0, 8000.0, 15000.0]
 
-    def _rates(self, period=120.0):
-        """Scalar and fast one-step rates of a filter fed per ``period``.
+    def _rate(self, period=120.0):
+        """The one-step rate of a filter fed per ``period``.
 
         The filter sees the same arrival rates as counts per ``period``,
-        and each rate is its forecast over ``period``, as a run reads it.
+        and the rate is its forecast over ``period``, as a run reads it
+        on either kernel.
         """
         predictor = WorkloadPredictor()
         for count in self.OBSERVATIONS:
             predictor.observe(count * period / 120.0)
-        return (
-            float(predictor.forecast(1)[0]) / period,
-            fast_forecast1(predictor) / period,
-        )
+        return float(predictor.forecast(1)[0]) / period
 
     @pytest.mark.parametrize(
         "factory",
@@ -907,15 +904,11 @@ class TestBaselineActParity:
     @pytest.mark.parametrize("period", [120.0, 60.0])
     def test_decision_bit_identical(self, factory, alpha, period):
         """Both paths decide as at 120 s: the same rates, a shorter period."""
-        scalar_rate, fast_rate = self._rates(period)
-        expected = factory(paper_module_spec()).act(
-            self._rates()[0], 0.0175, alpha.copy()
-        )
+        rate = self._rate(period)
+        expected = factory(paper_module_spec()).act(self._rate(), 0.0175, alpha.copy())
         for decision in (
-            factory(paper_module_spec()).act(scalar_rate, 0.0175, alpha.copy()),
-            fast_baseline_act(
-                factory(paper_module_spec()), fast_rate, 0.0175, alpha.copy()
-            ),
+            factory(paper_module_spec()).act(rate, 0.0175, alpha.copy()),
+            fast_baseline_act(factory(paper_module_spec()), rate, 0.0175, alpha.copy()),
         ):
             assert np.array_equal(decision.alpha, expected.alpha)
             assert np.array_equal(decision.gamma, expected.gamma)
@@ -941,11 +934,32 @@ class TestBaselineActParity:
         assert scalar.violation_fraction < 0.01
         assert scalar.deterministic_dict() == vector.deterministic_dict()
 
+    def test_both_kernels_hand_the_baseline_one_rate_from_a_nan_filter(self):
+        # A primed filter in state [nan, 1.0] forecasts nan. Both kernels'
+        # boundaries read the filter's own forecast, so the baseline gets
+        # the same rate on each.
+        spec = (
+            Scenario.module(m=4)
+            .workload("synthetic", samples=8)
+            .baseline("threshold-dvfs")
+            .build()
+        )
+        rates = []
+        for kernel_spec in (_scalar(spec), _vector(spec)):
+            simulation = build_simulation(kernel_spec).reset()
+            state = simulation._state
+            (predictor,) = state.module_filters
+            predictor.observe(9000.0)
+            predictor._filter.state = np.array([np.nan, 1.0])
+            _, (boundary,) = simulation._boundary(state, 1, 120.0, None)
+            rates.append(boundary.rate_hat)
+        assert [repr(rate) for rate in rates] == ["nan", "nan"]
+
     def test_unknown_subclass_falls_back_to_scalar_act(self):
         class Custom(ThresholdOnOffController):
             pass
 
-        rate, _ = self._rates()
+        rate = self._rate()
         alpha = np.ones(4, dtype=bool)
         expected = Custom(paper_module_spec()).act(rate, 0.0175, alpha)
         decision = fast_baseline_act(Custom(paper_module_spec()), rate, 0.0175, alpha)

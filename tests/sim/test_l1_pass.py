@@ -2,17 +2,20 @@
 
 The engines decide every module of a boundary in one
 :meth:`~repro.controllers.l1.L1Bank.decide` pass. Replacing that pass
-by one ``L1Controller.decide`` call per module (a test-only
-monkeypatch) must leave every output byte of a run as it is, on both
-kernels, with and without machine failures.
+by one oracle decision per module (the per-candidate loop of
+``helpers.reference_l1_decide``, a test-only monkeypatch) must leave
+every output byte of a run as it is, on both kernels, with and without
+machine failures.
 """
 
 import pytest
 
 from repro.common.schema import dump_json, run_payload
 from repro.controllers.l1 import L1Bank, L1Controller
-from repro.scenario import get_scenario, run_scenario
+from repro.scenario import build_simulation, get_scenario, run_scenario
 from repro.sim.observers import DecisionRecorder
+
+from helpers import reference_l1_decide
 
 #: Module 0 of ``paper/fig6-cluster16`` serves on computer 3 alone from
 #: period 2 on: it fails at the period-5 boundary and is repaired at the
@@ -37,15 +40,19 @@ def shared_map_cache(tmp_path_factory):
         os.environ[CACHE_ENV_VAR] = old
 
 
-def per_module_decide(
-    bank, modules, queues, alpha_current, rate_hat, rate_next, delta, work, available
-):
-    """The pass replaced by one ``decide`` call per module."""
-    rows = zip(modules, queues, alpha_current, rate_hat, rate_next, delta, available)
-    return [
-        bank.controllers[module].decide(q, alpha, hat, rate, band, work, mask)
-        for module, q, alpha, hat, rate, band, mask in rows
-    ]
+def per_module_decide(bank, modules, *columns):
+    """The pass replaced by one oracle decision per module.
+
+    Each records its states on its controller, as the pass does, since
+    the run summary reports their mean.
+    """
+    decisions = []
+    for module, *row in zip(modules, *columns):
+        controller = bank.controllers[module]
+        decision = reference_l1_decide(controller, *row)
+        controller.stats.record(decision.states_explored, 0.0)
+        decisions.append(decision)
+    return decisions
 
 
 def fig6(kernel, faults=(), samples=24):
@@ -94,7 +101,10 @@ def test_one_pass_per_boundary_and_no_module_decide(monkeypatch):
         calls["decide"] += 1
         return decide(*args, **kwargs)
 
+    # Built first, so its maps are trained (a pass per module map) or
+    # loaded before the counting starts.
+    simulation = build_simulation(fig6("vector", samples=8))
     monkeypatch.setattr(L1Bank, "decide", counted_pass)
     monkeypatch.setattr(L1Controller, "decide", counted_decide)
-    run_scenario(fig6("vector", samples=8))
+    simulation.run()
     assert calls == {"pass": 8, "decide": 0}

@@ -21,7 +21,6 @@ from repro.controllers import ThresholdDvfsController
 from repro.common import ConfigurationError
 from repro.controllers.params import L0Params, L1Params
 from repro.forecast import WorkloadPredictor
-from repro.sim.kernels import fast_forecast1
 from repro.sim.shard import (
     ModuleBoundaryInput,
     ModuleShardRunner,
@@ -233,8 +232,9 @@ class TestBoundary:
         for period, arrivals in enumerate((None, 4200.0, 9100.0, 2600.0)):
             if arrivals is not None:
                 predictor.observe(arrivals)
-            # Each kernel reads the filter its own way, as the engine does.
-            counts = (float(predictor.forecast(1)[0]), fast_forecast1(predictor))
+            # Both kernels read the filter's one-step forecast, as the
+            # engine does.
+            count = float(predictor.forecast(1)[0])
             events = [
                 runner.begin_period(
                     ModuleBoundaryInput(
@@ -245,7 +245,7 @@ class TestBoundary:
                         prediction=count,
                     )
                 )
-                for runner, count in zip(runners, counts)
+                for runner in runners
             ]
             scalar, vector = events
             assert np.array_equal(scalar.alpha, vector.alpha)
