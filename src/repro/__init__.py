@@ -62,6 +62,10 @@ Package map:
                     stores, and group-by aggregation
 ==================  =====================================================
 
+``repro.sweep`` (a process pool), the HTTP exposition server
+``repro.obs.http`` and the request-level DES ``repro.sim.des`` are
+imported by name where they are used, so a batch run loads none of them.
+
 Families of runs — the paper's figures are really statistics over
 seeds and sizes — go through the sweep subsystem::
 
@@ -117,17 +121,6 @@ from repro.sim import (
 )
 from repro.maps import MapCache, MapProvider, map_stats
 from repro.scenario import warm_scenario
-from repro.sweep import (
-    GridAxis,
-    ListAxis,
-    RandomAxis,
-    SweepSpec,
-    get_sweep,
-    list_sweeps,
-    register_sweep,
-    run_sweep,
-    write_report,
-)
 from repro.workload import synthetic_trace, wc98_trace
 
 __version__ = "1.1.0"
@@ -140,31 +133,25 @@ __all__ = [
     "ControlSpec",
     "EngineOptions",
     "FaultSpec",
-    "GridAxis",
     "L0Controller",
     "L0Params",
     "L1Controller",
     "L1Params",
     "L2Controller",
     "L2Params",
-    "ListAxis",
     "MapCache",
     "MapProvider",
     "ModuleSimulation",
     "ModuleSpec",
     "PlantSpec",
-    "RandomAxis",
     "Scenario",
     "ScenarioSpec",
     "SimulationObserver",
-    "SweepSpec",
     "ThresholdDvfsController",
     "ThresholdOnOffController",
     "WorkloadSpec",
     "get_scenario",
-    "get_sweep",
     "list_scenarios",
-    "list_sweeps",
     "make_baseline",
     "map_stats",
     "overhead_experiment",
@@ -172,12 +159,9 @@ __all__ = [
     "paper_module_spec",
     "processor_profile",
     "register_scenario",
-    "register_sweep",
     "run_scenario",
-    "run_sweep",
     "scaled_module_spec",
     "synthetic_trace",
     "warm_scenario",
     "wc98_trace",
-    "write_report",
 ]

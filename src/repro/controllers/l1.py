@@ -128,10 +128,9 @@ def _l0_substep(
         block = max(1, _BANK_BLOCK_ELEMENTS // int(widths[low]) ** (horizon + 1))
         for start in range(low, high, block):
             rows = slice(start, min(start + block, high))
-            decisions = bank.decide_many(
+            settings[rows], _ = bank.decide_many(
                 indices[rows], queues[rows], forecasts[rows], works[rows]
             )
-            settings[rows] = [decision.frequency_index for decision in decisions]
     costs = np.empty_like(queues)
     next_queues = np.empty_like(queues)
     for index in sorted(set(indices.tolist())):

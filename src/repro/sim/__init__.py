@@ -15,7 +15,6 @@ knobs — the control-period kernel among them — travel in
 :class:`~repro.sim.options.EngineOptions`.
 """
 
-from repro.sim.des import DiscreteEventModuleSimulation, DiscreteEventRunResult
 from repro.sim.engine import ClusterSimulation, ModuleSimulation
 from repro.sim.experiments import overhead_experiment
 from repro.sim.options import KERNELS, EngineOptions
@@ -35,8 +34,6 @@ __all__ = [
     "KERNELS",
     "ClusterRunResult",
     "ClusterSimulation",
-    "DiscreteEventModuleSimulation",
-    "DiscreteEventRunResult",
     "EngineOptions",
     "L1DecisionEvent",
     "L2DecisionEvent",

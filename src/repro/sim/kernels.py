@@ -70,7 +70,6 @@ from repro.controllers.baselines import (  # noqa: E402
     ThresholdDvfsController,
     ThresholdOnOffController,
 )
-from repro.controllers.l0 import L0Decision  # noqa: E402
 from repro.sim.observers import StepEvent  # noqa: E402
 
 import math  # noqa: E402
@@ -147,9 +146,9 @@ class L0BankKernel:
       base-``width`` digit strings keep the scalar enumeration order.
 
     Costs and queue trajectories are computed with the scalar
-    expressions' operand order, so each computer's decision (frequency
-    index, expected cost, states explored) is identical to its scalar
-    ``decide`` — including the per-controller ``stats`` bookkeeping.
+    expressions' operand order, so each computer's setting and expected
+    cost are identical to its scalar ``decide``'s, and so is the
+    per-controller ``stats`` bookkeeping (invocations, states explored).
     """
 
     def __init__(self, controllers: list) -> None:
@@ -196,15 +195,16 @@ class L0BankKernel:
         queues: "list[float] | np.ndarray",
         rate_forecasts: "list[np.ndarray] | np.ndarray",
         work_estimates: "list[float] | np.ndarray",
-    ) -> "list[L0Decision]":
+    ) -> "tuple[np.ndarray, np.ndarray]":
         """Run the bank's lookahead for a subset of computers at once.
 
         ``indices`` selects controllers (bank positions); the parallel
         sequences (lists or arrays; ``rate_forecasts`` may be one
         ``(computers, horizon)`` array) carry each one's queue, per-depth
-        arrival-rate forecasts, and c-hat. Returns one
-        :class:`L0Decision` per entry and records each controller's
-        stats exactly as its scalar ``decide`` would.
+        arrival-rate forecasts, and c-hat. Returns two arrays, each
+        entry's chosen setting (its scalar ``decide``'s
+        ``frequency_index``) and expected cost, and records each
+        controller's stats exactly as its scalar ``decide`` would.
         """
         started = time.perf_counter()
         rates = np.asarray(rate_forecasts, dtype=float)
@@ -214,8 +214,6 @@ class L0BankKernel:
                 f"shape {rates.shape}"
             )
         works = np.asarray(work_estimates, dtype=float)
-        if not (works > 0).all():
-            raise ConfigurationError("work_estimate must be positive")
         if self.margin > 0:
             rates = rates * (1.0 + self.margin)
         rows = np.asarray(indices, dtype=np.intp)
@@ -232,23 +230,14 @@ class L0BankKernel:
                 layout, queues, arrivals, capacities, effective_service, powers
             )
         best = costs.argmin(axis=1)
-        first_actions = (best // width ** (self.horizon - 1)).tolist()
-        best_costs = costs[np.arange(n), best].tolist()
+        settings = best // width ** (self.horizon - 1)
+        best_costs = costs[np.arange(n), best]
         share = (time.perf_counter() - started) / n
-        decisions = []
         controllers = self.controllers
-        explored_by_row = self._explored
-        for row, bank_index in enumerate(rows.tolist()):
-            explored = explored_by_row[bank_index]
-            decisions.append(
-                L0Decision(
-                    frequency_index=first_actions[row],
-                    expected_cost=best_costs[row],
-                    states_explored=explored,
-                )
-            )
-            controllers[bank_index].stats.record(explored, share)
-        return decisions
+        explored = self._explored
+        for bank_index in rows.tolist():
+            controllers[bank_index].stats.record(explored[bank_index], share)
+        return settings, best_costs
 
     def _expand(
         self, queues, arrivals, capacities, effective_service, powers
@@ -319,12 +308,15 @@ class L0BankKernel:
         the rows' :class:`_RaggedLayout` and each constant a tuple of
         per-depth node arrays. They depend only on the selected rows and
         their c-hats, so they are rebuilt only when either differs from
-        the previous call's. The power array is checked non-negative
-        here, once, for every depth it prices.
+        the previous call's. The c-hats are checked positive and the
+        power array non-negative here, once, for every call that reuses
+        them.
         """
         key = (rows.tobytes(), works.tobytes())
         constants = self._constants
         if constants is None or constants[0] != key:
+            if not (works > 0).all():
+                raise ConfigurationError("work_estimate must be positive")
             counts = self._setting_counts[rows]
             width = int(counts.max())
             layout = None if counts.min() == width else self._ragged_layout(counts)
@@ -686,28 +678,30 @@ class ClusterVectorExecutor:
         """One batched L0 lookahead for every serving computer.
 
         Serving is read at the start of the step, as each scalar
-        runner reads ``is_serving``; the chosen settings go into the
-        frequency mirrors (re-pricing the cache when one changed).
+        runner reads ``is_serving`` (from the plant cache when it is
+        current: every ``pull()`` and lifecycle change drops it); the
+        chosen settings go into the frequency mirrors (re-pricing the
+        cache when one changed).
         """
-        serving = self._serving()
+        cache = self._cache
+        serving = self._serving() if cache is None else cache["serving"]
         rows = self._bank_rows[serving]
         if rows.size == 0:
             return
         coefficients = gamma_modules[:, None] * self._raw_gammas
-        decisions = self._bank.decide_many(
+        chosen, _ = self._bank.decide_many(
             rows,
             self._queues[serving],
             coefficients[serving][:, None] * forecast,
             np.full(rows.size, work_estimate),
         )
-        chosen = np.array([d.frequency_index for d in decisions], dtype=np.intp)
-        if np.array_equal(chosen, self._findex[serving]):
+        if (chosen == self._findex[serving]).all():
             return
         self._findex[serving] = chosen
         self._phis[serving] = self._phi_table[rows, chosen]
         self._freqs[serving] = self._ghz_table[rows, chosen]
-        if self._cache is not None:
-            self._cache["work"] = None
+        if cache is not None:
+            cache["work"] = None
 
     def _rebuild_cache(self, work: float) -> dict:
         """Recompute the plant-constant quantities for the current state.

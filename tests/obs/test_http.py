@@ -5,7 +5,8 @@ import json
 
 from helpers import parse_prometheus_text
 
-from repro.obs import CONTENT_TYPE, MetricsRegistry, ObservabilityHTTPServer
+from repro.obs import CONTENT_TYPE, MetricsRegistry
+from repro.obs.http import ObservabilityHTTPServer
 
 
 async def fetch(port, path, method="GET"):

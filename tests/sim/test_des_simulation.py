@@ -6,7 +6,7 @@ import pytest
 from repro.common import ConfigurationError
 from repro.cluster import paper_module_spec
 from repro.controllers import L1Controller, L1Params
-from repro.sim import DiscreteEventModuleSimulation
+from repro.sim.des import DiscreteEventModuleSimulation
 from repro.workload import ArrivalTrace, RequestStreamGenerator, VirtualStore
 
 

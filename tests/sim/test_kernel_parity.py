@@ -574,6 +574,33 @@ class TestNonFiniteGamma:
             simulation.run()
 
 
+def _assert_rows_decide_like_scalar(result, scalar, rows, queues, rates, works):
+    """Each row of a ``decide_many`` result against its scalar ``decide``.
+
+    ``result`` is the bank's ``(settings, expected costs)``; ``scalar``
+    holds fresh controllers, one per bank position, whose stats the
+    calls here record.
+    """
+    settings_, costs = result
+    assert len(settings_) == len(costs) == len(rows)
+    for setting, cost, row, queue, rate, work in zip(
+        settings_, costs, rows, queues, rates, works
+    ):
+        expected = scalar[row].decide(queue, np.asarray(rate), work)
+        assert setting == expected.frequency_index
+        assert float(cost).hex() == expected.expected_cost.hex()
+
+
+def _assert_stats_like_scalar(bank, scalar):
+    """Each bank controller's counts equal its scalar twin's."""
+    assert len(bank.controllers) == len(scalar)
+    for scalar_l0, bank_l0 in zip(scalar, bank.controllers):
+        assert (bank_l0.stats.invocations, bank_l0.stats.states_explored) == (
+            scalar_l0.stats.invocations,
+            scalar_l0.stats.states_explored,
+        )
+
+
 class TestL0BankParity:
     """The batched L0 lookahead against per-controller ``decide``."""
 
@@ -591,32 +618,21 @@ class TestL0BankParity:
             np.array([55.5, 55.5, 55.5]),
         ]
         works = [0.0175, 0.02, 0.0175, 0.01]
-        batched = bank.decide_many([0, 1, 2, 3], queues, rates, works)
-        for j, decision in enumerate(batched):
-            expected = scalar[j].decide(queues[j], rates[j], works[j])
-            assert decision.frequency_index == expected.frequency_index
-            assert decision.expected_cost == expected.expected_cost
-            assert decision.states_explored == expected.states_explored
+        rows = [0, 1, 2, 3]
+        batched = bank.decide_many(rows, queues, rates, works)
+        _assert_rows_decide_like_scalar(batched, scalar, rows, queues, rates, works)
+        _assert_stats_like_scalar(bank, scalar)
 
     def test_decide_many_subset_and_order(self):
         scalar = self._controllers()
         bank = L0BankKernel(self._controllers())
-        batched = bank.decide_many(
-            [2, 0],
-            [7.0, 1.0],
-            [np.array([120.0, 110.0, 100.0]), np.array([60.0, 70.0, 80.0])],
-            [0.0175, 0.0175],
-        )
-        for (j, queue, rates, work), decision in zip(
-            [
-                (2, 7.0, np.array([120.0, 110.0, 100.0]), 0.0175),
-                (0, 1.0, np.array([60.0, 70.0, 80.0]), 0.0175),
-            ],
-            batched,
-        ):
-            expected = scalar[j].decide(queue, rates, work)
-            assert decision.frequency_index == expected.frequency_index
-            assert decision.expected_cost == expected.expected_cost
+        rows = [2, 0]
+        queues = [7.0, 1.0]
+        rates = [np.array([120.0, 110.0, 100.0]), np.array([60.0, 70.0, 80.0])]
+        works = [0.0175, 0.0175]
+        batched = bank.decide_many(rows, queues, rates, works)
+        _assert_rows_decide_like_scalar(batched, scalar, rows, queues, rates, works)
+        _assert_stats_like_scalar(bank, scalar)
 
     def test_cluster_bank_matches_scalar_decide(self):
         # One bank over all sixteen computers of the paper cluster (5- to
@@ -639,14 +655,10 @@ class TestL0BankParity:
             if call % 3 == 2:
                 works = works * rng.uniform(0.9, 1.1, n)
             batched = bank.decide_many(rows, queues, rates, works[rows])
-            for decision, row, queue, rate in zip(batched, rows, queues, rates):
-                expected = scalar[row].decide(queue, rate, works[row])
-                assert decision == expected
-        for scalar_l0, bank_l0 in zip(scalar, bank.controllers):
-            assert (
-                bank_l0.stats.states_explored == scalar_l0.stats.states_explored
+            _assert_rows_decide_like_scalar(
+                batched, scalar, rows, queues, rates, works[rows]
             )
-            assert bank_l0.stats.invocations == scalar_l0.stats.invocations
+        _assert_stats_like_scalar(bank, scalar)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_rates_pick_like_scalar(self, bad):
@@ -659,27 +671,25 @@ class TestL0BankParity:
         rates = np.full((len(computers), 3), bad)
         queues = np.zeros(len(computers))
         works = np.full(len(computers), 0.0175)
-        batched = bank.decide_many(
-            np.arange(len(computers)), queues, rates, works
-        )
-        for computer, decision in zip(computers, batched):
-            expected = L0Controller(computer).decide(0.0, rates[0], 0.0175)
-            assert decision.frequency_index == expected.frequency_index
-            assert np.array_equal(
-                [decision.expected_cost], [expected.expected_cost], equal_nan=True
-            )
+        rows = np.arange(len(computers))
+        batched = bank.decide_many(rows, queues, rates, works)
+        scalar = [L0Controller(c) for c in computers]
+        _assert_rows_decide_like_scalar(batched, scalar, rows, queues, rates, works)
 
     @pytest.mark.parametrize("work", [0.0, -0.01, np.nan])
     def test_non_positive_work_rejected(self, work):
+        # On a fresh bank, and after a good call of the same rows (the
+        # c-hats are checked where the bank's constants are rebuilt).
         bank = L0BankKernel(self._controllers())
-        with pytest.raises(ConfigurationError, match="work_estimate"):
-            bank.decide_many(
-                [0, 1], [0.0, 0.0], np.full((2, 3), 50.0), [0.0175, work]
-            )
+        rates = np.full((2, 3), 50.0)
+        for good_call_first in (False, True):
+            if good_call_first:
+                bank.decide_many([0, 1], [0.0, 0.0], rates, [0.0175, 0.0175])
+            with pytest.raises(ConfigurationError, match="work_estimate"):
+                bank.decide_many([0, 1], [0.0, 0.0], rates, [0.0175, work])
 
     def test_stats_recorded_like_scalar(self):
-        controllers = self._controllers()
-        bank = L0BankKernel(controllers)
+        bank = L0BankKernel(self._controllers())
         bank.decide_many(
             [0, 1],
             [2.0, 2.0],
@@ -687,11 +697,9 @@ class TestL0BankParity:
             [0.0175, 0.0175],
         )
         scalar = self._controllers()
-        scalar[0].decide(2.0, np.array([100.0] * 3), 0.0175)
-        assert (
-            controllers[0].stats.states_explored
-            == scalar[0].stats.states_explored
-        )
+        for j in (0, 1):
+            scalar[j].decide(2.0, np.array([100.0] * 3), 0.0175)
+        _assert_stats_like_scalar(bank, scalar)
 
 
 #: Every processor profile a registry cluster mixes: 5, 6, 6, 7 and 10
@@ -760,20 +768,11 @@ class TestL0BankProperties:
             if call is None or not data.draw(st.booleans()):
                 call = data.draw(_bank_call(len(specs), horizon))
             rows, queues, rates, works = call
-            decisions = bank.decide_many(
+            batched = bank.decide_many(
                 np.array(rows), np.array(queues), np.array(rates), np.array(works)
             )
-            assert len(decisions) == len(rows)
-            for decision, row, queue, rate, work in zip(decisions, rows, queues, rates, works):
-                expected = scalar[row].decide(queue, np.array(rate), work)
-                assert decision.frequency_index == expected.frequency_index
-                assert decision.expected_cost.hex() == expected.expected_cost.hex()
-                assert decision.states_explored == expected.states_explored
-        for scalar_l0, bank_l0 in zip(scalar, bank.controllers):
-            assert (bank_l0.stats.invocations, bank_l0.stats.states_explored) == (
-                scalar_l0.stats.invocations,
-                scalar_l0.stats.states_explored,
-            )
+            _assert_rows_decide_like_scalar(batched, scalar, rows, queues, rates, works)
+        _assert_stats_like_scalar(bank, scalar)
 
 
 class TestShortHorizonRuns:
