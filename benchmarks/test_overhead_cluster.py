@@ -10,8 +10,13 @@ ever reasons about p modules and each L1 about m computers.
 We re-measure the same path quantity on CPython and check the
 scalability *shape*: the 16 -> 20 computer growth factor stays near
 flat. The L2 scores its 286 -> 1001 simplex vectors from per-module
-share tables (each module's trees evaluated at the 11 quantised shares),
-so the simplex blow-up costs a gather, not tree walks.
+share tables, so the simplex blow-up costs a gather, not tree walks. It
+fills those tables without walking a tree at all: each controller
+compiles its module trees once into a cell table over the union of their
+split thresholds, and a solve then makes five ``searchsorted`` calls and
+three gathers (each module's period-k cost and next queue at the 11
+quantised shares of the forecast, then its period-k+1 cost at that
+queue and the shares of the next forecast).
 """
 
 import os

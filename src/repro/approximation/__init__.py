@@ -11,7 +11,9 @@ below them, so the paper approximates lower-level behaviour two ways:
   :func:`~repro.approximation.quantizer.level_pairs` of the grid);
 * the L2 controller's module-cost map ``J~`` is "a compact regression
   tree" trained from simulation data —
-  :class:`~repro.approximation.regression_tree.RegressionTree`.
+  :class:`~repro.approximation.regression_tree.RegressionTree`, which
+  the L2 reads as a table of cells
+  (:func:`~repro.approximation.regression_tree.cell_table`).
 
 The trainers (``ComputerBehaviorMap.train``, ``ModuleCostMap.train``)
 simulate their whole quantised input grid in one call (simulation-based

@@ -8,7 +8,7 @@ for real-time queries.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
 
 import numpy as np
 
@@ -23,9 +23,10 @@ class RegressionTree:
     being node 0: ``feature``, ``threshold``, ``left``, ``right`` and
     ``prediction``. A leaf has ``left == -1``; an internal node sends a
     point left when ``point[feature] <= threshold``. :meth:`predict`
-    walks the lists row by row in plain Python (:meth:`predict_rows`).
-    The L2 asks for one point at many values of one feature, its share
-    levels, and :meth:`predict_along` answers those in one descent.
+    walks the lists row by row in plain Python. The L2 does not walk
+    its trees: it reads them from a :func:`cell_table`, which tabulates
+    trees once on the cells their thresholds cut the feature space
+    into.
 
     Parameters
     ----------
@@ -150,56 +151,16 @@ class RegressionTree:
             raise ConfigurationError(
                 f"expected {self._n_features} features, got {x.shape[1]}"
             )
-        out = np.array(self.predict_rows(x.tolist()), dtype=float)
-        return out[0] if single else out
-
-    def predict_rows(self, rows: "list[list[float]]") -> "list[float]":
-        """:meth:`predict` on plain-float rows, without its checks."""
         feature, threshold = self.feature, self.threshold
         left, right, prediction = self.left, self.right, self.prediction
         out = []
-        for row in rows:
+        for row in x.tolist():
             node = 0
             while left[node] >= 0:
                 node = left[node] if row[feature[node]] <= threshold[node] else right[node]
             out.append(prediction[node])
-        return out
-
-    def predict_along(
-        self, point: "list[float]", feature: int, values: "list[float]"
-    ) -> "list[float]":
-        """:meth:`predict_rows` of ``point`` with ``point[feature]`` set to each value.
-
-        One descent serves every value: a node that tests ``feature``
-        splits the range it carries with ``bisect_right``, so the values
-        ``<= threshold`` go left as :meth:`predict`'s comparison sends
-        them, and any other node sends the whole range one way. Each
-        value reaches the leaf that :meth:`predict` reaches for it, given
-        that ``values`` ascend and hold no NaN and that no threshold on
-        ``feature`` is NaN (a fit to finite points makes none).
-        ``point[feature]`` is not read.
-        """
-        f, threshold = self.feature, self.threshold
-        left, right, prediction = self.left, self.right, self.prediction
-        out: "list[float]" = []
-        # Depth first, left before right: the ranges end at leaves in
-        # ascending order.
-        stack = [(0, 0, len(values))]
-        while stack:
-            node, lo, hi = stack.pop()
-            while left[node] >= 0:
-                if f[node] != feature:
-                    node = left[node] if point[f[node]] <= threshold[node] else right[node]
-                    continue
-                cut = bisect_right(values, threshold[node], lo, hi)
-                if cut == lo:
-                    node = right[node]
-                    continue
-                if cut < hi:
-                    stack.append((right[node], cut, hi))
-                node, hi = left[node], cut
-            out += [prediction[node]] * (hi - lo)
-        return out
+        out = np.array(out, dtype=float)
+        return out[0] if single else out
 
     def _require_fit(self) -> None:
         if not self.prediction:
@@ -259,3 +220,58 @@ class RegressionTree:
             self.left[node] = self._node_from_dict(payload["left"])
             self.right[node] = self._node_from_dict(payload["right"])
         return node
+
+
+def cell_table(trees: "list[RegressionTree]") -> "tuple[list[np.ndarray], np.ndarray]":
+    """Fitted trees of one feature space as one dense table of cells.
+
+    Every test a tree makes is ``x[f] <= t``, with ``t`` in the sorted
+    union ``edges[f]`` of the thresholds any of ``trees`` tests on
+    feature ``f``. So ``np.searchsorted(edges[f], x[f], side="left")``
+    is a cell index that fixes every branch any point takes: cell ``i``
+    holds the values in ``(edges[f][i - 1], edges[f][i]]``, and the last
+    cell those above every threshold, and NaN, which every test sends
+    right. Each tree is walked once per cell, at one representative: the
+    cell's upper threshold, or ``+inf`` past the last one.
+
+    Returns ``(edges, table)``: per feature its thresholds, and the
+    ``(len(trees), len(edges[0]) + 1, ...)`` predictions, so that
+    ``table[k][cells]`` is ``trees[k].predict(x)`` bit for bit at the
+    point's cell indices. Raises a one-line
+    :class:`ConfigurationError` for a threshold that is not finite
+    (no representative could stand for the cells around it) or trees of
+    different feature counts.
+    """
+    if len({tree._n_features for tree in trees}) != 1:
+        raise ConfigurationError("a cell table needs trees of one feature count")
+    thresholds: "list[set[float]]" = [set() for _ in range(trees[0]._n_features)]
+    for tree in trees:
+        tree._require_fit()
+        for feature, threshold, left in zip(tree.feature, tree.threshold, tree.left):
+            if left < 0:
+                continue
+            if not math.isfinite(threshold):
+                raise ConfigurationError(
+                    f"a tree's split threshold must be finite, got {threshold!r}"
+                )
+            thresholds[feature].add(threshold)
+    edges = [np.array(sorted(values), dtype=float) for values in thresholds]
+    axes = [np.append(edge, np.inf) for edge in edges]
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    cells = np.arange(len(points))
+    table = np.empty((len(trees), len(points)))
+    for k, tree in enumerate(trees):
+        feature, threshold, left, right, prediction = (
+            np.array(values)
+            for values in (tree.feature, tree.threshold, tree.left, tree.right, tree.prediction)
+        )
+        # A vectorised descent: every cell steps down one level at a
+        # time, and a leaf (feature -1, left -1) stays where it is.
+        node = np.zeros(len(points), dtype=np.intp)
+        inner = left[node] >= 0
+        while inner.any():
+            goes_left = points[cells, feature[node]] <= threshold[node]
+            node = np.where(inner, np.where(goes_left, left[node], right[node]), node)
+            inner = left[node] >= 0
+        table[k] = prediction[node]
+    return edges, table.reshape(len(trees), *(axis.size for axis in axes))

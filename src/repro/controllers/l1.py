@@ -128,7 +128,7 @@ def _l0_substep(
         block = max(1, _BANK_BLOCK_ELEMENTS // int(widths[low]) ** (horizon + 1))
         for start in range(low, high, block):
             rows = slice(start, min(start + block, high))
-            settings[rows], _ = bank.decide_many(
+            settings[rows] = bank.decide_many(
                 indices[rows], queues[rows], forecasts[rows], works[rows]
             )
     costs = np.empty_like(queues)
@@ -241,21 +241,6 @@ class L1Decision:
     states_explored: int
 
 
-class _Points(NamedTuple):
-    """Per-point constants of an array query: each point's computer's map.
-
-    Built once per map or plan by :meth:`_MapBank.points`, so a query
-    gathers nothing per decision but the table cells.
-    """
-
-    computers: np.ndarray  # computer per point
-    offsets: np.ndarray  # the map's first cell in the bank's table
-    queue_strides: np.ndarray
-    rate_strides: np.ndarray
-    work_strides: np.ndarray
-    max_rates: np.ndarray  # the map's top trained arrival rate
-
-
 class _MapBank:
     """The behaviour maps of a list of computers, as arrays for queries.
 
@@ -264,7 +249,9 @@ class _MapBank:
     every computer whatever each map's grid shape. ``pairs`` holds, per
     dimension (queue, rate, work), each computer's level row padded with
     ``+inf``, which no finite value snaps to, as
-    :func:`~repro.approximation.quantizer.level_pairs`: ``(2, m, width)``.
+    :func:`~repro.approximation.quantizer.level_pairs`: ``(2, m,
+    width)``, one ``width`` for all three, so that one snap serves
+    coordinates of every dimension (see :meth:`points`).
     """
 
     def __init__(self, maps: "list[ComputerBehaviorMap]") -> None:
@@ -281,11 +268,12 @@ class _MapBank:
                 tables.append(behavior_map.table.rows)
         self.table = np.concatenate(tables)
         self.offsets = np.array([starts[id(behavior_map)] for behavior_map in maps])
+        width = max(len(row) for m in maps for row in m._levels)
         self.pairs = []
         for dimension in range(3):
-            rows = [behavior_map._levels[dimension] for behavior_map in maps]
-            padded = np.full((len(maps), max(map(len, rows))), np.inf)
-            for j, row in enumerate(rows):
+            padded = np.full((len(maps), width), np.inf)
+            for j, behavior_map in enumerate(maps):
+                row = behavior_map._levels[dimension]
                 padded[j, : len(row)] = row
             self.pairs.append(level_pairs(padded))
         self.strides = np.array([behavior_map.table.strides for behavior_map in maps])
@@ -308,56 +296,53 @@ class _MapBank:
             ]
         )
 
-    def points(self, computers) -> _Points:
-        """The per-point constants of points on ``computers``."""
-        computers = np.asarray(computers, dtype=np.intp)
-        strides = self.strides[computers]
-        return _Points(
-            computers,
-            self.offsets[computers],
-            strides[:, 0],
-            strides[:, 1],
-            strides[:, 2],
-            self.max_rates[computers],
-        )
+    def points(self, computers: np.ndarray, split: int) -> dict:
+        """The per-point fields of a plan whose points are on ``computers``.
+
+        The points from ``split`` on are second-term points. Returns
+        :class:`_Neighbourhood`'s ``computers``, ``rate_strides``,
+        ``pairs`` (every computer's queue pairs, then its work pairs,
+        then each point's rate pairs: the kernel's one snap),
+        ``start_pairs`` and ``start_strides`` (the second-term points'
+        queue pairs and strides).
+        """
+        queue_pairs, rate_pairs, work_pairs = self.pairs
+        second = computers[split:]
+        return {
+            "computers": computers,
+            "rate_strides": self.strides[computers, 1],
+            "pairs": np.concatenate(
+                [queue_pairs, work_pairs, rate_pairs[:, computers]], axis=1
+            ),
+            "start_pairs": queue_pairs[:, second],
+            "start_strides": self.strides[second, 0],
+        }
 
     def query(
         self,
-        points: _Points,
+        computers: np.ndarray,
+        cells: np.ndarray,
         queues: np.ndarray,
         rates: np.ndarray,
         works: np.ndarray,
-        queue_at: np.ndarray,
-        rate_at: np.ndarray,
-        work_at: np.ndarray,
     ) -> "tuple[np.ndarray, np.ndarray]":
         """``(interval cost, final queue)`` at every point.
 
-        The arrays broadcast together, the last axis running over
-        ``points``; ``queue_at``, ``rate_at`` and ``work_at`` are the
-        coordinates' indices on each point's grid (see
-        :func:`~repro.approximation.quantizer.nearest_level`). Each
-        point's cell outputs are gathered from the table; a rate past
-        the map's trained maximum takes the closed-form saturated
-        rollout instead.
+        ``cells`` and ``rates`` are ``(rows, samples, points)``: each
+        point's cell in :attr:`table` and its arrival rate at each
+        sample, the points on ``computers``; ``queues`` is ``(rows,
+        points)`` and ``works`` ``(rows,)``. Each point's cell outputs
+        are gathered from the table; a rate past the map's trained
+        maximum takes the closed-form saturated rollout instead.
         """
-        cells = (
-            points.offsets
-            + queue_at * points.queue_strides
-            + rate_at * points.rate_strides
-            + work_at * points.work_strides
-        )
         outputs = self.table[cells]
         costs, finals = outputs[..., 0], outputs[..., 1]
-        saturated = rates > points.max_rates
+        saturated = rates > self.max_rates[computers]
         if saturated.any():
-            shape = saturated.shape
-            computers = np.broadcast_to(points.computers, shape)[saturated]
-            costs[saturated], finals[saturated] = self._saturated_rollout(
-                computers,
-                np.broadcast_to(queues, shape)[saturated],
-                rates[saturated],
-                np.broadcast_to(works, shape)[saturated],
+            at = np.nonzero(saturated)
+            row, _, point = at
+            costs[at], finals[at] = self._saturated_rollout(
+                computers[point], queues[row, point], rates[at], works[row]
             )
         return costs, finals
 
@@ -371,20 +356,23 @@ class _MapBank:
         """Closed-form overload cost: max frequency, fluid eqs. (5)-(7).
 
         Every point takes each T_L0 substep's operations in the scalar
-        rollout's order. The inputs are finite, non-negative and ``works``
-        positive (see :meth:`L1Bank.decide`), so no
-        difference is NaN or ``-0.0`` and ``np.maximum(x, 0.0)`` is
-        ``max(0.0, x)``.
+        rollout's order: the queues step through every substep first,
+        then every substep is priced at once and the costs add up in
+        substep order. The inputs are finite, non-negative and ``works``
+        positive (see :meth:`L1Bank.decide`), so no difference is NaN
+        or ``-0.0`` and ``np.maximum(x, 0.0)`` is ``max(0.0, x)``.
         """
         speed, period, target, tracking, power_cost = self.rollout[computers].T
         capacity = speed / works * period
         arrivals = rates * period
         queue = queues
+        steps = np.empty((self.substeps, queues.size))
+        for step in steps:
+            queue = np.maximum(queue + arrivals - capacity, 0.0, out=step)
+        slacks = tracking * np.maximum((1.0 + steps) * works / speed - target, 0.0)
         total = np.zeros(queues.shape)
-        for _ in range(self.substeps):
-            queue = np.maximum(queue + arrivals - capacity, 0.0)
-            response = (1.0 + queue) * works / speed
-            total += tracking * np.maximum(response - target, 0.0)
+        for slack in slacks:
+            total += slack
             total += power_cost
         return total, queue
 
@@ -393,14 +381,17 @@ class _Neighbourhood(NamedTuple):
     """The bounded search of one (alpha_current, available) mask.
 
     Candidates are in search order; the first minimum of their totals
-    wins. The first array query evaluates ``first`` at every band
-    sample: the first-term points ``(j, n)`` (computer, gamma quanta)
-    that some candidate serves, then one drain point per computer that
-    some candidate switches off. The second evaluates ``second``: each
-    ``(j, f, g)`` whose start queue is the mean final queue of first
-    slot ``f`` (``first_count`` when it boots and starts empty) and
-    whose gamma_next quanta is ``g``. The slot matrices are padded with
-    the index of a zero column, which adds nothing.
+    wins. The points come in one list: the first-term points ``(j, n)``
+    (computer, gamma quanta) that some candidate serves, then one drain
+    point per computer that some candidate switches off (together the
+    ``split`` first-term points), then every second-term point ``(j, f,
+    g)``, whose start queue is the mean final queue of first-term point
+    ``f`` (``first_count`` when it boots and starts empty) and whose
+    gamma_next quanta is ``g``. The first array query evaluates the
+    first-term points at every band sample, the second the second-term
+    points. ``slots`` names, per candidate and term, the points whose
+    costs that term adds up, padded with the index one past the last
+    point, a zero column that adds nothing.
 
     A block plan (:class:`L1Bank`) scores many modules' plans as one and
     has no ``alphas`` or ``gammas``: its members' plans keep them.
@@ -409,22 +400,25 @@ class _Neighbourhood(NamedTuple):
     alphas: "np.ndarray | None"  # (candidates, m) read-only on/off masks
     gammas: "np.ndarray | None"  # (candidates, m) read-only load fractions
     fixed: np.ndarray  # W per boot plus the booting machines' idle power
-    sums: np.ndarray  # each candidate's row of sum_slots
-    sum_slots: np.ndarray  # first-term slots of serving computers, per sum row
-    drain_slots: np.ndarray  # per candidate, drain points into ``first``
-    second_slots: np.ndarray  # per candidate, second-term points
-    first: _Points
-    first_count: int  # first-term points; the drains follow them
-    second: _Points
-    second_starts: np.ndarray
-    start_pairs: np.ndarray  # queue level pairs of each second-term point
-    # Every point of ``first`` then ``second``: its term (0 or 1, the
-    # band row its rates sample; 2 * member + term in a block), its
-    # gamma level (0 for drains) and its map's rate level pairs, so one
-    # snap serves both terms.
+    # (candidates, 2, width): per candidate, the points of its period-k
+    # term (its serving points, then its drains) and of its period-k+1
+    # term.
+    slots: np.ndarray
+    first_count: int  # serving first-term points; the drains follow them
+    split: int  # first-term points; the second-term points follow them
+    second_starts: np.ndarray  # each second-term point's start slot
+    # Every point's computer in the map bank, its term (0 or 1, the band
+    # row its rates sample; 2 * member + term in a block), its gamma
+    # level (0 for drains) and its map's rate stride.
+    computers: np.ndarray
     terms: np.ndarray
     levels: np.ndarray
-    rate_pairs: np.ndarray
+    rate_strides: np.ndarray
+    # The kernel's one snap: every bank computer's queue pairs, then its
+    # work pairs, then every point's rate pairs (see _MapBank.points).
+    pairs: np.ndarray
+    start_pairs: np.ndarray  # queue pairs of each second-term point
+    start_strides: np.ndarray  # queue stride of each second-term point
 
 
 def _padded(rows: "list[list[int]]", pad: int) -> np.ndarray:
@@ -447,18 +441,6 @@ def _sequential_sum(terms: np.ndarray) -> np.ndarray:
     for k in range(1, terms.shape[-1]):
         total += terms[..., k]
     return total
-
-
-def _bands(rates: np.ndarray, delta: np.ndarray, banded: bool) -> np.ndarray:
-    """Each row's arrival-rate samples, ``(rows, 2, samples)``.
-
-    ``rates`` is ``(2, rows)``: rate_hat, then rate_next. ``banded``
-    takes the band's three samples around both rates, else the rates
-    alone.
-    """
-    if banded:
-        return three_point_band(rates, delta).transpose(2, 1, 0)
-    return rates[:, :, None].transpose(1, 0, 2)
 
 
 def _decision(plan: _Neighbourhood, choice: int, cost: float, states: int) -> L1Decision:
@@ -680,66 +662,72 @@ class L1Controller:
         Period k loads the serving computers by gamma and drains the ones
         switched off; in period k+1 the boots have completed and the
         on-set shares the load by gamma_next, each serving computer
-        starting from its mean period-k queue. Terms add in the
-        per-candidate loop's order, column by column.
+        starting from its mean period-k queue.
+
+        One snap places every computer's queue and work and every
+        point's rate on its map's grid, and each computer's cell at rate
+        level 0 is its base: a point's cell is its computer's base plus
+        its rate level's stride (a second-term point's base takes its
+        start queue's level instead). Both terms' costs then fill one
+        array with a zero column, and one gather and one sequential sum
+        over :attr:`_Neighbourhood.slots` add every candidate's terms up
+        in the per-candidate loop's order, column by column.
         """
         rows, _, width = bands.shape
         weight = 1.0 / width
-        work = work[:, None, None]
-        queue_pairs, _, work_pairs = bank.pairs
-        queue_at = nearest_level(queue_pairs, queues)
-        work_at = nearest_level(work_pairs, work[:, 0])
-        rates = bands[:, plan.terms].transpose(0, 2, 1) * plan.levels
-        first, second = plan.first, plan.second
-        split = len(first.computers)
-        rates[:, :, plan.first_count : split] = 0.0  # the drains
-        rate_at = nearest_level(plan.rate_pairs, rates)
+        m, split, count = len(bank.offsets), plan.split, plan.first_count
+        values = np.empty((rows, width, 2 * m + len(plan.computers)))
+        values[:, :, :m] = queues[:, None]
+        values[:, :, m : 2 * m] = work[:, None, None]
+        rates = values[:, :, 2 * m :]
+        np.multiply(bands[:, plan.terms].transpose(0, 2, 1), plan.levels, out=rates)
+        rates[:, :, count:split] = 0.0  # the drains
+        at = nearest_level(plan.pairs, values)
+        queue_strides, _, work_strides = bank.strides.T
+        unqueued = bank.offsets + at[:, 0, m : 2 * m] * work_strides
+        bases = unqueued + at[:, 0, :m] * queue_strides
+        rate_cells = at[:, :, 2 * m :] * plan.rate_strides
+        costs = np.empty((rows, width, len(plan.computers) + 1))
+        costs[:, :, -1] = 0.0
 
         # Period k: every first-term point at every sample, then drains.
-        costs, finals = bank.query(
+        first = plan.computers[:split]
+        costs[:, :, :split], finals = bank.query(
             first,
-            queues[:, None, first.computers],
+            bases[:, None, first] + rate_cells[:, :, :split],
+            queues[:, first],
             rates[:, :, :split],
             work,
-            queue_at[:, None, first.computers],
-            rate_at[:, :, :split],
-            work_at[:, None, first.computers],
         )
-        # The mean final queue of each first-term slot, then 0.0 for the
-        # machines that boot.
-        shares = finals[:, :, : plan.first_count] * weight
-        starts = np.zeros((rows, plan.first_count + 1))
+        # The mean final queue of each serving first-term point, then 0.0
+        # for the machines that boot.
+        shares = finals[:, :, :count] * weight
+        starts = np.zeros((rows, count + 1))
         for s in range(width):
             starts[:, :-1] += shares[:, s]
 
         # Period k+1: every second-term point at every sample.
-        start_queues = starts[:, None, plan.second_starts]
-        second_costs, _ = bank.query(
+        second = plan.computers[split:]
+        start_queues = starts[:, plan.second_starts]
+        start_cells = (
+            unqueued[:, second]
+            + nearest_level(plan.start_pairs, start_queues) * plan.start_strides
+        )
+        costs[:, :, split:-1], _ = bank.query(
             second,
+            start_cells[:, None] + rate_cells[:, :, split:],
             start_queues,
             rates[:, :, split:],
             work,
-            nearest_level(plan.start_pairs, start_queues),
-            rate_at[:, :, split:],
-            work_at[:, None, second.computers],
         )
 
-        zeros = np.zeros((rows, width, 1))
-        padded = np.concatenate([costs, zeros], axis=2)
-        steps = _sequential_sum(padded[:, :, plan.sum_slots])[:, :, plan.sums]
-        if plan.drain_slots.size:
-            drains = padded[:, 0, plan.drain_slots]
-            for k in range(drains.shape[-1]):
-                steps += drains[:, None, :, k]
+        steps = _sequential_sum(costs[:, :, plan.slots])
         steps *= weight
-        totals = plan.fixed + steps[:, 0]
+        totals = plan.fixed + steps[:, 0, :, 0]
         for s in range(1, width):
-            totals += steps[:, s]
-        padded = np.concatenate([second_costs, zeros], axis=2)
-        steps = _sequential_sum(padded[:, :, plan.second_slots])
-        steps *= weight
+            totals += steps[:, s, :, 0]
         for s in range(width):
-            totals += steps[:, s]
+            totals += steps[:, s, :, 1]
         return totals
 
     def _plan(
@@ -768,7 +756,7 @@ class L1Controller:
         An alpha with no computer serving now is skipped; None when no
         candidate is left. The gamma candidates are shared by every
         alpha with the same serving set, and so are their first-term
-        sums.
+        points.
         """
         step = self.params.gamma_step
         levels = simplex_levels(step)
@@ -842,33 +830,35 @@ class L1Controller:
                 sums.append(sums_base + i)
                 drains_of.append(drains)
         first_count = len(first_slots)
-        first_points = [j for j, _ in first_slots] + list(drain_slots)
-        pad = len(first_points)
+        split = first_count + len(drain_slots)
         second_points = list(second_slots)
-        second_computers = [j for j, _, _ in second_points]
-        queue_pairs, rate_pairs, _ = self._bank.pairs
+        # Per candidate, its period-k points (serving, then drains) and
+        # its period-k+1 points, padded with the zero column's index.
+        term_slots = []
+        for row, drains, seconds in zip(sums, drains_of, seconds_of):
+            term_slots.append(sum_slots[row] + [first_count + d for d in drains])
+            term_slots.append([split + k for k in seconds])
         arrays = [
             np.array(candidate_alphas),
             np.array(candidate_gammas),
             np.array(fixed),
-            np.array(sums, dtype=np.intp),
-            _padded(sum_slots, pad),
-            _padded(drains_of, len(drain_slots)) + first_count,
-            _padded(seconds_of, len(second_points)),
+            _padded(term_slots, split + len(second_points)).reshape(len(sums), 2, -1),
         ]
         for array in arrays:
             array.setflags(write=False)
+        computers = np.array(
+            [j for j, _ in first_slots] + list(drain_slots) + [j for j, _, _ in second_points],
+            dtype=np.intp,
+        )
         return _Neighbourhood(
             *arrays,
-            first=self._bank.points(first_points),
             first_count=first_count,
-            second=self._bank.points(second_computers),
+            split=split,
             second_starts=np.array(
                 [f if f >= 0 else first_count for _, f, _ in second_points],
                 dtype=np.intp,
             ),
-            start_pairs=queue_pairs[:, second_computers],
-            terms=np.repeat([0, 1], [pad, len(second_points)]),
+            terms=np.repeat([0, 1], [split, len(second_points)]),
             levels=np.concatenate(
                 [
                     levels[[n for _, n in first_slots]],
@@ -876,7 +866,7 @@ class L1Controller:
                     levels[[g for _, _, g in second_points]],
                 ]
             ),
-            rate_pairs=rate_pairs[:, first_points + second_computers],
+            **self._bank.points(computers, split),
         )
 
     @staticmethod
@@ -922,19 +912,18 @@ class L1Controller:
         return round(self.params.period / self.l0_params.period)
 
 
-def _stacked(
-    matrices: "list[np.ndarray]", remap: np.ndarray, bases: "list[int]", pad: int
-) -> np.ndarray:
+def _stacked(matrices: "list[np.ndarray]", remaps: "list[np.ndarray]", pad: int) -> np.ndarray:
     """Members' index matrices, stacked into one block matrix.
 
-    Member b's entry ``i`` becomes ``remap[bases[b] + i]``, and rows
-    shorter than the widest member's are filled with ``pad``.
+    Member b's entry ``i`` becomes ``remaps[b][i]``, and rows shorter
+    than the widest member's are filled with ``pad``.
     """
-    width = max(matrix.shape[1] for matrix in matrices)
-    stacked = np.full((sum(map(len, matrices)), width), pad, dtype=np.intp)
+    width = max(matrix.shape[-1] for matrix in matrices)
+    shape = (sum(map(len, matrices)), *matrices[0].shape[1:-1], width)
+    stacked = np.full(shape, pad, dtype=np.intp)
     row = 0
-    for matrix, base in zip(matrices, bases):
-        stacked[row : row + len(matrix), : matrix.shape[1]] = remap[matrix + base]
+    for matrix, remap in zip(matrices, remaps):
+        stacked[row : row + len(matrix), ..., : matrix.shape[-1]] = remap[matrix]
         row += len(matrix)
     return stacked
 
@@ -1035,8 +1024,18 @@ class L1Bank:
                     starts = [self._first_computer[module] for module, _ in key]
                 for low in range(0, len(stack), _KERNEL_ROWS):
                     chunk = stack[low : low + _KERNEL_ROWS]
-                    points = np.array([rows[r][4] for members in chunk for r in members]).T
-                    bands = _bands(points[:2], points[2], banded)
+                    points = [rows[r][4] for members in chunk for r in members]
+                    # Each row's rate samples around rate_hat, then
+                    # around rate_next: the band's three, or the rate.
+                    if banded:
+                        bands = np.array(
+                            [
+                                (three_point_band(now, delta), three_point_band(after, delta))
+                                for now, after, delta, _ in points
+                            ]
+                        )
+                    else:
+                        bands = np.array([((now,), (after,)) for now, after, _, _ in points])
                     samples = bands.shape[2]
                     row_queues = np.zeros((len(chunk), width))
                     for k, members in enumerate(chunk):
@@ -1047,7 +1046,7 @@ class L1Bank:
                         block,
                         row_queues,
                         bands.reshape(len(chunk), -1, samples),
-                        points[3, :: len(key)],
+                        np.array([work for _, _, _, work in points[:: len(key)]]),
                     )
                     for k, members in enumerate(chunk):
                         for r, first, last in zip(members, bounds, bounds[1:]):
@@ -1186,71 +1185,60 @@ class L1Bank:
     ) -> "tuple[_Neighbourhood, list[int]]":
         """Concatenate ``plans``, whose computers start at ``offsets``."""
         serving = [plan.first_count for plan in plans]
-        firsts = [len(plan.first.computers) for plan in plans]
-        seconds = [len(plan.second.computers) for plan in plans]
-        first_count, second_count = sum(serving), sum(seconds)
-        pad = sum(firsts)  # the zero column after the first-term points
-        # Per member, the block index of each of its point indices, then
-        # of its zero column (``start_at``: of its first-term slots, then
-        # of a boot's empty start queue), from the member's base on.
-        first_at, start_at, second_at = [], [], []
-        first_bases, start_bases, second_bases = [], [], []
+        splits = [plan.split for plan in plans]
+        seconds = [len(plan.computers) - plan.split for plan in plans]
+        first_count, split = sum(serving), sum(splits)
+        zero = split + sum(seconds)  # the zero column after every point
+        # Per member, the block index of each of its points, then of its
+        # zero column (``start_at``: of its serving points, then of a
+        # boot's empty start queue).
+        point_at, start_at = [], []
         served = drained = seconded = 0
-        for n, total, n2 in zip(serving, firsts, seconds):
-            first_bases.append(len(first_at))
-            start_bases.append(len(start_at))
-            second_bases.append(len(second_at))
-            drain = first_count + drained
-            first_at += [*range(served, served + n), *range(drain, drain + total - n), pad]
-            start_at += [*range(served, served + n), first_count]
-            second_at += [*range(seconded, seconded + n2), second_count]
-            served, drained, seconded = served + n, drained + total - n, seconded + n2
-        first_at, start_at, second_at = (
-            np.array(at, dtype=np.intp) for at in (first_at, start_at, second_at)
-        )
-        sum_bases = np.cumsum([0, *(len(plan.sum_slots) for plan in plans[:-1])])
+        for n, f, n2 in zip(serving, splits, seconds):
+            drain, second = first_count + drained, split + seconded
+            point_at.append(
+                np.array(
+                    [
+                        *range(served, served + n),
+                        *range(drain, drain + f - n),
+                        *range(second, second + n2),
+                        zero,
+                    ],
+                    dtype=np.intp,
+                )
+            )
+            start_at.append(np.array([*range(served, served + n), first_count], dtype=np.intp))
+            served, drained, seconded = served + n, drained + f - n, seconded + n2
         index = np.arange(len(plans))
-        first_computers = np.concatenate(
-            [plan.first.computers[:n] + o for plan, n, o in zip(plans, serving, offsets)]
-            + [plan.first.computers[n:] + o for plan, n, o in zip(plans, serving, offsets)]
+        members = list(zip(plans, serving, splits, offsets))
+        computers = np.concatenate(
+            [plan.computers[:n] + o for plan, n, _, o in members]
+            + [plan.computers[n:f] + o for plan, n, f, o in members]
+            + [plan.computers[f:] + o for plan, _, f, o in members]
         )
-        second_computers = np.concatenate(
-            [plan.second.computers + o for plan, o in zip(plans, offsets)]
-        )
-        bank = self._bank
-        queue_pairs, rate_pairs, _ = bank.pairs
         block = _Neighbourhood(
             alphas=None,
             gammas=None,
             fixed=np.concatenate([plan.fixed for plan in plans]),
-            sums=np.concatenate([plan.sums + base for plan, base in zip(plans, sum_bases)]),
-            sum_slots=_stacked([p.sum_slots for p in plans], first_at, first_bases, pad),
-            drain_slots=_stacked([p.drain_slots for p in plans], first_at, first_bases, pad),
-            second_slots=_stacked(
-                [p.second_slots for p in plans], second_at, second_bases, second_count
-            ),
-            first=bank.points(first_computers),
+            slots=_stacked([plan.slots for plan in plans], point_at, zero),
             first_count=first_count,
-            second=bank.points(second_computers),
-            second_starts=start_at[
-                np.concatenate(
-                    [plan.second_starts + base for plan, base in zip(plans, start_bases)]
-                )
-            ],
-            start_pairs=queue_pairs[:, second_computers],
+            split=split,
+            second_starts=np.concatenate(
+                [at[plan.second_starts] for at, plan in zip(start_at, plans)]
+            ),
             terms=np.concatenate(
                 [
                     np.repeat(2 * index, serving),
-                    np.repeat(2 * index, np.subtract(firsts, serving)),
+                    np.repeat(2 * index, np.subtract(splits, serving)),
                     np.repeat(2 * index + 1, seconds),
                 ]
             ),
             levels=np.concatenate(
-                [plan.levels[:n] for plan, n in zip(plans, serving)]
-                + [plan.levels[n:f] for plan, n, f in zip(plans, serving, firsts)]
-                + [plan.levels[f:] for plan, f in zip(plans, firsts)]
+                [plan.levels[:n] for plan, n, _, _ in members]
+                + [plan.levels[n:f] for plan, n, f, _ in members]
+                + [plan.levels[f:] for plan, _, f, _ in members]
             ),
-            rate_pairs=rate_pairs[:, np.concatenate([first_computers, second_computers])],
+            **self._bank.points(computers, split),
         )
         bounds = np.cumsum([0, *(len(plan.fixed) for plan in plans)]).tolist()
         return block, bounds

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.common.errors import ConfigurationError
 from repro.approximation.quantizer import GridQuantizer
-from repro.approximation.regression_tree import RegressionTree
+from repro.approximation.regression_tree import RegressionTree, cell_table
 from repro.cluster.specs import ModuleSpec
 from repro.controllers.l0 import L0Controller
 from repro.controllers.l1 import (
@@ -289,14 +289,16 @@ class L2Controller:
         step 0.1 by default. The objective is separable: module i's two
         horizon terms depend on a candidate only through gamma_i, which
         takes one of k + 1 quantised levels. So each module's trees fill
-        a share table of one entry per level and term: the period-k cost
-        and queue trees in one sorted walk each along the rate
-        (:meth:`RegressionTree.predict_along`), the period-(k+1) cost in
-        one row walk. Every candidate's cost is gathered from the tables
-        by its integer quanta, adding the terms in module order from 0.0.
-        The quantised current allocation, its candidate and its
-        reconfiguration lifts are kept for the last ``gamma_current``,
-        which changes at few boundaries.
+        a share table of one entry per level and term, read from the
+        controller's cell table (:attr:`_cells`): one ``searchsorted``
+        per coordinate finds each point's cell, and one gather per term
+        reads the period-k cost and next queue at the shares of
+        ``rate_hat``, then the period-(k+1) cost at the next queue and
+        the shares of ``rate_next``. Every candidate's cost is gathered
+        from the share tables by its integer quanta, adding the terms in
+        module order from 0.0. The quantised current allocation, its
+        candidate and its reconfiguration lifts are kept for the last
+        ``gamma_current``, which changes at few boundaries.
 
         Raises a one-line :class:`ControlError` for a NaN, infinite or
         negative queue, rate or ``gamma_current`` entry, or a work that
@@ -324,21 +326,25 @@ class L2Controller:
             )
         started = time.perf_counter()
         candidates, levels, share_at, lift_at, _ = self._simplex
-        shares_now = [level * rate_hat for level in levels]
-        shares_next = [level * rate_next for level in levels]
-        tables: "list[float]" = []
-        for queue, module_map in zip(queues, self.maps):
-            point = [queue, 0.0, work]
-            cost_tree = module_map.cost_tree
-            tables += cost_tree.predict_along(point, 1, shares_now)
-            next_queues = module_map.queue_tree.predict_along(point, 1, shares_now)
-            tables += cost_tree.predict_rows(
-                [
-                    [max(next_queue, 0.0), share, work]
-                    for next_queue, share in zip(next_queues, shares_next)
-                ]
-            )
-        costs = _sequential_sum(np.array(tables)[share_at].T)
+        modules, (queue_edges, rate_edges, work_edges), cost_cells, queue_cells = self._cells
+        work_at = np.searchsorted(work_edges, work)
+        now = (
+            modules,
+            np.searchsorted(queue_edges, queue_avgs)[:, None],
+            np.searchsorted(rate_edges, levels * rate_hat),
+            work_at,
+        )
+        next_queues = np.maximum(queue_cells[now], 0.0)
+        after = (
+            modules,
+            np.searchsorted(queue_edges, next_queues),
+            np.searchsorted(rate_edges, levels * rate_next),
+            work_at,
+        )
+        # Module i's period-k costs, then its period-(k+1) costs: the
+        # flat share tables' layout.
+        tables = np.concatenate([cost_cells[now], cost_cells[after]], axis=1)
+        costs = _sequential_sum(tables.ravel()[share_at].T)
         explored = 2 * len(candidates) * p
         current_quantized = current_index = None
         if gamma_current is not None:
@@ -394,7 +400,7 @@ class L2Controller:
             # round back exactly.
             k = len(levels) - 1
             index = index_of[tuple(round(share * k) for share in quantized.tolist())]
-            lifts = np.clip(np.array(levels) - gamma[:, None], 0.0, None)
+            lifts = np.clip(levels - gamma[:, None], 0.0, None)
             quantized.setflags(write=False)
             lifts.setflags(write=False)
             self._memo = (key, quantized, index, lifts)
@@ -406,12 +412,12 @@ class L2Controller:
 
         ``(candidates, levels, share_at, lift_at, index_of)``, enumerated
         on the first solve: the ``(n, p)`` candidates; the k + 1
-        ``levels`` a share can take, as floats (``levels[quanta] ==
-        candidates``); each candidate's entry in the flat share tables,
-        ``(2p, n)``, whose row 2i is module i's period-k term and row
-        2i + 1 its period-(k+1) term; its entry in the flat ``(p, k + 1)``
-        lift table, ``(n, p)``; and each candidate's index by its quanta
-        (a tuple of ints).
+        ``levels`` a share can take (``levels[quanta] == candidates``);
+        each candidate's entry in the flat share tables, ``(2p, n)``,
+        whose row 2i is module i's period-k term and row 2i + 1 its
+        period-(k+1) term; its entry in the flat ``(p, k + 1)`` lift
+        table, ``(n, p)``; and each candidate's index by its quanta (a
+        tuple of ints).
         """
         step = self.params.gamma_step
         levels = simplex_levels(step)
@@ -421,7 +427,25 @@ class L2Controller:
         share_at = np.repeat((quanta + 2 * offsets).T, 2, axis=0)
         share_at[1::2] += levels.size
         lift_at = quanta + offsets
-        for array in (candidates, share_at, lift_at):
+        for array in (candidates, levels, share_at, lift_at):
             array.setflags(write=False)
         index_of = {tuple(row): index for index, row in enumerate(quanta.tolist())}
-        return candidates, levels.tolist(), share_at, lift_at, index_of
+        return candidates, levels, share_at, lift_at, index_of
+
+    @cached_property
+    def _cells(self) -> tuple:
+        """The module maps' trees as one cell table, read-only.
+
+        ``(modules, edges, cost_cells, queue_cells)``, built on the first
+        solve by :func:`~repro.approximation.regression_tree.cell_table`
+        over every module's cost and queue tree: the module indices as a
+        column; the union of the trees' (queue, rate, work) thresholds;
+        and each module's cost and final-queue predictions per cell,
+        ``(p, Q + 1, R + 1, W + 1)`` each, for Q, R and W thresholds.
+        """
+        trees = [tree for m in self.maps for tree in (m.cost_tree, m.queue_tree)]
+        edges, table = cell_table(trees)
+        table = table.reshape(self.module_count, 2, *table.shape[1:])
+        table.setflags(write=False)
+        modules = np.arange(self.module_count)[:, None]
+        return modules, edges, table[:, 0], table[:, 1]

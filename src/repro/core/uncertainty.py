@@ -10,20 +10,22 @@ computed by averaging three samples: ``lambda_hat - delta``,
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.common.errors import ConfigurationError
 
 
-def three_point_band(mean, delta) -> np.ndarray:
+def three_point_band(mean: float, delta: float) -> "tuple[float, float, float]":
     """The three sampled values, clipped below at zero.
 
     With ``delta == 0`` all three collapse onto the mean (the band
     degenerates gracefully before any forecast errors are observed).
-    ``mean`` and ``delta`` may be arrays that broadcast together; the
-    samples then stack along a new first axis.
+    Plain floats in and out, as ``np.maximum(x, 0.0)`` clips: a sample
+    at or below zero reads ``0.0`` and NaN stays NaN.
     """
-    if (np.asarray(delta) < 0).any():
+    if delta < 0:
         raise ConfigurationError("delta must be >= 0")
-    return np.maximum(np.array([mean - delta, mean, mean + delta]), 0.0)
-
+    low, high = mean - delta, mean + delta
+    return (
+        0.0 if low <= 0.0 else low,
+        0.0 if mean <= 0.0 else mean,
+        0.0 if high <= 0.0 else high,
+    )

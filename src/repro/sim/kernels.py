@@ -146,9 +146,10 @@ class L0BankKernel:
       base-``width`` digit strings keep the scalar enumeration order.
 
     Costs and queue trajectories are computed with the scalar
-    expressions' operand order, so each computer's setting and expected
-    cost are identical to its scalar ``decide``'s, and so is the
-    per-controller ``stats`` bookkeeping (invocations, states explored).
+    expressions' operand order, so each computer's setting is its scalar
+    ``decide``'s ``frequency_index``, and so is the per-controller
+    ``stats`` bookkeeping (invocations, states explored). No run reads a
+    row's expected cost, so the bank returns none.
     """
 
     def __init__(self, controllers: list) -> None:
@@ -195,16 +196,16 @@ class L0BankKernel:
         queues: "list[float] | np.ndarray",
         rate_forecasts: "list[np.ndarray] | np.ndarray",
         work_estimates: "list[float] | np.ndarray",
-    ) -> "tuple[np.ndarray, np.ndarray]":
+    ) -> np.ndarray:
         """Run the bank's lookahead for a subset of computers at once.
 
         ``indices`` selects controllers (bank positions); the parallel
         sequences (lists or arrays; ``rate_forecasts`` may be one
         ``(computers, horizon)`` array) carry each one's queue, per-depth
-        arrival-rate forecasts, and c-hat. Returns two arrays, each
-        entry's chosen setting (its scalar ``decide``'s
-        ``frequency_index``) and expected cost, and records each
-        controller's stats exactly as its scalar ``decide`` would.
+        arrival-rate forecasts, and c-hat. Returns each entry's chosen
+        setting (its scalar ``decide``'s ``frequency_index``) as one
+        array, and records each controller's stats exactly as its scalar
+        ``decide`` would.
         """
         started = time.perf_counter()
         rates = np.asarray(rate_forecasts, dtype=float)
@@ -217,7 +218,6 @@ class L0BankKernel:
         if self.margin > 0:
             rates = rates * (1.0 + self.margin)
         rows = np.asarray(indices, dtype=np.intp)
-        n = rows.size
         width, layout, capacities, effective_service, powers = (
             self._lookahead_constants(rows, works)
         )
@@ -229,15 +229,13 @@ class L0BankKernel:
             costs = self._expand_ragged(
                 layout, queues, arrivals, capacities, effective_service, powers
             )
-        best = costs.argmin(axis=1)
-        settings = best // width ** (self.horizon - 1)
-        best_costs = costs[np.arange(n), best]
-        share = (time.perf_counter() - started) / n
+        settings = costs.argmin(axis=1) // width ** (self.horizon - 1)
+        share = (time.perf_counter() - started) / rows.size
         controllers = self.controllers
         explored = self._explored
         for bank_index in rows.tolist():
             controllers[bank_index].stats.record(explored[bank_index], share)
-        return settings, best_costs
+        return settings
 
     def _expand(
         self, queues, arrivals, capacities, effective_service, powers
@@ -689,7 +687,7 @@ class ClusterVectorExecutor:
         if rows.size == 0:
             return
         coefficients = gamma_modules[:, None] * self._raw_gammas
-        chosen, _ = self._bank.decide_many(
+        chosen = self._bank.decide_many(
             rows,
             self._queues[serving],
             coefficients[serving][:, None] * forecast,

@@ -1,5 +1,6 @@
 """Tests for the CART regression tree."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.common import ConfigurationError, NotTrainedError
 from repro.approximation import RegressionTree
+from repro.approximation.regression_tree import cell_table
 
 from helpers import tree_depth
 
@@ -244,34 +246,116 @@ def _built_trees(draw):
     )
 
 
-class TestSortedWalk:
-    """``predict_along`` reaches the leaf ``predict`` reaches, value by value."""
+def _cell_predictions(trees, points) -> "list[list[str]]":
+    """Each tree's cell-table value at each point, as ``hex()`` strings."""
+    edges, table = cell_table(trees)
+    x = np.array(points, dtype=float).reshape(len(points), len(edges))
+    cells = tuple(np.searchsorted(edge, x[:, f]) for f, edge in enumerate(edges))
+    return [[p.hex() for p in table[k][cells].tolist()] for k in range(len(trees))]
+
+
+def _thresholds(tree, feature: int) -> "list[float]":
+    """The thresholds ``tree`` tests on ``feature``, ascending."""
+    return sorted(
+        t for f, t, left in zip(tree.feature, tree.threshold, tree.left)
+        if f == feature and left >= 0
+    )
+
+
+def _probes(trees, feature: int) -> "list[float]":
+    """Values that stress feature ``feature``'s cells in ``trees``.
+
+    Every threshold and its two ``nextafter`` neighbours, ±0.0, NaN,
+    ±inf, and a value below the first threshold and one past the last.
+    """
+    thresholds = sorted(t for tree in trees for t in _thresholds(tree, feature))
+    values = [0.0, -0.0, float("nan"), float("inf"), float("-inf")]
+    for t in thresholds:
+        values += [float(np.nextafter(t, -np.inf)), t, float(np.nextafter(t, np.inf))]
+    if thresholds:
+        values += [thresholds[0] - 1.0, thresholds[-1] + 1.0]
+    return values
+
+
+class TestCellTable:
+    """``cell_table`` holds the leaf ``predict`` reaches, cell by cell."""
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_equals_predict_row_by_row(self, data):
         tree = data.draw(st.one_of(_fitted_trees(), _built_trees()), label="tree")
         features = tree._n_features
-        # Values on the tree's own thresholds too, with duplicates.
-        value = st.one_of(_VALUE, st.sampled_from(tree.threshold))
-        feature = data.draw(st.integers(0, features - 1), label="feature")
-        point = data.draw(st.lists(value, min_size=features, max_size=features), label="point")
-        values = sorted(data.draw(st.lists(value, max_size=14), label="values"))
-        along = tree.predict_along(point, feature, values)
-        rows = [[*point[:feature], v, *point[feature + 1 :]] for v in values]
-        expected = [float(tree.predict(np.array(row))).hex() for row in rows]
-        assert [p.hex() for p in along] == expected
-        assert [p.hex() for p in tree.predict_rows(rows)] == expected
+        # Values on the tree's own thresholds too, with duplicates, and
+        # their neighbours, NaN and infinities.
+        value = st.one_of(
+            _VALUE,
+            st.sampled_from(tree.threshold),
+            st.sampled_from(_probes([tree], data.draw(st.integers(0, features - 1)))),
+        )
+        points = data.draw(
+            st.lists(st.lists(value, min_size=features, max_size=features), max_size=14),
+            label="points",
+        )
+        expected = [float(tree.predict(np.array(point))).hex() for point in points]
+        assert _cell_predictions([tree], points) == [expected]
 
-    def test_every_value_of_a_fitted_grid(self):
-        # The L2's case: a module map's rate feature at 11 share levels,
-        # queue and work held, on the thresholds and between them.
+    def test_every_probe_of_a_fitted_grid(self):
+        # The L2's case: a module map's (queue, rate, work) grid, probed
+        # on every threshold, its neighbours and the cells' ends.
         rng = np.random.default_rng(8)
         x = rng.choice([0.0, 5.0, 20.0, 80.0], (300, 3)) + rng.choice([0.0, 1e-9], (300, 3))
         tree = RegressionTree(max_depth=10, min_samples_leaf=2).fit(x, rng.random(300))
-        rates = sorted({t for f, t in zip(tree.feature, tree.threshold) if f == 1})
-        assert len(rates) > 5
-        for values in (np.linspace(0.0, 80.0, 11).tolist(), rates, [r - 1e-9 for r in rates]):
-            for point in ([0.0, -1.0, 20.0], [80.0, 0.0, 5.0 + 1e-9]):
-                expected = tree.predict(np.array([[point[0], v, point[2]] for v in values]))
-                assert tree.predict_along(point, 1, values) == expected.tolist()
+        edges, _ = cell_table([tree])
+        assert len(edges[1]) > 5
+        # Each feature over all its probes, the others over every fifth.
+        probes = [_probes([tree], f) for f in range(3)]
+        points = [
+            point
+            for f in range(3)
+            for point in itertools.product(
+                *(probes[g] if g == f else probes[g][::5] for g in range(3))
+            )
+        ]
+        expected = [p.hex() for p in tree.predict(np.array(points)).tolist()]
+        assert _cell_predictions([tree], points) == [expected]
+
+    def test_trees_whose_thresholds_interleave(self):
+        # Each tree's cells are unions of the shared grid's cells.
+        rng = np.random.default_rng(9)
+        trees = []
+        for shift in (0.0, 0.25, 0.5):
+            x = rng.uniform(0.0, 4.0, (60, 2)) + shift
+            y = np.sin(3.0 * x[:, 0]) + np.cos(2.0 * x[:, 1])
+            trees.append(RegressionTree(max_depth=4, min_samples_leaf=2).fit(x, y))
+        edges, table = cell_table(trees)
+        assert table.shape == (3, len(edges[0]) + 1, len(edges[1]) + 1)
+        for f in range(2):
+            own = [_thresholds(tree, f) for tree in trees]
+            assert edges[f].tolist() == sorted(set().union(*own))
+            # Each tree splits inside the others' ranges.
+            assert all(
+                a[0] < b[-1] and b[0] < a[-1] for a in own for b in own if a is not b
+            )
+        points = list(itertools.product(_probes(trees, 0), _probes(trees, 1)))
+        expected = [[p.hex() for p in tree.predict(np.array(points)).tolist()] for tree in trees]
+        assert _cell_predictions(trees, points) == expected
+
+    @pytest.mark.parametrize("threshold", [float("inf"), float("-inf"), float("nan")])
+    def test_a_non_finite_threshold_is_rejected_in_one_line(self, threshold):
+        tree = RegressionTree.from_dict(
+            {
+                "max_depth": 1,
+                "min_samples_leaf": 1,
+                "n_features": 2,
+                "root": {
+                    "prediction": 0.5,
+                    "feature": 1,
+                    "threshold": threshold,
+                    "left": {"prediction": 0.0},
+                    "right": {"prediction": 1.0},
+                },
+            }
+        )
+        with pytest.raises(ConfigurationError, match="finite") as raised:
+            cell_table([tree])
+        assert "\n" not in str(raised.value)

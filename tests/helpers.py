@@ -169,9 +169,8 @@ def mm1_mean_queue_length(arrival_rate: float, service_rate: float) -> float:
 
 @lru_cache(maxsize=8)
 def _single_map_bank(behavior_map):
-    """One behaviour map alone as a bank, and its one computer's points."""
-    bank = _MapBank([behavior_map])
-    return bank, bank.points([0])
+    """One behaviour map alone as a bank."""
+    return _MapBank([behavior_map])
 
 
 def behavior_map_query(behavior_map, queue, rate, work) -> "tuple[np.ndarray, np.ndarray]":
@@ -179,19 +178,21 @@ def behavior_map_query(behavior_map, queue, rate, work) -> "tuple[np.ndarray, np
 
     Takes numbers or arrays, which broadcast together, and answers every
     point with one array query of the L1's map bank (0-d arrays for
-    numbers).
+    numbers): a row per point, each snapped to its cell in the table's
+    row-major layout.
     """
-    bank, points = _single_map_bank(behavior_map)
-    coordinates = [
-        np.asarray(v, dtype=float)[..., None]
-        for v in np.broadcast_arrays(queue, rate, work)
-    ]
-    costs, finals = bank.query(
-        points,
-        *coordinates,
-        *(nearest_level(p, v) for p, v in zip(bank.pairs, coordinates)),
+    bank = _single_map_bank(behavior_map)
+    coordinates = [np.asarray(v, dtype=float) for v in np.broadcast_arrays(queue, rate, work)]
+    shape = coordinates[0].shape
+    queue, rate, work = (v.reshape(-1, 1) for v in coordinates)
+    cells = bank.offsets[0] + sum(
+        nearest_level(pairs, v) * stride
+        for pairs, v, stride in zip(bank.pairs, (queue, rate, work), bank.strides[0])
     )
-    return costs[..., 0], finals[..., 0]
+    costs, finals = bank.query(
+        np.zeros(1, dtype=np.intp), cells[:, None], queue, rate[:, None], work[:, 0]
+    )
+    return costs.reshape(shape), finals.reshape(shape)
 
 
 def tree_depth(tree, node: int = 0) -> int:

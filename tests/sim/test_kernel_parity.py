@@ -577,18 +577,14 @@ class TestNonFiniteGamma:
 def _assert_rows_decide_like_scalar(result, scalar, rows, queues, rates, works):
     """Each row of a ``decide_many`` result against its scalar ``decide``.
 
-    ``result`` is the bank's ``(settings, expected costs)``; ``scalar``
-    holds fresh controllers, one per bank position, whose stats the
-    calls here record.
+    ``result`` is the bank's settings array; ``scalar`` holds fresh
+    controllers, one per bank position, whose stats the calls here
+    record.
     """
-    settings_, costs = result
-    assert len(settings_) == len(costs) == len(rows)
-    for setting, cost, row, queue, rate, work in zip(
-        settings_, costs, rows, queues, rates, works
-    ):
+    assert len(result) == len(rows)
+    for setting, row, queue, rate, work in zip(result, rows, queues, rates, works):
         expected = scalar[row].decide(queue, np.asarray(rate), work)
         assert setting == expected.frequency_index
-        assert float(cost).hex() == expected.expected_cost.hex()
 
 
 def _assert_stats_like_scalar(bank, scalar):
