@@ -20,9 +20,10 @@ import numpy as np
 
 from repro.common.errors import ControlError, SimulationError
 from repro.common.validation import require_non_negative, require_positive
-from repro.cluster.lifecycle import MachineLifecycle, PowerState
+from repro.cluster.lifecycle import POWER_STATES, MachineLifecycle
 from repro.cluster.power import EnergyMeter
 from repro.cluster.specs import ComputerSpec
+from repro.cluster.state import BOOTING, DRAINING, OFF, ON, PlantState
 from repro.queueing.fluid import FluidServerModel, fluid_step
 from repro.queueing.lindley import FcfsServer
 
@@ -40,25 +41,48 @@ class StepResult:
 
 
 class Computer:
-    """One computer: spec + lifecycle + queue + frequency + energy meter."""
+    """One computer: spec + lifecycle + queue + frequency + energy meter.
+
+    The queue, power state, boot countdown and DVFS setting live in cell
+    ``at`` (row, column) of ``plant``, the run's
+    :class:`~repro.cluster.state.PlantState`; a computer made without one
+    gets a one-cell state of its own.
+    """
 
     def __init__(
         self,
         spec: ComputerSpec,
         initially_on: bool = True,
         discrete_event: bool = False,
+        plant: "PlantState | None" = None,
+        at: "tuple[int, int]" = (0, 0),
     ) -> None:
         self.spec = spec
+        plant = plant if plant is not None else PlantState([1])
         self.lifecycle = MachineLifecycle(
-            boot_delay=spec.boot_delay, initially_on=initially_on
+            boot_delay=spec.boot_delay, initially_on=initially_on, plant=plant, at=at
         )
         self.model = FluidServerModel(
             base_power=spec.base_power,
             speed_factor=spec.effective_speed_factor,
             power_scale=spec.power_scale,
         )
-        self.frequency_index = spec.processor.setting_count - 1
-        self.queue = 0.0
+        processor = spec.processor
+        self._plant = plant
+        row, self._at = at
+        self._queues = plant.queues[row]
+        self._settings = plant.settings[row]
+        self._phis = plant.phis[row]
+        self._frequencies = plant.frequencies[row]
+        #: Each setting's scaling factor, written to the plant with it.
+        self._phi_values = tuple(
+            processor.scaling_factor(s) for s in range(processor.setting_count)
+        )
+        top = processor.setting_count - 1
+        self._settings[self._at] = top
+        self._phis[self._at] = self._phi_values[top]
+        self._frequencies[self._at] = processor.frequencies_ghz[top]
+        self._queues[self._at] = 0.0
         self.energy = EnergyMeter()
         self.server: FcfsServer | None = FcfsServer() if discrete_event else None
         self._clock = 0.0
@@ -67,14 +91,28 @@ class Computer:
     # Control surface
     # ------------------------------------------------------------------
     @property
+    def queue(self) -> float:
+        """The fluid queue (requests)."""
+        return self._queues.item(self._at)
+
+    @queue.setter
+    def queue(self, value: float) -> None:
+        self._queues[self._at] = value
+
+    @property
+    def frequency_index(self) -> int:
+        """The current DVFS setting."""
+        return self._settings.item(self._at)
+
+    @property
     def phi(self) -> float:
         """Current scaling factor u / u_max."""
-        return self.spec.processor.scaling_factor(self.frequency_index)
+        return self._phis.item(self._at)
 
     @property
     def frequency_ghz(self) -> float:
         """Current operating frequency."""
-        return self.spec.processor.frequencies_ghz[self.frequency_index]
+        return self._frequencies.item(self._at)
 
     def set_frequency_index(self, index: int) -> None:
         """Switch the DVFS setting (instantaneous, per the paper)."""
@@ -83,13 +121,19 @@ class Computer:
             raise ControlError(
                 f"frequency index {index} out of range 0..{count - 1}"
             )
-        self.frequency_index = int(index)
+        index = int(index)
+        at = self._at
+        if self._settings.item(at) != index:
+            self._settings[at] = index
+            self._phis[at] = self._phi_values[index]
+            self._frequencies[at] = self.spec.processor.frequencies_ghz[index]
+            self._plant.setting_changes += 1
 
     def power_on(self) -> None:
         """Command this machine on (boot dead time applies)."""
-        was_off = self.lifecycle.state is PowerState.OFF
+        was_off = self.lifecycle.code == OFF
         self.lifecycle.power_on()
-        if was_off and self.lifecycle.state in (PowerState.BOOTING, PowerState.ON):
+        if was_off and self.lifecycle.code in (BOOTING, ON):
             self.energy.add_transient(self.spec.boot_energy)
 
     def power_off(self) -> None:
@@ -153,31 +197,36 @@ class Computer:
         require_non_negative(arrivals, "arrivals")
         require_positive(mean_work, "mean_work")
         require_positive(dt, "dt")
-        if arrivals > 0 and not (self.accepts_work or self.lifecycle.state is PowerState.BOOTING):
+        # The power state and setting do not change until the tick, so
+        # each is read once.
+        code = self.lifecycle.code
+        if arrivals > 0 and not (code == BOOTING or self.accepts_work):
             raise ControlError(
-                f"{self.spec.name} received arrivals while {self.lifecycle.state.value}"
+                f"{self.spec.name} received arrivals while {POWER_STATES[code].value}"
             )
-        start_queue = self.queue
-        if self.is_serving:
-            rate = float(self.model.service_rate(self.phi, mean_work))
+        at = self._at
+        start_queue = self._queues.item(at)
+        phi = self._phis.item(at)
+        serving = code == ON or code == DRAINING
+        if serving:
+            rate = float(self.model.service_rate(phi, mean_work))
             capacity = rate * dt
         else:
             capacity = 0.0
         next_queue, served = fluid_step(start_queue, arrivals, capacity)
-        self.queue = float(next_queue)
+        queue = float(next_queue)
+        self._queues[at] = queue
         response = float("nan")
-        if served > 0 and self.is_serving:
-            mid_queue = (start_queue + self.queue) / 2.0
-            response = float(
-                self.model.response_time(mid_queue, mean_work, self.phi)
-            )
-        power = self._record_energy(dt)
-        self.lifecycle.tick(dt, queue_empty=self.queue <= 1e-9)
+        if served > 0 and serving:
+            mid_queue = (start_queue + queue) / 2.0
+            response = float(self.model.response_time(mid_queue, mean_work, phi))
+        power = self._record_energy(dt, code, phi)
+        self.lifecycle.tick(dt, queue_empty=queue <= 1e-9)
         self._clock += dt
         return StepResult(
             arrivals=arrivals,
             served=float(served),
-            queue=self.queue,
+            queue=queue,
             response_time=response,
             power=power,
         )
@@ -196,11 +245,12 @@ class Computer:
         if self.server is None:
             raise SimulationError("computer is in fluid mode")
         require_positive(dt, "dt")
-        start_queue = float(self.server.queue_length)
-        speed = self.model.speed_factor * self.phi if self.is_serving else 0.0
+        code = self.lifecycle.code
+        phi = self.phi
+        speed = self.model.speed_factor * phi if code == ON or code == DRAINING else 0.0
         completed = self.server.advance(until=self._clock + dt, speed=speed)
         responses = tuple(r.response_time for r in completed)
-        power = self._record_energy(dt)
+        power = self._record_energy(dt, code, phi)
         self.lifecycle.tick(dt, queue_empty=self.server.queue_length == 0)
         self._clock += dt
         served = float(len(completed))
@@ -213,13 +263,12 @@ class Computer:
             completed_responses=responses,
         )
 
-    def _record_energy(self, dt: float) -> float:
-        """Meter this period's power draw; returns average power."""
+    def _record_energy(self, dt: float, code: int, phi: float) -> float:
+        """Meter this period's power draw in state ``code``; returns its average."""
         if not self.lifecycle.draws_power:
             return 0.0
         base = self.spec.base_power
-        dynamic = (
-            float(self.model.power(self.phi)) - base if self.is_serving else 0.0
-        )
+        serving = code == ON or code == DRAINING
+        dynamic = float(self.model.power(phi)) - base if serving else 0.0
         self.energy.add_interval(base, dynamic, dt)
         return base + dynamic

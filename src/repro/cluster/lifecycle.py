@@ -18,6 +18,7 @@ import enum
 
 from repro.common.errors import ControlError
 from repro.common.validation import require_non_negative
+from repro.cluster.state import BOOTING, DRAINING, FAILED, OFF, ON, PlantState
 
 
 class PowerState(enum.Enum):
@@ -30,80 +31,126 @@ class PowerState(enum.Enum):
     FAILED = "failed"
 
 
-class MachineLifecycle:
-    """Tracks one machine's power state through time."""
+#: Each :class:`PowerState` at its :class:`~repro.cluster.state.PlantState` code.
+POWER_STATES = (
+    PowerState.OFF,
+    PowerState.BOOTING,
+    PowerState.ON,
+    PowerState.DRAINING,
+    PowerState.FAILED,
+)
 
-    def __init__(self, boot_delay: float = 120.0, initially_on: bool = True) -> None:
+
+class MachineLifecycle:
+    """Tracks one machine's power state through time.
+
+    The state and boot countdown live in cell ``at`` (row, column) of
+    ``plant``, a :class:`~repro.cluster.state.PlantState` shared with
+    the rest of the run; a lifecycle made without one gets a one-cell
+    state of its own.
+    """
+
+    def __init__(
+        self,
+        boot_delay: float = 120.0,
+        initially_on: bool = True,
+        plant: "PlantState | None" = None,
+        at: "tuple[int, int]" = (0, 0),
+    ) -> None:
         self.boot_delay = require_non_negative(boot_delay, "boot_delay")
-        self.state = PowerState.ON if initially_on else PowerState.OFF
-        self._boot_remaining = 0.0
+        self._plant = plant if plant is not None else PlantState([1])
+        row, self._at = at
+        self._states = self._plant.power_states[row]
+        self._boots = self._plant.boot_remaining[row]
+        self._states[self._at] = ON if initially_on else OFF
+        self._boots[self._at] = 0.0
         self.switch_on_count = 0
         self.switch_off_count = 0
 
     @property
+    def state(self) -> PowerState:
+        """The machine's current power state."""
+        return POWER_STATES[self._states.item(self._at)]
+
+    @property
+    def code(self) -> int:
+        """The current state's :class:`~repro.cluster.state.PlantState` code."""
+        return self._states.item(self._at)
+
+    def _set(self, code: int) -> None:
+        """Move to the state of ``code``, counting a real change."""
+        if self._states.item(self._at) != code:
+            self._states[self._at] = code
+            self._plant.power_changes += 1
+
+    @property
     def is_serving(self) -> bool:
         """True when the machine can process requests (ON or DRAINING)."""
-        return self.state in (PowerState.ON, PowerState.DRAINING)
+        code = self._states.item(self._at)
+        return code == ON or code == DRAINING
 
     @property
     def accepts_work(self) -> bool:
         """True when the dispatcher may route new requests here."""
-        return self.state is PowerState.ON
+        return self._states.item(self._at) == ON
 
     @property
     def draws_power(self) -> bool:
         """True when the machine consumes energy (not OFF, not FAILED)."""
-        return self.state not in (PowerState.OFF, PowerState.FAILED)
+        code = self._states.item(self._at)
+        return code != OFF and code != FAILED
 
     def fail(self) -> None:
         """Hard failure: the machine stops instantly and cannot serve."""
-        self.state = PowerState.FAILED
-        self._boot_remaining = 0.0
+        self._set(FAILED)
+        self._boots[self._at] = 0.0
 
     def repair(self) -> None:
         """Repair a failed machine; it returns to the OFF state."""
-        if self.state is PowerState.FAILED:
-            self.state = PowerState.OFF
+        if self._states.item(self._at) == FAILED:
+            self._set(OFF)
 
     @property
     def is_failed(self) -> bool:
         """True while the machine is failed (cannot be powered on)."""
-        return self.state is PowerState.FAILED
+        return self._states.item(self._at) == FAILED
 
     def power_on(self) -> None:
         """Command the machine on; a no-op if already on, booting, or failed."""
-        if self.state in (PowerState.ON, PowerState.BOOTING, PowerState.FAILED):
+        code = self._states.item(self._at)
+        if code == ON or code == BOOTING or code == FAILED:
             return
-        if self.state is PowerState.DRAINING:
+        if code == DRAINING:
             # Cancel the shutdown; the machine never stopped serving.
-            self.state = PowerState.ON
+            self._set(ON)
             return
-        self.state = PowerState.BOOTING
-        self._boot_remaining = self.boot_delay
+        self._set(BOOTING if self.boot_delay else ON)
+        self._boots[self._at] = self.boot_delay
         self.switch_on_count += 1
-        if self.boot_delay == 0.0:
-            self.state = PowerState.ON
 
     def power_off(self) -> None:
         """Command the machine off; it drains queued work first."""
-        if self.state in (PowerState.OFF, PowerState.DRAINING, PowerState.FAILED):
+        code = self._states.item(self._at)
+        if code == OFF or code == DRAINING or code == FAILED:
             return
-        if self.state is PowerState.BOOTING:
+        if code == BOOTING:
             # Abort the boot outright; nothing was queued yet.
-            self.state = PowerState.OFF
-            self._boot_remaining = 0.0
+            self._set(OFF)
+            self._boots[self._at] = 0.0
             return
-        self.state = PowerState.DRAINING
+        self._set(DRAINING)
         self.switch_off_count += 1
 
     def tick(self, dt: float, queue_empty: bool) -> None:
         """Advance time: complete boots and finish drains."""
         if dt < 0:
             raise ControlError("lifecycle cannot tick backwards")
-        if self.state is PowerState.BOOTING:
-            self._boot_remaining -= dt
-            if self._boot_remaining <= 1e-12:
-                self._boot_remaining = 0.0
-                self.state = PowerState.ON
-        elif self.state is PowerState.DRAINING and queue_empty:
-            self.state = PowerState.OFF
+        code = self._states.item(self._at)
+        if code == BOOTING:
+            remaining = self._boots.item(self._at) - dt
+            if remaining <= 1e-12:
+                remaining = 0.0
+                self._set(ON)
+            self._boots[self._at] = remaining
+        elif code == DRAINING and queue_empty:
+            self._set(OFF)

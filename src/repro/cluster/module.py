@@ -12,24 +12,37 @@ from repro.common.errors import ControlError
 from repro.cluster.computer import Computer, StepResult
 from repro.cluster.dispatcher import WeightedDispatcher
 from repro.cluster.specs import ModuleSpec
+from repro.cluster.state import BOOTING, DRAINING, FAILED, OFF, ON, PlantState
 
 
 class Module:
-    """Plant-side container of the computers in one module."""
+    """Plant-side container of the computers in one module.
+
+    Its computers are row ``row`` of ``plant``, the run's
+    :class:`~repro.cluster.state.PlantState`; a module made without one
+    gets a one-row state of its own.
+    """
 
     def __init__(
         self,
         spec: ModuleSpec,
         initially_on: bool = True,
-        discrete_event: bool = False,
         seed: "int | None" = None,
+        plant: "PlantState | None" = None,
+        row: int = 0,
     ) -> None:
         self.spec = spec
+        if plant is None:
+            plant = PlantState([spec.size])
         self.computers = [
-            Computer(c, initially_on=initially_on, discrete_event=discrete_event)
-            for c in spec.computers
+            Computer(c, initially_on=initially_on, plant=plant, at=(row, j))
+            for j, c in enumerate(spec.computers)
         ]
         self.dispatcher = WeightedDispatcher(seed=seed)
+        size = len(self.computers)
+        self._queues = plant.queues[row, :size]
+        self._power_states = plant.power_states[row, :size]
+        self._settings = plant.settings[row, :size]
 
     @property
     def size(self) -> int:
@@ -38,30 +51,47 @@ class Module:
 
     @property
     def queue_lengths(self) -> np.ndarray:
-        """Per-computer queue lengths."""
-        return np.array([c.queue_length for c in self.computers])
+        """Per-computer queue lengths: a view of the plant state's row."""
+        return self._queues
 
     @property
     def available_mask(self) -> np.ndarray:
         """Boolean mask of machines that are not failed."""
-        return np.array([not c.is_failed for c in self.computers])
+        return self._power_states != FAILED
 
     def apply_configuration(self, alpha: np.ndarray) -> None:
         """Apply an on/off vector (the L1 controller's alpha decision).
 
         Failed machines ignore power commands (their lifecycle pins them
-        to FAILED until repaired).
+        to FAILED until repaired). Only a machine whose command changes
+        its state is commanded.
         """
         alpha = np.asarray(alpha)
         if alpha.shape != (self.size,):
             raise ControlError(
                 f"alpha must have shape ({self.size},), got {alpha.shape}"
             )
-        for computer, on in zip(self.computers, alpha):
+        for computer, on, code in zip(
+            self.computers, alpha.tolist(), self._power_states.tolist()
+        ):
             if on:
-                computer.power_on()
-            else:
+                if code == OFF or code == DRAINING:
+                    computer.power_on()
+            elif code == ON or code == BOOTING:
                 computer.power_off()
+
+    def set_frequency_indices(self, indices) -> None:
+        """Switch computer j to DVFS setting ``indices[j]``, for every j.
+
+        Only a computer whose setting changes is written.
+        """
+        wanted = np.asarray(indices).tolist()
+        current = self._settings.tolist()
+        if wanted == current:
+            return
+        for computer, old, new in zip(self.computers, current, wanted):
+            if new != old:
+                computer.set_frequency_index(int(new))
 
     def fail_computer(self, index: int) -> float:
         """Hard-fail one machine and re-dispatch its backlog.

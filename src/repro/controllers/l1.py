@@ -57,7 +57,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from typing import NamedTuple, NoReturn
 
 import numpy as np
@@ -960,6 +960,7 @@ class L1Bank:
     def __init__(self, controllers: "list[L1Controller]") -> None:
         self.controllers = list(controllers)
         sizes = [controller.spec.size for controller in self.controllers]
+        self._sizes = sizes
         #: Each controller's first computer in :attr:`_bank`.
         self._first_computer = np.cumsum([0, *sizes[:-1]]).tolist()
         self._computers = sum(sizes)
@@ -1073,48 +1074,62 @@ class L1Bank:
         failed machines off in the mask's alpha and its rate_hat,
         rate_next, delta and work as a list of floats; ``quiet`` says the
         kernel runs with numpy's overflow warnings off (see
-        :data:`_QUIET_ABOVE`). One check
-        covers the pass's concatenated rows: each row's shapes, every
-        queue and set-point finite and non-negative, every work above 0
-        and a machine available in each row. Only a pass that fails it
-        goes row by row, so the first failing row raises
-        (:meth:`_raise_first_failure`).
+        :data:`_QUIET_ABOVE`). One check covers the pass's concatenated
+        rows: each row's shapes, and every queue and set-point finite and
+        non-negative and every work above 0; a row's key then shows a
+        machine available in it. Only a pass that fails goes row by row,
+        so the first failing row raises (:meth:`_raise_first_failure`).
         """
-        sizes = [self.controllers[module].spec.size for module in modules]
-        bounds = np.cumsum([0, *sizes])
+        sizes = [self._sizes[module] for module in modules]
+        bounds = [0, *accumulate(sizes)]
         try:
             set_points = np.array([rate_hat, rate_next, delta, work], dtype=float)
-            passed = set_points.shape == (4, len(modules)) and all(
-                np.shape(q) == np.shape(a) == np.shape(v) == (m,)
-                for q, a, v, m in zip(queues, alpha_current, available, sizes, strict=True)
+            # One concatenation per input: a queue row joins the 1-D
+            # set-points, and every mask row must have one dimension, so
+            # a row's length is its shape.
+            values = np.concatenate([*queues, set_points.ravel()], dtype=float)
+            masks = np.concatenate(available, dtype=bool, casting="unsafe")
+            alphas = np.concatenate(alpha_current, dtype=bool, casting="unsafe")
+            passed = (
+                set_points.shape == (4, len(modules))
+                and masks.ndim == alphas.ndim == 1
+                and all(
+                    len(q) == len(a) == len(v) == m
+                    for q, a, v, m in zip(queues, alpha_current, available, sizes, strict=True)
+                )
             )
             if passed:
-                values = np.concatenate([*queues, set_points.ravel()], dtype=float)
-                masks = np.concatenate(available, dtype=bool, casting="unsafe")
-                top, least_work = values.max(), set_points[3].min()
-                passed = (
-                    values.min() >= 0.0
-                    and top < np.inf
-                    and least_work > 0.0
-                    and np.logical_or.reduceat(masks, bounds[:-1]).all()
-                )
-        except ValueError:  # ragged
+                # No NaN passes the first two tests, so the Python min
+                # of the works is numpy's.
+                top, least_work = values.max(), min(set_points[3].tolist())
+                passed = values.min() >= 0.0 and top < np.inf and least_work > 0.0
+        except (ValueError, TypeError):  # ragged, or a row without a length
             passed = False
         if not passed:
             self._raise_first_failure(
                 modules, queues, alpha_current, rate_hat, rate_next, delta, work, available
             )
-        alphas = np.concatenate(alpha_current, dtype=bool, casting="unsafe") & masks
-        bounds = bounds.tolist()
+        alphas &= masks
+        # A bool is one byte, 0 or 1, so row r's key is its slices of both
+        # byte strings, and its machines are available when a 1 is there.
+        alpha_bytes, mask_bytes = alphas.tobytes(), masks.tobytes()
         rows = []
-        for r, (module, points) in enumerate(zip(modules, set_points.T.tolist())):
-            start, end = bounds[r], bounds[r + 1]
-            alpha, mask = alphas[start:end], masks[start:end]
-            key = alpha.tobytes() + mask.tobytes()
-            try:
-                plan = self.controllers[module]._plan(key, alpha, mask)
-            except ControlError as error:
-                raise self._named(error, module) from None
+        for module, start, end, points in zip(
+            modules, bounds, bounds[1:], set_points.T.tolist()
+        ):
+            available_bytes = mask_bytes[start:end]
+            if b"\x01" not in available_bytes:
+                self._raise_first_failure(
+                    modules, queues, alpha_current, rate_hat, rate_next, delta, work, available
+                )
+            key = alpha_bytes[start:end] + available_bytes
+            controller = self.controllers[module]
+            plan = controller._plans.get(key)
+            if plan is None:
+                try:
+                    plan = controller._plan(key, alphas[start:end], masks[start:end])
+                except ControlError as error:
+                    raise self._named(error, module) from None
             rows.append((module, key, plan, values[start:end], points))
         quiet = top > _QUIET_ABOVE or least_work < 1.0 / _QUIET_ABOVE
         return rows, bool(quiet)

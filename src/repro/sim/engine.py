@@ -59,6 +59,7 @@ from repro.common.errors import ConfigurationError, ControlError
 from repro.common.validation import require_failure_events
 from repro.cluster.module import Module
 from repro.cluster.specs import ClusterSpec, ModuleSpec
+from repro.cluster.state import PlantState
 from repro.controllers.baselines import _BaselineBase, make_baseline
 from repro.controllers.l0 import L0Controller
 from repro.controllers.l1 import (
@@ -241,10 +242,11 @@ class _SimulationBase:
             ]
         else:
             controllers = [self._make_baseline(spec) for spec in self._modules]
+        plant = PlantState([spec.size for spec in self._modules])
         runners = [
             ModuleShardRunner(
                 module_index=i,
-                plant=Module(spec, initially_on=True),
+                plant=Module(spec, initially_on=True, plant=plant, row=i),
                 controller=controller,
                 l0_bank=(
                     [L0Controller(c, self.l0_params) for c in spec.computers]
@@ -282,7 +284,7 @@ class _SimulationBase:
                 (*top, *module_recorders, *observers),
                 target_response=self.l0_params.target_response,
             ),
-            vector_executor=self._vector_executor(runners),
+            vector_executor=self._vector_executor(runners, plant),
             l1_bank=L1Bank(controllers) if hierarchy else None,
             gamma_modules=self._initial_gamma.copy(),
             interval_module=np.zeros(len(runners)),
@@ -368,11 +370,9 @@ class _SimulationBase:
             else float(self.work_series[k])
         )
         if k % self.substeps == 0:
-            if vector is not None:
-                vector.flush(full=False)
             self._open_period(state, k, now, work)
             if vector is not None:
-                vector.pull()
+                vector.read_gammas()
         arrivals = float(self.trace.counts[k])
         state.interval_global += arrivals
         shares = state.gamma_modules * arrivals
@@ -684,11 +684,14 @@ class _SimulationBase:
             )
             marks[runner.module_index] = (wall_total, states_total)
 
-    def _vector_executor(self, runners) -> "ClusterVectorExecutor | None":
+    def _vector_executor(self, runners, plant) -> "ClusterVectorExecutor | None":
         """The batched step engine over ``runners``; ``None`` on scalar.
 
-        Boundaries and faults stay on the runners: ``flush`` before a
-        boundary and ``pull`` after it keep the two views in sync.
+        It steps ``plant``, the run's one
+        :class:`~repro.cluster.state.PlantState`, in place, while
+        boundaries and faults stay on the runners' plant objects, which
+        read and write the same arrays; after a boundary the engine has
+        it re-read the runners' gammas.
         """
         if self.kernel != "vector":
             return None
@@ -696,6 +699,7 @@ class _SimulationBase:
 
         return ClusterVectorExecutor(
             runners,
+            plant,
             self.l0_params.period,
             target_response=self.l0_params.target_response,
         )
@@ -720,7 +724,8 @@ class _SimulationBase:
         return forecast
 
     def _finals(self, state: "_RunState") -> "list[ModuleFinalization]":
-        """Every runner's aggregates, with the executor's mirrors written back."""
+        """Every runner's aggregates, with the executor's energy meters and
+        step clocks written back (the only plant values it mirrors)."""
         if state.vector_executor is not None:
             state.vector_executor.flush()
         return [runner.finalize() for runner in state.runners]

@@ -21,7 +21,11 @@ exactly those loops, which every run gets by default (``"vector"``):
   :class:`L0BankKernel` call decides every serving computer of every
   module, then all modules' fluid updates, energy metering, and
   lifecycle ticks advance as ``(modules, computers)`` arrays, emitting
-  the very same :class:`StepEvent` stream the scalar runners emit.
+  the very same :class:`StepEvent` stream the scalar runners emit. The
+  queue, power-state, boot and setting arrays it steps in place are the
+  run's :class:`~repro.cluster.state.PlantState`, which the plant
+  objects read and write too, so boundaries and faults, applied on the
+  objects as on the scalar kernel, copy nothing in or out.
 
 Parity is the design constraint, not an aspiration: every formula here
 replicates the scalar expression's operand order elementwise (float
@@ -63,7 +67,8 @@ _numpy_floor_check()
 
 from repro.common.errors import ConfigurationError, ControlError  # noqa: E402
 from repro.common.validation import require_probability_vector  # noqa: E402
-from repro.cluster.lifecycle import PowerState  # noqa: E402
+from repro.cluster.lifecycle import POWER_STATES  # noqa: E402
+from repro.cluster.state import BOOTING, DRAINING, FAILED, OFF, ON  # noqa: E402
 from repro.controllers.baselines import (  # noqa: E402
     AlwaysOnMaxController,
     BaselineDecision,
@@ -464,16 +469,6 @@ def _fast_probability_vector(gamma, size: int):
     return [value if value > 0.0 else 0.0 for value in gamma]
 
 
-_STATE_CODES = {
-    PowerState.OFF: 0,
-    PowerState.BOOTING: 1,
-    PowerState.ON: 2,
-    PowerState.DRAINING: 3,
-    PowerState.FAILED: 4,
-}
-_CODE_STATES = {code: state for state, code in _STATE_CODES.items()}
-
-
 class ClusterVectorExecutor:
     """Batched substep engine for a module or cluster run (both modes).
 
@@ -485,29 +480,37 @@ class ClusterVectorExecutor:
     all modules, as one :meth:`L0BankKernel.decide_many` call, with the
     inputs ``ModuleShardRunner.step`` forms: rate rows
     ``(gamma_module_i * gamma_ij) * forecast`` from the runner's own
-    gamma, queues from the mirror, and the run's step c-hat. The chosen
-    settings land in the phi/GHz mirrors before the fluid step.
+    gamma, the plant's queues, and the run's step c-hat. The chosen
+    settings land in the plant before the fluid step.
     Baseline periods touch no controllers between boundaries.
 
-    The scalar ``Computer`` objects stay authoritative at control-period
-    boundaries: ``pull()`` snapshots them into arrays after the boundary
-    decisions reconfigure the plant, and ``flush()`` writes queue,
-    lifecycle state, frequency index, energy, and clock back before the
-    next boundary (or a mid-run ``live_summary``/``finish``) reads them.
-    A fault due mid-period is applied by its runner on the objects
-    between a flush and a pull, so re-dispatch, gamma renormalisation
-    and emergency power-on stay in ``ModuleShardRunner``/``Module``.
-    Switch counts and transient energy only ever change inside that
-    scalar code, so they are never mirrored here.
+    The executor steps the run's
+    :class:`~repro.cluster.state.PlantState` in place: its queue, power
+    state, boot countdown and setting arrays are the very ones the
+    ``Computer`` objects read and write, so boundary decisions and
+    faults, which the runners apply on the objects as on the scalar
+    kernel, need no copy in or out. What the executor derives from the
+    state it keeps until the state's counters move: a power-state change
+    rebuilds the lifecycle masks, and a setting change (or a new work)
+    re-prices the phi- and work-dependent entries. The runners' gammas
+    are re-read by :meth:`read_gammas` after each boundary and after a
+    fault due mid-period. Only the base/dynamic energy accumulators and
+    the step clocks are mirrored: nothing else advances them during a
+    run, and :meth:`flush` writes them back for a result or a mid-run
+    summary. Switch counts and transient energy only ever change in the
+    objects' code, so they are never mirrored here.
     """
 
     def __init__(
         self,
         runners: list,
+        plant,
         l0_period: float,
         target_response: float,
     ) -> None:
         self.runners = list(runners)
+        #: The run's :class:`~repro.cluster.state.PlantState`.
+        self.plant = plant
         self.dt = float(l0_period)
         self.target_response = target_response
         #: Per-module response-row aggregates for the most recent
@@ -517,19 +520,16 @@ class ClusterVectorExecutor:
         #: ``target_response``).
         self.step_stats: "list[tuple]" = []
         #: Plant-constant cache: masks, power draws, and capacities are
-        #: functions of lifecycle state / phi / work only. Lifecycle
-        #: state changes at boundaries (pull) and transitions (tick),
-        #: which rebuild the whole cache (``None``). Phi changes at
-        #: boundaries too and, in hierarchy mode, whenever an L0 picks a
-        #: different setting, which re-prices only the phi- and
-        #: work-dependent entries, as a new work does (``"work"`` holds
-        #: the work they were priced at, ``None`` once they are stale).
+        #: functions of power state / phi / work only. It records the
+        #: plant's ``power_changes`` its masks were built at and the
+        #: ``setting_changes`` and work its prices were made at
+        #: (``None`` until the whole cache is first built).
         self._cache = None
         self.module_count = len(self.runners)
         self._module_indices = [runner.module_index for runner in self.runners]
         self.sizes = [runner.plant.size for runner in self.runners]
         self.max_size = max(self.sizes)
-        shape = (self.module_count, self.max_size)
+        shape = plant.queues.shape
         self._valid = np.zeros(shape, dtype=bool)
         # Pad speed/base/scale keep padded expressions finite; the valid
         # mask excludes them from every observable quantity.
@@ -540,25 +540,22 @@ class ClusterVectorExecutor:
             [c.spec.name for c in runner.plant.computers]
             for runner in self.runners
         ]
+        # Mirrored meters (written back by flush()).
+        self._energy_base = np.zeros(shape)
+        self._energy_dynamic = np.zeros(shape)
+        self._clocks = np.zeros(shape)
         for i, runner in enumerate(self.runners):
             for j, computer in enumerate(runner.plant.computers):
                 self._valid[i, j] = True
                 self._speeds[i, j] = computer.model.speed_factor
                 self._bases[i, j] = computer.spec.base_power
                 self._scales[i, j] = computer.spec.power_scale
-        self._pulled = False
-        # Mutable plant state mirrors (filled by pull()).
-        self._queues = np.zeros(shape)
-        self._states = np.zeros(shape, dtype=np.int64)
-        self._boot_remaining = np.zeros(shape)
-        self._findex = np.zeros(shape, dtype=np.intp)
-        self._phis = np.ones(shape)
-        self._freqs = np.zeros(shape)
+                self._energy_base[i, j] = computer.energy.base_energy
+                self._energy_dynamic[i, j] = computer.energy.dynamic_energy
+                self._clocks[i, j] = computer._clock
+        self._clock_inc = np.where(self._valid, self.dt, 0.0)
         self._gammas = np.zeros(shape)
         self._raw_gammas = np.zeros(shape)
-        self._energy_base = np.zeros(shape)
-        self._energy_dynamic = np.zeros(shape)
-        self._clocks = np.zeros(shape)
         #: Hierarchy mode: one L0 bank over every module's computers, in
         #: module-major order (the order the scalar runners decide in).
         l0s = [l0 for runner in self.runners for l0 in runner.l0_bank]
@@ -578,16 +575,8 @@ class ClusterVectorExecutor:
                         self._ghz_table[row, s] = ghz
                     row += 1
 
-    def pull(self) -> None:
-        """Snapshot plant objects into arrays (after a boundary or fault).
-
-        Boundary code reconfigures lifecycle state, frequency, and gamma
-        but never touches the base/dynamic energy accumulators or the
-        step clock (switch-on transients land in the separate
-        ``transient_energy`` accumulator), so those mirrors are read
-        once at the first pull and stay authoritative thereafter.
-        """
-        first_pull = not self._pulled
+    def read_gammas(self) -> None:
+        """Read every runner's gamma (after a boundary or a fault)."""
         for i, runner in enumerate(self.runners):
             size = self.sizes[i]
             gamma = _fast_probability_vector(runner.gamma, size)
@@ -595,48 +584,9 @@ class ClusterVectorExecutor:
                 gamma = require_probability_vector(runner.gamma, "gamma")
             self._gammas[i, :size] = gamma
             self._raw_gammas[i, :size] = runner.gamma
-            for j, computer in enumerate(runner.plant.computers):
-                self._queues[i, j] = computer.queue
-                self._states[i, j] = _STATE_CODES[computer.lifecycle.state]
-                self._boot_remaining[i, j] = computer.lifecycle._boot_remaining
-                self._findex[i, j] = computer.frequency_index
-                self._phis[i, j] = computer.phi
-                self._freqs[i, j] = computer.frequency_ghz
-                if first_pull:
-                    self._energy_base[i, j] = computer.energy.base_energy
-                    self._energy_dynamic[i, j] = computer.energy.dynamic_energy
-                    self._clocks[i, j] = computer._clock
-        self._pulled = True
-        self._cache = None
 
-    def flush(self, full: bool = True) -> None:
-        """Write array state back into the plant objects (idempotent).
-
-        ``full=False`` writes only what boundary and fault code read —
-        queue, lifecycle state, boot countdown, frequency index. The
-        energy accumulators and the step clock are written on full
-        flushes only (result building, live summaries, error paths);
-        nothing between boundaries reads them, so the mirrors stay
-        authoritative in the meantime.
-        """
-        if not self._pulled:
-            return
-        queues = self._queues.tolist()
-        states = self._states.tolist()
-        boots = self._boot_remaining.tolist()
-        findex = self._findex.tolist()
-        for i, runner in enumerate(self.runners):
-            row_q = queues[i]
-            row_s = states[i]
-            row_b = boots[i]
-            row_f = findex[i]
-            for j, computer in enumerate(runner.plant.computers):
-                computer.queue = row_q[j]
-                computer.lifecycle.state = _CODE_STATES[row_s[j]]
-                computer.lifecycle._boot_remaining = row_b[j]
-                computer.frequency_index = row_f[j]
-        if not full:
-            return
+    def flush(self) -> None:
+        """Write the mirrored energy meters and step clocks back (idempotent)."""
         for i, runner in enumerate(self.runners):
             for j, computer in enumerate(runner.plant.computers):
                 computer.energy.base_energy = float(self._energy_base[i, j])
@@ -645,18 +595,11 @@ class ClusterVectorExecutor:
                 )
                 computer._clock = float(self._clocks[i, j])
 
-    def _serving(self) -> np.ndarray:
-        """Mask of the computers processing requests (ON or DRAINING)."""
-        states = self._states
-        return (states == _STATE_CODES[PowerState.ON]) | (
-            states == _STATE_CODES[PowerState.DRAINING]
-        )
-
     def _apply_due_faults(self, now: float) -> None:
         """Let each runner with a fault due by ``now`` apply it.
 
-        The runners' ``_apply_faults`` works on the plant objects, so
-        they are brought up to date first and re-read after.
+        The runners' ``_apply_faults`` works on the plant objects, which
+        write through to the shared state; only the gammas are re-read.
         """
         due = [
             runner
@@ -665,72 +608,68 @@ class ClusterVectorExecutor:
         ]
         if not due:
             return
-        self.flush(full=False)
         for runner in due:
             runner._apply_faults(now)
-        self.pull()
+        self.read_gammas()
 
     def _decide_frequencies(
-        self, gamma_modules: np.ndarray, forecast: np.ndarray, work_estimate: float
+        self,
+        serving: np.ndarray,
+        gamma_modules: np.ndarray,
+        forecast: np.ndarray,
+        work_estimate: float,
     ) -> None:
-        """One batched L0 lookahead for every serving computer.
+        """One batched L0 lookahead for every ``serving`` computer.
 
-        Serving is read at the start of the step, as each scalar
-        runner reads ``is_serving`` (from the plant cache when it is
-        current: every ``pull()`` and lifecycle change drops it); the
-        chosen settings go into the frequency mirrors (re-pricing the
-        cache when one changed).
+        Serving is read at the start of the step, as each scalar runner
+        reads ``is_serving``; the chosen settings go into the plant's
+        setting, phi and GHz arrays, counted as one setting change when
+        one differs.
         """
-        cache = self._cache
-        serving = self._serving() if cache is None else cache["serving"]
         rows = self._bank_rows[serving]
         if rows.size == 0:
             return
+        plant = self.plant
         coefficients = gamma_modules[:, None] * self._raw_gammas
         chosen = self._bank.decide_many(
             rows,
-            self._queues[serving],
+            plant.queues[serving],
             coefficients[serving][:, None] * forecast,
             np.full(rows.size, work_estimate),
         )
-        if (chosen == self._findex[serving]).all():
+        if (chosen == plant.settings[serving]).all():
             return
-        self._findex[serving] = chosen
-        self._phis[serving] = self._phi_table[rows, chosen]
-        self._freqs[serving] = self._ghz_table[rows, chosen]
-        if cache is not None:
-            cache["work"] = None
+        plant.settings[serving] = chosen
+        plant.phis[serving] = self._phi_table[rows, chosen]
+        plant.frequencies[serving] = self._ghz_table[rows, chosen]
+        plant.setting_changes += 1
 
-    def _rebuild_cache(self, work: float) -> dict:
-        """Recompute the plant-constant quantities for the current state.
+    def _rebuild_cache(self) -> dict:
+        """Recompute the lifecycle masks for the plant's power states.
 
-        Every entry is a pure function of lifecycle state, phi, speed,
-        and work: the lifecycle masks here, the rest in
-        :meth:`_price_settings`.
+        Every entry is a pure function of the power states; the entries
+        that depend on phi or work are left for :meth:`_price_settings`.
         """
-        dt = self.dt
         valid = self._valid
-        states = self._states
-        accepts = states == _STATE_CODES[PowerState.ON]
-        booting = states == _STATE_CODES[PowerState.BOOTING]
-        draws = valid & (states != _STATE_CODES[PowerState.OFF]) & (
-            states != _STATE_CODES[PowerState.FAILED]
-        )
+        states = self.plant.power_states
+        accepts = states == ON
+        booting = states == BOOTING
+        draining = states == DRAINING
+        draws = valid & (states != OFF) & (states != FAILED)
         rejecting = valid & ~(accepts | booting)
         cache = {
-            "serving": self._serving(),
+            "power_changes": self.plant.power_changes,
+            "serving": accepts | draining,
             "draws": draws,
             "rejecting": rejecting,
             "any_rejecting": bool(rejecting.any()),
             "any_booting": bool(booting.any()),
             "booting": booting,
-            "any_draining": bool(
-                (states == _STATE_CODES[PowerState.DRAINING]).any()
-            ),
-            "energy_base_inc": np.where(draws, self._bases * dt, 0.0),
-            "clock_inc": np.where(valid, dt, 0.0),
+            "any_draining": bool(draining.any()),
+            "energy_base_inc": np.where(draws, self._bases * self.dt, 0.0),
+            "setting_changes": None,
+            "work": None,
         }
-        self._price_settings(cache, work)
         self._cache = cache
         return cache
 
@@ -741,16 +680,19 @@ class ClusterVectorExecutor:
         dt = self.dt
         serving = cache["serving"]
         draws = cache["draws"]
+        phis = self.plant.phis
+        frequencies = self.plant.frequencies
         dynamic = np.where(
             serving,
-            (self._bases + self._scales * self._phis**2) - self._bases,
+            (self._bases + self._scales * phis**2) - self._bases,
             0.0,
         )
         powers = np.where(draws, self._bases + dynamic, 0.0)
         cache.update(
+            setting_changes=self.plant.setting_changes,
             work=work,
-            capacities=np.where(serving, self._phis * self._speeds / work * dt, 0.0),
-            effective_service=work / (np.maximum(self._phis, 1e-12) * self._speeds),
+            capacities=np.where(serving, phis * self._speeds / work * dt, 0.0),
+            effective_service=work / (np.maximum(phis, 1e-12) * self._speeds),
             # Left-to-right Python sums, as Module.total_power adds its
             # computers' draws (numpy would sum 8+ wide rows pairwise).
             power_sums=[
@@ -762,7 +704,7 @@ class ClusterVectorExecutor:
             # mutated afterwards, so sharing them is value-safe even for
             # observers that retain event references.
             freq_rows=[
-                self._freqs[i, : self.sizes[i]].copy()
+                frequencies[i, : self.sizes[i]].copy()
                 for i in range(self.module_count)
             ],
         )
@@ -786,16 +728,17 @@ class ClusterVectorExecutor:
         entry per L0 lookahead depth) and the c-hat the L0 bank reads.
         """
         self._apply_due_faults(now)
-        if not self._pulled:
-            self.pull()
+        plant = self.plant
         dt = self.dt
-        states = self._states
-        if self._bank is not None:
-            self._decide_frequencies(gamma_modules, forecast, work_estimate)
+        states = plant.power_states
         cache = self._cache
-        if cache is None:
-            cache = self._rebuild_cache(work)
-        elif cache["work"] != work:
+        if cache is None or cache["power_changes"] != plant.power_changes:
+            cache = self._rebuild_cache()
+        if self._bank is not None:
+            self._decide_frequencies(
+                cache["serving"], gamma_modules, forecast, work_estimate
+            )
+        if cache["setting_changes"] != plant.setting_changes or cache["work"] != work:
             self._price_settings(cache, work)
         serving = cache["serving"]
         shares = self._gammas * module_shares[:, None]
@@ -806,10 +749,10 @@ class ClusterVectorExecutor:
                 i, j = map(int, np.argwhere(bad)[0])
                 raise ControlError(
                     f"{self._names[i][j]} received arrivals while "
-                    f"{_CODE_STATES[int(states[i, j])].value}"
+                    f"{POWER_STATES[int(states[i, j])].value}"
                 )
         # Fluid step (computer.step_fluid's expressions, batched).
-        start_queues = self._queues
+        start_queues = plant.queues
         offered = start_queues + shares
         next_queues = np.maximum(offered - cache["capacities"], 0.0)
         served = offered - next_queues
@@ -819,25 +762,23 @@ class ClusterVectorExecutor:
         responses = np.where(served_mask, response_values, np.nan)
         self._energy_base += cache["energy_base_inc"]
         self._energy_dynamic += cache["energy_dynamic_inc"]
-        self._queues = next_queues
+        start_queues[...] = next_queues
         # Lifecycle tick (uses the post-update queue, like the scalar).
         if cache["any_booting"]:
             booting = cache["booting"]
-            remaining = self._boot_remaining
+            remaining = plant.boot_remaining
             remaining[booting] -= dt
             done = booting & (remaining <= 1e-12)
             if done.any():
                 remaining[done] = 0.0
-                states[done] = _STATE_CODES[PowerState.ON]
-                self._cache = None
+                states[done] = ON
+                plant.power_changes += 1
         if cache["any_draining"]:
-            draining_empty = (states == _STATE_CODES[PowerState.DRAINING]) & (
-                next_queues <= 1e-9
-            )
+            draining_empty = (states == DRAINING) & (next_queues <= 1e-9)
             if draining_empty.any():
-                states[draining_empty] = _STATE_CODES[PowerState.OFF]
-                self._cache = None
-        self._clocks += cache["clock_inc"]
+                states[draining_empty] = OFF
+                plant.power_changes += 1
+        self._clocks += self._clock_inc
         # One batched reduction of every response row replaces the
         # recorders' per-row scans. Padded and idle entries are NaN, so
         # filling them with 0 (sum) / -inf (max) and comparing NaN>t as

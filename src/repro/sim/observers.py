@@ -129,14 +129,14 @@ class SimulationObserver:
 class ObserverList:
     """Fan-out helper: broadcasts each event to every observer in order.
 
-    :meth:`on_step` is the engines' one step-event fan-out. It skips
-    observers whose ``on_step`` is the base no-op and hands each event
-    to the stock :class:`ModuleRecorder` of the event's module only
-    (the recorder would discard any other module's events); every
-    other observer, :class:`ModuleRecorder` subclasses included, gets
-    every event. ``target_response`` is the SLA target that ``row_stats``
-    passed to :meth:`on_step` were reduced against: a stock recorder
-    with the same target folds them via
+    :meth:`on_step` and :meth:`on_l1_decision` are the engines' two
+    per-module fan-outs. Each skips observers whose hook is the base
+    no-op and hands each event to the stock :class:`ModuleRecorder` of
+    the event's module only (the recorder would discard any other
+    module's events); every other observer, :class:`ModuleRecorder`
+    subclasses included, gets every event. ``target_response`` is the
+    SLA target that ``row_stats`` passed to :meth:`on_step` were reduced
+    against: a stock recorder with the same target folds them via
     :meth:`ModuleRecorder.on_step_fast`, bit-identically to re-scanning
     the row.
     """
@@ -151,14 +151,23 @@ class ObserverList:
         #: Per-module step routes: ``(on_step, on_step_fast | None)``
         #: pairs in observer order, built on a module's first event.
         self._step_routes: "dict[int, list]" = {}
+        #: Per-module L1 routes: ``on_l1_decision`` methods in observer
+        #: order, built on a module's first event.
+        self._l1_routes: "dict[int, list]" = {}
 
     def on_run_start(self, simulation) -> None:
         for observer in self.observers:
             observer.on_run_start(simulation)
 
     def on_l1_decision(self, event: L1DecisionEvent) -> None:
-        for observer in self.observers:
-            observer.on_l1_decision(event)
+        route = self._l1_routes.get(event.module)
+        if route is None:
+            route = self._l1_routes[event.module] = [
+                observer.on_l1_decision
+                for observer in self._route(event.module, "on_l1_decision")
+            ]
+        for on_l1_decision in route:
+            on_l1_decision(event)
 
     def on_l2_decision(self, event: L2DecisionEvent) -> None:
         for observer in self.observers:
@@ -167,26 +176,34 @@ class ObserverList:
     def on_step(self, event: StepEvent, row_stats: "tuple | None" = None) -> None:
         route = self._step_routes.get(event.module)
         if route is None:
-            route = self._step_routes[event.module] = self._step_route(event.module)
+            route = self._step_routes[event.module] = [
+                (observer.on_step, self._fast_fold(observer))
+                for observer in self._route(event.module, "on_step")
+            ]
         for on_step, on_step_fast in route:
             if on_step_fast is not None and row_stats is not None:
                 on_step_fast(event, row_stats)
             else:
                 on_step(event)
 
-    def _step_route(self, module: int) -> list:
-        route = []
-        for observer in self.observers:
-            if getattr(type(observer), "on_step", None) is SimulationObserver.on_step:
-                continue
-            fast = None
-            if type(observer) is ModuleRecorder:
-                if observer.module != module:
-                    continue
-                if observer.stream.target_response == self.target_response:
-                    fast = observer.on_step_fast
-            route.append((observer.on_step, fast))
-        return route
+    def _route(self, module: int, hook: str) -> list:
+        """The observers that get ``module``'s ``hook`` events, in order."""
+        base = getattr(SimulationObserver, hook)
+        return [
+            observer
+            for observer in self.observers
+            if getattr(type(observer), hook, None) is not base
+            and not (type(observer) is ModuleRecorder and observer.module != module)
+        ]
+
+    def _fast_fold(self, observer):
+        """A stock recorder's ``on_step_fast`` when ``row_stats`` fit it, else None."""
+        if (
+            type(observer) is ModuleRecorder
+            and observer.stream.target_response == self.target_response
+        ):
+            return observer.on_step_fast
+        return None
 
     def on_period_end(self, event: PeriodEvent) -> None:
         for observer in self.observers:

@@ -13,8 +13,9 @@ module applies the decision the engine's one pass over every L1 of
 the boundary made. Between boundaries, the ``scalar`` kernel
 calls :meth:`ModuleShardRunner.step`, the reference; on ``vector``
 (the default) both engines step their runners' computers through
-:class:`~repro.sim.kernels.ClusterVectorExecutor` instead, which keeps
-these runners as the boundary-side view.
+:class:`~repro.sim.kernels.ClusterVectorExecutor` instead, which steps
+in place the run's one :class:`~repro.cluster.state.PlantState` that
+these runners' plant objects read and write.
 
 The engine owns every filter and computes every cross-module quantity
 (L2 decisions, arrival shares, forecasts, c-hats). It hands each runner
@@ -301,10 +302,7 @@ class ModuleShardRunner:
                 self.alpha = decision.alpha.astype(bool)
                 self.gamma = decision.gamma
                 self.plant.apply_configuration(self.alpha)
-                for computer, freq in zip(
-                    self.plant.computers, decision.frequency_indices
-                ):
-                    computer.set_frequency_index(int(freq))
+                self.plant.set_frequency_indices(decision.frequency_indices)
             else:
                 self.plant.apply_configuration(self.alpha)
         else:

@@ -1,11 +1,11 @@
-"""The one step-event fan-out: :meth:`ObserverList.on_step`.
+"""The per-module fan-outs: :meth:`ObserverList.on_step` and ``on_l1_decision``.
 
 Every engine path (module, scalar/vector cluster) hands
-its step events to this method, so its routing contract is tested here
-on synthetic events, without a simulation: the stock recorder of a
-module sees only that module, every other observer sees everything, and
-precomputed row stats take the recorder's fast fold only when they were
-reduced against the recorder's own SLA target.
+its step and L1 decision events to these methods, so their routing
+contract is tested here on synthetic events, without a simulation: the
+stock recorder of a module sees only that module, every other observer
+sees everything, and precomputed row stats take the recorder's fast fold
+only when they were reduced against the recorder's own SLA target.
 """
 
 import numpy as np
@@ -176,6 +176,96 @@ class TestRouting:
             ("a", "run_end", "result"),
             ("b", "run_end", "result"),
         ]
+
+
+def _l1_event(period, module=0, on=SIZE):
+    alpha = np.arange(SIZE) < on
+    return L1DecisionEvent(
+        period=period,
+        module=module,
+        alpha=alpha,
+        gamma=alpha / alpha.sum(),
+        prediction=10.0 + period,
+    )
+
+
+class _CountingL1Recorder(ModuleRecorder):
+    def __init__(self, module=0):
+        super().__init__(8, SIZE, 4, module=module, target_response=TARGET)
+        self.seen = []
+
+    def on_l1_decision(self, event):
+        self.seen.append(event.module)
+        super().on_l1_decision(event)
+
+
+class TestL1Routing:
+    def test_stock_recorder_gets_only_its_module(self, monkeypatch):
+        seen = {0: [], 1: []}
+        mine, other = _recorder(module=0, steps=8), _recorder(module=1, steps=8)
+        for recorder in (mine, other):
+            original = recorder.on_l1_decision
+
+            def spy(event, recorder=recorder, original=original):
+                seen[recorder.module].append(event.module)
+                original(event)
+
+            monkeypatch.setattr(recorder, "on_l1_decision", spy)
+        sink = ObserverList((mine, other), target_response=TARGET)
+        for period, module in enumerate((0, 1, 0, 1)):
+            sink.on_l1_decision(_l1_event(period // 2, module=module, on=module + 1))
+        assert seen == {0: [0, 0], 1: [1, 1]}
+        assert mine.computers_on.tolist() == [1.0, 1.0]
+        assert other.computers_on.tolist() == [2.0, 2.0]
+        assert mine.l1_predictions.tolist() == [10.0, 11.0]
+
+    def test_recorder_subclass_gets_every_module(self):
+        counter = _CountingL1Recorder(module=0)
+        sink = ObserverList((counter,), target_response=TARGET)
+        for period, module in enumerate((0, 1, 2, 0)):
+            sink.on_l1_decision(_l1_event(period, module=module, on=2))
+        assert counter.seen == [0, 1, 2, 0]
+        # Its own module filter still keeps only module 0 in its series.
+        assert counter.computers_on.tolist() == [2.0, 0.0, 0.0, 2.0]
+
+    def test_observers_see_every_event_in_list_order(self):
+        log = []
+        recorder = _recorder(module=1)
+        sink = ObserverList((_Log("a", log), recorder, _Log("b", log)))
+        for module in (0, 1, 2):
+            sink.on_l1_decision(_l1_event(0, module=module))
+        assert log == [
+            ("a", "l1", 0),
+            ("b", "l1", 0),
+            ("a", "l1", 1),
+            ("b", "l1", 1),
+            ("a", "l1", 2),
+            ("b", "l1", 2),
+        ]
+        assert recorder.computers_on.tolist() == [3.0, 0.0]
+
+    def test_noop_l1_observers_are_skipped(self):
+        class Silent(SimulationObserver):
+            pass
+
+        class Raising(SimulationObserver):
+            def on_l1_decision(self, event):
+                raise RuntimeError(f"module {event.module}")
+
+        log = []
+        sink = ObserverList((Silent(), _Log("a", log)))
+        sink.on_l1_decision(_l1_event(0, module=1))
+        assert log == [("a", "l1", 1)]
+        assert sink._l1_routes[1] == [sink.observers[1].on_l1_decision]
+        with pytest.raises(RuntimeError, match="module 0"):
+            ObserverList((Silent(), Raising())).on_l1_decision(_l1_event(0))
+
+    def test_a_module_first_seen_late_is_routed(self):
+        late = _recorder(module=2)
+        sink = ObserverList((late,), target_response=TARGET)
+        for module in (0, 1, 2):
+            sink.on_l1_decision(_l1_event(1, module=module, on=1))
+        assert late.computers_on.tolist() == [0.0, 1.0]
 
 
 class TestRowStats:
